@@ -47,7 +47,6 @@ from .noise import (
     pauli_channel,
     thermal_relaxation_channel,
     two_qubit_tensor_channel,
-    zz_crosstalk_unitary,
     zz_dephasing_channel,
 )
 from .optimizer import (
@@ -68,10 +67,8 @@ from .sim_core import (
     apply_channel,
     apply_unitary,
     choi_matrix,
-    expectation_z,
     partial_trace_to_qubit,
+    qubit_p1,
     qubit_state_fidelity,
-    sample_measurement,
-    sp_from_z,
     validate_cptp,
 )

@@ -76,30 +76,27 @@ class GateOp:
 
 @dataclass
 class NoisyCircuit:
-    """Prep gates followed by an ordered schedule of Trotter steps.
+    """Prep gates followed by one Trotter step repeated plan.n_steps times.
 
-    Channels are attached per gate (post-gate); a freshly built circuit has
-    none. `zeta` records the coherent crosstalk rate baked into the RZZ
-    gates, 0 when absent.
+    Every step is identical, so it is stored once. Channels are attached per
+    gate (post-gate); a freshly built circuit has none. `zeta` records the
+    coherent crosstalk rate baked into the RZZ gates, 0 when absent.
     """
 
     n_qubits: int
     prep: list
-    steps: list
+    step: list
     plan: TrotterPlan
     couplings: CouplingProfile
     zeta: float = 0.0
 
     def has_channels(self) -> bool:
-        ops = list(self.prep)
-        for step in self.steps:
-            ops.extend(step)
-        return any(op.channels for op in ops)
+        return any(op.channels for op in self.prep + self.step)
 
     def gate_ops(self):
         yield from self.prep
-        for step in self.steps:
-            yield from step
+        for _ in range(self.plan.n_steps):
+            yield from self.step
 
 
 def pst_couplings(n_sites: int, j0: float) -> CouplingProfile:
@@ -185,12 +182,8 @@ def build_trotter_circuit(couplings: CouplingProfile, plan: TrotterPlan,
         phi = 2.0 * zeta * dt
         for i in range(n - 1):
             step_ops.append(GateOp(UnitaryGate(gate_matrix("RZZ", phi), (i, i + 1), kind="rzz")))
-    steps = [
-        [GateOp(op.gate) for op in step_ops]  # fresh GateOp per step so channels stay per-step
-        for _ in range(plan.n_steps)
-    ]
     return NoisyCircuit(
-        n_qubits=n, prep=[], steps=steps, plan=plan, couplings=couplings, zeta=zeta
+        n_qubits=n, prep=[], step=step_ops, plan=plan, couplings=couplings, zeta=zeta
     )
 
 
@@ -258,22 +251,22 @@ def exact_sp_oracle(couplings: CouplingProfile, t) -> np.ndarray | float:
     return sp
 
 
-def format_circuit(circuit: NoisyCircuit, max_steps: int = 1) -> str:
-    """Small text diagram of the prep layer and the first `max_steps` steps."""
+def format_circuit(circuit: NoisyCircuit) -> str:
+    """Small text diagram of the prep layer and the repeated Trotter step."""
+    n_steps = circuit.plan.n_steps
     lines = [
-        f"{circuit.n_qubits}-qubit circuit, {len(circuit.steps)} steps, "
+        f"{circuit.n_qubits}-qubit circuit, {n_steps} steps, "
         f"dt = {circuit.plan.dt:.6g}, zeta = {circuit.zeta:g}"
     ]
     if circuit.prep:
         lines.append("prep:")
         for op in circuit.prep:
             lines.append(f"  {_fmt_op(op)}")
-    for k, step in enumerate(circuit.steps[:max_steps]):
-        lines.append(f"step {k + 1}:")
-        for op in step:
-            lines.append(f"  {_fmt_op(op)}")
-    if len(circuit.steps) > max_steps:
-        lines.append(f"... ({len(circuit.steps) - max_steps} more identical steps)")
+    lines.append("step 1:")
+    for op in circuit.step:
+        lines.append(f"  {_fmt_op(op)}")
+    if n_steps > 1:
+        lines.append(f"... ({n_steps - 1} more identical steps)")
     return "\n".join(lines)
 
 

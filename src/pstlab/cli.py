@@ -159,10 +159,11 @@ def _build_noise(block) -> NoiseParams | None:
         return None
     if not isinstance(block, dict):
         raise ConfigError("noise block must be an object or null")
-    if block.pop("ideal", False):
+    params = dict(block)  # the caller's block goes into the manifest and the run id
+    if params.pop("ideal", False):
         return None
     try:
-        return NoiseParams.from_dict(block)
+        return NoiseParams.from_dict(params)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid noise block: {exc}") from exc
 
@@ -373,8 +374,6 @@ def _peak_summary(series: SPTimeSeries) -> dict:
 
 def _grid_records(cfg: dict, exp_cfg: ExperimentConfig):
     grid = cfg.get("grid") or {}
-    threads = os.environ.get("PSTLAB_THREADS")
-    n_workers = int(threads) if threads else None
     return grid_search_j0(
         lo=float(grid.get("lo", 0.1)),
         hi=float(grid.get("hi", 4.0)),
@@ -384,7 +383,6 @@ def _grid_records(cfg: dict, exp_cfg: ExperimentConfig):
         n_steps=exp_cfg.n_steps,
         noise=exp_cfg.noise if exp_cfg.noise is not None else NoiseParams(),
         seed=exp_cfg.seed,
-        n_workers=n_workers,
     )
 
 
@@ -406,7 +404,7 @@ def _emit_grid(records, out_dir: Path, fmt: str) -> dict:
                 "j0": rec.candidate.j0,
                 "couplings": list(rec.candidate.couplings),
                 "peak_sp": rec.objective,
-                "t_star": rec.t_star,
+                "t_star": None if math.isnan(rec.t_star) else rec.t_star,
             }
             for rank, rec in enumerate(records, start=1)
         ]

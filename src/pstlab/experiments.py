@@ -27,14 +27,14 @@ from .chains import (
     prepare_initial_state,
     pst_couplings,
 )
-from .noise import NoiseParams, attach_comprehensive, comprehensive_attachments
+from .noise import NoiseParams, attach_comprehensive, attach_to_ops, comprehensive_attachments
 from .sim_core import (
     DensityMatrix,
     PureState,
     UnitaryGate,
     apply_channel,
     apply_unitary,
-    partial_trace_to_qubit,
+    qubit_p1,
     qubit_state_fidelity,
 )
 
@@ -188,10 +188,12 @@ def _prep_gate_for_amplitudes(a: complex, b: complex) -> UnitaryGate:
     return UnitaryGate(mat, (0,), kind="u")
 
 
-def _apply_gate_op(state, op: GateOp):
-    state = apply_unitary(state, op.gate)
-    for channel, targets in op.channels:
-        state = apply_channel(state, channel, targets)
+def _apply_ops(state, ops):
+    """Apply each GateOp's gate, then its channels in order."""
+    for op in ops:
+        state = apply_unitary(state, op.gate)
+        for channel, targets in op.channels:
+            state = apply_channel(state, channel, targets)
     return state
 
 
@@ -201,43 +203,24 @@ def evolve_recorded(circuit: NoisyCircuit, record):
         state = DensityMatrix.zero(circuit.n_qubits)
     else:
         state = PureState.zero(circuit.n_qubits)
-    for op in circuit.prep:
-        state = _apply_gate_op(state, op)
+    state = _apply_ops(state, circuit.prep)
     out = [record(state)]
-    for step in circuit.steps:
-        for op in step:
-            state = _apply_gate_op(state, op)
+    for _ in range(circuit.plan.n_steps):
+        state = _apply_ops(state, circuit.step)
         out.append(record(state))
     return out
 
 
-def _site_p1(state, site: int) -> float:
-    """Excitation probability of one site, 1-based."""
-    qubit = site - 1
-    n = state.n_qubits
-    if isinstance(state, PureState):
-        probs = np.abs(state.amplitudes) ** 2
-    else:
-        probs = np.real(np.diagonal(state.matrix))
-    idx = np.arange(len(probs))
-    mask = ((idx >> (n - 1 - qubit)) & 1).astype(bool)
-    return float(np.sum(probs[mask]))
-
-
-def _readout_flip(p1: float, readout_error: float) -> float:
-    if readout_error <= 0:
-        return p1
-    return (1.0 - readout_error) * p1 + readout_error * (1.0 - p1)
-
-
-def _measured_sp(state, site: int, shots, rng, readout_error: float) -> float:
-    """SP of one site: exact population, optionally shot-sampled with readout flip."""
-    p1 = _readout_flip(_site_p1(state, site), readout_error)
+def measure_p1(state, qubit: int, shots, rng, readout_error: float) -> float:
+    """Measured P(qubit reads 1): readout flip, clamp to [0, 1], then an
+    optional binomial draw of `shots` outcomes (None = exact)."""
+    p1 = qubit_p1(state, qubit)
+    if readout_error > 0:
+        p1 = (1.0 - readout_error) * p1 + readout_error * (1.0 - p1)
     p1 = min(1.0, max(0.0, p1))
     if shots is None:
         return p1
-    n1 = int(rng.binomial(int(shots), p1))
-    return n1 / int(shots)
+    return int(rng.binomial(int(shots), p1)) / int(shots)
 
 
 def run_sp_series(config: ExperimentConfig) -> SPTimeSeries:
@@ -250,7 +233,7 @@ def run_sp_series(config: ExperimentConfig) -> SPTimeSeries:
     readout = config.noise.readout_error if config.noise is not None else 0.0
 
     def record(state):
-        return [_measured_sp(state, s, config.shots, rng, readout) for s in sites]
+        return [measure_p1(state, s - 1, config.shots, rng, readout) for s in sites]
 
     rows = np.array(evolve_recorded(circuit, record))
     values = {s: rows[:, i] for i, s in enumerate(sites)}
@@ -280,24 +263,6 @@ def tomography_reconstruct(x: float, y: float, z: float, eps: float = 0.15) -> D
 _BASIS_GATE_KINDS = {"X": ("h",), "Y": ("sdg", "h"), "Z": ()}
 
 
-def _tomo_expectation(rho: DensityMatrix, qubit: int, basis: str, one_q_atts,
-                      shots, rng, readout_error: float) -> float:
-    """<sigma_basis> after applying the (possibly noisy) basis-rotation gates."""
-    work = rho
-    for kind in _BASIS_GATE_KINDS[basis]:
-        gate = UnitaryGate(gate_matrix(kind.upper()), (qubit,), kind=kind)
-        work = apply_unitary(work, gate)
-        for att in one_q_atts:
-            if att.matches(gate):
-                for channel, targets in att.placements(gate):
-                    work = apply_channel(work, channel, targets)
-    p1 = _readout_flip(_site_p1(work, qubit + 1), readout_error)
-    p1 = min(1.0, max(0.0, p1))
-    if shots is not None:
-        p1 = int(rng.binomial(int(shots), p1)) / int(shots)
-    return 1.0 - 2.0 * p1  # p0 - p1
-
-
 def _best_phase_fidelity(rho: np.ndarray, a: complex, b: complex) -> float:
     """max over phi of <psi(phi)|rho|psi(phi)> with psi = A|0> + e^{i phi} B|1>."""
     fa, fb = abs(a) ** 2, abs(b) ** 2
@@ -320,20 +285,23 @@ def run_arbitrary_transfer(config: ExperimentConfig) -> TomographyRecord:
     config = replace(config, initial="arbitrary", amp_a=a, amp_b=b)
     circuit = assemble_circuit(config)
     qubit = config.n_sites - 1
-    one_q_atts = []
-    if config.noise is not None:
-        one_q_atts = [att for att in comprehensive_attachments(config.noise) if att.arity == 1]
+    attachments = comprehensive_attachments(config.noise) if config.noise is not None else []
+    rotations = [
+        attach_to_ops(
+            [GateOp(UnitaryGate(gate_matrix(kind.upper()), (qubit,), kind=kind)) for kind in kinds],
+            attachments,
+        )
+        for kinds in _BASIS_GATE_KINDS.values()
+    ]
     readout = config.noise.readout_error if config.noise is not None else 0.0
     rng = np.random.default_rng(config.seed)
     target = DensityMatrix(1, np.outer([a, b], np.conj([a, b])), validate=False)
 
     def record(state):
         rho = state.to_density_matrix() if isinstance(state, PureState) else state
-        est = {
-            basis: _tomo_expectation(rho, qubit, basis, one_q_atts, config.shots, rng, readout)
-            for basis in ("X", "Y", "Z")
-        }
-        return est["X"], est["Y"], est["Z"]
+        # <sigma> = p0 - p1 of the last qubit after each basis rotation
+        return [1.0 - 2.0 * measure_p1(_apply_ops(rho, ops), qubit, config.shots, rng, readout)
+                for ops in rotations]
 
     rows = evolve_recorded(circuit, record)
     xs = np.array([r[0] for r in rows])

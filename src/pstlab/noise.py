@@ -189,19 +189,6 @@ def thermal_relaxation_channel(t1: float, t2: float, duration: float,
     raise ValueError(f"unknown thermal mode {mode!r}")
 
 
-def zz_crosstalk_unitary(zeta: float, t: float) -> np.ndarray:
-    """diag(e^{-i zeta t}, e^{i zeta t}, e^{i zeta t}, e^{-i zeta t}) = RZZ(2 zeta t)."""
-    phase = zeta * t
-    return np.diag(
-        [
-            np.exp(-1j * phase),
-            np.exp(1j * phase),
-            np.exp(1j * phase),
-            np.exp(-1j * phase),
-        ]
-    ).astype(complex)
-
-
 def zz_dephasing_channel(p_zz: float) -> KrausChannel:
     """(1 - p) rho + p (Z(x)Z) rho (Z(x)Z): incoherent crosstalk variant."""
     if not 0.0 <= p_zz <= 1.0:
@@ -244,31 +231,26 @@ class ChannelAttachment:
         return [(self.channel, gate.targets)]
 
 
+def attach_to_ops(ops, attachments) -> list:
+    """New GateOps with the attachments' channels added after each matched gate."""
+    out = []
+    for op in ops:
+        channels = list(op.channels)
+        for att in attachments:
+            if att.matches(op.gate):
+                channels.extend(att.placements(op.gate))
+        out.append(GateOp(op.gate, channels))
+    return out
+
+
 def attach_channels(circuit: NoisyCircuit, attachments) -> NoisyCircuit:
     """Return a new circuit with the attachments' channels added post-gate."""
     for att in attachments:
         report = validate_cptp(att.channel)
         if not report.ok:
             raise ValueError(f"attachment channel failed CPTP check: {report}")
-
-    def rebuild(ops):
-        out = []
-        for op in ops:
-            new_channels = list(op.channels)
-            for att in attachments:
-                if att.matches(op.gate):
-                    new_channels.extend(att.placements(op.gate))
-            out.append(GateOp(op.gate, new_channels))
-        return out
-
-    return NoisyCircuit(
-        n_qubits=circuit.n_qubits,
-        prep=rebuild(circuit.prep),
-        steps=[rebuild(step) for step in circuit.steps],
-        plan=circuit.plan,
-        couplings=circuit.couplings,
-        zeta=circuit.zeta,
-    )
+    return replace(circuit, prep=attach_to_ops(circuit.prep, attachments),
+                   step=attach_to_ops(circuit.step, attachments))
 
 
 def comprehensive_attachments(params: NoiseParams) -> list:

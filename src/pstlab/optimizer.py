@@ -160,7 +160,7 @@ class _ObjectiveCache:
 def grid_search_j0(lo: float = 0.1, hi: float = 4.0, step: float = 0.1,
                    n_sites: int = 4, total_time: float = 2.0 * math.pi,
                    n_steps: int = 80, noise: NoiseParams | None = None,
-                   seed: int = 0, n_workers: int | None = None) -> list:
+                   seed: int = 0) -> list:
     """Evaluate the engineered profile at every uniform scale on the grid.
 
     Returns EvalRecords sorted by objective, best first (ties keep grid
@@ -189,14 +189,7 @@ def grid_search_j0(lo: float = 0.1, hi: float = 4.0, step: float = 0.1,
             timestamp=time.time(), kind="grid",
         )
 
-    if n_workers and n_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            records = list(pool.map(evaluate, candidates))
-    else:
-        records = [evaluate(c) for c in candidates]
-    return sorted(records, key=lambda r: -r.objective)
+    return sorted((evaluate(c) for c in candidates), key=lambda r: -r.objective)
 
 
 def sensitivity_and_delta(candidate: Candidate, dimension: int, evaluate=None,

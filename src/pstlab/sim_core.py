@@ -244,30 +244,21 @@ def apply_channel(rho: DensityMatrix, channel: KrausChannel, targets) -> Density
     return DensityMatrix(n, out, validate=False)
 
 
-def expectation_z(state, qubit: int) -> float:
-    """tr(rho Z_qubit) for a DensityMatrix, or <psi|Z|psi> for a PureState."""
+def qubit_p1(state, qubit: int) -> float:
+    """Probability that `qubit` reads 1, for a PureState or a DensityMatrix."""
     n = state.n_qubits
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n} qubits")
     if isinstance(state, PureState):
         probs = np.abs(state.amplitudes) ** 2
     elif isinstance(state, DensityMatrix):
-        diag = np.diagonal(state.matrix)
-        if np.max(np.abs(diag.imag)) > 1e-10:
-            raise ValueError("density matrix diagonal has imaginary residue > 1e-10")
-        probs = diag.real
+        probs = np.real(np.diagonal(state.matrix))
     else:
         raise TypeError(f"unsupported state type {type(state).__name__}")
     # big-endian: qubit q is bit (n-1-q) of the basis index
     idx = np.arange(len(probs))
-    signs = 1.0 - 2.0 * ((idx >> (n - 1 - qubit)) & 1)
-    return float(np.dot(signs, probs))
-
-
-def sp_from_z(z: float) -> float:
-    """Success probability (1 - <Z>)/2, clamping <Z> into [-1, 1]."""
-    z = min(1.0, max(-1.0, float(z)))
-    return (1.0 - z) / 2.0
+    mask = ((idx >> (n - 1 - qubit)) & 1).astype(bool)
+    return float(np.sum(probs[mask]))
 
 
 def partial_trace_to_qubit(rho: DensityMatrix, keep: int) -> DensityMatrix:
@@ -301,47 +292,6 @@ def qubit_state_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     det_s = max(0.0, float(np.real(np.linalg.det(sigma.matrix))))
     fid = overlap + 2.0 * np.sqrt(det_r * det_s)
     return min(1.0, max(0.0, fid))
-
-
-_BASIS_ROTATIONS = {
-    "Z": None,
-    "X": HADAMARD,
-    "Y": HADAMARD @ S_DAG,  # S^dag then H
-}
-
-
-def sample_measurement(rho: DensityMatrix, qubit: int, basis: str,
-                       shots: int | float | None = None, seed=None):
-    """Measure one qubit in the X, Y, or Z basis.
-
-    Basis rotations follow the tomography protocol: H for X, S^dag then H
-    for Y, nothing for Z. With finite `shots` the outcome counts are drawn
-    from the Born distribution using `seed`; `shots=None` (or infinity) is
-    exact mode and returns the analytic probabilities.
-
-    Returns (p0, p1, estimate of <sigma_basis>).
-    """
-    basis = basis.upper()
-    if basis not in _BASIS_ROTATIONS:
-        raise ValueError(f"invalid basis {basis!r}, expected one of X, Y, Z")
-    reduced = partial_trace_to_qubit(rho, qubit).matrix
-    rot = _BASIS_ROTATIONS[basis]
-    if rot is not None:
-        reduced = rot @ reduced @ rot.conj().T
-    p0 = float(np.real(reduced[0, 0]))
-    p0 = min(1.0, max(0.0, p0))
-    p1 = 1.0 - p0
-    exact = shots is None or (isinstance(shots, float) and np.isinf(shots))
-    if exact:
-        return p0, p1, p0 - p1
-    shots = int(shots)
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    rng = np.random.default_rng(seed)
-    n1 = int(rng.binomial(shots, p1))
-    p1_hat = n1 / shots
-    p0_hat = 1.0 - p1_hat
-    return p0_hat, p1_hat, p0_hat - p1_hat
 
 
 def choi_matrix(channel: KrausChannel) -> np.ndarray:

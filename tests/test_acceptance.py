@@ -66,7 +66,7 @@ from pstlab.optimizer import (
     objective,
     starts_from_grid,
 )
-from pstlab.sim_core import PureState, partial_trace_to_qubit, validate_cptp
+from pstlab.sim_core import PureState, partial_trace_to_qubit, qubit_p1, validate_cptp
 
 HALF_PI = math.pi / 2
 
@@ -130,9 +130,7 @@ def matched_channel_peak(channel_1q) -> float:
         arity=2,
     )
     noisy = attach_channels(circuit, [att])
-    from pstlab.experiments import _measured_sp
-
-    values = evolve_recorded(noisy, lambda st: _measured_sp(st, 4, None, None, 0.0))
+    values = evolve_recorded(noisy, lambda st: qubit_p1(st, 3))
     series = SPTimeSeries(times=noisy.plan.times(), values={4: values})
     return detect_first_peak(series)[1]
 

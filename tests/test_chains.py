@@ -112,9 +112,10 @@ class TestGateMatrices:
 
 class TestCircuitStructure:
     def test_n4_gate_counts(self):
-        """80 steps x 3 bonds x (RXX + RYY) = 480 two-qubit XY gates."""
+        """80 steps x 3 bonds x (RXX + RYY) = 480 two-qubit XY gates, one step stored."""
         circ = build_trotter_circuit(pst_couplings(4, 1.0), TrotterPlan(2 * math.pi, 80))
-        kinds = [op.gate.kind for step in circ.steps for op in step]
+        assert len(circ.step) == 6
+        kinds = [op.gate.kind for op in circ.gate_ops()]
         assert kinds.count("rxx") == 240
         assert kinds.count("ryy") == 240
         assert kinds.count("rzz") == 0
@@ -122,22 +123,23 @@ class TestCircuitStructure:
     def test_rzz_present_when_crosstalk_on(self):
         circ = build_trotter_circuit(pst_couplings(4, 1.0), TrotterPlan(2 * math.pi, 80),
                                      zeta=0.1)
-        kinds = [op.gate.kind for step in circ.steps for op in step]
+        kinds = [op.gate.kind for op in circ.gate_ops()]
         assert kinds.count("rzz") == 240  # N-1 bonds per step
         dt = 2 * math.pi / 80
-        rzz = next(op.gate for op in circ.steps[0] if op.gate.kind == "rzz")
+        rzz = next(op.gate for op in circ.step if op.gate.kind == "rzz")
         np.testing.assert_allclose(rzz.matrix, gate_matrix("RZZ", 2 * 0.1 * dt), atol=1e-15)
 
     def test_single_step_n2(self):
         circ = build_trotter_circuit(pst_couplings(2, 1.0), TrotterPlan(1.0, 1))
-        (step,) = circ.steps
+        step = circ.step
+        assert list(circ.gate_ops()) == step
         assert [op.gate.kind for op in step] == ["rxx", "ryy"]
         assert all(op.gate.targets == (0, 1) for op in step)
         np.testing.assert_allclose(step[0].gate.matrix, gate_matrix("RXX", 1.0), atol=1e-15)
 
     def test_per_bond_order_within_step(self):
         circ = build_trotter_circuit(pst_couplings(4, 1.0), TrotterPlan(1.0, 1))
-        ops = circ.steps[0]
+        ops = circ.step
         assert [(op.gate.kind, op.gate.targets) for op in ops] == [
             ("rxx", (0, 1)), ("ryy", (0, 1)),
             ("rxx", (1, 2)), ("ryy", (1, 2)),
@@ -148,7 +150,7 @@ class TestCircuitStructure:
         prof = pst_couplings(4, 2.9)
         plan = TrotterPlan(2 * math.pi, 40)
         circ = build_trotter_circuit(prof, plan)
-        first = circ.steps[0][0].gate.matrix
+        first = circ.step[0].gate.matrix
         np.testing.assert_allclose(first, gate_matrix("RXX", prof.couplings[0] * plan.dt),
                                    atol=1e-15)
 

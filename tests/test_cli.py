@@ -19,6 +19,9 @@ from pstlab.cli import (
 )
 
 
+REPO = Path(__file__).resolve().parents[1]
+
+
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> Path:
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -106,6 +109,15 @@ class TestRunConfig:
         b = json.loads(run_config(cfg).read_text())["run_id"]
         assert a == b
 
+    def test_ideal_flag_is_kept_in_manifest_and_run_id(self, tmp_path):
+        base = {"experiment": "sp_series", "chain": {"n": 3}, "plan": {"steps": 8}}
+        noisy_cfg = write_config(tmp_path, {**base, "noise": {}}, name="noisy.json")
+        ideal_cfg = write_config(tmp_path, {**base, "noise": {"ideal": True}}, name="ideal.json")
+        noisy = json.loads(run_config(noisy_cfg, out=tmp_path / "noisy").read_text())
+        ideal = json.loads(run_config(ideal_cfg, out=tmp_path / "ideal").read_text())
+        assert ideal["run_id"] != noisy["run_id"]
+        assert ideal["config"]["noise"] == {"ideal": True}
+
     def test_overrides_change_chain(self, tmp_path):
         cfg = small_sp_config(tmp_path)
         manifest = json.loads(run_config(cfg, overrides=["chain.n=4"]).read_text())
@@ -148,6 +160,26 @@ class TestRunConfig:
         lines = Path(manifest["outputs"]["grid_csv"]).read_text().strip().split("\n")
         assert lines[0] == "rank,j0,peak_sp,t_star"
         assert len(lines) == 1 + 3
+
+    def test_grid_json_is_standard_json_without_a_peak(self, tmp_path):
+        """A scale with no peak in (0, T/2] writes t_star null, not NaN."""
+        cfg = write_config(tmp_path, {
+            "experiment": "grid_search",
+            "grid": {"lo": 0.4, "hi": 2.2, "step": 1.8},  # j0 = 0.4 arrives after T/2
+            "plan": {"steps": 16},
+            "noise": {},
+            "output_dir": str(tmp_path / "out"),
+        })
+        manifest = json.loads(run_config(cfg).read_text())
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        rows = json.loads(Path(manifest["outputs"]["grid_json"]).read_text(),
+                          parse_constant=reject)
+        assert {row["j0"]: row["t_star"] is None for row in rows} == {0.4: True, 2.2: False}
+        csv_rows = Path(manifest["outputs"]["grid_csv"]).read_text().strip().split("\n")
+        assert csv_rows[-1].endswith(",0.4,0,nan")
 
     def test_arbitrary_transfer_experiment(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -242,3 +274,21 @@ class TestReport:
     def test_requires_manifest(self):
         with pytest.raises(ConfigError):
             emit_report([])
+
+
+class TestCommittedRuns:
+    @pytest.mark.parametrize("name", ["headline", "rescale"])
+    def test_regenerates_byte_identical(self, tmp_path, name):
+        """configs/<name>.json reproduces every output committed under runs/<name>/."""
+        committed = REPO / "runs" / name
+        manifest_path = run_config(REPO / "configs" / f"{name}.json", out=tmp_path)
+        produced = sorted(p.name for p in tmp_path.iterdir())
+        assert produced == sorted(p.name for p in committed.iterdir())
+        for fname in produced:
+            if fname != "manifest.json":
+                assert (tmp_path / fname).read_bytes() == (committed / fname).read_bytes(), fname
+        new = json.loads(manifest_path.read_text())
+        old = json.loads((committed / "manifest.json").read_text())
+        assert set(new.pop("outputs")) == set(old.pop("outputs"))
+        del new["duration_s"], old["duration_s"]
+        assert new == old

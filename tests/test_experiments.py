@@ -101,17 +101,10 @@ class TestIdealRuns:
         """The statevector fast path matches dense density-matrix evolution."""
         circuit = assemble_circuit(ExperimentConfig(n_sites=3, n_steps=10))
         assert not circuit.has_channels()
-        from pstlab.experiments import _apply_gate_op
+        from pstlab.experiments import _apply_ops
 
-        pure = PureState.zero(3)
-        dense = DensityMatrix.zero(3)
-        for op in circuit.prep:
-            pure = _apply_gate_op(pure, op)
-            dense = _apply_gate_op(dense, op)
-        for step in circuit.steps:
-            for op in step:
-                pure = _apply_gate_op(pure, op)
-                dense = _apply_gate_op(dense, op)
+        pure = _apply_ops(PureState.zero(3), circuit.gate_ops())
+        dense = _apply_ops(DensityMatrix.zero(3), circuit.gate_ops())
         np.testing.assert_allclose(pure.to_density_matrix().matrix, dense.matrix, atol=1e-12)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pstlab.chains import TrotterPlan, build_trotter_circuit, pst_couplings
+from pstlab.chains import TrotterPlan, build_trotter_circuit, gate_matrix, pst_couplings
 from pstlab.noise import (
     ChannelAttachment,
     NoiseParams,
@@ -19,7 +19,6 @@ from pstlab.noise import (
     pauli_channel,
     thermal_relaxation_channel,
     two_qubit_tensor_channel,
-    zz_crosstalk_unitary,
     zz_dephasing_channel,
 )
 from pstlab.sim_core import (
@@ -243,30 +242,28 @@ class TestThermalRelaxation:
             thermal_relaxation_channel(1e-4, 3e-4, 1e-6, "combined")
 
 
+def zz_crosstalk(zeta: float, t: float) -> np.ndarray:
+    """Coherent crosstalk propagator over time t: RZZ(2 zeta t)."""
+    return gate_matrix("RZZ", 2 * zeta * t)
+
+
 class TestZZCrosstalk:
     def test_zeta_zero_identity(self):
-        np.testing.assert_allclose(zz_crosstalk_unitary(0.0, 1.0), np.eye(4), atol=1e-15)
+        np.testing.assert_allclose(zz_crosstalk(0.0, 1.0), np.eye(4), atol=1e-15)
 
     def test_quarter_period_phases(self):
-        np.testing.assert_allclose(zz_crosstalk_unitary(1.0, math.pi / 2),
+        np.testing.assert_allclose(zz_crosstalk(1.0, math.pi / 2),
                                    np.diag([-1j, 1j, 1j, -1j]), atol=1e-15)
-
-    def test_matches_rzz_gate(self):
-        from pstlab.chains import gate_matrix
-
-        zeta, t = 0.1, 0.7
-        np.testing.assert_allclose(zz_crosstalk_unitary(zeta, t),
-                                   gate_matrix("RZZ", 2 * zeta * t), atol=1e-15)
 
     def test_commutes_with_zz(self):
         zz = np.kron(np.diag([1, -1]), np.diag([1, -1]))
-        u = zz_crosstalk_unitary(0.3, 1.1)
+        u = zz_crosstalk(0.3, 1.1)
         assert np.max(np.abs(u @ zz - zz @ u)) < 1e-14
 
     def test_semigroup(self):
         zeta = 0.17
-        a = zz_crosstalk_unitary(zeta, 0.8) @ zz_crosstalk_unitary(zeta, 1.3)
-        np.testing.assert_allclose(a, zz_crosstalk_unitary(zeta, 2.1), atol=1e-12)
+        a = zz_crosstalk(zeta, 0.8) @ zz_crosstalk(zeta, 1.3)
+        np.testing.assert_allclose(a, zz_crosstalk(zeta, 2.1), atol=1e-12)
 
 
 class TestZZDephasing:
@@ -311,16 +308,14 @@ class TestComprehensiveAssembly:
         circ = self.make_circuit()
         out = attach_comprehensive(circ, params)
         assert not out.has_channels()
-        assert [op.gate.kind for step in out.steps for op in step] == [
-            op.gate.kind for step in circ.steps for op in step
-        ]
+        assert [op.gate.kind for op in out.gate_ops()] == [op.gate.kind for op in circ.gate_ops()]
 
     def test_default_attachment_counts(self):
         """Six depolarizing + six thermal two-qubit attachments per step."""
         params = NoiseParams()
         circ = self.make_circuit(zeta=params.circuit_zeta())
         out = attach_comprehensive(circ, params)
-        step = out.steps[0]
+        step = out.step
         two_q = [op for op in step if op.gate.kind in ("rxx", "ryy")]
         assert len(two_q) == 6
         assert all(len(op.channels) == 2 for op in two_q)  # depol + thermal
@@ -351,7 +346,7 @@ class TestComprehensiveAssembly:
         params = NoiseParams(zz_mode="dephasing_channel", p_zz=0.02,
                              pauli_on=False, depol_on=False, thermal_on=False)
         out = attach_comprehensive(self.make_circuit(), params)
-        step = out.steps[0]
+        step = out.step
         assert all(len(op.channels) == 1 for op in step)
         assert all(ch.arity == 2 for op in step for ch, _ in op.channels)
 

@@ -78,13 +78,6 @@ class TestGridSearch:
             (r.candidate.j0, r.objective) for r in b
         ]
 
-    def test_threaded_matches_serial(self):
-        serial = grid_search_j0(lo=2.7, hi=3.0, step=0.1, **FAST)
-        threaded = grid_search_j0(lo=2.7, hi=3.0, step=0.1, n_workers=4, **FAST)
-        assert [(r.candidate.j0, r.objective) for r in serial] == [
-            (r.candidate.j0, r.objective) for r in threaded
-        ]
-
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             grid_search_j0(lo=2.0, hi=1.0)

@@ -1,11 +1,15 @@
 """Core engine tests: gate/channel application against brute-force oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import sqrtm
 from scipy.stats import unitary_group
+
+from pstlab.experiments import ExperimentConfig, measure_p1, run_arbitrary_transfer
 
 from pstlab.sim_core import (
     HADAMARD,
@@ -21,11 +25,9 @@ from pstlab.sim_core import (
     apply_channel,
     apply_unitary,
     choi_matrix,
-    expectation_z,
     partial_trace_to_qubit,
+    qubit_p1,
     qubit_state_fidelity,
-    sample_measurement,
-    sp_from_z,
     validate_cptp,
 )
 
@@ -210,40 +212,52 @@ class TestValidateCPTP:
         assert "violation" in str(report)
 
 
+def z_state(z: float) -> DensityMatrix:
+    """Diagonal single-qubit state with <Z> = z (z may leave [-1, 1] slightly)."""
+    return DensityMatrix(1, np.diag([(1.0 + z) / 2.0, (1.0 - z) / 2.0]), validate=False)
+
+
 class TestObservables:
+    """qubit_p1 is the population P(1) = (1 - <Z>)/2; measure_p1 reads it out."""
+
     @pytest.mark.parametrize("amps,expected", [([1, 0], 1.0), ([0, 1], -1.0)])
     def test_z_on_basis_states(self, amps, expected):
         rho = PureState(1, amps).to_density_matrix()
-        assert expectation_z(rho, 0) == pytest.approx(expected, abs=1e-14)
+        assert qubit_p1(rho, 0) == pytest.approx((1.0 - expected) / 2.0, abs=1e-14)
 
     def test_z_on_plus(self):
         plus = PureState(1, np.array([1, 1]) / np.sqrt(2)).to_density_matrix()
-        assert expectation_z(plus, 0) == pytest.approx(0.0, abs=1e-14)
+        assert qubit_p1(plus, 0) == pytest.approx(0.5, abs=1e-14)
 
     def test_big_endian_qubit_order(self):
         """|10>: qubit 0 carries the excitation (Z = -1), qubit 1 does not."""
         psi = PureState(2, [0, 0, 1, 0])  # index 2 = |10>
-        assert expectation_z(psi, 0) == pytest.approx(-1.0)
-        assert expectation_z(psi, 1) == pytest.approx(1.0)
+        assert qubit_p1(psi, 0) == pytest.approx(1.0)
+        assert qubit_p1(psi, 1) == pytest.approx(0.0)
+        assert qubit_p1(psi.to_density_matrix(), 0) == pytest.approx(1.0)
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            expectation_z(PureState.zero(2), 2)
+            qubit_p1(PureState.zero(2), 2)
 
     @pytest.mark.parametrize("z,sp", [(1.0, 0.0), (-1.0, 1.0), (0.0, 0.5)])
     def test_sp_from_z(self, z, sp):
-        assert sp_from_z(z) == sp
+        assert measure_p1(z_state(z), 0, None, None, 0.0) == sp
 
     def test_sp_from_z_clamps(self):
-        assert sp_from_z(1.0 + 1e-10) == 0.0
-        assert sp_from_z(-1.0 - 1e-10) == 1.0
+        assert measure_p1(z_state(1.0 + 1e-10), 0, None, None, 0.0) == 0.0
+        assert measure_p1(z_state(-1.0 - 1e-10), 0, None, None, 0.0) == 1.0
+
+    def test_readout_flip(self):
+        assert measure_p1(z_state(-1.0), 0, None, None, 0.1) == pytest.approx(0.9, abs=1e-15)
+        assert measure_p1(z_state(1.0), 0, None, None, 0.1) == pytest.approx(0.1, abs=1e-15)
 
     @given(seed=st.integers(0, 500))
     @settings(max_examples=30, deadline=None)
     def test_z_always_in_unit_interval(self, seed):
         rho = random_density(3, seed=seed)
         for q in range(3):
-            assert -1.0 - 1e-9 <= expectation_z(rho, q) <= 1.0 + 1e-9
+            assert -1e-9 <= qubit_p1(rho, q) <= 1.0 + 1e-9
 
 
 class TestPartialTrace:
@@ -308,30 +322,35 @@ class TestFidelity:
             qubit_state_fidelity(bad, good)
 
 
+def transferred_tomography(b: complex):
+    """Ideal two-site tomography record on the grid 0, pi/2, pi.
+
+    A single bond's RXX and RYY commute, so the Trotter step is exact, and
+    a|0> + b|1> on site 1 arrives at pi/2 as a|0> - i b|1> on site 2.
+    """
+    config = ExperimentConfig(n_sites=2, total_time=math.pi, n_steps=2,
+                              amp_a=complex(1.0 / math.sqrt(2.0)), amp_b=b)
+    return run_arbitrary_transfer(config)
+
+
 class TestSampling:
     def test_z_on_ground_state(self):
         rho = PureState.zero(1).to_density_matrix()
-        p0, p1, est = sample_measurement(rho, 0, "Z", shots=100, seed=0)
-        assert (p0, p1, est) == (1.0, 0.0, 1.0)
+        p1 = measure_p1(rho, 0, 100, np.random.default_rng(0), 0.0)
+        assert p1 == 0.0
 
     def test_x_basis_exact_on_plus(self):
-        plus = PureState(1, np.array([1, 1]) / np.sqrt(2)).to_density_matrix()
-        p0, p1, est = sample_measurement(plus, 0, "X")
-        assert est == pytest.approx(1.0, abs=1e-12)
+        record = transferred_tomography(1j / math.sqrt(2.0))  # arrives as |+>
+        assert record.x[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_y_basis_exact_on_plus_i(self):
-        plus_i = PureState(1, np.array([1, 1j]) / np.sqrt(2)).to_density_matrix()
-        _, _, est = sample_measurement(plus_i, 0, "Y")
-        assert est == pytest.approx(1.0, abs=1e-12)
+        record = transferred_tomography(-1.0 / math.sqrt(2.0))  # arrives as |+i>
+        assert record.y[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_basis_rotations_are_the_tomography_gates(self):
         # X uses H; Y uses S^dag then H
         np.testing.assert_allclose(HADAMARD @ HADAMARD, np.eye(2), atol=1e-15)
         np.testing.assert_allclose(S_DAG, np.diag([1, -1j]), atol=1e-15)
-
-    def test_invalid_basis(self):
-        with pytest.raises(ValueError, match="basis"):
-            sample_measurement(PureState.zero(1).to_density_matrix(), 0, "W")
 
     def test_binomial_concentration(self):
         """<Z> estimate on |+> with 2048 shots: within 3 sigma for >= 99% of seeds.
@@ -344,14 +363,14 @@ class TestSampling:
         hits = 0
         n_seeds = 400
         for seed in range(n_seeds):
-            _, _, est = sample_measurement(plus, 0, "Z", shots=2048, seed=seed)
+            est = 1.0 - 2.0 * measure_p1(plus, 0, 2048, np.random.default_rng(seed), 0.0)
             hits += abs(est) <= bound
         assert hits / n_seeds >= 0.99
 
     def test_seeded_sampling_is_reproducible(self):
         rho = PureState(1, np.array([np.sqrt(0.3), np.sqrt(0.7)])).to_density_matrix()
-        a = sample_measurement(rho, 0, "Z", shots=512, seed=42)
-        b = sample_measurement(rho, 0, "Z", shots=512, seed=42)
+        a = measure_p1(rho, 0, 512, np.random.default_rng(42), 0.0)
+        b = measure_p1(rho, 0, 512, np.random.default_rng(42), 0.0)
         assert a == b
 
 
