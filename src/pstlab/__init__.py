@@ -63,10 +63,13 @@ from .sim_core import (
     DensityMatrix,
     KrausChannel,
     PureState,
+    Superoperator,
     UnitaryGate,
     apply_channel,
+    apply_superoperator,
     apply_unitary,
     choi_matrix,
+    fused_superoperator,
     partial_trace_to_qubit,
     qubit_p1,
     qubit_state_fidelity,

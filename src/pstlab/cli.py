@@ -232,8 +232,25 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _run_id(cfg: dict, seed: int) -> str:
-    blob = json.dumps({"config": cfg, "seed": seed}, sort_keys=True).encode()
+def _search_settings(experiment: str, cfg: dict) -> dict:
+    """The grid and GP settings the experiment uses, with defaults filled in."""
+    settings = {}
+    if experiment in ("grid_search", "bayes_opt"):
+        grid = cfg.get("grid") or {}
+        settings["grid"] = {"lo": float(grid.get("lo", 0.1)), "hi": float(grid.get("hi", 4.0)),
+                            "step": float(grid.get("step", 0.1))}
+    if experiment == "bayes_opt":
+        bo = cfg.get("bo") or {}
+        settings["bo"] = {"top_starts": int(bo.get("top_starts", 3)),
+                          "iterations_per_start": int(bo.get("iterations_per_start", 5)),
+                          "batch_size": int(bo.get("batch_size", 64))}
+    return settings
+
+
+def _run_id(experiment: str, exp_cfg: ExperimentConfig, search: dict) -> str:
+    """Hash of the resolved inputs, so configs that run the same thing share an id."""
+    blob = json.dumps({"experiment": experiment, "config": exp_cfg.to_dict(), **search},
+                      sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -258,7 +275,8 @@ def run_config(path, overrides=(), seed=None, out=None, fmt: str = "both") -> Pa
     raw = apply_overrides(load_config(path), overrides)
     experiment, exp_cfg, cfg = resolve_config(raw, seed_override=seed)
     out_dir = Path(out) if out else Path(cfg.get("output_dir", "runs") or "runs")
-    run_id = _run_id(cfg, exp_cfg.seed)
+    search = _search_settings(experiment, cfg)
+    run_id = _run_id(experiment, exp_cfg, search)
     started = time.time()
 
     outputs: dict = {}
@@ -301,17 +319,17 @@ def run_config(path, overrides=(), seed=None, out=None, fmt: str = "both") -> Pa
         results["noisy"] = _peak_summary(noisy)
         results["corrected"] = _peak_summary(corrected)
     elif experiment == "grid_search":
-        records = _grid_records(cfg, exp_cfg)
+        records = _grid_records(search["grid"], exp_cfg)
         outputs.update(_emit_grid(records, out_dir, fmt))
         results["best_j0"] = records[0].candidate.j0
         results["best_objective"] = records[0].objective
     elif experiment == "bayes_opt":
-        records = _grid_records(cfg, exp_cfg)
-        bo_block = cfg.get("bo") or {}
+        records = _grid_records(search["grid"], exp_cfg)
+        bo = search["bo"]
         bo_cfg = BOConfig(
-            starts=starts_from_grid(records, top=int(bo_block.get("top_starts", 3))),
-            iterations_per_start=int(bo_block.get("iterations_per_start", 5)),
-            batch_size=int(bo_block.get("batch_size", 64)),
+            starts=starts_from_grid(records, top=bo["top_starts"]),
+            iterations_per_start=bo["iterations_per_start"],
+            batch_size=bo["batch_size"],
             seed=exp_cfg.seed,
             n_sites=exp_cfg.n_sites,
             total_time=exp_cfg.total_time,
@@ -372,12 +390,9 @@ def _peak_summary(series: SPTimeSeries) -> dict:
         return {"t_star": None, "sp_star": None}
 
 
-def _grid_records(cfg: dict, exp_cfg: ExperimentConfig):
-    grid = cfg.get("grid") or {}
+def _grid_records(grid: dict, exp_cfg: ExperimentConfig):
     return grid_search_j0(
-        lo=float(grid.get("lo", 0.1)),
-        hi=float(grid.get("hi", 4.0)),
-        step=float(grid.get("step", 0.1)),
+        **grid,
         n_sites=exp_cfg.n_sites,
         total_time=exp_cfg.total_time,
         n_steps=exp_cfg.n_steps,
@@ -425,7 +440,6 @@ def _ledger_jsonl(ledger) -> str:
                     "objective": rec.objective,
                     "t_star": None if math.isnan(rec.t_star) else rec.t_star,
                     "seed": rec.seed,
-                    "timestamp": rec.timestamp,
                     "kind": rec.kind,
                 },
                 sort_keys=True,

@@ -4,7 +4,8 @@ arbitrary-state transfer with single-qubit tomography.
 Every run evolves one circuit and records observables after the prep layer
 (k = 0) and after each Trotter step, giving a uniform (n_steps + 1)-point
 time grid. Runs without any attached channel use the pure-state fast path;
-otherwise the state is a dense density matrix.
+otherwise the state is a dense density matrix and every stored op (a gate
+with its channels) is compiled once into one fused superoperator.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ from .sim_core import (
     DensityMatrix,
     PureState,
     UnitaryGate,
-    apply_channel,
+    apply_superoperator,
     apply_unitary,
+    fused_superoperator,
     qubit_p1,
     qubit_state_fidelity,
 )
@@ -188,25 +190,31 @@ def _prep_gate_for_amplitudes(a: complex, b: complex) -> UnitaryGate:
     return UnitaryGate(mat, (0,), kind="u")
 
 
-def _apply_ops(state, ops):
-    """Apply each GateOp's gate, then its channels in order."""
-    for op in ops:
-        state = apply_unitary(state, op.gate)
-        for channel, targets in op.channels:
-            state = apply_channel(state, channel, targets)
+def _compile_ops(ops, n_qubits: int, density: bool) -> list:
+    """Each GateOp as the engine applies it: its fused superoperator on a
+    density matrix, its bare gate on a pure state (channel-free ops only)."""
+    if density:
+        return [fused_superoperator(op.gate, op.channels, n_qubits) for op in ops]
+    return [op.gate for op in ops]
+
+
+def _apply_compiled(state, compiled):
+    """Apply compiled ops in order to the state kind they were compiled for."""
+    apply = apply_superoperator if isinstance(state, DensityMatrix) else apply_unitary
+    for op in compiled:
+        state = apply(state, op)
     return state
 
 
 def evolve_recorded(circuit: NoisyCircuit, record):
     """Run prep then every step, calling record(state) at k = 0..n_steps."""
-    if circuit.has_channels():
-        state = DensityMatrix.zero(circuit.n_qubits)
-    else:
-        state = PureState.zero(circuit.n_qubits)
-    state = _apply_ops(state, circuit.prep)
+    n, density = circuit.n_qubits, circuit.has_channels()
+    state = DensityMatrix.zero(n) if density else PureState.zero(n)
+    step = _compile_ops(circuit.step, n, density)
+    state = _apply_compiled(state, _compile_ops(circuit.prep, n, density))
     out = [record(state)]
     for _ in range(circuit.plan.n_steps):
-        state = _apply_ops(state, circuit.step)
+        state = _apply_compiled(state, step)
         out.append(record(state))
     return out
 
@@ -287,10 +295,10 @@ def run_arbitrary_transfer(config: ExperimentConfig) -> TomographyRecord:
     qubit = config.n_sites - 1
     attachments = comprehensive_attachments(config.noise) if config.noise is not None else []
     rotations = [
-        attach_to_ops(
+        _compile_ops(attach_to_ops(
             [GateOp(UnitaryGate(gate_matrix(kind.upper()), (qubit,), kind=kind)) for kind in kinds],
             attachments,
-        )
+        ), config.n_sites, density=True)
         for kinds in _BASIS_GATE_KINDS.values()
     ]
     readout = config.noise.readout_error if config.noise is not None else 0.0
@@ -300,7 +308,8 @@ def run_arbitrary_transfer(config: ExperimentConfig) -> TomographyRecord:
     def record(state):
         rho = state.to_density_matrix() if isinstance(state, PureState) else state
         # <sigma> = p0 - p1 of the last qubit after each basis rotation
-        return [1.0 - 2.0 * measure_p1(_apply_ops(rho, ops), qubit, config.shots, rng, readout)
+        return [1.0 - 2.0 * measure_p1(_apply_compiled(rho, ops), qubit, config.shots, rng,
+                                       readout)
                 for ops in rotations]
 
     rows = evolve_recorded(circuit, record)

@@ -20,7 +20,6 @@ explored wide and steep directions densely.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,7 +66,6 @@ class EvalRecord:
     objective: float
     t_star: float
     seed: int
-    timestamp: float
     kind: str = "eval"  # "start" | "probe" | "bo" | "grid"
 
 
@@ -150,7 +148,6 @@ class _ObjectiveCache:
                 objective=peak,
                 t_star=t_star,
                 seed=self.seed,
-                timestamp=time.time(),
                 kind=kind,
             )
         )
@@ -185,8 +182,7 @@ def grid_search_j0(lo: float = 0.1, hi: float = 4.0, step: float = 0.1,
             noise=noise, seed=seed,
         )
         return EvalRecord(
-            candidate=cand, objective=peak, t_star=t_star, seed=seed,
-            timestamp=time.time(), kind="grid",
+            candidate=cand, objective=peak, t_star=t_star, seed=seed, kind="grid",
         )
 
     return sorted((evaluate(c) for c in candidates), key=lambda r: -r.objective)

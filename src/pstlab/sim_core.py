@@ -5,7 +5,10 @@ is sum_i q_i * 2^(n-1-i), so qubit 0 is the leftmost ket label and chain
 site 1. |1000> therefore means "excitation on the first of four sites".
 
 Unitaries and Kraus channels act on arbitrary qubit subsets through tensor
-reshaping; nothing here assumes a chain topology.
+reshaping; nothing here assumes a chain topology. The evolution engine fuses
+each gate with its channels into one superoperator and applies it in a single
+contraction; apply_unitary and apply_channel (the Kraus loop) are the
+reference it is tested against.
 """
 
 from __future__ import annotations
@@ -226,22 +229,81 @@ def apply_unitary(state, gate: UnitaryGate):
     raise TypeError(f"unsupported state type {type(state).__name__}")
 
 
-def apply_channel(rho: DensityMatrix, channel: KrausChannel, targets) -> DensityMatrix:
-    """rho -> sum_K K rho K^dag on the embedded subsystem."""
-    n = rho.n_qubits
+def _check_channel(channel: KrausChannel, targets, n_qubits: int) -> tuple:
+    """The channel's targets as ints, after the arity, range and CPTP checks."""
     targets = tuple(int(t) for t in targets)
     if len(targets) != channel.arity:
         raise ValueError(
             f"channel arity {channel.arity} does not match {len(targets)} targets"
         )
-    _check_targets(targets, n)
+    _check_targets(targets, n_qubits)
     report = validate_cptp(channel)
     if not report.ok:
         raise ValueError(f"refusing to apply non-CPTP channel: {report}")
+    return targets
+
+
+def apply_channel(rho: DensityMatrix, channel: KrausChannel, targets) -> DensityMatrix:
+    """rho -> sum_K K rho K^dag on the embedded subsystem."""
+    n = rho.n_qubits
+    targets = _check_channel(channel, targets, n)
     out = np.zeros_like(rho.matrix)
     for k in channel.kraus_ops:
         out += _apply_matrix_to_density(rho.matrix, k, targets, n)
     return DensityMatrix(n, out, validate=False)
+
+
+class Superoperator:
+    """A map rho -> E(rho) on a few target qubits as one 4^k x 4^k matrix.
+
+    The matrix acts on rho restricted to the targets, flattened row index
+    first: entry [(i, j), (i', j')] carries rho[i', j'] into rho[i, j], so
+    rho -> M rho M^dag is kron(M, conj(M)).
+    """
+
+    __slots__ = ("matrix", "targets")
+
+    def __init__(self, matrix, targets):
+        self.matrix = matrix
+        self.targets = targets
+
+
+def _superoperator(mat: np.ndarray, positions, k: int) -> np.ndarray:
+    """kron(M, conj(M)) for M embedded at `positions` of a k-qubit support."""
+    eye = np.eye(2**k, dtype=complex).reshape(-1)
+    embedded = _apply_matrix_to_vector(eye, mat, positions, 2 * k).reshape(2**k, 2**k)
+    return np.kron(embedded, embedded.conj())
+
+
+def fused_superoperator(gate: UnitaryGate, channels, n_qubits: int) -> Superoperator:
+    """The gate followed by its channels in order, as one superoperator.
+
+    S = S_m ... S_1 (U (x) conj U) with S_c = sum_K K (x) conj K, every factor
+    embedded in the support: the gate's targets, then any channel target
+    outside them. Refuses exactly what apply_unitary and apply_channel refuse.
+    """
+    _check_targets(gate.targets, n_qubits)
+    support = list(gate.targets)
+    placed = []
+    for channel, targets in channels:
+        targets = _check_channel(channel, targets, n_qubits)
+        support += [t for t in targets if t not in support]
+        placed.append((channel, targets))
+    k = len(support)
+    matrix = _superoperator(gate.matrix, range(gate.arity), k)
+    for channel, targets in placed:
+        positions = [support.index(t) for t in targets]
+        matrix = sum(_superoperator(kr, positions, k) for kr in channel.kraus_ops) @ matrix
+    return Superoperator(matrix, tuple(support))
+
+
+def apply_superoperator(rho: DensityMatrix, sop: Superoperator) -> DensityMatrix:
+    """rho -> E(rho): one contraction into the row and column axes of the targets."""
+    n = rho.n_qubits
+    _check_targets(sop.targets, n)
+    axes = list(sop.targets) + [n + t for t in sop.targets]
+    vec = _apply_matrix_to_vector(rho.matrix.reshape(-1), sop.matrix, axes, 2 * n)
+    return DensityMatrix(n, vec.reshape(2**n, 2**n), validate=False)
 
 
 def qubit_p1(state, qubit: int) -> float:

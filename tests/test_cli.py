@@ -118,6 +118,38 @@ class TestRunConfig:
         assert ideal["run_id"] != noisy["run_id"]
         assert ideal["config"]["noise"] == {"ideal": True}
 
+    def test_equivalent_configs_share_run_id(self, tmp_path):
+        """The id hashes the resolved inputs: spelled-out defaults and the
+        output directory do not change it."""
+        base = {"experiment": "sp_series", "chain": {"n": 3}, "plan": {"steps": 8}}
+        default = write_config(tmp_path, {**base, "noise": {}, "output_dir": str(tmp_path / "a")},
+                               name="default.json")
+        spelled = write_config(tmp_path, {**base, "noise": {"zeta": 0.1}, "seed": 0,
+                                          "output_dir": str(tmp_path / "b")}, name="spelled.json")
+        a = json.loads(run_config(default).read_text())
+        b = json.loads(run_config(spelled).read_text())
+        assert a["run_id"] == b["run_id"]
+        assert (tmp_path / "a" / "series.csv").read_bytes() == (tmp_path / "b" / "series.csv").read_bytes()
+        other = json.loads(run_config(spelled, overrides=["noise.zeta=0.2"]).read_text())
+        assert other["run_id"] != a["run_id"]
+
+    def test_bayes_opt_ledger_is_reproducible(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "experiment": "bayes_opt",
+            "chain": {"n": 3},
+            "plan": {"steps": 16},
+            "noise": {},
+            "grid": {"lo": 2.8, "hi": 3.0, "step": 0.2},
+            "bo": {"iterations_per_start": 1, "batch_size": 8, "top_starts": 1},
+            "seed": 3,
+        })
+        first = json.loads(run_config(cfg, out=tmp_path / "a").read_text())
+        second = json.loads(run_config(cfg, out=tmp_path / "b").read_text())
+        ledger = (tmp_path / "a" / "ledger.jsonl").read_bytes()
+        assert ledger == (tmp_path / "b" / "ledger.jsonl").read_bytes()
+        assert len(ledger.splitlines()) == first["results"]["evaluations"]
+        assert first["run_id"] == second["run_id"]
+
     def test_overrides_change_chain(self, tmp_path):
         cfg = small_sp_config(tmp_path)
         manifest = json.loads(run_config(cfg, overrides=["chain.n=4"]).read_text())

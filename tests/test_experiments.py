@@ -1,15 +1,18 @@
 """Experiment drivers: series runs, tomography, and peak detection."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from pstlab.chains import exact_sp_oracle, exact_transfer_amplitude, pst_couplings
+from pstlab.chains import GateOp, exact_sp_oracle, exact_transfer_amplitude, gate_matrix, pst_couplings
 from pstlab.experiments import (
     ExperimentConfig,
     NoPeakError,
     SPTimeSeries,
+    _apply_compiled,
+    _compile_ops,
     assemble_circuit,
     detect_first_peak,
     evolve_recorded,
@@ -20,10 +23,14 @@ from pstlab.experiments import (
     series_to_json,
     tomography_reconstruct,
 )
-from pstlab.noise import NoiseParams
+from pstlab.noise import NoiseParams, attach_to_ops, comprehensive_attachments
 from pstlab.sim_core import (
     DensityMatrix,
     PureState,
+    UnitaryGate,
+    apply_channel,
+    apply_superoperator,
+    apply_unitary,
     partial_trace_to_qubit,
 )
 
@@ -101,11 +108,83 @@ class TestIdealRuns:
         """The statevector fast path matches dense density-matrix evolution."""
         circuit = assemble_circuit(ExperimentConfig(n_sites=3, n_steps=10))
         assert not circuit.has_channels()
-        from pstlab.experiments import _apply_ops
-
-        pure = _apply_ops(PureState.zero(3), circuit.gate_ops())
-        dense = _apply_ops(DensityMatrix.zero(3), circuit.gate_ops())
+        ops = list(circuit.gate_ops())
+        pure = _apply_compiled(PureState.zero(3), _compile_ops(ops, 3, density=False))
+        dense = _apply_compiled(DensityMatrix.zero(3), _compile_ops(ops, 3, density=True))
         np.testing.assert_allclose(pure.to_density_matrix().matrix, dense.matrix, atol=1e-12)
+
+
+def kraus_loop(rho, op):
+    """The test oracle: the op's gate, then each of its channels as a Kraus sum."""
+    rho = apply_unitary(rho, op.gate)
+    for channel, targets in op.channels:
+        rho = apply_channel(rho, channel, targets)
+    return rho
+
+
+def mixed_state(n: int, seed: int) -> DensityMatrix:
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    rho = a @ a.conj().T
+    return DensityMatrix(n, rho / np.trace(rho))
+
+
+# Strong noise, so that every channel moves rho well above the 1e-12 bound.
+STRONG = dict(p_pauli=0.03, q_depol=0.04, t1=20e-6, t2=15e-6, dur_1q=0.2e-6, dur_2q=1e-6,
+              zeta=0.3, p_zz=0.05)
+ZZ_SETTINGS = {"zz_off": dict(zz_on=False), "hamiltonian": dict(zz_mode="hamiltonian"),
+               "dephasing_channel": dict(zz_mode="dephasing_channel")}
+THERMAL_SETTINGS = {"thermal_off": dict(thermal_on=False), "combined": dict(thermal_mode="combined"),
+                    "reset": dict(thermal_mode="reset"), "dephase": dict(thermal_mode="dephase")}
+
+
+class TestFusedMatchesKrausLoop:
+    """The engine's fused superoperators reproduce the Kraus loop op by op."""
+
+    @pytest.mark.parametrize("thermal", sorted(THERMAL_SETTINGS))
+    @pytest.mark.parametrize("zz", sorted(ZZ_SETTINGS))
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_every_op_of_prep_step_and_tomography(self, n, zz, thermal):
+        for pauli_on, depol_on in itertools.product((False, True), repeat=2):
+            params = NoiseParams(**STRONG, **ZZ_SETTINGS[zz], **THERMAL_SETTINGS[thermal],
+                                 pauli_on=pauli_on, depol_on=depol_on)
+            circuit = assemble_circuit(ExperimentConfig(
+                n_sites=n, n_steps=8, noise=params, initial="arbitrary", amp_a=0.6, amp_b=0.8j))
+            one_qubit = [GateOp(UnitaryGate(gate_matrix("X"), (1,), kind="x"))] + [
+                GateOp(UnitaryGate(gate_matrix(kind.upper()), (n - 1,), kind=kind))
+                for kind in ("sdg", "h")]
+            ops = circuit.prep + circuit.step + attach_to_ops(
+                one_qubit, comprehensive_attachments(params))
+            fused = oracle = mixed_state(n, seed=n)
+            for op, sop in zip(ops, _compile_ops(ops, n, density=True)):
+                fused = apply_superoperator(fused, sop)
+                oracle = kraus_loop(oracle, op)
+                err = np.max(np.abs(fused.matrix - oracle.matrix))
+                assert err <= 1e-12, (params, op.gate.kind, op.gate.targets, err)
+
+    def test_noisy_step_ops_carry_channels(self):
+        """The matrix above exercises channels, not bare gates."""
+        params = NoiseParams(**STRONG, zz_mode="dephasing_channel")
+        circuit = assemble_circuit(ExperimentConfig(n_sites=3, n_steps=2, noise=params))
+        assert all(len(op.channels) == 3 for op in circuit.step)
+
+    def test_recorded_series_matches_kraus_loop(self):
+        """evolve_recorded (prep once, the compiled step n_steps times) against the
+        Kraus loop over every op of the circuit."""
+        circuit = assemble_circuit(ExperimentConfig(n_sites=4, n_steps=12, noise=NoiseParams(),
+                                                    initial="plus_on_first"))
+        fused = evolve_recorded(circuit, lambda st: st.matrix)
+        rho = DensityMatrix.zero(4)
+        for op in circuit.prep:
+            rho = kraus_loop(rho, op)
+        oracle = [rho.matrix]
+        for _ in range(circuit.plan.n_steps):
+            for op in circuit.step:
+                rho = kraus_loop(rho, op)
+            oracle.append(rho.matrix)
+        assert len(fused) == 13
+        for got, want in zip(fused, oracle):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestShotMode:

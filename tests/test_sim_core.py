@@ -23,8 +23,10 @@ from pstlab.sim_core import (
     PureState,
     UnitaryGate,
     apply_channel,
+    apply_superoperator,
     apply_unitary,
     choi_matrix,
+    fused_superoperator,
     partial_trace_to_qubit,
     qubit_p1,
     qubit_state_fidelity,
@@ -186,6 +188,84 @@ class TestChannels:
         rho = random_density(2, seed=seed)
         out = apply_channel(rho, KrausChannel(ops), (seed % 2,))
         assert abs(out.trace() - 1.0) < 1e-12
+
+
+def kraus_oracle(rho: DensityMatrix, gate: UnitaryGate, channels) -> DensityMatrix:
+    """The gate, then each channel, through the Kraus loop."""
+    rho = apply_unitary(rho, gate)
+    for channel, targets in channels:
+        rho = apply_channel(rho, channel, targets)
+    return rho
+
+
+def assert_same_error(oracle, fused):
+    """The fused builder refuses with the Kraus loop's ValueError and message."""
+    with pytest.raises(ValueError) as want:
+        oracle()
+    with pytest.raises(ValueError) as got:
+        fused()
+    assert str(got.value) == str(want.value)
+
+
+AMP_DAMP = KrausChannel([np.array([[1, 0], [0, np.sqrt(0.8)]]), np.array([[0, np.sqrt(0.2)], [0, 0]])])
+PAULI_MIX = KrausChannel([np.sqrt(0.7) * np.eye(2), np.sqrt(0.1) * PAULI_X,
+                          np.sqrt(0.1) * PAULI_Y, np.sqrt(0.1) * PAULI_Z])
+
+
+class TestFusedSuperoperator:
+    def test_gate_alone_is_conjugation(self):
+        rho = random_density(3, seed=3)
+        gate = UnitaryGate(unitary_group.rvs(4, random_state=4), (2, 0))
+        out = apply_superoperator(rho, fused_superoperator(gate, [], 3))
+        np.testing.assert_allclose(out.matrix, apply_unitary(rho, gate).matrix, atol=1e-12)
+
+    def test_channels_on_part_of_and_outside_the_gate_support(self):
+        """1q channels on one target of a 2q gate, and on a qubit the gate misses."""
+        rho = random_density(3, seed=6)
+        gate = UnitaryGate(unitary_group.rvs(4, random_state=7), (2, 0))
+        channels = [(AMP_DAMP, (0,)), (PAULI_MIX, (2,)), (AMP_DAMP, (1,)), (PAULI_MIX, (0,))]
+        sop = fused_superoperator(gate, channels, 3)
+        assert sop.targets == (2, 0, 1)
+        assert sop.matrix.shape == (64, 64)
+        out = apply_superoperator(rho, sop)
+        np.testing.assert_allclose(out.matrix, kraus_oracle(rho, gate, channels).matrix,
+                                   rtol=0, atol=1e-12)
+
+    def test_two_qubit_channel_in_reversed_target_order(self):
+        rho = random_density(4, seed=8)
+        gate = UnitaryGate(unitary_group.rvs(4, random_state=9), (1, 3))
+        pair = KrausChannel([np.kron(a, b) for a in AMP_DAMP.kraus_ops for b in PAULI_MIX.kraus_ops])
+        channels = [(pair, (3, 1))]
+        out = apply_superoperator(rho, fused_superoperator(gate, channels, 4))
+        np.testing.assert_allclose(out.matrix, kraus_oracle(rho, gate, channels).matrix,
+                                   rtol=0, atol=1e-12)
+
+    def test_non_cptp_rejected(self):
+        rho = random_density(1, seed=2)
+        gate = UnitaryGate(PAULI_X, (0,))
+        bad = [(KrausChannel([np.sqrt(0.5) * np.eye(2)]), (0,))]
+        assert_same_error(lambda: kraus_oracle(rho, gate, bad),
+                          lambda: fused_superoperator(gate, bad, 1))
+
+    def test_out_of_range_targets(self):
+        rho = random_density(3, seed=1)
+        gate = UnitaryGate(PAULI_X, (1,))
+        far = UnitaryGate(PAULI_X, (3,))
+        channels = [(AMP_DAMP, (3,))]
+        assert_same_error(lambda: kraus_oracle(rho, gate, channels),
+                          lambda: fused_superoperator(gate, channels, 3))
+        assert_same_error(lambda: kraus_oracle(rho, far, []),
+                          lambda: fused_superoperator(far, [], 3))
+        wide = fused_superoperator(far, [], 4)
+        assert_same_error(lambda: kraus_oracle(rho, far, []),
+                          lambda: apply_superoperator(rho, wide))
+
+    def test_arity_mismatch(self):
+        rho = random_density(2, seed=1)
+        gate = UnitaryGate(PAULI_X, (0,))
+        channels = [(KrausChannel([np.eye(2)]), (0, 1))]
+        assert_same_error(lambda: kraus_oracle(rho, gate, channels),
+                          lambda: fused_superoperator(gate, channels, 2))
 
 
 class TestValidateCPTP:
