@@ -9,6 +9,7 @@ Config schema (JSON):
       "chain": {"n": 4, "j0": 1.0}            // or {"n": 4, "couplings": [..]}
       "plan": {"total_time": "2pi", "steps": 80},
       "noise": {},                             // {} = full defaults; null = ideal
+                                               // (refused by rescale/grid_search/bayes_opt)
       "shots": null,                           // null = exact mode
       "seed": 0,
       "output_dir": "runs/headline",
@@ -334,18 +335,14 @@ def run_config(path, overrides=(), seed=None, out=None, fmt: str = "both") -> Pa
             n_sites=exp_cfg.n_sites,
             total_time=exp_cfg.total_time,
             n_steps=exp_cfg.n_steps,
-            noise=exp_cfg.noise if exp_cfg.noise is not None else NoiseParams(),
+            noise=exp_cfg.noise,
         )
         best, ledger = bayes_optimize(bo_cfg)
         outputs.update(_emit_grid(records, out_dir, fmt))
         ledger_path = out_dir / "ledger.jsonl"
         _atomic_write(ledger_path, _ledger_jsonl(ledger))
         outputs["ledger_jsonl"] = str(ledger_path)
-        baseline, baseline_t = objective(
-            _baseline_candidate(exp_cfg),
-            n_sites=exp_cfg.n_sites, total_time=exp_cfg.total_time,
-            n_steps=exp_cfg.n_steps, noise=bo_cfg.noise, seed=exp_cfg.seed,
-        )
+        baseline, baseline_t = _baseline(records, exp_cfg)
         report = {
             "best_couplings": list(best.candidate.couplings),
             "best_objective": best.objective,
@@ -378,8 +375,15 @@ def run_config(path, overrides=(), seed=None, out=None, fmt: str = "both") -> Pa
     return manifest_path
 
 
-def _baseline_candidate(exp_cfg: ExperimentConfig) -> Candidate:
-    return Candidate(couplings=pst_couplings(exp_cfg.n_sites, 1.0).couplings, j0=1.0)
+def _baseline(grid_records, exp_cfg: ExperimentConfig) -> tuple:
+    """(objective, t_star) of the j0 = 1 profile, read from the grid when it is on it."""
+    couplings = pst_couplings(exp_cfg.n_sites, 1.0).couplings
+    for rec in grid_records:
+        if rec.candidate.couplings == couplings:
+            return rec.objective, rec.t_star
+    return objective(Candidate(couplings=couplings, j0=1.0), n_sites=exp_cfg.n_sites,
+                     total_time=exp_cfg.total_time, n_steps=exp_cfg.n_steps,
+                     noise=exp_cfg.noise, seed=exp_cfg.seed)
 
 
 def _peak_summary(series: SPTimeSeries) -> dict:
@@ -391,12 +395,14 @@ def _peak_summary(series: SPTimeSeries) -> dict:
 
 
 def _grid_records(grid: dict, exp_cfg: ExperimentConfig):
+    if exp_cfg.noise is None:
+        raise ConfigError("grid_search and bayes_opt need a noise block")
     return grid_search_j0(
         **grid,
         n_sites=exp_cfg.n_sites,
         total_time=exp_cfg.total_time,
         n_steps=exp_cfg.n_steps,
-        noise=exp_cfg.noise if exp_cfg.noise is not None else NoiseParams(),
+        noise=exp_cfg.noise,
         seed=exp_cfg.seed,
     )
 

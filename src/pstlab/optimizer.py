@@ -136,11 +136,14 @@ class _ObjectiveCache:
         self.run_kwargs = run_kwargs
         self._seen = {}
 
-    def __call__(self, candidate: Candidate, kind: str) -> float:
+    def __call__(self, candidate: Candidate, kind: str, known=None) -> float:
+        """The candidate's objective; `known` = (peak, t_star) skips the run."""
         key = candidate.couplings
         if key in self._seen:
             return self._seen[key]
-        peak, t_star = objective(candidate, seed=self.seed, **self.run_kwargs)
+        if known is None:
+            known = objective(candidate, seed=self.seed, **self.run_kwargs)
+        peak, t_star = known
         self._seen[key] = peak
         self.ledger.append(
             EvalRecord(
@@ -263,8 +266,8 @@ def expected_improvement(mean: np.ndarray, std: np.ndarray, best: float,
 
 
 def starts_from_grid(grid_records, top: int = 3) -> list:
-    """Top grid results as starting candidates (their engineered profiles)."""
-    return [r.candidate for r in grid_records[:top]]
+    """Top grid records as starts: their engineered profiles, already evaluated."""
+    return list(grid_records[:top])
 
 
 def bayes_optimize(cfg: BOConfig):
@@ -276,6 +279,9 @@ def bayes_optimize(cfg: BOConfig):
     candidates violating the middle-bond constraint (widening the box once
     if that empties the batch); pick the expected-improvement argmax under
     a GP fitted to every evaluation so far; evaluate and record.
+
+    A start is a Candidate, a couplings tuple, or an EvalRecord of the same
+    objective settings (a grid result), whose value is reused, not re-run.
 
     Returns (best EvalRecord, full ledger). Deterministic under cfg.seed.
     """
@@ -289,9 +295,15 @@ def bayes_optimize(cfg: BOConfig):
     }
     evaluate = _ObjectiveCache(ledger, cfg.seed, **run_kwargs)
 
-    starts = [s if isinstance(s, Candidate) else Candidate(couplings=tuple(s)) for s in cfg.starts]
-    for start in starts:
-        evaluate(start, "start")
+    starts = []
+    for start in cfg.starts:
+        known = None
+        if isinstance(start, EvalRecord):
+            start, known = start.candidate, (start.objective, start.t_star)
+        elif not isinstance(start, Candidate):
+            start = Candidate(couplings=tuple(start))
+        evaluate(start, "start", known)
+        starts.append(start)
 
     for start in starts:
         incumbent = start

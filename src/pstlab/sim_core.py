@@ -6,9 +6,9 @@ site 1. |1000> therefore means "excitation on the first of four sites".
 
 Unitaries and Kraus channels act on arbitrary qubit subsets through tensor
 reshaping; nothing here assumes a chain topology. The evolution engine fuses
-each gate with its channels into one superoperator and applies it in a single
-contraction; apply_unitary and apply_channel (the Kraus loop) are the
-reference it is tested against.
+each gate with its channels into one superoperator, applied as one transpose
+and one matmul; each channel's superoperator is built once per channel
+object. apply_unitary and apply_channel (the Kraus loop) are its reference.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 S_DAG = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
 
-_NORM_TOL = 1e-12
 _TRACE_TOL = 1e-9
-_HERM_TOL = 1e-12
 _PSD_FLOOR = -1e-9
 _CPTP_TOL = 1e-10
 
@@ -60,9 +58,6 @@ class PureState:
     def to_density_matrix(self) -> "DensityMatrix":
         rho = np.outer(self.amplitudes, self.amplitudes.conj())
         return DensityMatrix(self.n_qubits, rho, validate=False)
-
-    def copy(self) -> "PureState":
-        return PureState(self.n_qubits, self.amplitudes.copy(), validate=False)
 
 
 class DensityMatrix:
@@ -99,9 +94,6 @@ class DensityMatrix:
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
-    def copy(self) -> "DensityMatrix":
-        return DensityMatrix(self.n_qubits, self.matrix.copy(), validate=False)
-
 
 class UnitaryGate:
     """A 1- or 2-qubit unitary bound to an ordered tuple of target qubits."""
@@ -135,7 +127,7 @@ class KrausChannel:
     validate_cptp so that deliberately broken sets can still be reported on.
     """
 
-    __slots__ = ("kraus_ops", "arity", "_cptp_deviation")
+    __slots__ = ("kraus_ops", "arity", "_cptp_deviation", "_superop")
 
     def __init__(self, kraus_ops):
         ops = tuple(np.asarray(k, dtype=complex) for k in kraus_ops)
@@ -148,19 +140,21 @@ class KrausChannel:
         for k in ops:
             if k.shape != (dim, dim):
                 raise ValueError("all Kraus operators must share one square shape")
-        self.kraus_ops = ops
-        self.arity = arity
-        self._cptp_deviation = None
+        self.kraus_ops, self.arity = ops, arity
+        self._cptp_deviation = self._superop = None
 
     def cptp_deviation(self) -> float:
         """Max-abs deviation of sum K^dag K from the identity (cached)."""
         if self._cptp_deviation is None:
-            dim = 2**self.arity
-            acc = np.zeros((dim, dim), dtype=complex)
-            for k in self.kraus_ops:
-                acc += k.conj().T @ k
-            self._cptp_deviation = float(np.max(np.abs(acc - np.eye(dim))))
+            acc = sum(k.conj().T @ k for k in self.kraus_ops)
+            self._cptp_deviation = float(np.max(np.abs(acc - np.eye(2**self.arity))))
         return self._cptp_deviation
+
+    def superoperator(self) -> np.ndarray:
+        """sum_K K (x) conj(K), the channel as one 4^k x 4^k matrix (cached)."""
+        if self._superop is None:
+            self._superop = sum(_kron(k, k.conj()) for k in self.kraus_ops)
+        return self._superop
 
 
 @dataclass(frozen=True)
@@ -180,6 +174,11 @@ def validate_cptp(channel: KrausChannel, tolerance: float = _CPTP_TOL) -> CPTPRe
     return CPTPReport(ok=dev <= tolerance, deviation=dev, tolerance=tolerance)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices, without its per-call axis bookkeeping."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+
+
 def _check_targets(targets, n_qubits: int) -> None:
     for t in targets:
         if not 0 <= t < n_qubits:
@@ -188,14 +187,18 @@ def _check_targets(targets, n_qubits: int) -> None:
         raise ValueError(f"duplicate targets {targets}")
 
 
-def _apply_matrix_to_vector(amps: np.ndarray, mat: np.ndarray, targets, n: int) -> np.ndarray:
-    """Contract a 2^k x 2^k matrix into the target axes of a state tensor."""
-    k = len(targets)
-    tensor = amps.reshape((2,) * n)
-    gate = mat.reshape((2,) * (2 * k))
-    tensor = np.tensordot(gate, tensor, axes=(list(range(k, 2 * k)), list(targets)))
-    tensor = np.moveaxis(tensor, range(k), targets)
-    return tensor.reshape(2**n)
+def _contraction_plan(targets, n: int) -> tuple:
+    """Axis order: `targets`, the other n axes, a trailing batch axis; and its inverse."""
+    perm = [*targets, *(a for a in range(n) if a not in targets), n]
+    return tuple(perm), tuple(np.argsort(perm))
+
+
+def _apply_matrix_to_vector(amps: np.ndarray, mat: np.ndarray, plan) -> np.ndarray:
+    """Contract a 2^k x 2^k matrix into the first k axes of the plan's order:
+    one transpose, matmul, transpose back. `amps` is 2^n or a 2^n x B batch."""
+    tensor = amps.reshape((2,) * (len(plan[0]) - 1) + (-1,)).transpose(plan[0])
+    out = mat @ tensor.reshape(len(mat), -1)
+    return out.reshape(tensor.shape).transpose(plan[1]).reshape(amps.shape)
 
 
 def _apply_matrix_to_density(rho: np.ndarray, mat: np.ndarray, targets, n: int) -> np.ndarray:
@@ -221,7 +224,8 @@ def apply_unitary(state, gate: UnitaryGate):
     n = state.n_qubits
     _check_targets(gate.targets, n)
     if isinstance(state, PureState):
-        amps = _apply_matrix_to_vector(state.amplitudes, gate.matrix, gate.targets, n)
+        amps = _apply_matrix_to_vector(state.amplitudes, gate.matrix,
+                                       _contraction_plan(gate.targets, n))
         return PureState(n, amps, validate=False)
     if isinstance(state, DensityMatrix):
         rho = _apply_matrix_to_density(state.matrix, gate.matrix, gate.targets, n)
@@ -258,27 +262,20 @@ class Superoperator:
 
     The matrix acts on rho restricted to the targets, flattened row index
     first: entry [(i, j), (i', j')] carries rho[i', j'] into rho[i, j], so
-    rho -> M rho M^dag is kron(M, conj(M)).
+    rho -> M rho M^dag is kron(M, conj(M)). Its plan holds for n_qubits only.
     """
 
-    __slots__ = ("matrix", "targets")
+    __slots__ = ("matrix", "targets", "n_qubits", "plan")
 
-    def __init__(self, matrix, targets):
-        self.matrix = matrix
-        self.targets = targets
-
-
-def _superoperator(mat: np.ndarray, positions, k: int) -> np.ndarray:
-    """kron(M, conj(M)) for M embedded at `positions` of a k-qubit support."""
-    eye = np.eye(2**k, dtype=complex).reshape(-1)
-    embedded = _apply_matrix_to_vector(eye, mat, positions, 2 * k).reshape(2**k, 2**k)
-    return np.kron(embedded, embedded.conj())
+    def __init__(self, matrix, targets, n_qubits: int):
+        self.matrix, self.targets, self.n_qubits = matrix, targets, n_qubits
+        self.plan = _contraction_plan([*targets, *(n_qubits + t for t in targets)], 2 * n_qubits)
 
 
 def fused_superoperator(gate: UnitaryGate, channels, n_qubits: int) -> Superoperator:
     """The gate followed by its channels in order, as one superoperator.
 
-    S = S_m ... S_1 (U (x) conj U) with S_c = sum_K K (x) conj K, every factor
+    S = S_m ... S_1 (U (x) conj U) with S_c = channel.superoperator(), each
     embedded in the support: the gate's targets, then any channel target
     outside them. Refuses exactly what apply_unitary and apply_channel refuse.
     """
@@ -290,20 +287,23 @@ def fused_superoperator(gate: UnitaryGate, channels, n_qubits: int) -> Superoper
         support += [t for t in targets if t not in support]
         placed.append((channel, targets))
     k = len(support)
-    matrix = _superoperator(gate.matrix, range(gate.arity), k)
+    embedded = _kron(gate.matrix, np.eye(2 ** (k - gate.arity)))
+    matrix = _kron(embedded, embedded.conj())
     for channel, targets in placed:
-        positions = [support.index(t) for t in targets]
-        matrix = sum(_superoperator(kr, positions, k) for kr in channel.kraus_ops) @ matrix
-    return Superoperator(matrix, tuple(support))
+        rows = [support.index(t) for t in targets]
+        plan = _contraction_plan(rows + [k + r for r in rows], 2 * k)
+        matrix = _apply_matrix_to_vector(matrix, channel.superoperator(), plan)
+    return Superoperator(matrix, tuple(support), n_qubits)
 
 
 def apply_superoperator(rho: DensityMatrix, sop: Superoperator) -> DensityMatrix:
-    """rho -> E(rho): one contraction into the row and column axes of the targets."""
+    """rho -> E(rho): one matmul on the row and column axes of the targets."""
     n = rho.n_qubits
-    _check_targets(sop.targets, n)
-    axes = list(sop.targets) + [n + t for t in sop.targets]
-    vec = _apply_matrix_to_vector(rho.matrix.reshape(-1), sop.matrix, axes, 2 * n)
-    return DensityMatrix(n, vec.reshape(2**n, 2**n), validate=False)
+    if n != sop.n_qubits:
+        _check_targets(sop.targets, n)
+        raise ValueError(f"superoperator compiled for {sop.n_qubits} qubits, state has {n}")
+    return DensityMatrix(n, _apply_matrix_to_vector(rho.matrix, sop.matrix, sop.plan),
+                         validate=False)
 
 
 def qubit_p1(state, qubit: int) -> float:

@@ -150,6 +150,33 @@ class TestRunConfig:
         assert len(ledger.splitlines()) == first["results"]["evaluations"]
         assert first["run_id"] == second["run_id"]
 
+    @pytest.mark.parametrize("grid,on_grid", [({"lo": 0.8, "hi": 1.0, "step": 0.2}, True),
+                                              ({"lo": 2.8, "hi": 3.0, "step": 0.2}, False)])
+    def test_bayes_opt_simulates_each_point_once(self, tmp_path, monkeypatch, grid, on_grid):
+        """Starts and the j0 = 1 baseline reuse their grid runs; only new ledger
+        entries, and a baseline off the grid, cost a simulation."""
+        import pstlab.optimizer as optimizer
+
+        runs = []
+        real = optimizer.run_sp_series
+        monkeypatch.setattr(optimizer, "run_sp_series", lambda cfg: runs.append(cfg) or real(cfg))
+        cfg = write_config(tmp_path, {
+            "experiment": "bayes_opt",
+            "chain": {"n": 3},
+            "plan": {"steps": 16},
+            "noise": {},
+            "grid": grid,
+            "bo": {"iterations_per_start": 1, "batch_size": 8, "top_starts": 2},
+            "output_dir": str(tmp_path / "out"),
+        })
+        run_config(cfg)
+        grid_rows = json.loads((tmp_path / "out" / "grid.json").read_text())
+        kinds = [json.loads(line)["kind"]
+                 for line in (tmp_path / "out" / "ledger.jsonl").read_text().splitlines()]
+        assert kinds.count("start") == 2
+        new_entries = sum(kind != "start" for kind in kinds)
+        assert len(runs) == len(grid_rows) + new_entries + (0 if on_grid else 1)
+
     def test_overrides_change_chain(self, tmp_path):
         cfg = small_sp_config(tmp_path)
         manifest = json.loads(run_config(cfg, overrides=["chain.n=4"]).read_text())
@@ -251,6 +278,21 @@ class TestExitCodes:
     def test_unknown_noise_key(self, tmp_path):
         cfg = small_sp_config(tmp_path, noise={"t3": 1.0})
         assert main(["run", "--config", str(cfg)]) == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("experiment", ["grid_search", "bayes_opt"])
+    @pytest.mark.parametrize("noise", [None, {"ideal": True}], ids=["null", "ideal"])
+    def test_search_refuses_ideal_noise(self, tmp_path, experiment, noise):
+        """The search objective is a noisy run; an ideal config must not run noisy."""
+        cfg = write_config(tmp_path, {
+            "experiment": experiment,
+            "chain": {"n": 3},
+            "plan": {"steps": 16},
+            "noise": noise,
+            "grid": {"lo": 2.8, "hi": 3.0, "step": 0.2},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["run", "--config", str(cfg)]) == EXIT_SCHEMA
+        assert not (tmp_path / "out").exists()
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = small_sp_config(tmp_path, shots=64)

@@ -1,6 +1,7 @@
 """Grid search, sensitivity-adaptive ranges, and the GP search loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -202,6 +203,14 @@ class TestBayesOptimize:
         kept, idx = np.unique(np.round(np.asarray(x), 12), axis=0, return_index=True)
         np.testing.assert_allclose(mean[idx], np.asarray(y)[idx], atol=1e-4)
 
+    def test_grid_record_start_reuses_its_value(self):
+        """A start given as its grid record yields the ledger of a start given
+        as a bare candidate, without re-running it."""
+        records = grid_search_j0(lo=2.9, hi=3.0, step=0.1, **FAST)
+        by_candidate = replace(self.make_config(seed=6), starts=[r.candidate for r in records])
+        by_record = replace(by_candidate, starts=records)
+        assert bayes_optimize(by_record)[1] == bayes_optimize(by_candidate)[1]
+
     def test_empty_starts_rejected(self):
         with pytest.raises(ValueError, match="starting"):
             BOConfig(starts=[])
@@ -209,5 +218,5 @@ class TestBayesOptimize:
     def test_starts_from_grid(self):
         records = grid_search_j0(lo=2.8, hi=3.0, step=0.1, **FAST)
         starts = starts_from_grid(records, top=2)
-        assert len(starts) == 2
-        assert starts[0].j0 == records[0].candidate.j0
+        assert starts == records[:2]
+        assert starts[0].candidate.j0 == records[0].candidate.j0

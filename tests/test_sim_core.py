@@ -21,7 +21,10 @@ from pstlab.sim_core import (
     DensityMatrix,
     KrausChannel,
     PureState,
+    Superoperator,
     UnitaryGate,
+    _apply_matrix_to_vector,
+    _contraction_plan,
     apply_channel,
     apply_superoperator,
     apply_unitary,
@@ -266,6 +269,59 @@ class TestFusedSuperoperator:
         channels = [(KrausChannel([np.eye(2)]), (0, 1))]
         assert_same_error(lambda: kraus_oracle(rho, gate, channels),
                           lambda: fused_superoperator(gate, channels, 2))
+
+
+def tensordot_reference(rho: DensityMatrix, sop: Superoperator) -> np.ndarray:
+    """The superoperator contracted by tensordot + moveaxis: the kernel's GEMM
+    behind numpy's axis bookkeeping, so the two agree bit for bit."""
+    n, k = rho.n_qubits, len(sop.targets)
+    axes = list(sop.targets) + [n + t for t in sop.targets]
+    gate = sop.matrix.reshape((2,) * (4 * k))
+    out = np.tensordot(gate, rho.matrix.reshape((2,) * (2 * n)),
+                       axes=(list(range(2 * k, 4 * k)), axes))
+    return np.moveaxis(out, range(2 * k), axes).reshape(2**n, 2**n)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("targets", [(2,), (3, 0), (1, 4, 2)])
+    def test_batch_equals_column_by_column(self, targets):
+        rng = np.random.default_rng(len(targets))
+        n, dim = 5, 2 ** len(targets)
+        mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        batch = rng.normal(size=(2**n, 6)) + 1j * rng.normal(size=(2**n, 6))
+        plan = _contraction_plan(targets, n)
+        out = _apply_matrix_to_vector(batch, mat, plan)
+        columns = np.stack([_apply_matrix_to_vector(batch[:, j], mat, plan)
+                            for j in range(batch.shape[1])], axis=1)
+        np.testing.assert_allclose(out, columns, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(out, embed_gate_oracle(mat, targets, n) @ batch,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_superoperator_bitwise_equals_tensordot(self, n):
+        """Scrambled, non-adjacent supports: a gate on (n-1, 0) with a channel
+        on qubit 1, and a gate on (n-2, 0) with a channel on its first target."""
+        rho = random_density(n, seed=n)
+        wide = fused_superoperator(UnitaryGate(unitary_group.rvs(4, random_state=n), (n - 1, 0)),
+                                   [(AMP_DAMP, (1,)), (PAULI_MIX, (0,))], n)
+        narrow = fused_superoperator(UnitaryGate(unitary_group.rvs(4, random_state=n + 10),
+                                                 (n - 2, 0)), [(AMP_DAMP, (n - 2,))], n)
+        assert wide.targets == (n - 1, 0, 1)
+        for sop in (wide, narrow):
+            assert np.array_equal(apply_superoperator(rho, sop).matrix,
+                                  tensordot_reference(rho, sop))
+
+    def test_channel_superoperator_is_cached(self):
+        channel = KrausChannel(PAULI_MIX.kraus_ops)  # complex Kraus operators (Y)
+        first = channel.superoperator()
+        assert np.array_equal(first, sum(np.kron(k, k.conj()) for k in channel.kraus_ops))
+        assert channel.superoperator() is first
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_refuses_another_register_size(self, n):
+        sop = fused_superoperator(UnitaryGate(PAULI_X, (0,)), [(AMP_DAMP, (1,))], 3)
+        with pytest.raises(ValueError, match="compiled for 3 qubits, state has"):
+            apply_superoperator(random_density(n, seed=n), sop)
 
 
 class TestValidateCPTP:
