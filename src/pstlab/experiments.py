@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .chains import (
     CouplingProfile,
@@ -33,7 +32,8 @@ from .sim_core import (
     DensityMatrix,
     PureState,
     UnitaryGate,
-    apply_superoperator,
+    _work_buffers,
+    apply_superoperators,
     apply_unitary,
     fused_superoperator,
     qubit_p1,
@@ -198,23 +198,33 @@ def _compile_ops(ops, n_qubits: int, density: bool) -> list:
     return [op.gate for op in ops]
 
 
-def _apply_compiled(state, compiled):
-    """Apply compiled ops in order to the state kind they were compiled for."""
-    apply = apply_superoperator if isinstance(state, DensityMatrix) else apply_unitary
+def _apply_compiled(state, compiled, work):
+    """Apply compiled ops in order to the state kind they were compiled for.
+
+    A density matrix runs through `work`, the kernel's two work buffers,
+    into one new matrix; a pure state needs none (None).
+    """
+    if isinstance(state, DensityMatrix):
+        return apply_superoperators(state, compiled, work)
     for op in compiled:
-        state = apply(state, op)
+        state = apply_unitary(state, op)
     return state
 
 
 def evolve_recorded(circuit: NoisyCircuit, record):
-    """Run prep then every step, calling record(state) at k = 0..n_steps."""
+    """Run prep then every step, calling record(state) at k = 0..n_steps.
+
+    Each recorded state is a new one; the kernel's work buffers are
+    allocated once per call.
+    """
     n, density = circuit.n_qubits, circuit.has_channels()
     state = DensityMatrix.zero(n) if density else PureState.zero(n)
+    work = _work_buffers(state.matrix.size) if density else None
     step = _compile_ops(circuit.step, n, density)
-    state = _apply_compiled(state, _compile_ops(circuit.prep, n, density))
+    state = _apply_compiled(state, _compile_ops(circuit.prep, n, density), work)
     out = [record(state)]
     for _ in range(circuit.plan.n_steps):
-        state = _apply_compiled(state, step)
+        state = _apply_compiled(state, step, work)
         out.append(record(state))
     return out
 
@@ -304,12 +314,13 @@ def run_arbitrary_transfer(config: ExperimentConfig) -> TomographyRecord:
     readout = config.noise.readout_error if config.noise is not None else 0.0
     rng = np.random.default_rng(config.seed)
     target = DensityMatrix(1, np.outer([a, b], np.conj([a, b])), validate=False)
+    work = _work_buffers(4**config.n_sites)
 
     def record(state):
         rho = state.to_density_matrix() if isinstance(state, PureState) else state
         # <sigma> = p0 - p1 of the last qubit after each basis rotation
-        return [1.0 - 2.0 * measure_p1(_apply_compiled(rho, ops), qubit, config.shots, rng,
-                                       readout)
+        return [1.0 - 2.0 * measure_p1(_apply_compiled(rho, ops, work), qubit, config.shots,
+                                       rng, readout)
                 for ops in rotations]
 
     rows = evolve_recorded(circuit, record)
@@ -347,13 +358,45 @@ def detect_first_peak(series: SPTimeSeries, site: int | None = None,
     values = series.series(site)
     if len(values) < 3:
         raise NoPeakError("series too short for peak detection")
-    peaks, _ = find_peaks(values, prominence=prominence)
+    peaks = _find_peaks(values, prominence)
     half = series.times[-1] / 2.0 + 1e-12
     peaks = [p for p in peaks if 0.0 < series.times[p] <= half]
     if not peaks:
         raise NoPeakError("no local maximum with sufficient prominence in (0, T/2]")
     best = peaks[0]
     return float(series.times[best]), float(values[best])
+
+
+def _find_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
+    """Indices of the local maxima of x with at least the given prominence,
+    in increasing order.
+
+    A maximum is a run of equal samples with a lower sample on each side; it
+    is reported at its middle index (left + right) // 2, so the first and
+    last samples are never peaks. Its prominence is its value minus the
+    higher of its two bases: on each side, the minimum of x from the peak
+    out to the nearest strictly higher sample or the edge. Between turning
+    points x is monotone, so the bases are searched over those alone.
+    """
+    ends = np.append(np.flatnonzero(x[1:] != x[:-1]), len(x) - 1)  # last sample of each run
+    rising = np.diff(x[ends]) > 0
+    # the first and last runs, and every run where x turns
+    runs = [0, *(np.flatnonzero(rising[:-1] != rising[1:]) + 1).tolist(), len(ends) - 1]
+    level, ends = x[ends[runs]].tolist(), ends.tolist()
+    peaks = []
+    for i in range(1, len(runs) - 1):
+        top = level[i]
+        if level[i - 1] > top:  # a valley
+            continue
+        bases = []
+        for step in (-1, 1):
+            k, low = i + step, top
+            while 0 <= k < len(level) and level[k] <= top:
+                low, k = min(low, level[k]), k + step
+            bases.append(low)
+        if top - max(bases) >= prominence:
+            peaks.append((ends[runs[i] - 1] + 1 + ends[runs[i]]) // 2)
+    return np.array(peaks, dtype=int)
 
 
 def _series_meta(config: ExperimentConfig, circuit: NoisyCircuit) -> dict:

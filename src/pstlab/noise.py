@@ -18,7 +18,8 @@ Pauli channel plus 1q-duration thermal relaxation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -254,7 +255,17 @@ def attach_channels(circuit: NoisyCircuit, attachments) -> NoisyCircuit:
 
 
 def comprehensive_attachments(params: NoiseParams) -> list:
-    """The attachment list realizing the layered model for one NoiseParams."""
+    """The attachment list realizing the layered model for one NoiseParams.
+
+    Equal parameters share their channel objects, and with them each
+    channel's cached superoperator, across runs.
+    """
+    return list(_comprehensive_attachments(astuple(params)))
+
+
+@lru_cache(maxsize=16)
+def _comprehensive_attachments(values: tuple) -> tuple:
+    params = NoiseParams(*values)
     atts = []
     if params.depol_on:
         depol = depolarizing_channel(params.q_depol)
@@ -295,7 +306,7 @@ def comprehensive_attachments(params: NoiseParams) -> list:
                 arity=2,
             )
         )
-    return atts
+    return tuple(atts)
 
 
 def attach_comprehensive(circuit: NoisyCircuit, params: NoiseParams) -> NoisyCircuit:

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.stats import norm
 
 from .chains import pst_couplings
 from .experiments import ExperimentConfig, NoPeakError, detect_first_peak, run_sp_series
@@ -34,6 +32,8 @@ _FD_INCREMENT = 0.01
 _DELTA_LO = 0.05
 _DELTA_HI = 0.15
 _SENS_EPS = 1e-6
+_SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -245,24 +245,31 @@ class GaussianProcess:
         self._y_mean = float(np.mean(y))
         k = self._kernel(x, x)
         k[np.diag_indices_from(k)] += self.observation_noise**2
-        self._chol = cho_factor(k, lower=True)
-        self._alpha = cho_solve(self._chol, y - self._y_mean)
+        self._chol = np.linalg.cholesky(k)
+        self._alpha = self._solve(y - self._y_mean)
         return self
+
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        """K^-1 b from the Cholesky factor K = L L^T: two solves."""
+        return np.linalg.solve(self._chol.T, np.linalg.solve(self._chol, b))
 
     def predict(self, xs) -> tuple:
         xs = np.asarray(xs, dtype=float)
         ks = self._kernel(xs, self._x)
         mean = self._y_mean + ks @ self._alpha
-        v = cho_solve(self._chol, ks.T)
+        v = self._solve(ks.T)
         var = 1.0 - np.sum(ks * v.T, axis=1)
         return mean, np.sqrt(np.clip(var, 1e-18, None))
 
 
 def expected_improvement(mean: np.ndarray, std: np.ndarray, best: float,
                          jitter: float = 0.01) -> np.ndarray:
+    """E[max(f - best - jitter, 0)] for f ~ N(mean, std^2), elementwise."""
     gain = mean - best - jitter
     z = gain / std
-    return gain * norm.cdf(z) + std * norm.pdf(z)
+    cdf = 0.5 * np.array([math.erfc(-v / _SQRT2) for v in z.tolist()])
+    pdf = np.exp(-z**2 / 2.0) / _SQRT_2PI
+    return gain * cdf + std * pdf
 
 
 def starts_from_grid(grid_records, top: int = 3) -> list:

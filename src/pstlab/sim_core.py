@@ -6,9 +6,11 @@ site 1. |1000> therefore means "excitation on the first of four sites".
 
 Unitaries and Kraus channels act on arbitrary qubit subsets through tensor
 reshaping; nothing here assumes a chain topology. The evolution engine fuses
-each gate with its channels into one superoperator, applied as one transpose
-and one matmul; each channel's superoperator is built once per channel
-object. apply_unitary and apply_channel (the Kraus loop) are its reference.
+each gate with its channels into one superoperator, applied as one gather
+into the targets' axis order, one matmul and one scatter back through work
+buffers the caller owns; each channel's superoperator is built once per
+channel object. apply_unitary and apply_channel (the Kraus loop) are its
+reference.
 """
 
 from __future__ import annotations
@@ -188,17 +190,40 @@ def _check_targets(targets, n_qubits: int) -> None:
 
 
 def _contraction_plan(targets, n: int) -> tuple:
-    """Axis order: `targets`, the other n axes, a trailing batch axis; and its inverse."""
+    """How the kernel contracts a matrix into `targets` of an n-qubit vector:
+    the split shape (n qubit axes and a trailing batch axis), the axis order
+    `targets`, the other qubit axes, the batch axis; and its inverse. Every
+    qubit axis has length 2, so the shape holds in either order."""
     perm = [*targets, *(a for a in range(n) if a not in targets), n]
-    return tuple(perm), tuple(np.argsort(perm))
+    return (2,) * n + (-1,), tuple(perm), tuple(np.argsort(perm))
+
+
+def _contract(src: np.ndarray, mat: np.ndarray, plan, dst: np.ndarray, gather: np.ndarray,
+              prod: np.ndarray) -> np.ndarray:
+    """dst <- a 2^k x 2^k matrix contracted into the first k axes of the plan's
+    order of src: gather src into that order, one matmul, scatter back.
+
+    `src` is 2^n or a 2^n x B batch; `dst` is a contiguous array of its shape
+    and may be `src` itself; `gather` and `prod` are flat complex work buffers
+    of src.size elements, so the kernel allocates nothing.
+    """
+    shape, perm, inv = plan
+    np.copyto(gather.reshape(shape), src.reshape(shape).transpose(perm))
+    np.matmul(mat, gather.reshape(len(mat), -1), out=prod.reshape(len(mat), -1))
+    np.copyto(dst.reshape(shape), prod.reshape(shape).transpose(inv))
+    return dst
+
+
+def _work_buffers(size: int) -> tuple:
+    """The kernel's two work buffers for vectors of `size` elements."""
+    return np.empty(size, dtype=complex), np.empty(size, dtype=complex)
 
 
 def _apply_matrix_to_vector(amps: np.ndarray, mat: np.ndarray, plan) -> np.ndarray:
-    """Contract a 2^k x 2^k matrix into the first k axes of the plan's order:
-    one transpose, matmul, transpose back. `amps` is 2^n or a 2^n x B batch."""
-    tensor = amps.reshape((2,) * (len(plan[0]) - 1) + (-1,)).transpose(plan[0])
-    out = mat @ tensor.reshape(len(mat), -1)
-    return out.reshape(tensor.shape).transpose(plan[1]).reshape(amps.shape)
+    """The kernel into a new array, with work buffers of its own."""
+    amps = np.asarray(amps)
+    return _contract(amps, mat, plan, np.empty(amps.shape, dtype=complex),
+                     *_work_buffers(amps.size))
 
 
 def _apply_matrix_to_density(rho: np.ndarray, mat: np.ndarray, targets, n: int) -> np.ndarray:
@@ -262,7 +287,8 @@ class Superoperator:
 
     The matrix acts on rho restricted to the targets, flattened row index
     first: entry [(i, j), (i', j')] carries rho[i', j'] into rho[i, j], so
-    rho -> M rho M^dag is kron(M, conj(M)). Its plan holds for n_qubits only.
+    rho -> M rho M^dag is kron(M, conj(M)). Its plan, the kernel's shape and
+    axis orders over rho's row and column axes, holds for n_qubits only.
     """
 
     __slots__ = ("matrix", "targets", "n_qubits", "plan")
@@ -289,21 +315,35 @@ def fused_superoperator(gate: UnitaryGate, channels, n_qubits: int) -> Superoper
     k = len(support)
     embedded = _kron(gate.matrix, np.eye(2 ** (k - gate.arity)))
     matrix = _kron(embedded, embedded.conj())
+    work = _work_buffers(matrix.size)
     for channel, targets in placed:
         rows = [support.index(t) for t in targets]
         plan = _contraction_plan(rows + [k + r for r in rows], 2 * k)
-        matrix = _apply_matrix_to_vector(matrix, channel.superoperator(), plan)
+        _contract(matrix, channel.superoperator(), plan, matrix, *work)
     return Superoperator(matrix, tuple(support), n_qubits)
 
 
 def apply_superoperator(rho: DensityMatrix, sop: Superoperator) -> DensityMatrix:
     """rho -> E(rho): one matmul on the row and column axes of the targets."""
+    return apply_superoperators(rho, (sop,), _work_buffers(rho.matrix.size))
+
+
+def apply_superoperators(rho: DensityMatrix, sops, work) -> DensityMatrix:
+    """The superoperators in order, written into one new matrix.
+
+    `work` is the kernel's pair of flat work buffers of rho's size (see
+    _work_buffers); a caller applying many ops allocates it once.
+    """
     n = rho.n_qubits
-    if n != sop.n_qubits:
-        _check_targets(sop.targets, n)
-        raise ValueError(f"superoperator compiled for {sop.n_qubits} qubits, state has {n}")
-    return DensityMatrix(n, _apply_matrix_to_vector(rho.matrix, sop.matrix, sop.plan),
-                         validate=False)
+    src, out = rho.matrix, np.empty(rho.matrix.shape, dtype=complex)
+    for sop in sops:
+        if n != sop.n_qubits:
+            _check_targets(sop.targets, n)
+            raise ValueError(f"superoperator compiled for {sop.n_qubits} qubits, state has {n}")
+        src = _contract(src, sop.matrix, sop.plan, out, *work)
+    if src is not out:  # no ops: the new matrix is a copy
+        np.copyto(out, src)
+    return DensityMatrix(n, out, validate=False)
 
 
 def qubit_p1(state, qubit: int) -> float:
@@ -317,10 +357,9 @@ def qubit_p1(state, qubit: int) -> float:
         probs = np.real(np.diagonal(state.matrix))
     else:
         raise TypeError(f"unsupported state type {type(state).__name__}")
-    # big-endian: qubit q is bit (n-1-q) of the basis index
-    idx = np.arange(len(probs))
-    mask = ((idx >> (n - 1 - qubit)) & 1).astype(bool)
-    return float(np.sum(probs[mask]))
+    # big-endian: qubit q is axis q of the 2^q x 2 x 2^(n-1-q) view; ravel
+    # keeps the qubit = 1 entries in index order, so the sum order is fixed
+    return float(np.sum(probs.reshape(2**qubit, 2, -1)[:, 1, :].ravel()))
 
 
 def partial_trace_to_qubit(rho: DensityMatrix, keep: int) -> DensityMatrix:

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import pstlab
 from pstlab.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -366,3 +370,16 @@ class TestCommittedRuns:
         assert set(new.pop("outputs")) == set(old.pop("outputs"))
         del new["duration_s"], old["duration_s"]
         assert new == old
+
+
+class TestImports:
+    def test_package_and_cli_import_without_scipy(self):
+        """numpy is the only runtime dependency: importing scipy's submodules
+        would add over a second to every CLI start."""
+        code = ("import sys, pstlab, pstlab.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        path = [str(Path(pstlab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert proc.stdout.strip() == "[]"

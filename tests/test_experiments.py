@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import find_peaks
 
 from pstlab.chains import GateOp, exact_sp_oracle, exact_transfer_amplitude, gate_matrix, pst_couplings
 from pstlab.experiments import (
@@ -13,6 +14,7 @@ from pstlab.experiments import (
     SPTimeSeries,
     _apply_compiled,
     _compile_ops,
+    _find_peaks,
     assemble_circuit,
     detect_first_peak,
     evolve_recorded,
@@ -28,6 +30,7 @@ from pstlab.sim_core import (
     DensityMatrix,
     PureState,
     UnitaryGate,
+    _work_buffers,
     apply_channel,
     apply_superoperator,
     apply_unitary,
@@ -109,8 +112,9 @@ class TestIdealRuns:
         circuit = assemble_circuit(ExperimentConfig(n_sites=3, n_steps=10))
         assert not circuit.has_channels()
         ops = list(circuit.gate_ops())
-        pure = _apply_compiled(PureState.zero(3), _compile_ops(ops, 3, density=False))
-        dense = _apply_compiled(DensityMatrix.zero(3), _compile_ops(ops, 3, density=True))
+        pure = _apply_compiled(PureState.zero(3), _compile_ops(ops, 3, density=False), None)
+        dense = _apply_compiled(DensityMatrix.zero(3), _compile_ops(ops, 3, density=True),
+                                _work_buffers(4**3))
         np.testing.assert_allclose(pure.to_density_matrix().matrix, dense.matrix, atol=1e-12)
 
 
@@ -326,6 +330,61 @@ class TestDetectFirstPeak:
         )
         t2, _ = detect_first_peak(shrunk)
         assert t1 == t2
+
+
+class TestFindPeaksMatchesScipy:
+    """The package's peak finder against its oracle, scipy.signal.find_peaks,
+    on series with plateaus, ties and monotone stretches."""
+
+    @pytest.mark.parametrize("prominence", [0.0, 0.05, 0.3, 1.0])
+    def test_seeded_random_series(self, prominence):
+        rng = np.random.default_rng(int(100 * prominence))
+        for i in range(1000):
+            n = int(rng.integers(1, 60))
+            # integer values make plateaus and equal peaks common
+            x = rng.integers(0, 4, n).astype(float) if i % 2 else rng.random(n)
+            assert_peaks_match(x, prominence)
+
+    @pytest.mark.parametrize("x", [
+        [0, 1, 1, 1, 0],            # odd plateau: its middle sample
+        [0, 1, 1, 0],               # even plateau: (left + right) // 2
+        [0, 2, 2, 1, 2, 2, 0],      # two plateaus of one height
+        [0, 1, 1, 2, 2, 0],         # a step below the top is no peak
+        [0, 3, 1, 2, 1, 0.5, 0],    # a lower peak's base stops at the higher one
+    ])
+    def test_plateaus(self, x):
+        for prominence in (0.0, 0.5, 1.0, 2.0):
+            assert_peaks_match(x, prominence)
+
+    @pytest.mark.parametrize("x", [
+        [1, 1, 0, 1, 1],            # plateaus on both edges are not peaks
+        [0, 1, 1],                  # a plateau running to the last sample
+        [2, 1, 2, 1],               # edges higher than the peak
+        [0, 1, 0.5, 1, 0],          # equal peaks: each base runs past the other
+        [1, 0, 1, 0, 1],
+        [0.5, 1, 0, 1, 0.5],        # prominence exactly at the threshold
+    ])
+    def test_tied_edges(self, x):
+        for prominence in (0.0, 0.5, 1.0):
+            assert_peaks_match(x, prominence)
+
+    @pytest.mark.parametrize("x", [[0.0], [0, 1], [3, 3, 3], list(range(9)),
+                                   list(range(9, 0, -1)), [0, 1, 1, 2, 3, 3]])
+    def test_monotone_and_short(self, x):
+        assert_peaks_match(x, 0.0)
+
+    def test_simulated_series(self, ideal_series, comprehensive_series):
+        shots = run_sp_series(ExperimentConfig(n_sites=4, noise=NoiseParams(), shots=256))
+        for series in (ideal_series, comprehensive_series, shots):
+            for prominence in (0.0, 0.05, 0.3):
+                assert_peaks_match(series.series(), prominence)
+
+
+def assert_peaks_match(x, prominence):
+    x = np.asarray(x, dtype=float)
+    want = find_peaks(x, prominence=prominence)[0]
+    np.testing.assert_array_equal(_find_peaks(x, prominence), want,
+                                  err_msg=f"x = {x.tolist()}, prominence = {prominence}")
 
 
 class TestSerialization:

@@ -364,6 +364,19 @@ class TestComprehensiveAssembly:
         with pytest.raises(ValueError, match="CPTP"):
             attach_channels(self.make_circuit(), [bad])
 
+    def test_equal_params_share_channels(self):
+        """Channels are built once per distinct noise setting, so their cached
+        superoperators carry over from one run to the next."""
+        first = comprehensive_attachments(NoiseParams())
+        second = comprehensive_attachments(NoiseParams())
+        assert first == second and first is not second
+        assert all(a.channel is b.channel for a, b in zip(first, second))
+        first.clear()  # a caller's list is its own
+        assert len(comprehensive_attachments(NoiseParams())) == len(second)
+        other = comprehensive_attachments(NoiseParams(q_depol=0.01))
+        assert other[0].channel is not second[0].channel
+        assert not np.allclose(other[0].channel.superoperator(), second[0].channel.superoperator())
+
     def test_every_default_channel_passes_cptp(self):
         for att in comprehensive_attachments(NoiseParams(zz_mode="dephasing_channel",
                                                          p_zz=0.05)):

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
+from scipy.stats import norm
 
 from pstlab.chains import exact_sp_oracle, pst_couplings
 from pstlab.noise import NoiseParams
@@ -152,6 +154,54 @@ class TestGaussianProcess:
                                   best=0.6, jitter=0.01)
         assert ei[0] > ei[1]
         assert np.all(ei >= 0)
+
+
+def ledger_like_points(seed: int) -> np.ndarray:
+    """Three starts, each with a +0.01 probe per bond and a few picks within
+    +/- 0.15: the tight clusters a GP stage fits."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for j0 in (2.8, 2.9, 3.0):
+        start = np.array(pst_couplings(4, j0).couplings)
+        points += [start, *(start + 0.01 * np.eye(3))]
+        points += list(start + rng.uniform(-0.15, 0.15, size=(4, 3)))
+    return np.array(points)
+
+
+class TestScipyOracles:
+    """The GP's Cholesky solves and expected improvement's normal cdf/pdf
+    against scipy's cho_solve and scipy.stats.norm."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gp_predict_matches_cho_solve(self, seed):
+        rng = np.random.default_rng(seed)
+        x = ledger_like_points(seed)
+        y = 0.7 + 0.1 * np.sin(3.0 * x).sum(axis=1)
+        xs = x[rng.integers(len(x), size=64)] + rng.uniform(-0.15, 0.15, size=(64, 3))
+        length_scale, noise = 0.1, 1e-4
+
+        def kernel(a, b):
+            d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+            return np.exp(-d2 / (2.0 * length_scale**2))
+
+        chol = cho_factor(kernel(x, x) + noise**2 * np.eye(len(x)), lower=True)
+        ks = kernel(xs, x)
+        mean = y.mean() + ks @ cho_solve(chol, y - y.mean())
+        var = 1.0 - np.sum(ks * cho_solve(chol, ks.T).T, axis=1)
+        std = np.sqrt(np.clip(var, 1e-18, None))
+
+        got_mean, got_std = GaussianProcess(length_scale, noise).fit(x, y).predict(xs)
+        np.testing.assert_allclose(got_mean, mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_std, std, rtol=0, atol=1e-12)
+
+    def test_expected_improvement_matches_norm(self):
+        rng = np.random.default_rng(0)
+        mean = rng.uniform(0.0, 1.0, 500)
+        std = 10.0 ** rng.uniform(-9, 0, 500)  # z from about -1e9 to 1e9
+        gain = mean - 0.6 - 0.01
+        want = gain * norm.cdf(gain / std) + std * norm.pdf(gain / std)
+        np.testing.assert_allclose(expected_improvement(mean, std, 0.6, 0.01), want,
+                                   rtol=0, atol=1e-12)
 
 
 class TestBayesOptimize:

@@ -24,9 +24,12 @@ from pstlab.sim_core import (
     Superoperator,
     UnitaryGate,
     _apply_matrix_to_vector,
+    _contract,
     _contraction_plan,
+    _work_buffers,
     apply_channel,
     apply_superoperator,
+    apply_superoperators,
     apply_unitary,
     choi_matrix,
     fused_superoperator,
@@ -311,6 +314,39 @@ class TestKernel:
             assert np.array_equal(apply_superoperator(rho, sop).matrix,
                                   tensordot_reference(rho, sop))
 
+    def test_in_place_equals_new_array(self):
+        """dst may be src: the kernel gathers all of src before it scatters."""
+        n, targets = 5, (3, 0)
+        rng = np.random.default_rng(7)
+        mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        plan = _contraction_plan(targets, n)
+        want = _apply_matrix_to_vector(vec, mat, plan)
+        got = _contract(vec, mat, plan, vec, *_work_buffers(vec.size))
+        assert got is vec
+        assert np.array_equal(vec, want)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_sequence_equals_one_by_one(self, n):
+        """apply_superoperators writes one new matrix, bit-identical to applying
+        each op alone, and leaves its input as it was; no ops gives a copy."""
+        rho = random_density(n, seed=n)
+        before = rho.matrix.copy()
+        sops = [fused_superoperator(UnitaryGate(unitary_group.rvs(4, random_state=n), (n - 1, 0)),
+                                    [(AMP_DAMP, (1,))], n),
+                fused_superoperator(UnitaryGate(HADAMARD, (n - 2,)), [(PAULI_MIX, (n - 2,))], n)]
+        want = rho
+        for sop in sops:
+            want = apply_superoperator(want, sop)
+        work = _work_buffers(rho.matrix.size)
+        got = apply_superoperators(rho, sops, work)
+        assert np.array_equal(got.matrix, want.matrix)
+        again = apply_superoperators(rho, sops, work)
+        assert again.matrix is not got.matrix and np.array_equal(again.matrix, got.matrix)
+        assert np.array_equal(rho.matrix, before)
+        empty = apply_superoperators(rho, [], work)
+        assert empty.matrix is not rho.matrix and np.array_equal(empty.matrix, before)
+
     def test_channel_superoperator_is_cached(self):
         channel = KrausChannel(PAULI_MIX.kraus_ops)  # complex Kraus operators (Y)
         first = channel.superoperator()
@@ -375,6 +411,17 @@ class TestObservables:
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             qubit_p1(PureState.zero(2), 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 7])
+    def test_equals_bit_mask_sum(self, n):
+        """The strided half-selection sums the same entries in the same order as
+        a mask over basis-index bits, so the value is bit-identical."""
+        rho = random_density(n, seed=n)
+        probs = np.real(np.diagonal(rho.matrix))
+        bits = np.arange(2**n)
+        for q in range(n):
+            mask = ((bits >> (n - 1 - q)) & 1).astype(bool)
+            assert qubit_p1(rho, q) == float(np.sum(probs[mask]))
 
     @pytest.mark.parametrize("z,sp", [(1.0, 0.0), (-1.0, 1.0), (0.0, 0.5)])
     def test_sp_from_z(self, z, sp):
