@@ -14,9 +14,7 @@ from .chains import (
     build_trotter_circuit,
     exact_sp_oracle,
     exact_transfer_amplitude,
-    format_circuit,
     gate_matrix,
-    prepare_initial_state,
     pst_couplings,
 )
 from .experiments import (
@@ -35,7 +33,6 @@ from .mitigation import (
     apply_rescaling,
     fit_rescaling,
     forward_decay,
-    time_scale_factor,
 )
 from .noise import (
     ChannelAttachment,
@@ -43,7 +40,6 @@ from .noise import (
     attach_channels,
     attach_comprehensive,
     depolarizing_channel,
-    ideal_params,
     pauli_channel,
     thermal_relaxation_channel,
     two_qubit_tensor_channel,

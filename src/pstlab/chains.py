@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sim_core import HADAMARD, PAULI_X, S_DAG, PureState, UnitaryGate, apply_unitary
+from .sim_core import HADAMARD, PAULI_X, S_DAG, UnitaryGate
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,6 @@ class CouplingProfile:
         if any(j <= 0 for j in cps):
             raise ValueError(f"all couplings must be positive, got {cps}")
         object.__setattr__(self, "couplings", cps)
-
-    def is_mirror_symmetric(self) -> bool:
-        return self.couplings == self.couplings[::-1]
 
 
 @dataclass(frozen=True)
@@ -187,26 +184,6 @@ def build_trotter_circuit(couplings: CouplingProfile, plan: TrotterPlan,
     )
 
 
-def prepare_initial_state(n_sites: int, kind: str, site: int = 1):
-    """Initial ket plus the equivalent prep-gate list.
-
-    kind="single_excitation": X on qubit site-1, giving |0..1..0>.
-    kind="plus_on_first":     H on qubit 0, giving (|0..0> + |10..0>)/sqrt(2).
-    """
-    if kind == "single_excitation":
-        if not 1 <= site <= n_sites:
-            raise ValueError(f"site {site} out of range [1, {n_sites}]")
-        gates = [UnitaryGate(gate_matrix("X"), (site - 1,), kind="x")]
-    elif kind == "plus_on_first":
-        gates = [UnitaryGate(gate_matrix("H"), (0,), kind="h")]
-    else:
-        raise ValueError(f"unknown initial-state kind {kind!r}")
-    state = PureState.zero(n_sites)
-    for g in gates:
-        state = apply_unitary(state, g)
-    return state, gates
-
-
 def single_excitation_hamiltonian(couplings: CouplingProfile) -> np.ndarray:
     """N x N hopping matrix A with A[i, i+1] = A[i+1, i] = J_{i+1}.
 
@@ -250,31 +227,3 @@ def exact_sp_oracle(couplings: CouplingProfile, t) -> np.ndarray | float:
         return float(sp)
     return sp
 
-
-def format_circuit(circuit: NoisyCircuit) -> str:
-    """Small text diagram of the prep layer and the repeated Trotter step."""
-    n_steps = circuit.plan.n_steps
-    lines = [
-        f"{circuit.n_qubits}-qubit circuit, {n_steps} steps, "
-        f"dt = {circuit.plan.dt:.6g}, zeta = {circuit.zeta:g}"
-    ]
-    if circuit.prep:
-        lines.append("prep:")
-        for op in circuit.prep:
-            lines.append(f"  {_fmt_op(op)}")
-    lines.append("step 1:")
-    for op in circuit.step:
-        lines.append(f"  {_fmt_op(op)}")
-    if n_steps > 1:
-        lines.append(f"... ({n_steps - 1} more identical steps)")
-    return "\n".join(lines)
-
-
-def _fmt_op(op: GateOp) -> str:
-    g = op.gate
-    name = g.kind.upper() if g.kind else f"U{g.arity}"
-    txt = f"{name} @ q{list(g.targets)}"
-    if op.channels:
-        kinds = ", ".join(f"{ch.arity}q-channel@" + str(list(tg)) for ch, tg in op.channels)
-        txt += f"  -> {kinds}"
-    return txt

@@ -15,12 +15,18 @@ Config schema (JSON):
       "output_dir": "runs/headline",
       "amplitudes": {"a": 0.7071.., "b": ...}  // arbitrary_transfer only
       "grid": {"lo": 0.1, "hi": 4.0, "step": 0.1},        // grid_search/bayes_opt
-      "bo": {"iterations_per_start": 5, "batch_size": 64} // bayes_opt only
+      "bo": {"top_starts": 3, "iterations_per_start": 5,   // bayes_opt only
+             "batch_size": 64}
     }
 
-Time values accept multiples of pi in string form ("0.5pi", "2pi", "pi").
-Defaults reproduce the headline N=4, T=2pi, 80-step setup with the full
-noise stack, so a minimal config is {"experiment": "sp_series"}.
+The keys shown are the only ones each block allows; "noise" takes the
+NoiseParams fields and "ideal". Every block is optional, but a present one
+must be an object (noise may be null). An unknown key at any level, a
+non-object block, a non-integer count or an out-of-range value exits 2
+before anything runs. Time values accept multiples of pi in string form
+("0.5pi", "2pi", "pi"). Defaults reproduce the headline N=4, T=2pi, 80-step
+setup with the full noise stack, so a minimal config is
+{"experiment": "sp_series"}.
 
 Exit codes: 0 success, 2 schema violation, 3 simulation error, 4 I/O failure.
 """
@@ -61,7 +67,6 @@ from .optimizer import (
     bayes_optimize,
     grid_search_j0,
     objective,
-    starts_from_grid,
 )
 
 EXPERIMENTS = ("sp_series", "site_resolved", "arbitrary_transfer",
@@ -116,12 +121,48 @@ def parse_time_value(value) -> float:
     raise ConfigError(f"cannot parse time value {value!r}")
 
 
-def _parse_amplitude(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"amplitude must be a number or [re, im], got {value!r}")
+def _real(value, name: str) -> float:
+    """A finite JSON number; strings and booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, name: str) -> int:
+    """A whole JSON number (8 or 8.0); 4.7, "4" and true are refused."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _parse_amplitude(value, name: str) -> complex:
+    if isinstance(value, list) and len(value) == 2:
+        return complex(_real(value[0], name), _real(value[1], name))
+    return complex(_real(value, name))
+
+
+# Allowed keys of each object block; "noise" is checked against NoiseParams.
+_BLOCK_KEYS = {
+    "chain": ("n", "j0", "couplings"),
+    "plan": ("total_time", "steps"),
+    "amplitudes": ("a", "b"),
+    "grid": ("lo", "hi", "step"),
+    "bo": ("top_starts", "iterations_per_start", "batch_size"),
+}
+
+
+def _block(cfg: dict, name: str) -> dict:
+    """cfg[name], {} when absent; anything but an object of known keys is refused."""
+    block = cfg.get(name, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} block must be an object, got {block!r}")
+    unknown = set(block) - set(_BLOCK_KEYS[name])
+    if unknown:
+        raise ConfigError(f"unknown {name} key(s) {sorted(unknown)}; "
+                          f"allowed: {list(_BLOCK_KEYS[name])}")
+    return block
 
 
 def load_config(path) -> dict:
@@ -170,49 +211,53 @@ def _build_noise(block) -> NoiseParams | None:
 
 
 def resolve_config(cfg: dict, seed_override=None):
-    """Validate the raw dict and build the typed experiment inputs."""
-    unknown = set(cfg) - {
-        "experiment", "chain", "plan", "noise", "shots", "seed",
-        "output_dir", "amplitudes", "grid", "bo",
-    }
+    """Validate the raw dict and build the typed experiment inputs:
+    (experiment, ExperimentConfig, grid and GP settings)."""
+    unknown = set(cfg) - {"experiment", "noise", "shots", "seed", "output_dir", *_BLOCK_KEYS}
     if unknown:
         raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
     experiment = cfg.get("experiment")
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
+    blocks = {name: _block(cfg, name) for name in _BLOCK_KEYS}
 
-    chain = cfg.get("chain", {})
-    if not isinstance(chain, dict):
-        raise ConfigError("chain block must be an object")
-    n = int(chain.get("n", 4))
+    chain = blocks["chain"]
+    n = _integer(chain.get("n", 4), "chain.n")
     if n < 2:
         raise ConfigError(f"chain.n must be >= 2, got {n}")
     couplings = chain.get("couplings")
-    j0 = float(chain.get("j0", 1.0))
+    if couplings is not None:
+        if not isinstance(couplings, list):
+            raise ConfigError(f"chain.couplings must be a list, got {couplings!r}")
+        couplings = tuple(_real(j, "chain.couplings") for j in couplings)
+    j0 = _real(chain.get("j0", 1.0), "chain.j0")
 
-    plan = cfg.get("plan", {})
+    plan = blocks["plan"]
     total_time = parse_time_value(plan.get("total_time", "2pi"))
-    steps = int(plan.get("steps", 80))
+    steps = _integer(plan.get("steps", 80), "plan.steps")
     if total_time <= 0 or steps < 1:
         raise ConfigError("plan.total_time must be > 0 and plan.steps >= 1")
 
     noise = _build_noise(cfg.get("noise", {}))
     shots = cfg.get("shots")
     if shots is not None:
-        shots = int(shots)
+        shots = _integer(shots, "shots")
         if shots < 1:
             raise ConfigError("shots must be >= 1 or null")
-    seed = int(cfg.get("seed", 0)) if seed_override is None else int(seed_override)
+    seed = _integer(cfg.get("seed", 0) if seed_override is None else seed_override, "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
-    amps = cfg.get("amplitudes") or {}
-    amp_a = _parse_amplitude(amps.get("a", 1.0 / math.sqrt(2.0)))
-    amp_b = _parse_amplitude(amps.get("b", 1.0 / math.sqrt(2.0)))
+    amps = blocks["amplitudes"]
+    amp_a = _parse_amplitude(amps.get("a", 1.0 / math.sqrt(2.0)), "amplitudes.a")
+    amp_b = _parse_amplitude(amps.get("b", 1.0 / math.sqrt(2.0)), "amplitudes.b")
+    search = _search_settings(experiment, blocks)
 
     try:
         exp_cfg = ExperimentConfig(
             n_sites=n,
             j0=j0,
-            couplings=tuple(couplings) if couplings else None,
+            couplings=couplings,
             total_time=total_time,
             n_steps=steps,
             noise=noise,
@@ -221,9 +266,10 @@ def resolve_config(cfg: dict, seed_override=None):
             amp_a=amp_a,
             amp_b=amp_b,
         )
+        exp_cfg.profile()  # a wrong coupling count or a non-positive j0 fails here, not mid-run
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return experiment, exp_cfg, cfg
+    return experiment, exp_cfg, search
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -233,18 +279,23 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _search_settings(experiment: str, cfg: dict) -> dict:
+def _search_settings(experiment: str, blocks: dict) -> dict:
     """The grid and GP settings the experiment uses, with defaults filled in."""
     settings = {}
     if experiment in ("grid_search", "bayes_opt"):
-        grid = cfg.get("grid") or {}
-        settings["grid"] = {"lo": float(grid.get("lo", 0.1)), "hi": float(grid.get("hi", 4.0)),
-                            "step": float(grid.get("step", 0.1))}
+        grid = {key: _real(blocks["grid"].get(key, default), f"grid.{key}")
+                for key, default in (("lo", 0.1), ("hi", 4.0), ("step", 0.1))}
+        if not 0 < grid["lo"] <= grid["hi"] or grid["step"] <= 0:
+            raise ConfigError(f"grid needs 0 < lo <= hi and step > 0, got {grid}")
+        settings["grid"] = grid
     if experiment == "bayes_opt":
-        bo = cfg.get("bo") or {}
-        settings["bo"] = {"top_starts": int(bo.get("top_starts", 3)),
-                          "iterations_per_start": int(bo.get("iterations_per_start", 5)),
-                          "batch_size": int(bo.get("batch_size", 64))}
+        bo = {key: _integer(blocks["bo"].get(key, default), f"bo.{key}")
+              for key, default in (("top_starts", 3), ("iterations_per_start", 5),
+                                   ("batch_size", 64))}
+        if bo["top_starts"] < 1 or bo["iterations_per_start"] < 0 or bo["batch_size"] < 1:
+            raise ConfigError(f"bo needs top_starts >= 1, iterations_per_start >= 0 "
+                              f"and batch_size >= 1, got {bo}")
+        settings["bo"] = bo
     return settings
 
 
@@ -274,9 +325,8 @@ def run_config(path, overrides=(), seed=None, out=None, fmt: str = "both") -> Pa
     if fmt not in ("csv", "json", "both"):
         raise ConfigError(f"format must be csv, json, or both, got {fmt!r}")
     raw = apply_overrides(load_config(path), overrides)
-    experiment, exp_cfg, cfg = resolve_config(raw, seed_override=seed)
-    out_dir = Path(out) if out else Path(cfg.get("output_dir", "runs") or "runs")
-    search = _search_settings(experiment, cfg)
+    experiment, exp_cfg, search = resolve_config(raw, seed_override=seed)
+    out_dir = Path(out) if out else Path(raw.get("output_dir", "runs") or "runs")
     run_id = _run_id(experiment, exp_cfg, search)
     started = time.time()
 
@@ -312,7 +362,7 @@ def run_config(path, overrides=(), seed=None, out=None, fmt: str = "both") -> Pa
         ideal_cfg = replace(exp_cfg, noise=None, shots=None)
         ideal = run_sp_series(ideal_cfg)
         params = fit_rescaling(noisy, ideal)
-        corrected = apply_rescaling(noisy, ideal, params)
+        corrected = apply_rescaling(noisy, params)
         outputs.update(_emit_series(noisy, out_dir, "noisy", fmt))
         outputs.update(_emit_series(ideal, out_dir, "ideal", fmt))
         outputs.update(_emit_series(corrected, out_dir, "corrected", fmt))
@@ -328,7 +378,7 @@ def run_config(path, overrides=(), seed=None, out=None, fmt: str = "both") -> Pa
         records = _grid_records(search["grid"], exp_cfg)
         bo = search["bo"]
         bo_cfg = BOConfig(
-            starts=starts_from_grid(records, top=bo["top_starts"]),
+            starts=records[:bo["top_starts"]],
             iterations_per_start=bo["iterations_per_start"],
             batch_size=bo["batch_size"],
             seed=exp_cfg.seed,
@@ -363,7 +413,7 @@ def run_config(path, overrides=(), seed=None, out=None, fmt: str = "both") -> Pa
     manifest = RunManifest(
         run_id=run_id,
         experiment=experiment,
-        config=cfg,
+        config=raw,
         artifact_version=__version__,
         outputs=outputs,
         duration_s=round(time.time() - started, 6),

@@ -24,7 +24,6 @@ from .chains import (
     TrotterPlan,
     build_trotter_circuit,
     gate_matrix,
-    prepare_initial_state,
     pst_couplings,
 )
 from .noise import NoiseParams, attach_comprehensive, attach_to_ops, comprehensive_attachments
@@ -55,8 +54,7 @@ class ExperimentConfig:
     total_time: float = 2.0 * math.pi
     n_steps: int = 80
     noise: NoiseParams | None = None
-    initial: str = "single_excitation"
-    initial_site: int = 1
+    initial: str = "single_excitation"  # X on qubit 0, or "arbitrary": amp_a|0> + amp_b|1>
     measured_sites: tuple | None = None
     shots: int | None = None
     seed: int = 0
@@ -78,8 +76,6 @@ class ExperimentConfig:
             if any(not 1 <= s <= self.n_sites for s in sites):
                 raise ValueError(f"measured sites {sites} outside [1, {self.n_sites}]")
             object.__setattr__(self, "measured_sites", sites)
-        if not 1 <= self.initial_site <= self.n_sites:
-            raise ValueError(f"initial site {self.initial_site} outside [1, {self.n_sites}]")
         if self.couplings is not None:
             object.__setattr__(self, "couplings", tuple(float(j) for j in self.couplings))
 
@@ -100,7 +96,6 @@ class ExperimentConfig:
             "n_steps": self.n_steps,
             "noise": self.noise.to_dict() if self.noise is not None else None,
             "initial": self.initial,
-            "initial_site": self.initial_site,
             "measured_sites": list(self.measured_sites) if self.measured_sites else None,
             "shots": self.shots,
             "seed": self.seed,
@@ -165,15 +160,12 @@ def assemble_circuit(config: ExperimentConfig) -> NoisyCircuit:
     zeta = config.noise.circuit_zeta() if config.noise is not None else 0.0
     circuit = build_trotter_circuit(config.profile(), config.plan(), zeta)
     if config.initial == "single_excitation":
-        _, prep_gates = prepare_initial_state(config.n_sites, "single_excitation",
-                                              config.initial_site)
-    elif config.initial == "plus_on_first":
-        _, prep_gates = prepare_initial_state(config.n_sites, "plus_on_first")
+        prep = UnitaryGate(gate_matrix("X"), (0,), kind="x")
     elif config.initial == "arbitrary":
-        prep_gates = [_prep_gate_for_amplitudes(config.amp_a, config.amp_b)]
+        prep = _prep_gate_for_amplitudes(config.amp_a, config.amp_b)
     else:
         raise ValueError(f"unknown initial kind {config.initial!r}")
-    circuit.prep = [GateOp(g) for g in prep_gates]
+    circuit.prep = [GateOp(prep)]
     if config.noise is not None:
         circuit = attach_comprehensive(circuit, config.noise)
     return circuit

@@ -35,13 +35,6 @@ class RescaleParams:
             raise ValueError(f"s = {self.s} must be positive")
 
 
-def time_scale_factor(t_ideal: float, t_noisy: float) -> float:
-    """s = t_ideal / t_noisy from the two first-peak times."""
-    if t_noisy <= 0:
-        raise ValueError(f"t_noisy must be positive, got {t_noisy}")
-    return t_ideal / t_noisy
-
-
 def forward_decay(values, alpha: float, beta: float) -> np.ndarray:
     """Forward model: n_hat_k = e^{-beta k} n_k + alpha (1 - e^{-beta k})."""
     values = np.asarray(values, dtype=float)
@@ -50,8 +43,7 @@ def forward_decay(values, alpha: float, beta: float) -> np.ndarray:
     return env * values + alpha * (1.0 - env)
 
 
-def apply_rescaling(noisy: SPTimeSeries, ideal: SPTimeSeries,
-                    params: RescaleParams) -> SPTimeSeries:
+def apply_rescaling(noisy: SPTimeSeries, params: RescaleParams) -> SPTimeSeries:
     """Correct a noisy series: scaled time axis plus inverted decay.
 
     Sample k sits at t_scaled = s * t_k and becomes
@@ -59,7 +51,6 @@ def apply_rescaling(noisy: SPTimeSeries, ideal: SPTimeSeries,
     Samples whose envelope e^{-beta k} has fallen under 1e-6 are flagged
     unreliable in meta["reliable"] instead of being emitted as corrections.
     """
-    del ideal  # the ideal reference enters through the fit, not the correction
     k = np.arange(len(noisy.times))
     env = np.exp(-params.beta * k)
     reliable = env >= _RELIABLE_FLOOR
@@ -115,8 +106,8 @@ def fit_rescaling(noisy: SPTimeSeries, ideal: SPTimeSeries,
     """
     t_ideal, _ = detect_first_peak(ideal, site)
     if s is None:
-        t_noisy, _ = detect_first_peak(noisy, site)
-        s = time_scale_factor(t_ideal, t_noisy)
+        t_noisy, _ = detect_first_peak(noisy, site)  # only ever t > 0
+        s = t_ideal / t_noisy
 
     noisy_vals = noisy.series(site)
     scaled_times = noisy.times * s

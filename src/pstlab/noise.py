@@ -41,10 +41,7 @@ _ONE_QUBIT_KINDS = frozenset({"x", "h", "sdg"})
 class NoiseParams:
     """Parameters and layer toggles of the comprehensive model."""
 
-    p_pauli: float = 1.875e-3
-    px: float | None = None  # default p_pauli/3 each
-    py: float | None = None
-    pz: float | None = None
+    p_pauli: float = 1.875e-3  # split evenly over X, Y, Z
     q_depol: float = 2.5e-3
     t1: float = 266.74e-6
     t2: float = 199.97e-6
@@ -58,31 +55,19 @@ class NoiseParams:
     thermal_on: bool = True
     zz_on: bool = True
     zz_mode: str = "hamiltonian"  # or "dephasing_channel"
-    thermal_mode: str = "combined"  # or "reset" / "dephase"
 
     def __post_init__(self):
-        if self.px is None and self.py is None and self.pz is None:
-            third = self.p_pauli / 3.0
-            self.px = self.py = self.pz = third
-        if None in (self.px, self.py, self.pz):
-            raise ValueError("px, py, pz must be given together or not at all")
-        if abs((self.px + self.py + self.pz) - self.p_pauli) > 1e-12:
-            raise ValueError(
-                f"px + py + pz = {self.px + self.py + self.pz} must equal p_pauli = {self.p_pauli}"
-            )
-        for name in ("p_pauli", "px", "py", "pz", "q_depol", "p_zz", "readout_error"):
+        for name in ("p_pauli", "q_depol", "p_zz", "readout_error"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} = {v} outside [0, 1]")
         for name in ("t1", "t2", "dur_1q", "dur_2q"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.thermal_mode == "combined" and self.t2 > 2.0 * self.t1 + 1e-15:
+        if self.t2 > 2.0 * self.t1 + 1e-15:
             raise ValueError(f"T2 = {self.t2} exceeds 2*T1 = {2 * self.t1} (unphysical)")
         if self.zz_mode not in ("hamiltonian", "dephasing_channel"):
             raise ValueError(f"unknown zz_mode {self.zz_mode!r}")
-        if self.thermal_mode not in ("combined", "reset", "dephase"):
-            raise ValueError(f"unknown thermal_mode {self.thermal_mode!r}")
         if self.zeta < 0:
             raise ValueError(f"zeta must be >= 0, got {self.zeta}")
 
@@ -138,56 +123,33 @@ def two_qubit_tensor_channel(e1: KrausChannel, e2: KrausChannel) -> KrausChannel
     return KrausChannel(ops)
 
 
-def thermal_relaxation_channel(t1: float, t2: float, duration: float,
-                               mode: str = "combined") -> KrausChannel:
+def thermal_relaxation_channel(t1: float, t2: float, duration: float) -> KrausChannel:
     """Relaxation and dephasing accumulated over one gate duration.
 
-    combined (default): amplitude damping with gamma1 = 1 - e^{-d/T1}
-    composed with pure dephasing at rate 1/T_phi = 1/T2 - 1/(2 T1)
-    (phase-flip probability (1 - e^{-d/T_phi})/2). This matches the
-    standard per-gate thermal-relaxation error of circuit simulators.
-
-    reset: the reset channel (1-gamma1) rho + gamma1 |0><0|.
-    dephase: gamma2 rho + (1-gamma2) Z rho Z with gamma2 = e^{-d/T2}.
+    Amplitude damping with gamma1 = 1 - e^{-d/T1} composed with pure
+    dephasing at rate 1/T_phi = 1/T2 - 1/(2 T1) (phase-flip probability
+    (1 - e^{-d/T_phi})/2). This matches the standard per-gate
+    thermal-relaxation error of circuit simulators.
     """
     if t1 <= 0 or t2 <= 0:
         raise ValueError("T1 and T2 must be positive")
     if duration < 0:
         raise ValueError(f"duration must be >= 0, got {duration}")
-    if mode == "combined":
-        if t2 > 2.0 * t1 + 1e-15:
-            raise ValueError(f"T2 = {t2} exceeds 2*T1 = {2 * t1} (unphysical in combined mode)")
-        gamma1 = 1.0 - math.exp(-duration / t1)
-        rate_phi = 1.0 / t2 - 1.0 / (2.0 * t1)
-        p_phi = 0.5 * (1.0 - math.exp(-duration * rate_phi)) if rate_phi > 0 else 0.0
-        damp = [
-            np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma1)]], dtype=complex),
-            np.array([[0.0, math.sqrt(gamma1)], [0.0, 0.0]], dtype=complex),
-        ]
-        flip = [
-            math.sqrt(1.0 - p_phi) * IDENTITY_2,
-            math.sqrt(p_phi) * PAULI_Z,
-        ]
-        ops = [f @ d for f in flip for d in damp if np.any(f @ d)]
-        return KrausChannel(ops if ops else [IDENTITY_2.copy()])
-    if mode == "reset":
-        gamma1 = 1.0 - math.exp(-duration / t1)
-        zero = np.zeros((2, 2), dtype=complex)
-        reset0 = zero.copy()
-        reset0[0, 0] = 1.0  # |0><0|
-        reset1 = zero.copy()
-        reset1[0, 1] = 1.0  # |0><1|
-        ops = [math.sqrt(1.0 - gamma1) * IDENTITY_2]
-        if gamma1 > 0:
-            ops += [math.sqrt(gamma1) * reset0, math.sqrt(gamma1) * reset1]
-        return KrausChannel(ops)
-    if mode == "dephase":
-        gamma2 = math.exp(-duration / t2)
-        ops = [math.sqrt(gamma2) * IDENTITY_2]
-        if gamma2 < 1.0:
-            ops.append(math.sqrt(1.0 - gamma2) * PAULI_Z)
-        return KrausChannel(ops)
-    raise ValueError(f"unknown thermal mode {mode!r}")
+    if t2 > 2.0 * t1 + 1e-15:
+        raise ValueError(f"T2 = {t2} exceeds 2*T1 = {2 * t1} (unphysical)")
+    gamma1 = 1.0 - math.exp(-duration / t1)
+    rate_phi = 1.0 / t2 - 1.0 / (2.0 * t1)
+    p_phi = 0.5 * (1.0 - math.exp(-duration * rate_phi)) if rate_phi > 0 else 0.0
+    damp = [
+        np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma1)]], dtype=complex),
+        np.array([[0.0, math.sqrt(gamma1)], [0.0, 0.0]], dtype=complex),
+    ]
+    flip = [
+        math.sqrt(1.0 - p_phi) * IDENTITY_2,
+        math.sqrt(p_phi) * PAULI_Z,
+    ]
+    ops = [f @ d for f in flip for d in damp if np.any(f @ d)]
+    return KrausChannel(ops if ops else [IDENTITY_2.copy()])
 
 
 def zz_dephasing_channel(p_zz: float) -> KrausChannel:
@@ -277,7 +239,7 @@ def _comprehensive_attachments(values: tuple) -> tuple:
             )
         )
     if params.thermal_on:
-        th2 = thermal_relaxation_channel(params.t1, params.t2, params.dur_2q, params.thermal_mode)
+        th2 = thermal_relaxation_channel(params.t1, params.t2, params.dur_2q)
         atts.append(
             ChannelAttachment(
                 channel=two_qubit_tensor_channel(th2, th2),
@@ -285,14 +247,15 @@ def _comprehensive_attachments(values: tuple) -> tuple:
                 arity=2,
             )
         )
-        th1 = thermal_relaxation_channel(params.t1, params.t2, params.dur_1q, params.thermal_mode)
+        th1 = thermal_relaxation_channel(params.t1, params.t2, params.dur_1q)
         atts.append(
             ChannelAttachment(channel=th1, gate_kinds=_ONE_QUBIT_KINDS, arity=1, per_target=True)
         )
     if params.pauli_on:
+        third = params.p_pauli / 3.0
         atts.append(
             ChannelAttachment(
-                channel=pauli_channel(params.px, params.py, params.pz),
+                channel=pauli_channel(third, third, third),
                 gate_kinds=_ONE_QUBIT_KINDS,
                 arity=1,
                 per_target=True,
@@ -329,8 +292,3 @@ def attach_comprehensive(circuit: NoisyCircuit, params: NoiseParams) -> NoisyCir
         raise ValueError("circuit has RZZ gates but the zz layer is toggled off")
     return attach_channels(circuit, comprehensive_attachments(params))
 
-
-def ideal_params(params: NoiseParams | None = None) -> NoiseParams:
-    """Copy of `params` (or defaults) with every layer switched off."""
-    base = params if params is not None else NoiseParams()
-    return replace(base, pauli_on=False, depol_on=False, thermal_on=False, zz_on=False)

@@ -32,6 +32,9 @@ _FD_INCREMENT = 0.01
 _DELTA_LO = 0.05
 _DELTA_HI = 0.15
 _SENS_EPS = 1e-6
+_LENGTH_SCALE = 0.1
+_OBSERVATION_NOISE = 1e-4
+_EI_JITTER = 0.01
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -75,11 +78,6 @@ class BOConfig:
 
     starts: list
     iterations_per_start: int = 5
-    fd_increment: float = _FD_INCREMENT
-    delta_bounds: tuple = (_DELTA_LO, _DELTA_HI)
-    length_scale: float = 0.1
-    observation_noise: float = 1e-4
-    ei_jitter: float = 0.01
     batch_size: int = 64
     seed: int = 0
     n_sites: int = 4
@@ -90,11 +88,6 @@ class BOConfig:
     def __post_init__(self):
         if not self.starts:
             raise ValueError("at least one starting candidate is required")
-        if self.fd_increment <= 0:
-            raise ValueError("fd_increment must be positive")
-        lo, hi = self.delta_bounds
-        if not lo < hi:
-            raise ValueError(f"delta bounds must be ordered, got {self.delta_bounds}")
 
 
 def _experiment_config(couplings, n_sites, total_time, n_steps, noise, seed) -> ExperimentConfig:
@@ -191,26 +184,19 @@ def grid_search_j0(lo: float = 0.1, hi: float = 4.0, step: float = 0.1,
     return sorted((evaluate(c) for c in candidates), key=lambda r: -r.objective)
 
 
-def sensitivity_and_delta(candidate: Candidate, dimension: int, evaluate=None,
-                          increment: float = _FD_INCREMENT,
-                          delta_bounds: tuple = (_DELTA_LO, _DELTA_HI),
-                          **run_kwargs) -> tuple:
+def sensitivity_and_delta(candidate: Candidate, dimension: int, evaluate) -> tuple:
     """Forward-difference sensitivity of one bond and its search half-width.
 
     sensitivity = |f(c + 0.01 e_dim) - f(c)| / 0.01;
-    delta = min(0.15, max(0.05, 0.1 / (sensitivity + 1e-6))).
+    delta = min(0.15, max(0.05, 0.1 / (sensitivity + 1e-6))), where
+    f = evaluate(candidate, "probe").
     """
-    if evaluate is None:
-        def evaluate(cand, kind):
-            return objective(cand, **run_kwargs)[0]
-
     base = evaluate(candidate, "probe")
     bumped = list(candidate.couplings)
-    bumped[dimension] += increment
+    bumped[dimension] += _FD_INCREMENT
     shifted = evaluate(Candidate(couplings=tuple(bumped)), "probe")
-    sensitivity = abs(shifted - base) / increment
-    lo, hi = delta_bounds
-    delta = min(hi, max(lo, 0.1 / (sensitivity + _SENS_EPS)))
+    sensitivity = abs(shifted - base) / _FD_INCREMENT
+    delta = min(_DELTA_HI, max(_DELTA_LO, 0.1 / (sensitivity + _SENS_EPS)))
     return sensitivity, delta
 
 
@@ -222,7 +208,8 @@ class GaussianProcess:
     diagonal as variance. Deterministic exact inference via Cholesky.
     """
 
-    def __init__(self, length_scale: float = 0.1, observation_noise: float = 1e-4):
+    def __init__(self, length_scale: float = _LENGTH_SCALE,
+                 observation_noise: float = _OBSERVATION_NOISE):
         self.length_scale = length_scale
         self.observation_noise = observation_noise
         self._x = None
@@ -263,18 +250,13 @@ class GaussianProcess:
 
 
 def expected_improvement(mean: np.ndarray, std: np.ndarray, best: float,
-                         jitter: float = 0.01) -> np.ndarray:
+                         jitter: float = _EI_JITTER) -> np.ndarray:
     """E[max(f - best - jitter, 0)] for f ~ N(mean, std^2), elementwise."""
     gain = mean - best - jitter
     z = gain / std
     cdf = 0.5 * np.array([math.erfc(-v / _SQRT2) for v in z.tolist()])
     pdf = np.exp(-z**2 / 2.0) / _SQRT_2PI
     return gain * cdf + std * pdf
-
-
-def starts_from_grid(grid_records, top: int = 3) -> list:
-    """Top grid records as starts: their engineered profiles, already evaluated."""
-    return list(grid_records[:top])
 
 
 def bayes_optimize(cfg: BOConfig):
@@ -318,10 +300,7 @@ def bayes_optimize(cfg: BOConfig):
         for _ in range(cfg.iterations_per_start):
             sens, deltas = [], []
             for dim in range(len(incumbent.couplings)):
-                s_d, d_d = sensitivity_and_delta(
-                    incumbent, dim, evaluate=evaluate,
-                    increment=cfg.fd_increment, delta_bounds=cfg.delta_bounds,
-                )
+                s_d, d_d = sensitivity_and_delta(incumbent, dim, evaluate)
                 sens.append(s_d)
                 deltas.append(d_d)
             sens = np.asarray(sens)
@@ -336,11 +315,10 @@ def bayes_optimize(cfg: BOConfig):
 
             xs = np.array([list(c.couplings) for c in batch])
             seen = [(list(r.candidate.couplings), r.objective) for r in ledger]
-            gp = GaussianProcess(cfg.length_scale, cfg.observation_noise)
-            gp.fit([p for p, _ in seen], [v for _, v in seen])
+            gp = GaussianProcess().fit([p for p, _ in seen], [v for _, v in seen])
             mean, std = gp.predict(xs)
             best_val = max(v for _, v in seen)
-            ei = expected_improvement(mean, std, best_val, cfg.ei_jitter)
+            ei = expected_improvement(mean, std, best_val)
             chosen = batch[int(np.argmax(ei))]
 
             val = evaluate(chosen, "bo")

@@ -64,7 +64,6 @@ from pstlab.optimizer import (
     bayes_optimize,
     grid_search_j0,
     objective,
-    starts_from_grid,
 )
 from pstlab.sim_core import PureState, partial_trace_to_qubit, qubit_p1, validate_cptp
 
@@ -113,7 +112,7 @@ def grid_records():
 
 @pytest.fixture(scope="module")
 def bo_result(grid_records):
-    cfg = BOConfig(starts=starts_from_grid(grid_records, top=3), seed=0)
+    cfg = BOConfig(starts=grid_records[:3], seed=0)
     return bayes_optimize(cfg)
 
 
@@ -179,9 +178,7 @@ def test_criterion_03_cptp_and_trace_drift():
         channels = [
             pauli_channel(*w),
             depolarizing_channel(rng.uniform(0, 4 / 3)),
-            thermal_relaxation_channel(t1, t2, dur, "combined"),
-            thermal_relaxation_channel(t1, t2, dur, "reset"),
-            thermal_relaxation_channel(t1, t2, dur, "dephase"),
+            thermal_relaxation_channel(t1, t2, dur),
             zz_dephasing_channel(rng.uniform(0, 1)),
         ]
         channels.append(two_qubit_tensor_channel(channels[0], channels[1]))
@@ -281,7 +278,7 @@ def test_criterion_09a_rescaling_exact_inversion(ideal_n4):
     alpha, beta = 0.463, 0.054
     noisy = SPTimeSeries(times=ideal_n4.times,
                          values={4: forward_decay(ideal_n4.series(), alpha, beta)})
-    corrected = apply_rescaling(noisy, ideal_n4, RescaleParams(alpha, beta, 1.0))
+    corrected = apply_rescaling(noisy, RescaleParams(alpha, beta, 1.0))
     dev = float(np.max(np.abs(corrected.series() - ideal_n4.series())))
     ok = dev < 1e-9
     detail = f"forward-model then correct reproduces ideal, max dev {dev:.2e}"
@@ -292,7 +289,7 @@ def test_criterion_09a_rescaling_exact_inversion(ideal_n4):
 @pytest.fixture(scope="module")
 def fitted_rescaling(comprehensive_n4, ideal_n4):
     params = fit_rescaling(comprehensive_n4, ideal_n4)
-    corrected = apply_rescaling(comprehensive_n4, ideal_n4, params)
+    corrected = apply_rescaling(comprehensive_n4, params)
     return params, corrected
 
 
@@ -342,7 +339,7 @@ def test_criterion_10b_oracle_hitting_time_rescaling():
 
 def test_criterion_11a_bo_deterministic(grid_records, bo_result):
     best, ledger = bo_result
-    best2, ledger2 = bayes_optimize(BOConfig(starts=starts_from_grid(grid_records, 3), seed=0))
+    best2, ledger2 = bayes_optimize(BOConfig(starts=grid_records[:3], seed=0))
     ok = (best.candidate.couplings == best2.candidate.couplings
           and len(ledger) == len(ledger2)
           and all(a.candidate.couplings == b.candidate.couplings and a.objective == b.objective

@@ -14,13 +14,11 @@ from pstlab.chains import (
     build_trotter_circuit,
     exact_sp_oracle,
     exact_transfer_amplitude,
-    format_circuit,
     gate_matrix,
-    prepare_initial_state,
     pst_couplings,
     single_excitation_hamiltonian,
 )
-from pstlab.experiments import ExperimentConfig, run_sp_series
+from pstlab.experiments import ExperimentConfig, assemble_circuit, evolve_recorded, run_sp_series
 from pstlab.sim_core import PAULI_X, PAULI_Y, PAULI_Z
 
 
@@ -42,7 +40,6 @@ class TestCouplings:
     def test_mirror_symmetry_exact(self, n):
         prof = pst_couplings(n, 1.7)
         assert prof.couplings == prof.couplings[::-1]
-        assert prof.is_mirror_symmetric()
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -154,36 +151,41 @@ class TestCircuitStructure:
         np.testing.assert_allclose(first, gate_matrix("RXX", prof.couplings[0] * plan.dt),
                                    atol=1e-15)
 
-    def test_format_circuit_mentions_gates(self):
-        circ = build_trotter_circuit(pst_couplings(3, 1.0), TrotterPlan(1.0, 4), zeta=0.2)
-        text = format_circuit(circ)
-        assert "RXX" in text and "RZZ" in text and "3 more identical steps" in text
-
 
 class TestInitialStates:
+    """The k = 0 state of an ideal run: the prep layer applied to |0..0>."""
+
+    @staticmethod
+    def prepared(n, **config):
+        circuit = assemble_circuit(ExperimentConfig(n_sites=n, n_steps=1, **config))
+        state = evolve_recorded(circuit, lambda st: st.amplitudes)[0]
+        return state, [op.gate.kind for op in circuit.prep]
+
     def test_single_excitation_site1(self):
-        state, gates = prepare_initial_state(4, "single_excitation", 1)
+        state, kinds = self.prepared(4)
         expected = np.zeros(16)
         expected[8] = 1.0  # |1000> big-endian
-        np.testing.assert_allclose(state.amplitudes, expected, atol=1e-15)
-        assert [g.kind for g in gates] == ["x"]
+        np.testing.assert_allclose(state, expected, atol=1e-15)
+        assert kinds == ["x"]
 
     def test_single_excitation_n3(self):
-        state, _ = prepare_initial_state(3, "single_excitation", 1)
+        state, _ = self.prepared(3)
         expected = np.zeros(8)
         expected[4] = 1.0  # |100>
-        np.testing.assert_allclose(state.amplitudes, expected, atol=1e-15)
+        np.testing.assert_allclose(state, expected, atol=1e-15)
 
-    def test_plus_on_first(self):
-        state, gates = prepare_initial_state(4, "plus_on_first")
+    def test_arbitrary_default_is_plus_on_first(self):
+        state, kinds = self.prepared(4, initial="arbitrary")
         expected = np.zeros(16)
         expected[0] = expected[8] = 1 / math.sqrt(2)
-        np.testing.assert_allclose(state.amplitudes, expected, atol=1e-15)
-        assert [g.kind for g in gates] == ["h"]
+        np.testing.assert_allclose(state, expected, atol=1e-15)
+        assert kinds == ["h"]
 
-    def test_site_out_of_range(self):
-        with pytest.raises(ValueError, match="site"):
-            prepare_initial_state(4, "single_excitation", 5)
+    def test_unknown_initial_kind_rejected(self):
+        """Only "single_excitation" and "arbitrary" exist; "plus_on_first" is
+        "arbitrary" with its default amplitudes."""
+        with pytest.raises(ValueError, match="initial kind"):
+            assemble_circuit(ExperimentConfig(n_sites=4, n_steps=1, initial="plus_on_first"))
 
 
 class TestExactOracle:

@@ -17,8 +17,10 @@ from pstlab.cli import (
     ConfigError,
     apply_overrides,
     emit_report,
+    load_config,
     main,
     parse_time_value,
+    resolve_config,
     run_config,
 )
 
@@ -181,6 +183,24 @@ class TestRunConfig:
         new_entries = sum(kind != "start" for kind in kinds)
         assert len(runs) == len(grid_rows) + new_entries + (0 if on_grid else 1)
 
+    def test_bayes_opt_starts_are_top_grid_records(self, tmp_path):
+        """The top_starts best grid points, in rank order, seed the search."""
+        cfg = write_config(tmp_path, {
+            "experiment": "bayes_opt",
+            "chain": {"n": 3},
+            "plan": {"steps": 16},
+            "noise": {},
+            "grid": {"lo": 2.6, "hi": 3.0, "step": 0.1},
+            "bo": {"iterations_per_start": 0, "batch_size": 8, "top_starts": 2},
+            "output_dir": str(tmp_path / "out"),
+        })
+        run_config(cfg)
+        grid_rows = json.loads((tmp_path / "out" / "grid.json").read_text())
+        entries = [json.loads(line)
+                   for line in (tmp_path / "out" / "ledger.jsonl").read_text().splitlines()]
+        starts = [entry["j0"] for entry in entries if entry["kind"] == "start"]
+        assert starts == [row["j0"] for row in grid_rows[:2]]
+
     def test_overrides_change_chain(self, tmp_path):
         cfg = small_sp_config(tmp_path)
         manifest = json.loads(run_config(cfg, overrides=["chain.n=4"]).read_text())
@@ -297,6 +317,56 @@ class TestExitCodes:
         })
         assert main(["run", "--config", str(cfg)]) == EXIT_SCHEMA
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("change", [
+        # misspelled keys inside a block
+        {"plan": {"step": 8}},
+        {"chain": {"jo": 2}},
+        {"experiment": "bayes_opt", "bo": {"top_start": 1}},
+        {"experiment": "grid_search", "grid": {"stp": 0.2}},
+        {"experiment": "arbitrary_transfer", "amplitudes": {"c": 1.0}},
+        # non-object blocks
+        *({"experiment": experiment, block: value}
+          for experiment, block in (("sp_series", "plan"), ("grid_search", "grid"),
+                                    ("bayes_opt", "bo"), ("arbitrary_transfer", "amplitudes"))
+          for value in (5, None, [1, 2])),
+        # values of the wrong type or out of range
+        {"chain": {"n": "x"}},
+        {"shots": "many"},
+        {"chain": {"n": 4, "couplings": [1, 2]}},
+        {"experiment": "grid_search", "grid": {"step": 0}},
+        {"experiment": "bayes_opt", "bo": {"top_starts": 0}},
+        {"plan": {"steps": 4.7}},
+        # keys of removed options
+        {"noise": {"thermal_mode": "reset"}},
+        {"noise": {"px": 1e-3}},
+    ], ids=repr)
+    def test_schema_violation_exits_2_before_running(self, tmp_path, monkeypatch, change):
+        import pstlab.optimizer as optimizer
+
+        runs = []
+        monkeypatch.setattr(optimizer, "run_sp_series", lambda cfg: runs.append(cfg))
+        cfg = write_config(tmp_path, {
+            "experiment": "sp_series",
+            "chain": {"n": 3},
+            "plan": {"steps": 16},
+            "noise": {},
+            "grid": {"lo": 2.8, "hi": 3.0, "step": 0.2},
+            "bo": {"iterations_per_start": 1, "batch_size": 8, "top_starts": 1},
+            "output_dir": str(tmp_path / "out"),
+            **change,
+        })
+        assert main(["run", "--config", str(cfg)]) == EXIT_SCHEMA
+        assert runs == []
+        assert not (tmp_path / "out").exists()
+
+    def test_shipped_configs_resolve(self):
+        """Every example config passes the schema, so none uses a removed or
+        misspelled key."""
+        paths = sorted((REPO / "configs").glob("*.json"))
+        assert len(paths) >= 8
+        for path in paths:
+            resolve_config(load_config(path))
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = small_sp_config(tmp_path, shots=64)

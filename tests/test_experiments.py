@@ -71,7 +71,7 @@ class TestConfigValidation:
 
     def test_sp_series_requires_single_excitation(self):
         with pytest.raises(ValueError, match="single-excitation"):
-            run_sp_series(ExperimentConfig(initial="plus_on_first"))
+            run_sp_series(ExperimentConfig(initial="arbitrary"))
 
 
 class TestIdealRuns:
@@ -138,8 +138,9 @@ STRONG = dict(p_pauli=0.03, q_depol=0.04, t1=20e-6, t2=15e-6, dur_1q=0.2e-6, dur
               zeta=0.3, p_zz=0.05)
 ZZ_SETTINGS = {"zz_off": dict(zz_on=False), "hamiltonian": dict(zz_mode="hamiltonian"),
                "dephasing_channel": dict(zz_mode="dephasing_channel")}
-THERMAL_SETTINGS = {"thermal_off": dict(thermal_on=False), "combined": dict(thermal_mode="combined"),
-                    "reset": dict(thermal_mode="reset"), "dephase": dict(thermal_mode="dephase")}
+# T2 = 2*T1 is the relaxation-only branch: no pure dephasing, two Kraus ops instead of four.
+THERMAL_SETTINGS = {"thermal_off": dict(thermal_on=False), "combined": dict(thermal_on=True),
+                    "relaxation_only": dict(thermal_on=True, t2=2 * STRONG["t1"])}
 
 
 class TestFusedMatchesKrausLoop:
@@ -150,7 +151,7 @@ class TestFusedMatchesKrausLoop:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_every_op_of_prep_step_and_tomography(self, n, zz, thermal):
         for pauli_on, depol_on in itertools.product((False, True), repeat=2):
-            params = NoiseParams(**STRONG, **ZZ_SETTINGS[zz], **THERMAL_SETTINGS[thermal],
+            params = NoiseParams(**{**STRONG, **ZZ_SETTINGS[zz], **THERMAL_SETTINGS[thermal]},
                                  pauli_on=pauli_on, depol_on=depol_on)
             circuit = assemble_circuit(ExperimentConfig(
                 n_sites=n, n_steps=8, noise=params, initial="arbitrary", amp_a=0.6, amp_b=0.8j))
@@ -176,7 +177,7 @@ class TestFusedMatchesKrausLoop:
         """evolve_recorded (prep once, the compiled step n_steps times) against the
         Kraus loop over every op of the circuit."""
         circuit = assemble_circuit(ExperimentConfig(n_sites=4, n_steps=12, noise=NoiseParams(),
-                                                    initial="plus_on_first"))
+                                                    initial="arbitrary"))
         fused = evolve_recorded(circuit, lambda st: st.matrix)
         rho = DensityMatrix.zero(4)
         for op in circuit.prep:

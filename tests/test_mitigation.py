@@ -6,17 +6,13 @@ import numpy as np
 import pytest
 
 from pstlab.chains import exact_sp_oracle, pst_couplings
-from pstlab.experiments import ExperimentConfig, SPTimeSeries, detect_first_peak, run_sp_series
+from pstlab.experiments import ExperimentConfig, SPTimeSeries, run_sp_series
 from pstlab.mitigation import (
     RescaleParams,
     apply_rescaling,
     fit_rescaling,
     forward_decay,
-    time_scale_factor,
 )
-
-HALF_PI = math.pi / 2
-
 
 @pytest.fixture(scope="module")
 def ideal_series():
@@ -24,24 +20,19 @@ def ideal_series():
 
 
 class TestScaleFactor:
-    def test_equal_times(self):
-        assert time_scale_factor(HALF_PI, HALF_PI) == 1.0
-
-    def test_half_time_doubles(self):
-        assert time_scale_factor(HALF_PI, HALF_PI / 2) == 2.0
-
-    def test_non_positive_rejected(self):
-        with pytest.raises(ValueError):
-            time_scale_factor(HALF_PI, 0.0)
-
     def test_scaled_couplings_give_scale_factor(self):
-        """Oracle peak time scales as 1/c, so s between the two series is c."""
+        """Oracle peak time scales as 1/c, so the fitted s between the two series is c."""
         times = np.linspace(0, 2 * math.pi, 801)
         base = SPTimeSeries(times=times, values={4: exact_sp_oracle(pst_couplings(4, 1.0), times)})
         fast = SPTimeSeries(times=times, values={4: exact_sp_oracle(pst_couplings(4, 2.0), times)})
-        t_base, _ = detect_first_peak(base)
-        t_fast, _ = detect_first_peak(fast)
-        assert time_scale_factor(t_base, t_fast) == pytest.approx(2.0, abs=0.02)
+        assert fit_rescaling(fast, base).s == pytest.approx(2.0, abs=0.02)
+
+    def test_identical_series_give_unit_scale(self, ideal_series):
+        """Same first peak in both series: s is exactly 1 and no decay is fitted."""
+        params = fit_rescaling(ideal_series, ideal_series)
+        assert params.s == 1.0
+        assert params.alpha == pytest.approx(0.0, abs=1e-9)
+        assert params.beta == pytest.approx(0.0, abs=1e-9)
 
 
 class TestRescaleParams:
@@ -60,8 +51,7 @@ class TestApplyRescaling:
         alpha, beta = 0.463, 0.054
         noisy = SPTimeSeries(times=ideal_series.times,
                              values={4: forward_decay(ideal_series.series(), alpha, beta)})
-        corrected = apply_rescaling(noisy, ideal_series,
-                                    RescaleParams(alpha=alpha, beta=beta, s=1.0))
+        corrected = apply_rescaling(noisy, RescaleParams(alpha=alpha, beta=beta, s=1.0))
         np.testing.assert_allclose(corrected.series(), ideal_series.series(), atol=1e-9)
         np.testing.assert_allclose(corrected.times, ideal_series.times, atol=0)
 
@@ -69,26 +59,23 @@ class TestApplyRescaling:
         """k = 0: envelope is 1, offset term vanishes, corrected == raw."""
         noisy = SPTimeSeries(times=ideal_series.times,
                              values={4: forward_decay(ideal_series.series(), 0.4, 0.08)})
-        corrected = apply_rescaling(noisy, ideal_series,
-                                    RescaleParams(alpha=0.4, beta=0.08, s=1.0))
+        corrected = apply_rescaling(noisy, RescaleParams(alpha=0.4, beta=0.08, s=1.0))
         assert corrected.series()[0] == pytest.approx(noisy.series()[0], abs=1e-15)
 
     def test_time_axis_scaled(self, ideal_series):
-        corrected = apply_rescaling(ideal_series, ideal_series,
-                                    RescaleParams(alpha=0.0, beta=0.0, s=2.0))
+        corrected = apply_rescaling(ideal_series, RescaleParams(alpha=0.0, beta=0.0, s=2.0))
         np.testing.assert_allclose(corrected.times, 2.0 * ideal_series.times, atol=0)
 
     def test_outputs_clamped(self, ideal_series):
         """Aggressive parameters cannot push corrected values outside [0, 1]."""
-        corrected = apply_rescaling(ideal_series, ideal_series,
-                                    RescaleParams(alpha=0.8, beta=0.15, s=1.0))
+        corrected = apply_rescaling(ideal_series, RescaleParams(alpha=0.8, beta=0.15, s=1.0))
         v = corrected.series()
         assert np.all((v >= 0.0) & (v <= 1.0))
 
     def test_underflow_samples_flagged(self, ideal_series):
         """Beyond e^{-beta k} < 1e-6 the sample is flagged, not inverted."""
         params = RescaleParams(alpha=0.3, beta=0.25, s=1.0)  # e^{-0.25k} < 1e-6 for k >= 56
-        corrected = apply_rescaling(ideal_series, ideal_series, params)
+        corrected = apply_rescaling(ideal_series, params)
         reliable = np.array(corrected.meta["reliable"])
         assert not reliable[-1] and reliable[0]
         k_cut = int(np.ceil(-math.log(1e-6) / 0.25))
@@ -104,8 +91,8 @@ class TestApplyRescaling:
         hi = SPTimeSeries(times=ideal_series.times,
                           values={4: 0.5 * ideal_series.series() + 0.2})
         params = RescaleParams(alpha=0.3, beta=0.05, s=1.0)
-        a = apply_rescaling(lo, ideal_series, params).series()
-        b = apply_rescaling(hi, ideal_series, params).series()
+        a = apply_rescaling(lo, params).series()
+        b = apply_rescaling(hi, params).series()
         assert np.all(b >= a - 1e-12)
 
 

@@ -15,7 +15,6 @@ from pstlab.noise import (
     attach_comprehensive,
     comprehensive_attachments,
     depolarizing_channel,
-    ideal_params,
     pauli_channel,
     thermal_relaxation_channel,
     two_qubit_tensor_channel,
@@ -47,20 +46,19 @@ def plus_state() -> DensityMatrix:
 class TestNoiseParams:
     def test_defaults_split_pauli_evenly(self):
         params = NoiseParams()
-        assert params.px == params.py == params.pz == pytest.approx(1.875e-3 / 3)
+        assert params.p_pauli == 1.875e-3
         assert params.q_depol == 2.5e-3
         assert params.zeta == 0.1
-
-    def test_component_sum_enforced(self):
-        with pytest.raises(ValueError, match="p_pauli"):
-            NoiseParams(px=1e-3, py=0.0, pz=0.0)
+        (pauli,) = comprehensive_attachments(NoiseParams(depol_on=False, thermal_on=False))
+        third = params.p_pauli / 3
+        want = pauli_channel(third, third, third).kraus_ops
+        assert len(pauli.channel.kraus_ops) == len(want) == 4
+        for got, op in zip(pauli.channel.kraus_ops, want):
+            np.testing.assert_array_equal(got, op)
 
     def test_unphysical_t2_rejected(self):
         with pytest.raises(ValueError, match="2\\*T1"):
             NoiseParams(t1=100e-6, t2=250e-6)
-
-    def test_explicit_modes_allow_large_t2(self):
-        NoiseParams(t1=100e-6, t2=250e-6, thermal_mode="dephase")
 
     def test_round_trip_dict(self):
         params = NoiseParams(zeta=0.2, q_depol=1e-3, p_pauli=7.5e-4)
@@ -75,10 +73,6 @@ class TestNoiseParams:
         assert NoiseParams().circuit_zeta() == 0.1
         assert NoiseParams(zz_on=False).circuit_zeta() == 0.0
         assert NoiseParams(zz_mode="dephasing_channel", p_zz=0.01).circuit_zeta() == 0.0
-
-    def test_ideal_params_all_off(self):
-        p = ideal_params()
-        assert not (p.pauli_on or p.depol_on or p.thermal_on or p.zz_on)
 
 
 class TestPauliChannel:
@@ -181,12 +175,10 @@ class TestTensorChannel:
 
 
 class TestThermalRelaxation:
-    def test_zero_duration_identity_all_modes(self):
+    def test_zero_duration_identity(self):
         rho = plus_state()
-        for mode in ("combined", "reset", "dephase"):
-            ch = thermal_relaxation_channel(T1, T2, 0.0, mode)
-            out = apply_channel(rho, ch, (0,))
-            np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-15)
+        out = apply_channel(rho, thermal_relaxation_channel(T1, T2, 0.0), (0,))
+        np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-15)
 
     def test_relaxation_factor_of_two_qubit_gate(self):
         """gamma1 for the 533 ns gate: 1 - exp(-533e-9/266.74e-6) ~ 1.996e-3."""
@@ -197,14 +189,14 @@ class TestThermalRelaxation:
         assert gamma1 == pytest.approx(ratio - ratio**2 / 2, rel=1e-5)
         assert gamma1 == pytest.approx(1.9981e-3, abs=2e-6)
         rho = PureState(1, [0, 1]).to_density_matrix()
-        ch = thermal_relaxation_channel(T1, T2, dur, "combined")
+        ch = thermal_relaxation_channel(T1, T2, dur)
         out = apply_channel(rho, ch, (0,))
         assert np.real(out.matrix[1, 1]) == pytest.approx(math.exp(-dur / T1), abs=1e-12)
 
     def test_combined_coherence_decay(self):
         """Off-diagonal decays by sqrt(1-gamma1) e^{-d/T_phi'} with the T2 split."""
         dur = 1e-6
-        ch = thermal_relaxation_channel(T1, T2, dur, "combined")
+        ch = thermal_relaxation_channel(T1, T2, dur)
         out = apply_channel(plus_state(), ch, (0,))
         gamma1 = 1 - math.exp(-dur / T1)
         rate_phi = 1 / T2 - 1 / (2 * T1)
@@ -214,32 +206,36 @@ class TestThermalRelaxation:
 
     def test_no_pure_dephasing_at_t2_equals_2t1(self):
         dur = 2e-6
-        ch = thermal_relaxation_channel(1e-4, 2e-4, dur, "combined")
+        ch = thermal_relaxation_channel(1e-4, 2e-4, dur)
         out = apply_channel(plus_state(), ch, (0,))
         gamma1 = 1 - math.exp(-dur / 1e-4)
         assert np.real(out.matrix[0, 1]) == pytest.approx(0.5 * math.sqrt(1 - gamma1), abs=1e-14)
 
-    def test_reset_map(self):
-        """(1-g) rho + g |0><0| with g = 1 - e^{-d/T1}."""
+    def test_amplitude_damping_map_at_t2_equals_2t1(self):
+        """With no pure dephasing left the channel is plain amplitude damping:
+        two Kraus ops, rho00 + g rho11, sqrt(1-g) rho01, (1-g) rho11."""
         dur = 5e-6
-        g = 1 - math.exp(-dur / T1)
-        rho = plus_state()
-        out = apply_channel(rho, thermal_relaxation_channel(T1, T2, dur, "reset"), (0,))
-        expected = (1 - g) * rho.matrix + g * np.array([[1, 0], [0, 0]])
+        g = 1 - math.exp(-dur / 1e-4)
+        ch = thermal_relaxation_channel(1e-4, 2e-4, dur)
+        assert len(ch.kraus_ops) == 2
+        rho = PureState(1, [0.6, 0.8j]).to_density_matrix()
+        out = apply_channel(rho, ch, (0,))
+        m = rho.matrix
+        expected = np.array([[m[0, 0] + g * m[1, 1], math.sqrt(1 - g) * m[0, 1]],
+                             [math.sqrt(1 - g) * m[1, 0], (1 - g) * m[1, 1]]])
         np.testing.assert_allclose(out.matrix, expected, atol=1e-12)
 
-    def test_dephase_map(self):
+    def test_pure_dephasing_limit_of_long_t1(self):
+        """T1 >> d: populations stay put and coherence decays as e^{-d/T2}."""
         dur = 5e-6
-        g2 = math.exp(-dur / T2)
         rho = plus_state()
-        out = apply_channel(rho, thermal_relaxation_channel(T1, T2, dur, "dephase"), (0,))
-        z = np.diag([1.0, -1.0])
-        expected = g2 * rho.matrix + (1 - g2) * z @ rho.matrix @ z
-        np.testing.assert_allclose(out.matrix, expected, atol=1e-12)
+        out = apply_channel(rho, thermal_relaxation_channel(1e6, T2, dur), (0,))
+        np.testing.assert_allclose(np.diag(out.matrix).real, [0.5, 0.5], atol=1e-12)
+        assert np.real(out.matrix[0, 1]) == pytest.approx(0.5 * math.exp(-dur / T2), abs=1e-12)
 
     def test_combined_rejects_unphysical_t2(self):
         with pytest.raises(ValueError, match="unphysical"):
-            thermal_relaxation_channel(1e-4, 3e-4, 1e-6, "combined")
+            thermal_relaxation_channel(1e-4, 3e-4, 1e-6)
 
 
 def zz_crosstalk(zeta: float, t: float) -> np.ndarray:
@@ -304,7 +300,7 @@ class TestComprehensiveAssembly:
         return build_trotter_circuit(pst_couplings(4, 1.0), TrotterPlan(2 * math.pi, 80), zeta)
 
     def test_all_toggles_off_is_identity(self):
-        params = ideal_params()
+        params = NoiseParams(pauli_on=False, depol_on=False, thermal_on=False, zz_on=False)
         circ = self.make_circuit()
         out = attach_comprehensive(circ, params)
         assert not out.has_channels()
@@ -399,7 +395,7 @@ class TestRandomDrawCPTP:
             pauli_channel(px, py, pz),
             depolarizing_channel(draw(st.floats(0, 4 / 3))),
             thermal_relaxation_channel(draw(st.floats(1e-6, 1e-3)), 1e-6,
-                                       draw(st.floats(0, 1e-4)), "combined"),
+                                       draw(st.floats(0, 1e-4))),
             zz_dephasing_channel(draw(st.floats(0, 1))),
         ]
         for ch in constructors:

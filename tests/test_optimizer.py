@@ -19,7 +19,6 @@ from pstlab.optimizer import (
     grid_search_j0,
     objective,
     sensitivity_and_delta,
-    starts_from_grid,
 )
 
 # cheap but real settings for unit tests: 20 Trotter steps instead of 80
@@ -264,9 +263,3 @@ class TestBayesOptimize:
     def test_empty_starts_rejected(self):
         with pytest.raises(ValueError, match="starting"):
             BOConfig(starts=[])
-
-    def test_starts_from_grid(self):
-        records = grid_search_j0(lo=2.8, hi=3.0, step=0.1, **FAST)
-        starts = starts_from_grid(records, top=2)
-        assert starts == records[:2]
-        assert starts[0].candidate.j0 == records[0].candidate.j0
