@@ -1,6 +1,11 @@
 """Batch front door: run configured experiments, persist manifests and
 CSV/JSON outputs, and join finished runs into comparison reports.
 
+Each experiment is one entry of HANDLERS: it runs and returns its output
+files as {file name: text}. One writer, _write_files, writes every run and
+report file atomically and keys the manifest's outputs by file name
+("series.csv" -> "series_csv"). Every run writes both CSV and JSON.
+
 Config schema (JSON):
 
     {
@@ -22,8 +27,10 @@ Config schema (JSON):
 The keys shown are the only ones each block allows; "noise" takes the
 NoiseParams fields and "ideal". Every block is optional, but a present one
 must be an object (noise may be null). An unknown key at any level, a
-non-object block, a non-integer count or an out-of-range value exits 2
-before anything runs. Time values accept multiples of pi in string form
+non-object block, a non-integer count, a value of the wrong JSON type (noise
+toggles and "ideal" must be true/false, noise rates and times numbers,
+"output_dir" a string or null) or an out-of-range value exits 2 before
+anything runs. Time values accept multiples of pi in string form
 ("0.5pi", "2pi", "pi"). Defaults reproduce the headline N=4, T=2pi, 80-step
 setup with the full noise stack, so a minimal config is
 {"experiment": "sp_series"}.
@@ -40,7 +47,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -69,9 +76,6 @@ from .optimizer import (
     objective,
 )
 
-EXPERIMENTS = ("sp_series", "site_resolved", "arbitrary_transfer",
-               "rescale", "grid_search", "bayes_opt")
-
 EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_SIM = 3
@@ -94,7 +98,7 @@ class RunManifest:
     results: dict = field(default_factory=dict)
 
     def write(self, path: Path) -> Path:
-        _atomic_write(path, json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
+        _atomic_write(path, _json_text(asdict(self)))
         return path
 
 
@@ -196,12 +200,25 @@ def apply_overrides(cfg: dict, overrides) -> dict:
     return cfg
 
 
+def _noise_value(value, name: str, default):
+    """A noise value of its field's JSON type: a finite number for rates and
+    times, true/false for the toggles and ideal, a string for zz_mode."""
+    if isinstance(default, float):
+        return _real(value, f"noise.{name}")
+    if not isinstance(value, type(default)):
+        raise ConfigError(f"noise.{name} must be a {type(default).__name__}, got {value!r}")
+    return value
+
+
 def _build_noise(block) -> NoiseParams | None:
     if block is None:
         return None
     if not isinstance(block, dict):
         raise ConfigError("noise block must be an object or null")
-    params = dict(block)  # the caller's block goes into the manifest and the run id
+    # a typed copy: the caller's block goes into the manifest unchanged
+    defaults = {"ideal": False, **{f.name: f.default for f in fields(NoiseParams)}}
+    params = {key: _noise_value(value, key, defaults[key]) if key in defaults else value
+              for key, value in block.items()}
     if params.pop("ideal", False):
         return None
     try:
@@ -239,6 +256,11 @@ def resolve_config(cfg: dict, seed_override=None):
         raise ConfigError("plan.total_time must be > 0 and plan.steps >= 1")
 
     noise = _build_noise(cfg.get("noise", {}))
+    if noise is None and experiment in ("rescale", "grid_search", "bayes_opt"):
+        raise ConfigError(f"{experiment} needs a noise block")
+    output_dir = cfg.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir must be a string or null, got {output_dir!r}")
     shots = cfg.get("shots")
     if shots is not None:
         shots = _integer(shots, "shots")
@@ -279,6 +301,21 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _write_files(out_dir: Path, files: dict) -> dict:
+    """Write each {file name: text} under out_dir; returns the manifest's
+    outputs map, keyed by file name with "." as "_" ("grid.csv" -> "grid_csv")."""
+    outputs = {}
+    for name, text in files.items():
+        path = out_dir / name
+        _atomic_write(path, text)
+        outputs[name.replace(".", "_")] = str(path)
+    return outputs
+
+
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _search_settings(experiment: str, blocks: dict) -> dict:
     """The grid and GP settings the experiment uses, with defaults filled in."""
     settings = {}
@@ -306,116 +343,93 @@ def _run_id(experiment: str, exp_cfg: ExperimentConfig, search: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _emit_series(series: SPTimeSeries, out_dir: Path, stem: str, fmt: str,
-                 corrected: SPTimeSeries | None = None) -> dict:
-    outputs = {}
-    if fmt in ("csv", "both"):
-        path = out_dir / f"{stem}.csv"
-        _atomic_write(path, series_to_csv(series, corrected))
-        outputs[f"{stem}_csv"] = str(path)
-    if fmt in ("json", "both"):
-        path = out_dir / f"{stem}.json"
-        _atomic_write(path, series_to_json(series))
-        outputs[f"{stem}_json"] = str(path)
-    return outputs
+# Each handler runs one experiment and returns (files, fitted, results): files
+# maps output file names to their text; fitted and results go into the manifest.
+
+def _series_result(series: SPTimeSeries):
+    return _series_files("series", series), None, _peak_summary(series)
 
 
-def run_config(path, overrides=(), seed=None, out=None, fmt: str = "both") -> Path:
+def _arbitrary_transfer(exp_cfg: ExperimentConfig, search: dict):
+    record = run_arbitrary_transfer(exp_cfg)
+    files = {"tomography.csv": tomography_to_csv(record, exp_cfg.n_sites),
+             "tomography.json": tomography_to_json(record)}
+    best = int(np.argmax(record.fidelity))
+    return files, None, {"peak_fidelity": float(record.fidelity[best]),
+                         "peak_fidelity_time": float(record.times[best])}
+
+
+def _rescale(exp_cfg: ExperimentConfig, search: dict):
+    noisy = run_sp_series(exp_cfg)
+    ideal = run_sp_series(replace(exp_cfg, noise=None, shots=None))
+    params = fit_rescaling(noisy, ideal)
+    corrected = apply_rescaling(noisy, params)
+    files = {**_series_files("noisy", noisy), **_series_files("ideal", ideal),
+             **_series_files("corrected", corrected)}
+    fitted = {"alpha": params.alpha, "beta": params.beta, "s": params.s}
+    return files, fitted, {"noisy": _peak_summary(noisy), "corrected": _peak_summary(corrected)}
+
+
+def _grid_search(exp_cfg: ExperimentConfig, search: dict):
+    records = _grid_records(search["grid"], exp_cfg)
+    return _grid_files(records), None, {"best_j0": records[0].candidate.j0,
+                                        "best_objective": records[0].objective}
+
+
+def _bayes_opt(exp_cfg: ExperimentConfig, search: dict):
+    records = _grid_records(search["grid"], exp_cfg)
+    bo = search["bo"]
+    bo_cfg = BOConfig(
+        starts=records[:bo["top_starts"]],
+        iterations_per_start=bo["iterations_per_start"],
+        batch_size=bo["batch_size"],
+        seed=exp_cfg.seed,
+        n_sites=exp_cfg.n_sites,
+        total_time=exp_cfg.total_time,
+        n_steps=exp_cfg.n_steps,
+        noise=exp_cfg.noise,
+    )
+    best, ledger = bayes_optimize(bo_cfg)
+    baseline, baseline_t = _baseline(records, exp_cfg)
+    report = {
+        "best_couplings": list(best.candidate.couplings),
+        "best_objective": best.objective,
+        "best_t_star": best.t_star,
+        "baseline_j0": 1.0,
+        "baseline_objective": baseline,
+        "baseline_t_star": baseline_t,
+        "improvement": best.objective - baseline,
+        "evaluations": len(ledger),
+    }
+    files = {**_grid_files(records), "ledger.jsonl": _ledger_jsonl(ledger),
+             "report.json": _json_text(report)}
+    return files, None, report
+
+
+HANDLERS = {
+    "sp_series": lambda exp_cfg, search: _series_result(run_sp_series(exp_cfg)),
+    "site_resolved": lambda exp_cfg, search: _series_result(run_site_resolved(exp_cfg)),
+    "arbitrary_transfer": _arbitrary_transfer,
+    "rescale": _rescale,
+    "grid_search": _grid_search,
+    "bayes_opt": _bayes_opt,
+}
+EXPERIMENTS = tuple(HANDLERS)
+
+
+def run_config(path, overrides=(), seed=None, out=None) -> Path:
     """Execute one experiment config; returns the manifest path."""
-    if fmt not in ("csv", "json", "both"):
-        raise ConfigError(f"format must be csv, json, or both, got {fmt!r}")
     raw = apply_overrides(load_config(path), overrides)
     experiment, exp_cfg, search = resolve_config(raw, seed_override=seed)
-    out_dir = Path(out) if out else Path(raw.get("output_dir", "runs") or "runs")
-    run_id = _run_id(experiment, exp_cfg, search)
+    out_dir = Path(out) if out else Path(raw.get("output_dir") or "runs")
     started = time.time()
-
-    outputs: dict = {}
-    fitted = None
-    results: dict = {}
-
-    if experiment == "sp_series":
-        series = run_sp_series(exp_cfg)
-        outputs.update(_emit_series(series, out_dir, "series", fmt))
-        results.update(_peak_summary(series))
-    elif experiment == "site_resolved":
-        series = run_site_resolved(exp_cfg)
-        outputs.update(_emit_series(series, out_dir, "series", fmt))
-        results.update(_peak_summary(series))
-    elif experiment == "arbitrary_transfer":
-        record = run_arbitrary_transfer(exp_cfg)
-        if fmt in ("csv", "both"):
-            p = out_dir / "tomography.csv"
-            _atomic_write(p, tomography_to_csv(record, exp_cfg.n_sites))
-            outputs["tomography_csv"] = str(p)
-        if fmt in ("json", "both"):
-            p = out_dir / "tomography.json"
-            _atomic_write(p, tomography_to_json(record))
-            outputs["tomography_json"] = str(p)
-        best = int(np.argmax(record.fidelity))
-        results["peak_fidelity"] = float(record.fidelity[best])
-        results["peak_fidelity_time"] = float(record.times[best])
-    elif experiment == "rescale":
-        if exp_cfg.noise is None:
-            raise ConfigError("rescale experiment needs a noise block")
-        noisy = run_sp_series(exp_cfg)
-        ideal_cfg = replace(exp_cfg, noise=None, shots=None)
-        ideal = run_sp_series(ideal_cfg)
-        params = fit_rescaling(noisy, ideal)
-        corrected = apply_rescaling(noisy, params)
-        outputs.update(_emit_series(noisy, out_dir, "noisy", fmt))
-        outputs.update(_emit_series(ideal, out_dir, "ideal", fmt))
-        outputs.update(_emit_series(corrected, out_dir, "corrected", fmt))
-        fitted = {"alpha": params.alpha, "beta": params.beta, "s": params.s}
-        results["noisy"] = _peak_summary(noisy)
-        results["corrected"] = _peak_summary(corrected)
-    elif experiment == "grid_search":
-        records = _grid_records(search["grid"], exp_cfg)
-        outputs.update(_emit_grid(records, out_dir, fmt))
-        results["best_j0"] = records[0].candidate.j0
-        results["best_objective"] = records[0].objective
-    elif experiment == "bayes_opt":
-        records = _grid_records(search["grid"], exp_cfg)
-        bo = search["bo"]
-        bo_cfg = BOConfig(
-            starts=records[:bo["top_starts"]],
-            iterations_per_start=bo["iterations_per_start"],
-            batch_size=bo["batch_size"],
-            seed=exp_cfg.seed,
-            n_sites=exp_cfg.n_sites,
-            total_time=exp_cfg.total_time,
-            n_steps=exp_cfg.n_steps,
-            noise=exp_cfg.noise,
-        )
-        best, ledger = bayes_optimize(bo_cfg)
-        outputs.update(_emit_grid(records, out_dir, fmt))
-        ledger_path = out_dir / "ledger.jsonl"
-        _atomic_write(ledger_path, _ledger_jsonl(ledger))
-        outputs["ledger_jsonl"] = str(ledger_path)
-        baseline, baseline_t = _baseline(records, exp_cfg)
-        report = {
-            "best_couplings": list(best.candidate.couplings),
-            "best_objective": best.objective,
-            "best_t_star": best.t_star,
-            "baseline_j0": 1.0,
-            "baseline_objective": baseline,
-            "baseline_t_star": baseline_t,
-            "improvement": best.objective - baseline,
-            "evaluations": len(ledger),
-        }
-        report_path = out_dir / "report.json"
-        _atomic_write(report_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
-        outputs["report_json"] = str(report_path)
-        results.update(report)
-    else:  # pragma: no cover - resolve_config already rejects unknown names
-        raise ConfigError(f"unhandled experiment {experiment!r}")
-
+    files, fitted, results = HANDLERS[experiment](exp_cfg, search)
     manifest = RunManifest(
-        run_id=run_id,
+        run_id=_run_id(experiment, exp_cfg, search),
         experiment=experiment,
         config=raw,
         artifact_version=__version__,
-        outputs=outputs,
+        outputs=_write_files(out_dir, files),
         duration_s=round(time.time() - started, 6),
         fitted=fitted,
         results=results,
@@ -445,8 +459,6 @@ def _peak_summary(series: SPTimeSeries) -> dict:
 
 
 def _grid_records(grid: dict, exp_cfg: ExperimentConfig):
-    if exp_cfg.noise is None:
-        raise ConfigError("grid_search and bayes_opt need a noise block")
     return grid_search_j0(
         **grid,
         n_sites=exp_cfg.n_sites,
@@ -457,32 +469,25 @@ def _grid_records(grid: dict, exp_cfg: ExperimentConfig):
     )
 
 
-def _emit_grid(records, out_dir: Path, fmt: str) -> dict:
-    outputs = {}
-    if fmt in ("csv", "both"):
-        lines = ["rank,j0,peak_sp,t_star"]
-        for rank, rec in enumerate(records, start=1):
-            lines.append(
-                f"{rank},{rec.candidate.j0:.12g},{rec.objective:.12g},{rec.t_star:.12g}"
-            )
-        path = out_dir / "grid.csv"
-        _atomic_write(path, "\n".join(lines) + "\n")
-        outputs["grid_csv"] = str(path)
-    if fmt in ("json", "both"):
-        payload = [
-            {
-                "rank": rank,
-                "j0": rec.candidate.j0,
-                "couplings": list(rec.candidate.couplings),
-                "peak_sp": rec.objective,
-                "t_star": None if math.isnan(rec.t_star) else rec.t_star,
-            }
-            for rank, rec in enumerate(records, start=1)
-        ]
-        path = out_dir / "grid.json"
-        _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        outputs["grid_json"] = str(path)
-    return outputs
+def _series_files(stem: str, series: SPTimeSeries) -> dict:
+    return {f"{stem}.csv": series_to_csv(series), f"{stem}.json": series_to_json(series)}
+
+
+def _grid_files(records) -> dict:
+    lines = ["rank,j0,peak_sp,t_star"]
+    for rank, rec in enumerate(records, start=1):
+        lines.append(f"{rank},{rec.candidate.j0:.12g},{rec.objective:.12g},{rec.t_star:.12g}")
+    payload = [
+        {
+            "rank": rank,
+            "j0": rec.candidate.j0,
+            "couplings": list(rec.candidate.couplings),
+            "peak_sp": rec.objective,
+            "t_star": None if math.isnan(rec.t_star) else rec.t_star,
+        }
+        for rank, rec in enumerate(records, start=1)
+    ]
+    return {"grid.csv": "\n".join(lines) + "\n", "grid.json": _json_text(payload)}
 
 
 def _ledger_jsonl(ledger) -> str:
@@ -521,7 +526,7 @@ def _load_manifest_series(manifest: dict) -> list:
     return out
 
 
-def emit_report(manifest_paths, out=None, fmt: str = "both") -> dict:
+def emit_report(manifest_paths, out=None) -> dict:
     """Join runs on the time grid and summarize peaks.
 
     Grid-search manifests pass their ranking table through; series-producing
@@ -538,7 +543,7 @@ def emit_report(manifest_paths, out=None, fmt: str = "both") -> dict:
     for m in manifests:
         series_entries.extend(_load_manifest_series(m))
 
-    outputs: dict = {}
+    files: dict = {}
     warnings: list = []
     summary: list = []
     if series_entries:
@@ -549,12 +554,8 @@ def emit_report(manifest_paths, out=None, fmt: str = "both") -> dict:
         columns = {}
         for label, times, vals in series_entries:
             columns[label] = np.interp(base_times, times, vals)
-            series = SPTimeSeries(times=times, values={1: vals})
-            try:
-                t_star, sp_star = detect_first_peak(series)
-            except ValueError:
-                t_star, sp_star = None, None
-            summary.append({"label": label, "t_star": t_star, "sp_star": sp_star})
+            summary.append({"label": label,
+                            **_peak_summary(SPTimeSeries(times=times, values={1: vals}))})
         peaks = [s["sp_star"] for s in summary if s["sp_star"] is not None]
         baseline = min(peaks) if peaks else None
         for s in summary:
@@ -564,46 +565,35 @@ def emit_report(manifest_paths, out=None, fmt: str = "both") -> dict:
             else:
                 s["improvement"] = s["sp_star"] - baseline
                 s["improvement_pct"] = 100.0 * (s["sp_star"] - baseline) / baseline
-        if fmt in ("csv", "both"):
-            labels = [label for label, _, _ in series_entries]
-            lines = ["t," + ",".join(labels)]
-            for i, t in enumerate(base_times):
-                lines.append(
-                    f"{t:.12g}," + ",".join(f"{columns[l][i]:.12g}" for l in labels)
-                )
-            lines.append("")
-            lines.append("label,t_star,sp_star,improvement,improvement_pct")
-            for s in summary:
-                lines.append(
-                    f"{s['label']},{_fmt_opt(s['t_star'])},{_fmt_opt(s['sp_star'])},"
-                    f"{_fmt_opt(s['improvement'])},{_fmt_opt(s['improvement_pct'])}"
-                )
-            for w in warnings:
-                lines.append(f"warning,{w},,,")
-            path = out_dir / "report.csv"
-            _atomic_write(path, "\n".join(lines) + "\n")
-            outputs["report_csv"] = str(path)
-    elif grid_only and fmt in ("csv", "both"):
+        labels = [label for label, _, _ in series_entries]
+        lines = ["t," + ",".join(labels)]
+        for i, t in enumerate(base_times):
+            lines.append(f"{t:.12g}," + ",".join(f"{columns[l][i]:.12g}" for l in labels))
+        lines.append("")
+        lines.append("label,t_star,sp_star,improvement,improvement_pct")
+        for s in summary:
+            lines.append(
+                f"{s['label']},{_fmt_opt(s['t_star'])},{_fmt_opt(s['sp_star'])},"
+                f"{_fmt_opt(s['improvement'])},{_fmt_opt(s['improvement_pct'])}"
+            )
+        for w in warnings:
+            lines.append(f"warning,{w},,,")
+        files["report.csv"] = "\n".join(lines) + "\n"
+    elif grid_only:
         # passthrough: re-emit the first grid table as the report
-        src = Path(grid_only[0]["outputs"]["grid_csv"]).read_text()
-        path = out_dir / "report.csv"
-        _atomic_write(path, src)
-        outputs["report_csv"] = str(path)
+        files["report.csv"] = Path(grid_only[0]["outputs"]["grid_csv"]).read_text()
 
-    if fmt in ("json", "both"):
-        payload = {
-            "summary": summary,
-            "warnings": warnings,
-            "runs": [m["run_id"] for m in manifests],
-        }
-        if grid_only:
-            payload["grid_runs"] = [
-                {"run_id": m["run_id"], "results": m.get("results", {})} for m in grid_only
-            ]
-        path = out_dir / "report.json"
-        _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        outputs["report_json"] = str(path)
-    return outputs
+    payload = {
+        "summary": summary,
+        "warnings": warnings,
+        "runs": [m["run_id"] for m in manifests],
+    }
+    if grid_only:
+        payload["grid_runs"] = [
+            {"run_id": m["run_id"], "results": m.get("results", {})} for m in grid_only
+        ]
+    files["report.json"] = _json_text(payload)
+    return _write_files(out_dir, files)
 
 
 def _fmt_opt(v) -> str:
@@ -622,21 +612,17 @@ def main(argv=None) -> int:
                       metavar="KEY=VALUE", help="dotted-path config override")
     runp.add_argument("--seed", type=int, default=None, help="override the config seed")
     runp.add_argument("--out", default=None, help="output directory (overrides output_dir)")
-    runp.add_argument("--format", default="both", choices=("csv", "json", "both"))
 
     repp = sub.add_parser("report", help="comparison table across finished runs")
     repp.add_argument("manifests", nargs="+", help="manifest.json paths")
     repp.add_argument("--out", default=".", help="output directory")
-    repp.add_argument("--format", default="both", choices=("csv", "json", "both"))
 
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            run_config(args.config, overrides=args.overrides, seed=args.seed,
-                       out=args.out, fmt=args.format)
+            run_config(args.config, overrides=args.overrides, seed=args.seed, out=args.out)
         else:
-            outputs = emit_report(args.manifests, out=args.out, fmt=args.format)
-            for path in outputs.values():
+            for path in emit_report(args.manifests, out=args.out).values():
                 print(path)
         return EXIT_OK
     except ConfigError as exc:

@@ -405,19 +405,13 @@ def _series_meta(config: ExperimentConfig, circuit: NoisyCircuit) -> dict:
     }
 
 
-def series_to_csv(series: SPTimeSeries, corrected: SPTimeSeries | None = None) -> str:
-    """CSV body: t,site,sp[,sp_corrected] rows in (time, site) order."""
-    cols = "t,site,sp"
-    if corrected is not None:
-        cols += ",sp_corrected"
-    lines = [cols]
+def series_to_csv(series: SPTimeSeries) -> str:
+    """CSV body: t,site,sp rows in (time, site) order."""
+    lines = ["t,site,sp"]
     sites = series.sites()
     for k, t in enumerate(series.times):
         for s in sites:
-            row = f"{t:.12g},{s},{series.values[s][k]:.12g}"
-            if corrected is not None:
-                row += f",{corrected.values[s][k]:.12g}"
-            lines.append(row)
+            lines.append(f"{t:.12g},{s},{series.values[s][k]:.12g}")
     return "\n".join(lines) + "\n"
 
 

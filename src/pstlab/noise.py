@@ -11,8 +11,8 @@ channels) after every two-qubit XY gate models gate error; thermal
 relaxation is layered after every gate with the matching duration; ZZ
 crosstalk is either the coherent RZZ gates already present in the circuit
 (hamiltonian mode) or an incoherent Z(x)Z dephasing attachment
-(dephasing_channel mode). Single-qubit prep/tomography gates carry the
-Pauli channel plus 1q-duration thermal relaxation.
+(dephasing_channel mode). Every single-qubit gate (state prep, tomography
+basis change) carries the Pauli channel plus 1q-duration thermal relaxation.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .sim_core import (
 )
 
 _TWO_QUBIT_KINDS = frozenset({"rxx", "ryy"})
-_ONE_QUBIT_KINDS = frozenset({"x", "h", "sdg"})
 
 
 @dataclass
@@ -248,18 +247,11 @@ def _comprehensive_attachments(values: tuple) -> tuple:
             )
         )
         th1 = thermal_relaxation_channel(params.t1, params.t2, params.dur_1q)
-        atts.append(
-            ChannelAttachment(channel=th1, gate_kinds=_ONE_QUBIT_KINDS, arity=1, per_target=True)
-        )
+        atts.append(ChannelAttachment(channel=th1, arity=1, per_target=True))
     if params.pauli_on:
         third = params.p_pauli / 3.0
         atts.append(
-            ChannelAttachment(
-                channel=pauli_channel(third, third, third),
-                gate_kinds=_ONE_QUBIT_KINDS,
-                arity=1,
-                per_target=True,
-            )
+            ChannelAttachment(channel=pauli_channel(third, third, third), arity=1, per_target=True)
         )
     if params.zz_on and params.zz_mode == "dephasing_channel":
         atts.append(

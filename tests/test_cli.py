@@ -14,6 +14,7 @@ from pstlab.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_SCHEMA,
+    EXPERIMENTS,
     ConfigError,
     apply_overrides,
     emit_report,
@@ -125,12 +126,14 @@ class TestRunConfig:
         assert ideal["config"]["noise"] == {"ideal": True}
 
     def test_equivalent_configs_share_run_id(self, tmp_path):
-        """The id hashes the resolved inputs: spelled-out defaults and the
-        output directory do not change it."""
+        """The id hashes the resolved inputs: spelled-out defaults, an
+        integer where the field is a float, and the output directory do not
+        change it."""
         base = {"experiment": "sp_series", "chain": {"n": 3}, "plan": {"steps": 8}}
         default = write_config(tmp_path, {**base, "noise": {}, "output_dir": str(tmp_path / "a")},
                                name="default.json")
-        spelled = write_config(tmp_path, {**base, "noise": {"zeta": 0.1}, "seed": 0,
+        spelled = write_config(tmp_path, {**base, "noise": {"zeta": 0.1, "readout_error": 0},
+                                          "seed": 0,
                                           "output_dir": str(tmp_path / "b")}, name="spelled.json")
         a = json.loads(run_config(default).read_text())
         b = json.loads(run_config(spelled).read_text())
@@ -138,6 +141,34 @@ class TestRunConfig:
         assert (tmp_path / "a" / "series.csv").read_bytes() == (tmp_path / "b" / "series.csv").read_bytes()
         other = json.loads(run_config(spelled, overrides=["noise.zeta=0.2"]).read_text())
         assert other["run_id"] != a["run_id"]
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_output_inventory(self, tmp_path, experiment):
+        """Each experiment writes exactly its files, and the manifest lists
+        each one under its file name with "." as "_"."""
+        expected = {
+            "sp_series": ["series.csv", "series.json"],
+            "site_resolved": ["series.csv", "series.json"],
+            "arbitrary_transfer": ["tomography.csv", "tomography.json"],
+            "rescale": [f"{stem}.{ext}" for stem in ("noisy", "ideal", "corrected")
+                        for ext in ("csv", "json")],
+            "grid_search": ["grid.csv", "grid.json"],
+            "bayes_opt": ["grid.csv", "grid.json", "ledger.jsonl", "report.json"],
+        }[experiment]
+        cfg = write_config(tmp_path, {
+            "experiment": experiment,
+            "chain": {"n": 3},
+            "plan": {"steps": 8},
+            "noise": {},
+            "grid": {"lo": 2.8, "hi": 3.0, "step": 0.2},
+            "bo": {"iterations_per_start": 0, "batch_size": 8, "top_starts": 1},
+            "output_dir": str(tmp_path / "out"),
+        })
+        outputs = json.loads(run_config(cfg).read_text())["outputs"]
+        assert outputs == {name.replace(".", "_"): str(tmp_path / "out" / name)
+                           for name in expected}
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
+            expected + ["manifest.json"])
 
     def test_bayes_opt_ledger_is_reproducible(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -340,6 +371,12 @@ class TestExitCodes:
         # keys of removed options
         {"noise": {"thermal_mode": "reset"}},
         {"noise": {"px": 1e-3}},
+        # noise values and output_dir of the wrong JSON type
+        {"noise": {"ideal": "false"}},
+        {"noise": {"ideal": 1}},
+        {"noise": {"pauli_on": "no", "depol_on": "no", "thermal_on": "no", "zz_on": "no"}},
+        {"noise": {"p_pauli": True}},
+        {"output_dir": 5},
     ], ids=repr)
     def test_schema_violation_exits_2_before_running(self, tmp_path, monkeypatch, change):
         import pstlab.optimizer as optimizer

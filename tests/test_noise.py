@@ -329,6 +329,22 @@ class TestComprehensiveAssembly:
         assert len(prep.channels) == 2  # thermal(dur_1q) + pauli
         assert all(ch.arity == 1 for ch, _ in prep.channels)
 
+    def test_general_amplitude_prep_gets_the_same_noise(self):
+        """The "u" prep gate built for arbitrary amplitudes carries the same
+        single-qubit channels as the default |+> prep."""
+        from pstlab.experiments import ExperimentConfig, assemble_circuit
+
+        default, general = (
+            assemble_circuit(ExperimentConfig(n_sites=4, noise=NoiseParams(),
+                                              initial="arbitrary", **amps)).prep[0]
+            for amps in ({}, {"amp_a": 0.6, "amp_b": 0.8})
+        )
+        assert (default.gate.kind, general.gate.kind) == ("h", "u")
+        assert len(general.channels) == len(default.channels) == 2
+        for (ch_a, targets_a), (ch_b, targets_b) in zip(default.channels, general.channels):
+            assert targets_a == targets_b
+            np.testing.assert_array_equal(ch_a.kraus_ops, ch_b.kraus_ops)
+
     def test_zz_mode_conflicts_rejected(self):
         params = NoiseParams(zz_mode="dephasing_channel", p_zz=0.01)
         with pytest.raises(ValueError, match="dephasing_channel"):
