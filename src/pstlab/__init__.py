@@ -46,7 +46,6 @@ from .noise import (
     zz_dephasing_channel,
 )
 from .optimizer import (
-    BOConfig,
     Candidate,
     EvalRecord,
     bayes_optimize,

@@ -68,13 +68,7 @@ from .experiments import (
 )
 from .mitigation import apply_rescaling, fit_rescaling
 from .noise import NoiseParams
-from .optimizer import (
-    BOConfig,
-    Candidate,
-    bayes_optimize,
-    grid_search_j0,
-    objective,
-)
+from .optimizer import Candidate, bayes_optimize, grid_search_j0, objective
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -371,25 +365,16 @@ def _rescale(exp_cfg: ExperimentConfig, search: dict):
 
 
 def _grid_search(exp_cfg: ExperimentConfig, search: dict):
-    records = _grid_records(search["grid"], exp_cfg)
+    records = grid_search_j0(exp_cfg, **search["grid"])
     return _grid_files(records), None, {"best_j0": records[0].candidate.j0,
                                         "best_objective": records[0].objective}
 
 
 def _bayes_opt(exp_cfg: ExperimentConfig, search: dict):
-    records = _grid_records(search["grid"], exp_cfg)
+    records = grid_search_j0(exp_cfg, **search["grid"])
     bo = search["bo"]
-    bo_cfg = BOConfig(
-        starts=records[:bo["top_starts"]],
-        iterations_per_start=bo["iterations_per_start"],
-        batch_size=bo["batch_size"],
-        seed=exp_cfg.seed,
-        n_sites=exp_cfg.n_sites,
-        total_time=exp_cfg.total_time,
-        n_steps=exp_cfg.n_steps,
-        noise=exp_cfg.noise,
-    )
-    best, ledger = bayes_optimize(bo_cfg)
+    best, ledger = bayes_optimize(exp_cfg, records[:bo["top_starts"]],
+                                  bo["iterations_per_start"], bo["batch_size"])
     baseline, baseline_t = _baseline(records, exp_cfg)
     report = {
         "best_couplings": list(best.candidate.couplings),
@@ -445,9 +430,7 @@ def _baseline(grid_records, exp_cfg: ExperimentConfig) -> tuple:
     for rec in grid_records:
         if rec.candidate.couplings == couplings:
             return rec.objective, rec.t_star
-    return objective(Candidate(couplings=couplings, j0=1.0), n_sites=exp_cfg.n_sites,
-                     total_time=exp_cfg.total_time, n_steps=exp_cfg.n_steps,
-                     noise=exp_cfg.noise, seed=exp_cfg.seed)
+    return objective(Candidate(couplings=couplings, j0=1.0), exp_cfg)
 
 
 def _peak_summary(series: SPTimeSeries) -> dict:
@@ -456,17 +439,6 @@ def _peak_summary(series: SPTimeSeries) -> dict:
         return {"t_star": t_star, "sp_star": sp_star}
     except ValueError:
         return {"t_star": None, "sp_star": None}
-
-
-def _grid_records(grid: dict, exp_cfg: ExperimentConfig):
-    return grid_search_j0(
-        **grid,
-        n_sites=exp_cfg.n_sites,
-        total_time=exp_cfg.total_time,
-        n_steps=exp_cfg.n_steps,
-        noise=exp_cfg.noise,
-        seed=exp_cfg.seed,
-    )
 
 
 def _series_files(stem: str, series: SPTimeSeries) -> dict:
@@ -531,7 +503,9 @@ def emit_report(manifest_paths, out=None) -> dict:
 
     Grid-search manifests pass their ranking table through; series-producing
     manifests are joined column-wise, resampled by linear interpolation
-    (with a warning entry) when their grids differ.
+    (with a warning entry) when their grids differ. Any other manifest (an
+    arbitrary_transfer run, whose tomography SP is not a transfer SP) is
+    refused before anything is written.
     """
     if not manifest_paths:
         raise ConfigError("emit_report needs at least one manifest")
@@ -540,8 +514,11 @@ def emit_report(manifest_paths, out=None) -> dict:
 
     grid_only = [m for m in manifests if m.get("experiment") in ("grid_search", "bayes_opt")]
     series_entries = []
-    for m in manifests:
-        series_entries.extend(_load_manifest_series(m))
+    for path, m in zip(manifest_paths, manifests):
+        entries = _load_manifest_series(m)
+        if not entries and m not in grid_only:
+            raise ConfigError(f"{path}: a {m.get('experiment')} run has no series to report")
+        series_entries.extend(entries)
 
     files: dict = {}
     warnings: list = []

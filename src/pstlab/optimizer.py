@@ -1,10 +1,11 @@
 """Coupling-strength optimization: uniform-scale grid search, then
 Gaussian-process search over the raw bond strengths.
 
-The objective is the first-period peak SP of a run under the comprehensive
-noise model (exact density-matrix evaluation, no shots), maximized over
-(J12, J23, J34) for N = 4 (generalizes to N-1 bonds). Candidates explored
-by the GP stage must keep the middle bond dominant: J23 > J12 and
+The objective is the first-period peak SP of one run, an ExperimentConfig
+`base` whose noise, plan and seed it keeps: only the couplings change, and
+shots are dropped for an exact density-matrix evaluation. It is maximized
+over (J12, J23, J34) for N = 4 (generalizes to N-1 bonds). Candidates
+explored by the GP stage must keep the middle bond dominant: J23 > J12 and
 J23 > J34.
 
 Search ranges adapt to local sensitivity: with sensitivity estimated by a
@@ -20,13 +21,12 @@ explored wide and steep directions densely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .chains import pst_couplings
 from .experiments import ExperimentConfig, NoPeakError, detect_first_peak, run_sp_series
-from .noise import NoiseParams
 
 _FD_INCREMENT = 0.01
 _DELTA_LO = 0.05
@@ -72,47 +72,15 @@ class EvalRecord:
     kind: str = "eval"  # "start" | "probe" | "bo" | "grid"
 
 
-@dataclass
-class BOConfig:
-    """Settings for the GP stage."""
+def objective(candidate: Candidate, base: ExperimentConfig):
+    """First-period peak SP of `base` run with the candidate's couplings;
+    (peak, t_star).
 
-    starts: list
-    iterations_per_start: int = 5
-    batch_size: int = 64
-    seed: int = 0
-    n_sites: int = 4
-    total_time: float = 2.0 * math.pi
-    n_steps: int = 80
-    noise: NoiseParams = field(default_factory=NoiseParams)
-
-    def __post_init__(self):
-        if not self.starts:
-            raise ValueError("at least one starting candidate is required")
-
-
-def _experiment_config(couplings, n_sites, total_time, n_steps, noise, seed) -> ExperimentConfig:
-    return ExperimentConfig(
-        n_sites=n_sites,
-        couplings=tuple(couplings),
-        total_time=total_time,
-        n_steps=n_steps,
-        noise=noise,
-        shots=None,
-        seed=seed,
-    )
-
-
-def objective(candidate: Candidate, n_sites: int = 4, total_time: float = 2.0 * math.pi,
-              n_steps: int = 80, noise: NoiseParams | None = None, seed: int = 0):
-    """First-period peak SP under the comprehensive model; (peak, t_star).
-
-    Deterministic: exact density-matrix run, no sampling. A series with no
-    qualifying peak (no transfer inside the window) scores 0.
+    The run keeps base's noise, plan and seed. Deterministic: exact
+    density-matrix run, no sampling, whatever base.shots is. A series with
+    no qualifying peak (no transfer inside the window) scores 0.
     """
-    if noise is None:
-        noise = NoiseParams()
-    cfg = _experiment_config(candidate.couplings, n_sites, total_time, n_steps, noise, seed)
-    series = run_sp_series(cfg)
+    series = run_sp_series(replace(base, couplings=candidate.couplings, shots=None))
     try:
         t_star, peak = detect_first_peak(series)
     except NoPeakError:
@@ -123,10 +91,9 @@ def objective(candidate: Candidate, n_sites: int = 4, total_time: float = 2.0 * 
 class _ObjectiveCache:
     """Memoizes objective evaluations and appends every new one to a ledger."""
 
-    def __init__(self, ledger: list, seed: int, **run_kwargs):
+    def __init__(self, ledger: list, base: ExperimentConfig):
         self.ledger = ledger
-        self.seed = seed
-        self.run_kwargs = run_kwargs
+        self.base = base
         self._seen = {}
 
     def __call__(self, candidate: Candidate, kind: str, known=None) -> float:
@@ -135,25 +102,16 @@ class _ObjectiveCache:
         if key in self._seen:
             return self._seen[key]
         if known is None:
-            known = objective(candidate, seed=self.seed, **self.run_kwargs)
+            known = objective(candidate, self.base)
         peak, t_star = known
         self._seen[key] = peak
-        self.ledger.append(
-            EvalRecord(
-                candidate=candidate,
-                objective=peak,
-                t_star=t_star,
-                seed=self.seed,
-                kind=kind,
-            )
-        )
+        self.ledger.append(EvalRecord(candidate=candidate, objective=peak, t_star=t_star,
+                                      seed=self.base.seed, kind=kind))
         return peak
 
 
-def grid_search_j0(lo: float = 0.1, hi: float = 4.0, step: float = 0.1,
-                   n_sites: int = 4, total_time: float = 2.0 * math.pi,
-                   n_steps: int = 80, noise: NoiseParams | None = None,
-                   seed: int = 0) -> list:
+def grid_search_j0(base: ExperimentConfig, lo: float = 0.1, hi: float = 4.0,
+                   step: float = 0.1) -> list:
     """Evaluate the engineered profile at every uniform scale on the grid.
 
     Returns EvalRecords sorted by objective, best first (ties keep grid
@@ -164,24 +122,15 @@ def grid_search_j0(lo: float = 0.1, hi: float = 4.0, step: float = 0.1,
         raise ValueError(f"need lo <= hi, got {lo}, {hi}")
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
-    if noise is None:
-        noise = NoiseParams()
     count = int(round((hi - lo) / step)) + 1
-    j0s = [round(lo + i * step, 10) for i in range(count)]
-    candidates = [
-        Candidate(couplings=pst_couplings(n_sites, j0).couplings, j0=j0) for j0 in j0s
-    ]
-
-    def evaluate(cand):
-        peak, t_star = objective(
-            cand, n_sites=n_sites, total_time=total_time, n_steps=n_steps,
-            noise=noise, seed=seed,
-        )
-        return EvalRecord(
-            candidate=cand, objective=peak, t_star=t_star, seed=seed, kind="grid",
-        )
-
-    return sorted((evaluate(c) for c in candidates), key=lambda r: -r.objective)
+    records = []
+    for i in range(count):
+        j0 = round(lo + i * step, 10)
+        cand = Candidate(couplings=pst_couplings(base.n_sites, j0).couplings, j0=j0)
+        peak, t_star = objective(cand, base)
+        records.append(EvalRecord(candidate=cand, objective=peak, t_star=t_star,
+                                  seed=base.seed, kind="grid"))
+    return sorted(records, key=lambda r: -r.objective)
 
 
 def sensitivity_and_delta(candidate: Candidate, dimension: int, evaluate) -> tuple:
@@ -259,45 +208,41 @@ def expected_improvement(mean: np.ndarray, std: np.ndarray, best: float,
     return gain * cdf + std * pdf
 
 
-def bayes_optimize(cfg: BOConfig):
+def bayes_optimize(base: ExperimentConfig, starts, iterations_per_start: int = 5,
+                   batch_size: int = 64):
     """GP-guided refinement of the coupling profile from each start.
 
-    Per start, five iterations of: estimate per-bond sensitivity and delta
-    at the incumbent; sample a batch in the box incumbent +/- delta with
-    per-dimension density proportional to normalized sensitivity; drop
-    candidates violating the middle-bond constraint (widening the box once
-    if that empties the batch); pick the expected-improvement argmax under
-    a GP fitted to every evaluation so far; evaluate and record.
+    Per start, `iterations_per_start` iterations of: estimate per-bond
+    sensitivity and delta at the incumbent; sample `batch_size` candidates
+    in the box incumbent +/- delta with per-dimension density proportional
+    to normalized sensitivity; drop candidates violating the middle-bond
+    constraint (widening the box once if that empties the batch); pick the
+    expected-improvement argmax under a GP fitted to every evaluation so
+    far; evaluate and record.
 
-    A start is a Candidate, a couplings tuple, or an EvalRecord of the same
-    objective settings (a grid result), whose value is reused, not re-run.
+    A start is a Candidate, or an EvalRecord of the same base (a grid
+    result), whose value is reused, not re-run.
 
-    Returns (best EvalRecord, full ledger). Deterministic under cfg.seed.
+    Returns (best EvalRecord, full ledger). Deterministic under base.seed.
     """
-    rng = np.random.default_rng(cfg.seed)
+    if not starts:
+        raise ValueError("at least one starting candidate is required")
+    rng = np.random.default_rng(base.seed)
     ledger: list = []
-    run_kwargs = {
-        "n_sites": cfg.n_sites,
-        "total_time": cfg.total_time,
-        "n_steps": cfg.n_steps,
-        "noise": cfg.noise,
-    }
-    evaluate = _ObjectiveCache(ledger, cfg.seed, **run_kwargs)
+    evaluate = _ObjectiveCache(ledger, base)
 
-    starts = []
-    for start in cfg.starts:
+    candidates = []
+    for start in starts:
         known = None
         if isinstance(start, EvalRecord):
             start, known = start.candidate, (start.objective, start.t_star)
-        elif not isinstance(start, Candidate):
-            start = Candidate(couplings=tuple(start))
         evaluate(start, "start", known)
-        starts.append(start)
+        candidates.append(start)
 
-    for start in starts:
+    for start in candidates:
         incumbent = start
         incumbent_val = evaluate(start, "start")
-        for _ in range(cfg.iterations_per_start):
+        for _ in range(iterations_per_start):
             sens, deltas = [], []
             for dim in range(len(incumbent.couplings)):
                 s_d, d_d = sensitivity_and_delta(incumbent, dim, evaluate)
@@ -307,9 +252,9 @@ def bayes_optimize(cfg: BOConfig):
             deltas = np.asarray(deltas)
             weights = sens / sens.max() if sens.max() > 0 else np.ones_like(sens)
 
-            batch = _sample_batch(incumbent, deltas, weights, cfg.batch_size, rng)
+            batch = _sample_batch(incumbent, deltas, weights, batch_size, rng)
             if not batch:
-                batch = _sample_batch(incumbent, 2.0 * deltas, weights, cfg.batch_size, rng)
+                batch = _sample_batch(incumbent, 2.0 * deltas, weights, batch_size, rng)
             if not batch:
                 raise RuntimeError("all sampled candidates violate the coupling constraint")
 

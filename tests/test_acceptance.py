@@ -58,19 +58,17 @@ from pstlab.noise import (
     two_qubit_tensor_channel,
     zz_dephasing_channel,
 )
-from pstlab.optimizer import (
-    BOConfig,
-    Candidate,
-    bayes_optimize,
-    grid_search_j0,
-    objective,
-)
+from pstlab.optimizer import Candidate, bayes_optimize, grid_search_j0, objective
 from pstlab.sim_core import PureState, partial_trace_to_qubit, qubit_p1, validate_cptp
 
 HALF_PI = math.pi / 2
 
 # Program time per paper time (inferred; see the module docstring).
 PAPER_SCALE = 2
+
+# The headline run the optimizer scores couplings on: N = 4, T = 2pi, 80 steps,
+# the comprehensive noise model.
+HEADLINE = ExperimentConfig(n_sites=4, noise=NoiseParams())
 
 
 def note(criterion: str, ok: bool, detail: str) -> str:
@@ -107,13 +105,12 @@ def paper_scale():
 
 @pytest.fixture(scope="module")
 def grid_records():
-    return grid_search_j0()
+    return grid_search_j0(HEADLINE)
 
 
 @pytest.fixture(scope="module")
 def bo_result(grid_records):
-    cfg = BOConfig(starts=grid_records[:3], seed=0)
-    return bayes_optimize(cfg)
+    return bayes_optimize(HEADLINE, grid_records[:3])
 
 
 def single_source_series(params: NoiseParams) -> SPTimeSeries:
@@ -339,7 +336,7 @@ def test_criterion_10b_oracle_hitting_time_rescaling():
 
 def test_criterion_11a_bo_deterministic(grid_records, bo_result):
     best, ledger = bo_result
-    best2, ledger2 = bayes_optimize(BOConfig(starts=grid_records[:3], seed=0))
+    best2, ledger2 = bayes_optimize(HEADLINE, grid_records[:3])
     ok = (best.candidate.couplings == best2.candidate.couplings
           and len(ledger) == len(ledger2)
           and all(a.candidate.couplings == b.candidate.couplings and a.objective == b.objective
@@ -369,13 +366,13 @@ def test_criterion_11c_bo_never_regresses(grid_records, bo_result):
 
 def test_criterion_11d_reported_optimum_vs_uniform():
     reported = Candidate(couplings=(2.9788, 3.0182, 2.8212))
-    rep_obj, _ = objective(reported)
+    rep_obj, _ = objective(reported, HEADLINE)
     uniform = Candidate(couplings=pst_couplings(4, 2.9).couplings, j0=2.9)
-    uni_obj, _ = objective(uniform)
+    uni_obj, _ = objective(uniform, HEADLINE)
     # same triple read as per-bond scale factors on the engineered profile
     weights = [math.sqrt(i * (4 - i)) for i in range(1, 4)]
     factor_read = Candidate(couplings=tuple(f * w for f, w in zip((2.9788, 3.0182, 2.8212), weights)))
-    fac_obj, _ = objective(factor_read)
+    fac_obj, _ = objective(factor_read, HEADLINE)
     ok = rep_obj >= uni_obj
     detail = (f"reported optimum as raw bonds: {rep_obj:.4f}; as scale factors: {fac_obj:.4f}; "
               f"uniform-2.9 profile: {uni_obj:.4f} (need reported >= uniform)")

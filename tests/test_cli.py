@@ -460,6 +460,20 @@ class TestReport:
         with pytest.raises(ConfigError):
             emit_report([])
 
+    def test_manifest_without_series_is_refused(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "experiment": "arbitrary_transfer",
+            "chain": {"n": 2},
+            "plan": {"steps": 4},
+            "noise": None,
+            "output_dir": str(tmp_path / "out"),
+        })
+        manifest_path = run_config(cfg)
+        capsys.readouterr()
+        assert main(["report", str(manifest_path), "--out", str(tmp_path / "rep")]) == EXIT_SCHEMA
+        assert str(manifest_path) in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
 
 class TestCommittedRuns:
     @pytest.mark.parametrize("name", ["headline", "rescale"])

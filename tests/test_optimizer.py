@@ -9,9 +9,9 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import norm
 
 from pstlab.chains import exact_sp_oracle, pst_couplings
+from pstlab.experiments import ExperimentConfig, detect_first_peak, run_sp_series
 from pstlab.noise import NoiseParams
 from pstlab.optimizer import (
-    BOConfig,
     Candidate,
     GaussianProcess,
     bayes_optimize,
@@ -22,7 +22,7 @@ from pstlab.optimizer import (
 )
 
 # cheap but real settings for unit tests: 20 Trotter steps instead of 80
-FAST = dict(n_steps=20, noise=NoiseParams())
+FAST = ExperimentConfig(n_steps=20, noise=NoiseParams())
 
 
 class TestCandidate:
@@ -45,46 +45,68 @@ class TestCandidate:
 class TestObjective:
     def test_baseline_matches_headline_run(self):
         cand = Candidate(couplings=pst_couplings(4, 1.0).couplings, j0=1.0)
-        peak, t_star = objective(cand, **FAST)
+        peak, t_star = objective(cand, FAST)
         assert 0.5 < peak < 1.0
         assert 0 < t_star <= math.pi
 
     def test_faster_chain_beats_baseline(self):
-        base, _ = objective(Candidate(couplings=pst_couplings(4, 1.0).couplings), **FAST)
-        fast, _ = objective(Candidate(couplings=pst_couplings(4, 2.9).couplings), **FAST)
+        base, _ = objective(Candidate(couplings=pst_couplings(4, 1.0).couplings), FAST)
+        fast, _ = objective(Candidate(couplings=pst_couplings(4, 2.9).couplings), FAST)
         assert fast > base
 
     def test_degenerate_scale_scores_zero(self):
         """No transfer inside the window: peak detection fails, objective 0."""
-        peak, t_star = objective(Candidate(couplings=pst_couplings(4, 0.01).couplings), **FAST)
+        peak, t_star = objective(Candidate(couplings=pst_couplings(4, 0.01).couplings), FAST)
         assert peak == 0.0
         assert math.isnan(t_star)
+
+    def test_ideal_base_scores_the_ideal_run(self):
+        """noise=None is the ideal chain here as everywhere else."""
+        base = ExperimentConfig(n_sites=3)
+        cand = Candidate(couplings=pst_couplings(3, 1.0).couplings, j0=1.0)
+        t_star, peak = detect_first_peak(run_sp_series(base))
+        assert objective(cand, base) == (peak, t_star)
+        assert peak > 0.99
+        assert objective(cand, replace(base, noise=NoiseParams()))[0] < 0.9
+
+    def test_exact_whatever_the_base_shots(self):
+        cand = Candidate(couplings=pst_couplings(4, 2.9).couplings)
+        assert objective(cand, replace(FAST, shots=64)) == objective(cand, FAST)
 
 
 class TestGridSearch:
     def test_single_point_grid(self):
-        records = grid_search_j0(lo=1.0, hi=1.0, step=0.1, **FAST)
+        records = grid_search_j0(FAST, lo=1.0, hi=1.0, step=0.1)
         assert len(records) == 1
         assert records[0].candidate.j0 == 1.0
 
     def test_descending_order_and_count(self):
-        records = grid_search_j0(lo=2.5, hi=3.0, step=0.1, **FAST)
+        records = grid_search_j0(FAST, lo=2.5, hi=3.0, step=0.1)
         assert len(records) == 6
         objs = [r.objective for r in records]
         assert objs == sorted(objs, reverse=True)
 
     def test_deterministic(self):
-        a = grid_search_j0(lo=2.8, hi=3.0, step=0.1, **FAST)
-        b = grid_search_j0(lo=2.8, hi=3.0, step=0.1, **FAST)
+        a = grid_search_j0(FAST, lo=2.8, hi=3.0, step=0.1)
+        b = grid_search_j0(FAST, lo=2.8, hi=3.0, step=0.1)
         assert [(r.candidate.j0, r.objective) for r in a] == [
             (r.candidate.j0, r.objective) for r in b
         ]
 
+    def test_records_score_their_candidates_on_the_base(self):
+        base = ExperimentConfig(n_sites=3, n_steps=20, noise=NoiseParams(), seed=4)
+        records = grid_search_j0(base, lo=1.0, hi=1.2, step=0.1)
+        assert sorted(r.candidate.j0 for r in records) == [1.0, 1.1, 1.2]
+        for rec in records:
+            assert len(rec.candidate.couplings) == 2
+            assert rec.seed == 4
+            assert (rec.objective, rec.t_star) == objective(rec.candidate, base)
+
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
-            grid_search_j0(lo=2.0, hi=1.0)
+            grid_search_j0(FAST, lo=2.0, hi=1.0)
         with pytest.raises(ValueError):
-            grid_search_j0(step=0.0)
+            grid_search_j0(FAST, step=0.0)
 
     def test_oracle_ranking_degenerate_without_noise(self):
         """The exact oracle peaks at 1 for every scale (time rescaling), so a
@@ -203,40 +225,41 @@ class TestScipyOracles:
                                    rtol=0, atol=1e-12)
 
 
+STARTS = [Candidate(couplings=pst_couplings(4, j0).couplings, j0=j0) for j0 in (2.9, 3.0)]
+
+
 class TestBayesOptimize:
-    def make_config(self, seed=0, iterations=2, batch=16):
-        starts = [Candidate(couplings=pst_couplings(4, j0).couplings, j0=j0)
-                  for j0 in (2.9, 3.0)]
-        return BOConfig(starts=starts, iterations_per_start=iterations,
-                        batch_size=batch, seed=seed, n_steps=20)
+    def optimize(self, seed, starts=STARTS):
+        return bayes_optimize(replace(FAST, seed=seed), starts, iterations_per_start=2,
+                              batch_size=16)
 
     def test_deterministic_under_seed(self):
-        best_a, ledger_a = bayes_optimize(self.make_config(seed=5))
-        best_b, ledger_b = bayes_optimize(self.make_config(seed=5))
+        best_a, ledger_a = self.optimize(5)
+        best_b, ledger_b = self.optimize(5)
         assert best_a.candidate.couplings == best_b.candidate.couplings
         assert [(r.candidate.couplings, r.objective, r.kind) for r in ledger_a] == [
             (r.candidate.couplings, r.objective, r.kind) for r in ledger_b
         ]
 
     def test_seed_changes_trajectory(self):
-        _, ledger_a = bayes_optimize(self.make_config(seed=1))
-        _, ledger_b = bayes_optimize(self.make_config(seed=2))
+        _, ledger_a = self.optimize(1)
+        _, ledger_b = self.optimize(2)
         bo_a = [r.candidate.couplings for r in ledger_a if r.kind == "bo"]
         bo_b = [r.candidate.couplings for r in ledger_b if r.kind == "bo"]
         assert bo_a != bo_b
 
     def test_accepted_candidates_satisfy_constraint(self):
-        _, ledger = bayes_optimize(self.make_config(seed=3))
+        _, ledger = self.optimize(3)
         assert all(r.candidate.satisfies_constraint()
                    for r in ledger if r.kind == "bo")
 
     def test_final_at_least_start_best(self):
-        best, ledger = bayes_optimize(self.make_config(seed=4))
+        best, ledger = self.optimize(4)
         start_best = max(r.objective for r in ledger if r.kind == "start")
         assert best.objective >= start_best - 1e-6
 
     def test_running_max_is_ledger_argmax(self):
-        best, ledger = bayes_optimize(self.make_config(seed=7))
+        best, ledger = self.optimize(7)
         running = -np.inf
         for rec in ledger:
             running = max(running, rec.objective)
@@ -244,7 +267,7 @@ class TestBayesOptimize:
 
     def test_gp_mean_matches_recorded_objectives(self):
         """Refit on the finished ledger: posterior mean ~ recorded values."""
-        _, ledger = bayes_optimize(self.make_config(seed=8))
+        _, ledger = self.optimize(8)
         x = [list(r.candidate.couplings) for r in ledger]
         y = [r.objective for r in ledger]
         gp = GaussianProcess(length_scale=0.1, observation_noise=1e-4).fit(x, y)
@@ -255,11 +278,10 @@ class TestBayesOptimize:
     def test_grid_record_start_reuses_its_value(self):
         """A start given as its grid record yields the ledger of a start given
         as a bare candidate, without re-running it."""
-        records = grid_search_j0(lo=2.9, hi=3.0, step=0.1, **FAST)
-        by_candidate = replace(self.make_config(seed=6), starts=[r.candidate for r in records])
-        by_record = replace(by_candidate, starts=records)
-        assert bayes_optimize(by_record)[1] == bayes_optimize(by_candidate)[1]
+        records = grid_search_j0(replace(FAST, seed=6), lo=2.9, hi=3.0, step=0.1)
+        by_candidate = self.optimize(6, [r.candidate for r in records])
+        assert self.optimize(6, records)[1] == by_candidate[1]
 
     def test_empty_starts_rejected(self):
         with pytest.raises(ValueError, match="starting"):
-            BOConfig(starts=[])
+            bayes_optimize(FAST, [])
