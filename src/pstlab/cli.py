@@ -41,6 +41,7 @@ Exit codes: 0 success, 2 schema violation, 3 simulation error, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -86,6 +87,7 @@ class RunManifest:
     experiment: str
     config: dict
     artifact_version: str
+    source_sha256: str
     outputs: dict
     duration_s: float
     fitted: dict | None = None
@@ -330,6 +332,17 @@ def _search_settings(experiment: str, blocks: dict) -> dict:
     return settings
 
 
+@functools.cache
+def _source_sha256() -> str:
+    """SHA-256 of the pstlab package sources, file names and bytes, in name
+    order: it tells program versions apart where artifact_version cannot."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
 def _run_id(experiment: str, exp_cfg: ExperimentConfig, search: dict) -> str:
     """Hash of the resolved inputs, so configs that run the same thing share an id."""
     blob = json.dumps({"experiment": experiment, "config": exp_cfg.to_dict(), **search},
@@ -414,6 +427,7 @@ def run_config(path, overrides=(), seed=None, out=None) -> Path:
         experiment=experiment,
         config=raw,
         artifact_version=__version__,
+        source_sha256=_source_sha256(),
         outputs=_write_files(out_dir, files),
         duration_s=round(time.time() - started, 6),
         fitted=fitted,
@@ -481,13 +495,19 @@ def _ledger_jsonl(ledger) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_manifest_series(manifest: dict) -> list:
+def _output_path(manifest_path, output) -> Path:
+    """A manifest's output file: the file of that name next to the manifest,
+    so a report reads the same files from any working directory."""
+    return Path(manifest_path).parent / Path(output).name
+
+
+def _load_manifest_series(manifest_path, manifest: dict) -> list:
     """(label, times, values) triples for every series a manifest produced."""
     out = []
     for key, path in manifest.get("outputs", {}).items():
         if not key.endswith("_json") or key in ("grid_json", "report_json"):
             continue
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(_output_path(manifest_path, path).read_text())
         if "times" not in payload or "values" not in payload:
             continue
         stem = key[: -len("_json")]
@@ -512,11 +532,12 @@ def emit_report(manifest_paths, out=None) -> dict:
     out_dir = Path(out) if out else Path(".")
     manifests = [json.loads(Path(p).read_text()) for p in manifest_paths]
 
-    grid_only = [m for m in manifests if m.get("experiment") in ("grid_search", "bayes_opt")]
+    is_grid = [m.get("experiment") in ("grid_search", "bayes_opt") for m in manifests]
+    grid_only = [(path, m) for path, m, grid in zip(manifest_paths, manifests, is_grid) if grid]
     series_entries = []
-    for path, m in zip(manifest_paths, manifests):
-        entries = _load_manifest_series(m)
-        if not entries and m not in grid_only:
+    for path, m, grid in zip(manifest_paths, manifests, is_grid):
+        entries = _load_manifest_series(path, m)
+        if not entries and not grid:
             raise ConfigError(f"{path}: a {m.get('experiment')} run has no series to report")
         series_entries.extend(entries)
 
@@ -558,7 +579,8 @@ def emit_report(manifest_paths, out=None) -> dict:
         files["report.csv"] = "\n".join(lines) + "\n"
     elif grid_only:
         # passthrough: re-emit the first grid table as the report
-        files["report.csv"] = Path(grid_only[0]["outputs"]["grid_csv"]).read_text()
+        path, m = grid_only[0]
+        files["report.csv"] = _output_path(path, m["outputs"]["grid_csv"]).read_text()
 
     payload = {
         "summary": summary,
@@ -567,7 +589,7 @@ def emit_report(manifest_paths, out=None) -> dict:
     }
     if grid_only:
         payload["grid_runs"] = [
-            {"run_id": m["run_id"], "results": m.get("results", {})} for m in grid_only
+            {"run_id": m["run_id"], "results": m.get("results", {})} for _, m in grid_only
         ]
     files["report.json"] = _json_text(payload)
     return _write_files(out_dir, files)

@@ -4,8 +4,11 @@ arbitrary-state transfer with single-qubit tomography.
 Every run evolves one circuit and records observables after the prep layer
 (k = 0) and after each Trotter step, giving a uniform (n_steps + 1)-point
 time grid. Runs without any attached channel use the pure-state fast path;
-otherwise the state is a dense density matrix and every stored op (a gate
-with its channels) is compiled once into one fused superoperator.
+otherwise the state is a dense density matrix. Each stored op (a gate with
+its channels) is then compiled once per run into one fused superoperator,
+and adjacent fused ops of the prep layer, the Trotter step and each
+tomography basis rotation are merged into superoperators of at most
+sim_core.MERGE_WIDTH qubits. Merging never crosses a recorded step boundary.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .sim_core import (
     apply_superoperators,
     apply_unitary,
     fused_superoperator,
+    merge_superoperators,
     qubit_p1,
     qubit_state_fidelity,
 )
@@ -190,6 +194,12 @@ def _compile_ops(ops, n_qubits: int, density: bool) -> list:
     return [op.gate for op in ops]
 
 
+def _compile_merged(ops, n_qubits: int, density: bool) -> list:
+    """_compile_ops, with adjacent superoperators merged on a density matrix."""
+    compiled = _compile_ops(ops, n_qubits, density)
+    return merge_superoperators(compiled) if density else compiled
+
+
 def _apply_compiled(state, compiled, work):
     """Apply compiled ops in order to the state kind they were compiled for.
 
@@ -212,8 +222,8 @@ def evolve_recorded(circuit: NoisyCircuit, record):
     n, density = circuit.n_qubits, circuit.has_channels()
     state = DensityMatrix.zero(n) if density else PureState.zero(n)
     work = _work_buffers(state.matrix.size) if density else None
-    step = _compile_ops(circuit.step, n, density)
-    state = _apply_compiled(state, _compile_ops(circuit.prep, n, density), work)
+    step = _compile_merged(circuit.step, n, density)
+    state = _apply_compiled(state, _compile_merged(circuit.prep, n, density), work)
     out = [record(state)]
     for _ in range(circuit.plan.n_steps):
         state = _apply_compiled(state, step, work)
@@ -295,7 +305,7 @@ def run_arbitrary_transfer(config: ExperimentConfig) -> TomographyRecord:
     qubit = config.n_sites - 1
     attachments = comprehensive_attachments(config.noise) if config.noise is not None else []
     rotations = [
-        _compile_ops(attach_to_ops(
+        _compile_merged(attach_to_ops(
             [GateOp(UnitaryGate(gate_matrix(kind.upper()), (qubit,), kind=kind)) for kind in kinds],
             attachments,
         ), config.n_sites, density=True)
@@ -366,27 +376,34 @@ def _find_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
     last samples are never peaks. Its prominence is its value minus the
     higher of its two bases: on each side, the minimum of x from the peak
     out to the nearest strictly higher sample or the edge. Between turning
-    points x is monotone, so the bases are searched over those alone.
+    points x is monotone, so the bases are taken over those alone, in one
+    monotonic-stack pass per side.
     """
     ends = np.append(np.flatnonzero(x[1:] != x[:-1]), len(x) - 1)  # last sample of each run
     rising = np.diff(x[ends]) > 0
     # the first and last runs, and every run where x turns
     runs = [0, *(np.flatnonzero(rising[:-1] != rising[1:]) + 1).tolist(), len(ends) - 1]
     level, ends = x[ends[runs]].tolist(), ends.tolist()
-    peaks = []
-    for i in range(1, len(runs) - 1):
-        top = level[i]
-        if level[i - 1] > top:  # a valley
-            continue
-        bases = []
-        for step in (-1, 1):
-            k, low = i + step, top
-            while 0 <= k < len(level) and level[k] <= top:
-                low, k = min(low, level[k]), k + step
-            bases.append(low)
-        if top - max(bases) >= prominence:
-            peaks.append((ends[runs[i] - 1] + 1 + ends[runs[i]]) // 2)
-    return np.array(peaks, dtype=int)
+
+    def bases(levels):
+        # a stack of levels, strictly decreasing, each with the minimum since
+        # the entry below it: popping those not above v leaves v's nearest
+        # strictly higher level on top, and the popped minima make its base
+        tops, lows, out = [], [], []
+        for v in levels:
+            low = v
+            while tops and tops[-1] <= v:
+                tops.pop()
+                low = min(low, lows.pop())
+            tops.append(v)
+            lows.append(low)
+            out.append(low)
+        return out
+
+    left, right = bases(level), bases(level[::-1])[::-1]
+    peaks = [i for i in range(1, len(runs) - 1)  # the maxima among the turning runs
+             if level[i - 1] < level[i] and level[i] - max(left[i], right[i]) >= prominence]
+    return np.array([(ends[runs[i] - 1] + 1 + ends[runs[i]]) // 2 for i in peaks], dtype=int)
 
 
 def _series_meta(config: ExperimentConfig, circuit: NoisyCircuit) -> dict:

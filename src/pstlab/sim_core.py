@@ -6,11 +6,12 @@ site 1. |1000> therefore means "excitation on the first of four sites".
 
 Unitaries and Kraus channels act on arbitrary qubit subsets through tensor
 reshaping; nothing here assumes a chain topology. The evolution engine fuses
-each gate with its channels into one superoperator, applied as one gather
-into the targets' axis order, one matmul and one scatter back through work
-buffers the caller owns; each channel's superoperator is built once per
-channel object. apply_unitary and apply_channel (the Kraus loop) are its
-reference.
+each gate with its channels into one superoperator, then merges adjacent
+fused ops into superoperators of at most MERGE_WIDTH qubits. Each is applied
+as one gather into the targets' axis order, one matmul and one scatter back
+through work buffers the caller owns; each channel's superoperator is built
+once per channel object. apply_unitary and apply_channel (the Kraus loop)
+are its reference.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ S_DAG = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
 _TRACE_TOL = 1e-9
 _PSD_FLOOR = -1e-9
 _CPTP_TOL = 1e-10
+# Widest support, in qubits, of a superoperator merged from adjacent ones.
+# Each merge saves one gather and one scatter of rho; at 4 qubits the
+# 256 x 256 matmul costs more than they save (slower than 3 at N = 6 to 10).
+MERGE_WIDTH = 3
 
 
 class PureState:
@@ -321,6 +326,39 @@ def fused_superoperator(gate: UnitaryGate, channels, n_qubits: int) -> Superoper
         plan = _contraction_plan(rows + [k + r for r in rows], 2 * k)
         _contract(matrix, channel.superoperator(), plan, matrix, *work)
     return Superoperator(matrix, tuple(support), n_qubits)
+
+
+def merge_superoperators(sops) -> list:
+    """Adjacent superoperators merged into ops of at most MERGE_WIDTH qubits.
+
+    A group grows while its combined support (the members' targets in order
+    of first appearance) stays within MERGE_WIDTH qubits. Its matrix is the
+    members' product in their order, each contracted into its rows of the
+    support as fused_superoperator contracts a channel; a group of one is
+    kept as it is. Ops are never reordered, so the list applies the same map.
+    """
+    groups = []
+    for sop in sops:
+        support, members = groups[-1] if groups else ([], [])
+        wider = support + [t for t in sop.targets if t not in support]
+        if members and len(wider) <= MERGE_WIDTH and sop.n_qubits == members[0].n_qubits:
+            groups[-1] = (wider, members + [sop])
+        else:
+            groups.append((list(sop.targets), [sop]))
+    merged = []
+    for support, members in groups:
+        if len(members) == 1:
+            merged.append(members[0])
+            continue
+        k = len(support)
+        matrix = np.eye(4**k, dtype=complex)
+        work = _work_buffers(matrix.size)
+        for sop in members:
+            rows = [support.index(t) for t in sop.targets]
+            plan = _contraction_plan(rows + [k + r for r in rows], 2 * k)
+            _contract(matrix, sop.matrix, plan, matrix, *work)
+        merged.append(Superoperator(matrix, tuple(support), members[0].n_qubits))
+    return merged
 
 
 def apply_superoperator(rho: DensityMatrix, sop: Superoperator) -> DensityMatrix:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -460,6 +461,28 @@ class TestReport:
         with pytest.raises(ConfigError):
             emit_report([])
 
+    def test_runs_from_another_directory(self, tmp_path, monkeypatch):
+        """Runs written with relative output dirs report from anywhere: each
+        manifest's outputs are read next to the manifest."""
+        (tmp_path / "project").mkdir()
+        monkeypatch.chdir(tmp_path / "project")
+        series = run_config(small_sp_config(tmp_path, output_dir="runs/series")).resolve()
+        grid = run_config(write_config(tmp_path, {
+            "experiment": "grid_search",
+            "grid": {"lo": 2.9, "hi": 3.0, "step": 0.1},
+            "plan": {"steps": 16},
+            "noise": {},
+            "output_dir": "runs/grid",
+        }, name="grid.json")).resolve()
+        assert not Path(json.loads(series.read_text())["outputs"]["series_json"]).is_absolute()
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert main(["report", str(series), "--out", "series_rep"]) == EXIT_OK
+        assert main(["report", str(grid), "--out", "grid_rep"]) == EXIT_OK
+        assert (tmp_path / "elsewhere" / "series_rep" / "report.csv").read_text().startswith("t,")
+        assert ((tmp_path / "elsewhere" / "grid_rep" / "report.csv").read_text()
+                == (grid.parent / "grid.csv").read_text())
+
     def test_manifest_without_series_is_refused(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "experiment": "arbitrary_transfer",
@@ -489,8 +512,30 @@ class TestCommittedRuns:
         new = json.loads(manifest_path.read_text())
         old = json.loads((committed / "manifest.json").read_text())
         assert set(new.pop("outputs")) == set(old.pop("outputs"))
-        del new["duration_s"], old["duration_s"]
+        del new["duration_s"], old["duration_s"], new["source_sha256"], old["source_sha256"]
         assert new == old
+
+
+class TestSourceHash:
+    def test_manifest_hash_follows_the_package_sources(self, tmp_path):
+        """source_sha256 is the same for a copy of the package anywhere, and
+        changes when one source file does."""
+        manifest = json.loads(run_config(small_sp_config(tmp_path)).read_text())
+        copy = tmp_path / "pkg" / "pstlab"
+        shutil.copytree(Path(pstlab.__file__).parent, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+
+        def copy_hash():
+            proc = subprocess.run(
+                [sys.executable, "-c", "from pstlab import cli; print(cli._source_sha256())"],
+                env=dict(os.environ, PYTHONPATH=str(copy.parent)), capture_output=True,
+                text=True, timeout=120, check=True)
+            return proc.stdout.strip()
+
+        assert copy_hash() == manifest["source_sha256"]
+        (copy / "chains.py").write_text((copy / "chains.py").read_text() + "# edited\n")
+        edited = copy_hash()
+        assert len(edited) == 64 and edited != manifest["source_sha256"]
 
 
 class TestImports:

@@ -13,6 +13,7 @@ from pstlab.experiments import (
     NoPeakError,
     SPTimeSeries,
     _apply_compiled,
+    _compile_merged,
     _compile_ops,
     _find_peaks,
     assemble_circuit,
@@ -27,13 +28,16 @@ from pstlab.experiments import (
 )
 from pstlab.noise import NoiseParams, attach_to_ops, comprehensive_attachments
 from pstlab.sim_core import (
+    MERGE_WIDTH,
     DensityMatrix,
     PureState,
     UnitaryGate,
     _work_buffers,
     apply_channel,
     apply_superoperator,
+    apply_superoperators,
     apply_unitary,
+    merge_superoperators,
     partial_trace_to_qubit,
 )
 
@@ -190,6 +194,69 @@ class TestFusedMatchesKrausLoop:
         assert len(fused) == 13
         for got, want in zip(fused, oracle):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestMergedMatchesKrausLoop:
+    """The merged prep, step and basis-rotation lists, as evolve_recorded and
+    run_arbitrary_transfer compile them, reproduce the Kraus loop."""
+
+    @staticmethod
+    def op_lists(n: int, params: NoiseParams) -> list:
+        circuit = assemble_circuit(ExperimentConfig(
+            n_sites=n, n_steps=8, noise=params, initial="arbitrary", amp_a=0.6, amp_b=0.8j))
+        rotations = [attach_to_ops(
+            [GateOp(UnitaryGate(gate_matrix(kind.upper()), (n - 1,), kind=kind)) for kind in kinds],
+            comprehensive_attachments(params)) for kinds in (("h",), ("sdg", "h"))]
+        return [circuit.prep, circuit.step, *rotations]
+
+    @staticmethod
+    def max_error(n: int, ops, merged) -> float:
+        rho = mixed_state(n, seed=n)
+        oracle = rho
+        for op in ops:
+            oracle = kraus_loop(oracle, op)
+        got = apply_superoperators(rho, merged, _work_buffers(4**n))
+        return float(np.max(np.abs(got.matrix - oracle.matrix)))
+
+    @pytest.mark.parametrize("thermal", sorted(THERMAL_SETTINGS))
+    @pytest.mark.parametrize("zz", sorted(ZZ_SETTINGS))
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_merged_prep_step_and_rotations(self, n, zz, thermal):
+        for pauli_on, depol_on in itertools.product((False, True), repeat=2):
+            params = NoiseParams(**{**STRONG, **ZZ_SETTINGS[zz], **THERMAL_SETTINGS[thermal]},
+                                 pauli_on=pauli_on, depol_on=depol_on)
+            for ops in self.op_lists(n, params):
+                merged = _compile_merged(ops, n, density=True)
+                assert all(len(sop.targets) <= MERGE_WIDTH for sop in merged)
+                err = self.max_error(n, ops, merged)
+                assert err <= 1e-12, (params, [op.gate.kind for op in ops], err)
+
+    @pytest.mark.parametrize("config,per_step,per_run", [
+        (ExperimentConfig(n_sites=4, noise=NoiseParams()), 4, 321),
+        (ExperimentConfig(n_sites=6, noise=NoiseParams()), 6, 481),
+        (ExperimentConfig(n_sites=7, n_steps=10, total_time=math.pi / 4,
+                          noise=NoiseParams(zz_mode="dephasing_channel", p_zz=0.01)), 3, 31),
+    ], ids=["headline", "n6_sites", "n7_zz_dephasing"])
+    def test_ops_per_step(self, config, per_step, per_run):
+        """9, 15 and 12 fused ops per step merge into 4, 6 and 3; with the
+        one prep op, the headline applies 321 ops per run instead of 721."""
+        circuit = assemble_circuit(config)
+        step = _compile_merged(circuit.step, config.n_sites, density=True)
+        prep = _compile_merged(circuit.prep, config.n_sites, density=True)
+        assert len(step) == per_step
+        assert len(prep) + config.n_steps * len(step) == per_run
+
+    def test_reversed_group_breaks_the_match(self):
+        """The oracle sees the order inside a group: the step's first group
+        (RXX and RYY on bonds (0, 1) and (1, 2)) merged in reverse fails it."""
+        params = NoiseParams(**STRONG)
+        ops = assemble_circuit(ExperimentConfig(n_sites=4, n_steps=8, noise=params)).step
+        compiled = _compile_ops(ops, 4, density=True)
+        merged = merge_superoperators(compiled)
+        assert merged[0].targets == (0, 1, 2) and len(merge_superoperators(compiled[:4])) == 1
+        assert self.max_error(4, ops, merged) <= 1e-12
+        reversed_group = merge_superoperators(compiled[3::-1])
+        assert self.max_error(4, ops, reversed_group + merged[1:]) > 1e-12
 
 
 class TestShotMode:

@@ -13,6 +13,7 @@ from pstlab.experiments import ExperimentConfig, measure_p1, run_arbitrary_trans
 
 from pstlab.sim_core import (
     HADAMARD,
+    MERGE_WIDTH,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -33,6 +34,7 @@ from pstlab.sim_core import (
     apply_unitary,
     choi_matrix,
     fused_superoperator,
+    merge_superoperators,
     partial_trace_to_qubit,
     qubit_p1,
     qubit_state_fidelity,
@@ -358,6 +360,50 @@ class TestKernel:
         sop = fused_superoperator(UnitaryGate(PAULI_X, (0,)), [(AMP_DAMP, (1,))], 3)
         with pytest.raises(ValueError, match="compiled for 3 qubits, state has"):
             apply_superoperator(random_density(n, seed=n), sop)
+
+
+class TestMergeSuperoperators:
+    @staticmethod
+    def random_ops(n: int, supports, seed: int) -> list:
+        """A noisy random gate on each support, a channel outside the gate on
+        every other one, so the supports grow inside a group."""
+        ops = []
+        for i, targets in enumerate(supports):
+            gate = UnitaryGate(unitary_group.rvs(2 ** len(targets), random_state=seed + i), targets)
+            spare = [q for q in range(n) if q not in targets][:i % 2]
+            ops.append(fused_superoperator(gate, [(AMP_DAMP, (q,)) for q in spare], n))
+        return ops
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_matches_the_ops_one_by_one(self, n):
+        supports = [(n - 1, 0), (0,), (1, n - 1), (2, 1), (n - 2, n - 1), (0, 2)]
+        ops = self.random_ops(n, supports, seed=n)
+        merged = merge_superoperators(ops)
+        assert len(merged) < len(ops)
+        assert all(len(sop.targets) <= MERGE_WIDTH for sop in merged)
+        rho = random_density(n, seed=n)
+        work = _work_buffers(rho.matrix.size)
+        np.testing.assert_allclose(apply_superoperators(rho, merged, work).matrix,
+                                   apply_superoperators(rho, ops, work).matrix,
+                                   rtol=0, atol=1e-13)
+
+    def test_groups_grow_greedily_and_keep_lone_ops(self):
+        def ops(*supports):
+            return [fused_superoperator(UnitaryGate(np.eye(2 ** len(t)), t), [], 5)
+                    for t in supports]
+
+        merged = merge_superoperators(ops((0, 1), (1, 2), (2, 3), (4,), (3, 4)))
+        assert [sop.targets for sop in merged] == [(0, 1, 2), (2, 3, 4)]
+        lone = ops((0, 1), (2, 3))
+        assert merge_superoperators(lone) == lone
+        assert merge_superoperators([]) == []
+
+    def test_other_register_sizes_stay_apart(self):
+        """Ops compiled for another register size are not merged, so
+        apply_superoperators still refuses them."""
+        a = fused_superoperator(UnitaryGate(PAULI_X, (0,)), [], 3)
+        b = fused_superoperator(UnitaryGate(PAULI_X, (0,)), [], 4)
+        assert merge_superoperators([a, b]) == [a, b]
 
 
 class TestValidateCPTP:
