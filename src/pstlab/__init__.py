@@ -57,6 +57,7 @@ from .sim_core import (
     CPTPReport,
     DensityMatrix,
     KrausChannel,
+    PauliState,
     PureState,
     Superoperator,
     UnitaryGate,

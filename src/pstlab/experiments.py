@@ -4,11 +4,15 @@ arbitrary-state transfer with single-qubit tomography.
 Every run evolves one circuit and records observables after the prep layer
 (k = 0) and after each Trotter step, giving a uniform (n_steps + 1)-point
 time grid. Runs without any attached channel use the pure-state fast path;
-otherwise the state is a dense density matrix. Each stored op (a gate with
-its channels) is then compiled once per run into one fused superoperator,
-and adjacent fused ops of the prep layer, the Trotter step and each
-tomography basis rotation are merged into superoperators of at most
-sim_core.MERGE_WIDTH qubits. Merging never crosses a recorded step boundary.
+otherwise the state is a sim_core.PauliState, the 4^n real Pauli
+coefficients of the dense density matrix. Each stored op (a gate with its
+channels) is then compiled once per run into one fused superoperator (a real
+Pauli transfer matrix), and adjacent fused ops of the prep layer, the
+Trotter step and each tomography basis rotation are merged into
+superoperators of at most sim_core.MERGE_WIDTH qubits. Merging never crosses
+a recorded step boundary. This module only creates the zero state, applies
+compiled ops and reads populations with qubit_p1; the basis change lives in
+sim_core.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .chains import (
 from .noise import NoiseParams, attach_comprehensive, attach_to_ops, comprehensive_attachments
 from .sim_core import (
     DensityMatrix,
+    PauliState,
     PureState,
     UnitaryGate,
     _work_buffers,
@@ -188,14 +193,14 @@ def _prep_gate_for_amplitudes(a: complex, b: complex) -> UnitaryGate:
 
 def _compile_ops(ops, n_qubits: int, density: bool) -> list:
     """Each GateOp as the engine applies it: its fused superoperator on a
-    density matrix, its bare gate on a pure state (channel-free ops only)."""
+    PauliState, its bare gate on a pure state (channel-free ops only)."""
     if density:
         return [fused_superoperator(op.gate, op.channels, n_qubits) for op in ops]
     return [op.gate for op in ops]
 
 
 def _compile_merged(ops, n_qubits: int, density: bool) -> list:
-    """_compile_ops, with adjacent superoperators merged on a density matrix."""
+    """_compile_ops, with adjacent superoperators merged on a PauliState."""
     compiled = _compile_ops(ops, n_qubits, density)
     return merge_superoperators(compiled) if density else compiled
 
@@ -203,10 +208,10 @@ def _compile_merged(ops, n_qubits: int, density: bool) -> list:
 def _apply_compiled(state, compiled, work):
     """Apply compiled ops in order to the state kind they were compiled for.
 
-    A density matrix runs through `work`, the kernel's two work buffers,
-    into one new matrix; a pure state needs none (None).
+    A PauliState runs through `work`, the kernel's two work buffers, into
+    one new vector; a pure state needs none (None).
     """
-    if isinstance(state, DensityMatrix):
+    if isinstance(state, PauliState):
         return apply_superoperators(state, compiled, work)
     for op in compiled:
         state = apply_unitary(state, op)
@@ -220,8 +225,8 @@ def evolve_recorded(circuit: NoisyCircuit, record):
     allocated once per call.
     """
     n, density = circuit.n_qubits, circuit.has_channels()
-    state = DensityMatrix.zero(n) if density else PureState.zero(n)
-    work = _work_buffers(state.matrix.size) if density else None
+    state = PauliState.zero(n) if density else PureState.zero(n)
+    work = _work_buffers(state.vector.size) if density else None
     step = _compile_merged(circuit.step, n, density)
     state = _apply_compiled(state, _compile_merged(circuit.prep, n, density), work)
     out = [record(state)]
@@ -317,9 +322,10 @@ def run_arbitrary_transfer(config: ExperimentConfig) -> TomographyRecord:
     work = _work_buffers(4**config.n_sites)
 
     def record(state):
-        rho = state.to_density_matrix() if isinstance(state, PureState) else state
+        if isinstance(state, PureState):
+            state = PauliState.from_density_matrix(state.to_density_matrix())
         # <sigma> = p0 - p1 of the last qubit after each basis rotation
-        return [1.0 - 2.0 * measure_p1(_apply_compiled(rho, ops, work), qubit, config.shots,
+        return [1.0 - 2.0 * measure_p1(_apply_compiled(state, ops, work), qubit, config.shots,
                                        rng, readout)
                 for ops in rotations]
 

@@ -77,17 +77,22 @@ def apply_rescaling(noisy: SPTimeSeries, params: RescaleParams) -> SPTimeSeries:
 def _fit_objective(noisy_vals: np.ndarray, ideal_interp: np.ndarray,
                    window: np.ndarray, alphas: np.ndarray,
                    betas: np.ndarray, k: np.ndarray) -> tuple:
-    """Grid SSE of corrected-vs-ideal over the window; returns best (alpha, beta)."""
+    """Grid SSE of corrected-vs-ideal over the window; returns best (alpha, beta).
+
+    Each beta scores every alpha in one broadcast row. The first minimum in
+    the row, then a strictly smaller one in a later row, wins, so ties go to
+    the first (beta, alpha) in grid order.
+    """
     best = (np.inf, 0.0, 0.0)
+    raw = noisy_vals[window]
+    ideal_w = ideal_interp[window]
     for beta in betas:
         env = np.exp(-beta * k[window])
-        raw = noisy_vals[window]
-        ideal_w = ideal_interp[window]
-        for alpha in alphas:
-            corrected = (raw - alpha * (1.0 - env)) / env
-            sse = float(np.sum((corrected - ideal_w) ** 2))
-            if sse < best[0]:
-                best = (sse, float(alpha), float(beta))
+        corrected = (raw - alphas[:, None] * (1.0 - env)) / env
+        sse = np.sum((corrected - ideal_w) ** 2, axis=1)
+        i = int(np.argmin(sse))
+        if sse[i] < best[0]:
+            best = (float(sse[i]), float(alphas[i]), float(beta))
     return best
 
 

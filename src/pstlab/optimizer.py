@@ -122,7 +122,7 @@ def grid_search_j0(base: ExperimentConfig, lo: float = 0.1, hi: float = 4.0,
         raise ValueError(f"need lo <= hi, got {lo}, {hi}")
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
-    count = int(round((hi - lo) / step)) + 1
+    count = math.floor((hi - lo) / step + 1e-9) + 1  # the tolerance keeps hi itself
     records = []
     for i in range(count):
         j0 = round(lo + i * step, 10)

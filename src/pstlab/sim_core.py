@@ -1,17 +1,19 @@
-"""Dense state-vector and density-matrix simulation engine.
+"""Dense state-vector, density-matrix and Pauli-vector simulation engine.
 
 States are stored big-endian by site: the basis index of |q0 q1 ... q_{n-1}>
 is sum_i q_i * 2^(n-1-i), so qubit 0 is the leftmost ket label and chain
 site 1. |1000> therefore means "excitation on the first of four sites".
 
 Unitaries and Kraus channels act on arbitrary qubit subsets through tensor
-reshaping; nothing here assumes a chain topology. The evolution engine fuses
-each gate with its channels into one superoperator, then merges adjacent
-fused ops into superoperators of at most MERGE_WIDTH qubits. Each is applied
-as one gather into the targets' axis order, one matmul and one scatter back
-through work buffers the caller owns; each channel's superoperator is built
-once per channel object. apply_unitary and apply_channel (the Kraus loop)
-are its reference.
+reshaping; nothing here assumes a chain topology. The evolution engine holds
+a mixed state as its 4^n real Pauli coefficients (PauliState). It fuses each
+gate with its channels into one real Pauli transfer matrix (PTM), then merges
+adjacent fused ops into PTMs of at most MERGE_WIDTH qubits. Each is applied
+as one gather into the targets' axis order, one real matmul and one scatter
+back through work buffers the caller owns; each channel's PTM is built once
+per channel object. The per-qubit change between rho's entries and Pauli
+coefficients lives here alone. apply_unitary and apply_channel (the Kraus
+loop on DensityMatrix) are the engine's reference.
 """
 
 from __future__ import annotations
@@ -26,6 +28,11 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 S_DAG = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
+# One qubit's rho entries (00, 01, 10, 11) to its Pauli coefficients (I, X, Y,
+# Z): r_P = tr(P rho) = sum_ij P[j, i] rho[i, j]. Its rows are orthogonal
+# with norm^2 2, so the inverse is the conjugate transpose over 2.
+_TO_PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
+_FROM_PAULI = _TO_PAULI.conj().T / 2
 
 _TRACE_TOL = 1e-9
 _PSD_FLOOR = -1e-9
@@ -102,6 +109,59 @@ class DensityMatrix:
         return complex(np.trace(self.matrix))
 
 
+def _paired_axes(n: int) -> list:
+    """The axis order of a (2,) * 2n view of a 2^n x 2^n matrix that puts
+    each qubit's row axis next to its column axis: [0, n, 1, n + 1, ...]."""
+    return [a for q in range(n) for a in (q, n + q)]
+
+
+def _per_axis(mat: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """`mat` contracted into every axis of `tensor`."""
+    for axis in range(tensor.ndim):
+        tensor = np.moveaxis(np.tensordot(mat, tensor, axes=(1, axis)), 0, axis)
+    return tensor
+
+
+class PauliState:
+    """An n-qubit mixed state as its 4^n real Pauli coefficients.
+
+    Entry P of `vector` is r_P = tr(P rho), P a tensor product of I, X, Y, Z
+    with qubit q on axis q of the (4,) * n view, so rho = sum_P r_P P / 2^n
+    and r_{I...I} is the trace. Every CPTP map keeps the coefficients real.
+    """
+
+    __slots__ = ("n_qubits", "vector")
+
+    def __init__(self, n_qubits: int, vector):
+        if n_qubits < 1:
+            raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
+        vec = np.asarray(vector, dtype=float)
+        if vec.shape != (4**n_qubits,):
+            raise ValueError(f"Pauli vector has shape {vec.shape}, expected ({4**n_qubits},)")
+        self.n_qubits = n_qubits
+        self.vector = vec
+
+    @classmethod
+    def zero(cls, n_qubits: int) -> "PauliState":
+        """|0...0>: r_P = 1 where every factor of P is I or Z, else 0."""
+        vec = np.ones(1)
+        for _ in range(n_qubits):
+            vec = np.kron(vec, [1.0, 0.0, 0.0, 1.0])
+        return cls(n_qubits, vec)
+
+    @classmethod
+    def from_density_matrix(cls, rho: DensityMatrix) -> "PauliState":
+        n = rho.n_qubits
+        tensor = rho.matrix.reshape((2,) * 2 * n).transpose(_paired_axes(n))
+        return cls(n, _per_axis(_TO_PAULI, tensor.reshape((4,) * n)).real.ravel())
+
+    def to_density_matrix(self) -> DensityMatrix:
+        n = self.n_qubits
+        tensor = _per_axis(_FROM_PAULI, self.vector.reshape((4,) * n)).reshape((2,) * 2 * n)
+        rho = tensor.transpose(np.argsort(_paired_axes(n))).reshape(2**n, 2**n)
+        return DensityMatrix(n, rho, validate=False)
+
+
 class UnitaryGate:
     """A 1- or 2-qubit unitary bound to an ordered tuple of target qubits."""
 
@@ -134,7 +194,7 @@ class KrausChannel:
     validate_cptp so that deliberately broken sets can still be reported on.
     """
 
-    __slots__ = ("kraus_ops", "arity", "_cptp_deviation", "_superop")
+    __slots__ = ("kraus_ops", "arity", "_cptp_deviation", "_ptm")
 
     def __init__(self, kraus_ops):
         ops = tuple(np.asarray(k, dtype=complex) for k in kraus_ops)
@@ -148,7 +208,7 @@ class KrausChannel:
             if k.shape != (dim, dim):
                 raise ValueError("all Kraus operators must share one square shape")
         self.kraus_ops, self.arity = ops, arity
-        self._cptp_deviation = self._superop = None
+        self._cptp_deviation = self._ptm = None
 
     def cptp_deviation(self) -> float:
         """Max-abs deviation of sum K^dag K from the identity (cached)."""
@@ -157,11 +217,13 @@ class KrausChannel:
             self._cptp_deviation = float(np.max(np.abs(acc - np.eye(2**self.arity))))
         return self._cptp_deviation
 
-    def superoperator(self) -> np.ndarray:
-        """sum_K K (x) conj(K), the channel as one 4^k x 4^k matrix (cached)."""
-        if self._superop is None:
-            self._superop = sum(_kron(k, k.conj()) for k in self.kraus_ops)
-        return self._superop
+    def pauli_transfer_matrix(self) -> np.ndarray:
+        """The channel's real 4^k x 4^k Pauli transfer matrix, from its
+        superoperator sum_K K (x) conj(K) (cached)."""
+        if self._ptm is None:
+            superop = sum(_kron(k, k.conj()) for k in self.kraus_ops)
+            self._ptm = _pauli_transfer_matrix(superop, self.arity)
+        return self._ptm
 
 
 @dataclass(frozen=True)
@@ -194,23 +256,24 @@ def _check_targets(targets, n_qubits: int) -> None:
         raise ValueError(f"duplicate targets {targets}")
 
 
-def _contraction_plan(targets, n: int) -> tuple:
-    """How the kernel contracts a matrix into `targets` of an n-qubit vector:
-    the split shape (n qubit axes and a trailing batch axis), the axis order
+def _contraction_plan(targets, n: int, dim: int = 2) -> tuple:
+    """How the kernel contracts a matrix into `targets` of an n-qubit vector
+    with `dim` entries per qubit (2 amplitudes, or 4 Pauli coefficients): the
+    split shape (n qubit axes and a trailing batch axis), the axis order
     `targets`, the other qubit axes, the batch axis; and its inverse. Every
-    qubit axis has length 2, so the shape holds in either order."""
+    qubit axis has length `dim`, so the shape holds in either order."""
     perm = [*targets, *(a for a in range(n) if a not in targets), n]
-    return (2,) * n + (-1,), tuple(perm), tuple(np.argsort(perm))
+    return (dim,) * n + (-1,), tuple(perm), tuple(np.argsort(perm))
 
 
 def _contract(src: np.ndarray, mat: np.ndarray, plan, dst: np.ndarray, gather: np.ndarray,
               prod: np.ndarray) -> np.ndarray:
-    """dst <- a 2^k x 2^k matrix contracted into the first k axes of the plan's
-    order of src: gather src into that order, one matmul, scatter back.
+    """dst <- a dim^k x dim^k matrix contracted into the first k axes of the
+    plan's order of src: gather src into that order, one matmul, scatter back.
 
-    `src` is 2^n or a 2^n x B batch; `dst` is a contiguous array of its shape
-    and may be `src` itself; `gather` and `prod` are flat complex work buffers
-    of src.size elements, so the kernel allocates nothing.
+    `src` is dim^n or a dim^n x B batch; `dst` is a contiguous array of its
+    shape and may be `src` itself; `gather` and `prod` are flat work buffers
+    of src's size and dtype, so the kernel allocates nothing.
     """
     shape, perm, inv = plan
     np.copyto(gather.reshape(shape), src.reshape(shape).transpose(perm))
@@ -219,16 +282,17 @@ def _contract(src: np.ndarray, mat: np.ndarray, plan, dst: np.ndarray, gather: n
     return dst
 
 
-def _work_buffers(size: int) -> tuple:
-    """The kernel's two work buffers for vectors of `size` elements."""
-    return np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+def _work_buffers(size: int, dtype=float) -> tuple:
+    """The kernel's two work buffers for vectors of `size` elements: real for
+    a PauliState, complex for amplitudes."""
+    return np.empty(size, dtype=dtype), np.empty(size, dtype=dtype)
 
 
 def _apply_matrix_to_vector(amps: np.ndarray, mat: np.ndarray, plan) -> np.ndarray:
-    """The kernel into a new array, with work buffers of its own."""
+    """The kernel into a new complex array, with work buffers of its own."""
     amps = np.asarray(amps)
     return _contract(amps, mat, plan, np.empty(amps.shape, dtype=complex),
-                     *_work_buffers(amps.size))
+                     *_work_buffers(amps.size, complex))
 
 
 def _apply_matrix_to_density(rho: np.ndarray, mat: np.ndarray, targets, n: int) -> np.ndarray:
@@ -287,45 +351,75 @@ def apply_channel(rho: DensityMatrix, channel: KrausChannel, targets) -> Density
     return DensityMatrix(n, out, validate=False)
 
 
-class Superoperator:
-    """A map rho -> E(rho) on a few target qubits as one 4^k x 4^k matrix.
+_PAULI_BASES = {}  # k -> _pauli_basis(k), a constant built on first use
 
-    The matrix acts on rho restricted to the targets, flattened row index
-    first: entry [(i, j), (i', j')] carries rho[i', j'] into rho[i, j], so
-    rho -> M rho M^dag is kron(M, conj(M)). Its plan, the kernel's shape and
-    axis orders over rho's row and column axes, holds for n_qubits only.
+
+def _pauli_basis(k: int) -> np.ndarray:
+    """C, taking a k-qubit rho's entries (row index first) to its Pauli
+    coefficients: _TO_PAULI on each qubit's (row, column) pair of entries.
+    Its rows are orthogonal with norm^2 2^k, so C^-1 = C^dag / 2^k."""
+    if k not in _PAULI_BASES:
+        to_pauli = np.ones((1, 1))
+        for _ in range(k):
+            to_pauli = _kron(to_pauli, _TO_PAULI)
+        basis = np.empty_like(to_pauli)
+        basis[:, np.arange(4**k).reshape((2,) * 2 * k).transpose(_paired_axes(k)).ravel()] = to_pauli
+        basis.setflags(write=False)  # shared by every caller
+        _PAULI_BASES[k] = basis
+    return _PAULI_BASES[k]
+
+
+def _pauli_transfer_matrix(superop: np.ndarray, k: int) -> np.ndarray:
+    """A k-qubit superoperator S in the kron(M, conj M) layout as its real
+    Pauli transfer matrix C S C^-1."""
+    basis = _pauli_basis(k)
+    return np.ascontiguousarray((basis @ superop @ basis.conj().T).real / 2**k)
+
+
+class Superoperator:
+    """A map E on a few target qubits as its real 4^k x 4^k Pauli transfer
+    matrix (PTM): entry [P, Q] = tr(P E(Q)) / 2^k, for P and Q tensor products
+    of I, X, Y, Z over the targets in order. It carries a PauliState's
+    coefficients on the targets to their new values. Its plan, the kernel's
+    shape and axis orders over the Pauli axes, holds for n_qubits only.
     """
 
     __slots__ = ("matrix", "targets", "n_qubits", "plan")
 
     def __init__(self, matrix, targets, n_qubits: int):
         self.matrix, self.targets, self.n_qubits = matrix, targets, n_qubits
-        self.plan = _contraction_plan([*targets, *(n_qubits + t for t in targets)], 2 * n_qubits)
+        self.plan = _contraction_plan(targets, n_qubits, 4)
+
+
+def _compose(support, parts) -> np.ndarray:
+    """The PTM on `support` of (PTM, targets) parts applied in order: each
+    contracted into its targets' axes, starting from the identity."""
+    k = len(support)
+    matrix = np.eye(4**k)
+    work = _work_buffers(matrix.size)
+    for ptm, targets in parts:
+        plan = _contraction_plan([support.index(t) for t in targets], k, 4)
+        _contract(matrix, ptm, plan, matrix, *work)
+    return matrix
 
 
 def fused_superoperator(gate: UnitaryGate, channels, n_qubits: int) -> Superoperator:
     """The gate followed by its channels in order, as one superoperator.
 
-    S = S_m ... S_1 (U (x) conj U) with S_c = channel.superoperator(), each
-    embedded in the support: the gate's targets, then any channel target
-    outside them. Refuses exactly what apply_unitary and apply_channel refuse.
+    R = R_m ... R_1 R_U, with R_U the PTM of U (x) conj U and R_c =
+    channel.pauli_transfer_matrix(), each embedded in the support: the gate's
+    targets, then any channel target outside them. Refuses exactly what
+    apply_unitary and apply_channel refuse.
     """
     _check_targets(gate.targets, n_qubits)
     support = list(gate.targets)
-    placed = []
+    parts = [(_pauli_transfer_matrix(_kron(gate.matrix, gate.matrix.conj()), gate.arity),
+              gate.targets)]
     for channel, targets in channels:
         targets = _check_channel(channel, targets, n_qubits)
         support += [t for t in targets if t not in support]
-        placed.append((channel, targets))
-    k = len(support)
-    embedded = _kron(gate.matrix, np.eye(2 ** (k - gate.arity)))
-    matrix = _kron(embedded, embedded.conj())
-    work = _work_buffers(matrix.size)
-    for channel, targets in placed:
-        rows = [support.index(t) for t in targets]
-        plan = _contraction_plan(rows + [k + r for r in rows], 2 * k)
-        _contract(matrix, channel.superoperator(), plan, matrix, *work)
-    return Superoperator(matrix, tuple(support), n_qubits)
+        parts.append((channel.pauli_transfer_matrix(), targets))
+    return Superoperator(_compose(support, parts), tuple(support), n_qubits)
 
 
 def merge_superoperators(sops) -> list:
@@ -333,7 +427,7 @@ def merge_superoperators(sops) -> list:
 
     A group grows while its combined support (the members' targets in order
     of first appearance) stays within MERGE_WIDTH qubits. Its matrix is the
-    members' product in their order, each contracted into its rows of the
+    members' product in their order, each contracted into its axes of the
     support as fused_superoperator contracts a channel; a group of one is
     kept as it is. Ops are never reordered, so the list applies the same map.
     """
@@ -345,50 +439,45 @@ def merge_superoperators(sops) -> list:
             groups[-1] = (wider, members + [sop])
         else:
             groups.append((list(sop.targets), [sop]))
-    merged = []
-    for support, members in groups:
-        if len(members) == 1:
-            merged.append(members[0])
-            continue
-        k = len(support)
-        matrix = np.eye(4**k, dtype=complex)
-        work = _work_buffers(matrix.size)
-        for sop in members:
-            rows = [support.index(t) for t in sop.targets]
-            plan = _contraction_plan(rows + [k + r for r in rows], 2 * k)
-            _contract(matrix, sop.matrix, plan, matrix, *work)
-        merged.append(Superoperator(matrix, tuple(support), members[0].n_qubits))
-    return merged
+    return [members[0] if len(members) == 1 else
+            Superoperator(_compose(support, [(sop.matrix, sop.targets) for sop in members]),
+                          tuple(support), members[0].n_qubits)
+            for support, members in groups]
 
 
-def apply_superoperator(rho: DensityMatrix, sop: Superoperator) -> DensityMatrix:
-    """rho -> E(rho): one matmul on the row and column axes of the targets."""
-    return apply_superoperators(rho, (sop,), _work_buffers(rho.matrix.size))
+def apply_superoperator(state: PauliState, sop: Superoperator) -> PauliState:
+    """E(state): one real matmul on the Pauli axes of the targets."""
+    return apply_superoperators(state, (sop,), _work_buffers(state.vector.size))
 
 
-def apply_superoperators(rho: DensityMatrix, sops, work) -> DensityMatrix:
-    """The superoperators in order, written into one new matrix.
+def apply_superoperators(state: PauliState, sops, work) -> PauliState:
+    """The superoperators in order, written into one new Pauli vector.
 
-    `work` is the kernel's pair of flat work buffers of rho's size (see
-    _work_buffers); a caller applying many ops allocates it once.
+    `work` is the kernel's pair of flat real work buffers of the vector's
+    size (see _work_buffers); a caller applying many ops allocates it once.
     """
-    n = rho.n_qubits
-    src, out = rho.matrix, np.empty(rho.matrix.shape, dtype=complex)
+    n = state.n_qubits
+    src, out = state.vector, np.empty(state.vector.shape)
     for sop in sops:
         if n != sop.n_qubits:
             _check_targets(sop.targets, n)
             raise ValueError(f"superoperator compiled for {sop.n_qubits} qubits, state has {n}")
         src = _contract(src, sop.matrix, sop.plan, out, *work)
-    if src is not out:  # no ops: the new matrix is a copy
+    if src is not out:  # no ops: the new vector is a copy
         np.copyto(out, src)
-    return DensityMatrix(n, out, validate=False)
+    return PauliState(n, out)
 
 
 def qubit_p1(state, qubit: int) -> float:
-    """Probability that `qubit` reads 1, for a PureState or a DensityMatrix."""
+    """Probability that `qubit` reads 1, for a PureState, a DensityMatrix or a
+    PauliState."""
     n = state.n_qubits
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n} qubits")
+    if isinstance(state, PauliState):
+        # P(1) = tr((I - Z_q) rho) / 2; Z_q is Z on axis q, I on the others
+        vec = state.vector
+        return float((vec[0] - vec[3 * 4 ** (n - 1 - qubit)]) / 2.0)
     if isinstance(state, PureState):
         probs = np.abs(state.amplitudes) ** 2
     elif isinstance(state, DensityMatrix):

@@ -59,7 +59,7 @@ from pstlab.noise import (
     zz_dephasing_channel,
 )
 from pstlab.optimizer import Candidate, bayes_optimize, grid_search_j0, objective
-from pstlab.sim_core import PureState, partial_trace_to_qubit, qubit_p1, validate_cptp
+from pstlab.sim_core import partial_trace_to_qubit, qubit_p1, validate_cptp
 
 HALF_PI = math.pi / 2
 
@@ -182,7 +182,7 @@ def test_criterion_03_cptp_and_trace_drift():
         for ch in channels:
             worst = max(worst, validate_cptp(ch).deviation)
     circuit = assemble_circuit(ExperimentConfig(n_sites=4, noise=NoiseParams()))
-    drifts = evolve_recorded(circuit, lambda st: abs(np.trace(st.matrix) - 1.0))
+    drifts = evolve_recorded(circuit, lambda st: abs(np.trace(st.to_density_matrix().matrix) - 1.0))
     drift = max(drifts)
     ok = worst <= 1e-10 and drift < 1e-8
     detail = f"1000 draws worst CPTP deviation {worst:.2e}; 80-step trace drift {drift:.2e}"
@@ -419,9 +419,7 @@ def test_criterion_13c_tomography_round_trip():
     circuit = assemble_circuit(ExperimentConfig(n_sites=4, n_steps=40, initial="arbitrary"))
     reduced = evolve_recorded(
         circuit,
-        lambda st: partial_trace_to_qubit(
-            st.to_density_matrix() if isinstance(st, PureState) else st, 3
-        ).matrix,
+        lambda st: partial_trace_to_qubit(st.to_density_matrix(), 3).matrix,
     )
     worst = 0.0
     for rec, red in zip(record.rhos, reduced):

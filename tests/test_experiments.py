@@ -30,6 +30,7 @@ from pstlab.noise import NoiseParams, attach_to_ops, comprehensive_attachments
 from pstlab.sim_core import (
     MERGE_WIDTH,
     DensityMatrix,
+    PauliState,
     PureState,
     UnitaryGate,
     _work_buffers,
@@ -117,9 +118,10 @@ class TestIdealRuns:
         assert not circuit.has_channels()
         ops = list(circuit.gate_ops())
         pure = _apply_compiled(PureState.zero(3), _compile_ops(ops, 3, density=False), None)
-        dense = _apply_compiled(DensityMatrix.zero(3), _compile_ops(ops, 3, density=True),
+        dense = _apply_compiled(PauliState.zero(3), _compile_ops(ops, 3, density=True),
                                 _work_buffers(4**3))
-        np.testing.assert_allclose(pure.to_density_matrix().matrix, dense.matrix, atol=1e-12)
+        np.testing.assert_allclose(pure.to_density_matrix().matrix,
+                                   dense.to_density_matrix().matrix, atol=1e-12)
 
 
 def kraus_loop(rho, op):
@@ -164,11 +166,12 @@ class TestFusedMatchesKrausLoop:
                 for kind in ("sdg", "h")]
             ops = circuit.prep + circuit.step + attach_to_ops(
                 one_qubit, comprehensive_attachments(params))
-            fused = oracle = mixed_state(n, seed=n)
+            oracle = mixed_state(n, seed=n)
+            fused = PauliState.from_density_matrix(oracle)
             for op, sop in zip(ops, _compile_ops(ops, n, density=True)):
                 fused = apply_superoperator(fused, sop)
                 oracle = kraus_loop(oracle, op)
-                err = np.max(np.abs(fused.matrix - oracle.matrix))
+                err = np.max(np.abs(fused.to_density_matrix().matrix - oracle.matrix))
                 assert err <= 1e-12, (params, op.gate.kind, op.gate.targets, err)
 
     def test_noisy_step_ops_carry_channels(self):
@@ -182,7 +185,7 @@ class TestFusedMatchesKrausLoop:
         Kraus loop over every op of the circuit."""
         circuit = assemble_circuit(ExperimentConfig(n_sites=4, n_steps=12, noise=NoiseParams(),
                                                     initial="arbitrary"))
-        fused = evolve_recorded(circuit, lambda st: st.matrix)
+        fused = evolve_recorded(circuit, lambda st: st.to_density_matrix().matrix)
         rho = DensityMatrix.zero(4)
         for op in circuit.prep:
             rho = kraus_loop(rho, op)
@@ -215,8 +218,8 @@ class TestMergedMatchesKrausLoop:
         oracle = rho
         for op in ops:
             oracle = kraus_loop(oracle, op)
-        got = apply_superoperators(rho, merged, _work_buffers(4**n))
-        return float(np.max(np.abs(got.matrix - oracle.matrix)))
+        got = apply_superoperators(PauliState.from_density_matrix(rho), merged, _work_buffers(4**n))
+        return float(np.max(np.abs(got.to_density_matrix().matrix - oracle.matrix)))
 
     @pytest.mark.parametrize("thermal", sorted(THERMAL_SETTINGS))
     @pytest.mark.parametrize("zz", sorted(ZZ_SETTINGS))
@@ -338,9 +341,7 @@ class TestArbitraryTransfer:
         )
         reduced = evolve_recorded(
             circuit,
-            lambda st: partial_trace_to_qubit(
-                st.to_density_matrix() if isinstance(st, PureState) else st, 2
-            ).matrix,
+            lambda st: partial_trace_to_qubit(st.to_density_matrix(), 2).matrix,
         )
         for rec_rho, red in zip(record.rhos, reduced):
             dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rec_rho - red)))

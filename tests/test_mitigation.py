@@ -9,6 +9,7 @@ from pstlab.chains import exact_sp_oracle, pst_couplings
 from pstlab.experiments import ExperimentConfig, SPTimeSeries, run_sp_series
 from pstlab.mitigation import (
     RescaleParams,
+    _fit_objective,
     apply_rescaling,
     fit_rescaling,
     forward_decay,
@@ -128,3 +129,62 @@ class TestFitRescaling:
         a = fit_rescaling(noisy, ideal_series)
         b = fit_rescaling(noisy, ideal_series)
         assert a == b
+
+
+def double_loop_fit_objective(noisy_vals, ideal_interp, window, alphas, betas, k) -> tuple:
+    """The (beta, alpha) double loop that _fit_objective vectorizes: its oracle."""
+    best = (np.inf, 0.0, 0.0)
+    for beta in betas:
+        env = np.exp(-beta * k[window])
+        raw = noisy_vals[window]
+        ideal_w = ideal_interp[window]
+        for alpha in alphas:
+            corrected = (raw - alpha * (1.0 - env)) / env
+            sse = float(np.sum((corrected - ideal_w) ** 2))
+            if sse < best[0]:
+                best = (sse, float(alpha), float(beta))
+    return best
+
+
+class TestFitObjectiveMatchesDoubleLoop:
+    """Same SSE, alpha and beta, bit for bit, on fit_rescaling's grids."""
+
+    COARSE = (np.round(np.arange(0.0, 0.8 + 1e-12, 0.01), 10),
+              np.round(np.arange(0.0, 0.2 + 1e-12, 0.002), 10))
+    # refinements around the lower edge, where clipping repeats grid values
+    EDGE = (np.clip(0.002 + np.arange(-6, 7) * 0.002, 0.0, 0.999999),
+            np.clip(0.0004 + np.arange(-6, 7) * 0.0004, 0.0, None))
+    INNER = (np.clip(0.27 + np.arange(-6, 7) * 0.0002, 0.0, 0.999999),
+             np.clip(0.024 + np.arange(-6, 7) * 0.00004, 0.0, None))
+
+    @staticmethod
+    def series(seed: int, quantized: bool) -> tuple:
+        rng = np.random.default_rng(seed)
+        k = np.arange(81)
+        ideal = rng.uniform(size=81)
+        noisy = forward_decay(ideal, rng.uniform(0.0, 0.5), rng.uniform(0.0, 0.05))
+        noisy = noisy + rng.normal(0.0, 0.02, size=81)
+        if quantized:  # few distinct values, so equal SSEs turn up
+            ideal, noisy = np.round(ideal * 4) / 4, np.round(noisy * 4) / 4
+        return noisy, ideal, k <= rng.integers(1, 81), k
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_series(self, seed, quantized):
+        noisy, ideal, window, k = self.series(seed, quantized)
+        for alphas, betas in (self.COARSE, self.EDGE, self.INNER):
+            want = double_loop_fit_objective(noisy, ideal, window, alphas, betas, k)
+            assert _fit_objective(noisy, ideal, window, alphas, betas, k) == want
+
+    def test_ties_go_to_the_first_grid_point(self):
+        """An empty window scores every point 0; repeated grid values tie too."""
+        noisy, ideal, _, k = self.series(0, quantized=True)
+        empty = np.zeros(81, dtype=bool)
+        for alphas, betas in (self.COARSE, self.EDGE):
+            got = _fit_objective(noisy, ideal, empty, alphas, betas, k)
+            assert got == double_loop_fit_objective(noisy, ideal, empty, alphas, betas, k)
+            assert got == (0.0, alphas[0], betas[0])
+        single = k == 0  # e^0 = 1: every beta scores alike
+        alphas, betas = self.EDGE
+        assert (_fit_objective(noisy, ideal, single, alphas, betas, k)
+                == double_loop_fit_objective(noisy, ideal, single, alphas, betas, k))

@@ -378,7 +378,7 @@ class TestComprehensiveAssembly:
 
     def test_equal_params_share_channels(self):
         """Channels are built once per distinct noise setting, so their cached
-        superoperators carry over from one run to the next."""
+        Pauli transfer matrices carry over from one run to the next."""
         first = comprehensive_attachments(NoiseParams())
         second = comprehensive_attachments(NoiseParams())
         assert first == second and first is not second
@@ -387,7 +387,8 @@ class TestComprehensiveAssembly:
         assert len(comprehensive_attachments(NoiseParams())) == len(second)
         other = comprehensive_attachments(NoiseParams(q_depol=0.01))
         assert other[0].channel is not second[0].channel
-        assert not np.allclose(other[0].channel.superoperator(), second[0].channel.superoperator())
+        assert not np.allclose(other[0].channel.pauli_transfer_matrix(),
+                               second[0].channel.pauli_transfer_matrix())
 
     def test_every_default_channel_passes_cptp(self):
         for att in comprehensive_attachments(NoiseParams(zz_mode="dephasing_channel",

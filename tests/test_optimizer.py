@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import norm
 
+from pstlab import optimizer
 from pstlab.chains import exact_sp_oracle, pst_couplings
 from pstlab.experiments import ExperimentConfig, detect_first_peak, run_sp_series
 from pstlab.noise import NoiseParams
@@ -101,6 +102,16 @@ class TestGridSearch:
             assert len(rec.candidate.couplings) == 2
             assert rec.seed == 4
             assert (rec.objective, rec.t_star) == objective(rec.candidate, base)
+
+    @pytest.mark.parametrize("lo,hi,step,want", [
+        (0.4, 4.0, 1.4, [0.4, 1.8, 3.2]),  # the next point, 4.6, is past hi
+        (0.4, 4.0, 1.8, [0.4, 2.2, 4.0]),
+        (0.1, 4.0, 0.1, [round(0.1 * i, 10) for i in range(1, 41)]),
+    ])
+    def test_grid_ends_at_or_below_hi(self, monkeypatch, lo, hi, step, want):
+        monkeypatch.setattr(optimizer, "objective", lambda cand, base: (0.5, 1.0))
+        records = grid_search_j0(FAST, lo=lo, hi=hi, step=step)
+        assert [r.candidate.j0 for r in records] == want
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):

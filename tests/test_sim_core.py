@@ -1,5 +1,6 @@
 """Core engine tests: gate/channel application against brute-force oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,15 @@ from hypothesis import strategies as st
 from scipy.linalg import sqrtm
 from scipy.stats import unitary_group
 
-from pstlab.experiments import ExperimentConfig, measure_p1, run_arbitrary_transfer
+from pstlab.experiments import (
+    ExperimentConfig,
+    _compile_merged,
+    _compile_ops,
+    assemble_circuit,
+    measure_p1,
+    run_arbitrary_transfer,
+)
+from pstlab.noise import NoiseParams
 
 from pstlab.sim_core import (
     HADAMARD,
@@ -21,6 +30,7 @@ from pstlab.sim_core import (
     CPTPReport,
     DensityMatrix,
     KrausChannel,
+    PauliState,
     PureState,
     Superoperator,
     UnitaryGate,
@@ -198,6 +208,11 @@ class TestChannels:
         assert abs(out.trace() - 1.0) < 1e-12
 
 
+def apply_to_density(rho: DensityMatrix, sop: Superoperator) -> DensityMatrix:
+    """apply_superoperator on rho's Pauli vector, read back as a density matrix."""
+    return apply_superoperator(PauliState.from_density_matrix(rho), sop).to_density_matrix()
+
+
 def kraus_oracle(rho: DensityMatrix, gate: UnitaryGate, channels) -> DensityMatrix:
     """The gate, then each channel, through the Kraus loop."""
     rho = apply_unitary(rho, gate)
@@ -224,7 +239,7 @@ class TestFusedSuperoperator:
     def test_gate_alone_is_conjugation(self):
         rho = random_density(3, seed=3)
         gate = UnitaryGate(unitary_group.rvs(4, random_state=4), (2, 0))
-        out = apply_superoperator(rho, fused_superoperator(gate, [], 3))
+        out = apply_to_density(rho, fused_superoperator(gate, [], 3))
         np.testing.assert_allclose(out.matrix, apply_unitary(rho, gate).matrix, atol=1e-12)
 
     def test_channels_on_part_of_and_outside_the_gate_support(self):
@@ -235,7 +250,7 @@ class TestFusedSuperoperator:
         sop = fused_superoperator(gate, channels, 3)
         assert sop.targets == (2, 0, 1)
         assert sop.matrix.shape == (64, 64)
-        out = apply_superoperator(rho, sop)
+        out = apply_to_density(rho, sop)
         np.testing.assert_allclose(out.matrix, kraus_oracle(rho, gate, channels).matrix,
                                    rtol=0, atol=1e-12)
 
@@ -244,7 +259,7 @@ class TestFusedSuperoperator:
         gate = UnitaryGate(unitary_group.rvs(4, random_state=9), (1, 3))
         pair = KrausChannel([np.kron(a, b) for a in AMP_DAMP.kraus_ops for b in PAULI_MIX.kraus_ops])
         channels = [(pair, (3, 1))]
-        out = apply_superoperator(rho, fused_superoperator(gate, channels, 4))
+        out = apply_to_density(rho, fused_superoperator(gate, channels, 4))
         np.testing.assert_allclose(out.matrix, kraus_oracle(rho, gate, channels).matrix,
                                    rtol=0, atol=1e-12)
 
@@ -266,7 +281,7 @@ class TestFusedSuperoperator:
                           lambda: fused_superoperator(far, [], 3))
         wide = fused_superoperator(far, [], 4)
         assert_same_error(lambda: kraus_oracle(rho, far, []),
-                          lambda: apply_superoperator(rho, wide))
+                          lambda: apply_to_density(rho, wide))
 
     def test_arity_mismatch(self):
         rho = random_density(2, seed=1)
@@ -276,15 +291,15 @@ class TestFusedSuperoperator:
                           lambda: fused_superoperator(gate, channels, 2))
 
 
-def tensordot_reference(rho: DensityMatrix, sop: Superoperator) -> np.ndarray:
-    """The superoperator contracted by tensordot + moveaxis: the kernel's GEMM
-    behind numpy's axis bookkeeping, so the two agree bit for bit."""
-    n, k = rho.n_qubits, len(sop.targets)
-    axes = list(sop.targets) + [n + t for t in sop.targets]
-    gate = sop.matrix.reshape((2,) * (4 * k))
-    out = np.tensordot(gate, rho.matrix.reshape((2,) * (2 * n)),
-                       axes=(list(range(2 * k, 4 * k)), axes))
-    return np.moveaxis(out, range(2 * k), axes).reshape(2**n, 2**n)
+def tensordot_reference(state: PauliState, sop: Superoperator) -> np.ndarray:
+    """The superoperator contracted by tensordot + moveaxis into the targets'
+    Pauli axes: the kernel's GEMM behind numpy's axis bookkeeping, so the two
+    agree bit for bit. Read back as a density matrix."""
+    n, k = state.n_qubits, len(sop.targets)
+    axes = list(sop.targets)
+    gate = sop.matrix.reshape((4,) * (2 * k))
+    out = np.tensordot(gate, state.vector.reshape((4,) * n), axes=(list(range(k, 2 * k)), axes))
+    return PauliState(n, np.moveaxis(out, range(k), axes).ravel()).to_density_matrix().matrix
 
 
 class TestKernel:
@@ -306,15 +321,15 @@ class TestKernel:
     def test_superoperator_bitwise_equals_tensordot(self, n):
         """Scrambled, non-adjacent supports: a gate on (n-1, 0) with a channel
         on qubit 1, and a gate on (n-2, 0) with a channel on its first target."""
-        rho = random_density(n, seed=n)
+        state = PauliState.from_density_matrix(random_density(n, seed=n))
         wide = fused_superoperator(UnitaryGate(unitary_group.rvs(4, random_state=n), (n - 1, 0)),
                                    [(AMP_DAMP, (1,)), (PAULI_MIX, (0,))], n)
         narrow = fused_superoperator(UnitaryGate(unitary_group.rvs(4, random_state=n + 10),
                                                  (n - 2, 0)), [(AMP_DAMP, (n - 2,))], n)
         assert wide.targets == (n - 1, 0, 1)
         for sop in (wide, narrow):
-            assert np.array_equal(apply_superoperator(rho, sop).matrix,
-                                  tensordot_reference(rho, sop))
+            assert np.array_equal(apply_superoperator(state, sop).to_density_matrix().matrix,
+                                  tensordot_reference(state, sop))
 
     def test_in_place_equals_new_array(self):
         """dst may be src: the kernel gathers all of src before it scatters."""
@@ -324,42 +339,36 @@ class TestKernel:
         vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         plan = _contraction_plan(targets, n)
         want = _apply_matrix_to_vector(vec, mat, plan)
-        got = _contract(vec, mat, plan, vec, *_work_buffers(vec.size))
+        got = _contract(vec, mat, plan, vec, *_work_buffers(vec.size, complex))
         assert got is vec
         assert np.array_equal(vec, want)
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_sequence_equals_one_by_one(self, n):
-        """apply_superoperators writes one new matrix, bit-identical to applying
+        """apply_superoperators writes one new vector, bit-identical to applying
         each op alone, and leaves its input as it was; no ops gives a copy."""
-        rho = random_density(n, seed=n)
-        before = rho.matrix.copy()
+        rho = PauliState.from_density_matrix(random_density(n, seed=n))
+        before = rho.vector.copy()
         sops = [fused_superoperator(UnitaryGate(unitary_group.rvs(4, random_state=n), (n - 1, 0)),
                                     [(AMP_DAMP, (1,))], n),
                 fused_superoperator(UnitaryGate(HADAMARD, (n - 2,)), [(PAULI_MIX, (n - 2,))], n)]
         want = rho
         for sop in sops:
             want = apply_superoperator(want, sop)
-        work = _work_buffers(rho.matrix.size)
+        work = _work_buffers(rho.vector.size)
         got = apply_superoperators(rho, sops, work)
-        assert np.array_equal(got.matrix, want.matrix)
+        assert np.array_equal(got.to_density_matrix().matrix, want.to_density_matrix().matrix)
         again = apply_superoperators(rho, sops, work)
-        assert again.matrix is not got.matrix and np.array_equal(again.matrix, got.matrix)
-        assert np.array_equal(rho.matrix, before)
+        assert again.vector is not got.vector and np.array_equal(again.vector, got.vector)
+        assert np.array_equal(rho.vector, before)
         empty = apply_superoperators(rho, [], work)
-        assert empty.matrix is not rho.matrix and np.array_equal(empty.matrix, before)
-
-    def test_channel_superoperator_is_cached(self):
-        channel = KrausChannel(PAULI_MIX.kraus_ops)  # complex Kraus operators (Y)
-        first = channel.superoperator()
-        assert np.array_equal(first, sum(np.kron(k, k.conj()) for k in channel.kraus_ops))
-        assert channel.superoperator() is first
+        assert empty.vector is not rho.vector and np.array_equal(empty.vector, before)
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_refuses_another_register_size(self, n):
         sop = fused_superoperator(UnitaryGate(PAULI_X, (0,)), [(AMP_DAMP, (1,))], 3)
         with pytest.raises(ValueError, match="compiled for 3 qubits, state has"):
-            apply_superoperator(random_density(n, seed=n), sop)
+            apply_to_density(random_density(n, seed=n), sop)
 
 
 class TestMergeSuperoperators:
@@ -381,10 +390,10 @@ class TestMergeSuperoperators:
         merged = merge_superoperators(ops)
         assert len(merged) < len(ops)
         assert all(len(sop.targets) <= MERGE_WIDTH for sop in merged)
-        rho = random_density(n, seed=n)
-        work = _work_buffers(rho.matrix.size)
-        np.testing.assert_allclose(apply_superoperators(rho, merged, work).matrix,
-                                   apply_superoperators(rho, ops, work).matrix,
+        rho = PauliState.from_density_matrix(random_density(n, seed=n))
+        work = _work_buffers(rho.vector.size)
+        np.testing.assert_allclose(apply_superoperators(rho, merged, work).to_density_matrix().matrix,
+                                   apply_superoperators(rho, ops, work).to_density_matrix().matrix,
                                    rtol=0, atol=1e-13)
 
     def test_groups_grow_greedily_and_keep_lone_ops(self):
@@ -404,6 +413,74 @@ class TestMergeSuperoperators:
         a = fused_superoperator(UnitaryGate(PAULI_X, (0,)), [], 3)
         b = fused_superoperator(UnitaryGate(PAULI_X, (0,)), [], 4)
         assert merge_superoperators([a, b]) == [a, b]
+
+
+PAULIS = (np.eye(2), PAULI_X, PAULI_Y, PAULI_Z)
+
+
+class TestPauliState:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_round_trip(self, n):
+        """rho -> Pauli vector -> rho, on random mixed states."""
+        for seed in range(3):
+            rho = random_density(n, seed=10 * n + seed)
+            back = PauliState.from_density_matrix(rho).to_density_matrix()
+            assert np.max(np.abs(back.matrix - rho.matrix)) <= 1e-15
+
+    def test_coefficients_are_pauli_expectations(self):
+        """Entry P is tr(P rho), with qubit 0 on the first (slowest) axis."""
+        rho = random_density(2, seed=4)
+        vec = PauliState.from_density_matrix(rho).vector
+        for (a, pa), (b, pb) in itertools.product(enumerate(PAULIS), repeat=2):
+            want = np.trace(np.kron(pa, pb) @ rho.matrix)
+            assert vec[4 * a + b] == pytest.approx(want.real, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_zero_state(self, n):
+        zero = PauliState.from_density_matrix(DensityMatrix.zero(n)).vector
+        assert np.array_equal(PauliState.zero(n).vector, zero)
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError, match="expected \\(16,\\)"):
+            PauliState(2, np.zeros(4))
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_qubit_p1_equals_density_matrix(self, n):
+        rho = random_density(n, seed=n)
+        state = PauliState.from_density_matrix(rho)
+        for q in range(n):
+            assert qubit_p1(state, q) == pytest.approx(qubit_p1(rho, q), abs=1e-15)
+
+    def test_channel_ptm_is_its_definition(self):
+        """R[P, Q] = tr(P E(Q)) / 2^k, with E(Q) = sum_K K Q K^dag; cached.
+        PAULI_MIX has complex Kraus operators (Y)."""
+        pair = KrausChannel([np.kron(a, b) for a in AMP_DAMP.kraus_ops for b in PAULI_MIX.kraus_ops])
+        for channel in (AMP_DAMP, PAULI_MIX, pair):
+            k = channel.arity
+            basis = PAULIS
+            for _ in range(k - 1):
+                basis = [np.kron(p, q) for p in basis for q in PAULIS]
+            want = np.array([[np.trace(p @ sum(kk @ q @ kk.conj().T for kk in channel.kraus_ops))
+                              for q in basis] for p in basis]) / 2**k
+            ptm = channel.pauli_transfer_matrix()
+            assert ptm.dtype == float and channel.pauli_transfer_matrix() is ptm
+            np.testing.assert_allclose(ptm, want.real, rtol=0, atol=1e-15)
+            assert np.max(np.abs(want.imag)) <= 1e-15
+
+    @pytest.mark.parametrize("config", [
+        ExperimentConfig(n_sites=4, noise=NoiseParams()),
+        ExperimentConfig(n_sites=6, noise=NoiseParams()),
+        ExperimentConfig(n_sites=7, n_steps=10, total_time=math.pi / 4,
+                         noise=NoiseParams(zz_mode="dephasing_channel", p_zz=0.01)),
+    ], ids=["headline", "n6_sites", "n7_zz_dephasing"])
+    def test_compiled_step_is_trace_preserving(self, config):
+        """tr E(Q) = tr Q: the first row of every fused and merged PTM is e_0."""
+        circuit = assemble_circuit(config)
+        ops = circuit.prep + circuit.step
+        for sop in _compile_ops(ops, config.n_sites, True) + _compile_merged(
+                circuit.step, config.n_sites, True):
+            e0 = np.eye(len(sop.matrix))[0]
+            assert np.max(np.abs(sop.matrix[0] - e0)) <= 1e-14, sop.targets
 
 
 class TestValidateCPTP:
