@@ -58,7 +58,6 @@ from .sim_core import (
     DensityMatrix,
     KrausChannel,
     PauliState,
-    PureState,
     Superoperator,
     UnitaryGate,
     apply_channel,

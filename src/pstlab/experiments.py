@@ -3,14 +3,13 @@ arbitrary-state transfer with single-qubit tomography.
 
 Every run evolves one circuit and records observables after the prep layer
 (k = 0) and after each Trotter step, giving a uniform (n_steps + 1)-point
-time grid. Runs without any attached channel use the pure-state fast path;
-otherwise the state is a sim_core.PauliState, the 4^n real Pauli
-coefficients of the dense density matrix. Each stored op (a gate with its
-channels) is then compiled once per run into one fused superoperator (a real
-Pauli transfer matrix), and adjacent fused ops of the prep layer, the
-Trotter step and each tomography basis rotation are merged into
-superoperators of at most sim_core.MERGE_WIDTH qubits. Merging never crosses
-a recorded step boundary. This module only creates the zero state, applies
+time grid. The state is a sim_core.PauliState, the 4^n real Pauli
+coefficients of the dense density matrix, with or without noise. Each stored
+op (a gate with its channels, if any) is compiled once per run into one
+fused superoperator (a real Pauli transfer matrix), and adjacent fused ops
+of the prep layer, the Trotter step and each tomography basis rotation are
+merged into superoperators of at most sim_core.MERGE_WIDTH qubits. Merging
+never crosses a recorded step boundary. This module only creates the zero state, applies
 compiled ops and reads populations with qubit_p1; the basis change lives in
 sim_core.
 """
@@ -37,11 +36,9 @@ from .noise import NoiseParams, attach_comprehensive, attach_to_ops, comprehensi
 from .sim_core import (
     DensityMatrix,
     PauliState,
-    PureState,
     UnitaryGate,
     _work_buffers,
     apply_superoperators,
-    apply_unitary,
     fused_superoperator,
     merge_superoperators,
     qubit_p1,
@@ -191,47 +188,30 @@ def _prep_gate_for_amplitudes(a: complex, b: complex) -> UnitaryGate:
     return UnitaryGate(mat, (0,), kind="u")
 
 
-def _compile_ops(ops, n_qubits: int, density: bool) -> list:
-    """Each GateOp as the engine applies it: its fused superoperator on a
-    PauliState, its bare gate on a pure state (channel-free ops only)."""
-    if density:
-        return [fused_superoperator(op.gate, op.channels, n_qubits) for op in ops]
-    return [op.gate for op in ops]
+def _compile_ops(ops, n_qubits: int) -> list:
+    """Each GateOp as the engine applies it: its gate, then its channels, as
+    one fused superoperator on a PauliState (a bare gate is its unitary's PTM)."""
+    return [fused_superoperator(op.gate, op.channels, n_qubits) for op in ops]
 
 
-def _compile_merged(ops, n_qubits: int, density: bool) -> list:
-    """_compile_ops, with adjacent superoperators merged on a PauliState."""
-    compiled = _compile_ops(ops, n_qubits, density)
-    return merge_superoperators(compiled) if density else compiled
-
-
-def _apply_compiled(state, compiled, work):
-    """Apply compiled ops in order to the state kind they were compiled for.
-
-    A PauliState runs through `work`, the kernel's two work buffers, into
-    one new vector; a pure state needs none (None).
-    """
-    if isinstance(state, PauliState):
-        return apply_superoperators(state, compiled, work)
-    for op in compiled:
-        state = apply_unitary(state, op)
-    return state
+def _compile_merged(ops, n_qubits: int) -> list:
+    """_compile_ops, with adjacent superoperators merged."""
+    return merge_superoperators(_compile_ops(ops, n_qubits))
 
 
 def evolve_recorded(circuit: NoisyCircuit, record):
     """Run prep then every step, calling record(state) at k = 0..n_steps.
 
-    Each recorded state is a new one; the kernel's work buffers are
+    Each recorded state is a new PauliState; the kernel's work buffers are
     allocated once per call.
     """
-    n, density = circuit.n_qubits, circuit.has_channels()
-    state = PauliState.zero(n) if density else PureState.zero(n)
-    work = _work_buffers(state.vector.size) if density else None
-    step = _compile_merged(circuit.step, n, density)
-    state = _apply_compiled(state, _compile_merged(circuit.prep, n, density), work)
+    n = circuit.n_qubits
+    work = _work_buffers(4**n)
+    step = _compile_merged(circuit.step, n)
+    state = apply_superoperators(PauliState.zero(n), _compile_merged(circuit.prep, n), work)
     out = [record(state)]
     for _ in range(circuit.plan.n_steps):
-        state = _apply_compiled(state, step, work)
+        state = apply_superoperators(state, step, work)
         out.append(record(state))
     return out
 
@@ -313,7 +293,7 @@ def run_arbitrary_transfer(config: ExperimentConfig) -> TomographyRecord:
         _compile_merged(attach_to_ops(
             [GateOp(UnitaryGate(gate_matrix(kind.upper()), (qubit,), kind=kind)) for kind in kinds],
             attachments,
-        ), config.n_sites, density=True)
+        ), config.n_sites)
         for kinds in _BASIS_GATE_KINDS.values()
     ]
     readout = config.noise.readout_error if config.noise is not None else 0.0
@@ -322,10 +302,8 @@ def run_arbitrary_transfer(config: ExperimentConfig) -> TomographyRecord:
     work = _work_buffers(4**config.n_sites)
 
     def record(state):
-        if isinstance(state, PureState):
-            state = PauliState.from_density_matrix(state.to_density_matrix())
         # <sigma> = p0 - p1 of the last qubit after each basis rotation
-        return [1.0 - 2.0 * measure_p1(_apply_compiled(state, ops, work), qubit, config.shots,
+        return [1.0 - 2.0 * measure_p1(apply_superoperators(state, ops, work), qubit, config.shots,
                                        rng, readout)
                 for ops in rotations]
 

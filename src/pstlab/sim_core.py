@@ -1,4 +1,4 @@
-"""Dense state-vector, density-matrix and Pauli-vector simulation engine.
+"""Dense density-matrix and Pauli-vector simulation engine.
 
 States are stored big-endian by site: the basis index of |q0 q1 ... q_{n-1}>
 is sum_i q_i * 2^(n-1-i), so qubit 0 is the leftmost ket label and chain
@@ -6,19 +6,21 @@ site 1. |1000> therefore means "excitation on the first of four sites".
 
 Unitaries and Kraus channels act on arbitrary qubit subsets through tensor
 reshaping; nothing here assumes a chain topology. The evolution engine holds
-a mixed state as its 4^n real Pauli coefficients (PauliState). It fuses each
-gate with its channels into one real Pauli transfer matrix (PTM), then merges
-adjacent fused ops into PTMs of at most MERGE_WIDTH qubits. Each is applied
-as one gather into the targets' axis order, one real matmul and one scatter
-back through work buffers the caller owns; each channel's PTM is built once
-per channel object. The per-qubit change between rho's entries and Pauli
-coefficients lives here alone. apply_unitary and apply_channel (the Kraus
-loop on DensityMatrix) are the engine's reference.
+every state, pure or mixed, as its 4^n real Pauli coefficients (PauliState).
+It fuses each gate with its channels, if any, into one real Pauli transfer
+matrix (PTM), then merges adjacent fused ops into PTMs of at most MERGE_WIDTH
+qubits. Each is applied as one gather into the targets' axis order, one real
+matmul and one scatter back through work buffers the caller owns; each
+channel's PTM is built once per channel object, and each contraction plan
+once per (targets, n, dim). The per-qubit change between rho's entries and
+Pauli coefficients lives here alone. apply_unitary and apply_channel (the
+Kraus loop on DensityMatrix) are the engine's reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,37 +43,6 @@ _CPTP_TOL = 1e-10
 # Each merge saves one gather and one scatter of rho; at 4 qubits the
 # 256 x 256 matmul costs more than they save (slower than 3 at N = 6 to 10).
 MERGE_WIDTH = 3
-
-
-class PureState:
-    """Normalized complex amplitude vector over n qubits."""
-
-    __slots__ = ("n_qubits", "amplitudes")
-
-    def __init__(self, n_qubits: int, amplitudes, validate: bool = True):
-        if n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-        amps = np.asarray(amplitudes, dtype=complex)
-        if amps.shape != (2**n_qubits,):
-            raise ValueError(
-                f"amplitude vector has shape {amps.shape}, expected ({2**n_qubits},)"
-            )
-        if validate:
-            norm2 = float(np.sum(np.abs(amps) ** 2))
-            if abs(norm2 - 1.0) > 1e-10:
-                raise ValueError(f"state norm^2 = {norm2}, not 1 within tolerance")
-        self.n_qubits = n_qubits
-        self.amplitudes = amps
-
-    @classmethod
-    def zero(cls, n_qubits: int) -> "PureState":
-        amps = np.zeros(2**n_qubits, dtype=complex)
-        amps[0] = 1.0
-        return cls(n_qubits, amps, validate=False)
-
-    def to_density_matrix(self) -> "DensityMatrix":
-        rho = np.outer(self.amplitudes, self.amplitudes.conj())
-        return DensityMatrix(self.n_qubits, rho, validate=False)
 
 
 class DensityMatrix:
@@ -256,12 +227,14 @@ def _check_targets(targets, n_qubits: int) -> None:
         raise ValueError(f"duplicate targets {targets}")
 
 
-def _contraction_plan(targets, n: int, dim: int = 2) -> tuple:
+@lru_cache(maxsize=None)
+def _contraction_plan(targets: tuple, n: int, dim: int = 2) -> tuple:
     """How the kernel contracts a matrix into `targets` of an n-qubit vector
     with `dim` entries per qubit (2 amplitudes, or 4 Pauli coefficients): the
     split shape (n qubit axes and a trailing batch axis), the axis order
     `targets`, the other qubit axes, the batch axis; and its inverse. Every
-    qubit axis has length `dim`, so the shape holds in either order."""
+    qubit axis has length `dim`, so the shape holds in either order. Cached:
+    `targets` is a tuple, and every caller shares the returned tuples."""
     perm = [*targets, *(a for a in range(n) if a not in targets), n]
     return (dim,) * n + (-1,), tuple(perm), tuple(np.argsort(perm))
 
@@ -282,17 +255,9 @@ def _contract(src: np.ndarray, mat: np.ndarray, plan, dst: np.ndarray, gather: n
     return dst
 
 
-def _work_buffers(size: int, dtype=float) -> tuple:
-    """The kernel's two work buffers for vectors of `size` elements: real for
-    a PauliState, complex for amplitudes."""
-    return np.empty(size, dtype=dtype), np.empty(size, dtype=dtype)
-
-
-def _apply_matrix_to_vector(amps: np.ndarray, mat: np.ndarray, plan) -> np.ndarray:
-    """The kernel into a new complex array, with work buffers of its own."""
-    amps = np.asarray(amps)
-    return _contract(amps, mat, plan, np.empty(amps.shape, dtype=complex),
-                     *_work_buffers(amps.size, complex))
+def _work_buffers(size: int) -> tuple:
+    """The kernel's two real work buffers for Pauli vectors of `size` elements."""
+    return np.empty(size), np.empty(size)
 
 
 def _apply_matrix_to_density(rho: np.ndarray, mat: np.ndarray, targets, n: int) -> np.ndarray:
@@ -309,22 +274,13 @@ def _apply_matrix_to_density(rho: np.ndarray, mat: np.ndarray, targets, n: int) 
     return tensor.reshape(2**n, 2**n)
 
 
-def apply_unitary(state, gate: UnitaryGate):
-    """Apply a gate to a PureState or DensityMatrix, returning the same kind.
-
-    The result equals the full 2^N embedding of the gate (identity on
-    non-target qubits, with target-order permutation) applied to the state.
-    """
-    n = state.n_qubits
+def apply_unitary(rho: DensityMatrix, gate: UnitaryGate) -> DensityMatrix:
+    """rho -> U rho U^dag, with U the full 2^N embedding of the gate (identity
+    on non-target qubits, with target-order permutation)."""
+    n = rho.n_qubits
     _check_targets(gate.targets, n)
-    if isinstance(state, PureState):
-        amps = _apply_matrix_to_vector(state.amplitudes, gate.matrix,
-                                       _contraction_plan(gate.targets, n))
-        return PureState(n, amps, validate=False)
-    if isinstance(state, DensityMatrix):
-        rho = _apply_matrix_to_density(state.matrix, gate.matrix, gate.targets, n)
-        return DensityMatrix(n, rho, validate=False)
-    raise TypeError(f"unsupported state type {type(state).__name__}")
+    return DensityMatrix(n, _apply_matrix_to_density(rho.matrix, gate.matrix, gate.targets, n),
+                         validate=False)
 
 
 def _check_channel(channel: KrausChannel, targets, n_qubits: int) -> tuple:
@@ -398,7 +354,7 @@ def _compose(support, parts) -> np.ndarray:
     matrix = np.eye(4**k)
     work = _work_buffers(matrix.size)
     for ptm, targets in parts:
-        plan = _contraction_plan([support.index(t) for t in targets], k, 4)
+        plan = _contraction_plan(tuple(support.index(t) for t in targets), k, 4)
         _contract(matrix, ptm, plan, matrix, *work)
     return matrix
 
@@ -469,8 +425,7 @@ def apply_superoperators(state: PauliState, sops, work) -> PauliState:
 
 
 def qubit_p1(state, qubit: int) -> float:
-    """Probability that `qubit` reads 1, for a PureState, a DensityMatrix or a
-    PauliState."""
+    """Probability that `qubit` reads 1, for a DensityMatrix or a PauliState."""
     n = state.n_qubits
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n} qubits")
@@ -478,12 +433,9 @@ def qubit_p1(state, qubit: int) -> float:
         # P(1) = tr((I - Z_q) rho) / 2; Z_q is Z on axis q, I on the others
         vec = state.vector
         return float((vec[0] - vec[3 * 4 ** (n - 1 - qubit)]) / 2.0)
-    if isinstance(state, PureState):
-        probs = np.abs(state.amplitudes) ** 2
-    elif isinstance(state, DensityMatrix):
-        probs = np.real(np.diagonal(state.matrix))
-    else:
+    if not isinstance(state, DensityMatrix):
         raise TypeError(f"unsupported state type {type(state).__name__}")
+    probs = np.real(np.diagonal(state.matrix))
     # big-endian: qubit q is axis q of the 2^q x 2 x 2^(n-1-q) view; ravel
     # keeps the qubit = 1 entries in index order, so the sum order is fixed
     return float(np.sum(probs.reshape(2**qubit, 2, -1)[:, 1, :].ravel()))

@@ -157,28 +157,29 @@ class TestInitialStates:
 
     @staticmethod
     def prepared(n, **config):
+        """The k = 0 density matrix, and the prep layer's gate kinds."""
         circuit = assemble_circuit(ExperimentConfig(n_sites=n, n_steps=1, **config))
-        state = evolve_recorded(circuit, lambda st: st.amplitudes)[0]
-        return state, [op.gate.kind for op in circuit.prep]
+        rho = evolve_recorded(circuit, lambda st: st.to_density_matrix().matrix)[0]
+        return rho, [op.gate.kind for op in circuit.prep]
 
     def test_single_excitation_site1(self):
-        state, kinds = self.prepared(4)
+        rho, kinds = self.prepared(4)
         expected = np.zeros(16)
         expected[8] = 1.0  # |1000> big-endian
-        np.testing.assert_allclose(state, expected, atol=1e-15)
+        np.testing.assert_allclose(rho, np.outer(expected, expected), atol=1e-15)
         assert kinds == ["x"]
 
     def test_single_excitation_n3(self):
-        state, _ = self.prepared(3)
+        rho, _ = self.prepared(3)
         expected = np.zeros(8)
         expected[4] = 1.0  # |100>
-        np.testing.assert_allclose(state, expected, atol=1e-15)
+        np.testing.assert_allclose(rho, np.outer(expected, expected), atol=1e-15)
 
     def test_arbitrary_default_is_plus_on_first(self):
-        state, kinds = self.prepared(4, initial="arbitrary")
+        rho, kinds = self.prepared(4, initial="arbitrary")
         expected = np.zeros(16)
         expected[0] = expected[8] = 1 / math.sqrt(2)
-        np.testing.assert_allclose(state, expected, atol=1e-15)
+        np.testing.assert_allclose(rho, np.outer(expected, expected), atol=1e-15)
         assert kinds == ["h"]
 
     def test_unknown_initial_kind_rejected(self):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import pstlab
+from pstlab import sim_core
 from pstlab.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -514,6 +515,30 @@ class TestCommittedRuns:
         assert set(new.pop("outputs")) == set(old.pop("outputs"))
         del new["duration_s"], old["duration_s"], new["source_sha256"], old["source_sha256"]
         assert new == old
+
+
+class TestOneEngine:
+    @pytest.mark.parametrize("name", ["ideal", "rescale"])
+    def test_ideal_runs_make_no_kraus_loop_calls(self, tmp_path, monkeypatch, name):
+        """configs/ideal.json, and the ideal reference series of the rescale
+        handler, run on the fused Pauli engine: the Kraus-loop oracle
+        sim_core.apply_unitary is not called, under any pstlab module's name
+        for it."""
+        calls = []
+        original = sim_core.apply_unitary
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for key, module in list(sys.modules.items()):
+            if key.split(".")[0] == "pstlab" and getattr(module, "apply_unitary", None) is original:
+                monkeypatch.setattr(module, "apply_unitary", counted)
+        run_config(REPO / "configs" / f"{name}.json", out=tmp_path)
+        assert calls == []
+        sim_core.apply_unitary(sim_core.DensityMatrix.zero(1),
+                               sim_core.UnitaryGate(sim_core.PAULI_X, (0,)))
+        assert len(calls) == 1  # the counter sees a call
 
 
 class TestSourceHash:

@@ -12,7 +12,6 @@ from pstlab.experiments import (
     ExperimentConfig,
     NoPeakError,
     SPTimeSeries,
-    _apply_compiled,
     _compile_merged,
     _compile_ops,
     _find_peaks,
@@ -31,7 +30,6 @@ from pstlab.sim_core import (
     MERGE_WIDTH,
     DensityMatrix,
     PauliState,
-    PureState,
     UnitaryGate,
     _work_buffers,
     apply_channel,
@@ -112,16 +110,30 @@ class TestIdealRuns:
         series = run_site_resolved(ExperimentConfig(n_sites=4, n_steps=20))
         assert len(series.times) == 21
 
-    def test_pure_and_density_paths_agree(self):
-        """The statevector fast path matches dense density-matrix evolution."""
-        circuit = assemble_circuit(ExperimentConfig(n_sites=3, n_steps=10))
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_ideal_series_matches_kraus_loop(self, n):
+        """A channel-free 80-step series runs on the fused Pauli engine, and
+        every recorded state matches bare gates on a density matrix."""
+        circuit = assemble_circuit(ExperimentConfig(n_sites=n))
         assert not circuit.has_channels()
-        ops = list(circuit.gate_ops())
-        pure = _apply_compiled(PureState.zero(3), _compile_ops(ops, 3, density=False), None)
-        dense = _apply_compiled(PauliState.zero(3), _compile_ops(ops, 3, density=True),
-                                _work_buffers(4**3))
-        np.testing.assert_allclose(pure.to_density_matrix().matrix,
-                                   dense.to_density_matrix().matrix, atol=1e-12)
+        got = evolve_recorded(circuit, lambda st: st.to_density_matrix().matrix)
+        want = kraus_loop_series(circuit)
+        assert len(got) == len(want) == 81
+        for k, (rho, oracle) in enumerate(zip(got, want)):
+            assert np.max(np.abs(rho - oracle.matrix)) <= 1e-12, k
+
+    def test_ideal_tomography_matches_kraus_loop(self):
+        """The X, Y and Z records of an ideal arbitrary transfer are the last
+        qubit's Bloch components of the Kraus-loop state at every step."""
+        config = ExperimentConfig(n_sites=4, initial="arbitrary", amp_a=0.6, amp_b=0.48 + 0.64j)
+        record = run_arbitrary_transfer(config)
+        for k, rho in enumerate(kraus_loop_series(assemble_circuit(config))):
+            m = partial_trace_to_qubit(rho, 3).matrix
+            want = (2 * m[0, 1].real, -2 * m[0, 1].imag, (m[0, 0] - m[1, 1]).real)
+            got = (record.x[k], record.y[k], record.z[k])
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-12, k
+        # b has a real and an imaginary part, so neither X nor Y stays flat
+        assert min(np.ptp(record.x), np.ptp(record.y), np.ptp(record.z)) > 0.5
 
 
 def kraus_loop(rho, op):
@@ -130,6 +142,20 @@ def kraus_loop(rho, op):
     for channel, targets in op.channels:
         rho = apply_channel(rho, channel, targets)
     return rho
+
+
+def kraus_loop_series(circuit) -> list:
+    """The oracle's density matrix at k = 0..n_steps: the Kraus loop over the
+    prep layer, then over the stored step n_steps times."""
+    rho = DensityMatrix.zero(circuit.n_qubits)
+    for op in circuit.prep:
+        rho = kraus_loop(rho, op)
+    out = [rho]
+    for _ in range(circuit.plan.n_steps):
+        for op in circuit.step:
+            rho = kraus_loop(rho, op)
+        out.append(rho)
+    return out
 
 
 def mixed_state(n: int, seed: int) -> DensityMatrix:
@@ -168,7 +194,7 @@ class TestFusedMatchesKrausLoop:
                 one_qubit, comprehensive_attachments(params))
             oracle = mixed_state(n, seed=n)
             fused = PauliState.from_density_matrix(oracle)
-            for op, sop in zip(ops, _compile_ops(ops, n, density=True)):
+            for op, sop in zip(ops, _compile_ops(ops, n)):
                 fused = apply_superoperator(fused, sop)
                 oracle = kraus_loop(oracle, op)
                 err = np.max(np.abs(fused.to_density_matrix().matrix - oracle.matrix))
@@ -186,17 +212,10 @@ class TestFusedMatchesKrausLoop:
         circuit = assemble_circuit(ExperimentConfig(n_sites=4, n_steps=12, noise=NoiseParams(),
                                                     initial="arbitrary"))
         fused = evolve_recorded(circuit, lambda st: st.to_density_matrix().matrix)
-        rho = DensityMatrix.zero(4)
-        for op in circuit.prep:
-            rho = kraus_loop(rho, op)
-        oracle = [rho.matrix]
-        for _ in range(circuit.plan.n_steps):
-            for op in circuit.step:
-                rho = kraus_loop(rho, op)
-            oracle.append(rho.matrix)
+        oracle = kraus_loop_series(circuit)
         assert len(fused) == 13
         for got, want in zip(fused, oracle):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got, want.matrix, rtol=0, atol=1e-12)
 
 
 class TestMergedMatchesKrausLoop:
@@ -229,7 +248,7 @@ class TestMergedMatchesKrausLoop:
             params = NoiseParams(**{**STRONG, **ZZ_SETTINGS[zz], **THERMAL_SETTINGS[thermal]},
                                  pauli_on=pauli_on, depol_on=depol_on)
             for ops in self.op_lists(n, params):
-                merged = _compile_merged(ops, n, density=True)
+                merged = _compile_merged(ops, n)
                 assert all(len(sop.targets) <= MERGE_WIDTH for sop in merged)
                 err = self.max_error(n, ops, merged)
                 assert err <= 1e-12, (params, [op.gate.kind for op in ops], err)
@@ -244,8 +263,8 @@ class TestMergedMatchesKrausLoop:
         """9, 15 and 12 fused ops per step merge into 4, 6 and 3; with the
         one prep op, the headline applies 321 ops per run instead of 721."""
         circuit = assemble_circuit(config)
-        step = _compile_merged(circuit.step, config.n_sites, density=True)
-        prep = _compile_merged(circuit.prep, config.n_sites, density=True)
+        step = _compile_merged(circuit.step, config.n_sites)
+        prep = _compile_merged(circuit.prep, config.n_sites)
         assert len(step) == per_step
         assert len(prep) + config.n_steps * len(step) == per_run
 
@@ -254,7 +273,7 @@ class TestMergedMatchesKrausLoop:
         (RXX and RYY on bonds (0, 1) and (1, 2)) merged in reverse fails it."""
         params = NoiseParams(**STRONG)
         ops = assemble_circuit(ExperimentConfig(n_sites=4, n_steps=8, noise=params)).step
-        compiled = _compile_ops(ops, 4, density=True)
+        compiled = _compile_ops(ops, 4)
         merged = merge_superoperators(compiled)
         assert merged[0].targets == (0, 1, 2) and len(merge_superoperators(compiled[:4])) == 1
         assert self.max_error(4, ops, merged) <= 1e-12

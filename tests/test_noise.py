@@ -22,7 +22,6 @@ from pstlab.noise import (
 )
 from pstlab.sim_core import (
     DensityMatrix,
-    PureState,
     apply_channel,
     choi_matrix,
     validate_cptp,
@@ -39,8 +38,14 @@ def bloch(rho: np.ndarray):
     return x, y, z
 
 
+def ket_density(amps) -> DensityMatrix:
+    """|psi><psi| for the amplitudes of a ket, validated as a density matrix."""
+    amps = np.asarray(amps, dtype=complex)
+    return DensityMatrix(int(np.log2(len(amps))), np.outer(amps, amps.conj()))
+
+
 def plus_state() -> DensityMatrix:
-    return PureState(1, np.array([1, 1]) / math.sqrt(2)).to_density_matrix()
+    return ket_density(np.array([1, 1]) / math.sqrt(2))
 
 
 class TestNoiseParams:
@@ -116,7 +121,7 @@ class TestDepolarizingChannel:
     def test_population_leak_on_excited(self):
         """<Z> after depol(q) on |1><1| is -(1-q): direct algebra on the map."""
         q = 2.5e-3
-        rho = PureState(1, [0, 1]).to_density_matrix()
+        rho = ket_density([0, 1])
         out = apply_channel(rho, depolarizing_channel(q), (0,))
         _, _, z = bloch(out.matrix)
         assert z == pytest.approx(-(1 - q), abs=1e-12)
@@ -139,7 +144,7 @@ class TestTensorChannel:
         depol = depolarizing_channel(0.3)
         ident = pauli_channel(0, 0, 0)
         rho_a = plus_state().matrix
-        rho_b = PureState(1, [0, 1]).to_density_matrix().matrix
+        rho_b = ket_density([0, 1]).matrix
         prod = DensityMatrix(2, np.kron(rho_a, rho_b))
         out = apply_channel(prod, two_qubit_tensor_channel(depol, ident), (0, 1))
         expected = np.kron(apply_channel(DensityMatrix(1, rho_a), depol, (0,)).matrix, rho_b)
@@ -188,7 +193,7 @@ class TestThermalRelaxation:
         ratio = dur / T1
         assert gamma1 == pytest.approx(ratio - ratio**2 / 2, rel=1e-5)
         assert gamma1 == pytest.approx(1.9981e-3, abs=2e-6)
-        rho = PureState(1, [0, 1]).to_density_matrix()
+        rho = ket_density([0, 1])
         ch = thermal_relaxation_channel(T1, T2, dur)
         out = apply_channel(rho, ch, (0,))
         assert np.real(out.matrix[1, 1]) == pytest.approx(math.exp(-dur / T1), abs=1e-12)
@@ -218,7 +223,7 @@ class TestThermalRelaxation:
         g = 1 - math.exp(-dur / 1e-4)
         ch = thermal_relaxation_channel(1e-4, 2e-4, dur)
         assert len(ch.kraus_ops) == 2
-        rho = PureState(1, [0.6, 0.8j]).to_density_matrix()
+        rho = ket_density([0.6, 0.8j])
         out = apply_channel(rho, ch, (0,))
         m = rho.matrix
         expected = np.array([[m[0, 0] + g * m[1, 1], math.sqrt(1 - g) * m[0, 1]],
@@ -282,8 +287,7 @@ class TestZZDephasing:
         invariant for every p (the channel cannot damp hopping coherence
         on an isolated bond).
         """
-        psi = PureState(2, np.array([1, 1, 1, 1]) / 2.0)
-        rho = psi.to_density_matrix()
+        rho = ket_density(np.array([1, 1, 1, 1]) / 2.0)
         out = apply_channel(rho, zz_dephasing_channel(0.5), (0, 1))
         assert abs(out.matrix[0, 1]) < 1e-15  # <00|rho|01>
         assert abs(out.matrix[0, 2]) < 1e-15  # <00|rho|10>

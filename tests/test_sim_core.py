@@ -31,10 +31,8 @@ from pstlab.sim_core import (
     DensityMatrix,
     KrausChannel,
     PauliState,
-    PureState,
     Superoperator,
     UnitaryGate,
-    _apply_matrix_to_vector,
     _contract,
     _contraction_plan,
     _work_buffers,
@@ -80,11 +78,17 @@ def embed_gate_oracle(mat: np.ndarray, targets, n: int) -> np.ndarray:
     return full
 
 
-def random_state(n: int, seed: int) -> PureState:
+def random_state(n: int, seed: int) -> np.ndarray:
+    """A random normalized ket: 2^n complex amplitudes."""
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    amps /= np.linalg.norm(amps)
-    return PureState(n, amps)
+    return amps / np.linalg.norm(amps)
+
+
+def ket_density(amps) -> DensityMatrix:
+    """|psi><psi| for the amplitudes of a ket, validated as a density matrix."""
+    amps = np.asarray(amps, dtype=complex)
+    return DensityMatrix(int(np.log2(len(amps))), np.outer(amps, amps.conj()))
 
 
 def random_density(n: int, seed: int) -> DensityMatrix:
@@ -98,13 +102,14 @@ def random_density(n: int, seed: int) -> DensityMatrix:
 
 class TestStates:
     def test_zero_state(self):
-        psi = PureState.zero(3)
-        assert psi.amplitudes[0] == 1.0
-        assert np.all(psi.amplitudes[1:] == 0)
+        rho = DensityMatrix.zero(3).matrix
+        assert rho[0, 0] == 1.0
+        assert np.count_nonzero(rho) == 1
 
     def test_norm_validation(self):
-        with pytest.raises(ValueError, match="norm"):
-            PureState(1, [1.0, 1.0])
+        """An unnormalized ket's projector has trace norm^2 != 1."""
+        with pytest.raises(ValueError, match="trace"):
+            ket_density([1.0, 1.0])
 
     def test_density_validation(self):
         with pytest.raises(ValueError, match="trace"):
@@ -115,33 +120,34 @@ class TestStates:
             DensityMatrix(1, np.diag([1.5, -0.5]))
 
     def test_promotion_commutes_with_unitary(self):
-        """apply U then promote == promote then conjugate (both orderings agree)."""
+        """U|psi> then promote == promote then conjugate (both orderings agree)."""
         psi = random_state(3, seed=11)
-        gate = UnitaryGate(unitary_group.rvs(4, random_state=5), (0, 2))
-        a = apply_unitary(psi, gate).to_density_matrix()
-        b = apply_unitary(psi.to_density_matrix(), gate)
+        mat = unitary_group.rvs(4, random_state=5)
+        a = ket_density(embed_gate_oracle(mat, (0, 2), 3) @ psi)
+        b = apply_unitary(ket_density(psi), UnitaryGate(mat, (0, 2)))
         np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-12)
 
 
 class TestUnitaryApplication:
     def test_x_flips_zero(self):
-        psi = apply_unitary(PureState.zero(1), UnitaryGate(PAULI_X, (0,)))
-        np.testing.assert_allclose(psi.amplitudes, [0, 1], atol=1e-15)
+        rho = apply_unitary(DensityMatrix.zero(1), UnitaryGate(PAULI_X, (0,)))
+        np.testing.assert_allclose(rho.matrix, [[0, 0], [0, 1]], atol=1e-15)
 
     def test_rxx_zero_angle_is_identity(self):
-        psi = random_state(2, seed=3)
+        rho = ket_density(random_state(2, seed=3))
         gate = UnitaryGate(np.eye(4), (0, 1))
-        out = apply_unitary(psi, gate)
-        np.testing.assert_allclose(out.amplitudes, psi.amplitudes, atol=1e-15)
+        out = apply_unitary(rho, gate)
+        np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-15)
 
     @pytest.mark.parametrize("targets", [(0, 2), (2, 0), (1, 3), (3, 1), (0, 3)])
     def test_two_qubit_embedding_matches_oracle(self, targets):
-        """Gate on a qubit subset == explicit kron-with-permutation embedding."""
+        """Gate on a qubit subset == explicit kron-with-permutation embedding,
+        U rho U^dag with U the full 2^N matrix."""
         mat = unitary_group.rvs(4, random_state=42)
-        psi = random_state(4, seed=7)
-        fast = apply_unitary(psi, UnitaryGate(mat, targets))
+        rho = ket_density(random_state(4, seed=7))
+        fast = apply_unitary(rho, UnitaryGate(mat, targets))
         full = embed_gate_oracle(mat, targets, 4)
-        np.testing.assert_allclose(fast.amplitudes, full @ psi.amplitudes, atol=1e-12)
+        np.testing.assert_allclose(fast.matrix, full @ rho.matrix @ full.conj().T, atol=1e-12)
 
     def test_density_conjugation_matches_oracle(self):
         mat = unitary_group.rvs(4, random_state=1)
@@ -153,19 +159,21 @@ class TestUnitaryApplication:
     def test_target_errors(self):
         gate = UnitaryGate(PAULI_X, (3,))
         with pytest.raises(ValueError, match="out of range"):
-            apply_unitary(PureState.zero(2), gate)
+            apply_unitary(DensityMatrix.zero(2), gate)
         with pytest.raises(ValueError, match="duplicate"):
             UnitaryGate(np.eye(4), (1, 1))
         with pytest.raises(ValueError, match="unitary"):
             UnitaryGate(np.array([[1, 0], [0, 0.5]]), (0,))
 
     def test_norm_preserved_over_long_sequence(self):
-        psi = PureState.zero(3)
+        """tr rho = <psi|psi> stays 1, and rho stays pure: tr rho^2 = 1."""
+        rho = DensityMatrix.zero(3)
         rng = np.random.default_rng(0)
         for _ in range(200):
             q = int(rng.integers(0, 2))
-            psi = apply_unitary(psi, UnitaryGate(unitary_group.rvs(4, random_state=rng), (q, q + 1)))
-        assert abs(np.sum(np.abs(psi.amplitudes) ** 2) - 1.0) < 1e-12
+            rho = apply_unitary(rho, UnitaryGate(unitary_group.rvs(4, random_state=rng), (q, q + 1)))
+        assert abs(rho.trace() - 1.0) < 1e-12
+        assert abs(np.trace(rho.matrix @ rho.matrix) - 1.0) < 1e-12
 
 
 class TestChannels:
@@ -302,6 +310,13 @@ def tensordot_reference(state: PauliState, sop: Superoperator) -> np.ndarray:
     return PauliState(n, np.moveaxis(out, range(k), axes).ravel()).to_density_matrix().matrix
 
 
+def contract_new(src: np.ndarray, mat: np.ndarray, plan) -> np.ndarray:
+    """The kernel on a complex vector or batch, into a new array, with complex
+    work buffers of its own."""
+    return _contract(src, mat, plan, np.empty(src.shape, dtype=complex),
+                     np.empty(src.size, dtype=complex), np.empty(src.size, dtype=complex))
+
+
 class TestKernel:
     @pytest.mark.parametrize("targets", [(2,), (3, 0), (1, 4, 2)])
     def test_batch_equals_column_by_column(self, targets):
@@ -310,8 +325,8 @@ class TestKernel:
         mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         batch = rng.normal(size=(2**n, 6)) + 1j * rng.normal(size=(2**n, 6))
         plan = _contraction_plan(targets, n)
-        out = _apply_matrix_to_vector(batch, mat, plan)
-        columns = np.stack([_apply_matrix_to_vector(batch[:, j], mat, plan)
+        out = contract_new(batch, mat, plan)
+        columns = np.stack([contract_new(batch[:, j], mat, plan)
                             for j in range(batch.shape[1])], axis=1)
         np.testing.assert_allclose(out, columns, rtol=0, atol=1e-13)
         np.testing.assert_allclose(out, embed_gate_oracle(mat, targets, n) @ batch,
@@ -338,8 +353,9 @@ class TestKernel:
         mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         plan = _contraction_plan(targets, n)
-        want = _apply_matrix_to_vector(vec, mat, plan)
-        got = _contract(vec, mat, plan, vec, *_work_buffers(vec.size, complex))
+        want = contract_new(vec, mat, plan)
+        got = _contract(vec, mat, plan, vec, np.empty(vec.size, dtype=complex),
+                        np.empty(vec.size, dtype=complex))
         assert got is vec
         assert np.array_equal(vec, want)
 
@@ -477,8 +493,8 @@ class TestPauliState:
         """tr E(Q) = tr Q: the first row of every fused and merged PTM is e_0."""
         circuit = assemble_circuit(config)
         ops = circuit.prep + circuit.step
-        for sop in _compile_ops(ops, config.n_sites, True) + _compile_merged(
-                circuit.step, config.n_sites, True):
+        for sop in _compile_ops(ops, config.n_sites) + _compile_merged(
+                circuit.step, config.n_sites):
             e0 = np.eye(len(sop.matrix))[0]
             assert np.max(np.abs(sop.matrix[0] - e0)) <= 1e-14, sop.targets
 
@@ -517,23 +533,23 @@ class TestObservables:
 
     @pytest.mark.parametrize("amps,expected", [([1, 0], 1.0), ([0, 1], -1.0)])
     def test_z_on_basis_states(self, amps, expected):
-        rho = PureState(1, amps).to_density_matrix()
+        rho = ket_density(amps)
         assert qubit_p1(rho, 0) == pytest.approx((1.0 - expected) / 2.0, abs=1e-14)
 
     def test_z_on_plus(self):
-        plus = PureState(1, np.array([1, 1]) / np.sqrt(2)).to_density_matrix()
+        plus = ket_density(np.array([1, 1]) / np.sqrt(2))
         assert qubit_p1(plus, 0) == pytest.approx(0.5, abs=1e-14)
 
     def test_big_endian_qubit_order(self):
         """|10>: qubit 0 carries the excitation (Z = -1), qubit 1 does not."""
-        psi = PureState(2, [0, 0, 1, 0])  # index 2 = |10>
-        assert qubit_p1(psi, 0) == pytest.approx(1.0)
-        assert qubit_p1(psi, 1) == pytest.approx(0.0)
-        assert qubit_p1(psi.to_density_matrix(), 0) == pytest.approx(1.0)
+        rho = ket_density([0, 0, 1, 0])  # index 2 = |10>
+        assert qubit_p1(rho, 0) == pytest.approx(1.0)
+        assert qubit_p1(rho, 1) == pytest.approx(0.0)
+        assert qubit_p1(PauliState.from_density_matrix(rho), 0) == pytest.approx(1.0)
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            qubit_p1(PureState.zero(2), 2)
+            qubit_p1(DensityMatrix.zero(2), 2)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 7])
     def test_equals_bit_mask_sum(self, n):
@@ -568,19 +584,17 @@ class TestObservables:
 
 class TestPartialTrace:
     def test_product_state(self):
-        psi = PureState(2, [0, 0, 1, 0])  # |10>
-        red = partial_trace_to_qubit(psi.to_density_matrix(), 0)
+        red = partial_trace_to_qubit(ket_density([0, 0, 1, 0]), 0)  # |10>
         np.testing.assert_allclose(red.matrix, [[0, 0], [0, 1]], atol=1e-15)
 
     def test_bell_state_is_maximally_mixed(self):
-        bell = PureState(2, np.array([1, 0, 0, 1]) / np.sqrt(2)).to_density_matrix()
+        bell = ket_density(np.array([1, 0, 0, 1]) / np.sqrt(2))
         for q in (0, 1):
             red = partial_trace_to_qubit(bell, q)
             np.testing.assert_allclose(red.matrix, np.eye(2) / 2, atol=1e-15)
 
     def test_excitation_elsewhere_leaves_ground(self):
-        psi = PureState(4, np.eye(16)[8])  # |1000>
-        red = partial_trace_to_qubit(psi.to_density_matrix(), 3)
+        red = partial_trace_to_qubit(ket_density(np.eye(16)[8]), 3)  # |1000>
         np.testing.assert_allclose(red.matrix, [[1, 0], [0, 0]], atol=1e-15)
 
     def test_reduction_matches_brute_force(self):
@@ -598,17 +612,17 @@ class TestPartialTrace:
 
 class TestFidelity:
     def test_identical_pure_states(self):
-        rho = PureState(1, [1, 0]).to_density_matrix()
+        rho = ket_density([1, 0])
         assert qubit_state_fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_pure_states(self):
-        a = PureState(1, [1, 0]).to_density_matrix()
-        b = PureState(1, [0, 1]).to_density_matrix()
+        a = ket_density([1, 0])
+        b = ket_density([0, 1])
         assert qubit_state_fidelity(a, b) == pytest.approx(0.0, abs=1e-12)
 
     def test_mixed_vs_plus(self):
         mixed = DensityMatrix(1, np.eye(2) / 2)
-        plus = PureState(1, np.array([1, 1]) / np.sqrt(2)).to_density_matrix()
+        plus = ket_density(np.array([1, 1]) / np.sqrt(2))
         assert qubit_state_fidelity(mixed, plus) == pytest.approx(0.5, abs=1e-12)
 
     def test_closed_form_matches_uhlmann(self):
@@ -641,7 +655,7 @@ def transferred_tomography(b: complex):
 
 class TestSampling:
     def test_z_on_ground_state(self):
-        rho = PureState.zero(1).to_density_matrix()
+        rho = DensityMatrix.zero(1)
         p1 = measure_p1(rho, 0, 100, np.random.default_rng(0), 0.0)
         assert p1 == 0.0
 
@@ -664,7 +678,7 @@ class TestSampling:
         Oracle: est = 1 - 2 p1_hat with p1_hat ~ Bin(2048, 1/2)/2048, so
         sigma = 1/sqrt(2048) and the 3-sigma band holds with prob ~99.7%.
         """
-        plus = PureState(1, np.array([1, 1]) / np.sqrt(2)).to_density_matrix()
+        plus = ket_density(np.array([1, 1]) / np.sqrt(2))
         bound = 3.0 / np.sqrt(2048)
         hits = 0
         n_seeds = 400
@@ -674,7 +688,7 @@ class TestSampling:
         assert hits / n_seeds >= 0.99
 
     def test_seeded_sampling_is_reproducible(self):
-        rho = PureState(1, np.array([np.sqrt(0.3), np.sqrt(0.7)])).to_density_matrix()
+        rho = ket_density(np.array([np.sqrt(0.3), np.sqrt(0.7)]))
         a = measure_p1(rho, 0, 512, np.random.default_rng(42), 0.0)
         b = measure_p1(rho, 0, 512, np.random.default_rng(42), 0.0)
         assert a == b
