@@ -37,7 +37,6 @@ from .sim_core import (
     DensityMatrix,
     PauliState,
     UnitaryGate,
-    _work_buffers,
     apply_superoperators,
     fused_superoperator,
     merge_superoperators,
@@ -202,11 +201,11 @@ def _compile_merged(ops, n_qubits: int) -> list:
 def evolve_recorded(circuit: NoisyCircuit, record):
     """Run prep then every step, calling record(state) at k = 0..n_steps.
 
-    Each recorded state is a new PauliState; the kernel's work buffers are
+    Each recorded state is a new PauliState; the kernel's work buffer is
     allocated once per call.
     """
     n = circuit.n_qubits
-    work = _work_buffers(4**n)
+    work = np.empty(4**n)
     step = _compile_merged(circuit.step, n)
     state = apply_superoperators(PauliState.zero(n), _compile_merged(circuit.prep, n), work)
     out = [record(state)]
@@ -275,6 +274,21 @@ def _best_phase_fidelity(rho: np.ndarray, a: complex, b: complex) -> float:
     return float(min(1.0, max(0.0, val)))
 
 
+def _compile_rotations(config: ExperimentConfig) -> list:
+    """The merged ops of the X, Y and Z basis rotations of the last qubit,
+    each gate with the comprehensive model's single-qubit layers when noise
+    is on."""
+    qubit = config.n_sites - 1
+    attachments = comprehensive_attachments(config.noise) if config.noise is not None else []
+    return [
+        _compile_merged(attach_to_ops(
+            [GateOp(UnitaryGate(gate_matrix(kind.upper()), (qubit,), kind=kind)) for kind in kinds],
+            attachments,
+        ), config.n_sites)
+        for kinds in _BASIS_GATE_KINDS.values()
+    ]
+
+
 def run_arbitrary_transfer(config: ExperimentConfig) -> TomographyRecord:
     """Send A|0> + B|1> down the chain and tomograph the last qubit.
 
@@ -288,18 +302,11 @@ def run_arbitrary_transfer(config: ExperimentConfig) -> TomographyRecord:
     config = replace(config, initial="arbitrary", amp_a=a, amp_b=b)
     circuit = assemble_circuit(config)
     qubit = config.n_sites - 1
-    attachments = comprehensive_attachments(config.noise) if config.noise is not None else []
-    rotations = [
-        _compile_merged(attach_to_ops(
-            [GateOp(UnitaryGate(gate_matrix(kind.upper()), (qubit,), kind=kind)) for kind in kinds],
-            attachments,
-        ), config.n_sites)
-        for kinds in _BASIS_GATE_KINDS.values()
-    ]
+    rotations = _compile_rotations(config)
     readout = config.noise.readout_error if config.noise is not None else 0.0
     rng = np.random.default_rng(config.seed)
     target = DensityMatrix(1, np.outer([a, b], np.conj([a, b])), validate=False)
-    work = _work_buffers(4**config.n_sites)
+    work = np.empty(4**config.n_sites)
 
     def record(state):
         # <sigma> = p0 - p1 of the last qubit after each basis rotation

@@ -9,18 +9,22 @@ reshaping; nothing here assumes a chain topology. The evolution engine holds
 every state, pure or mixed, as its 4^n real Pauli coefficients (PauliState).
 It fuses each gate with its channels, if any, into one real Pauli transfer
 matrix (PTM), then merges adjacent fused ops into PTMs of at most MERGE_WIDTH
-qubits. Each is applied as one gather into the targets' axis order, one real
-matmul and one scatter back through work buffers the caller owns; each
-channel's PTM is built once per channel object, and each contraction plan
-once per (targets, n, dim). The per-qubit change between rho's entries and
-Pauli coefficients lives here alone. apply_unitary and apply_channel (the
-Kraus loop on DensityMatrix) are the engine's reference.
+qubits. An op on the consecutive qubits a..a+k-1 in order, as every op the
+experiments compile is, is applied as one real (stacked) matmul on a reshaped
+view, straight from one buffer into the other; an op on any other targets
+adds a gather into the targets' axis order before the matmul and a scatter
+back after it. The ops alternate between the new state and one work buffer
+the caller owns. Each channel's PTM is built once per channel object, and
+each contraction plan once per (targets, n). The per-qubit change between
+rho's entries and Pauli coefficients lives here alone. apply_unitary and
+apply_channel (the Kraus loop on DensityMatrix) are the engine's reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +44,11 @@ _TRACE_TOL = 1e-9
 _PSD_FLOOR = -1e-9
 _CPTP_TOL = 1e-10
 # Widest support, in qubits, of a superoperator merged from adjacent ones.
-# Each merge saves one gather and one scatter of rho; at 4 qubits the
-# 256 x 256 matmul costs more than they save (slower than 3 at N = 6 to 10).
+# Each merge saves one pass over the state and costs a wider matmul. One
+# comprehensive-noise step, one BLAS thread, widths 2 / 3 / 4: N = 4 26 / 20 /
+# 17 us, N = 6 105 / 104 / 220 us, N = 8 1.54 / 1.87 / 5.1 ms, N = 10 37 / 40 /
+# 84 ms (medians of 15 interleaved rounds). Width 2 wins only from N = 8 up and
+# width 4 only at N = 4; 3 is kept, as the N = 4 optimize workload needs it.
 MERGE_WIDTH = 3
 
 
@@ -227,37 +234,59 @@ def _check_targets(targets, n_qubits: int) -> None:
         raise ValueError(f"duplicate targets {targets}")
 
 
-@lru_cache(maxsize=None)
-def _contraction_plan(targets: tuple, n: int, dim: int = 2) -> tuple:
-    """How the kernel contracts a matrix into `targets` of an n-qubit vector
-    with `dim` entries per qubit (2 amplitudes, or 4 Pauli coefficients): the
-    split shape (n qubit axes and a trailing batch axis), the axis order
-    `targets`, the other qubit axes, the batch axis; and its inverse. Every
-    qubit axis has length `dim`, so the shape holds in either order. Cached:
-    `targets` is a tuple, and every caller shares the returned tuples."""
-    perm = [*targets, *(a for a in range(n) if a not in targets), n]
-    return (dim,) * n + (-1,), tuple(perm), tuple(np.argsort(perm))
+class _Plan(NamedTuple):
+    """How the kernel contracts a 4^k x 4^k matrix into `targets` of an
+    n-qubit Pauli vector (or a batch of them on a trailing axis).
 
-
-def _contract(src: np.ndarray, mat: np.ndarray, plan, dst: np.ndarray, gather: np.ndarray,
-              prod: np.ndarray) -> np.ndarray:
-    """dst <- a dim^k x dim^k matrix contracted into the first k axes of the
-    plan's order of src: gather src into that order, one matmul, scatter back.
-
-    `src` is dim^n or a dim^n x B batch; `dst` is a contiguous array of its
-    shape and may be `src` itself; `gather` and `prod` are flat work buffers
-    of src's size and dtype, so the kernel allocates nothing.
+    Targets that are the consecutive qubits a, a+1, ..., a+k-1 in order need
+    no data movement: `lead` is 4^a, and `perm` and `inv` are None. Any other
+    targets keep `lead` None, and `perm` is the gather order of the
+    (4,) * n + (-1,) view (the targets, the other qubit axes, the batch axis)
+    with `inv` its inverse.
     """
-    shape, perm, inv = plan
-    np.copyto(gather.reshape(shape), src.reshape(shape).transpose(perm))
-    np.matmul(mat, gather.reshape(len(mat), -1), out=prod.reshape(len(mat), -1))
-    np.copyto(dst.reshape(shape), prod.reshape(shape).transpose(inv))
+
+    lead: int | None
+    perm: tuple | None
+    inv: tuple | None
+
+
+@lru_cache(maxsize=None)
+def _contraction_plan(targets: tuple, n: int) -> _Plan:
+    """The kernel's plan for `targets` of n qubits. Cached: `targets` is a
+    tuple, and every caller shares the returned plan."""
+    a, k = targets[0], len(targets)
+    if targets == tuple(range(a, a + k)):
+        return _Plan(4**a, None, None)
+    perm = (*targets, *(q for q in range(n) if q not in targets), n)
+    return _Plan(None, perm, tuple(np.argsort(perm)))
+
+
+def _contract(src: np.ndarray, mat: np.ndarray, plan: _Plan, dst: np.ndarray,
+              spare: np.ndarray) -> np.ndarray:
+    """dst <- mat contracted into the plan's target axes of src.
+
+    `src` is a Pauli vector or a batch of them on a trailing axis; `dst` and
+    `spare` are contiguous arrays of its size, so the kernel allocates
+    nothing. `dst` must not be `src`, as a matmul never writes over its own
+    input; `spare` may be `src`. Consecutive targets a..a+k-1 take one
+    (stacked) matmul on the 4^a x 4^k x rest view, from src straight into
+    dst, or one GEMM against mat.T when nothing follows the block. Other
+    targets gather src into dst in the plan's order, take one matmul into
+    `spare` and scatter back into dst.
+    """
+    lead, perm, inv = plan
+    width = len(mat)
+    if perm is None:
+        if src.size == lead * width:
+            np.matmul(src.reshape(lead, width), mat.T, out=dst.reshape(lead, width))
+        else:
+            np.matmul(mat, src.reshape(lead, width, -1), out=dst.reshape(lead, width, -1))
+        return dst
+    shape = (4,) * (len(perm) - 1) + (-1,)
+    np.copyto(dst.reshape(shape), src.reshape(shape).transpose(perm))
+    np.matmul(mat, dst.reshape(width, -1), out=spare.reshape(width, -1))
+    np.copyto(dst.reshape(shape), spare.reshape(shape).transpose(inv))
     return dst
-
-
-def _work_buffers(size: int) -> tuple:
-    """The kernel's two real work buffers for Pauli vectors of `size` elements."""
-    return np.empty(size), np.empty(size)
 
 
 def _apply_matrix_to_density(rho: np.ndarray, mat: np.ndarray, targets, n: int) -> np.ndarray:
@@ -336,26 +365,27 @@ class Superoperator:
     """A map E on a few target qubits as its real 4^k x 4^k Pauli transfer
     matrix (PTM): entry [P, Q] = tr(P E(Q)) / 2^k, for P and Q tensor products
     of I, X, Y, Z over the targets in order. It carries a PauliState's
-    coefficients on the targets to their new values. Its plan, the kernel's
-    shape and axis orders over the Pauli axes, holds for n_qubits only.
+    coefficients on the targets to their new values. Its plan, how the
+    kernel contracts it (see _Plan), holds for n_qubits only.
     """
 
     __slots__ = ("matrix", "targets", "n_qubits", "plan")
 
     def __init__(self, matrix, targets, n_qubits: int):
         self.matrix, self.targets, self.n_qubits = matrix, targets, n_qubits
-        self.plan = _contraction_plan(targets, n_qubits, 4)
+        self.plan = _contraction_plan(targets, n_qubits)
 
 
 def _compose(support, parts) -> np.ndarray:
     """The PTM on `support` of (PTM, targets) parts applied in order: each
-    contracted into its targets' axes, starting from the identity."""
+    contracted into its targets' axes, starting from the identity, with the
+    result alternating between two buffers."""
     k = len(support)
     matrix = np.eye(4**k)
-    work = _work_buffers(matrix.size)
-    for ptm, targets in parts:
-        plan = _contraction_plan(tuple(support.index(t) for t in targets), k, 4)
-        _contract(matrix, ptm, plan, matrix, *work)
+    bufs = (np.empty_like(matrix), np.empty_like(matrix))
+    for i, (ptm, targets) in enumerate(parts):
+        plan = _contraction_plan(tuple(support.index(t) for t in targets), k)
+        matrix = _contract(matrix, ptm, plan, bufs[i % 2], bufs[1 - i % 2])
     return matrix
 
 
@@ -403,22 +433,24 @@ def merge_superoperators(sops) -> list:
 
 def apply_superoperator(state: PauliState, sop: Superoperator) -> PauliState:
     """E(state): one real matmul on the Pauli axes of the targets."""
-    return apply_superoperators(state, (sop,), _work_buffers(state.vector.size))
+    return apply_superoperators(state, (sop,), np.empty(state.vector.size))
 
 
-def apply_superoperators(state: PauliState, sops, work) -> PauliState:
+def apply_superoperators(state: PauliState, sops, work: np.ndarray) -> PauliState:
     """The superoperators in order, written into one new Pauli vector.
 
-    `work` is the kernel's pair of flat real work buffers of the vector's
-    size (see _work_buffers); a caller applying many ops allocates it once.
+    `work` is a flat real buffer of the vector's size; a caller applying many
+    ops allocates it once. The ops alternate between `work` and the new
+    vector, starting on whichever makes the last op write the new vector.
     """
     n = state.n_qubits
     src, out = state.vector, np.empty(state.vector.shape)
-    for sop in sops:
+    bufs = (out, work) if len(sops) % 2 else (work, out)
+    for i, sop in enumerate(sops):
         if n != sop.n_qubits:
             _check_targets(sop.targets, n)
             raise ValueError(f"superoperator compiled for {sop.n_qubits} qubits, state has {n}")
-        src = _contract(src, sop.matrix, sop.plan, out, *work)
+        src = _contract(src, sop.matrix, sop.plan, bufs[i % 2], bufs[1 - i % 2])
     if src is not out:  # no ops: the new vector is a copy
         np.copyto(out, src)
     return PauliState(n, out)

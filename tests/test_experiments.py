@@ -2,18 +2,22 @@
 
 import itertools
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.signal import find_peaks
 
 from pstlab.chains import GateOp, exact_sp_oracle, exact_transfer_amplitude, gate_matrix, pst_couplings
+from pstlab.cli import load_config, resolve_config
 from pstlab.experiments import (
     ExperimentConfig,
     NoPeakError,
     SPTimeSeries,
     _compile_merged,
     _compile_ops,
+    _compile_rotations,
     _find_peaks,
     assemble_circuit,
     detect_first_peak,
@@ -31,7 +35,6 @@ from pstlab.sim_core import (
     DensityMatrix,
     PauliState,
     UnitaryGate,
-    _work_buffers,
     apply_channel,
     apply_superoperator,
     apply_superoperators,
@@ -41,6 +44,7 @@ from pstlab.sim_core import (
 )
 
 HALF_PI = math.pi / 2
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -237,7 +241,7 @@ class TestMergedMatchesKrausLoop:
         oracle = rho
         for op in ops:
             oracle = kraus_loop(oracle, op)
-        got = apply_superoperators(PauliState.from_density_matrix(rho), merged, _work_buffers(4**n))
+        got = apply_superoperators(PauliState.from_density_matrix(rho), merged, np.empty(4**n))
         return float(np.max(np.abs(got.to_density_matrix().matrix - oracle.matrix)))
 
     @pytest.mark.parametrize("thermal", sorted(THERMAL_SETTINGS))
@@ -279,6 +283,29 @@ class TestMergedMatchesKrausLoop:
         assert self.max_error(4, ops, merged) <= 1e-12
         reversed_group = merge_superoperators(compiled[3::-1])
         assert self.max_error(4, ops, reversed_group + merged[1:]) > 1e-12
+
+
+class TestInPlacePath:
+    @staticmethod
+    def configs() -> list:
+        """The shipped configs, and noisy N = 6 and 7 chains in both ZZ modes."""
+        shipped = [resolve_config(load_config(path))[1]
+                   for path in sorted((REPO / "configs").glob("*.json"))]
+        zz_modes = (NoiseParams(), NoiseParams(zz_mode="dephasing_channel", p_zz=0.01))
+        return shipped + [ExperimentConfig(n_sites=n, n_steps=4, noise=params)
+                          for n in (6, 7) for params in zz_modes]
+
+    def test_no_compiled_op_permutes(self):
+        """Every op compiled for the prep, the step and the tomography
+        rotations acts on consecutive qubits in order, so the kernel contracts
+        it in place, without a gather or a scatter."""
+        for config in self.configs():
+            n = config.n_sites
+            ops = list(itertools.chain(*_compile_rotations(config)))
+            for initial in ("single_excitation", "arbitrary"):
+                circuit = assemble_circuit(replace(config, initial=initial))
+                ops += _compile_merged(circuit.prep, n) + _compile_merged(circuit.step, n)
+            assert [sop.targets for sop in ops if sop.plan.perm is not None] == [], config
 
 
 class TestShotMode:

@@ -33,9 +33,9 @@ from pstlab.sim_core import (
     PauliState,
     Superoperator,
     UnitaryGate,
+    _Plan,
     _contract,
     _contraction_plan,
-    _work_buffers,
     apply_channel,
     apply_superoperator,
     apply_superoperators,
@@ -50,30 +50,31 @@ from pstlab.sim_core import (
 )
 
 
-def embed_gate_oracle(mat: np.ndarray, targets, n: int) -> np.ndarray:
-    """Brute-force 2^n x 2^n embedding: explicit bit bookkeeping per basis pair.
+def embed_gate_oracle(mat: np.ndarray, targets, n: int, base: int = 2) -> np.ndarray:
+    """Brute-force base^n x base^n embedding: explicit digit bookkeeping per
+    basis pair, `base` entries per qubit (2 amplitudes, 4 Pauli coefficients).
 
     Independent of the tensor-reshape path under test: matrix elements are
-    assembled index by index, with qubit q mapped to bit (n-1-q).
+    assembled index by index, with qubit q mapped to digit (n-1-q).
     """
     k = len(targets)
-    dim = 2**n
+    dim = base**n
     full = np.zeros((dim, dim), dtype=complex)
     for col in range(dim):
-        bits = [(col >> (n - 1 - q)) & 1 for q in range(n)]
+        digits = [col // base ** (n - 1 - q) % base for q in range(n)]
         sub_col = 0
         for t in targets:
-            sub_col = (sub_col << 1) | bits[t]
-        for sub_row in range(2**k):
+            sub_col = sub_col * base + digits[t]
+        for sub_row in range(base**k):
             amp = mat[sub_row, sub_col]
             if amp == 0:
                 continue
-            new_bits = list(bits)
+            new_digits = list(digits)
             for j, t in enumerate(targets):
-                new_bits[t] = (sub_row >> (k - 1 - j)) & 1
+                new_digits[t] = sub_row // base ** (k - 1 - j) % base
             row = 0
             for q in range(n):
-                row |= new_bits[q] << (n - 1 - q)
+                row = row * base + new_digits[q]
             full[row, col] += amp
     return full
 
@@ -311,25 +312,33 @@ def tensordot_reference(state: PauliState, sop: Superoperator) -> np.ndarray:
 
 
 def contract_new(src: np.ndarray, mat: np.ndarray, plan) -> np.ndarray:
-    """The kernel on a complex vector or batch, into a new array, with complex
-    work buffers of its own."""
-    return _contract(src, mat, plan, np.empty(src.shape, dtype=complex),
-                     np.empty(src.size, dtype=complex), np.empty(src.size, dtype=complex))
+    """The kernel on a Pauli vector or batch, into a new array, with a spare
+    buffer of its own."""
+    return _contract(src, mat, plan, np.empty(src.shape), np.empty(src.size))
+
+
+def permuting(sop: Superoperator) -> Superoperator:
+    """A copy of sop whose plan gathers and scatters, as scrambled targets do."""
+    n = sop.n_qubits
+    perm = (*sop.targets, *(q for q in range(n) if q not in sop.targets), n)
+    copy = Superoperator(sop.matrix, sop.targets, n)
+    copy.plan = _Plan(None, perm, tuple(np.argsort(perm)))
+    return copy
 
 
 class TestKernel:
-    @pytest.mark.parametrize("targets", [(2,), (3, 0), (1, 4, 2)])
+    @pytest.mark.parametrize("targets", [(2,), (3, 0), (1, 4, 2), (1, 2, 3), (4,)])
     def test_batch_equals_column_by_column(self, targets):
         rng = np.random.default_rng(len(targets))
-        n, dim = 5, 2 ** len(targets)
-        mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        batch = rng.normal(size=(2**n, 6)) + 1j * rng.normal(size=(2**n, 6))
+        n, dim = 5, 4 ** len(targets)
+        mat = rng.normal(size=(dim, dim))
+        batch = rng.normal(size=(4**n, 6))
         plan = _contraction_plan(targets, n)
         out = contract_new(batch, mat, plan)
         columns = np.stack([contract_new(batch[:, j], mat, plan)
                             for j in range(batch.shape[1])], axis=1)
         np.testing.assert_allclose(out, columns, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(out, embed_gate_oracle(mat, targets, n) @ batch,
+        np.testing.assert_allclose(out, (embed_gate_oracle(mat, targets, n, base=4) @ batch).real,
                                    rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
@@ -346,18 +355,53 @@ class TestKernel:
             assert np.array_equal(apply_superoperator(state, sop).to_density_matrix().matrix,
                                   tensordot_reference(state, sop))
 
-    def test_in_place_equals_new_array(self):
-        """dst may be src: the kernel gathers all of src before it scatters."""
-        n, targets = 5, (3, 0)
+    @pytest.mark.parametrize("batch", [False, True], ids=["vector", "batch"])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_consecutive_blocks_match_tensordot(self, n, batch):
+        """Targets a..a+k-1 in order contract in place: a block at the front,
+        one in the middle and two at the end (one GEMM against mat.T unless a
+        batch axis follows), each within 1e-15 of tensordot_reference,
+        relative to its largest entry."""
+        rng = np.random.default_rng(n)
+        states = [PauliState.from_density_matrix(random_density(n, seed=n + j))
+                  for j in range(3 if batch else 1)]
+        src = np.stack([s.vector for s in states], axis=1) if batch else states[0].vector
+        for targets in [(0, 1), tuple(range(1, min(n - 1, 4))), (n - 2, n - 1), (n - 1,)]:
+            sop = Superoperator(rng.normal(size=(4 ** len(targets),) * 2), targets, n)
+            assert sop.plan.perm is None
+            got = contract_new(src, sop.matrix, sop.plan).reshape(4**n, -1)
+            for j, state in enumerate(states):
+                want = tensordot_reference(state, sop)
+                err = np.max(np.abs(PauliState(n, got[:, j]).to_density_matrix().matrix - want))
+                assert err <= 1e-15 * np.max(np.abs(want)), (targets, err)
+
+    def test_merged_noisy_step_matches_the_permuting_path(self):
+        """One merged comprehensive-noise step at N = 8, in place against the
+        same ops through the gather, matmul and scatter."""
+        n = 8
+        config = ExperimentConfig(n_sites=n, n_steps=8, noise=NoiseParams())
+        step = _compile_merged(assemble_circuit(config).step, n)
+        assert all(sop.plan.perm is None for sop in step)
+        state = PauliState.from_density_matrix(random_density(n, seed=8))
+        work = np.empty(4**n)
+        got = apply_superoperators(state, step, work).vector
+        want = apply_superoperators(state, [permuting(sop) for sop in step], work).vector
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("targets", [(3, 0), (1, 4, 2)])
+    def test_spare_may_be_src(self, targets):
+        """The kernel reads all of src before it writes spare, so reusing src
+        as the spare buffer gives what a new spare gives."""
+        n = 5
         rng = np.random.default_rng(7)
-        mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        mat = rng.normal(size=(4 ** len(targets),) * 2)
+        vec = rng.normal(size=4**n)
         plan = _contraction_plan(targets, n)
         want = contract_new(vec, mat, plan)
-        got = _contract(vec, mat, plan, vec, np.empty(vec.size, dtype=complex),
-                        np.empty(vec.size, dtype=complex))
-        assert got is vec
-        assert np.array_equal(vec, want)
+        dst = np.empty_like(vec)
+        got = _contract(vec, mat, plan, dst, vec)
+        assert got is dst
+        assert np.array_equal(dst, want)
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_sequence_equals_one_by_one(self, n):
@@ -371,7 +415,7 @@ class TestKernel:
         want = rho
         for sop in sops:
             want = apply_superoperator(want, sop)
-        work = _work_buffers(rho.vector.size)
+        work = np.empty(rho.vector.size)
         got = apply_superoperators(rho, sops, work)
         assert np.array_equal(got.to_density_matrix().matrix, want.to_density_matrix().matrix)
         again = apply_superoperators(rho, sops, work)
@@ -407,7 +451,7 @@ class TestMergeSuperoperators:
         assert len(merged) < len(ops)
         assert all(len(sop.targets) <= MERGE_WIDTH for sop in merged)
         rho = PauliState.from_density_matrix(random_density(n, seed=n))
-        work = _work_buffers(rho.vector.size)
+        work = np.empty(rho.vector.size)
         np.testing.assert_allclose(apply_superoperators(rho, merged, work).to_density_matrix().matrix,
                                    apply_superoperators(rho, ops, work).to_density_matrix().matrix,
                                    rtol=0, atol=1e-13)
