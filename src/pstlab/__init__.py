@@ -35,9 +35,7 @@ from .mitigation import (
     forward_decay,
 )
 from .noise import (
-    ChannelAttachment,
     NoiseParams,
-    attach_channels,
     attach_comprehensive,
     depolarizing_channel,
     pauli_channel,

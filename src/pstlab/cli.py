@@ -236,8 +236,6 @@ def resolve_config(cfg: dict, seed_override=None):
 
     chain = blocks["chain"]
     n = _integer(chain.get("n", 4), "chain.n")
-    if n < 2:
-        raise ConfigError(f"chain.n must be >= 2, got {n}")
     couplings = chain.get("couplings")
     if couplings is not None:
         if not isinstance(couplings, list):
@@ -248,8 +246,6 @@ def resolve_config(cfg: dict, seed_override=None):
     plan = blocks["plan"]
     total_time = parse_time_value(plan.get("total_time", "2pi"))
     steps = _integer(plan.get("steps", 80), "plan.steps")
-    if total_time <= 0 or steps < 1:
-        raise ConfigError("plan.total_time must be > 0 and plan.steps >= 1")
 
     noise = _build_noise(cfg.get("noise", {}))
     if noise is None and experiment in ("rescale", "grid_search", "bayes_opt"):
@@ -260,8 +256,6 @@ def resolve_config(cfg: dict, seed_override=None):
     shots = cfg.get("shots")
     if shots is not None:
         shots = _integer(shots, "shots")
-        if shots < 1:
-            raise ConfigError("shots must be >= 1 or null")
     seed = _integer(cfg.get("seed", 0) if seed_override is None else seed_override, "seed")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")

@@ -32,7 +32,7 @@ from .chains import (
     gate_matrix,
     pst_couplings,
 )
-from .noise import NoiseParams, attach_comprehensive, attach_to_ops, comprehensive_attachments
+from .noise import NoiseParams, attach_comprehensive, with_noise
 from .sim_core import (
     DensityMatrix,
     PauliState,
@@ -279,14 +279,13 @@ def _compile_rotations(config: ExperimentConfig) -> list:
     each gate with the comprehensive model's single-qubit layers when noise
     is on."""
     qubit = config.n_sites - 1
-    attachments = comprehensive_attachments(config.noise) if config.noise is not None else []
-    return [
-        _compile_merged(attach_to_ops(
-            [GateOp(UnitaryGate(gate_matrix(kind.upper()), (qubit,), kind=kind)) for kind in kinds],
-            attachments,
-        ), config.n_sites)
-        for kinds in _BASIS_GATE_KINDS.values()
-    ]
+    compiled = []
+    for kinds in _BASIS_GATE_KINDS.values():
+        ops = [GateOp(UnitaryGate(gate_matrix(kind.upper()), (qubit,), kind=kind)) for kind in kinds]
+        if config.noise is not None:
+            ops = with_noise(ops, config.noise)
+        compiled.append(_compile_merged(ops, config.n_sites))
+    return compiled
 
 
 def run_arbitrary_transfer(config: ExperimentConfig) -> TomographyRecord:

@@ -1,4 +1,4 @@
-"""Noise-channel constructors and the layered comprehensive model.
+"""Noise-channel constructors and the comprehensive model's per-gate schedule.
 
 Defaults follow superconducting-transmon calibration data: single-qubit
 Pauli error p = 1.875e-3 (split evenly over X, Y, Z), depolarizing
@@ -6,19 +6,20 @@ q = 2.5e-3 = 4p/3, T1 = 266.74 us, T2 = 199.97 us, gate durations
 57 ns (1q) / 533 ns (2q), and ZZ crosstalk rate zeta = 0.1 in simulation
 units.
 
-Layering on a Trotter circuit: depolarizing (tensor of two single-qubit
-channels) after every two-qubit XY gate models gate error; thermal
-relaxation is layered after every gate with the matching duration; ZZ
-crosstalk is either the coherent RZZ gates already present in the circuit
-(hamiltonian mode) or an incoherent Z(x)Z dephasing attachment
-(dephasing_channel mode). Every single-qubit gate (state prep, tomography
-basis change) carries the Pauli channel plus 1q-duration thermal relaxation.
+The schedule (`with_noise`) puts channels right after each gate, on its
+targets. Every two-qubit XY gate gets depolarizing error (the tensor of two
+single-qubit channels), then thermal relaxation over the 2q duration, then,
+in dephasing_channel mode, Z(x)Z dephasing as the incoherent crosstalk.
+Every single-qubit gate (state prep, tomography basis change) gets thermal
+relaxation over the 1q duration, then the Pauli channel. In hamiltonian mode
+ZZ crosstalk is the coherent RZZ gates already in the circuit, which get no
+channel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -30,13 +31,12 @@ from .sim_core import (
     PAULI_Y,
     PAULI_Z,
     KrausChannel,
-    validate_cptp,
 )
 
 _TWO_QUBIT_KINDS = frozenset({"rxx", "ryy"})
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseParams:
     """Parameters and layer toggles of the comprehensive model."""
 
@@ -162,106 +162,49 @@ def zz_dephasing_channel(p_zz: float) -> KrausChannel:
     return KrausChannel(ops)
 
 
-@dataclass(frozen=True)
-class ChannelAttachment:
-    """Attach `channel` after every gate matched by kind/arity.
+def with_noise(ops, params: NoiseParams) -> list:
+    """New GateOps, each gate followed by the model's channels on its targets.
 
-    With per_target=True a single-qubit channel is applied once per target
-    qubit of the matched gate; otherwise the channel acts on the gate's
-    target tuple directly.
+    After an rxx/ryy gate: depolarizing (x) depolarizing, then 2q-duration
+    thermal (x) thermal, then Z(x)Z dephasing in dephasing_channel mode only.
+    After a single-qubit gate: 1q-duration thermal, then the Pauli channel.
+    An rzz gate gets nothing: coherent crosstalk is the gate itself.
     """
-
-    channel: KrausChannel
-    gate_kinds: frozenset | None = None
-    arity: int | None = None
-    per_target: bool = False
-
-    def matches(self, gate) -> bool:
-        if self.arity is not None and gate.arity != self.arity:
-            return False
-        if self.gate_kinds is not None and gate.kind not in self.gate_kinds:
-            return False
-        return True
-
-    def placements(self, gate):
-        if self.per_target:
-            return [(self.channel, (t,)) for t in gate.targets]
-        if self.channel.arity != gate.arity:
-            raise ValueError(
-                f"channel arity {self.channel.arity} does not match gate arity {gate.arity}"
-            )
-        return [(self.channel, gate.targets)]
-
-
-def attach_to_ops(ops, attachments) -> list:
-    """New GateOps with the attachments' channels added after each matched gate."""
+    after_xy, after_1q = _channels(params)
     out = []
     for op in ops:
-        channels = list(op.channels)
-        for att in attachments:
-            if att.matches(op.gate):
-                channels.extend(att.placements(op.gate))
-        out.append(GateOp(op.gate, channels))
+        gate = op.gate
+        if gate.kind in _TWO_QUBIT_KINDS:
+            added = after_xy
+        elif gate.arity == 1:
+            added = after_1q
+        else:
+            added = ()
+        out.append(GateOp(gate, [*op.channels, *((ch, gate.targets) for ch in added)]))
     return out
 
 
-def attach_channels(circuit: NoisyCircuit, attachments) -> NoisyCircuit:
-    """Return a new circuit with the attachments' channels added post-gate."""
-    for att in attachments:
-        report = validate_cptp(att.channel)
-        if not report.ok:
-            raise ValueError(f"attachment channel failed CPTP check: {report}")
-    return replace(circuit, prep=attach_to_ops(circuit.prep, attachments),
-                   step=attach_to_ops(circuit.step, attachments))
-
-
-def comprehensive_attachments(params: NoiseParams) -> list:
-    """The attachment list realizing the layered model for one NoiseParams.
+@lru_cache(maxsize=16)
+def _channels(params: NoiseParams) -> tuple:
+    """(channels after an rxx/ryy gate, channels after a single-qubit gate).
 
     Equal parameters share their channel objects, and with them each
-    channel's cached superoperator, across runs.
+    channel's cached Pauli transfer matrix, across runs.
     """
-    return list(_comprehensive_attachments(astuple(params)))
-
-
-@lru_cache(maxsize=16)
-def _comprehensive_attachments(values: tuple) -> tuple:
-    params = NoiseParams(*values)
-    atts = []
+    after_xy, after_1q = [], []
     if params.depol_on:
         depol = depolarizing_channel(params.q_depol)
-        atts.append(
-            ChannelAttachment(
-                channel=two_qubit_tensor_channel(depol, depol),
-                gate_kinds=_TWO_QUBIT_KINDS,
-                arity=2,
-            )
-        )
+        after_xy.append(two_qubit_tensor_channel(depol, depol))
     if params.thermal_on:
         th2 = thermal_relaxation_channel(params.t1, params.t2, params.dur_2q)
-        atts.append(
-            ChannelAttachment(
-                channel=two_qubit_tensor_channel(th2, th2),
-                gate_kinds=_TWO_QUBIT_KINDS,
-                arity=2,
-            )
-        )
-        th1 = thermal_relaxation_channel(params.t1, params.t2, params.dur_1q)
-        atts.append(ChannelAttachment(channel=th1, arity=1, per_target=True))
+        after_xy.append(two_qubit_tensor_channel(th2, th2))
+        after_1q.append(thermal_relaxation_channel(params.t1, params.t2, params.dur_1q))
     if params.pauli_on:
         third = params.p_pauli / 3.0
-        atts.append(
-            ChannelAttachment(channel=pauli_channel(third, third, third), arity=1, per_target=True)
-        )
+        after_1q.append(pauli_channel(third, third, third))
     if params.zz_on and params.zz_mode == "dephasing_channel":
-        atts.append(
-            ChannelAttachment(
-                channel=zz_dephasing_channel(params.p_zz),
-                gate_kinds=_TWO_QUBIT_KINDS,
-                arity=2,
-            )
-        )
-    return tuple(atts)
+        after_xy.append(zz_dephasing_channel(params.p_zz))
+    return tuple(after_xy), tuple(after_1q)
 
 
 def attach_comprehensive(circuit: NoisyCircuit, params: NoiseParams) -> NoisyCircuit:
@@ -282,5 +225,6 @@ def attach_comprehensive(circuit: NoisyCircuit, params: NoiseParams) -> NoisyCir
         )
     if not params.zz_on and circuit.zeta > 0:
         raise ValueError("circuit has RZZ gates but the zz layer is toggled off")
-    return attach_channels(circuit, comprehensive_attachments(params))
+    return replace(circuit, prep=with_noise(circuit.prep, params),
+                   step=with_noise(circuit.step, params))
 

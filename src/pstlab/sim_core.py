@@ -336,22 +336,18 @@ def apply_channel(rho: DensityMatrix, channel: KrausChannel, targets) -> Density
     return DensityMatrix(n, out, validate=False)
 
 
-_PAULI_BASES = {}  # k -> _pauli_basis(k), a constant built on first use
-
-
+@lru_cache(maxsize=None)
 def _pauli_basis(k: int) -> np.ndarray:
     """C, taking a k-qubit rho's entries (row index first) to its Pauli
     coefficients: _TO_PAULI on each qubit's (row, column) pair of entries.
     Its rows are orthogonal with norm^2 2^k, so C^-1 = C^dag / 2^k."""
-    if k not in _PAULI_BASES:
-        to_pauli = np.ones((1, 1))
-        for _ in range(k):
-            to_pauli = _kron(to_pauli, _TO_PAULI)
-        basis = np.empty_like(to_pauli)
-        basis[:, np.arange(4**k).reshape((2,) * 2 * k).transpose(_paired_axes(k)).ravel()] = to_pauli
-        basis.setflags(write=False)  # shared by every caller
-        _PAULI_BASES[k] = basis
-    return _PAULI_BASES[k]
+    to_pauli = np.ones((1, 1))
+    for _ in range(k):
+        to_pauli = _kron(to_pauli, _TO_PAULI)
+    basis = np.empty_like(to_pauli)
+    basis[:, np.arange(4**k).reshape((2,) * 2 * k).transpose(_paired_axes(k)).ravel()] = to_pauli
+    basis.setflags(write=False)  # shared by every caller
+    return basis
 
 
 def _pauli_transfer_matrix(superop: np.ndarray, k: int) -> np.ndarray:

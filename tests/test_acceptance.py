@@ -28,11 +28,13 @@ acceptance suite") holds the measured values and the diagnosis of the reds
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pstlab.chains import (
+    GateOp,
     TrotterPlan,
     build_trotter_circuit,
     exact_sp_oracle,
@@ -50,8 +52,6 @@ from pstlab.experiments import (
 from pstlab.mitigation import RescaleParams, apply_rescaling, fit_rescaling, forward_decay
 from pstlab.noise import (
     NoiseParams,
-    attach_channels,
-    ChannelAttachment,
     depolarizing_channel,
     pauli_channel,
     thermal_relaxation_channel,
@@ -120,12 +120,10 @@ def single_source_series(params: NoiseParams) -> SPTimeSeries:
 def matched_channel_peak(channel_1q) -> float:
     """Peak SP with the given 1q channel tensored after every XY gate."""
     circuit = assemble_circuit(ExperimentConfig(n_sites=4))
-    att = ChannelAttachment(
-        channel=two_qubit_tensor_channel(channel_1q, channel_1q),
-        gate_kinds=frozenset({"rxx", "ryy"}),
-        arity=2,
-    )
-    noisy = attach_channels(circuit, [att])
+    pair = two_qubit_tensor_channel(channel_1q, channel_1q)
+    step = [GateOp(op.gate, [(pair, op.gate.targets)] if op.gate.kind in ("rxx", "ryy") else [])
+            for op in circuit.step]
+    noisy = replace(circuit, step=step)
     values = evolve_recorded(noisy, lambda st: qubit_p1(st, 3))
     series = SPTimeSeries(times=noisy.plan.times(), values={4: values})
     return detect_first_peak(series)[1]

@@ -370,6 +370,10 @@ class TestExitCodes:
         {"experiment": "grid_search", "grid": {"step": 0}},
         {"experiment": "bayes_opt", "bo": {"top_starts": 0}},
         {"plan": {"steps": 4.7}},
+        {"chain": {"n": 1}},
+        {"plan": {"steps": 0}},
+        {"plan": {"total_time": 0}},
+        {"shots": 0},
         # keys of removed options
         {"noise": {"thermal_mode": "reset"}},
         {"noise": {"px": 1e-3}},

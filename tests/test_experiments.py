@@ -29,7 +29,7 @@ from pstlab.experiments import (
     series_to_json,
     tomography_reconstruct,
 )
-from pstlab.noise import NoiseParams, attach_to_ops, comprehensive_attachments
+from pstlab.noise import NoiseParams, with_noise
 from pstlab.sim_core import (
     MERGE_WIDTH,
     DensityMatrix,
@@ -194,8 +194,7 @@ class TestFusedMatchesKrausLoop:
             one_qubit = [GateOp(UnitaryGate(gate_matrix("X"), (1,), kind="x"))] + [
                 GateOp(UnitaryGate(gate_matrix(kind.upper()), (n - 1,), kind=kind))
                 for kind in ("sdg", "h")]
-            ops = circuit.prep + circuit.step + attach_to_ops(
-                one_qubit, comprehensive_attachments(params))
+            ops = circuit.prep + circuit.step + with_noise(one_qubit, params)
             oracle = mixed_state(n, seed=n)
             fused = PauliState.from_density_matrix(oracle)
             for op, sop in zip(ops, _compile_ops(ops, n)):
@@ -230,9 +229,9 @@ class TestMergedMatchesKrausLoop:
     def op_lists(n: int, params: NoiseParams) -> list:
         circuit = assemble_circuit(ExperimentConfig(
             n_sites=n, n_steps=8, noise=params, initial="arbitrary", amp_a=0.6, amp_b=0.8j))
-        rotations = [attach_to_ops(
+        rotations = [with_noise(
             [GateOp(UnitaryGate(gate_matrix(kind.upper()), (n - 1,), kind=kind)) for kind in kinds],
-            comprehensive_attachments(params)) for kinds in (("h",), ("sdg", "h"))]
+            params) for kinds in (("h",), ("sdg", "h"))]
         return [circuit.prep, circuit.step, *rotations]
 
     @staticmethod

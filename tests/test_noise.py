@@ -7,21 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pstlab.chains import TrotterPlan, build_trotter_circuit, gate_matrix, pst_couplings
+from pstlab.chains import GateOp, TrotterPlan, build_trotter_circuit, gate_matrix, pst_couplings
+from pstlab.experiments import ExperimentConfig, _compile_merged, _compile_rotations, assemble_circuit
 from pstlab.noise import (
-    ChannelAttachment,
     NoiseParams,
-    attach_channels,
     attach_comprehensive,
-    comprehensive_attachments,
     depolarizing_channel,
     pauli_channel,
     thermal_relaxation_channel,
     two_qubit_tensor_channel,
+    with_noise,
     zz_dephasing_channel,
 )
 from pstlab.sim_core import (
     DensityMatrix,
+    UnitaryGate,
     apply_channel,
     choi_matrix,
     validate_cptp,
@@ -48,18 +48,30 @@ def plus_state() -> DensityMatrix:
     return ket_density(np.array([1, 1]) / math.sqrt(2))
 
 
+def bare_op(kind: str, qubit: int) -> GateOp:
+    """A channel-free single-qubit gate op."""
+    return GateOp(UnitaryGate(gate_matrix(kind.upper()), (qubit,), kind=kind))
+
+
+def assert_same_kraus(got, want):
+    assert len(got.kraus_ops) == len(want.kraus_ops)
+    for a, b in zip(got.kraus_ops, want.kraus_ops):
+        np.testing.assert_array_equal(a, b)
+
+
 class TestNoiseParams:
     def test_defaults_split_pauli_evenly(self):
         params = NoiseParams()
         assert params.p_pauli == 1.875e-3
         assert params.q_depol == 2.5e-3
         assert params.zeta == 0.1
-        (pauli,) = comprehensive_attachments(NoiseParams(depol_on=False, thermal_on=False))
+        (op,) = with_noise([bare_op("x", 0)], NoiseParams(depol_on=False, thermal_on=False))
+        ((pauli, targets),) = op.channels
+        assert targets == (0,)
         third = params.p_pauli / 3
-        want = pauli_channel(third, third, third).kraus_ops
-        assert len(pauli.channel.kraus_ops) == len(want) == 4
-        for got, op in zip(pauli.channel.kraus_ops, want):
-            np.testing.assert_array_equal(got, op)
+        want = pauli_channel(third, third, third)
+        assert len(want.kraus_ops) == 4
+        assert_same_kraus(pauli, want)
 
     def test_unphysical_t2_rejected(self):
         with pytest.raises(ValueError, match="2\\*T1"):
@@ -311,7 +323,8 @@ class TestComprehensiveAssembly:
         assert [op.gate.kind for op in out.gate_ops()] == [op.gate.kind for op in circ.gate_ops()]
 
     def test_default_attachment_counts(self):
-        """Six depolarizing + six thermal two-qubit attachments per step."""
+        """Six depolarizing + six thermal two-qubit attachments per step, each
+        on its gate's pair: 16 + 16 Kraus operators after every XY gate."""
         params = NoiseParams()
         circ = self.make_circuit(zeta=params.circuit_zeta())
         out = attach_comprehensive(circ, params)
@@ -320,13 +333,58 @@ class TestComprehensiveAssembly:
         assert len(two_q) == 6
         assert all(len(op.channels) == 2 for op in two_q)  # depol + thermal
         assert all(ch.arity == 2 for op in two_q for ch, _ in op.channels)
+        assert all(targets == op.gate.targets for op in two_q for _, targets in op.channels)
+        assert [len(ch.kraus_ops) for ch, _ in two_q[0].channels] == [16, 16]
         rzz = [op for op in step if op.gate.kind == "rzz"]
         assert len(rzz) == 3
         assert all(not op.channels for op in rzz)  # crosstalk gates carry no channels
+        assert len(step) == len(circ.step) and not circ.has_channels()  # input left as it was
+
+    @pytest.mark.parametrize("params", [
+        NoiseParams(), NoiseParams(zz_mode="dephasing_channel", p_zz=0.02)],
+        ids=["defaults", "dephasing"])
+    def test_schedule_order_per_gate_kind(self, params):
+        """The exact channel sequence and targets after every gate kind the
+        experiments build: the XY and RZZ step gates, the X, H and u prep
+        gates, and the S^dag/H tomography rotations."""
+        depol = depolarizing_channel(params.q_depol)
+        th2 = thermal_relaxation_channel(params.t1, params.t2, params.dur_2q)
+        third = params.p_pauli / 3
+        after_xy = [two_qubit_tensor_channel(depol, depol), two_qubit_tensor_channel(th2, th2)]
+        if params.zz_mode == "dephasing_channel":
+            after_xy.append(zz_dephasing_channel(params.p_zz))
+        after_1q = [thermal_relaxation_channel(params.t1, params.t2, params.dur_1q),
+                    pauli_channel(third, third, third)]
+        want = {"rxx": after_xy, "ryy": after_xy, "rzz": [],
+                "x": after_1q, "h": after_1q, "u": after_1q}
+
+        seen = set()
+        for initial, amps in (("single_excitation", {}), ("arbitrary", {}),
+                              ("arbitrary", {"amp_a": 0.6, "amp_b": 0.8})):
+            circuit = assemble_circuit(ExperimentConfig(n_sites=4, n_steps=2, noise=params,
+                                                        initial=initial, **amps))
+            for op in circuit.prep + circuit.step:
+                seen.add(op.gate.kind)
+                channels = want[op.gate.kind]
+                assert [t for _, t in op.channels] == [op.gate.targets] * len(channels)
+                for (got, _), ch in zip(op.channels, channels):
+                    assert_same_kraus(got, ch)
+        coherent = {"rzz"} if params.zz_mode == "hamiltonian" else set()
+        assert seen == {"rxx", "ryy", "x", "h", "u"} | coherent
+
+        # The rotations are compiled; they equal the same gates followed by
+        # after_1q, compiled and merged, bit for bit.
+        config = ExperimentConfig(n_sites=4, n_steps=2, noise=params, initial="arbitrary")
+        for kinds, got in zip((("h",), ("sdg", "h"), ()), _compile_rotations(config)):
+            ops = [GateOp(op.gate, [(ch, (3,)) for ch in after_1q])
+                   for op in (bare_op(kind, 3) for kind in kinds)]
+            expected = _compile_merged(ops, 4)
+            assert len(got) == len(expected)
+            for a, b in zip(got, expected):
+                assert a.targets == b.targets
+                np.testing.assert_array_equal(a.matrix, b.matrix)
 
     def test_prep_gate_gets_pauli_and_thermal(self):
-        from pstlab.experiments import ExperimentConfig, assemble_circuit
-
         circ = assemble_circuit(ExperimentConfig(n_sites=4, noise=NoiseParams()))
         (prep,) = circ.prep
         assert prep.gate.kind == "x"
@@ -336,8 +394,6 @@ class TestComprehensiveAssembly:
     def test_general_amplitude_prep_gets_the_same_noise(self):
         """The "u" prep gate built for arbitrary amplitudes carries the same
         single-qubit channels as the default |+> prep."""
-        from pstlab.experiments import ExperimentConfig, assemble_circuit
-
         default, general = (
             assemble_circuit(ExperimentConfig(n_sites=4, noise=NoiseParams(),
                                               initial="arbitrary", **amps)).prep[0]
@@ -372,32 +428,31 @@ class TestComprehensiveAssembly:
         with pytest.raises(ValueError, match="already"):
             attach_comprehensive(circ, params)
 
-    def test_attach_channels_rejects_non_cptp(self):
-        from pstlab.sim_core import KrausChannel
-
-        bad = ChannelAttachment(channel=KrausChannel([np.sqrt(0.5) * np.eye(2)]),
-                                arity=1, per_target=True)
-        with pytest.raises(ValueError, match="CPTP"):
-            attach_channels(self.make_circuit(), [bad])
-
     def test_equal_params_share_channels(self):
         """Channels are built once per distinct noise setting, so their cached
         Pauli transfer matrices carry over from one run to the next."""
-        first = comprehensive_attachments(NoiseParams())
-        second = comprehensive_attachments(NoiseParams())
-        assert first == second and first is not second
-        assert all(a.channel is b.channel for a, b in zip(first, second))
-        first.clear()  # a caller's list is its own
-        assert len(comprehensive_attachments(NoiseParams())) == len(second)
-        other = comprehensive_attachments(NoiseParams(q_depol=0.01))
-        assert other[0].channel is not second[0].channel
-        assert not np.allclose(other[0].channel.pauli_transfer_matrix(),
-                               second[0].channel.pauli_transfer_matrix())
+        ops = self.make_circuit().step[:1] + [bare_op("h", 0)]
+        first = with_noise(ops, NoiseParams())
+        second = with_noise(ops, NoiseParams())
+        assert first is not second and first[0] is not second[0]
+        assert [len(op.channels) for op in first] == [len(op.channels) for op in second] == [2, 2]
+        assert all(a is b for op_a, op_b in zip(first, second)
+                   for (a, _), (b, _) in zip(op_a.channels, op_b.channels))
+        first[0].channels.clear()  # a caller's list is its own
+        assert [len(op.channels) for op in with_noise(ops, NoiseParams())] == [2, 2]
+        assert all(not op.channels for op in ops)  # the input ops are left as they were
+        other = with_noise(ops, NoiseParams(q_depol=0.01))
+        depol, other_depol = second[0].channels[0][0], other[0].channels[0][0]
+        assert other_depol is not depol
+        assert not np.allclose(other_depol.pauli_transfer_matrix(), depol.pauli_transfer_matrix())
 
     def test_every_default_channel_passes_cptp(self):
-        for att in comprehensive_attachments(NoiseParams(zz_mode="dephasing_channel",
-                                                         p_zz=0.05)):
-            assert validate_cptp(att.channel).ok
+        ops = with_noise(self.make_circuit().step + [bare_op("h", 0)],
+                         NoiseParams(zz_mode="dephasing_channel", p_zz=0.05))
+        channels = {id(ch): ch for op in ops for ch, _ in op.channels}
+        assert len(channels) == 5  # depol, 2q thermal, ZZ dephasing, 1q thermal, Pauli
+        for channel in channels.values():
+            assert validate_cptp(channel).ok
 
 
 class TestRandomDrawCPTP:
