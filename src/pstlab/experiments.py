@@ -9,9 +9,12 @@ op (a gate with its channels, if any) is compiled once per run into one
 fused superoperator (a real Pauli transfer matrix), and adjacent fused ops
 of the prep layer, the Trotter step and each tomography basis rotation are
 merged into superoperators of at most sim_core.MERGE_WIDTH qubits. Merging
-never crosses a recorded step boundary. This module only creates the zero state, applies
-compiled ops and reads populations with qubit_p1; the basis change lives in
-sim_core.
+never crosses a recorded step boundary. Runs that differ only in couplings
+can evolve in lock-step as one batch (evolve_recorded, run_sp_batch): each
+is compiled as its own run, their ops are stacked, and readout stays per
+member, so each member's records are bit-identical to its own run's. This
+module only creates the zero state, applies compiled ops and reads
+populations with qubit_p1; the basis change lives in sim_core.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -38,11 +41,25 @@ from .sim_core import (
     PauliState,
     UnitaryGate,
     apply_superoperators,
+    apply_to_members,
     fused_superoperator,
     merge_superoperators,
     qubit_p1,
     qubit_state_fidelity,
+    stack_superoperators,
 )
+
+# The most Pauli coefficients, over all its members, that one lock-step batch
+# of evolve_recorded holds: a larger batch runs in chunks of
+# max(1, MAX_BATCH_COEFFS // 4^n) members, 32 / 8 / 2 at N = 4 / 5 / 6 and one
+# from N = 7 up, so a grid at N = 8 holds one state at a time. Batching saves
+# per-op call overhead; wide batches lose it to cache misses. One
+# comprehensive-noise step per member, one BLAS thread, medians of 9 rounds:
+# N = 4 20 us alone, 6.3 / 7.3 / 8.6 us in batches of 16 / 32 / 64; N = 5 31
+# us alone, 19 / 19 / 21 us in 4 / 8 / 16; N = 6 106 us alone, 91 / 95 / 99 us
+# in 2 / 4 / 8; N = 7 350-500 us alone or in 2. 2^13 keeps N = 4 to 6 within
+# 16 % of their best batch.
+MAX_BATCH_COEFFS = 2**13
 
 
 class NoPeakError(ValueError):
@@ -198,20 +215,40 @@ def _compile_merged(ops, n_qubits: int) -> list:
     return merge_superoperators(_compile_ops(ops, n_qubits))
 
 
-def evolve_recorded(circuit: NoisyCircuit, record):
-    """Run prep then every step, calling record(state) at k = 0..n_steps.
+def evolve_recorded(circuits, records) -> list:
+    """Run the circuits in lock-step, prep then every step, calling
+    records[b](state) on circuit b's state at k = 0..n_steps; returns, per
+    circuit, the list of what its record returned.
 
-    Each recorded state is a new PauliState; the kernel's work buffer is
-    allocated once per call.
+    The circuits must share their register size and plan, and their
+    compiled ops must act on the same targets, as circuits assembled from
+    configs that differ only in couplings do. Each circuit's ops are
+    compiled as for a run of its own, and the ops at each position are
+    stacked into one, so a step costs one matmul per op whatever the batch
+    size and each member's states are bit-identical to its own run's. A
+    batch holds at most MAX_BATCH_COEFFS Pauli coefficients (one member at
+    least); a larger one runs in chunks. Each recorded state is a new
+    PauliState; the kernel's work buffer is allocated once per chunk.
     """
-    n = circuit.n_qubits
-    work = np.empty(4**n)
-    step = _compile_merged(circuit.step, n)
-    state = apply_superoperators(PauliState.zero(n), _compile_merged(circuit.prep, n), work)
-    out = [record(state)]
-    for _ in range(circuit.plan.n_steps):
-        state = apply_superoperators(state, step, work)
-        out.append(record(state))
+    if not circuits:
+        return []
+    n, plan = circuits[0].n_qubits, circuits[0].plan
+    if any(c.n_qubits != n or c.plan != plan for c in circuits):
+        raise ValueError("lock-step circuits must share their register size and plan")
+    size = max(1, MAX_BATCH_COEFFS // 4**n)
+    out = []
+    for lo in range(0, len(circuits), size):
+        chunk, recorders = circuits[lo:lo + size], records[lo:lo + size]
+        prep = stack_superoperators([_compile_merged(c.prep, n) for c in chunk])
+        step = stack_superoperators([_compile_merged(c.step, n) for c in chunk])
+        work = np.empty(len(chunk) * 4**n)
+        states = apply_to_members(np.tile(PauliState.zero(n).vector, (len(chunk), 1)), prep, work)
+        rows = [[record(PauliState(n, vec))] for record, vec in zip(recorders, states)]
+        for _ in range(plan.n_steps):
+            states = apply_to_members(states, step, work)
+            for row, record, vec in zip(rows, recorders, states):
+                row.append(record(PauliState(n, vec)))
+        out += rows
     return out
 
 
@@ -229,20 +266,44 @@ def measure_p1(state, qubit: int, shots, rng, readout_error: float) -> float:
 
 def run_sp_series(config: ExperimentConfig) -> SPTimeSeries:
     """End-site success probability over the Trotter grid."""
-    if config.initial != "single_excitation":
+    return run_sp_batch([config])[0]
+
+
+def run_sp_batch(configs) -> list:
+    """run_sp_series of each config, the runs evolved in lock-step by
+    evolve_recorded.
+
+    The configs may differ only in couplings (or j0, which sets them); any
+    other difference raises ValueError before any circuit is built. Each
+    member's series is bit-identical to its own run_sp_series: readout,
+    with its own generator under the shared seed, stays per member.
+    """
+    if not configs:
+        return []
+    first = configs[0]
+    for config in configs[1:]:
+        differ = [f.name for f in fields(ExperimentConfig) if f.name not in ("j0", "couplings")
+                  and getattr(config, f.name) != getattr(first, f.name)]
+        if differ:
+            raise ValueError(f"lock-step runs may differ only in couplings, not in {differ}")
+    if first.initial != "single_excitation":
         raise ValueError("run_sp_series expects a single-excitation initial state")
-    sites = config.measured_sites or (config.n_sites,)
-    circuit = assemble_circuit(config)
-    rng = np.random.default_rng(config.seed)
-    readout = config.noise.readout_error if config.noise is not None else 0.0
+    sites = first.measured_sites or (first.n_sites,)
+    readout = first.noise.readout_error if first.noise is not None else 0.0
 
-    def record(state):
-        return [measure_p1(state, s - 1, config.shots, rng, readout) for s in sites]
+    def recorder():
+        rng = np.random.default_rng(first.seed)
+        return lambda state: [measure_p1(state, s - 1, first.shots, rng, readout) for s in sites]
 
-    rows = np.array(evolve_recorded(circuit, record))
-    values = {s: rows[:, i] for i, s in enumerate(sites)}
-    meta = _series_meta(config, circuit)
-    return SPTimeSeries(times=circuit.plan.times(), values=values, meta=meta)
+    circuits = [assemble_circuit(config) for config in configs]
+    runs = evolve_recorded(circuits, [recorder() for _ in configs])
+    out = []
+    for config, circuit, rows in zip(configs, circuits, runs):
+        rows = np.array(rows)
+        values = {s: rows[:, i] for i, s in enumerate(sites)}
+        out.append(SPTimeSeries(times=circuit.plan.times(), values=values,
+                                meta=_series_meta(config, circuit)))
+    return out
 
 
 def run_site_resolved(config: ExperimentConfig) -> SPTimeSeries:
@@ -313,7 +374,7 @@ def run_arbitrary_transfer(config: ExperimentConfig) -> TomographyRecord:
                                        rng, readout)
                 for ops in rotations]
 
-    rows = evolve_recorded(circuit, record)
+    rows = evolve_recorded([circuit], [record])[0]
     xs = np.array([r[0] for r in rows])
     ys = np.array([r[1] for r in rows])
     zs = np.array([r[2] for r in rows])

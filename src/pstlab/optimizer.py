@@ -3,10 +3,13 @@ Gaussian-process search over the raw bond strengths.
 
 The objective is the first-period peak SP of one run, an ExperimentConfig
 `base` whose noise, plan and seed it keeps: only the couplings change, and
-shots are dropped for an exact density-matrix evaluation. It is maximized
-over (J12, J23, J34) for N = 4 (generalizes to N-1 bonds). Candidates
-explored by the GP stage must keep the middle bond dominant: J23 > J12 and
-J23 > J34.
+shots are dropped for an exact evaluation on the Pauli-transfer engine. It
+is maximized over (J12, J23, J34) for N = 4 (generalizes to N-1 bonds).
+Candidates explored by the GP stage must keep the middle bond dominant:
+J23 > J12 and J23 > J34. The candidates of one stage, the grid's scales and
+an iteration's bumped probes, are evaluated together (`objectives`): their
+runs evolve in lock-step as one batch, each member's result identical to
+its own run.
 
 Search ranges adapt to local sensitivity: with sensitivity estimated by a
 forward difference of increment 0.01,
@@ -26,7 +29,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chains import pst_couplings
-from .experiments import ExperimentConfig, NoPeakError, detect_first_peak, run_sp_series
+from .experiments import (
+    ExperimentConfig,
+    NoPeakError,
+    SPTimeSeries,
+    detect_first_peak,
+    run_sp_batch,
+    run_sp_series,
+)
 
 _FD_INCREMENT = 0.01
 _DELTA_LO = 0.05
@@ -76,11 +86,25 @@ def objective(candidate: Candidate, base: ExperimentConfig):
     """First-period peak SP of `base` run with the candidate's couplings;
     (peak, t_star).
 
-    The run keeps base's noise, plan and seed. Deterministic: exact
-    density-matrix run, no sampling, whatever base.shots is. A series with
-    no qualifying peak (no transfer inside the window) scores 0.
+    The run keeps base's noise, plan and seed. Deterministic: an exact run
+    on the Pauli-transfer engine, no sampling, whatever base.shots is. A
+    series with no qualifying peak (no transfer inside the window) scores 0.
     """
-    series = run_sp_series(replace(base, couplings=candidate.couplings, shots=None))
+    return _first_peak(run_sp_series(_scored_run(candidate, base)))
+
+
+def objectives(candidates, base: ExperimentConfig) -> list:
+    """objective of each candidate, the runs evolved together as one batch
+    (run_sp_batch); each result equals the candidate's own objective."""
+    return [_first_peak(series)
+            for series in run_sp_batch([_scored_run(c, base) for c in candidates])]
+
+
+def _scored_run(candidate: Candidate, base: ExperimentConfig) -> ExperimentConfig:
+    return replace(base, couplings=candidate.couplings, shots=None)
+
+
+def _first_peak(series: SPTimeSeries) -> tuple:
     try:
         t_star, peak = detect_first_peak(series)
     except NoPeakError:
@@ -109,6 +133,16 @@ class _ObjectiveCache:
                                       seed=self.base.seed, kind=kind))
         return peak
 
+    def fill(self, candidates, kind: str) -> None:
+        """Evaluate the candidates not yet seen in one batch and record them
+        in order, as calling this cache on each in turn would."""
+        new = {}
+        for cand in candidates:
+            if cand.couplings not in self._seen:
+                new.setdefault(cand.couplings, cand)
+        for cand, known in zip(new.values(), objectives(list(new.values()), self.base)):
+            self(cand, kind, known)
+
 
 def grid_search_j0(base: ExperimentConfig, lo: float = 0.1, hi: float = 4.0,
                    step: float = 0.1) -> list:
@@ -123,13 +157,11 @@ def grid_search_j0(base: ExperimentConfig, lo: float = 0.1, hi: float = 4.0,
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     count = math.floor((hi - lo) / step + 1e-9) + 1  # the tolerance keeps hi itself
-    records = []
-    for i in range(count):
-        j0 = round(lo + i * step, 10)
-        cand = Candidate(couplings=pst_couplings(base.n_sites, j0).couplings, j0=j0)
-        peak, t_star = objective(cand, base)
-        records.append(EvalRecord(candidate=cand, objective=peak, t_star=t_star,
-                                  seed=base.seed, kind="grid"))
+    cands = [Candidate(couplings=pst_couplings(base.n_sites, j0).couplings, j0=j0)
+             for j0 in (round(lo + i * step, 10) for i in range(count))]
+    records = [EvalRecord(candidate=cand, objective=peak, t_star=t_star, seed=base.seed,
+                          kind="grid")
+               for cand, (peak, t_star) in zip(cands, objectives(cands, base))]
     return sorted(records, key=lambda r: -r.objective)
 
 
@@ -141,12 +173,17 @@ def sensitivity_and_delta(candidate: Candidate, dimension: int, evaluate) -> tup
     f = evaluate(candidate, "probe").
     """
     base = evaluate(candidate, "probe")
-    bumped = list(candidate.couplings)
-    bumped[dimension] += _FD_INCREMENT
-    shifted = evaluate(Candidate(couplings=tuple(bumped)), "probe")
+    shifted = evaluate(_bumped(candidate, dimension), "probe")
     sensitivity = abs(shifted - base) / _FD_INCREMENT
     delta = min(_DELTA_HI, max(_DELTA_LO, 0.1 / (sensitivity + _SENS_EPS)))
     return sensitivity, delta
+
+
+def _bumped(candidate: Candidate, dimension: int) -> Candidate:
+    """The candidate with one bond raised by the forward-difference increment."""
+    bumped = list(candidate.couplings)
+    bumped[dimension] += _FD_INCREMENT
+    return Candidate(couplings=tuple(bumped))
 
 
 class GaussianProcess:
@@ -213,12 +250,12 @@ def bayes_optimize(base: ExperimentConfig, starts, iterations_per_start: int = 5
     """GP-guided refinement of the coupling profile from each start.
 
     Per start, `iterations_per_start` iterations of: estimate per-bond
-    sensitivity and delta at the incumbent; sample `batch_size` candidates
-    in the box incumbent +/- delta with per-dimension density proportional
-    to normalized sensitivity; drop candidates violating the middle-bond
-    constraint (widening the box once if that empties the batch); pick the
-    expected-improvement argmax under a GP fitted to every evaluation so
-    far; evaluate and record.
+    sensitivity and delta at the incumbent, its bumped probes evaluated as
+    one batch; sample `batch_size` candidates in the box incumbent +/- delta
+    with per-dimension density proportional to normalized sensitivity; drop
+    candidates violating the middle-bond constraint (widening the box once if
+    that empties the batch); pick the expected-improvement argmax under a GP
+    fitted to every evaluation so far; evaluate and record.
 
     A start is a Candidate, or an EvalRecord of the same base (a grid
     result), whose value is reused, not re-run.
@@ -243,8 +280,10 @@ def bayes_optimize(base: ExperimentConfig, starts, iterations_per_start: int = 5
         incumbent = start
         incumbent_val = evaluate(start, "start")
         for _ in range(iterations_per_start):
+            dims = range(len(incumbent.couplings))
+            evaluate.fill([incumbent, *(_bumped(incumbent, dim) for dim in dims)], "probe")
             sens, deltas = [], []
-            for dim in range(len(incumbent.couplings)):
+            for dim in dims:
                 s_d, d_d = sensitivity_and_delta(incumbent, dim, evaluate)
                 sens.append(s_d)
                 deltas.append(d_d)

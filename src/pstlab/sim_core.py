@@ -14,10 +14,14 @@ experiments compile is, is applied as one real (stacked) matmul on a reshaped
 view, straight from one buffer into the other; an op on any other targets
 adds a gather into the targets' axis order before the matmul and a scatter
 back after it. The ops alternate between the new state and one work buffer
-the caller owns. Each channel's PTM is built once per channel object, and
-each contraction plan once per (targets, n). The per-qubit change between
-rho's entries and Pauli coefficients lives here alone. apply_unitary and
-apply_channel (the Kraus loop on DensityMatrix) are the engine's reference.
+the caller owns. States of circuits that differ only in their ops' matrices
+evolve together as one batch: the ops at each position are stacked into one
+(stack_superoperators), and the kernel applies the stack with one broadcast
+matmul over a leading member axis. Each channel's PTM is built once per
+channel object, and each contraction plan once per (targets, n). The
+per-qubit change between rho's entries and Pauli coefficients lives here
+alone. apply_unitary and apply_channel (the Kraus loop on DensityMatrix) are
+the engine's reference.
 """
 
 from __future__ import annotations
@@ -273,14 +277,22 @@ def _contract(src: np.ndarray, mat: np.ndarray, plan: _Plan, dst: np.ndarray,
     dst, or one GEMM against mat.T when nothing follows the block. Other
     targets gather src into dst in the plan's order, take one matmul into
     `spare` and scatter back into dst.
+
+    On consecutive targets `mat` may also be an m x 4^k x 4^k stack (see
+    stack_superoperators) applied to m vectors stored one after another in
+    src, member b taking mat[b]: the same matmul over a leading member axis
+    of the view, each member's result bit-identical to its own.
     """
     lead, perm, inv = plan
-    width = len(mat)
+    width = mat.shape[-1]
     if perm is None:
-        if src.size == lead * width:
-            np.matmul(src.reshape(lead, width), mat.T, out=dst.reshape(lead, width))
+        view = (lead, width) if mat.ndim == 2 else (len(mat), lead, width)
+        if src.size * width == lead * mat.size:  # one vector per matrix
+            np.matmul(src.reshape(view), mat.swapaxes(-1, -2), out=dst.reshape(view))
         else:
-            np.matmul(mat, src.reshape(lead, width, -1), out=dst.reshape(lead, width, -1))
+            view += (-1,)
+            np.matmul(mat if mat.ndim == 2 else mat[:, None], src.reshape(view),
+                      out=dst.reshape(view))
         return dst
     shape = (4,) * (len(perm) - 1) + (-1,)
     np.copyto(dst.reshape(shape), src.reshape(shape).transpose(perm))
@@ -361,8 +373,10 @@ class Superoperator:
     """A map E on a few target qubits as its real 4^k x 4^k Pauli transfer
     matrix (PTM): entry [P, Q] = tr(P E(Q)) / 2^k, for P and Q tensor products
     of I, X, Y, Z over the targets in order. It carries a PauliState's
-    coefficients on the targets to their new values. Its plan, how the
-    kernel contracts it (see _Plan), holds for n_qubits only.
+    coefficients on the targets to their new values. A stacked op (see
+    stack_superoperators) holds an m x 4^k x 4^k stack of PTMs, one per
+    member of a batch of m states. Its plan, how the kernel contracts it
+    (see _Plan), holds for n_qubits only.
     """
 
     __slots__ = ("matrix", "targets", "n_qubits", "plan")
@@ -436,20 +450,54 @@ def apply_superoperators(state: PauliState, sops, work: np.ndarray) -> PauliStat
     """The superoperators in order, written into one new Pauli vector.
 
     `work` is a flat real buffer of the vector's size; a caller applying many
-    ops allocates it once. The ops alternate between `work` and the new
-    vector, starting on whichever makes the last op write the new vector.
+    ops allocates it once.
     """
     n = state.n_qubits
-    src, out = state.vector, np.empty(state.vector.shape)
-    bufs = (out, work) if len(sops) % 2 else (work, out)
-    for i, sop in enumerate(sops):
+    for sop in sops:
         if n != sop.n_qubits:
             _check_targets(sop.targets, n)
             raise ValueError(f"superoperator compiled for {sop.n_qubits} qubits, state has {n}")
-        src = _contract(src, sop.matrix, sop.plan, bufs[i % 2], bufs[1 - i % 2])
-    if src is not out:  # no ops: the new vector is a copy
+    return PauliState(n, apply_to_members(state.vector, sops, work))
+
+
+def apply_to_members(vectors: np.ndarray, sops, work: np.ndarray) -> np.ndarray:
+    """The superoperators in order on m Pauli vectors stored one after
+    another in `vectors`, written into one new array of its shape.
+
+    Each op is one superoperator when m is 1, or a stack of m, one per member
+    (stack_superoperators). `work` is a flat real buffer of the vectors' size;
+    a caller applying many ops allocates it once. The ops alternate between
+    `work` and the new array, starting on whichever makes the last op write
+    the new array.
+    """
+    src, out = vectors, np.empty(vectors.shape)
+    dst, spare = (out, work) if len(sops) % 2 else (work, out)
+    for sop in sops:
+        src = _contract(src, sop.matrix, sop.plan, dst, spare)
+        dst, spare = spare, dst
+    if src is not out:  # no ops: the new array is a copy
         np.copyto(out, src)
-    return PauliState(n, out)
+    return out
+
+
+def stack_superoperators(members) -> list:
+    """One op list that applies members[b], an op list, to member b of a
+    batch: the ops at each position, which must share their targets and
+    register size, stacked into one superoperator whose matrix is the
+    m x 4^k x 4^k stack of theirs, member b's at index b. The kernel applies
+    a stack on consecutive targets only, as every compiled op's are. One
+    member's list is kept as it is.
+    """
+    first = list(members[0])
+    if len(members) == 1:
+        return first
+    layout = [(sop.targets, sop.n_qubits) for sop in first]
+    if any([(sop.targets, sop.n_qubits) for sop in ops] != layout for ops in members[1:]):
+        raise ValueError("stacked op lists must share every op's targets and register size")
+    if any(sop.plan.perm is not None for sop in first):
+        raise ValueError("stacked ops must act on consecutive qubits in order")
+    return [Superoperator(np.stack([ops[i].matrix for ops in members]), targets, n)
+            for i, (targets, n) in enumerate(layout)]
 
 
 def qubit_p1(state, qubit: int) -> float:

@@ -193,12 +193,15 @@ class TestRunConfig:
                                               ({"lo": 2.8, "hi": 3.0, "step": 0.2}, False)])
     def test_bayes_opt_simulates_each_point_once(self, tmp_path, monkeypatch, grid, on_grid):
         """Starts and the j0 = 1 baseline reuse their grid runs; only new ledger
-        entries, and a baseline off the grid, cost a simulation."""
+        entries, and a baseline off the grid, cost a simulation. runs counts
+        the candidates simulated, alone or as lock-step batch members."""
         import pstlab.optimizer as optimizer
 
         runs = []
-        real = optimizer.run_sp_series
-        monkeypatch.setattr(optimizer, "run_sp_series", lambda cfg: runs.append(cfg) or real(cfg))
+        real_one, real_batch = optimizer.run_sp_series, optimizer.run_sp_batch
+        monkeypatch.setattr(optimizer, "run_sp_series", lambda cfg: runs.append(cfg) or real_one(cfg))
+        monkeypatch.setattr(optimizer, "run_sp_batch",
+                            lambda cfgs: runs.extend(cfgs) or real_batch(cfgs))
         cfg = write_config(tmp_path, {
             "experiment": "bayes_opt",
             "chain": {"n": 3},

@@ -10,6 +10,7 @@ import pytest
 from scipy.signal import find_peaks
 
 from pstlab.chains import GateOp, exact_sp_oracle, exact_transfer_amplitude, gate_matrix, pst_couplings
+from pstlab import experiments
 from pstlab.cli import load_config, resolve_config
 from pstlab.experiments import (
     ExperimentConfig,
@@ -24,6 +25,7 @@ from pstlab.experiments import (
     evolve_recorded,
     run_arbitrary_transfer,
     run_site_resolved,
+    run_sp_batch,
     run_sp_series,
     series_to_csv,
     series_to_json,
@@ -120,7 +122,7 @@ class TestIdealRuns:
         every recorded state matches bare gates on a density matrix."""
         circuit = assemble_circuit(ExperimentConfig(n_sites=n))
         assert not circuit.has_channels()
-        got = evolve_recorded(circuit, lambda st: st.to_density_matrix().matrix)
+        got = evolve_recorded([circuit], [lambda st: st.to_density_matrix().matrix])[0]
         want = kraus_loop_series(circuit)
         assert len(got) == len(want) == 81
         for k, (rho, oracle) in enumerate(zip(got, want)):
@@ -214,7 +216,7 @@ class TestFusedMatchesKrausLoop:
         Kraus loop over every op of the circuit."""
         circuit = assemble_circuit(ExperimentConfig(n_sites=4, n_steps=12, noise=NoiseParams(),
                                                     initial="arbitrary"))
-        fused = evolve_recorded(circuit, lambda st: st.to_density_matrix().matrix)
+        fused = evolve_recorded([circuit], [lambda st: st.to_density_matrix().matrix])[0]
         oracle = kraus_loop_series(circuit)
         assert len(fused) == 13
         for got, want in zip(fused, oracle):
@@ -307,6 +309,82 @@ class TestInPlacePath:
             assert [sop.targets for sop in ops if sop.plan.perm is not None] == [], config
 
 
+def assert_same_series(got: SPTimeSeries, want: SPTimeSeries) -> None:
+    """Same times, sites, values (bit for bit) and meta."""
+    assert np.array_equal(got.times, want.times)
+    assert got.sites() == want.sites()
+    for site in want.sites():
+        assert np.array_equal(got.values[site], want.values[site]), site
+    assert got.meta == want.meta
+
+
+class TestLockStep:
+    """run_sp_batch evolves its members together; each member's series is its
+    own run_sp_series, bit for bit."""
+
+    J0S = (0.01, 0.5, 1.0, 2.9, 4.0)  # 0.01 transfers nothing inside the window
+
+    @staticmethod
+    def configs(n: int, **extra) -> list:
+        return [ExperimentConfig(n_sites=n, n_steps=20, j0=j0, noise=NoiseParams(), **extra)
+                for j0 in TestLockStep.J0S]
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_members_equal_their_own_runs(self, n):
+        configs = self.configs(n)
+        configs[2] = replace(configs[2], couplings=(1.3, 0.9, 1.1)[:n - 1])
+        for config, series in zip(configs, run_sp_batch(configs)):
+            assert_same_series(series, run_sp_series(config))
+
+    def test_each_member_samples_its_own_shots(self):
+        configs = self.configs(3, shots=64, seed=5, measured_sites=(1, 2, 3))
+        for config, series in zip(configs, run_sp_batch(configs)):
+            assert_same_series(series, run_sp_series(config))
+
+    @pytest.mark.parametrize("change", [
+        {"n_sites": 3},
+        {"n_steps": 21},
+        {"total_time": math.pi},
+        {"noise": None},
+        {"noise": NoiseParams(p_pauli=0.002)},
+        {"seed": 1},
+    ], ids=repr)
+    def test_members_differing_beyond_couplings_refused_before_any_run(self, monkeypatch,
+                                                                       change):
+        built = []
+        monkeypatch.setattr(experiments, "assemble_circuit", lambda cfg: built.append(cfg))
+        configs = self.configs(4)
+        configs[-1] = replace(configs[-1], **change)
+        with pytest.raises(ValueError, match="differ only in couplings"):
+            run_sp_batch(configs)
+        assert built == []
+
+    @pytest.mark.parametrize("change", [{"n_sites": 3}, {"n_steps": 21}], ids=repr)
+    def test_evolve_recorded_refuses_circuits_of_another_shape(self, change):
+        config = ExperimentConfig(n_sites=4, n_steps=20)
+        circuits = [assemble_circuit(config), assemble_circuit(replace(config, **change))]
+        with pytest.raises(ValueError, match="register size and plan"):
+            evolve_recorded(circuits, [lambda st: None] * 2)
+
+    def test_chunks_give_the_records_of_one_batch(self, monkeypatch):
+        """A cap of two N = 3 states splits five members into chunks of 2, 2
+        and 1, with the series of the unchunked batch."""
+        configs = self.configs(3)
+        whole = run_sp_batch(configs)
+        chunks = []
+        real = experiments.stack_superoperators
+        monkeypatch.setattr(experiments, "stack_superoperators",
+                            lambda members: chunks.append(len(members)) or real(members))
+        monkeypatch.setattr(experiments, "MAX_BATCH_COEFFS", 2 * 4**3 + 1)
+        for got, want in zip(run_sp_batch(configs), whole, strict=True):
+            assert_same_series(got, want)
+        assert chunks == [2, 2, 2, 2, 1, 1]  # prep and step of each chunk
+
+    def test_empty_batch(self):
+        assert run_sp_batch([]) == []
+        assert evolve_recorded([], []) == []
+
+
 class TestShotMode:
     def test_seeded_runs_identical(self):
         cfg = ExperimentConfig(n_sites=3, n_steps=20, shots=256, seed=11)
@@ -385,9 +463,9 @@ class TestArbitraryTransfer:
             ExperimentConfig(n_sites=3, n_steps=15, initial="arbitrary")
         )
         reduced = evolve_recorded(
-            circuit,
-            lambda st: partial_trace_to_qubit(st.to_density_matrix(), 2).matrix,
-        )
+            [circuit],
+            [lambda st: partial_trace_to_qubit(st.to_density_matrix(), 2).matrix],
+        )[0]
         for rec_rho, red in zip(record.rhos, reduced):
             dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rec_rho - red)))
             assert dist < 1e-9

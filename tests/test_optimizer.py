@@ -19,6 +19,7 @@ from pstlab.optimizer import (
     expected_improvement,
     grid_search_j0,
     objective,
+    objectives,
     sensitivity_and_delta,
 )
 
@@ -75,6 +76,27 @@ class TestObjective:
         assert objective(cand, replace(FAST, shots=64)) == objective(cand, FAST)
 
 
+def same_score(a: tuple, b: tuple) -> bool:
+    """(peak, t_star) equality that holds for two no-peak scores (0, nan)."""
+    return a[0] == b[0] and (a[1] == b[1] or math.isnan(a[1]) and math.isnan(b[1]))
+
+
+class TestObjectives:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_each_member_scores_its_own_objective(self, n):
+        base = replace(FAST, n_sites=n)
+        cands = [Candidate(couplings=pst_couplings(n, j0).couplings, j0=j0)
+                 for j0 in (0.01, 1.0, 2.9, 4.0)]
+        cands.append(Candidate(couplings=(1.9, 2.4, 2.0)[:n - 1]))
+        got = objectives(cands, base)
+        assert got[0][0] == 0.0 and math.isnan(got[0][1])  # no transfer: scores 0
+        for cand, score in zip(cands, got, strict=True):
+            assert same_score(score, objective(cand, base)), cand
+
+    def test_no_candidates(self):
+        assert objectives([], FAST) == []
+
+
 class TestGridSearch:
     def test_single_point_grid(self):
         records = grid_search_j0(FAST, lo=1.0, hi=1.0, step=0.1)
@@ -109,7 +131,7 @@ class TestGridSearch:
         (0.1, 4.0, 0.1, [round(0.1 * i, 10) for i in range(1, 41)]),
     ])
     def test_grid_ends_at_or_below_hi(self, monkeypatch, lo, hi, step, want):
-        monkeypatch.setattr(optimizer, "objective", lambda cand, base: (0.5, 1.0))
+        monkeypatch.setattr(optimizer, "objectives", lambda cands, base: [(0.5, 1.0)] * len(cands))
         records = grid_search_j0(FAST, lo=lo, hi=hi, step=step)
         assert [r.candidate.j0 for r in records] == want
 
@@ -292,6 +314,30 @@ class TestBayesOptimize:
         records = grid_search_j0(replace(FAST, seed=6), lo=2.9, hi=3.0, step=0.1)
         by_candidate = self.optimize(6, [r.candidate for r in records])
         assert self.optimize(6, records)[1] == by_candidate[1]
+
+    def test_ledger_equals_one_objective_per_candidate(self, monkeypatch):
+        """Batched grid and probes leave the ledger (kinds, couplings,
+        objectives and order) of one objective call per new candidate, and
+        of probes evaluated one at a time as sensitivity_and_delta asks."""
+        base = replace(FAST, seed=9)
+        starts = grid_search_j0(base, lo=2.8, hi=3.0, step=0.1)[:2]
+
+        def ledger():
+            _, records = bayes_optimize(base, starts, iterations_per_start=3, batch_size=16)
+            return records
+
+        batched = ledger()
+        monkeypatch.setattr(optimizer, "objectives",
+                            lambda cands, base: [objective(c, base) for c in cands])
+        one_by_one = ledger()
+        monkeypatch.setattr(optimizer._ObjectiveCache, "fill", lambda self, cands, kind: None)
+        unfilled = ledger()
+        for other in (one_by_one, unfilled):
+            assert [(r.kind, r.candidate.couplings, r.objective) for r in batched] == [
+                (r.kind, r.candidate.couplings, r.objective) for r in other]
+            assert all(same_score((a.objective, a.t_star), (b.objective, b.t_star))
+                       for a, b in zip(batched, other, strict=True))
+        assert [r.kind for r in batched].count("probe") >= 6
 
     def test_empty_starts_rejected(self):
         with pytest.raises(ValueError, match="starting"):

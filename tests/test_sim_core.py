@@ -39,6 +39,7 @@ from pstlab.sim_core import (
     apply_channel,
     apply_superoperator,
     apply_superoperators,
+    apply_to_members,
     apply_unitary,
     choi_matrix,
     fused_superoperator,
@@ -46,6 +47,7 @@ from pstlab.sim_core import (
     partial_trace_to_qubit,
     qubit_p1,
     qubit_state_fidelity,
+    stack_superoperators,
     validate_cptp,
 )
 
@@ -429,6 +431,55 @@ class TestKernel:
         sop = fused_superoperator(UnitaryGate(PAULI_X, (0,)), [(AMP_DAMP, (1,))], 3)
         with pytest.raises(ValueError, match="compiled for 3 qubits, state has"):
             apply_to_density(random_density(n, seed=n), sop)
+
+
+class TestStackedOps:
+    """A stack of m matrices applied to m vectors stored one after another:
+    each member bit-identical to its own matrix on its own vector."""
+
+    @pytest.mark.parametrize("targets", [(0, 1), (1, 2, 3), (3, 4), (4,)])
+    @pytest.mark.parametrize("members", [1, 3])
+    def test_stack_equals_member_by_member(self, targets, members):
+        n = 5
+        rng = np.random.default_rng(len(targets) + members)
+        mats = rng.normal(size=(members, 4 ** len(targets), 4 ** len(targets)))
+        vecs = rng.normal(size=(members, 4**n))
+        plan = _contraction_plan(targets, n)
+        got = contract_new(vecs, mats, plan)
+        for b in range(members):
+            assert np.array_equal(got[b], contract_new(vecs[b], mats[b], plan)), b
+
+    def test_stacked_ops_apply_each_members_list(self):
+        """stack_superoperators then apply_to_members, against each member's
+        list through apply_superoperators, on a merged noisy N = 4 step."""
+        n = 4
+        states = [PauliState.from_density_matrix(random_density(n, seed=s)) for s in range(3)]
+        steps = [_compile_merged(assemble_circuit(ExperimentConfig(
+            n_sites=n, n_steps=4, j0=j0, noise=NoiseParams())).step, n) for j0 in (0.5, 1.0, 2.0)]
+        stacked = stack_superoperators(steps)
+        assert [sop.matrix.shape[0] for sop in stacked] == [3] * len(steps[0])
+        work = np.empty(3 * 4**n)
+        got = apply_to_members(np.stack([s.vector for s in states]), stacked, work)
+        for b, (state, ops) in enumerate(zip(states, steps)):
+            assert np.array_equal(got[b], apply_superoperators(state, ops, work[:4**n]).vector), b
+
+    def test_one_member_is_kept_as_it_is(self):
+        ops = [Superoperator(np.eye(16), (0, 1), 3), Superoperator(np.eye(4), (2,), 3)]
+        assert stack_superoperators([ops]) == ops
+
+    @pytest.mark.parametrize("other", [
+        [Superoperator(np.eye(16), (1, 2), 3)],  # other targets
+        [Superoperator(np.eye(16), (0, 1), 4)],  # another register size
+        [],  # another length
+    ], ids=["targets", "n_qubits", "length"])
+    def test_refuses_members_of_another_layout(self, other):
+        with pytest.raises(ValueError, match="share every op's targets"):
+            stack_superoperators([[Superoperator(np.eye(16), (0, 1), 3)], other])
+
+    def test_refuses_scrambled_targets(self):
+        ops = [Superoperator(np.eye(16), (2, 0), 3)]
+        with pytest.raises(ValueError, match="consecutive qubits"):
+            stack_superoperators([ops, ops])
 
 
 class TestMergeSuperoperators:
