@@ -77,14 +77,17 @@ class NoisyCircuit:
 
     Every step is identical, so it is stored once. Channels are attached per
     gate (post-gate); a freshly built circuit has none. `zeta` records the
-    coherent crosstalk rate baked into the RZZ gates, 0 when absent.
+    coherent crosstalk rate baked into the RZZ gates, 0 when absent. The
+    circuit runs one member per entry of `profiles`, the coupling profiles
+    of a lock-step batch; a gate that differs between members holds a stack
+    of their matrices (see build_trotter_circuit).
     """
 
     n_qubits: int
     prep: list
     step: list
     plan: TrotterPlan
-    couplings: CouplingProfile
+    profiles: tuple
     zeta: float = 0.0
 
     def has_channels(self) -> bool:
@@ -115,31 +118,11 @@ def gate_matrix(kind: str, theta: float | None = None) -> np.ndarray:
     RZZ(2 zeta t) is the coherent ZZ-crosstalk propagator for time t.
     """
     kind = kind.upper()
-    if kind in ("RXX", "RYY", "RZZ"):
+    if kind in ("RXX", "RYY"):
+        return _rotations(kind, [theta])[0]
+    if kind == "RZZ":
         if theta is None or not math.isfinite(theta):
             raise ValueError(f"{kind} needs a finite rotation angle")
-        c = math.cos(theta / 2.0)
-        s = math.sin(theta / 2.0)
-        if kind == "RXX":
-            return np.array(
-                [
-                    [c, 0, 0, -1j * s],
-                    [0, c, -1j * s, 0],
-                    [0, -1j * s, c, 0],
-                    [-1j * s, 0, 0, c],
-                ],
-                dtype=complex,
-            )
-        if kind == "RYY":
-            return np.array(
-                [
-                    [c, 0, 0, 1j * s],
-                    [0, c, -1j * s, 0],
-                    [0, -1j * s, c, 0],
-                    [1j * s, 0, 0, c],
-                ],
-                dtype=complex,
-            )
         return np.diag(
             [
                 np.exp(-0.5j * theta),
@@ -157,30 +140,57 @@ def gate_matrix(kind: str, theta: float | None = None) -> np.ndarray:
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
-def build_trotter_circuit(couplings: CouplingProfile, plan: TrotterPlan,
-                          zeta: float = 0.0) -> NoisyCircuit:
+def _rotations(kind: str, thetas) -> np.ndarray:
+    """The RXX or RYY matrices of the angles as an (m, 4, 4) stack. Each
+    member's cos and sin come from math, so its entries do not depend on
+    how many members share the stack."""
+    entries = []
+    for theta in thetas:
+        if theta is None or not math.isfinite(theta):
+            raise ValueError(f"{kind} needs a finite rotation angle")
+        c = math.cos(theta / 2.0)
+        s = math.sin(theta / 2.0)
+        corner = -1j * s if kind == "RXX" else 1j * s
+        entries.append([c, 0, 0, corner, 0, c, -1j * s, 0, 0, -1j * s, c, 0, corner, 0, 0, c])
+    return np.array(entries, dtype=complex).reshape(-1, 4, 4)
+
+
+def build_trotter_circuit(couplings, plan: TrotterPlan, zeta: float = 0.0) -> NoisyCircuit:
     """First-order product-formula circuit, noise not yet attached.
 
     Each step applies, per bond i = 1..N-1 in ascending order, RXX(J_i dt)
     then RYY(J_i dt) on qubits (i-1, i); when zeta > 0, RZZ(2 zeta dt) on
     every neighbouring pair closes the step.
+
+    `couplings` is one CouplingProfile, or a sequence of profiles of one
+    chain length, one per member of a lock-step batch. With m > 1 members
+    each RXX and RYY gate holds the (m, 4, 4) stack of its members'
+    matrices, member b's at index b; the RZZ gates are the same for every
+    member and stay 2-D.
     """
     if zeta < 0:
         raise ValueError(f"zeta must be >= 0, got {zeta}")
-    n = couplings.n_sites
+    profiles = (couplings,) if isinstance(couplings, CouplingProfile) else tuple(couplings)
+    if not profiles:
+        raise ValueError("need at least one coupling profile")
+    n = profiles[0].n_sites
+    if any(p.n_sites != n for p in profiles):
+        raise ValueError("batched coupling profiles must share their chain length")
     dt = plan.dt
     step_ops = []
-    for i, j_i in enumerate(couplings.couplings):
+    for i in range(n - 1):
         pair = (i, i + 1)
-        theta = j_i * dt
-        step_ops.append(GateOp(UnitaryGate(gate_matrix("RXX", theta), pair, kind="rxx")))
-        step_ops.append(GateOp(UnitaryGate(gate_matrix("RYY", theta), pair, kind="ryy")))
+        thetas = [p.couplings[i] * dt for p in profiles]
+        for kind in ("RXX", "RYY"):
+            mats = _rotations(kind, thetas)
+            step_ops.append(GateOp(UnitaryGate(mats if len(mats) > 1 else mats[0], pair,
+                                               kind=kind.lower())))
     if zeta > 0:
         phi = 2.0 * zeta * dt
         for i in range(n - 1):
             step_ops.append(GateOp(UnitaryGate(gate_matrix("RZZ", phi), (i, i + 1), kind="rzz")))
     return NoisyCircuit(
-        n_qubits=n, prep=[], step=step_ops, plan=plan, couplings=couplings, zeta=zeta
+        n_qubits=n, prep=[], step=step_ops, plan=plan, profiles=profiles, zeta=zeta
     )
 
 

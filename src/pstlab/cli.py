@@ -69,7 +69,7 @@ from .experiments import (
 )
 from .mitigation import apply_rescaling, fit_rescaling
 from .noise import NoiseParams
-from .optimizer import Candidate, bayes_optimize, grid_search_j0, objective
+from .optimizer import Candidate, bayes_optimize, grid_search_j0
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -378,19 +378,19 @@ def _grid_search(exp_cfg: ExperimentConfig, search: dict):
 
 
 def _bayes_opt(exp_cfg: ExperimentConfig, search: dict):
-    records = grid_search_j0(exp_cfg, **search["grid"])
+    uniform = Candidate(couplings=pst_couplings(exp_cfg.n_sites, 1.0).couplings, j0=1.0)
+    *records, baseline = grid_search_j0(exp_cfg, **search["grid"], extra=[uniform])
     bo = search["bo"]
     best, ledger = bayes_optimize(exp_cfg, records[:bo["top_starts"]],
                                   bo["iterations_per_start"], bo["batch_size"])
-    baseline, baseline_t = _baseline(records, exp_cfg)
     report = {
         "best_couplings": list(best.candidate.couplings),
         "best_objective": best.objective,
         "best_t_star": best.t_star,
         "baseline_j0": 1.0,
-        "baseline_objective": baseline,
-        "baseline_t_star": baseline_t,
-        "improvement": best.objective - baseline,
+        "baseline_objective": baseline.objective,
+        "baseline_t_star": baseline.t_star,
+        "improvement": best.objective - baseline.objective,
         "evaluations": len(ledger),
     }
     files = {**_grid_files(records), "ledger.jsonl": _ledger_jsonl(ledger),
@@ -430,15 +430,6 @@ def run_config(path, overrides=(), seed=None, out=None) -> Path:
     manifest_path = manifest.write(out_dir / "manifest.json")
     print(manifest_path)
     return manifest_path
-
-
-def _baseline(grid_records, exp_cfg: ExperimentConfig) -> tuple:
-    """(objective, t_star) of the j0 = 1 profile, read from the grid when it is on it."""
-    couplings = pst_couplings(exp_cfg.n_sites, 1.0).couplings
-    for rec in grid_records:
-        if rec.candidate.couplings == couplings:
-            return rec.objective, rec.t_star
-    return objective(Candidate(couplings=couplings, j0=1.0), exp_cfg)
 
 
 def _peak_summary(series: SPTimeSeries) -> dict:

@@ -10,9 +10,10 @@ fused superoperator (a real Pauli transfer matrix), and adjacent fused ops
 of the prep layer, the Trotter step and each tomography basis rotation are
 merged into superoperators of at most sim_core.MERGE_WIDTH qubits. Merging
 never crosses a recorded step boundary. Runs that differ only in couplings
-can evolve in lock-step as one batch (evolve_recorded, run_sp_batch): each
-is compiled as its own run, their ops are stacked, and readout stays per
-member, so each member's records are bit-identical to its own run's. This
+can evolve in lock-step as one batch (evolve_recorded, run_sp_batch): they
+share one circuit whose XY gates hold a stack of the members' matrices, it
+is compiled once per chunk of members into stacked ops, and readout stays
+per member, so each member's records are bit-identical to its own run's. This
 module only creates the zero state, applies compiled ops and reads
 populations with qubit_p1; the basis change lives in sim_core.
 """
@@ -39,6 +40,7 @@ from .noise import NoiseParams, attach_comprehensive, with_noise
 from .sim_core import (
     DensityMatrix,
     PauliState,
+    Superoperator,
     UnitaryGate,
     apply_superoperators,
     apply_to_members,
@@ -46,7 +48,6 @@ from .sim_core import (
     merge_superoperators,
     qubit_p1,
     qubit_state_fidelity,
-    stack_superoperators,
 )
 
 # The most Pauli coefficients, over all its members, that one lock-step batch
@@ -177,10 +178,13 @@ class TomographyRecord:
     meta: dict = field(default_factory=dict)
 
 
-def assemble_circuit(config: ExperimentConfig) -> NoisyCircuit:
-    """Build the prepared, noise-attached circuit for a config."""
+def assemble_circuit(config: ExperimentConfig, profiles=None) -> NoisyCircuit:
+    """Build the prepared, noise-attached circuit for a config; with
+    `profiles`, a sequence of coupling profiles, the one circuit of a
+    lock-step batch with a member per profile in place of config's own."""
     zeta = config.noise.circuit_zeta() if config.noise is not None else 0.0
-    circuit = build_trotter_circuit(config.profile(), config.plan(), zeta)
+    circuit = build_trotter_circuit(config.profile() if profiles is None else profiles,
+                                    config.plan(), zeta)
     if config.initial == "single_excitation":
         prep = UnitaryGate(gate_matrix("X"), (0,), kind="x")
     elif config.initial == "arbitrary":
@@ -210,39 +214,60 @@ def _compile_ops(ops, n_qubits: int) -> list:
     return [fused_superoperator(op.gate, op.channels, n_qubits) for op in ops]
 
 
-def _compile_merged(ops, n_qubits: int) -> list:
-    """_compile_ops, with adjacent superoperators merged."""
-    return merge_superoperators(_compile_ops(ops, n_qubits))
+def _compile_merged(ops, n_qubits: int, members: int = 1) -> list:
+    """_compile_ops, with adjacent superoperators merged. For a batch of
+    members > 1, whose stacked gates hold that many matrices, a merged op
+    left 2-D is broadcast over the member axis, as the kernel takes one
+    matrix per member."""
+    merged = merge_superoperators(_compile_ops(ops, n_qubits))
+    if members == 1:
+        return merged
+    return [sop if sop.matrix.ndim > 2 else
+            Superoperator(np.broadcast_to(sop.matrix, (members, *sop.matrix.shape)),
+                          sop.targets, n_qubits)
+            for sop in merged]
 
 
-def evolve_recorded(circuits, records) -> list:
-    """Run the circuits in lock-step, prep then every step, calling
-    records[b](state) on circuit b's state at k = 0..n_steps; returns, per
-    circuit, the list of what its record returned.
+def _member_ops(ops, lo: int, hi: int) -> list:
+    """The GateOps of batch members lo..hi-1: each stacked gate's matrices
+    sliced to theirs, a lone member's as its 2-D matrix."""
+    out = []
+    for op in ops:
+        gate = op.gate
+        if gate.matrix.ndim > 2:
+            mats = gate.matrix[lo:hi] if hi - lo > 1 else gate.matrix[lo]
+            op = GateOp(UnitaryGate(mats, gate.targets, gate.kind), op.channels)
+        out.append(op)
+    return out
 
-    The circuits must share their register size and plan, and their
-    compiled ops must act on the same targets, as circuits assembled from
-    configs that differ only in couplings do. Each circuit's ops are
-    compiled as for a run of its own, and the ops at each position are
-    stacked into one, so a step costs one matmul per op whatever the batch
-    size and each member's states are bit-identical to its own run's. A
-    batch holds at most MAX_BATCH_COEFFS Pauli coefficients (one member at
-    least); a larger one runs in chunks. Each recorded state is a new
-    PauliState; the kernel's work buffer is allocated once per chunk.
+
+def evolve_recorded(circuit: NoisyCircuit, records) -> list:
+    """Run the circuit's members in lock-step, prep then every step, calling
+    records[b](state) on member b's state at k = 0..n_steps; returns, per
+    member, the list of what its record returned.
+
+    The circuit has one member per coupling profile, and one record each.
+    A batch holds at most MAX_BATCH_COEFFS Pauli coefficients (one member at
+    least); a larger one runs in chunks. The prep and the step are compiled
+    once per chunk, from the chunk's slice of each gate stack, so a step
+    costs one matmul per op whatever the chunk size, and each member's
+    states are bit-identical to its own run's. A chunk of one member
+    compiles and applies 2-D ops, as a single run does. Each recorded state
+    is a new PauliState; the kernel's work buffer is allocated once per
+    chunk.
     """
-    if not circuits:
-        return []
-    n, plan = circuits[0].n_qubits, circuits[0].plan
-    if any(c.n_qubits != n or c.plan != plan for c in circuits):
-        raise ValueError("lock-step circuits must share their register size and plan")
+    n, plan, m = circuit.n_qubits, circuit.plan, len(circuit.profiles)
+    if len(records) != m:
+        raise ValueError(f"{len(records)} records for a circuit of {m} members")
     size = max(1, MAX_BATCH_COEFFS // 4**n)
     out = []
-    for lo in range(0, len(circuits), size):
-        chunk, recorders = circuits[lo:lo + size], records[lo:lo + size]
-        prep = stack_superoperators([_compile_merged(c.prep, n) for c in chunk])
-        step = stack_superoperators([_compile_merged(c.step, n) for c in chunk])
-        work = np.empty(len(chunk) * 4**n)
-        states = apply_to_members(np.tile(PauliState.zero(n).vector, (len(chunk), 1)), prep, work)
+    for lo in range(0, m, size):
+        hi = min(m, lo + size)
+        recorders = records[lo:hi]
+        prep = _compile_merged(_member_ops(circuit.prep, lo, hi), n, hi - lo)
+        step = _compile_merged(_member_ops(circuit.step, lo, hi), n, hi - lo)
+        work = np.empty((hi - lo) * 4**n)
+        states = apply_to_members(np.tile(PauliState.zero(n).vector, (hi - lo, 1)), prep, work)
         rows = [[record(PauliState(n, vec))] for record, vec in zip(recorders, states)]
         for _ in range(plan.n_steps):
             states = apply_to_members(states, step, work)
@@ -295,10 +320,10 @@ def run_sp_batch(configs) -> list:
         rng = np.random.default_rng(first.seed)
         return lambda state: [measure_p1(state, s - 1, first.shots, rng, readout) for s in sites]
 
-    circuits = [assemble_circuit(config) for config in configs]
-    runs = evolve_recorded(circuits, [recorder() for _ in configs])
+    circuit = assemble_circuit(first, [config.profile() for config in configs])
+    runs = evolve_recorded(circuit, [recorder() for _ in configs])
     out = []
-    for config, circuit, rows in zip(configs, circuits, runs):
+    for config, rows in zip(configs, runs):
         rows = np.array(rows)
         values = {s: rows[:, i] for i, s in enumerate(sites)}
         out.append(SPTimeSeries(times=circuit.plan.times(), values=values,
@@ -374,7 +399,7 @@ def run_arbitrary_transfer(config: ExperimentConfig) -> TomographyRecord:
                                        rng, readout)
                 for ops in rotations]
 
-    rows = evolve_recorded([circuit], [record])[0]
+    rows = evolve_recorded(circuit, [record])[0]
     xs = np.array([r[0] for r in rows])
     ys = np.array([r[1] for r in rows])
     zs = np.array([r[2] for r in rows])
@@ -464,7 +489,7 @@ def _series_meta(config: ExperimentConfig, circuit: NoisyCircuit) -> dict:
         "n_sites": config.n_sites,
         "n_steps": config.n_steps,
         "total_time": config.total_time,
-        "couplings": list(circuit.couplings.couplings),
+        "couplings": list(config.profile().couplings),
         "zeta": circuit.zeta,
         "noisy": circuit.has_channels(),
         "shots": config.shots,

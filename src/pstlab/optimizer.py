@@ -6,10 +6,11 @@ The objective is the first-period peak SP of one run, an ExperimentConfig
 shots are dropped for an exact evaluation on the Pauli-transfer engine. It
 is maximized over (J12, J23, J34) for N = 4 (generalizes to N-1 bonds).
 Candidates explored by the GP stage must keep the middle bond dominant:
-J23 > J12 and J23 > J34. The candidates of one stage, the grid's scales and
-an iteration's bumped probes, are evaluated together (`objectives`): their
-runs evolve in lock-step as one batch, each member's result identical to
-its own run.
+J23 > J12 and J23 > J34. The candidates of one stage, the grid's scales
+(with any extra candidate, such as a report's j0 = 1 baseline) and an
+iteration's bumped probes, are evaluated together (`objectives`): their runs
+share one circuit, compiled once per chunk of members, and evolve in
+lock-step as one batch, each member's result identical to its own run.
 
 Search ranges adapt to local sensitivity: with sensitivity estimated by a
 forward difference of increment 0.01,
@@ -79,7 +80,7 @@ class EvalRecord:
     objective: float
     t_star: float
     seed: int
-    kind: str = "eval"  # "start" | "probe" | "bo" | "grid"
+    kind: str = "eval"  # "start" | "probe" | "bo" | "grid" | "extra"
 
 
 def objective(candidate: Candidate, base: ExperimentConfig):
@@ -145,12 +146,14 @@ class _ObjectiveCache:
 
 
 def grid_search_j0(base: ExperimentConfig, lo: float = 0.1, hi: float = 4.0,
-                   step: float = 0.1) -> list:
+                   step: float = 0.1, extra=()) -> list:
     """Evaluate the engineered profile at every uniform scale on the grid.
 
     Returns EvalRecords sorted by objective, best first (ties keep grid
     order). Grid points are lo, lo+step, ..., hi inclusive; lo == hi gives
-    the single-point grid.
+    the single-point grid. The candidates in `extra` join the grid's batch;
+    their records (kind "extra") follow the grid's, in the order given, and
+    one on the grid reuses its grid run.
     """
     if lo > hi:
         raise ValueError(f"need lo <= hi, got {lo}, {hi}")
@@ -159,10 +162,16 @@ def grid_search_j0(base: ExperimentConfig, lo: float = 0.1, hi: float = 4.0,
     count = math.floor((hi - lo) / step + 1e-9) + 1  # the tolerance keeps hi itself
     cands = [Candidate(couplings=pst_couplings(base.n_sites, j0).couplings, j0=j0)
              for j0 in (round(lo + i * step, 10) for i in range(count))]
-    records = [EvalRecord(candidate=cand, objective=peak, t_star=t_star, seed=base.seed,
-                          kind="grid")
-               for cand, (peak, t_star) in zip(cands, objectives(cands, base))]
-    return sorted(records, key=lambda r: -r.objective)
+    on_grid = {cand.couplings for cand in cands}
+    runs = cands + [cand for cand in extra if cand.couplings not in on_grid]
+    known = dict(zip((cand.couplings for cand in runs), objectives(runs, base)))
+
+    def records(cands, kind):
+        return [EvalRecord(candidate=cand, objective=known[cand.couplings][0],
+                           t_star=known[cand.couplings][1], seed=base.seed, kind=kind)
+                for cand in cands]
+
+    return sorted(records(cands, "grid"), key=lambda r: -r.objective) + records(extra, "extra")
 
 
 def sensitivity_and_delta(candidate: Candidate, dimension: int, evaluate) -> tuple:
@@ -324,16 +333,16 @@ def _sample_batch(incumbent: Candidate, deltas: np.ndarray, weights: np.ndarray,
     """
     base = np.array(incumbent.couplings)
     ndim = len(base)
+    # per candidate, ndim draws pick the active dimensions and ndim more
+    # give the offsets, in the order and by the formula of rng.random(ndim)
+    # then rng.uniform(-deltas, deltas)
+    draws = rng.random((batch_size, 2 * ndim))
+    active = draws[:, :ndim] < weights
+    active[~active.any(axis=1), int(np.argmax(weights))] = True
+    cps = base + (-deltas + (deltas - -deltas) * draws[:, ndim:]) * active
     out = []
-    for _ in range(batch_size):
-        active = rng.random(ndim) < weights
-        if not active.any():
-            active[int(np.argmax(weights))] = True
-        offsets = rng.uniform(-deltas, deltas) * active
-        cps = base + offsets
-        if np.any(cps <= 0):
-            continue
-        cand = Candidate(couplings=tuple(cps))
+    for row in cps[(cps > 0).all(axis=1)]:
+        cand = Candidate(couplings=tuple(row.tolist()))
         if cand.satisfies_constraint():
             out.append(cand)
     return out

@@ -14,11 +14,13 @@ experiments compile is, is applied as one real (stacked) matmul on a reshaped
 view, straight from one buffer into the other; an op on any other targets
 adds a gather into the targets' axis order before the matmul and a scatter
 back after it. The ops alternate between the new state and one work buffer
-the caller owns. States of circuits that differ only in their ops' matrices
-evolve together as one batch: the ops at each position are stacked into one
-(stack_superoperators), and the kernel applies the stack with one broadcast
-matmul over a leading member axis. Each channel's PTM is built once per
-channel object, and each contraction plan once per (targets, n). The
+the caller owns. States of circuits that differ only in their gates'
+matrices evolve together as one batch: a gate may hold an (m, d, d) stack of
+its members' unitaries, compiling it gives an op with the stack of their
+PTMs (2-D parts, such as the shared channels, broadcast over the member
+axis), and the kernel applies the stack with one broadcast matmul over a
+leading member axis. Each channel's PTM is built once per channel object,
+and each contraction plan once per (targets, n). The
 per-qubit change between rho's entries and Pauli coefficients lives here
 alone. apply_unitary and apply_channel (the Kraus loop on DensityMatrix) are
 the engine's reference.
@@ -145,7 +147,11 @@ class PauliState:
 
 
 class UnitaryGate:
-    """A 1- or 2-qubit unitary bound to an ordered tuple of target qubits."""
+    """A 1- or 2-qubit unitary bound to an ordered tuple of target qubits.
+
+    The matrix may also be an (m, d, d) stack, one unitary per member of a
+    lock-step batch; each member is checked.
+    """
 
     __slots__ = ("matrix", "targets", "arity", "kind")
 
@@ -156,11 +162,11 @@ class UnitaryGate:
         if arity not in (1, 2):
             raise ValueError(f"gate arity must be 1 or 2, got {arity}")
         dim = 2**arity
-        if mat.shape != (dim, dim):
+        if mat.ndim not in (2, 3) or mat.shape[-2:] != (dim, dim):
             raise ValueError(f"gate matrix shape {mat.shape} does not match arity {arity}")
         if len(set(targets)) != arity:
             raise ValueError(f"duplicate targets {targets}")
-        dev = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
+        dev = np.max(np.abs(mat.conj().swapaxes(-1, -2) @ mat - np.eye(dim)))
         if dev > 1e-12:
             raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
         self.matrix = mat
@@ -226,8 +232,10 @@ def validate_cptp(channel: KrausChannel, tolerance: float = _CPTP_TOL) -> CPTPRe
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two matrices, without its per-call axis bookkeeping."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+    """np.kron of two matrices, without its per-call axis bookkeeping; over
+    a leading member axis of either, a 2-D one broadcast."""
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(*prod.shape[:-4], prod.shape[-4] * prod.shape[-3], -1)
 
 
 def _check_targets(targets, n_qubits: int) -> None:
@@ -278,10 +286,10 @@ def _contract(src: np.ndarray, mat: np.ndarray, plan: _Plan, dst: np.ndarray,
     targets gather src into dst in the plan's order, take one matmul into
     `spare` and scatter back into dst.
 
-    On consecutive targets `mat` may also be an m x 4^k x 4^k stack (see
-    stack_superoperators) applied to m vectors stored one after another in
-    src, member b taking mat[b]: the same matmul over a leading member axis
-    of the view, each member's result bit-identical to its own.
+    On consecutive targets `mat` may also be an m x 4^k x 4^k stack applied
+    to m vectors stored one after another in src, member b taking mat[b]:
+    the same matmul over a leading member axis of the view, each member's
+    result bit-identical to its own. Other targets refuse a stack.
     """
     lead, perm, inv = plan
     width = mat.shape[-1]
@@ -294,6 +302,8 @@ def _contract(src: np.ndarray, mat: np.ndarray, plan: _Plan, dst: np.ndarray,
             np.matmul(mat if mat.ndim == 2 else mat[:, None], src.reshape(view),
                       out=dst.reshape(view))
         return dst
+    if mat.ndim > 2:
+        raise ValueError("stacked ops must act on consecutive qubits in order")
     shape = (4,) * (len(perm) - 1) + (-1,)
     np.copyto(dst.reshape(shape), src.reshape(shape).transpose(perm))
     np.matmul(mat, dst.reshape(width, -1), out=spare.reshape(width, -1))
@@ -364,7 +374,7 @@ def _pauli_basis(k: int) -> np.ndarray:
 
 def _pauli_transfer_matrix(superop: np.ndarray, k: int) -> np.ndarray:
     """A k-qubit superoperator S in the kron(M, conj M) layout as its real
-    Pauli transfer matrix C S C^-1."""
+    Pauli transfer matrix C S C^-1; over a leading member axis of S, if any."""
     basis = _pauli_basis(k)
     return np.ascontiguousarray((basis @ superop @ basis.conj().T).real / 2**k)
 
@@ -373,10 +383,10 @@ class Superoperator:
     """A map E on a few target qubits as its real 4^k x 4^k Pauli transfer
     matrix (PTM): entry [P, Q] = tr(P E(Q)) / 2^k, for P and Q tensor products
     of I, X, Y, Z over the targets in order. It carries a PauliState's
-    coefficients on the targets to their new values. A stacked op (see
-    stack_superoperators) holds an m x 4^k x 4^k stack of PTMs, one per
-    member of a batch of m states. Its plan, how the kernel contracts it
-    (see _Plan), holds for n_qubits only.
+    coefficients on the targets to their new values. A stacked op, compiled
+    from stacked gates, holds an m x 4^k x 4^k stack of PTMs, one per member
+    of a batch of m states. Its plan, how the kernel contracts it (see
+    _Plan), holds for n_qubits only.
     """
 
     __slots__ = ("matrix", "targets", "n_qubits", "plan")
@@ -389,11 +399,21 @@ class Superoperator:
 def _compose(support, parts) -> np.ndarray:
     """The PTM on `support` of (PTM, targets) parts applied in order: each
     contracted into its targets' axes, starting from the identity, with the
-    result alternating between two buffers."""
+    result alternating between two buffers.
+
+    When a part is an m-member stack, so is the result: the identity and
+    every 2-D part are broadcast over the member axis (the parts' stacks
+    must share their size).
+    """
     k = len(support)
+    lead = next((ptm.shape[:1] for ptm, _ in parts if ptm.ndim > 2), ())
     matrix = np.eye(4**k)
-    bufs = (np.empty_like(matrix), np.empty_like(matrix))
+    if lead:
+        matrix = np.broadcast_to(matrix, lead + matrix.shape)
+    bufs = (np.empty(matrix.shape), np.empty(matrix.shape))
     for i, (ptm, targets) in enumerate(parts):
+        if ptm.ndim < matrix.ndim:
+            ptm = np.broadcast_to(ptm, lead + ptm.shape)
         plan = _contraction_plan(tuple(support.index(t) for t in targets), k)
         matrix = _contract(matrix, ptm, plan, bufs[i % 2], bufs[1 - i % 2])
     return matrix
@@ -404,8 +424,9 @@ def fused_superoperator(gate: UnitaryGate, channels, n_qubits: int) -> Superoper
 
     R = R_m ... R_1 R_U, with R_U the PTM of U (x) conj U and R_c =
     channel.pauli_transfer_matrix(), each embedded in the support: the gate's
-    targets, then any channel target outside them. Refuses exactly what
-    apply_unitary and apply_channel refuse.
+    targets, then any channel target outside them. A stacked gate gives a
+    stacked op, each member's PTM that of its own gate with the shared
+    channels. Refuses exactly what apply_unitary and apply_channel refuse.
     """
     _check_targets(gate.targets, n_qubits)
     support = list(gate.targets)
@@ -425,7 +446,8 @@ def merge_superoperators(sops) -> list:
     of first appearance) stays within MERGE_WIDTH qubits. Its matrix is the
     members' product in their order, each contracted into its axes of the
     support as fused_superoperator contracts a channel; a group of one is
-    kept as it is. Ops are never reordered, so the list applies the same map.
+    kept as it is. A group holding a stacked op is a stacked op (see
+    _compose). Ops are never reordered, so the list applies the same map.
     """
     groups = []
     for sop in sops:
@@ -464,8 +486,8 @@ def apply_to_members(vectors: np.ndarray, sops, work: np.ndarray) -> np.ndarray:
     """The superoperators in order on m Pauli vectors stored one after
     another in `vectors`, written into one new array of its shape.
 
-    Each op is one superoperator when m is 1, or a stack of m, one per member
-    (stack_superoperators). `work` is a flat real buffer of the vectors' size;
+    Each op is one superoperator when m is 1, or a stacked op of m members.
+    `work` is a flat real buffer of the vectors' size;
     a caller applying many ops allocates it once. The ops alternate between
     `work` and the new array, starting on whichever makes the last op write
     the new array.
@@ -478,26 +500,6 @@ def apply_to_members(vectors: np.ndarray, sops, work: np.ndarray) -> np.ndarray:
     if src is not out:  # no ops: the new array is a copy
         np.copyto(out, src)
     return out
-
-
-def stack_superoperators(members) -> list:
-    """One op list that applies members[b], an op list, to member b of a
-    batch: the ops at each position, which must share their targets and
-    register size, stacked into one superoperator whose matrix is the
-    m x 4^k x 4^k stack of theirs, member b's at index b. The kernel applies
-    a stack on consecutive targets only, as every compiled op's are. One
-    member's list is kept as it is.
-    """
-    first = list(members[0])
-    if len(members) == 1:
-        return first
-    layout = [(sop.targets, sop.n_qubits) for sop in first]
-    if any([(sop.targets, sop.n_qubits) for sop in ops] != layout for ops in members[1:]):
-        raise ValueError("stacked op lists must share every op's targets and register size")
-    if any(sop.plan.perm is not None for sop in first):
-        raise ValueError("stacked ops must act on consecutive qubits in order")
-    return [Superoperator(np.stack([ops[i].matrix for ops in members]), targets, n)
-            for i, (targets, n) in enumerate(layout)]
 
 
 def qubit_p1(state, qubit: int) -> float:

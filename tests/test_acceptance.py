@@ -124,7 +124,7 @@ def matched_channel_peak(channel_1q) -> float:
     step = [GateOp(op.gate, [(pair, op.gate.targets)] if op.gate.kind in ("rxx", "ryy") else [])
             for op in circuit.step]
     noisy = replace(circuit, step=step)
-    values = evolve_recorded([noisy], [lambda st: qubit_p1(st, 3)])[0]
+    values = evolve_recorded(noisy, [lambda st: qubit_p1(st, 3)])[0]
     series = SPTimeSeries(times=noisy.plan.times(), values={4: values})
     return detect_first_peak(series)[1]
 
@@ -181,7 +181,7 @@ def test_criterion_03_cptp_and_trace_drift():
             worst = max(worst, validate_cptp(ch).deviation)
     circuit = assemble_circuit(ExperimentConfig(n_sites=4, noise=NoiseParams()))
     drifts = evolve_recorded(
-        [circuit], [lambda st: abs(np.trace(st.to_density_matrix().matrix) - 1.0)])[0]
+        circuit, [lambda st: abs(np.trace(st.to_density_matrix().matrix) - 1.0)])[0]
     drift = max(drifts)
     ok = worst <= 1e-10 and drift < 1e-8
     detail = f"1000 draws worst CPTP deviation {worst:.2e}; 80-step trace drift {drift:.2e}"
@@ -417,7 +417,7 @@ def test_criterion_13c_tomography_round_trip():
     record = run_arbitrary_transfer(cfg)
     circuit = assemble_circuit(ExperimentConfig(n_sites=4, n_steps=40, initial="arbitrary"))
     reduced = evolve_recorded(
-        [circuit],
+        circuit,
         [lambda st: partial_trace_to_qubit(st.to_density_matrix(), 3).matrix],
     )[0]
     worst = 0.0

@@ -159,7 +159,7 @@ class TestInitialStates:
     def prepared(n, **config):
         """The k = 0 density matrix, and the prep layer's gate kinds."""
         circuit = assemble_circuit(ExperimentConfig(n_sites=n, n_steps=1, **config))
-        rho = evolve_recorded([circuit], [lambda st: st.to_density_matrix().matrix])[0][0]
+        rho = evolve_recorded(circuit, [lambda st: st.to_density_matrix().matrix])[0][0]
         return rho, [op.gate.kind for op in circuit.prep]
 
     def test_single_excitation_site1(self):

@@ -122,7 +122,7 @@ class TestIdealRuns:
         every recorded state matches bare gates on a density matrix."""
         circuit = assemble_circuit(ExperimentConfig(n_sites=n))
         assert not circuit.has_channels()
-        got = evolve_recorded([circuit], [lambda st: st.to_density_matrix().matrix])[0]
+        got = evolve_recorded(circuit, [lambda st: st.to_density_matrix().matrix])[0]
         want = kraus_loop_series(circuit)
         assert len(got) == len(want) == 81
         for k, (rho, oracle) in enumerate(zip(got, want)):
@@ -216,7 +216,7 @@ class TestFusedMatchesKrausLoop:
         Kraus loop over every op of the circuit."""
         circuit = assemble_circuit(ExperimentConfig(n_sites=4, n_steps=12, noise=NoiseParams(),
                                                     initial="arbitrary"))
-        fused = evolve_recorded([circuit], [lambda st: st.to_density_matrix().matrix])[0]
+        fused = evolve_recorded(circuit, [lambda st: st.to_density_matrix().matrix])[0]
         oracle = kraus_loop_series(circuit)
         assert len(fused) == 13
         for got, want in zip(fused, oracle):
@@ -359,22 +359,27 @@ class TestLockStep:
             run_sp_batch(configs)
         assert built == []
 
-    @pytest.mark.parametrize("change", [{"n_sites": 3}, {"n_steps": 21}], ids=repr)
-    def test_evolve_recorded_refuses_circuits_of_another_shape(self, change):
+    def test_batch_refuses_profiles_of_another_chain_length(self):
         config = ExperimentConfig(n_sites=4, n_steps=20)
-        circuits = [assemble_circuit(config), assemble_circuit(replace(config, **change))]
-        with pytest.raises(ValueError, match="register size and plan"):
-            evolve_recorded(circuits, [lambda st: None] * 2)
+        with pytest.raises(ValueError, match="share their chain length"):
+            assemble_circuit(config, [config.profile(), pst_couplings(3, 1.0)])
+
+    def test_evolve_recorded_refuses_a_record_per_member_missing(self):
+        config = ExperimentConfig(n_sites=4, n_steps=20)
+        circuit = assemble_circuit(config, [config.profile()] * 3)
+        with pytest.raises(ValueError, match="2 records for a circuit of 3 members"):
+            evolve_recorded(circuit, [lambda st: None] * 2)
 
     def test_chunks_give_the_records_of_one_batch(self, monkeypatch):
         """A cap of two N = 3 states splits five members into chunks of 2, 2
-        and 1, with the series of the unchunked batch."""
+        and 1, each compiled once, with the series of the unchunked batch."""
         configs = self.configs(3)
         whole = run_sp_batch(configs)
         chunks = []
-        real = experiments.stack_superoperators
-        monkeypatch.setattr(experiments, "stack_superoperators",
-                            lambda members: chunks.append(len(members)) or real(members))
+        real = experiments._compile_merged
+        monkeypatch.setattr(experiments, "_compile_merged",
+                            lambda ops, n, members=1: chunks.append(members)
+                            or real(ops, n, members))
         monkeypatch.setattr(experiments, "MAX_BATCH_COEFFS", 2 * 4**3 + 1)
         for got, want in zip(run_sp_batch(configs), whole, strict=True):
             assert_same_series(got, want)
@@ -382,7 +387,52 @@ class TestLockStep:
 
     def test_empty_batch(self):
         assert run_sp_batch([]) == []
-        assert evolve_recorded([], []) == []
+        with pytest.raises(ValueError, match="at least one coupling profile"):
+            assemble_circuit(ExperimentConfig(n_sites=3), [])
+
+
+class TestBatchedCompile:
+    """One compile of a batch circuit gives, member by member, the ops of the
+    member's own compile, bit for bit."""
+
+    NOISE = {"ideal": None, "hamiltonian": NoiseParams(),
+             "dephasing": NoiseParams(zz_mode="dephasing_channel", p_zz=0.01)}
+    J0S = (0.5, 1.0, 2.9, 4.0, 0.01)
+
+    @pytest.mark.parametrize("noise", sorted(NOISE))
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_every_op_equals_the_members_own(self, n, noise):
+        configs = [ExperimentConfig(n_sites=n, n_steps=8, j0=j0, noise=self.NOISE[noise])
+                   for j0 in self.J0S]
+        circuit = assemble_circuit(configs[0], [config.profile() for config in configs])
+        kinds = {op.gate.kind for op in circuit.step}
+        assert ("rzz" in kinds) == (noise == "hamiltonian")
+        own = [assemble_circuit(config) for config in configs]
+        # the whole batch, a chunk inside it, and a chunk of one at its end
+        for lo, hi in [(0, 5), (1, 3), (4, 5)]:
+            for layer in ("prep", "step"):
+                ops = experiments._member_ops(getattr(circuit, layer), lo, hi)
+                got = _compile_merged(ops, n, hi - lo)
+                for b in range(lo, hi):
+                    want = _compile_merged(getattr(own[b], layer), n)
+                    assert [sop.targets for sop in got] == [sop.targets for sop in want]
+                    for g, w in zip(got, want):
+                        assert g.matrix.ndim == (2 if hi - lo == 1 else 3)
+                        member = g.matrix if hi - lo == 1 else g.matrix[b - lo]
+                        assert np.array_equal(member, w.matrix), (layer, lo, hi, b)
+
+    def test_a_single_run_applies_2d_ops(self, monkeypatch):
+        applied = []
+        real = experiments.apply_to_members
+        monkeypatch.setattr(experiments, "apply_to_members",
+                            lambda vecs, sops, work: applied.extend(sops)
+                            or real(vecs, sops, work))
+        config = ExperimentConfig(n_sites=4, n_steps=3, noise=NoiseParams())
+        run_sp_series(config)
+        assert len(applied) == 1 + 3 * 4
+        assert all(sop.matrix.ndim == 2 for sop in applied)
+        circuit = assemble_circuit(config)
+        assert all(op.gate.matrix.ndim == 2 for op in circuit.prep + circuit.step)
 
 
 class TestShotMode:
@@ -463,7 +513,7 @@ class TestArbitraryTransfer:
             ExperimentConfig(n_sites=3, n_steps=15, initial="arbitrary")
         )
         reduced = evolve_recorded(
-            [circuit],
+            circuit,
             [lambda st: partial_trace_to_qubit(st.to_density_matrix(), 2).matrix],
         )[0]
         for rec_rho, red in zip(record.rhos, reduced):

@@ -141,6 +141,30 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search_j0(FAST, step=0.0)
 
+    def test_off_grid_extra_joins_the_grid_batch(self, monkeypatch):
+        """The j0 = 1 profile off the grid runs in the grid's one batch, and
+        its record scores exactly its own objective."""
+        batches = []
+        real = optimizer.run_sp_batch
+        monkeypatch.setattr(optimizer, "run_sp_batch",
+                            lambda cfgs: batches.append(len(cfgs)) or real(cfgs))
+        uniform = Candidate(couplings=pst_couplings(4, 1.0).couplings, j0=1.0)
+        *records, extra = grid_search_j0(FAST, lo=2.8, hi=3.0, step=0.1, extra=[uniform])
+        assert batches == [4] and [r.kind for r in records] == ["grid"] * 3
+        assert extra.kind == "extra" and extra.candidate == uniform
+        assert (extra.objective, extra.t_star) == objective(uniform, FAST)
+
+    def test_on_grid_extra_reuses_its_grid_row(self, monkeypatch):
+        batches = []
+        real = optimizer.run_sp_batch
+        monkeypatch.setattr(optimizer, "run_sp_batch",
+                            lambda cfgs: batches.append(len(cfgs)) or real(cfgs))
+        uniform = Candidate(couplings=pst_couplings(4, 1.0).couplings, j0=1.0)
+        *records, extra = grid_search_j0(FAST, lo=0.8, hi=1.0, step=0.2, extra=[uniform])
+        assert batches == [2]
+        (row,) = [r for r in records if r.candidate.j0 == 1.0]
+        assert (extra.kind, extra.objective, extra.t_star) == ("extra", row.objective, row.t_star)
+
     def test_oracle_ranking_degenerate_without_noise(self):
         """The exact oracle peaks at 1 for every scale (time rescaling), so a
         noiseless ranking carries no information."""
@@ -342,3 +366,44 @@ class TestBayesOptimize:
     def test_empty_starts_rejected(self):
         with pytest.raises(ValueError, match="starting"):
             bayes_optimize(FAST, [])
+
+
+def sample_batch_loop(incumbent, deltas, weights, batch_size, rng) -> list:
+    """_sample_batch as one draw per candidate: the oracle of the batched draw."""
+    base = np.array(incumbent.couplings)
+    out = []
+    for _ in range(batch_size):
+        active = rng.random(len(base)) < weights
+        if not active.any():
+            active[int(np.argmax(weights))] = True
+        cps = base + rng.uniform(-deltas, deltas) * active
+        if np.any(cps <= 0):
+            continue
+        cand = Candidate(couplings=tuple(cps))
+        if cand.satisfies_constraint():
+            out.append(cand)
+    return out
+
+
+class TestSampleBatch:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_equals_one_draw_per_candidate(self, seed):
+        """Same candidates and the same next draw of the generator; the cases
+        include all-inactive rows, non-positive couplings and rejections."""
+        setup = np.random.default_rng(100 + seed)
+        ndim = 3 + seed % 3
+        shape = np.sqrt([i * (ndim + 1 - i) for i in range(1, ndim + 1)])
+        scale = 0.05 if seed % 3 == 0 else setup.uniform(0.3, 1.5)  # 0.05: offsets cross 0
+        cps = shape * scale + setup.normal(0.0, 0.05, ndim)
+        incumbent = Candidate(couplings=tuple(np.maximum(cps, 0.01)))
+        deltas = setup.uniform(0.05, 0.3, ndim)
+        weights = setup.uniform(0.0, 1.0, ndim) * (setup.random(ndim) < 0.7)
+        if seed % 2:  # no weight reaches 1: some rows draw no active dimension
+            weights *= 0.3
+        else:
+            weights[int(setup.integers(ndim))] = 1.0
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = optimizer._sample_batch(incumbent, deltas, weights, 64, got_rng)
+        want = sample_batch_loop(incumbent, deltas, weights, 64, want_rng)
+        assert got == want
+        assert got_rng.random() == want_rng.random()

@@ -47,7 +47,6 @@ from pstlab.sim_core import (
     partial_trace_to_qubit,
     qubit_p1,
     qubit_state_fidelity,
-    stack_superoperators,
     validate_cptp,
 )
 
@@ -450,13 +449,16 @@ class TestStackedOps:
             assert np.array_equal(got[b], contract_new(vecs[b], mats[b], plan)), b
 
     def test_stacked_ops_apply_each_members_list(self):
-        """stack_superoperators then apply_to_members, against each member's
-        list through apply_superoperators, on a merged noisy N = 4 step."""
+        """A batch circuit's step, compiled once into stacked ops, then
+        apply_to_members, against each member's own compiled step through
+        apply_superoperators, on a merged noisy N = 4 step."""
         n = 4
         states = [PauliState.from_density_matrix(random_density(n, seed=s)) for s in range(3)]
-        steps = [_compile_merged(assemble_circuit(ExperimentConfig(
-            n_sites=n, n_steps=4, j0=j0, noise=NoiseParams())).step, n) for j0 in (0.5, 1.0, 2.0)]
-        stacked = stack_superoperators(steps)
+        configs = [ExperimentConfig(n_sites=n, n_steps=4, j0=j0, noise=NoiseParams())
+                   for j0 in (0.5, 1.0, 2.0)]
+        stacked = _compile_merged(
+            assemble_circuit(configs[0], [c.profile() for c in configs]).step, n, 3)
+        steps = [_compile_merged(assemble_circuit(config).step, n) for config in configs]
         assert [sop.matrix.shape[0] for sop in stacked] == [3] * len(steps[0])
         work = np.empty(3 * 4**n)
         got = apply_to_members(np.stack([s.vector for s in states]), stacked, work)
@@ -464,22 +466,43 @@ class TestStackedOps:
             assert np.array_equal(got[b], apply_superoperators(state, ops, work[:4**n]).vector), b
 
     def test_one_member_is_kept_as_it_is(self):
-        ops = [Superoperator(np.eye(16), (0, 1), 3), Superoperator(np.eye(4), (2,), 3)]
-        assert stack_superoperators([ops]) == ops
+        """A batch of one profile is a single run: 2-D gates and 2-D ops."""
+        config = ExperimentConfig(n_sites=3, n_steps=4, noise=NoiseParams())
+        circuit = assemble_circuit(config, [config.profile()])
+        assert all(op.gate.matrix.ndim == 2 for op in circuit.prep + circuit.step)
+        for got, want in zip(_compile_merged(circuit.step, 3),
+                             _compile_merged(assemble_circuit(config).step, 3), strict=True):
+            assert got.matrix.ndim == 2 and np.array_equal(got.matrix, want.matrix)
 
-    @pytest.mark.parametrize("other", [
-        [Superoperator(np.eye(16), (1, 2), 3)],  # other targets
-        [Superoperator(np.eye(16), (0, 1), 4)],  # another register size
-        [],  # another length
-    ], ids=["targets", "n_qubits", "length"])
-    def test_refuses_members_of_another_layout(self, other):
-        with pytest.raises(ValueError, match="share every op's targets"):
-            stack_superoperators([[Superoperator(np.eye(16), (0, 1), 3)], other])
+    def test_refuses_stacks_of_another_size(self):
+        """Ops merged into one group must stack the same number of members."""
+        two = fused_superoperator(UnitaryGate(np.stack([np.eye(4)] * 2), (0, 1)), [], 3)
+        three = fused_superoperator(UnitaryGate(np.stack([np.eye(4)] * 3), (1, 2)), [], 3)
+        with pytest.raises(ValueError):
+            merge_superoperators([two, three])
 
     def test_refuses_scrambled_targets(self):
-        ops = [Superoperator(np.eye(16), (2, 0), 3)]
+        gate = UnitaryGate(np.stack([np.eye(4), np.kron(PAULI_X, PAULI_Z)]), (2, 0))
+        sop = fused_superoperator(gate, [(AMP_DAMP, (1,))], 3)
+        assert sop.matrix.shape == (2, 64, 64)
         with pytest.raises(ValueError, match="consecutive qubits"):
-            stack_superoperators([ops, ops])
+            apply_to_members(np.zeros((2, 4**3)), [sop], np.empty(2 * 4**3))
+
+    def test_a_non_unitary_member_is_refused(self):
+        mats = np.stack([np.eye(4), np.kron(PAULI_X, PAULI_Y), np.diag([1, 1, 1, 1.001])])
+        with pytest.raises(ValueError, match="not unitary"):
+            UnitaryGate(mats, (0, 1))
+        UnitaryGate(mats[:2], (0, 1))  # its unitary members pass
+
+    def test_stacked_gate_compiles_to_each_members_ptm(self):
+        """fused_superoperator of a stack of random unitaries with channels,
+        against each member's own, bit for bit."""
+        mats = np.stack([unitary_group.rvs(4, random_state=s) for s in range(4)])
+        channels = [(AMP_DAMP, (1,)), (PAULI_MIX, (2,))]
+        got = fused_superoperator(UnitaryGate(mats, (0, 1)), channels, 3)
+        for b, mat in enumerate(mats):
+            want = fused_superoperator(UnitaryGate(mat, (0, 1)), channels, 3)
+            assert got.targets == want.targets and np.array_equal(got.matrix[b], want.matrix), b
 
 
 class TestMergeSuperoperators:
