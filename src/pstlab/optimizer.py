@@ -167,8 +167,7 @@ def grid_search_j0(base: ExperimentConfig, lo: float = 0.1, hi: float = 4.0,
     known = dict(zip((cand.couplings for cand in runs), objectives(runs, base)))
 
     def records(cands, kind):
-        return [EvalRecord(candidate=cand, objective=known[cand.couplings][0],
-                           t_star=known[cand.couplings][1], seed=base.seed, kind=kind)
+        return [EvalRecord(cand, *known[cand.couplings], seed=base.seed, kind=kind)
                 for cand in cands]
 
     return sorted(records(cands, "grid"), key=lambda r: -r.objective) + records(extra, "extra")
