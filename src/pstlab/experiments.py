@@ -12,10 +12,15 @@ merged into superoperators of at most sim_core.MERGE_WIDTH qubits. Merging
 never crosses a recorded step boundary. Runs that differ only in couplings
 can evolve in lock-step as one batch (evolve_recorded, run_sp_batch): they
 share one circuit whose XY gates hold a stack of the members' matrices, it
-is compiled once per chunk of members into stacked ops, and readout stays
-per member, so each member's records are bit-identical to its own run's. This
-module only creates the zero state, applies compiled ops and reads
-populations with qubit_p1; the basis change lives in sim_core.
+is compiled once per chunk of members into stacked ops, each bound once to
+the chunk's two state buffers, and each recorded step hands the chunk's
+(members, 4^n) state block to one observe call. run_sp_batch reads every
+member's populations from that block, P(1) = (r_I - r_Z) / 2 from one column
+slice, and draws each member's shots from its own generator, so each
+member's records are bit-identical to its own run's. This module only
+creates the zero state, applies compiled ops and reads populations (with
+qubit_p1, or from those two coefficients); the basis change lives in
+sim_core.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .sim_core import (
     Superoperator,
     UnitaryGate,
     apply_superoperators,
-    apply_to_members,
+    bind_superoperators,
     fused_superoperator,
     merge_superoperators,
     qubit_p1,
@@ -230,63 +235,78 @@ def _compile_merged(ops, n_qubits: int, members: int = 1) -> list:
 
 def _member_ops(ops, lo: int, hi: int) -> list:
     """The GateOps of batch members lo..hi-1: each stacked gate's matrices
-    sliced to theirs, a lone member's as its 2-D matrix."""
+    sliced to theirs, a lone member's as its 2-D matrix. A stack the chunk
+    spans whole is kept as it is."""
     out = []
     for op in ops:
         gate = op.gate
-        if gate.matrix.ndim > 2:
+        if gate.matrix.ndim > 2 and hi - lo < len(gate.matrix):
             mats = gate.matrix[lo:hi] if hi - lo > 1 else gate.matrix[lo]
             op = GateOp(UnitaryGate(mats, gate.targets, gate.kind), op.channels)
         out.append(op)
     return out
 
 
-def evolve_recorded(circuit: NoisyCircuit, records) -> list:
-    """Run the circuit's members in lock-step, prep then every step, calling
-    records[b](state) on member b's state at k = 0..n_steps; returns, per
-    member, the list of what its record returned.
+def evolve_recorded(circuit: NoisyCircuit, observe) -> np.ndarray:
+    """Run the circuit's members in lock-step, prep then every step, and
+    record observe(block) at k = 0..n_steps; returns the (m, n_steps + 1,
+    ...) array of the records, member first.
 
-    The circuit has one member per coupling profile, and one record each.
-    A batch holds at most MAX_BATCH_COEFFS Pauli coefficients (one member at
-    least); a larger one runs in chunks. The prep and the step are compiled
-    once per chunk, from the chunk's slice of each gate stack, so a step
-    costs one matmul per op whatever the chunk size, and each member's
-    states are bit-identical to its own run's. A chunk of one member
-    compiles and applies 2-D ops, as a single run does. Each recorded state
-    is a new PauliState; the kernel's work buffer is allocated once per
-    chunk.
+    The circuit has one member per coupling profile. A batch holds at most
+    MAX_BATCH_COEFFS Pauli coefficients (one member at least); a larger one
+    runs in chunks. `block` is a chunk's (members, 4^n) array of Pauli
+    vectors, and observe must return one row per member; the rows are copied
+    out, so they may be views of the block, which the next step overwrites.
+    The prep and the step are compiled once per chunk, from the chunk's
+    slice of each gate stack, and each op is bound once to the chunk's two
+    state buffers (sim_core.bind_superoperators), for both parities, so a
+    step is one matmul per op whatever the chunk size and allocates nothing,
+    and each member's states are bit-identical to its own run's. A chunk of
+    one member compiles and applies 2-D ops, as a single run does.
     """
-    n, plan, m = circuit.n_qubits, circuit.plan, len(circuit.profiles)
-    if len(records) != m:
-        raise ValueError(f"{len(records)} records for a circuit of {m} members")
+    n, n_steps, m = circuit.n_qubits, circuit.plan.n_steps, len(circuit.profiles)
     size = max(1, MAX_BATCH_COEFFS // 4**n)
-    out = []
+    out = None
     for lo in range(0, m, size):
         hi = min(m, lo + size)
-        recorders = records[lo:hi]
         prep = _compile_merged(_member_ops(circuit.prep, lo, hi), n, hi - lo)
         step = _compile_merged(_member_ops(circuit.step, lo, hi), n, hi - lo)
-        work = np.empty((hi - lo) * 4**n)
-        states = apply_to_members(np.tile(PauliState.zero(n).vector, (hi - lo, 1)), prep, work)
-        rows = [[record(PauliState(n, vec))] for record, vec in zip(recorders, states)]
-        for _ in range(plan.n_steps):
-            states = apply_to_members(states, step, work)
-            for row, record, vec in zip(rows, recorders, states):
-                row.append(record(PauliState(n, vec)))
-        out += rows
+        bufs = (np.tile(PauliState.zero(n).vector, (hi - lo, 1)), np.empty((hi - lo, 4**n)))
+        for call in bind_superoperators(prep, *bufs):
+            call()
+        at = len(prep) % 2
+        bound = (bind_superoperators(step, *bufs), bind_superoperators(step, *bufs[::-1]))
+        for k in range(n_steps + 1):
+            if k:
+                for call in bound[at]:
+                    call()
+                at ^= len(step) % 2
+            rows = observe(bufs[at])
+            if len(rows) != hi - lo:
+                raise ValueError(f"observe gave {len(rows)} rows for a chunk of {hi - lo} members")
+            if out is None:
+                rows = np.asarray(rows)
+                out = np.empty((m, n_steps + 1, *rows.shape[1:]), rows.dtype)
+            out[lo:hi, k] = rows
     return out
 
 
-def measure_p1(state, qubit: int, shots, rng, readout_error: float) -> float:
-    """Measured P(qubit reads 1): readout flip, clamp to [0, 1], then an
-    optional binomial draw of `shots` outcomes (None = exact)."""
-    p1 = qubit_p1(state, qubit)
+def readout_p1(p1, shots, rng, readout_error: float) -> np.ndarray:
+    """Measured P(1) of an array of exact populations: readout flip, clamp to
+    [0, 1], then, with `shots`, one binomial draw of that many outcomes per
+    entry, in C order, from rng (None = exact)."""
+    p1 = np.asarray(p1, dtype=float)
     if readout_error > 0:
         p1 = (1.0 - readout_error) * p1 + readout_error * (1.0 - p1)
-    p1 = min(1.0, max(0.0, p1))
+    p1 = np.clip(p1, 0.0, 1.0)
     if shots is None:
         return p1
-    return int(rng.binomial(int(shots), p1)) / int(shots)
+    return rng.binomial(int(shots), p1) / int(shots)
+
+
+def measure_p1(state, qubit: int, shots, rng, readout_error: float) -> float:
+    """Measured P(qubit reads 1) of one state: readout_p1 of its qubit_p1."""
+    return float(readout_p1(qubit_p1(state, qubit), shots, rng, readout_error))
 
 
 def run_sp_series(config: ExperimentConfig) -> SPTimeSeries:
@@ -300,8 +320,9 @@ def run_sp_batch(configs) -> list:
 
     The configs may differ only in couplings (or j0, which sets them); any
     other difference raises ValueError before any circuit is built. Each
-    member's series is bit-identical to its own run_sp_series: readout,
-    with its own generator under the shared seed, stays per member.
+    member's series is bit-identical to its own run_sp_series: the readout
+    flip and clamp run on all members' populations at once, and each member
+    draws its shots from its own generator under the shared seed.
     """
     if not configs:
         return []
@@ -315,20 +336,20 @@ def run_sp_batch(configs) -> list:
         raise ValueError("run_sp_series expects a single-excitation initial state")
     sites = first.measured_sites or (first.n_sites,)
     readout = first.noise.readout_error if first.noise is not None else 0.0
-
-    def recorder():
-        rng = np.random.default_rng(first.seed)
-        return lambda state: [measure_p1(state, s - 1, first.shots, rng, readout) for s in sites]
-
+    # r_I and each measured site's r_Z; P(1) = (r_I - r_Z) / 2, as qubit_p1
+    cols = np.array([0, *(3 * 4 ** (first.n_sites - s) for s in sites)])
     circuit = assemble_circuit(first, [config.profile() for config in configs])
-    runs = evolve_recorded(circuit, [recorder() for _ in configs])
-    out = []
-    for config, rows in zip(configs, runs):
-        rows = np.array(rows)
-        values = {s: rows[:, i] for i, s in enumerate(sites)}
-        out.append(SPTimeSeries(times=circuit.plan.times(), values=values,
-                                meta=_series_meta(config, circuit)))
-    return out
+    coeffs = evolve_recorded(circuit, lambda block: block.take(cols, 1))
+    p1 = (coeffs[..., :1] - coeffs[..., 1:]) / 2.0
+    if first.shots is None:
+        p1 = readout_p1(p1, None, None, readout)
+    else:  # each member draws from its own generator, step by step, then site by site
+        p1 = np.array([readout_p1(rows, first.shots, np.random.default_rng(first.seed), readout)
+                       for rows in p1])
+    return [SPTimeSeries(times=circuit.plan.times(),
+                         values={s: rows[:, i] for i, s in enumerate(sites)},
+                         meta=_series_meta(config, circuit))
+            for config, rows in zip(configs, p1)]
 
 
 def run_site_resolved(config: ExperimentConfig) -> SPTimeSeries:
@@ -389,20 +410,18 @@ def run_arbitrary_transfer(config: ExperimentConfig) -> TomographyRecord:
     qubit = config.n_sites - 1
     rotations = _compile_rotations(config)
     readout = config.noise.readout_error if config.noise is not None else 0.0
-    rng = np.random.default_rng(config.seed)
     target = DensityMatrix(1, np.outer([a, b], np.conj([a, b])), validate=False)
     work = np.empty(4**config.n_sites)
 
-    def record(state):
-        # <sigma> = p0 - p1 of the last qubit after each basis rotation
-        return [1.0 - 2.0 * measure_p1(apply_superoperators(state, ops, work), qubit, config.shots,
-                                       rng, readout)
-                for ops in rotations]
+    def observe(block):
+        # P(1) of the last qubit after each basis rotation, of the one member
+        state = PauliState(config.n_sites, block[0])
+        return [[qubit_p1(apply_superoperators(state, ops, work), qubit) for ops in rotations]]
 
-    rows = evolve_recorded(circuit, [record])[0]
-    xs = np.array([r[0] for r in rows])
-    ys = np.array([r[1] for r in rows])
-    zs = np.array([r[2] for r in rows])
+    # <sigma> = p0 - p1, drawn step by step, then basis by basis
+    p1 = readout_p1(evolve_recorded(circuit, observe)[0], config.shots,
+                    np.random.default_rng(config.seed), readout)
+    xs, ys, zs = (1.0 - 2.0 * p1).T.copy()
     rhos, fids, fids_pc = [], [], []
     for x, y, z in zip(xs, ys, zs):
         rec = tomography_reconstruct(x, y, z)

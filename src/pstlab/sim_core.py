@@ -13,8 +13,11 @@ qubits. An op on the consecutive qubits a..a+k-1 in order, as every op the
 experiments compile is, is applied as one real (stacked) matmul on a reshaped
 view, straight from one buffer into the other; an op on any other targets
 adds a gather into the targets' axis order before the matmul and a scatter
-back after it. The ops alternate between the new state and one work buffer
-the caller owns. States of circuits that differ only in their gates'
+back after it. Ops applied once (apply_superoperators) alternate between the
+new state and one work buffer the caller owns; ops a loop applies again and
+again (the Trotter step) are bound once to two fixed state buffers
+(bind_superoperators), each then one call on views fixed when it was bound,
+and allocate nothing. States of circuits that differ only in their gates'
 matrices evolve together as one batch: a gate may hold an (m, d, d) stack of
 its members' unitaries, compiling it gives an op with the stack of their
 PTMs (2-D parts, such as the shared channels, broadcast over the member
@@ -29,7 +32,7 @@ the engine's reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -273,6 +276,19 @@ def _contraction_plan(targets: tuple, n: int) -> _Plan:
     return _Plan(None, perm, tuple(np.argsort(perm)))
 
 
+def _matmul_operands(src: np.ndarray, mat: np.ndarray, plan: _Plan, dst: np.ndarray) -> tuple:
+    """(x, y, out): the views such that np.matmul(x, y, out) contracts mat
+    into the plan's consecutive targets of src, writing dst (see _contract).
+    The one place that lays them out, for _contract and for ops bound once
+    (bind_superoperators)."""
+    lead, width = plan.lead, mat.shape[-1]
+    view = (lead, width) if mat.ndim == 2 else (len(mat), lead, width)
+    if src.size * width == lead * mat.size:  # one vector per matrix
+        return src.reshape(view), mat.swapaxes(-1, -2), dst.reshape(view)
+    view += (-1,)
+    return mat if mat.ndim == 2 else mat[:, None], src.reshape(view), dst.reshape(view)
+
+
 def _contract(src: np.ndarray, mat: np.ndarray, plan: _Plan, dst: np.ndarray,
               spare: np.ndarray) -> np.ndarray:
     """dst <- mat contracted into the plan's target axes of src.
@@ -291,19 +307,13 @@ def _contract(src: np.ndarray, mat: np.ndarray, plan: _Plan, dst: np.ndarray,
     the same matmul over a leading member axis of the view, each member's
     result bit-identical to its own. Other targets refuse a stack.
     """
-    lead, perm, inv = plan
-    width = mat.shape[-1]
+    _, perm, inv = plan
     if perm is None:
-        view = (lead, width) if mat.ndim == 2 else (len(mat), lead, width)
-        if src.size * width == lead * mat.size:  # one vector per matrix
-            np.matmul(src.reshape(view), mat.swapaxes(-1, -2), out=dst.reshape(view))
-        else:
-            view += (-1,)
-            np.matmul(mat if mat.ndim == 2 else mat[:, None], src.reshape(view),
-                      out=dst.reshape(view))
+        np.matmul(*_matmul_operands(src, mat, plan, dst))
         return dst
     if mat.ndim > 2:
         raise ValueError("stacked ops must act on consecutive qubits in order")
+    width = mat.shape[-1]
     shape = (4,) * (len(perm) - 1) + (-1,)
     np.copyto(dst.reshape(shape), src.reshape(shape).transpose(perm))
     np.matmul(mat, dst.reshape(width, -1), out=spare.reshape(width, -1))
@@ -490,7 +500,8 @@ def apply_to_members(vectors: np.ndarray, sops, work: np.ndarray) -> np.ndarray:
     `work` is a flat real buffer of the vectors' size;
     a caller applying many ops allocates it once. The ops alternate between
     `work` and the new array, starting on whichever makes the last op write
-    the new array.
+    the new array. For ops applied once; a loop applying the same ops to the
+    same buffers binds them (bind_superoperators).
     """
     src, out = vectors, np.empty(vectors.shape)
     dst, spare = (out, work) if len(sops) % 2 else (work, out)
@@ -500,6 +511,29 @@ def apply_to_members(vectors: np.ndarray, sops, work: np.ndarray) -> np.ndarray:
     if src is not out:  # no ops: the new array is a copy
         np.copyto(out, src)
     return out
+
+
+def bind_superoperators(sops, first: np.ndarray, second: np.ndarray) -> list:
+    """The superoperators in order, each bound once to two fixed buffers: a
+    list of calls without arguments, the first reading `first` and writing
+    `second`, the next the other way, and so on. After all of them the
+    result is in `second` for an odd number of ops, else in `first`.
+
+    The buffers are contiguous arrays of one size: one Pauli vector, or m of
+    them stored one after another for stacked ops of m members. An op on
+    consecutive targets is one np.matmul on views fixed here, the ones
+    _contract takes; any other op is _contract with its source as the spare,
+    as that source's state is spent. Each call writes what _contract writes,
+    bit for bit, and none allocates a state.
+    """
+    calls, src, dst = [], first, second
+    for sop in sops:
+        if sop.plan.perm is None:
+            calls.append(partial(np.matmul, *_matmul_operands(src, sop.matrix, sop.plan, dst)))
+        else:
+            calls.append(partial(_contract, src, sop.matrix, sop.plan, dst, src))
+        src, dst = dst, src
+    return calls
 
 
 def qubit_p1(state, qubit: int) -> float:

@@ -59,7 +59,7 @@ from pstlab.noise import (
     zz_dephasing_channel,
 )
 from pstlab.optimizer import Candidate, bayes_optimize, grid_search_j0, objective
-from pstlab.sim_core import partial_trace_to_qubit, qubit_p1, validate_cptp
+from pstlab.sim_core import PauliState, partial_trace_to_qubit, qubit_p1, validate_cptp
 
 HALF_PI = math.pi / 2
 
@@ -124,7 +124,7 @@ def matched_channel_peak(channel_1q) -> float:
     step = [GateOp(op.gate, [(pair, op.gate.targets)] if op.gate.kind in ("rxx", "ryy") else [])
             for op in circuit.step]
     noisy = replace(circuit, step=step)
-    values = evolve_recorded(noisy, [lambda st: qubit_p1(st, 3)])[0]
+    values = evolve_recorded(noisy, lambda block: [qubit_p1(PauliState(4, block[0]), 3)])[0]
     series = SPTimeSeries(times=noisy.plan.times(), values={4: values})
     return detect_first_peak(series)[1]
 
@@ -180,8 +180,8 @@ def test_criterion_03_cptp_and_trace_drift():
         for ch in channels:
             worst = max(worst, validate_cptp(ch).deviation)
     circuit = assemble_circuit(ExperimentConfig(n_sites=4, noise=NoiseParams()))
-    drifts = evolve_recorded(
-        circuit, [lambda st: abs(np.trace(st.to_density_matrix().matrix) - 1.0)])[0]
+    drifts = [abs(np.trace(PauliState(4, vec).to_density_matrix().matrix) - 1.0)
+              for vec in evolve_recorded(circuit, lambda block: block)[0]]
     drift = max(drifts)
     ok = worst <= 1e-10 and drift < 1e-8
     detail = f"1000 draws worst CPTP deviation {worst:.2e}; 80-step trace drift {drift:.2e}"
@@ -416,10 +416,8 @@ def test_criterion_13c_tomography_round_trip():
     cfg = ExperimentConfig(n_sites=4, n_steps=40)
     record = run_arbitrary_transfer(cfg)
     circuit = assemble_circuit(ExperimentConfig(n_sites=4, n_steps=40, initial="arbitrary"))
-    reduced = evolve_recorded(
-        circuit,
-        [lambda st: partial_trace_to_qubit(st.to_density_matrix(), 3).matrix],
-    )[0]
+    reduced = [partial_trace_to_qubit(PauliState(4, vec).to_density_matrix(), 3).matrix
+               for vec in evolve_recorded(circuit, lambda block: block)[0]]
     worst = 0.0
     for rec, red in zip(record.rhos, reduced):
         worst = max(worst, 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rec - red)))))

@@ -19,7 +19,7 @@ from pstlab.chains import (
     single_excitation_hamiltonian,
 )
 from pstlab.experiments import ExperimentConfig, assemble_circuit, evolve_recorded, run_sp_series
-from pstlab.sim_core import PAULI_X, PAULI_Y, PAULI_Z
+from pstlab.sim_core import PAULI_X, PAULI_Y, PAULI_Z, PauliState
 
 
 class TestCouplings:
@@ -159,7 +159,8 @@ class TestInitialStates:
     def prepared(n, **config):
         """The k = 0 density matrix, and the prep layer's gate kinds."""
         circuit = assemble_circuit(ExperimentConfig(n_sites=n, n_steps=1, **config))
-        rho = evolve_recorded(circuit, [lambda st: st.to_density_matrix().matrix])[0][0]
+        vec = evolve_recorded(circuit, lambda block: block)[0][0]
+        rho = PauliState(n, vec).to_density_matrix().matrix
         return rho, [op.gate.kind for op in circuit.prep]
 
     def test_single_excitation_site1(self):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -43,6 +44,7 @@ from pstlab.sim_core import (
     apply_unitary,
     merge_superoperators,
     partial_trace_to_qubit,
+    qubit_p1,
 )
 
 HALF_PI = math.pi / 2
@@ -122,7 +124,8 @@ class TestIdealRuns:
         every recorded state matches bare gates on a density matrix."""
         circuit = assemble_circuit(ExperimentConfig(n_sites=n))
         assert not circuit.has_channels()
-        got = evolve_recorded(circuit, [lambda st: st.to_density_matrix().matrix])[0]
+        got = [PauliState(n, vec).to_density_matrix().matrix
+               for vec in evolve_recorded(circuit, lambda block: block)[0]]
         want = kraus_loop_series(circuit)
         assert len(got) == len(want) == 81
         for k, (rho, oracle) in enumerate(zip(got, want)):
@@ -216,7 +219,8 @@ class TestFusedMatchesKrausLoop:
         Kraus loop over every op of the circuit."""
         circuit = assemble_circuit(ExperimentConfig(n_sites=4, n_steps=12, noise=NoiseParams(),
                                                     initial="arbitrary"))
-        fused = evolve_recorded(circuit, [lambda st: st.to_density_matrix().matrix])[0]
+        fused = [PauliState(4, vec).to_density_matrix().matrix
+                 for vec in evolve_recorded(circuit, lambda block: block)[0]]
         oracle = kraus_loop_series(circuit)
         assert len(fused) == 13
         for got, want in zip(fused, oracle):
@@ -364,11 +368,12 @@ class TestLockStep:
         with pytest.raises(ValueError, match="share their chain length"):
             assemble_circuit(config, [config.profile(), pst_couplings(3, 1.0)])
 
-    def test_evolve_recorded_refuses_a_record_per_member_missing(self):
+    def test_evolve_recorded_refuses_rows_of_another_size(self):
+        """observe must give one row per member of the chunk."""
         config = ExperimentConfig(n_sites=4, n_steps=20)
         circuit = assemble_circuit(config, [config.profile()] * 3)
-        with pytest.raises(ValueError, match="2 records for a circuit of 3 members"):
-            evolve_recorded(circuit, [lambda st: None] * 2)
+        with pytest.raises(ValueError, match="observe gave 2 rows for a chunk of 3 members"):
+            evolve_recorded(circuit, lambda block: block[:2])
 
     def test_chunks_give_the_records_of_one_batch(self, monkeypatch):
         """A cap of two N = 3 states splits five members into chunks of 2, 2
@@ -423,16 +428,125 @@ class TestBatchedCompile:
 
     def test_a_single_run_applies_2d_ops(self, monkeypatch):
         applied = []
-        real = experiments.apply_to_members
-        monkeypatch.setattr(experiments, "apply_to_members",
-                            lambda vecs, sops, work: applied.extend(sops)
-                            or real(vecs, sops, work))
+        real = experiments.bind_superoperators
+
+        def spy(sops, first, second):
+            # each bound call logs its op when the run calls it
+            return [lambda call=call, sop=sop: applied.append(sop) or call()
+                    for call, sop in zip(real(sops, first, second), sops, strict=True)]
+
+        monkeypatch.setattr(experiments, "bind_superoperators", spy)
         config = ExperimentConfig(n_sites=4, n_steps=3, noise=NoiseParams())
         run_sp_series(config)
         assert len(applied) == 1 + 3 * 4
         assert all(sop.matrix.ndim == 2 for sop in applied)
         circuit = assemble_circuit(config)
         assert all(op.gate.matrix.ndim == 2 for op in circuit.prep + circuit.step)
+
+
+class TestFixedBuffers:
+    """evolve_recorded steps each chunk in two fixed state buffers."""
+
+    @staticmethod
+    def circuit(n_steps: int = 80):
+        configs = [ExperimentConfig(n_sites=4, n_steps=n_steps, j0=j0, noise=NoiseParams())
+                   for j0 in (0.5, 1.0, 2.9)]
+        return assemble_circuit(configs[0], [config.profile() for config in configs])
+
+    def test_blocks_come_from_two_buffers_per_chunk(self, monkeypatch):
+        """Over an 80-step noisy N = 4 batch of 3 members, as one chunk and
+        as chunks of 2 and 1, every block observe sees is one of its chunk's
+        two buffers, and the chunked records equal the whole batch's."""
+        circuit = self.circuit()
+        whole = evolve_recorded(circuit, lambda block: block)
+        for sizes in ([3], [2, 1]):
+            monkeypatch.setattr(experiments, "MAX_BATCH_COEFFS", sizes[0] * 4**4)
+            seen = []
+            got = evolve_recorded(circuit, lambda block: seen.append(block) or block)
+            assert np.array_equal(got, whole)
+            assert [len(block) for block in seen] == [m for m in sizes for _ in range(81)]
+            for chunk in range(len(sizes)):
+                blocks = seen[81 * chunk:81 * (chunk + 1)]
+                assert len({block.ctypes.data for block in blocks}) <= 2, sizes
+
+    def test_a_step_allocates_no_state(self):
+        """Between two observe calls no allocation as large as the block
+        is live at once."""
+        circuit = self.circuit(n_steps=20)
+        peaks = []
+
+        def observe(block):
+            current, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak - current)
+            tracemalloc.reset_peak()
+            return block[:, :1]
+
+        tracemalloc.start()
+        try:
+            evolve_recorded(circuit, observe)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 21
+        assert max(peaks[1:]) < 3 * 4**4 * 8
+
+
+class TestReadout:
+    """Readout reads every member's populations from the state block and
+    draws its shots as a scalar loop over steps, then sites (or bases), from
+    the member's own generator, value for value."""
+
+    NOISE = NoiseParams(readout_error=0.03)
+
+    @staticmethod
+    def flip(p1, readout_error):
+        p1 = (1.0 - readout_error) * p1 + readout_error * (1.0 - p1)
+        return min(1.0, max(0.0, p1))
+
+    @classmethod
+    def draw(cls, p1, shots, rng, readout_error):
+        return int(rng.binomial(shots, cls.flip(p1, readout_error))) / shots
+
+    def test_sp_batch_shots_equal_a_scalar_loop(self):
+        configs = [ExperimentConfig(n_sites=4, n_steps=40, j0=j0, noise=self.NOISE, shots=1024,
+                                    seed=7, measured_sites=(2, 4)) for j0 in (0.5, 1.0, 2.9)]
+        for config, series in zip(configs, run_sp_batch(configs), strict=True):
+            states = evolve_recorded(assemble_circuit(config), lambda block: block)[0]
+            rng = np.random.default_rng(config.seed)
+            want = {2: [], 4: []}
+            for vec in states:  # step by step, then site by site
+                for site in (2, 4):
+                    p1 = qubit_p1(PauliState(4, vec), site - 1)
+                    want[site].append(self.draw(p1, 1024, rng, 0.03))
+            for site in (2, 4):
+                assert np.array_equal(series.values[site], want[site]), site
+
+    def test_arbitrary_transfer_shots_equal_a_scalar_loop(self):
+        config = ExperimentConfig(n_sites=4, n_steps=30, noise=self.NOISE, shots=256, seed=3,
+                                  amp_a=0.6, amp_b=0.8j)
+        record = run_arbitrary_transfer(config)
+        circuit = assemble_circuit(replace(config, initial="arbitrary"))
+        rotations = _compile_rotations(config)
+        rng = np.random.default_rng(config.seed)
+        work = np.empty(4**4)
+        want = []
+        for vec in evolve_recorded(circuit, lambda block: block)[0]:  # step, then basis
+            state = PauliState(4, vec)
+            want.append([1.0 - 2.0 * self.draw(qubit_p1(apply_superoperators(state, ops, work), 3),
+                                               256, rng, 0.03)
+                         for ops in rotations])
+        want = np.array(want)
+        for axis, got in enumerate((record.x, record.y, record.z)):
+            assert np.array_equal(got, want[:, axis]), axis
+
+    def test_exact_batch_equals_qubit_p1(self):
+        configs = [ExperimentConfig(n_sites=3, n_steps=10, j0=j0, noise=self.NOISE,
+                                    measured_sites=(1, 2, 3)) for j0 in (0.5, 2.0)]
+        for config, series in zip(configs, run_sp_batch(configs), strict=True):
+            states = evolve_recorded(assemble_circuit(config), lambda block: block)[0]
+            for site in (1, 2, 3):
+                want = [self.flip(qubit_p1(PauliState(3, vec), site - 1), 0.03)
+                        for vec in states]
+                assert np.array_equal(series.values[site], want), site
 
 
 class TestShotMode:
@@ -512,10 +626,8 @@ class TestArbitraryTransfer:
         circuit = assemble_circuit(
             ExperimentConfig(n_sites=3, n_steps=15, initial="arbitrary")
         )
-        reduced = evolve_recorded(
-            circuit,
-            [lambda st: partial_trace_to_qubit(st.to_density_matrix(), 2).matrix],
-        )[0]
+        reduced = [partial_trace_to_qubit(PauliState(3, vec).to_density_matrix(), 2).matrix
+                   for vec in evolve_recorded(circuit, lambda block: block)[0]]
         for rec_rho, red in zip(record.rhos, reduced):
             dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rec_rho - red)))
             assert dist < 1e-9
