@@ -7,20 +7,22 @@ time grid. The state is a sim_core.PauliState, the 4^n real Pauli
 coefficients of the dense density matrix, with or without noise. Each stored
 op (a gate with its channels, if any) is compiled once per run into one
 fused superoperator (a real Pauli transfer matrix), and adjacent fused ops
-of the prep layer, the Trotter step and each tomography basis rotation are
-merged into superoperators of at most sim_core.MERGE_WIDTH qubits. Merging
-never crosses a recorded step boundary. Runs that differ only in couplings
-can evolve in lock-step as one batch (evolve_recorded, run_sp_batch): they
-share one circuit whose XY gates hold a stack of the members' matrices, it
-is compiled once per chunk of members into stacked ops, each bound once to
-the chunk's two state buffers, and each recorded step hands the chunk's
-(members, 4^n) state block to one observe call. run_sp_batch reads every
-member's populations from that block, P(1) = (r_I - r_Z) / 2 from one column
-slice, and draws each member's shots from its own generator, so each
-member's records are bit-identical to its own run's. This module only
-creates the zero state, applies compiled ops and reads populations (with
-qubit_p1, or from those two coefficients); the basis change lives in
-sim_core.
+of the prep layer and of the Trotter step are merged into superoperators of
+at most sim_core.MERGE_WIDTH qubits. Merging never crosses a recorded step
+boundary. Runs that differ only in couplings can evolve in lock-step as one
+batch (evolve_recorded, run_sp_batch): they share one circuit whose XY gates
+hold a stack of the members' matrices, it is compiled once per chunk of
+members into stacked ops, each bound once to the chunk's two state buffers,
+and each recorded step hands the chunk's (members, 4^n) state block to one
+observe call. run_sp_batch reads every member's populations from that block,
+P(1) = (r_I - r_Z) / 2 from one column slice, and draws each member's shots
+from its own generator, so each member's records are bit-identical to its
+own run's. Every readout is of single qubits, so it reads a few coefficients
+of the block: P(1) = (r_I - r_Z) / 2 of each measured site, and for
+tomography the last qubit's r_I, r_X, r_Y and r_Z, which each basis
+rotation's one-qubit PTM turns before that P(1) is read. This module only
+creates the zero state, applies compiled ops and reads those coefficients;
+the basis change lives in sim_core.
 """
 
 from __future__ import annotations
@@ -47,11 +49,9 @@ from .sim_core import (
     PauliState,
     Superoperator,
     UnitaryGate,
-    apply_superoperators,
     bind_superoperators,
     fused_superoperator,
     merge_superoperators,
-    qubit_p1,
     qubit_state_fidelity,
 )
 
@@ -304,11 +304,6 @@ def readout_p1(p1, shots, rng, readout_error: float) -> np.ndarray:
     return rng.binomial(int(shots), p1) / int(shots)
 
 
-def measure_p1(state, qubit: int, shots, rng, readout_error: float) -> float:
-    """Measured P(qubit reads 1) of one state: readout_p1 of its qubit_p1."""
-    return float(readout_p1(qubit_p1(state, qubit), shots, rng, readout_error))
-
-
 def run_sp_series(config: ExperimentConfig) -> SPTimeSeries:
     """End-site success probability over the Trotter grid."""
     return run_sp_batch([config])[0]
@@ -381,18 +376,18 @@ def _best_phase_fidelity(rho: np.ndarray, a: complex, b: complex) -> float:
     return float(min(1.0, max(0.0, val)))
 
 
-def _compile_rotations(config: ExperimentConfig) -> list:
-    """The merged ops of the X, Y and Z basis rotations of the last qubit,
+def _basis_rotation_ptms(config: ExperimentConfig) -> np.ndarray:
+    """The (3, 4, 4) stack of one qubit's X, Y and Z basis-rotation PTMs,
     each gate with the comprehensive model's single-qubit layers when noise
-    is on."""
-    qubit = config.n_sites - 1
-    compiled = []
+    is on; the identity stands in for the Z basis, which rotates nothing."""
+    ptms = []
     for kinds in _BASIS_GATE_KINDS.values():
-        ops = [GateOp(UnitaryGate(gate_matrix(kind.upper()), (qubit,), kind=kind)) for kind in kinds]
+        ops = [GateOp(UnitaryGate(gate_matrix(kind.upper()), (0,), kind=kind)) for kind in kinds]
         if config.noise is not None:
             ops = with_noise(ops, config.noise)
-        compiled.append(_compile_merged(ops, config.n_sites))
-    return compiled
+        merged = _compile_merged(ops, 1)  # all on the one qubit: one op, or none
+        ptms.append(merged[0].matrix if merged else np.eye(4))
+    return np.array(ptms)
 
 
 def run_arbitrary_transfer(config: ExperimentConfig) -> TomographyRecord:
@@ -400,26 +395,23 @@ def run_arbitrary_transfer(config: ExperimentConfig) -> TomographyRecord:
 
     Measurements in the X, Y, Z bases (H, S^dag+H, none) run as separate
     probes of the same evolved state; the basis-rotation gates pick up the
-    single-qubit noise layers when noise is on. The primary fidelity keeps
-    the raw target (no transfer-phase correction); the phase-maximized
-    variant is reported alongside.
+    single-qubit noise layers when noise is on. Every probe reads the last
+    qubit alone, so each step records its four Pauli coefficients r_I, r_X,
+    r_Y, r_Z (entries 0..3 of the Pauli vector, I on every other qubit), and
+    each basis rotation acts on those four through its 4 x 4 PTM. The
+    primary fidelity keeps the raw target (no transfer-phase correction);
+    the phase-maximized variant is reported alongside.
     """
     a, b = complex(config.amp_a), complex(config.amp_b)
     config = replace(config, initial="arbitrary", amp_a=a, amp_b=b)
     circuit = assemble_circuit(config)
-    qubit = config.n_sites - 1
-    rotations = _compile_rotations(config)
     readout = config.noise.readout_error if config.noise is not None else 0.0
     target = DensityMatrix(1, np.outer([a, b], np.conj([a, b])), validate=False)
-    work = np.empty(4**config.n_sites)
-
-    def observe(block):
-        # P(1) of the last qubit after each basis rotation, of the one member
-        state = PauliState(config.n_sites, block[0])
-        return [[qubit_p1(apply_superoperators(state, ops, work), qubit) for ops in rotations]]
-
-    # <sigma> = p0 - p1, drawn step by step, then basis by basis
-    p1 = readout_p1(evolve_recorded(circuit, observe)[0], config.shots,
+    r4 = evolve_recorded(circuit, lambda block: block[:, :4])[0]
+    rotated = r4 @ _basis_rotation_ptms(config).swapaxes(1, 2)
+    # P(1) = (r_I - r_Z) / 2 per step and basis; <sigma> = p0 - p1, drawn
+    # step by step, then basis by basis
+    p1 = readout_p1(((rotated[..., 0] - rotated[..., 3]) / 2).T, config.shots,
                     np.random.default_rng(config.seed), readout)
     xs, ys, zs = (1.0 - 2.0 * p1).T.copy()
     rhos, fids, fids_pc = [], [], []

@@ -8,25 +8,24 @@ Unitaries and Kraus channels act on arbitrary qubit subsets through tensor
 reshaping; nothing here assumes a chain topology. The evolution engine holds
 every state, pure or mixed, as its 4^n real Pauli coefficients (PauliState).
 It fuses each gate with its channels, if any, into one real Pauli transfer
-matrix (PTM), then merges adjacent fused ops into PTMs of at most MERGE_WIDTH
-qubits. An op on the consecutive qubits a..a+k-1 in order, as every op the
-experiments compile is, is applied as one real (stacked) matmul on a reshaped
-view, straight from one buffer into the other; an op on any other targets
-adds a gather into the targets' axis order before the matmul and a scatter
-back after it. Ops applied once (apply_superoperators) alternate between the
-new state and one work buffer the caller owns; ops a loop applies again and
-again (the Trotter step) are bound once to two fixed state buffers
-(bind_superoperators), each then one call on views fixed when it was bound,
-and allocate nothing. States of circuits that differ only in their gates'
+matrix (PTM), then merges adjacent fused ops into PTMs of at most
+MERGE_WIDTH qubits. An op on the consecutive qubits a..a+k-1 in order, as
+every op the experiments compile is, is applied as one real (stacked) matmul
+on a reshaped view, straight from one buffer into the other; an op on any
+other targets adds a gather into the targets' axis order before the matmul
+and a scatter back after it. A run's prep and Trotter step are bound once to
+two fixed state buffers (bind_superoperators), each then one call on views
+fixed when it was bound, and allocate nothing; apply_superoperator applies
+one op into a new state. States of circuits that differ only in their gates'
 matrices evolve together as one batch: a gate may hold an (m, d, d) stack of
 its members' unitaries, compiling it gives an op with the stack of their
 PTMs (2-D parts, such as the shared channels, broadcast over the member
 axis), and the kernel applies the stack with one broadcast matmul over a
 leading member axis. Each channel's PTM is built once per channel object,
-and each contraction plan once per (targets, n). The
-per-qubit change between rho's entries and Pauli coefficients lives here
-alone. apply_unitary and apply_channel (the Kraus loop on DensityMatrix) are
-the engine's reference.
+and each contraction plan once per (targets, n). The per-qubit change
+between rho's entries and Pauli coefficients lives here alone. apply_unitary
+and apply_channel (the Kraus loop on DensityMatrix) are the engine's
+reference.
 """
 
 from __future__ import annotations
@@ -474,43 +473,14 @@ def merge_superoperators(sops) -> list:
 
 
 def apply_superoperator(state: PauliState, sop: Superoperator) -> PauliState:
-    """E(state): one real matmul on the Pauli axes of the targets."""
-    return apply_superoperators(state, (sop,), np.empty(state.vector.size))
-
-
-def apply_superoperators(state: PauliState, sops, work: np.ndarray) -> PauliState:
-    """The superoperators in order, written into one new Pauli vector.
-
-    `work` is a flat real buffer of the vector's size; a caller applying many
-    ops allocates it once.
-    """
-    n = state.n_qubits
-    for sop in sops:
-        if n != sop.n_qubits:
-            _check_targets(sop.targets, n)
-            raise ValueError(f"superoperator compiled for {sop.n_qubits} qubits, state has {n}")
-    return PauliState(n, apply_to_members(state.vector, sops, work))
-
-
-def apply_to_members(vectors: np.ndarray, sops, work: np.ndarray) -> np.ndarray:
-    """The superoperators in order on m Pauli vectors stored one after
-    another in `vectors`, written into one new array of its shape.
-
-    Each op is one superoperator when m is 1, or a stacked op of m members.
-    `work` is a flat real buffer of the vectors' size;
-    a caller applying many ops allocates it once. The ops alternate between
-    `work` and the new array, starting on whichever makes the last op write
-    the new array. For ops applied once; a loop applying the same ops to the
-    same buffers binds them (bind_superoperators).
-    """
-    src, out = vectors, np.empty(vectors.shape)
-    dst, spare = (out, work) if len(sops) % 2 else (work, out)
-    for sop in sops:
-        src = _contract(src, sop.matrix, sop.plan, dst, spare)
-        dst, spare = spare, dst
-    if src is not out:  # no ops: the new array is a copy
-        np.copyto(out, src)
-    return out
+    """E(state): one real matmul on the Pauli axes of the targets, into a new
+    Pauli vector."""
+    n, vec = state.n_qubits, state.vector
+    if n != sop.n_qubits:
+        _check_targets(sop.targets, n)
+        raise ValueError(f"superoperator compiled for {sop.n_qubits} qubits, state has {n}")
+    dst, spare = np.empty(vec.size), np.empty(vec.size)
+    return PauliState(n, _contract(vec, sop.matrix, sop.plan, dst, spare))
 
 
 def bind_superoperators(sops, first: np.ndarray, second: np.ndarray) -> list:

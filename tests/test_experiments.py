@@ -19,7 +19,6 @@ from pstlab.experiments import (
     SPTimeSeries,
     _compile_merged,
     _compile_ops,
-    _compile_rotations,
     _find_peaks,
     assemble_circuit,
     detect_first_peak,
@@ -40,7 +39,6 @@ from pstlab.sim_core import (
     UnitaryGate,
     apply_channel,
     apply_superoperator,
-    apply_superoperators,
     apply_unitary,
     merge_superoperators,
     partial_trace_to_qubit,
@@ -167,6 +165,23 @@ def kraus_loop_series(circuit) -> list:
     return out
 
 
+def apply_in_order(state: PauliState, sops) -> PauliState:
+    """apply_superoperator of each op in turn."""
+    for sop in sops:
+        state = apply_superoperator(state, sop)
+    return state
+
+
+BASIS_GATE_KINDS = (("h",), ("sdg", "h"), ())  # the X, Y and Z tomography rotations
+
+
+def basis_ops(kinds, qubit: int, params) -> list:
+    """The GateOps of one basis rotation of `qubit`, each gate followed by
+    its with_noise channels unless params is None."""
+    ops = [GateOp(UnitaryGate(gate_matrix(kind.upper()), (qubit,), kind=kind)) for kind in kinds]
+    return ops if params is None else with_noise(ops, params)
+
+
 def mixed_state(n: int, seed: int) -> DensityMatrix:
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
@@ -235,9 +250,7 @@ class TestMergedMatchesKrausLoop:
     def op_lists(n: int, params: NoiseParams) -> list:
         circuit = assemble_circuit(ExperimentConfig(
             n_sites=n, n_steps=8, noise=params, initial="arbitrary", amp_a=0.6, amp_b=0.8j))
-        rotations = [with_noise(
-            [GateOp(UnitaryGate(gate_matrix(kind.upper()), (n - 1,), kind=kind)) for kind in kinds],
-            params) for kinds in (("h",), ("sdg", "h"))]
+        rotations = [basis_ops(kinds, n - 1, params) for kinds in BASIS_GATE_KINDS[:2]]
         return [circuit.prep, circuit.step, *rotations]
 
     @staticmethod
@@ -246,7 +259,7 @@ class TestMergedMatchesKrausLoop:
         oracle = rho
         for op in ops:
             oracle = kraus_loop(oracle, op)
-        got = apply_superoperators(PauliState.from_density_matrix(rho), merged, np.empty(4**n))
+        got = apply_in_order(PauliState.from_density_matrix(rho), merged)
         return float(np.max(np.abs(got.to_density_matrix().matrix - oracle.matrix)))
 
     @pytest.mark.parametrize("thermal", sorted(THERMAL_SETTINGS))
@@ -290,6 +303,34 @@ class TestMergedMatchesKrausLoop:
         assert self.max_error(4, ops, reversed_group + merged[1:]) > 1e-12
 
 
+class TestTomographyMatchesKrausLoop:
+    """run_arbitrary_transfer's exact x, y and z, read from the last qubit's
+    four Pauli coefficients, against the Kraus loop: rho evolved op by op,
+    qubit N - 1 rotated by each basis's gates and their with_noise channels
+    on the whole density matrix, then <sigma> = 1 - 2 qubit_p1."""
+
+    @pytest.mark.parametrize("amps", [(0.6, 0.8j), (1 / math.sqrt(2), 1 / math.sqrt(2))],
+                             ids=["general", "plus"])
+    @pytest.mark.parametrize("noise", ["ideal", "hamiltonian", "dephasing_channel"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_bloch_components(self, n, noise, amps):
+        params = None if noise == "ideal" else NoiseParams(**{**STRONG, "zz_mode": noise})
+        config = ExperimentConfig(n_sites=n, n_steps=8, noise=params, initial="arbitrary",
+                                  amp_a=amps[0], amp_b=amps[1])
+        record = run_arbitrary_transfer(config)
+        rotations = [basis_ops(kinds, n - 1, params) for kinds in BASIS_GATE_KINDS]
+        for k, rho in enumerate(kraus_loop_series(assemble_circuit(config))):
+            for got, ops in zip((record.x, record.y, record.z), rotations, strict=True):
+                rotated = rho
+                for op in ops:
+                    rotated = kraus_loop(rotated, op)
+                err = abs(got[k] - (1.0 - 2.0 * qubit_p1(rotated, n - 1)))
+                assert err <= 1e-12, (k, [op.gate.kind for op in ops], err)
+        # the transfer moves z, and x or y (the other stays flat on a real or
+        # imaginary transfer phase unless coherent ZZ mixes them)
+        assert np.ptp(record.z) > 0.5 and max(np.ptp(record.x), np.ptp(record.y)) > 0.1
+
+
 class TestInPlacePath:
     @staticmethod
     def configs() -> list:
@@ -301,12 +342,13 @@ class TestInPlacePath:
                           for n in (6, 7) for params in zz_modes]
 
     def test_no_compiled_op_permutes(self):
-        """Every op compiled for the prep, the step and the tomography
-        rotations acts on consecutive qubits in order, so the kernel contracts
-        it in place, without a gather or a scatter."""
+        """Every op compiled for the prep and the step acts on consecutive
+        qubits in order, so the kernel contracts it in place, without a
+        gather or a scatter. The tomography rotations never touch the state:
+        they act on the last qubit's four recorded coefficients."""
         for config in self.configs():
             n = config.n_sites
-            ops = list(itertools.chain(*_compile_rotations(config)))
+            ops = []
             for initial in ("single_excitation", "arbitrary"):
                 circuit = assemble_circuit(replace(config, initial=initial))
                 ops += _compile_merged(circuit.prep, n) + _compile_merged(circuit.step, n)
@@ -525,13 +567,14 @@ class TestReadout:
                                   amp_a=0.6, amp_b=0.8j)
         record = run_arbitrary_transfer(config)
         circuit = assemble_circuit(replace(config, initial="arbitrary"))
-        rotations = _compile_rotations(config)
+        # each rotation compiled for all 4 qubits and applied to the whole state
+        rotations = [_compile_merged(basis_ops(kinds, 3, self.NOISE), 4)
+                     for kinds in BASIS_GATE_KINDS]
         rng = np.random.default_rng(config.seed)
-        work = np.empty(4**4)
         want = []
         for vec in evolve_recorded(circuit, lambda block: block)[0]:  # step, then basis
             state = PauliState(4, vec)
-            want.append([1.0 - 2.0 * self.draw(qubit_p1(apply_superoperators(state, ops, work), 3),
+            want.append([1.0 - 2.0 * self.draw(qubit_p1(apply_in_order(state, ops), 3),
                                                256, rng, 0.03)
                          for ops in rotations])
         want = np.array(want)

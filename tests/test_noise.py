@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pstlab.chains import GateOp, TrotterPlan, build_trotter_circuit, gate_matrix, pst_couplings
-from pstlab.experiments import ExperimentConfig, _compile_merged, _compile_rotations, assemble_circuit
+from pstlab.experiments import ExperimentConfig, _basis_rotation_ptms, _compile_merged, assemble_circuit
 from pstlab.noise import (
     NoiseParams,
     attach_comprehensive,
@@ -372,17 +372,18 @@ class TestComprehensiveAssembly:
         coherent = {"rzz"} if params.zz_mode == "hamiltonian" else set()
         assert seen == {"rxx", "ryy", "x", "h", "u"} | coherent
 
-        # The rotations are compiled; they equal the same gates followed by
-        # after_1q, compiled and merged, bit for bit.
+        # The rotations are compiled into one (3, 4, 4) stack of one-qubit
+        # PTMs; each equals the same gates followed by after_1q, compiled and
+        # merged on one qubit, bit for bit, and the Z basis's is the identity.
         config = ExperimentConfig(n_sites=4, n_steps=2, noise=params, initial="arbitrary")
-        for kinds, got in zip((("h",), ("sdg", "h"), ()), _compile_rotations(config)):
-            ops = [GateOp(op.gate, [(ch, (3,)) for ch in after_1q])
-                   for op in (bare_op(kind, 3) for kind in kinds)]
-            expected = _compile_merged(ops, 4)
-            assert len(got) == len(expected)
-            for a, b in zip(got, expected):
-                assert a.targets == b.targets
-                np.testing.assert_array_equal(a.matrix, b.matrix)
+        got = _basis_rotation_ptms(config)
+        assert got.shape == (3, 4, 4)
+        for kinds, ptm in zip((("h",), ("sdg", "h"), ()), got, strict=True):
+            ops = [GateOp(op.gate, [(ch, (0,)) for ch in after_1q])
+                   for op in (bare_op(kind, 0) for kind in kinds)]
+            expected = _compile_merged(ops, 1)
+            assert len(expected) == len(kinds[:1])
+            np.testing.assert_array_equal(ptm, expected[0].matrix if expected else np.eye(4))
 
     def test_prep_gate_gets_pauli_and_thermal(self):
         circ = assemble_circuit(ExperimentConfig(n_sites=4, noise=NoiseParams()))

@@ -15,7 +15,7 @@ from pstlab.experiments import (
     _compile_merged,
     _compile_ops,
     assemble_circuit,
-    measure_p1,
+    readout_p1,
     run_arbitrary_transfer,
 )
 from pstlab.noise import NoiseParams
@@ -38,9 +38,8 @@ from pstlab.sim_core import (
     _contraction_plan,
     apply_channel,
     apply_superoperator,
-    apply_superoperators,
-    apply_to_members,
     apply_unitary,
+    bind_superoperators,
     choi_matrix,
     fused_superoperator,
     merge_superoperators,
@@ -223,6 +222,13 @@ def apply_to_density(rho: DensityMatrix, sop: Superoperator) -> DensityMatrix:
     return apply_superoperator(PauliState.from_density_matrix(rho), sop).to_density_matrix()
 
 
+def apply_in_order(state: PauliState, sops) -> PauliState:
+    """apply_superoperator of each op in turn."""
+    for sop in sops:
+        state = apply_superoperator(state, sop)
+    return state
+
+
 def kraus_oracle(rho: DensityMatrix, gate: UnitaryGate, channels) -> DensityMatrix:
     """The gate, then each channel, through the Kraus loop."""
     rho = apply_unitary(rho, gate)
@@ -384,9 +390,8 @@ class TestKernel:
         step = _compile_merged(assemble_circuit(config).step, n)
         assert all(sop.plan.perm is None for sop in step)
         state = PauliState.from_density_matrix(random_density(n, seed=8))
-        work = np.empty(4**n)
-        got = apply_superoperators(state, step, work).vector
-        want = apply_superoperators(state, [permuting(sop) for sop in step], work).vector
+        got = apply_in_order(state, step).vector
+        want = apply_in_order(state, [permuting(sop) for sop in step]).vector
         assert np.max(np.abs(got - want)) <= 1e-12
 
     @pytest.mark.parametrize("targets", [(3, 0), (1, 4, 2)])
@@ -403,27 +408,6 @@ class TestKernel:
         got = _contract(vec, mat, plan, dst, vec)
         assert got is dst
         assert np.array_equal(dst, want)
-
-    @pytest.mark.parametrize("n", [3, 6])
-    def test_sequence_equals_one_by_one(self, n):
-        """apply_superoperators writes one new vector, bit-identical to applying
-        each op alone, and leaves its input as it was; no ops gives a copy."""
-        rho = PauliState.from_density_matrix(random_density(n, seed=n))
-        before = rho.vector.copy()
-        sops = [fused_superoperator(UnitaryGate(unitary_group.rvs(4, random_state=n), (n - 1, 0)),
-                                    [(AMP_DAMP, (1,))], n),
-                fused_superoperator(UnitaryGate(HADAMARD, (n - 2,)), [(PAULI_MIX, (n - 2,))], n)]
-        want = rho
-        for sop in sops:
-            want = apply_superoperator(want, sop)
-        work = np.empty(rho.vector.size)
-        got = apply_superoperators(rho, sops, work)
-        assert np.array_equal(got.to_density_matrix().matrix, want.to_density_matrix().matrix)
-        again = apply_superoperators(rho, sops, work)
-        assert again.vector is not got.vector and np.array_equal(again.vector, got.vector)
-        assert np.array_equal(rho.vector, before)
-        empty = apply_superoperators(rho, [], work)
-        assert empty.vector is not rho.vector and np.array_equal(empty.vector, before)
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_refuses_another_register_size(self, n):
@@ -449,9 +433,10 @@ class TestStackedOps:
             assert np.array_equal(got[b], contract_new(vecs[b], mats[b], plan)), b
 
     def test_stacked_ops_apply_each_members_list(self):
-        """A batch circuit's step, compiled once into stacked ops, then
-        apply_to_members, against each member's own compiled step through
-        apply_superoperators, on a merged noisy N = 4 step."""
+        """A batch circuit's step, compiled once into stacked ops and bound to
+        a (3, 4^N) buffer pair (bind_superoperators, as evolve_recorded runs
+        it), against each member's own compiled step through
+        apply_superoperator, on a merged noisy N = 4 step."""
         n = 4
         states = [PauliState.from_density_matrix(random_density(n, seed=s)) for s in range(3)]
         configs = [ExperimentConfig(n_sites=n, n_steps=4, j0=j0, noise=NoiseParams())
@@ -460,10 +445,12 @@ class TestStackedOps:
             assemble_circuit(configs[0], [c.profile() for c in configs]).step, n, 3)
         steps = [_compile_merged(assemble_circuit(config).step, n) for config in configs]
         assert [sop.matrix.shape[0] for sop in stacked] == [3] * len(steps[0])
-        work = np.empty(3 * 4**n)
-        got = apply_to_members(np.stack([s.vector for s in states]), stacked, work)
+        bufs = (np.stack([s.vector for s in states]), np.empty((3, 4**n)))
+        for call in bind_superoperators(stacked, *bufs):
+            call()
+        got = bufs[len(stacked) % 2]
         for b, (state, ops) in enumerate(zip(states, steps)):
-            assert np.array_equal(got[b], apply_superoperators(state, ops, work[:4**n]).vector), b
+            assert np.array_equal(got[b], apply_in_order(state, ops).vector), b
 
     def test_one_member_is_kept_as_it_is(self):
         """A batch of one profile is a single run: 2-D gates and 2-D ops."""
@@ -486,7 +473,7 @@ class TestStackedOps:
         sop = fused_superoperator(gate, [(AMP_DAMP, (1,))], 3)
         assert sop.matrix.shape == (2, 64, 64)
         with pytest.raises(ValueError, match="consecutive qubits"):
-            apply_to_members(np.zeros((2, 4**3)), [sop], np.empty(2 * 4**3))
+            contract_new(np.zeros((2, 4**3)), sop.matrix, sop.plan)
 
     def test_a_non_unitary_member_is_refused(self):
         mats = np.stack([np.eye(4), np.kron(PAULI_X, PAULI_Y), np.diag([1, 1, 1, 1.001])])
@@ -525,9 +512,8 @@ class TestMergeSuperoperators:
         assert len(merged) < len(ops)
         assert all(len(sop.targets) <= MERGE_WIDTH for sop in merged)
         rho = PauliState.from_density_matrix(random_density(n, seed=n))
-        work = np.empty(rho.vector.size)
-        np.testing.assert_allclose(apply_superoperators(rho, merged, work).to_density_matrix().matrix,
-                                   apply_superoperators(rho, ops, work).to_density_matrix().matrix,
+        np.testing.assert_allclose(apply_in_order(rho, merged).to_density_matrix().matrix,
+                                   apply_in_order(rho, ops).to_density_matrix().matrix,
                                    rtol=0, atol=1e-13)
 
     def test_groups_grow_greedily_and_keep_lone_ops(self):
@@ -543,7 +529,7 @@ class TestMergeSuperoperators:
 
     def test_other_register_sizes_stay_apart(self):
         """Ops compiled for another register size are not merged, so
-        apply_superoperators still refuses them."""
+        apply_superoperator still refuses them."""
         a = fused_superoperator(UnitaryGate(PAULI_X, (0,)), [], 3)
         b = fused_superoperator(UnitaryGate(PAULI_X, (0,)), [], 4)
         assert merge_superoperators([a, b]) == [a, b]
@@ -647,7 +633,7 @@ def z_state(z: float) -> DensityMatrix:
 
 
 class TestObservables:
-    """qubit_p1 is the population P(1) = (1 - <Z>)/2; measure_p1 reads it out."""
+    """qubit_p1 is the population P(1) = (1 - <Z>)/2; readout_p1 reads it out."""
 
     @pytest.mark.parametrize("amps,expected", [([1, 0], 1.0), ([0, 1], -1.0)])
     def test_z_on_basis_states(self, amps, expected):
@@ -682,15 +668,16 @@ class TestObservables:
 
     @pytest.mark.parametrize("z,sp", [(1.0, 0.0), (-1.0, 1.0), (0.0, 0.5)])
     def test_sp_from_z(self, z, sp):
-        assert measure_p1(z_state(z), 0, None, None, 0.0) == sp
+        assert readout_p1(qubit_p1(z_state(z), 0), None, None, 0.0) == sp
 
     def test_sp_from_z_clamps(self):
-        assert measure_p1(z_state(1.0 + 1e-10), 0, None, None, 0.0) == 0.0
-        assert measure_p1(z_state(-1.0 - 1e-10), 0, None, None, 0.0) == 1.0
+        assert readout_p1(qubit_p1(z_state(1.0 + 1e-10), 0), None, None, 0.0) == 0.0
+        assert readout_p1(qubit_p1(z_state(-1.0 - 1e-10), 0), None, None, 0.0) == 1.0
 
     def test_readout_flip(self):
-        assert measure_p1(z_state(-1.0), 0, None, None, 0.1) == pytest.approx(0.9, abs=1e-15)
-        assert measure_p1(z_state(1.0), 0, None, None, 0.1) == pytest.approx(0.1, abs=1e-15)
+        for z, want in ((-1.0, 0.9), (1.0, 0.1)):
+            got = readout_p1(qubit_p1(z_state(z), 0), None, None, 0.1)
+            assert got == pytest.approx(want, abs=1e-15)
 
     @given(seed=st.integers(0, 500))
     @settings(max_examples=30, deadline=None)
@@ -774,7 +761,7 @@ def transferred_tomography(b: complex):
 class TestSampling:
     def test_z_on_ground_state(self):
         rho = DensityMatrix.zero(1)
-        p1 = measure_p1(rho, 0, 100, np.random.default_rng(0), 0.0)
+        p1 = readout_p1(qubit_p1(rho, 0), 100, np.random.default_rng(0), 0.0)
         assert p1 == 0.0
 
     def test_x_basis_exact_on_plus(self):
@@ -801,14 +788,14 @@ class TestSampling:
         hits = 0
         n_seeds = 400
         for seed in range(n_seeds):
-            est = 1.0 - 2.0 * measure_p1(plus, 0, 2048, np.random.default_rng(seed), 0.0)
+            est = 1.0 - 2.0 * readout_p1(qubit_p1(plus, 0), 2048, np.random.default_rng(seed), 0.0)
             hits += abs(est) <= bound
         assert hits / n_seeds >= 0.99
 
     def test_seeded_sampling_is_reproducible(self):
         rho = ket_density(np.array([np.sqrt(0.3), np.sqrt(0.7)]))
-        a = measure_p1(rho, 0, 512, np.random.default_rng(42), 0.0)
-        b = measure_p1(rho, 0, 512, np.random.default_rng(42), 0.0)
+        a = readout_p1(qubit_p1(rho, 0), 512, np.random.default_rng(42), 0.0)
+        b = readout_p1(qubit_p1(rho, 0), 512, np.random.default_rng(42), 0.0)
         assert a == b
 
 
