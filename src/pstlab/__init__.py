@@ -1,8 +1,9 @@
 """pstlab: noisy spin-chain state-transfer laboratory.
 
-Dense density-matrix simulation of Trotterized XY-chain transfer under a
-layered noise model, with rescaling-based mitigation and coupling-strength
-optimization (grid search plus Gaussian-process search).
+Simulation of Trotterized XY-chain transfer on the 4^n real Pauli
+coefficients of the density matrix, under a layered noise model, with
+rescaling-based mitigation and coupling-strength optimization (grid search
+plus Gaussian-process search).
 """
 
 __version__ = "0.1.0"
@@ -52,7 +53,6 @@ from .optimizer import (
     sensitivity_and_delta,
 )
 from .sim_core import (
-    CPTPReport,
     DensityMatrix,
     KrausChannel,
     PauliState,
@@ -66,5 +66,4 @@ from .sim_core import (
     partial_trace_to_qubit,
     qubit_p1,
     qubit_state_fidelity,
-    validate_cptp,
 )

@@ -20,9 +20,12 @@ from its own generator, so each member's records are bit-identical to its
 own run's. Every readout is of single qubits, so it reads a few coefficients
 of the block: P(1) = (r_I - r_Z) / 2 of each measured site, and for
 tomography the last qubit's r_I, r_X, r_Y and r_Z, which each basis
-rotation's one-qubit PTM turns before that P(1) is read. This module only
-creates the zero state, applies compiled ops and reads those coefficients;
-the basis change lives in sim_core.
+rotation's one-qubit PTM turns before that P(1) is read. Tomography then
+works on arrays, once per run: the (n_steps + 1) Bloch components become
+one (n_steps + 1, 2, 2) stack of states, scored against the target with one
+closed-form fidelity call. This module only creates the zero state, applies
+compiled ops and reads those coefficients; the basis change lives in
+sim_core.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .chains import (
 )
 from .noise import NoiseParams, attach_comprehensive, with_noise
 from .sim_core import (
-    DensityMatrix,
     PauliState,
     Superoperator,
     UnitaryGate,
@@ -353,27 +355,19 @@ def run_site_resolved(config: ExperimentConfig) -> SPTimeSeries:
     return run_sp_series(config)
 
 
-def tomography_reconstruct(x: float, y: float, z: float, eps: float = 0.15) -> DensityMatrix:
-    """rho = (I + x X + y Y + z Z) / 2, rescaling Bloch norms in (1, 1+eps]."""
-    r = math.sqrt(x * x + y * y + z * z)
-    if r > 1.0 + eps:
-        raise ValueError(f"Bloch norm {r} exceeds 1 + {eps}")
-    if r > 1.0:
-        x, y, z = x / r, y / r, z / r
-    rho = 0.5 * np.array(
-        [[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]], dtype=complex
-    )
-    return DensityMatrix(1, rho, validate=False)
+def tomography_reconstruct(x: np.ndarray, y: np.ndarray, z: np.ndarray,
+                           eps: float = 0.15) -> np.ndarray:
+    """The (k, 2, 2) stack rho = (I + x X + y Y + z Z) / 2 of the Bloch
+    arrays x, y, z, rescaling each norm in (1, 1+eps] to one."""
+    r = np.sqrt(x * x + y * y + z * z)
+    if np.any(r > 1.0 + eps):
+        raise ValueError(f"Bloch norm {r.max()} exceeds 1 + {eps}")
+    x, y, z = np.array([x, y, z]) / np.where(r > 1.0, r, 1.0)
+    rho = np.stack([1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z], axis=-1)
+    return 0.5 * rho.reshape(-1, 2, 2)
 
 
 _BASIS_GATE_KINDS = {"X": ("h",), "Y": ("sdg", "h"), "Z": ()}
-
-
-def _best_phase_fidelity(rho: np.ndarray, a: complex, b: complex) -> float:
-    """max over phi of <psi(phi)|rho|psi(phi)> with psi = A|0> + e^{i phi} B|1>."""
-    fa, fb = abs(a) ** 2, abs(b) ** 2
-    val = fa * np.real(rho[0, 0]) + fb * np.real(rho[1, 1]) + 2.0 * abs(a) * abs(b) * abs(rho[0, 1])
-    return float(min(1.0, max(0.0, val)))
 
 
 def _basis_rotation_ptms(config: ExperimentConfig) -> np.ndarray:
@@ -406,7 +400,6 @@ def run_arbitrary_transfer(config: ExperimentConfig) -> TomographyRecord:
     config = replace(config, initial="arbitrary", amp_a=a, amp_b=b)
     circuit = assemble_circuit(config)
     readout = config.noise.readout_error if config.noise is not None else 0.0
-    target = DensityMatrix(1, np.outer([a, b], np.conj([a, b])), validate=False)
     r4 = evolve_recorded(circuit, lambda block: block[:, :4])[0]
     rotated = r4 @ _basis_rotation_ptms(config).swapaxes(1, 2)
     # P(1) = (r_I - r_Z) / 2 per step and basis; <sigma> = p0 - p1, drawn
@@ -414,25 +407,23 @@ def run_arbitrary_transfer(config: ExperimentConfig) -> TomographyRecord:
     p1 = readout_p1(((rotated[..., 0] - rotated[..., 3]) / 2).T, config.shots,
                     np.random.default_rng(config.seed), readout)
     xs, ys, zs = (1.0 - 2.0 * p1).T.copy()
-    rhos, fids, fids_pc = [], [], []
-    for x, y, z in zip(xs, ys, zs):
-        rec = tomography_reconstruct(x, y, z)
-        rhos.append(rec.matrix)
-        fids.append(qubit_state_fidelity(rec, target))
-        fids_pc.append(_best_phase_fidelity(rec.matrix, a, b))
-    meta = _series_meta(config, circuit)
+    rhos = tomography_reconstruct(xs, ys, zs)
+    # max over phi of <psi(phi)|rho|psi(phi)> with psi = A|0> + e^{i phi} B|1>
+    off = rhos[:, 0, 1]
+    phase_max = (abs(a) ** 2 * rhos[:, 0, 0].real + abs(b) ** 2 * rhos[:, 1, 1].real
+                 + 2.0 * abs(a) * abs(b) * np.hypot(off.real, off.imag))
     return TomographyRecord(
         times=circuit.plan.times(),
         x=xs,
         y=ys,
         z=zs,
-        rhos=np.array(rhos),
-        fidelity=np.array(fids),
-        fidelity_phase_corrected=np.array(fids_pc),
+        rhos=rhos,
+        fidelity=qubit_state_fidelity(rhos, np.outer([a, b], np.conj([a, b]))),
+        fidelity_phase_corrected=np.clip(phase_max, 0.0, 1.0),
         sp=(1.0 - zs) / 2.0,
         amp_a=a,
         amp_b=b,
-        meta=meta,
+        meta=_series_meta(config, circuit),
     )
 
 

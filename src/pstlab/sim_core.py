@@ -30,7 +30,6 @@ reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import NamedTuple
 
@@ -180,8 +179,9 @@ class UnitaryGate:
 class KrausChannel:
     """CPTP map as a finite set of Kraus operators on k qubits.
 
-    Construction only checks shapes; completeness is checked by
-    validate_cptp so that deliberately broken sets can still be reported on.
+    Construction only checks shapes, so that deliberately broken sets can
+    still be reported on: cptp_deviation measures completeness, and
+    apply_channel refuses a set whose deviation exceeds 1e-10.
     """
 
     __slots__ = ("kraus_ops", "arity", "_cptp_deviation", "_ptm")
@@ -214,23 +214,6 @@ class KrausChannel:
             superop = sum(_kron(k, k.conj()) for k in self.kraus_ops)
             self._ptm = _pauli_transfer_matrix(superop, self.arity)
         return self._ptm
-
-
-@dataclass(frozen=True)
-class CPTPReport:
-    ok: bool
-    deviation: float
-    tolerance: float
-
-    def __str__(self) -> str:
-        status = "ok" if self.ok else "violation"
-        return f"CPTP {status}: |sum K^dag K - I|_max = {self.deviation:.3e} (tol {self.tolerance:.1e})"
-
-
-def validate_cptp(channel: KrausChannel, tolerance: float = _CPTP_TOL) -> CPTPReport:
-    """Check trace preservation sum K^dag K = I and report the deviation norm."""
-    dev = channel.cptp_deviation()
-    return CPTPReport(ok=dev <= tolerance, deviation=dev, tolerance=tolerance)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -351,9 +334,10 @@ def _check_channel(channel: KrausChannel, targets, n_qubits: int) -> tuple:
             f"channel arity {channel.arity} does not match {len(targets)} targets"
         )
     _check_targets(targets, n_qubits)
-    report = validate_cptp(channel)
-    if not report.ok:
-        raise ValueError(f"refusing to apply non-CPTP channel: {report}")
+    dev = channel.cptp_deviation()
+    if dev > _CPTP_TOL:
+        raise ValueError(f"refusing to apply non-CPTP channel: "
+                         f"|sum K^dag K - I|_max = {dev:.3e} (tol {_CPTP_TOL:.1e})")
     return targets
 
 
@@ -537,23 +521,23 @@ def partial_trace_to_qubit(rho: DensityMatrix, keep: int) -> DensityMatrix:
     return DensityMatrix(1, reduced, validate=False)
 
 
-def qubit_state_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity of two single-qubit states.
+def qubit_state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Uhlmann fidelity of each single-qubit state of the (..., 2, 2) stack
+    rho to the 2 x 2 state sigma.
 
     Uses the qubit closed form F = tr(rho sigma) + 2 sqrt(det rho det sigma),
     which coincides with the square of the trace norm of
     sqrt(sqrt(rho) sigma sqrt(rho)) in dimension two.
     """
     for name, s in (("rho", rho), ("sigma", sigma)):
-        if s.n_qubits != 1:
+        if s.shape[-2:] != (2, 2):
             raise ValueError(f"{name} must be a single-qubit state")
-        if np.linalg.eigvalsh(s.matrix).min() < _PSD_FLOOR:
+        if np.linalg.eigvalsh(s).min() < _PSD_FLOOR:
             raise ValueError(f"{name} is not positive semidefinite")
-    overlap = float(np.real(np.trace(rho.matrix @ sigma.matrix)))
-    det_r = max(0.0, float(np.real(np.linalg.det(rho.matrix))))
-    det_s = max(0.0, float(np.real(np.linalg.det(sigma.matrix))))
-    fid = overlap + 2.0 * np.sqrt(det_r * det_s)
-    return min(1.0, max(0.0, fid))
+    overlap = np.real(np.trace(rho @ sigma, axis1=-2, axis2=-1))
+    det_r = np.maximum(0.0, np.real(np.linalg.det(rho)))
+    det_s = max(0.0, float(np.real(np.linalg.det(sigma))))
+    return np.clip(overlap + 2.0 * np.sqrt(det_r * det_s), 0.0, 1.0)
 
 
 def choi_matrix(channel: KrausChannel) -> np.ndarray:

@@ -59,7 +59,7 @@ from pstlab.noise import (
     zz_dephasing_channel,
 )
 from pstlab.optimizer import Candidate, bayes_optimize, grid_search_j0, objective
-from pstlab.sim_core import PauliState, partial_trace_to_qubit, qubit_p1, validate_cptp
+from pstlab.sim_core import PauliState, partial_trace_to_qubit, qubit_p1
 
 HALF_PI = math.pi / 2
 
@@ -178,7 +178,7 @@ def test_criterion_03_cptp_and_trace_drift():
         ]
         channels.append(two_qubit_tensor_channel(channels[0], channels[1]))
         for ch in channels:
-            worst = max(worst, validate_cptp(ch).deviation)
+            worst = max(worst, ch.cptp_deviation())
     circuit = assemble_circuit(ExperimentConfig(n_sites=4, noise=NoiseParams()))
     drifts = [abs(np.trace(PauliState(4, vec).to_density_matrix().matrix) - 1.0)
               for vec in evolve_recorded(circuit, lambda block: block)[0]]

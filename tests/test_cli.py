@@ -547,6 +547,21 @@ class TestOneEngine:
                                sim_core.UnitaryGate(sim_core.PAULI_X, (0,)))
         assert len(calls) == 1  # the counter sees a call
 
+    def test_production_runs_build_no_density_matrix(self, tmp_path, monkeypatch):
+        """Every configs/*.json runs without constructing a DensityMatrix, the
+        state type of the Kraus-loop oracle: tomography and fidelity work on
+        arrays."""
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("DensityMatrix built on the production path")
+
+        monkeypatch.setattr(sim_core.DensityMatrix, "__init__", refuse)
+        configs = sorted((REPO / "configs").glob("*.json"))
+        assert len(configs) >= 8
+        for path in configs:
+            run_config(path, out=tmp_path / path.stem)
+        with pytest.raises(AssertionError, match="production path"):
+            sim_core.DensityMatrix.zero(1)  # the guard is live
+
 
 class TestSourceHash:
     def test_manifest_hash_follows_the_package_sources(self, tmp_path):

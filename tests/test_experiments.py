@@ -23,6 +23,7 @@ from pstlab.experiments import (
     assemble_circuit,
     detect_first_peak,
     evolve_recorded,
+    readout_p1,
     run_arbitrary_transfer,
     run_site_resolved,
     run_sp_batch,
@@ -621,25 +622,49 @@ class TestShotMode:
         assert np.all((v >= 0) & (v <= 1))
 
 
+BASIC_RECONSTRUCTIONS = [
+    ((0, 0, 1), [[1, 0], [0, 0]]),
+    ((1, 0, 0), [[0.5, 0.5], [0.5, 0.5]]),
+    ((0, 0, 0), [[0.5, 0], [0, 0.5]]),
+]
+
+
 class TestTomographyReconstruct:
-    @pytest.mark.parametrize("xyz,expected", [
-        ((0, 0, 1), [[1, 0], [0, 0]]),
-        ((1, 0, 0), [[0.5, 0.5], [0.5, 0.5]]),
-        ((0, 0, 0), [[0.5, 0], [0, 0.5]]),
-    ])
+    @pytest.mark.parametrize("xyz,expected", BASIC_RECONSTRUCTIONS)
     def test_basic_reconstructions(self, xyz, expected):
-        rho = tomography_reconstruct(*xyz)
-        np.testing.assert_allclose(rho.matrix, expected, atol=1e-15)
+        """Each case reconstructs as one member of the stack of all three."""
+        cases = [case for case, _ in BASIC_RECONSTRUCTIONS]
+        rhos = tomography_reconstruct(*np.array(cases, dtype=float).T)
+        assert rhos.shape == (3, 2, 2)
+        np.testing.assert_allclose(rhos[cases.index(xyz)], expected, atol=1e-15)
 
     def test_slightly_long_bloch_vector_rescaled(self):
-        rho = tomography_reconstruct(1.05, 0, 0)
-        evals = np.linalg.eigvalsh(rho.matrix)
+        rhos = tomography_reconstruct(np.array([1.05]), np.zeros(1), np.zeros(1))
+        evals = np.linalg.eigvalsh(rhos)
         assert evals.min() >= -1e-12
-        np.testing.assert_allclose(rho.matrix, [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
+        np.testing.assert_allclose(rhos[0], [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
+
+    def test_only_long_members_rescaled(self):
+        """In a mixed stack only the members with norm in (1, 1 + eps] are
+        scaled back to the sphere; the others keep their Bloch vectors."""
+        x = np.array([1.05, 0.6, 0.0, 0.8])
+        y = np.array([0.0, 0.0, 1.1, 0.6])
+        z = np.array([0.0, 0.8, 0.0, 0.0])
+        rhos = tomography_reconstruct(x, y, z)
+        bloch = np.stack([2 * rhos[:, 0, 1].real, -2 * rhos[:, 0, 1].imag,
+                          (rhos[:, 0, 0] - rhos[:, 1, 1]).real], axis=1)
+        np.testing.assert_allclose(bloch, [[1, 0, 0], [0.6, 0, 0.8], [0, 1, 0], [0.8, 0.6, 0]],
+                                   atol=1e-15)
+        assert np.array_equal(bloch[[1, 3]], np.stack([x, y, z], axis=1)[[1, 3]])
 
     def test_far_out_rejected(self):
         with pytest.raises(ValueError, match="Bloch"):
-            tomography_reconstruct(1.5, 0, 0)
+            tomography_reconstruct(np.array([1.5]), np.zeros(1), np.zeros(1))
+
+    def test_one_far_member_fails_the_stack(self):
+        x = np.array([0.0, 0.5, 1.2, 1.05])
+        with pytest.raises(ValueError, match="Bloch"):
+            tomography_reconstruct(x, np.zeros(4), np.array([1.0, 0.5, 0.0, 0.0]))
 
 
 class TestArbitraryTransfer:
@@ -688,6 +713,62 @@ class TestArbitraryTransfer:
         a = run_arbitrary_transfer(cfg)
         b = run_arbitrary_transfer(cfg)
         np.testing.assert_array_equal(a.fidelity, b.fidelity)
+
+
+def per_step_tomography(config: ExperimentConfig) -> dict:
+    """run_arbitrary_transfer with the scalar per-step tomography it used to
+    run: each step's Bloch vector rescaled with math.sqrt, the fidelity from
+    one 2 x 2 state at a time, and the phase-maximized fidelity with Python
+    abs on the complex off-diagonal entry."""
+    a, b = complex(config.amp_a), complex(config.amp_b)
+    config = replace(config, initial="arbitrary", amp_a=a, amp_b=b)
+    circuit = assemble_circuit(config)
+    readout = config.noise.readout_error if config.noise is not None else 0.0
+    target = np.outer([a, b], np.conj([a, b]))
+    r4 = evolve_recorded(circuit, lambda block: block[:, :4])[0]
+    rotated = r4 @ experiments._basis_rotation_ptms(config).swapaxes(1, 2)
+    p1 = readout_p1(((rotated[..., 0] - rotated[..., 3]) / 2).T, config.shots,
+                    np.random.default_rng(config.seed), readout)
+    xs, ys, zs = (1.0 - 2.0 * p1).T.copy()
+    rhos, fids, fids_pc = [], [], []
+    for x, y, z in zip(xs, ys, zs):
+        r = math.sqrt(x * x + y * y + z * z)
+        assert r <= 1.15
+        if r > 1.0:
+            x, y, z = x / r, y / r, z / r
+        rho = 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]], dtype=complex)
+        overlap = float(np.real(np.trace(rho @ target)))
+        det_r = max(0.0, float(np.real(np.linalg.det(rho))))
+        det_s = max(0.0, float(np.real(np.linalg.det(target))))
+        fid = overlap + 2.0 * np.sqrt(det_r * det_s)
+        val = (abs(a) ** 2 * np.real(rho[0, 0]) + abs(b) ** 2 * np.real(rho[1, 1])
+               + 2.0 * abs(a) * abs(b) * abs(rho[0, 1]))
+        rhos.append(rho)
+        fids.append(min(1.0, max(0.0, fid)))
+        fids_pc.append(float(min(1.0, max(0.0, val))))
+    return dict(x=xs, y=ys, z=zs, rhos=np.array(rhos), fidelity=np.array(fids),
+                fidelity_phase_corrected=np.array(fids_pc), sp=(1.0 - zs) / 2.0)
+
+
+class TestTomographyOnArrays:
+    """The array tomography reproduces the per-step scalar one bit for bit."""
+
+    @pytest.mark.parametrize("shots", [None, 256], ids=["exact", "shots"])
+    @pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy"])
+    @pytest.mark.parametrize("amps", [
+        (1 / math.sqrt(2), 1 / math.sqrt(2)),
+        (0.6, 0.8j),
+        (math.cos(0.3), complex(np.exp(0.7j)) * math.sin(0.3)),
+        (0.0, 1.0),
+    ], ids=["plus", "imag", "phase", "one"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_bit_identical_to_per_step_loop(self, n, amps, noisy, shots):
+        config = ExperimentConfig(n_sites=n, n_steps=40, amp_a=amps[0], amp_b=amps[1],
+                                  noise=NoiseParams() if noisy else None,
+                                  shots=shots, seed=n)
+        record = run_arbitrary_transfer(config)
+        for name, want in per_step_tomography(config).items():
+            assert np.array_equal(getattr(record, name), want), name
 
 
 class TestDetectFirstPeak:

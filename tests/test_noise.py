@@ -23,8 +23,8 @@ from pstlab.sim_core import (
     DensityMatrix,
     UnitaryGate,
     apply_channel,
+    _CPTP_TOL,
     choi_matrix,
-    validate_cptp,
 )
 
 T1 = 266.74e-6
@@ -453,7 +453,7 @@ class TestComprehensiveAssembly:
         channels = {id(ch): ch for op in ops for ch, _ in op.channels}
         assert len(channels) == 5  # depol, 2q thermal, ZZ dephasing, 1q thermal, Pauli
         for channel in channels.values():
-            assert validate_cptp(channel).ok
+            assert channel.cptp_deviation() <= _CPTP_TOL
 
 
 class TestRandomDrawCPTP:
@@ -476,4 +476,4 @@ class TestRandomDrawCPTP:
             zz_dephasing_channel(draw(st.floats(0, 1))),
         ]
         for ch in constructors:
-            assert validate_cptp(ch).ok
+            assert ch.cptp_deviation() <= _CPTP_TOL

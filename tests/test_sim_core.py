@@ -27,7 +27,7 @@ from pstlab.sim_core import (
     PAULI_Y,
     PAULI_Z,
     S_DAG,
-    CPTPReport,
+    _CPTP_TOL,
     DensityMatrix,
     KrausChannel,
     PauliState,
@@ -46,7 +46,6 @@ from pstlab.sim_core import (
     partial_trace_to_qubit,
     qubit_p1,
     qubit_state_fidelity,
-    validate_cptp,
 )
 
 
@@ -608,8 +607,7 @@ class TestValidateCPTP:
         p = 1.875e-3
         ch = KrausChannel([np.sqrt(1 - p) * np.eye(2), np.sqrt(p / 3) * PAULI_X,
                            np.sqrt(p / 3) * PAULI_Y, np.sqrt(p / 3) * PAULI_Z])
-        report = validate_cptp(ch)
-        assert report.ok and report.deviation < 1e-12
+        assert ch.cptp_deviation() < 1e-12
 
     def test_reset_channel_ok(self):
         """{sqrt(1-g) I, sqrt(g) |0><0|, sqrt(g) |0><1|} is algebraically complete."""
@@ -617,14 +615,12 @@ class TestValidateCPTP:
         k0 = np.sqrt(1 - g) * np.eye(2)
         k1 = np.sqrt(g) * np.array([[1, 0], [0, 0]], dtype=complex)
         k2 = np.sqrt(g) * np.array([[0, 1], [0, 0]], dtype=complex)
-        assert validate_cptp(KrausChannel([k0, k1, k2])).ok
+        assert KrausChannel([k0, k1, k2]).cptp_deviation() <= _CPTP_TOL
 
     def test_half_identity_violation(self):
-        report = validate_cptp(KrausChannel([np.sqrt(0.5) * np.eye(2)]))
-        assert not report.ok
-        assert abs(report.deviation - 0.5) < 1e-12
-        assert isinstance(report, CPTPReport)
-        assert "violation" in str(report)
+        dev = KrausChannel([np.sqrt(0.5) * np.eye(2)]).cptp_deviation()
+        assert dev > _CPTP_TOL
+        assert abs(dev - 0.5) < 1e-12
 
 
 def z_state(z: float) -> DensityMatrix:
@@ -716,35 +712,60 @@ class TestPartialTrace:
 
 
 class TestFidelity:
+    """Each case is one member of a stack scored against one target."""
+
+    @staticmethod
+    def stack() -> np.ndarray:
+        """|0>, |1>, the maximally mixed state and |+>."""
+        kets = ([1, 0], [0, 1], None, np.array([1, 1]) / np.sqrt(2))
+        return np.array([np.eye(2) / 2 if k is None else ket_density(k).matrix for k in kets])
+
     def test_identical_pure_states(self):
-        rho = ket_density([1, 0])
-        assert qubit_state_fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
+        stack = self.stack()
+        assert qubit_state_fidelity(stack, stack[0])[0] == pytest.approx(1.0, abs=1e-12)
+        assert qubit_state_fidelity(stack, stack[3])[3] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_pure_states(self):
-        a = ket_density([1, 0])
-        b = ket_density([0, 1])
-        assert qubit_state_fidelity(a, b) == pytest.approx(0.0, abs=1e-12)
+        stack = self.stack()
+        assert qubit_state_fidelity(stack, stack[0])[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_mixed_vs_plus(self):
-        mixed = DensityMatrix(1, np.eye(2) / 2)
-        plus = ket_density(np.array([1, 1]) / np.sqrt(2))
-        assert qubit_state_fidelity(mixed, plus) == pytest.approx(0.5, abs=1e-12)
+        stack = self.stack()
+        fid = qubit_state_fidelity(stack, stack[3])
+        assert fid.shape == (4,)
+        assert fid[2] == pytest.approx(0.5, abs=1e-12)
 
     def test_closed_form_matches_uhlmann(self):
-        """tr(rho sigma) + 2 sqrt(det det) == (tr sqrt(sqrt(r) s sqrt(r)))^2 on qubits."""
+        """tr(rho sigma) + 2 sqrt(det det) == (tr sqrt(sqrt(r) s sqrt(r)))^2 on
+        qubits, for every member of a stack against every target."""
+        rhos = np.array([random_density(1, seed=seed).matrix for seed in range(6)])
         for seed in range(6):
-            rho = random_density(1, seed=seed)
-            sig = random_density(1, seed=seed + 100)
-            root = sqrtm(rho.matrix)
-            inner = sqrtm(root @ sig.matrix @ root)
-            uhlmann = float(np.real(np.trace(inner))) ** 2
-            assert qubit_state_fidelity(rho, sig) == pytest.approx(uhlmann, abs=1e-9)
+            sig = random_density(1, seed=seed + 100).matrix
+            fid = qubit_state_fidelity(rhos, sig)
+            for rho, got in zip(rhos, fid, strict=True):
+                root = sqrtm(rho)
+                uhlmann = float(np.real(np.trace(sqrtm(root @ sig @ root)))) ** 2
+                assert got == pytest.approx(uhlmann, abs=1e-9)
+
+    def test_nested_stack_keeps_its_shape(self):
+        rhos = np.array([random_density(1, seed=seed).matrix for seed in range(6)])
+        sig = random_density(1, seed=100).matrix
+        fid = qubit_state_fidelity(rhos.reshape(2, 3, 2, 2), sig)
+        np.testing.assert_array_equal(fid, qubit_state_fidelity(rhos, sig).reshape(2, 3))
 
     def test_non_psd_rejected(self):
-        bad = DensityMatrix(1, np.diag([1.5, -0.5]), validate=False)
-        good = DensityMatrix(1, np.eye(2) / 2)
+        bad = np.diag([1.5, -0.5]).astype(complex)
+        good = np.eye(2) / 2
+        with pytest.raises(ValueError, match="rho is not positive"):
+            qubit_state_fidelity(bad[None], good)
+        with pytest.raises(ValueError, match="sigma is not positive"):
+            qubit_state_fidelity(good[None], bad)
+
+    def test_one_non_psd_member_fails_the_stack(self):
+        stack = self.stack()
+        stack[2] = np.diag([1.5, -0.5])
         with pytest.raises(ValueError, match="positive"):
-            qubit_state_fidelity(bad, good)
+            qubit_state_fidelity(stack, np.eye(2) / 2)
 
 
 def transferred_tomography(b: complex):
