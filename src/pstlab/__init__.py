@@ -45,7 +45,6 @@ from .noise import (
     zz_dephasing_channel,
 )
 from .optimizer import (
-    Candidate,
     EvalRecord,
     bayes_optimize,
     grid_search_j0,

@@ -26,7 +26,7 @@ class CouplingProfile:
 
     n_sites: int
     couplings: tuple
-    j0: float | None = None  # uniform scale when the profile is an engineered one
+    j0: float | None = None  # scale of an engineered profile; the grid's records report it
 
     def __post_init__(self):
         if self.n_sites < 2:

@@ -69,7 +69,7 @@ from .experiments import (
 )
 from .mitigation import apply_rescaling, fit_rescaling
 from .noise import NoiseParams
-from .optimizer import Candidate, bayes_optimize, grid_search_j0
+from .optimizer import bayes_optimize, grid_search_j0
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -378,8 +378,8 @@ def _grid_search(exp_cfg: ExperimentConfig, search: dict):
 
 
 def _bayes_opt(exp_cfg: ExperimentConfig, search: dict):
-    uniform = Candidate(couplings=pst_couplings(exp_cfg.n_sites, 1.0).couplings, j0=1.0)
-    *records, baseline = grid_search_j0(exp_cfg, **search["grid"], extra=[uniform])
+    *records, baseline = grid_search_j0(exp_cfg, **search["grid"],
+                                        extra=[pst_couplings(exp_cfg.n_sites, 1.0)])
     bo = search["bo"]
     best, ledger = bayes_optimize(exp_cfg, records[:bo["top_starts"]],
                                   bo["iterations_per_start"], bo["batch_size"])

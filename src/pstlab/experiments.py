@@ -69,6 +69,9 @@ from .sim_core import (
 # 16 % of their best batch.
 MAX_BATCH_COEFFS = 2**13
 
+PEAK_PROMINENCE = 0.05  # the least prominence of detect_first_peak's peak
+BLOCH_NORM_SLACK = 0.15  # tomography_reconstruct rescales a norm to 1 up to 1 + this
+
 
 class NoPeakError(ValueError):
     """Raised when a series has no local maximum of sufficient prominence."""
@@ -355,13 +358,12 @@ def run_site_resolved(config: ExperimentConfig) -> SPTimeSeries:
     return run_sp_series(config)
 
 
-def tomography_reconstruct(x: np.ndarray, y: np.ndarray, z: np.ndarray,
-                           eps: float = 0.15) -> np.ndarray:
+def tomography_reconstruct(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The (k, 2, 2) stack rho = (I + x X + y Y + z Z) / 2 of the Bloch
-    arrays x, y, z, rescaling each norm in (1, 1+eps] to one."""
+    arrays x, y, z, rescaling each norm in (1, 1 + BLOCH_NORM_SLACK] to one."""
     r = np.sqrt(x * x + y * y + z * z)
-    if np.any(r > 1.0 + eps):
-        raise ValueError(f"Bloch norm {r.max()} exceeds 1 + {eps}")
+    if np.any(r > 1.0 + BLOCH_NORM_SLACK):
+        raise ValueError(f"Bloch norm {r.max()} exceeds 1 + {BLOCH_NORM_SLACK}")
     x, y, z = np.array([x, y, z]) / np.where(r > 1.0, r, 1.0)
     rho = np.stack([1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z], axis=-1)
     return 0.5 * rho.reshape(-1, 2, 2)
@@ -427,16 +429,15 @@ def run_arbitrary_transfer(config: ExperimentConfig) -> TomographyRecord:
     )
 
 
-def detect_first_peak(series: SPTimeSeries, site: int | None = None,
-                      prominence: float = 0.05):
-    """First local maximum with the given prominence in t in (0, T/2].
+def detect_first_peak(series: SPTimeSeries, site: int | None = None):
+    """First local maximum of prominence >= PEAK_PROMINENCE in t in (0, T/2].
 
     Returns (grid time, value); raises NoPeakError on monotone or flat series.
     """
     values = series.series(site)
     if len(values) < 3:
         raise NoPeakError("series too short for peak detection")
-    peaks = _find_peaks(values, prominence)
+    peaks = _find_peaks(values, PEAK_PROMINENCE)
     half = series.times[-1] / 2.0 + 1e-12
     peaks = [p for p in peaks if 0.0 < series.times[p] <= half]
     if not peaks:

@@ -5,12 +5,14 @@ The objective is the first-period peak SP of one run, an ExperimentConfig
 `base` whose noise, plan and seed it keeps: only the couplings change, and
 shots are dropped for an exact evaluation on the Pauli-transfer engine. It
 is maximized over (J12, J23, J34) for N = 4 (generalizes to N-1 bonds).
-Candidates explored by the GP stage must keep the middle bond dominant:
-J23 > J12 and J23 > J34. The candidates of one stage, the grid's scales
-(with any extra candidate, such as a report's j0 = 1 baseline) and an
-iteration's bumped probes, are evaluated together (`objectives`): their runs
-share one circuit, compiled once per chunk of members, and evolve in
-lock-step as one batch, each member's result identical to its own run.
+Candidates are chains.CouplingProfile: the grid's are engineered profiles,
+tagged with their scale j0, and the GP stage's are bare bond tuples, which
+must keep the middle bond dominant: J23 > J12 and J23 > J34. The candidates
+of one stage, the grid's scales (with any extra candidate, such as a
+report's j0 = 1 baseline), an iteration's incumbent and bumped probes, and
+the GP pick, are scored together (`objectives`): their runs share one
+circuit, compiled once per chunk of members, and evolve in lock-step as one
+batch, each member's result identical to its own run (`objective`).
 
 Search ranges adapt to local sensitivity: with sensitivity estimated by a
 forward difference of increment 0.01,
@@ -29,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chains import pst_couplings
+from .chains import CouplingProfile, pst_couplings
 from .experiments import (
     ExperimentConfig,
     NoPeakError,
@@ -50,40 +52,26 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """A coupling assignment, optionally tagged with the uniform scale it came from."""
+def satisfies_constraint(profile: CouplingProfile) -> bool:
+    """Every interior bond strictly dominates both edge bonds.
 
-    couplings: tuple
-    j0: float | None = None
-
-    def __post_init__(self):
-        cps = tuple(float(j) for j in self.couplings)
-        if any(j <= 0 for j in cps):
-            raise ValueError(f"couplings must be positive, got {cps}")
-        object.__setattr__(self, "couplings", cps)
-
-    def satisfies_constraint(self) -> bool:
-        """Every interior bond strictly dominates both edge bonds.
-
-        For the N = 4 layout this is J23 > J12 and J23 > J34; chains with
-        no interior bond satisfy it trivially.
-        """
-        first, last = self.couplings[0], self.couplings[-1]
-        interior = self.couplings[1:-1]
-        return all(mid > first and mid > last for mid in interior)
+    For the N = 4 layout this is J23 > J12 and J23 > J34; chains with no
+    interior bond satisfy it trivially.
+    """
+    first, last = profile.couplings[0], profile.couplings[-1]
+    return all(mid > first and mid > last for mid in profile.couplings[1:-1])
 
 
 @dataclass(frozen=True)
 class EvalRecord:
-    candidate: Candidate
+    candidate: CouplingProfile
     objective: float
     t_star: float
     seed: int
-    kind: str = "eval"  # "start" | "probe" | "bo" | "grid" | "extra"
+    kind: str  # "start" | "probe" | "bo" | "grid" | "extra"
 
 
-def objective(candidate: Candidate, base: ExperimentConfig):
+def objective(candidate: CouplingProfile, base: ExperimentConfig):
     """First-period peak SP of `base` run with the candidate's couplings;
     (peak, t_star).
 
@@ -101,7 +89,7 @@ def objectives(candidates, base: ExperimentConfig) -> list:
             for series in run_sp_batch([_scored_run(c, base) for c in candidates])]
 
 
-def _scored_run(candidate: Candidate, base: ExperimentConfig) -> ExperimentConfig:
+def _scored_run(candidate: CouplingProfile, base: ExperimentConfig) -> ExperimentConfig:
     return replace(base, couplings=candidate.couplings, shots=None)
 
 
@@ -113,36 +101,20 @@ def _first_peak(series: SPTimeSeries) -> tuple:
     return peak, t_star
 
 
-class _ObjectiveCache:
-    """Memoizes objective evaluations and appends every new one to a ledger."""
-
-    def __init__(self, ledger: list, base: ExperimentConfig):
-        self.ledger = ledger
-        self.base = base
-        self._seen = {}
-
-    def __call__(self, candidate: Candidate, kind: str, known=None) -> float:
-        """The candidate's objective; `known` = (peak, t_star) skips the run."""
-        key = candidate.couplings
-        if key in self._seen:
-            return self._seen[key]
-        if known is None:
-            known = objective(candidate, self.base)
-        peak, t_star = known
-        self._seen[key] = peak
-        self.ledger.append(EvalRecord(candidate=candidate, objective=peak, t_star=t_star,
-                                      seed=self.base.seed, kind=kind))
-        return peak
-
-    def fill(self, candidates, kind: str) -> None:
-        """Evaluate the candidates not yet seen in one batch and record them
-        in order, as calling this cache on each in turn would."""
-        new = {}
-        for cand in candidates:
-            if cand.couplings not in self._seen:
-                new.setdefault(cand.couplings, cand)
-        for cand, known in zip(new.values(), objectives(list(new.values()), self.base)):
-            self(cand, kind, known)
+def _score(ledger: list, base: ExperimentConfig, candidates, kind: str) -> list:
+    """The objective value of each candidate. Those whose couplings the
+    ledger lacks run as one batch and are appended to it in order, once
+    each, as `kind`; the others read their recorded value."""
+    seen = {r.candidate.couplings: r.objective for r in ledger}
+    new = {}
+    for cand in candidates:
+        if cand.couplings not in seen:
+            new.setdefault(cand.couplings, cand)
+    if new:
+        for cand, (peak, t_star) in zip(new.values(), objectives(list(new.values()), base)):
+            ledger.append(EvalRecord(cand, peak, t_star, seed=base.seed, kind=kind))
+            seen[cand.couplings] = peak
+    return [seen[cand.couplings] for cand in candidates]
 
 
 def grid_search_j0(base: ExperimentConfig, lo: float = 0.1, hi: float = 4.0,
@@ -160,8 +132,7 @@ def grid_search_j0(base: ExperimentConfig, lo: float = 0.1, hi: float = 4.0,
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     count = math.floor((hi - lo) / step + 1e-9) + 1  # the tolerance keeps hi itself
-    cands = [Candidate(couplings=pst_couplings(base.n_sites, j0).couplings, j0=j0)
-             for j0 in (round(lo + i * step, 10) for i in range(count))]
+    cands = [pst_couplings(base.n_sites, round(lo + i * step, 10)) for i in range(count)]
     on_grid = {cand.couplings for cand in cands}
     runs = cands + [cand for cand in extra if cand.couplings not in on_grid]
     known = dict(zip((cand.couplings for cand in runs), objectives(runs, base)))
@@ -173,47 +144,36 @@ def grid_search_j0(base: ExperimentConfig, lo: float = 0.1, hi: float = 4.0,
     return sorted(records(cands, "grid"), key=lambda r: -r.objective) + records(extra, "extra")
 
 
-def sensitivity_and_delta(candidate: Candidate, dimension: int, evaluate) -> tuple:
-    """Forward-difference sensitivity of one bond and its search half-width.
+def sensitivity_and_delta(value: float, bumped_value: float) -> tuple:
+    """Forward-difference sensitivity of one bond and its search half-width,
+    from the objective at the candidate and with that bond raised by 0.01.
 
     sensitivity = |f(c + 0.01 e_dim) - f(c)| / 0.01;
-    delta = min(0.15, max(0.05, 0.1 / (sensitivity + 1e-6))), where
-    f = evaluate(candidate, "probe").
+    delta = min(0.15, max(0.05, 0.1 / (sensitivity + 1e-6))).
     """
-    base = evaluate(candidate, "probe")
-    shifted = evaluate(_bumped(candidate, dimension), "probe")
-    sensitivity = abs(shifted - base) / _FD_INCREMENT
+    sensitivity = abs(bumped_value - value) / _FD_INCREMENT
     delta = min(_DELTA_HI, max(_DELTA_LO, 0.1 / (sensitivity + _SENS_EPS)))
     return sensitivity, delta
 
 
-def _bumped(candidate: Candidate, dimension: int) -> Candidate:
+def _bumped(candidate: CouplingProfile, dimension: int) -> CouplingProfile:
     """The candidate with one bond raised by the forward-difference increment."""
     bumped = list(candidate.couplings)
     bumped[dimension] += _FD_INCREMENT
-    return Candidate(couplings=tuple(bumped))
+    return CouplingProfile(candidate.n_sites, tuple(bumped))
 
 
 class GaussianProcess:
     """Squared-exponential GP with fixed hyperparameters.
 
-    k(x, x') = exp(-|x - x'|^2 / (2 l^2)) with per-dimension length scale l;
-    the observation-noise standard deviation is added to the kernel
-    diagonal as variance. Deterministic exact inference via Cholesky.
+    k(x, x') = exp(-|x - x'|^2 / (2 l^2)) with length scale l = 0.1 in every
+    dimension; the observation-noise standard deviation 1e-4 is added to the
+    kernel diagonal as variance. Deterministic exact inference via Cholesky.
     """
-
-    def __init__(self, length_scale: float = _LENGTH_SCALE,
-                 observation_noise: float = _OBSERVATION_NOISE):
-        self.length_scale = length_scale
-        self.observation_noise = observation_noise
-        self._x = None
-        self._y_mean = 0.0
-        self._chol = None
-        self._alpha = None
 
     def _kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
-        return np.exp(-d2 / (2.0 * self.length_scale**2))
+        return np.exp(-d2 / (2.0 * _LENGTH_SCALE**2))
 
     def fit(self, x, y) -> "GaussianProcess":
         x = np.asarray(x, dtype=float)
@@ -225,7 +185,7 @@ class GaussianProcess:
         self._x = x
         self._y_mean = float(np.mean(y))
         k = self._kernel(x, x)
-        k[np.diag_indices_from(k)] += self.observation_noise**2
+        k[np.diag_indices_from(k)] += _OBSERVATION_NOISE**2
         self._chol = np.linalg.cholesky(k)
         self._alpha = self._solve(y - self._y_mean)
         return self
@@ -243,10 +203,9 @@ class GaussianProcess:
         return mean, np.sqrt(np.clip(var, 1e-18, None))
 
 
-def expected_improvement(mean: np.ndarray, std: np.ndarray, best: float,
-                         jitter: float = _EI_JITTER) -> np.ndarray:
-    """E[max(f - best - jitter, 0)] for f ~ N(mean, std^2), elementwise."""
-    gain = mean - best - jitter
+def expected_improvement(mean: np.ndarray, std: np.ndarray, best: float) -> np.ndarray:
+    """E[max(f - best - 0.01, 0)] for f ~ N(mean, std^2), elementwise."""
+    gain = mean - best - _EI_JITTER
     z = gain / std
     cdf = 0.5 * np.array([math.erfc(-v / _SQRT2) for v in z.tolist()])
     pdf = np.exp(-z**2 / 2.0) / _SQRT_2PI
@@ -265,8 +224,9 @@ def bayes_optimize(base: ExperimentConfig, starts, iterations_per_start: int = 5
     that empties the batch); pick the expected-improvement argmax under a GP
     fitted to every evaluation so far; evaluate and record.
 
-    A start is a Candidate, or an EvalRecord of the same base (a grid
-    result), whose value is reused, not re-run.
+    A start is a CouplingProfile, or an EvalRecord of the same base (a grid
+    result), whose value is reused, not re-run. Each start is recorded once,
+    in the order given.
 
     Returns (best EvalRecord, full ledger). Deterministic under base.seed.
     """
@@ -274,29 +234,19 @@ def bayes_optimize(base: ExperimentConfig, starts, iterations_per_start: int = 5
         raise ValueError("at least one starting candidate is required")
     rng = np.random.default_rng(base.seed)
     ledger: list = []
-    evaluate = _ObjectiveCache(ledger, base)
-
-    candidates = []
     for start in starts:
-        known = None
-        if isinstance(start, EvalRecord):
-            start, known = start.candidate, (start.objective, start.t_star)
-        evaluate(start, "start", known)
-        candidates.append(start)
+        if not isinstance(start, EvalRecord):
+            _score(ledger, base, [start], "start")
+        elif all(r.candidate.couplings != start.candidate.couplings for r in ledger):
+            ledger.append(replace(start, kind="start"))
 
-    for start in candidates:
-        incumbent = start
-        incumbent_val = evaluate(start, "start")
+    for start in starts:
+        incumbent = start.candidate if isinstance(start, EvalRecord) else start
+        (incumbent_val,) = _score(ledger, base, [incumbent], "start")
         for _ in range(iterations_per_start):
-            dims = range(len(incumbent.couplings))
-            evaluate.fill([incumbent, *(_bumped(incumbent, dim) for dim in dims)], "probe")
-            sens, deltas = [], []
-            for dim in dims:
-                s_d, d_d = sensitivity_and_delta(incumbent, dim, evaluate)
-                sens.append(s_d)
-                deltas.append(d_d)
-            sens = np.asarray(sens)
-            deltas = np.asarray(deltas)
+            bumped = [_bumped(incumbent, dim) for dim in range(len(incumbent.couplings))]
+            value, *bumped_values = _score(ledger, base, [incumbent, *bumped], "probe")
+            sens, deltas = np.array([sensitivity_and_delta(value, b) for b in bumped_values]).T
             weights = sens / sens.max() if sens.max() > 0 else np.ones_like(sens)
 
             batch = _sample_batch(incumbent, deltas, weights, batch_size, rng)
@@ -313,7 +263,7 @@ def bayes_optimize(base: ExperimentConfig, starts, iterations_per_start: int = 5
             ei = expected_improvement(mean, std, best_val)
             chosen = batch[int(np.argmax(ei))]
 
-            val = evaluate(chosen, "bo")
+            (val,) = _score(ledger, base, [chosen], "bo")
             if val > incumbent_val:
                 incumbent, incumbent_val = chosen, val
 
@@ -321,7 +271,7 @@ def bayes_optimize(base: ExperimentConfig, starts, iterations_per_start: int = 5
     return best, ledger
 
 
-def _sample_batch(incumbent: Candidate, deltas: np.ndarray, weights: np.ndarray,
+def _sample_batch(incumbent: CouplingProfile, deltas: np.ndarray, weights: np.ndarray,
                   batch_size: int, rng) -> list:
     """Box-constrained batch around the incumbent, constraint-filtered.
 
@@ -339,9 +289,6 @@ def _sample_batch(incumbent: Candidate, deltas: np.ndarray, weights: np.ndarray,
     active = draws[:, :ndim] < weights
     active[~active.any(axis=1), int(np.argmax(weights))] = True
     cps = base + (-deltas + (deltas - -deltas) * draws[:, ndim:]) * active
-    out = []
-    for row in cps[(cps > 0).all(axis=1)]:
-        cand = Candidate(couplings=tuple(row.tolist()))
-        if cand.satisfies_constraint():
-            out.append(cand)
-    return out
+    cands = (CouplingProfile(incumbent.n_sites, tuple(row.tolist()))
+             for row in cps[(cps > 0).all(axis=1)])
+    return [cand for cand in cands if satisfies_constraint(cand)]

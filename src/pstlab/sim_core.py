@@ -456,13 +456,18 @@ def merge_superoperators(sops) -> list:
             for support, members in groups]
 
 
+def _check_register(sop: Superoperator, n: int) -> None:
+    """Refuse an op compiled for another register size than n qubits."""
+    if sop.n_qubits != n:
+        _check_targets(sop.targets, n)
+        raise ValueError(f"superoperator compiled for {sop.n_qubits} qubits, state has {n}")
+
+
 def apply_superoperator(state: PauliState, sop: Superoperator) -> PauliState:
     """E(state): one real matmul on the Pauli axes of the targets, into a new
     Pauli vector."""
     n, vec = state.n_qubits, state.vector
-    if n != sop.n_qubits:
-        _check_targets(sop.targets, n)
-        raise ValueError(f"superoperator compiled for {sop.n_qubits} qubits, state has {n}")
+    _check_register(sop, n)
     dst, spare = np.empty(vec.size), np.empty(vec.size)
     return PauliState(n, _contract(vec, sop.matrix, sop.plan, dst, spare))
 
@@ -473,15 +478,18 @@ def bind_superoperators(sops, first: np.ndarray, second: np.ndarray) -> list:
     `second`, the next the other way, and so on. After all of them the
     result is in `second` for an odd number of ops, else in `first`.
 
-    The buffers are contiguous arrays of one size: one Pauli vector, or m of
-    them stored one after another for stacked ops of m members. An op on
+    The buffers are contiguous arrays of one shape: one Pauli vector
+    (4^n,), or m of them, (m, 4^n), for stacked ops of m members. An op
+    compiled for another register size than n is refused. An op on
     consecutive targets is one np.matmul on views fixed here, the ones
     _contract takes; any other op is _contract with its source as the spare,
     as that source's state is spent. Each call writes what _contract writes,
     bit for bit, and none allocates a state.
     """
+    n = (first.shape[-1].bit_length() - 1) // 2
     calls, src, dst = [], first, second
     for sop in sops:
+        _check_register(sop, n)
         if sop.plan.perm is None:
             calls.append(partial(np.matmul, *_matmul_operands(src, sop.matrix, sop.plan, dst)))
         else:

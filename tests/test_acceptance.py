@@ -34,6 +34,7 @@ import numpy as np
 import pytest
 
 from pstlab.chains import (
+    CouplingProfile,
     GateOp,
     TrotterPlan,
     build_trotter_circuit,
@@ -58,7 +59,7 @@ from pstlab.noise import (
     two_qubit_tensor_channel,
     zz_dephasing_channel,
 )
-from pstlab.optimizer import Candidate, bayes_optimize, grid_search_j0, objective
+from pstlab.optimizer import bayes_optimize, grid_search_j0, objective, satisfies_constraint
 from pstlab.sim_core import PauliState, partial_trace_to_qubit, qubit_p1
 
 HALF_PI = math.pi / 2
@@ -348,7 +349,7 @@ def test_criterion_11a_bo_deterministic(grid_records, bo_result):
 def test_criterion_11b_bo_constraint(bo_result):
     _, ledger = bo_result
     accepted = [r for r in ledger if r.kind == "bo"]
-    ok = all(r.candidate.satisfies_constraint() for r in accepted)
+    ok = all(satisfies_constraint(r.candidate) for r in accepted)
     detail = f"middle-bond constraint holds for all {len(accepted)} accepted candidates"
     assert ok, note("11b", ok, detail)
     note("11b", ok, detail)
@@ -364,13 +365,13 @@ def test_criterion_11c_bo_never_regresses(grid_records, bo_result):
 
 
 def test_criterion_11d_reported_optimum_vs_uniform():
-    reported = Candidate(couplings=(2.9788, 3.0182, 2.8212))
+    reported = CouplingProfile(4, (2.9788, 3.0182, 2.8212))
     rep_obj, _ = objective(reported, HEADLINE)
-    uniform = Candidate(couplings=pst_couplings(4, 2.9).couplings, j0=2.9)
+    uniform = pst_couplings(4, 2.9)
     uni_obj, _ = objective(uniform, HEADLINE)
     # same triple read as per-bond scale factors on the engineered profile
     weights = [math.sqrt(i * (4 - i)) for i in range(1, 4)]
-    factor_read = Candidate(couplings=tuple(f * w for f, w in zip((2.9788, 3.0182, 2.8212), weights)))
+    factor_read = CouplingProfile(4, tuple(f * w for f, w in zip((2.9788, 3.0182, 2.8212), weights)))
     fac_obj, _ = objective(factor_read, HEADLINE)
     ok = rep_obj >= uni_obj
     detail = (f"reported optimum as raw bonds: {rep_obj:.4f}; as scale factors: {fac_obj:.4f}; "

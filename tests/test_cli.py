@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import pstlab
-from pstlab import sim_core
+from pstlab import optimizer, sim_core
+from pstlab.chains import pst_couplings
 from pstlab.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -26,6 +27,7 @@ from pstlab.cli import (
     resolve_config,
     run_config,
 )
+from pstlab.experiments import ExperimentConfig
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -561,6 +563,18 @@ class TestOneEngine:
             run_config(path, out=tmp_path / path.stem)
         with pytest.raises(AssertionError, match="production path"):
             sim_core.DensityMatrix.zero(1)  # the guard is live
+
+    def test_optimizer_scores_only_through_objectives(self, tmp_path, monkeypatch):
+        """configs/bayes_opt.json scores its grid, the j0 = 1 baseline, the
+        probes and the GP picks through the batched optimizer.objectives: the
+        one-candidate optimizer.objective is never called."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("optimizer.objective called on the production path")
+
+        monkeypatch.setattr(optimizer, "objective", refuse)
+        run_config(REPO / "configs" / "bayes_opt.json", out=tmp_path)
+        with pytest.raises(AssertionError, match="production path"):
+            optimizer.objective(pst_couplings(4, 1.0), ExperimentConfig())  # the guard is live
 
 
 class TestSourceHash:

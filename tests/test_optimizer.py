@@ -9,17 +9,17 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import norm
 
 from pstlab import optimizer
-from pstlab.chains import exact_sp_oracle, pst_couplings
+from pstlab.chains import CouplingProfile, exact_sp_oracle, pst_couplings
 from pstlab.experiments import ExperimentConfig, detect_first_peak, run_sp_series
 from pstlab.noise import NoiseParams
 from pstlab.optimizer import (
-    Candidate,
     GaussianProcess,
     bayes_optimize,
     expected_improvement,
     grid_search_j0,
     objective,
     objectives,
+    satisfies_constraint,
     sensitivity_and_delta,
 )
 
@@ -29,50 +29,48 @@ FAST = ExperimentConfig(n_steps=20, noise=NoiseParams())
 
 class TestCandidate:
     def test_reported_optimum_accepted(self):
-        assert Candidate(couplings=(2.9788, 3.0182, 2.8212)).satisfies_constraint()
+        assert satisfies_constraint(CouplingProfile(4, (2.9788, 3.0182, 2.8212)))
 
     def test_weak_middle_bond_rejected(self):
-        assert not Candidate(couplings=(3.0, 2.9, 3.0)).satisfies_constraint()
+        assert not satisfies_constraint(CouplingProfile(4, (3.0, 2.9, 3.0)))
 
     def test_positive_couplings_required(self):
         with pytest.raises(ValueError):
-            Candidate(couplings=(1.0, -1.0, 1.0))
+            CouplingProfile(4, (1.0, -1.0, 1.0))
 
     def test_engineered_profiles_satisfy_constraint(self):
         for j0 in (0.5, 1.0, 2.9):
-            cand = Candidate(couplings=pst_couplings(4, j0).couplings, j0=j0)
-            assert cand.satisfies_constraint()
+            assert satisfies_constraint(pst_couplings(4, j0))
 
 
 class TestObjective:
     def test_baseline_matches_headline_run(self):
-        cand = Candidate(couplings=pst_couplings(4, 1.0).couplings, j0=1.0)
-        peak, t_star = objective(cand, FAST)
+        peak, t_star = objective(pst_couplings(4, 1.0), FAST)
         assert 0.5 < peak < 1.0
         assert 0 < t_star <= math.pi
 
     def test_faster_chain_beats_baseline(self):
-        base, _ = objective(Candidate(couplings=pst_couplings(4, 1.0).couplings), FAST)
-        fast, _ = objective(Candidate(couplings=pst_couplings(4, 2.9).couplings), FAST)
+        base, _ = objective(pst_couplings(4, 1.0), FAST)
+        fast, _ = objective(pst_couplings(4, 2.9), FAST)
         assert fast > base
 
     def test_degenerate_scale_scores_zero(self):
         """No transfer inside the window: peak detection fails, objective 0."""
-        peak, t_star = objective(Candidate(couplings=pst_couplings(4, 0.01).couplings), FAST)
+        peak, t_star = objective(pst_couplings(4, 0.01), FAST)
         assert peak == 0.0
         assert math.isnan(t_star)
 
     def test_ideal_base_scores_the_ideal_run(self):
         """noise=None is the ideal chain here as everywhere else."""
         base = ExperimentConfig(n_sites=3)
-        cand = Candidate(couplings=pst_couplings(3, 1.0).couplings, j0=1.0)
+        cand = pst_couplings(3, 1.0)
         t_star, peak = detect_first_peak(run_sp_series(base))
         assert objective(cand, base) == (peak, t_star)
         assert peak > 0.99
         assert objective(cand, replace(base, noise=NoiseParams()))[0] < 0.9
 
     def test_exact_whatever_the_base_shots(self):
-        cand = Candidate(couplings=pst_couplings(4, 2.9).couplings)
+        cand = pst_couplings(4, 2.9)
         assert objective(cand, replace(FAST, shots=64)) == objective(cand, FAST)
 
 
@@ -85,9 +83,8 @@ class TestObjectives:
     @pytest.mark.parametrize("n", [3, 4])
     def test_each_member_scores_its_own_objective(self, n):
         base = replace(FAST, n_sites=n)
-        cands = [Candidate(couplings=pst_couplings(n, j0).couplings, j0=j0)
-                 for j0 in (0.01, 1.0, 2.9, 4.0)]
-        cands.append(Candidate(couplings=(1.9, 2.4, 2.0)[:n - 1]))
+        cands = [pst_couplings(n, j0) for j0 in (0.01, 1.0, 2.9, 4.0)]
+        cands.append(CouplingProfile(n, (1.9, 2.4, 2.0)[:n - 1]))
         got = objectives(cands, base)
         assert got[0][0] == 0.0 and math.isnan(got[0][1])  # no transfer: scores 0
         for cand, score in zip(cands, got, strict=True):
@@ -148,7 +145,7 @@ class TestGridSearch:
         real = optimizer.run_sp_batch
         monkeypatch.setattr(optimizer, "run_sp_batch",
                             lambda cfgs: batches.append(len(cfgs)) or real(cfgs))
-        uniform = Candidate(couplings=pst_couplings(4, 1.0).couplings, j0=1.0)
+        uniform = pst_couplings(4, 1.0)
         *records, extra = grid_search_j0(FAST, lo=2.8, hi=3.0, step=0.1, extra=[uniform])
         assert batches == [4] and [r.kind for r in records] == ["grid"] * 3
         assert extra.kind == "extra" and extra.candidate == uniform
@@ -159,7 +156,7 @@ class TestGridSearch:
         real = optimizer.run_sp_batch
         monkeypatch.setattr(optimizer, "run_sp_batch",
                             lambda cfgs: batches.append(len(cfgs)) or real(cfgs))
-        uniform = Candidate(couplings=pst_couplings(4, 1.0).couplings, j0=1.0)
+        uniform = pst_couplings(4, 1.0)
         *records, extra = grid_search_j0(FAST, lo=0.8, hi=1.0, step=0.2, extra=[uniform])
         assert batches == [2]
         (row,) = [r for r in records if r.candidate.j0 == 1.0]
@@ -174,31 +171,20 @@ class TestGridSearch:
 
 
 class TestSensitivityDelta:
-    def make_eval(self, base, bumped):
-        calls = iter([base, bumped])
-
-        def evaluate(cand, kind):
-            return next(calls)
-
-        return evaluate
-
     def test_flat_direction_opens_range(self):
         """sensitivity 0 -> delta clamps at the 0.15 ceiling."""
-        cand = Candidate(couplings=(1.0, 2.0, 1.0))
-        sens, delta = sensitivity_and_delta(cand, 0, evaluate=self.make_eval(0.5, 0.5))
+        sens, delta = sensitivity_and_delta(0.5, 0.5)
         assert sens == 0.0
         assert delta == 0.15
 
     def test_steep_direction_narrows_range(self):
         """sensitivity 10 -> delta clamps at the 0.05 floor."""
-        sens, delta = sensitivity_and_delta(
-            Candidate(couplings=(1.0, 2.0, 1.0)), 1, evaluate=self.make_eval(0.5, 0.6))
+        sens, delta = sensitivity_and_delta(0.5, 0.6)
         assert sens == pytest.approx(10.0)
         assert delta == 0.05
 
     def test_unit_sensitivity_mid_range(self):
-        sens, delta = sensitivity_and_delta(
-            Candidate(couplings=(1.0, 2.0, 1.0)), 2, evaluate=self.make_eval(0.5, 0.51))
+        sens, delta = sensitivity_and_delta(0.5, 0.51)
         assert sens == pytest.approx(1.0)
         assert delta == pytest.approx(0.1, abs=1e-5)
 
@@ -209,7 +195,7 @@ class TestGaussianProcess:
         rng = np.random.default_rng(0)
         x = rng.uniform(2.0, 3.0, size=(12, 3))
         y = np.sin(x).sum(axis=1) * 0.1 + 0.7
-        gp = GaussianProcess(length_scale=0.1, observation_noise=1e-4).fit(x, y)
+        gp = GaussianProcess().fit(x, y)
         mean, std = gp.predict(x)
         np.testing.assert_allclose(mean, y, atol=1e-4)
         assert np.all(std >= 0)
@@ -228,8 +214,7 @@ class TestGaussianProcess:
         assert far[0] > near[0]
 
     def test_expected_improvement_positive_for_promising_points(self):
-        ei = expected_improvement(np.array([0.9, 0.5]), np.array([0.05, 0.05]),
-                                  best=0.6, jitter=0.01)
+        ei = expected_improvement(np.array([0.9, 0.5]), np.array([0.05, 0.05]), best=0.6)
         assert ei[0] > ei[1]
         assert np.all(ei >= 0)
 
@@ -268,7 +253,7 @@ class TestScipyOracles:
         var = 1.0 - np.sum(ks * cho_solve(chol, ks.T).T, axis=1)
         std = np.sqrt(np.clip(var, 1e-18, None))
 
-        got_mean, got_std = GaussianProcess(length_scale, noise).fit(x, y).predict(xs)
+        got_mean, got_std = GaussianProcess().fit(x, y).predict(xs)
         np.testing.assert_allclose(got_mean, mean, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got_std, std, rtol=0, atol=1e-12)
 
@@ -278,11 +263,11 @@ class TestScipyOracles:
         std = 10.0 ** rng.uniform(-9, 0, 500)  # z from about -1e9 to 1e9
         gain = mean - 0.6 - 0.01
         want = gain * norm.cdf(gain / std) + std * norm.pdf(gain / std)
-        np.testing.assert_allclose(expected_improvement(mean, std, 0.6, 0.01), want,
+        np.testing.assert_allclose(expected_improvement(mean, std, 0.6), want,
                                    rtol=0, atol=1e-12)
 
 
-STARTS = [Candidate(couplings=pst_couplings(4, j0).couplings, j0=j0) for j0 in (2.9, 3.0)]
+STARTS = [pst_couplings(4, j0) for j0 in (2.9, 3.0)]
 
 
 class TestBayesOptimize:
@@ -307,8 +292,7 @@ class TestBayesOptimize:
 
     def test_accepted_candidates_satisfy_constraint(self):
         _, ledger = self.optimize(3)
-        assert all(r.candidate.satisfies_constraint()
-                   for r in ledger if r.kind == "bo")
+        assert all(satisfies_constraint(r.candidate) for r in ledger if r.kind == "bo")
 
     def test_final_at_least_start_best(self):
         best, ledger = self.optimize(4)
@@ -327,7 +311,7 @@ class TestBayesOptimize:
         _, ledger = self.optimize(8)
         x = [list(r.candidate.couplings) for r in ledger]
         y = [r.objective for r in ledger]
-        gp = GaussianProcess(length_scale=0.1, observation_noise=1e-4).fit(x, y)
+        gp = GaussianProcess().fit(x, y)
         mean, _ = gp.predict(x)
         kept, idx = np.unique(np.round(np.asarray(x), 12), axis=0, return_index=True)
         np.testing.assert_allclose(mean[idx], np.asarray(y)[idx], atol=1e-4)
@@ -339,10 +323,30 @@ class TestBayesOptimize:
         by_candidate = self.optimize(6, [r.candidate for r in records])
         assert self.optimize(6, records)[1] == by_candidate[1]
 
+    def test_each_start_recorded_once_in_order(self, monkeypatch):
+        """One start given twice, as its grid record and as its profile, in a
+        list mixing records and profiles: each start is recorded once, in the
+        order given, a record keeps its value, and only the profile start not
+        yet recorded reaches the engine."""
+        base = replace(FAST, seed=6)
+        records = grid_search_j0(base, lo=2.9, hi=3.0, step=0.1)
+        other = CouplingProfile(4, (2.0, 2.5, 2.1))
+        starts = [records[0], other, records[0].candidate, records[1]]
+        batches = []
+        real = optimizer.run_sp_batch
+        monkeypatch.setattr(optimizer, "run_sp_batch",
+                            lambda cfgs: batches.append([c.couplings for c in cfgs]) or real(cfgs))
+        _, ledger = bayes_optimize(base, starts, iterations_per_start=0)
+        assert [(r.kind, r.candidate) for r in ledger] == [
+            ("start", records[0].candidate), ("start", other), ("start", records[1].candidate)]
+        for rec, got in zip(records, (ledger[0], ledger[2]), strict=True):
+            assert (got.objective, got.t_star, got.seed) == (rec.objective, rec.t_star, rec.seed)
+        assert batches == [[other.couplings]]
+        assert (ledger[1].objective, ledger[1].t_star) == objective(other, base)
+
     def test_ledger_equals_one_objective_per_candidate(self, monkeypatch):
-        """Batched grid and probes leave the ledger (kinds, couplings,
-        objectives and order) of one objective call per new candidate, and
-        of probes evaluated one at a time as sensitivity_and_delta asks."""
+        """Batched grid, probes and picks leave the ledger (kinds, couplings,
+        objectives and order) of one objective call per new candidate."""
         base = replace(FAST, seed=9)
         starts = grid_search_j0(base, lo=2.8, hi=3.0, step=0.1)[:2]
 
@@ -354,13 +358,10 @@ class TestBayesOptimize:
         monkeypatch.setattr(optimizer, "objectives",
                             lambda cands, base: [objective(c, base) for c in cands])
         one_by_one = ledger()
-        monkeypatch.setattr(optimizer._ObjectiveCache, "fill", lambda self, cands, kind: None)
-        unfilled = ledger()
-        for other in (one_by_one, unfilled):
-            assert [(r.kind, r.candidate.couplings, r.objective) for r in batched] == [
-                (r.kind, r.candidate.couplings, r.objective) for r in other]
-            assert all(same_score((a.objective, a.t_star), (b.objective, b.t_star))
-                       for a, b in zip(batched, other, strict=True))
+        assert [(r.kind, r.candidate.couplings, r.objective) for r in batched] == [
+            (r.kind, r.candidate.couplings, r.objective) for r in one_by_one]
+        assert all(same_score((a.objective, a.t_star), (b.objective, b.t_star))
+                   for a, b in zip(batched, one_by_one, strict=True))
         assert [r.kind for r in batched].count("probe") >= 6
 
     def test_empty_starts_rejected(self):
@@ -379,8 +380,8 @@ def sample_batch_loop(incumbent, deltas, weights, batch_size, rng) -> list:
         cps = base + rng.uniform(-deltas, deltas) * active
         if np.any(cps <= 0):
             continue
-        cand = Candidate(couplings=tuple(cps))
-        if cand.satisfies_constraint():
+        cand = CouplingProfile(len(base) + 1, tuple(cps))
+        if satisfies_constraint(cand):
             out.append(cand)
     return out
 
@@ -395,7 +396,7 @@ class TestSampleBatch:
         shape = np.sqrt([i * (ndim + 1 - i) for i in range(1, ndim + 1)])
         scale = 0.05 if seed % 3 == 0 else setup.uniform(0.3, 1.5)  # 0.05: offsets cross 0
         cps = shape * scale + setup.normal(0.0, 0.05, ndim)
-        incumbent = Candidate(couplings=tuple(np.maximum(cps, 0.01)))
+        incumbent = CouplingProfile(ndim + 1, tuple(np.maximum(cps, 0.01)))
         deltas = setup.uniform(0.05, 0.3, ndim)
         weights = setup.uniform(0.0, 1.0, ndim) * (setup.random(ndim) < 0.7)
         if seed % 2:  # no weight reaches 1: some rows draw no active dimension

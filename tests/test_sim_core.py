@@ -414,6 +414,20 @@ class TestKernel:
         with pytest.raises(ValueError, match="compiled for 3 qubits, state has"):
             apply_to_density(random_density(n, seed=n), sop)
 
+    @pytest.mark.parametrize("lead", [(), (1,)], ids=["vector", "block"])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_bind_refuses_another_register_size(self, n, lead):
+        """bind_superoperators refuses, when binding, the op that
+        apply_superoperator refuses, with its message, and writes nothing."""
+        sop = fused_superoperator(UnitaryGate(PAULI_X, (0,)), [(AMP_DAMP, (1,))], 3)
+        with pytest.raises(ValueError) as applied:
+            apply_to_density(random_density(n, seed=n), sop)
+        first, second = np.ones(lead + (4**n,)), np.zeros(lead + (4**n,))
+        with pytest.raises(ValueError) as bound:
+            bind_superoperators([sop], first, second)
+        assert str(bound.value) == str(applied.value)
+        assert np.all(first == 1.0) and np.all(second == 0.0)
+
 
 class TestStackedOps:
     """A stack of m matrices applied to m vectors stored one after another:
