@@ -509,7 +509,8 @@ class TestReport:
 
 
 class TestCommittedRuns:
-    @pytest.mark.parametrize("name", ["headline", "plus_transfer", "rescale"])
+    @pytest.mark.parametrize("name", ["bayes_opt", "grid_search", "headline", "plus_transfer",
+                                      "rescale"])
     def test_regenerates_byte_identical(self, tmp_path, name):
         """configs/<name>.json reproduces every output committed under runs/<name>/."""
         committed = REPO / "runs" / name
