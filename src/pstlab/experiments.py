@@ -17,10 +17,13 @@ and each recorded step hands the chunk's (members, 4^n) state block to one
 observe call. run_sp_batch reads every member's populations from that block,
 P(1) = (r_I - r_Z) / 2 from one column slice, and draws each member's shots
 from its own generator, so each member's records are bit-identical to its
-own run's. Every readout is of single qubits, so it reads a few coefficients
-of the block: P(1) = (r_I - r_Z) / 2 of each measured site, and for
-tomography the last qubit's r_I, r_X, r_Y and r_Z, which each basis
-rotation's one-qubit PTM turns before that P(1) is read. Tomography then
+own run's. The optimizer's scores come from run_first_peaks, which records
+only the end site's P(1) and stops each chunk once every member's first peak
+is settled on its prefix (_settled_peak). Every readout is of single
+qubits, so it reads a few coefficients of the block: P(1) = (r_I - r_Z) / 2
+of each measured site, and for tomography the last qubit's r_I, r_X, r_Y
+and r_Z, which each basis rotation's one-qubit PTM turns before that P(1)
+is read. Tomography then
 works on arrays, once per run: the (n_steps + 1) Bloch components become
 one (n_steps + 1, 2, 2) stack of states, scored against the target with one
 closed-form fidelity call. This module only creates the zero state, applies
@@ -252,7 +255,7 @@ def _member_ops(ops, lo: int, hi: int) -> list:
     return out
 
 
-def evolve_recorded(circuit: NoisyCircuit, observe) -> np.ndarray:
+def evolve_recorded(circuit: NoisyCircuit, observe, settled=None) -> np.ndarray:
     """Run the circuit's members in lock-step, prep then every step, and
     record observe(block) at k = 0..n_steps; returns the (m, n_steps + 1,
     ...) array of the records, member first.
@@ -268,6 +271,11 @@ def evolve_recorded(circuit: NoisyCircuit, observe) -> np.ndarray:
     step is one matmul per op whatever the chunk size and allocates nothing,
     and each member's states are bit-identical to its own run's. A chunk of
     one member compiles and applies 2-D ops, as a single run does.
+
+    With `settled`, a chunk may end early: after each recorded step k,
+    settled(lo, records) gets the chunk's records so far, out[lo:hi, :k + 1],
+    and once it returns True the chunk takes no more steps. Its later records
+    are left unset, and no caller reads them.
     """
     n, n_steps, m = circuit.n_qubits, circuit.plan.n_steps, len(circuit.profiles)
     size = max(1, MAX_BATCH_COEFFS // 4**n)
@@ -293,6 +301,8 @@ def evolve_recorded(circuit: NoisyCircuit, observe) -> np.ndarray:
                 rows = np.asarray(rows)
                 out = np.empty((m, n_steps + 1, *rows.shape[1:]), rows.dtype)
             out[lo:hi, k] = rows
+            if settled is not None and settled(lo, out[lo:hi, :k + 1]):
+                break
     return out
 
 
@@ -326,19 +336,12 @@ def run_sp_batch(configs) -> list:
     """
     if not configs:
         return []
+    circuit = _lock_step_circuit(configs)
     first = configs[0]
-    for config in configs[1:]:
-        differ = [f.name for f in fields(ExperimentConfig) if f.name not in ("j0", "couplings")
-                  and getattr(config, f.name) != getattr(first, f.name)]
-        if differ:
-            raise ValueError(f"lock-step runs may differ only in couplings, not in {differ}")
-    if first.initial != "single_excitation":
-        raise ValueError("run_sp_series expects a single-excitation initial state")
     sites = first.measured_sites or (first.n_sites,)
     readout = first.noise.readout_error if first.noise is not None else 0.0
     # r_I and each measured site's r_Z; P(1) = (r_I - r_Z) / 2, as qubit_p1
     cols = np.array([0, *(3 * 4 ** (first.n_sites - s) for s in sites)])
-    circuit = assemble_circuit(first, [config.profile() for config in configs])
     coeffs = evolve_recorded(circuit, lambda block: block.take(cols, 1))
     p1 = (coeffs[..., :1] - coeffs[..., 1:]) / 2.0
     if first.shots is None:
@@ -350,6 +353,73 @@ def run_sp_batch(configs) -> list:
                          values={s: rows[:, i] for i, s in enumerate(sites)},
                          meta=_series_meta(config, circuit))
             for config, rows in zip(configs, p1)]
+
+
+def _lock_step_circuit(configs) -> NoisyCircuit:
+    """The one circuit of single-excitation runs that differ only in
+    couplings (or j0, which sets them); any other difference raises
+    ValueError before it is built."""
+    first = configs[0]
+    for config in configs[1:]:
+        differ = [f.name for f in fields(ExperimentConfig) if f.name not in ("j0", "couplings")
+                  and getattr(config, f.name) != getattr(first, f.name)]
+        if differ:
+            raise ValueError(f"lock-step runs may differ only in couplings, not in {differ}")
+    if first.initial != "single_excitation":
+        raise ValueError("run_sp_series expects a single-excitation initial state")
+    return assemble_circuit(first, [config.profile() for config in configs])
+
+
+def run_first_peaks(configs) -> list:
+    """detect_first_peak of each exact config's run_sp_series, (t*, peak), or
+    None where it raises NoPeakError; the runs evolve in lock-step as in
+    run_sp_batch, and each chunk stops once every member's first peak is
+    settled (_settled_peak).
+
+    Each step records the end site's P(1) alone, through run_sp_batch's
+    readout flip and clamp, so a member's prefix is bit-identical to the
+    start of its series, and each answer equals detect_first_peak on the
+    whole series. A member is tested only once its prefix could settle:
+    after a drop of PEAK_PROMINENCE below its running maximum, which every
+    qualifying peak needs, or once the window (0, T/2] has passed.
+    """
+    if not configs:
+        return []
+    if configs[0].shots is not None:
+        raise ValueError("run_first_peaks runs exact series: shots must be None")
+    circuit = _lock_step_circuit(configs)
+    first = configs[0]
+    col = 3 * 4 ** (first.n_sites - max(first.measured_sites or (first.n_sites,)))
+    readout = first.noise.readout_error if first.noise is not None else 0.0
+    times = circuit.plan.times()
+    last = int(np.flatnonzero(times <= times[-1] / 2.0 + 1e-12)[-1])  # the window's last index
+    watch = _FirstPeakWatch(len(configs), last, circuit.plan.n_steps)
+    p1 = evolve_recorded(circuit, lambda block: readout_p1(
+        (block[:, 0] - block[:, col]) / 2.0, None, None, readout), watch)
+    return [None if index < 0 else (float(times[index]), float(p1[j, index]))
+            for j, index in enumerate(watch.found)]
+
+
+class _FirstPeakWatch:
+    """run_first_peaks' `settled` test for evolve_recorded: after each
+    recorded step of a chunk, it asks _settled_peak about each member whose
+    prefix could settle, and keeps the answer in `found` once it tells."""
+
+    def __init__(self, members: int, last: int, n_steps: int):
+        self.found = [None] * members  # the first peak's index, -1 for none
+        self.last, self.n_steps = last, n_steps
+        self.top = np.full(members, -np.inf)  # each member's running maximum
+        self.ready = np.zeros(members, dtype=bool)  # fallen PEAK_PROMINENCE below it
+
+    def __call__(self, lo: int, records: np.ndarray) -> bool:
+        k, hi = records.shape[1] - 1, lo + len(records)
+        x, top = records[:, k], self.top[lo:hi]
+        np.maximum(top, x, out=top)
+        self.ready[lo:hi] |= top - x >= PEAK_PROMINENCE
+        for i in np.flatnonzero(self.ready[lo:hi] | (k > self.last)).tolist():
+            if self.found[lo + i] is None:
+                self.found[lo + i] = _settled_peak(records[i], self.last, k == self.n_steps)
+        return None not in self.found[lo:hi]
 
 
 def run_site_resolved(config: ExperimentConfig) -> SPTimeSeries:
@@ -446,6 +516,33 @@ def detect_first_peak(series: SPTimeSeries, site: int | None = None):
     return float(series.times[best]), float(values[best])
 
 
+def _settled_peak(x: np.ndarray, last: int, whole: bool):
+    """The index of detect_first_peak's peak in a series of which x is a
+    prefix (or all, when `whole`) and whose window (0, T/2] ends at index
+    `last`: -1 when the series has none, None while the prefix cannot tell.
+
+    The maxima in the window are walked in order. One that qualifies on the
+    prefix qualifies on the series, at the same index: its plateau is closed,
+    its left base is fixed, and its right base can only fall as samples
+    follow, so its prominence can only grow. One that does not qualify never
+    will if it is final, with a strictly higher sample after it in the
+    prefix (both bases fixed), or dead, less than PEAK_PROMINENCE above its
+    left base (no right base raises that). While one is neither, the prefix
+    cannot tell; such a maximum would qualify too if a later one did. Once
+    the window has passed and the plateau holding `last` has closed, a walk
+    past every maximum in the window finds no peak.
+    """
+    for index, value, left, right, higher in _maxima(x):
+        if index > last:
+            break
+        if value - max(left, right) >= PEAK_PROMINENCE:
+            return index
+        if not (whole or higher or value - left < PEAK_PROMINENCE):
+            return None
+    closed = whole or len(x) > last + 1 and bool(np.any(x[last + 1:] != x[last]))
+    return -1 if closed else None
+
+
 def _find_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
     """Indices of the local maxima of x with at least the given prominence,
     in increasing order.
@@ -454,9 +551,17 @@ def _find_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
     is reported at its middle index (left + right) // 2, so the first and
     last samples are never peaks. Its prominence is its value minus the
     higher of its two bases: on each side, the minimum of x from the peak
-    out to the nearest strictly higher sample or the edge. Between turning
-    points x is monotone, so the bases are taken over those alone, in one
-    monotonic-stack pass per side.
+    out to the nearest strictly higher sample or the edge.
+    """
+    return np.array([index for index, value, left, right, _ in _maxima(x)
+                     if value - max(left, right) >= prominence], dtype=int)
+
+
+def _maxima(x: np.ndarray) -> list:
+    """The local maxima of x in increasing order (see _find_peaks), each as
+    (index, value, left base, right base, whether a strictly higher sample
+    follows it). Between turning points x is monotone, so the bases are taken
+    over those alone, in one monotonic-stack pass per side.
     """
     ends = np.append(np.flatnonzero(x[1:] != x[:-1]), len(x) - 1)  # last sample of each run
     rising = np.diff(x[ends]) > 0
@@ -468,21 +573,23 @@ def _find_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
         # a stack of levels, strictly decreasing, each with the minimum since
         # the entry below it: popping those not above v leaves v's nearest
         # strictly higher level on top, and the popped minima make its base
-        tops, lows, out = [], [], []
+        tops, lows, out, bounded = [], [], [], []
         for v in levels:
             low = v
             while tops and tops[-1] <= v:
                 tops.pop()
                 low = min(low, lows.pop())
+            bounded.append(bool(tops))
             tops.append(v)
             lows.append(low)
             out.append(low)
-        return out
+        return out, bounded
 
-    left, right = bases(level), bases(level[::-1])[::-1]
-    peaks = [i for i in range(1, len(runs) - 1)  # the maxima among the turning runs
-             if level[i - 1] < level[i] and level[i] - max(left[i], right[i]) >= prominence]
-    return np.array([(ends[runs[i] - 1] + 1 + ends[runs[i]]) // 2 for i in peaks], dtype=int)
+    left, _ = bases(level)
+    right, higher = (side[::-1] for side in bases(level[::-1]))
+    return [((ends[runs[i] - 1] + 1 + ends[runs[i]]) // 2, level[i], left[i], right[i], higher[i])
+            for i in range(1, len(runs) - 1)  # the maxima among the turning runs
+            if level[i - 1] < level[i]]
 
 
 def _series_meta(config: ExperimentConfig, circuit: NoisyCircuit) -> dict:

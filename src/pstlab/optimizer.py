@@ -12,7 +12,8 @@ of one stage, the grid's scales (with any extra candidate, such as a
 report's j0 = 1 baseline), an iteration's incumbent and bumped probes, and
 the GP pick, are scored together (`objectives`): their runs share one
 circuit, compiled once per chunk of members, and evolve in lock-step as one
-batch, each member's result identical to its own run (`objective`).
+batch, each chunk only until every member's first peak is settled, each
+member's result identical to its own full run (`objective`).
 
 Search ranges adapt to local sensitivity: with sensitivity estimated by a
 forward difference of increment 0.01,
@@ -35,9 +36,8 @@ from .chains import CouplingProfile, pst_couplings
 from .experiments import (
     ExperimentConfig,
     NoPeakError,
-    SPTimeSeries,
     detect_first_peak,
-    run_sp_batch,
+    run_first_peaks,
     run_sp_series,
 )
 
@@ -50,6 +50,7 @@ _OBSERVATION_NOISE = 1e-4
 _EI_JITTER = 0.01
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_NO_PEAK = (0.0, float("nan"))  # the score of a series with no qualifying peak
 
 
 def satisfies_constraint(profile: CouplingProfile) -> bool:
@@ -79,26 +80,23 @@ def objective(candidate: CouplingProfile, base: ExperimentConfig):
     on the Pauli-transfer engine, no sampling, whatever base.shots is. A
     series with no qualifying peak (no transfer inside the window) scores 0.
     """
-    return _first_peak(run_sp_series(_scored_run(candidate, base)))
+    try:
+        t_star, peak = detect_first_peak(run_sp_series(_scored_run(candidate, base)))
+    except NoPeakError:
+        return _NO_PEAK
+    return peak, t_star
 
 
 def objectives(candidates, base: ExperimentConfig) -> list:
-    """objective of each candidate, the runs evolved together as one batch
-    (run_sp_batch); each result equals the candidate's own objective."""
-    return [_first_peak(series)
-            for series in run_sp_batch([_scored_run(c, base) for c in candidates])]
+    """objective of each candidate, the runs evolved together as one batch,
+    each chunk stopped once every member's first peak is settled
+    (run_first_peaks); each result equals the candidate's own objective."""
+    return [_NO_PEAK if found is None else found[::-1]
+            for found in run_first_peaks([_scored_run(c, base) for c in candidates])]
 
 
 def _scored_run(candidate: CouplingProfile, base: ExperimentConfig) -> ExperimentConfig:
     return replace(base, couplings=candidate.couplings, shots=None)
-
-
-def _first_peak(series: SPTimeSeries) -> tuple:
-    try:
-        t_star, peak = detect_first_peak(series)
-    except NoPeakError:
-        return 0.0, float("nan")
-    return peak, t_star
 
 
 def _score(ledger: list, base: ExperimentConfig, candidates, kind: str) -> list:

@@ -200,9 +200,9 @@ class TestRunConfig:
         import pstlab.optimizer as optimizer
 
         runs = []
-        real_one, real_batch = optimizer.run_sp_series, optimizer.run_sp_batch
+        real_one, real_batch = optimizer.run_sp_series, optimizer.run_first_peaks
         monkeypatch.setattr(optimizer, "run_sp_series", lambda cfg: runs.append(cfg) or real_one(cfg))
-        monkeypatch.setattr(optimizer, "run_sp_batch",
+        monkeypatch.setattr(optimizer, "run_first_peaks",
                             lambda cfgs: runs.extend(cfgs) or real_batch(cfgs))
         cfg = write_config(tmp_path, {
             "experiment": "bayes_opt",

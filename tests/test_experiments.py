@@ -8,9 +8,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
-from pstlab.chains import GateOp, exact_sp_oracle, exact_transfer_amplitude, gate_matrix, pst_couplings
+from pstlab.chains import (
+    CouplingProfile,
+    GateOp,
+    TrotterPlan,
+    exact_sp_oracle,
+    exact_transfer_amplitude,
+    gate_matrix,
+    pst_couplings,
+)
 from pstlab import experiments
 from pstlab.cli import load_config, resolve_config
 from pstlab.experiments import (
@@ -20,11 +30,13 @@ from pstlab.experiments import (
     _compile_merged,
     _compile_ops,
     _find_peaks,
+    _settled_peak,
     assemble_circuit,
     detect_first_peak,
     evolve_recorded,
     readout_p1,
     run_arbitrary_transfer,
+    run_first_peaks,
     run_site_resolved,
     run_sp_batch,
     run_sp_series,
@@ -532,6 +544,30 @@ class TestFixedBuffers:
         assert len(peaks) == 21
         assert max(peaks[1:]) < 3 * 4**4 * 8
 
+    def test_a_stopped_step_allocates_no_state(self, monkeypatch):
+        """run_first_peaks' stop test, run between two observe calls, keeps
+        the step below a block's size too."""
+        peaks = []
+        real = experiments.evolve_recorded
+
+        def measured(circuit, observe, settled):
+            def wrapped(block):
+                current, peak = tracemalloc.get_traced_memory()
+                peaks.append(peak - current)
+                tracemalloc.reset_peak()
+                return observe(block)
+            return real(circuit, wrapped, settled)
+
+        monkeypatch.setattr(experiments, "evolve_recorded", measured)
+        configs = [ExperimentConfig(n_sites=4, j0=j0, noise=NoiseParams()) for j0 in (0.5, 1.0, 2.9)]
+        tracemalloc.start()
+        try:
+            run_first_peaks(configs)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) < 81  # stopped early
+        assert max(peaks[1:]) < 3 * 4**4 * 8
+
 
 class TestReadout:
     """Readout reads every member's populations from the state block and
@@ -863,6 +899,172 @@ def assert_peaks_match(x, prominence):
     want = find_peaks(x, prominence=prominence)[0]
     np.testing.assert_array_equal(_find_peaks(x, prominence), want,
                                   err_msg=f"x = {x.tolist()}, prominence = {prominence}")
+
+
+def first_peak_score(x, times) -> tuple:
+    """detect_first_peak on the whole series as (peak, t*), (0.0, nan) where
+    it raises NoPeakError."""
+    try:
+        t_star, peak = detect_first_peak(SPTimeSeries(times=times, values={1: x}))
+    except NoPeakError:
+        return 0.0, math.nan
+    return peak, t_star
+
+
+def same_score(a: tuple, b: tuple) -> bool:
+    return a[0] == b[0] and (a[1] == b[1] or math.isnan(a[1]) and math.isnan(b[1]))
+
+
+def window_last(times) -> int:
+    return int(np.flatnonzero(times <= times[-1] / 2.0 + 1e-12)[-1])
+
+
+def watched(batch, chunk: int | None = None) -> tuple:
+    """Each series' (peak, t*) as run_first_peaks reads it, the watch fed
+    the batch one recorded step at a time, chunk by chunk, as
+    evolve_recorded feeds it; and the steps observed per chunk."""
+    batch = np.atleast_2d(np.asarray(batch, dtype=float))
+    m, n_steps = len(batch), batch.shape[1] - 1
+    times = TrotterPlan(2.0 * math.pi, n_steps).times()
+    watch = experiments._FirstPeakWatch(m, window_last(times), n_steps)
+    observed = []
+    for lo in range(0, m, chunk or m):
+        hi = min(m, lo + (chunk or m))
+        for k in range(n_steps + 1):
+            if watch(lo, batch[lo:hi, :k + 1]):
+                break
+        observed.append(k + 1)
+    scores = [(0.0, math.nan) if i < 0 else (batch[j, i], times[i])
+              for j, i in enumerate(watch.found)]
+    return scores, observed
+
+
+def assert_settles_exactly(x):
+    """Every prefix on which _settled_peak tells gives detect_first_peak's
+    answer on the whole series, the whole series tells, and the watch reads
+    the same."""
+    x = np.asarray(x, dtype=float)
+    times = TrotterPlan(2.0 * math.pi, len(x) - 1).times()
+    want = first_peak_score(x, times)
+    for k in range(len(x)):
+        index = _settled_peak(x[:k + 1], window_last(times), k == len(x) - 1)
+        if index is not None:
+            got = (0.0, math.nan) if index < 0 else (x[index], times[index])
+            assert same_score(got, want), (x.tolist(), k)
+    assert index is not None
+    assert same_score(watched(x)[0][0], want), x.tolist()
+
+
+# values on a coarse grid: plateaus, equal maxima and prominences at the
+# threshold (0.1 - 0.05 == 0.05, but 0.3 - 0.25 < 0.05) are common
+coarse = st.lists(st.integers(0, 20), min_size=2, max_size=60).map(lambda v: np.array(v) / 20)
+# runs of equal samples: every sample repeated one to four times
+plateaus = st.lists(st.tuples(st.integers(0, 20), st.integers(1, 4)), min_size=2, max_size=25).map(
+    lambda runs: np.repeat([v / 20 for v, _ in runs], [r for _, r in runs]))
+
+
+class TestSettledPeak:
+    """The optimizer's stopped first peak (_settled_peak, fed by
+    run_first_peaks' watch) equals detect_first_peak on the whole series, on
+    every prefix where it tells."""
+
+    @given(x=st.one_of(coarse, plateaus))
+    @settings(max_examples=400, deadline=None)
+    def test_coarse_series_with_plateaus(self, x):
+        assert_settles_exactly(x)
+
+    @given(x=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_random_series(self, x):
+        assert_settles_exactly(x)
+
+    def test_seeded_random_series(self):
+        rng = np.random.default_rng(22)
+        for i in range(400):
+            n = int(rng.integers(2, 82))
+            x = rng.integers(0, 21, n) / 20 if i % 2 else rng.random(n)
+            assert_settles_exactly(x)
+
+    @pytest.mark.parametrize("x,want,settles", [
+        # a plateau straddling T/2 (index 5): its middle, 5, is in the window
+        ([0, .2, .4, .6, .8, .8, .8, .8, .3, .1, 0], 5, 8),
+        # ... and its middle, 6, is not; the window closes with the plateau
+        ([0, .2, .4, .6, .6, .8, .8, .8, .8, .3, 0], -1, 9),
+        # a window maximum that qualifies only through a drop after T/2
+        ([0, .2, .4, .5, .48, .47, .46, .3, .1, 0, 0], 3, 7),
+        # an earlier, higher maximum overtaken only after T/2: no peak ...
+        ([0, .5, .47, .48, .46, .47, .46, .47, .9, .1, 0], -1, 8),
+        # ... or, dropping instead, the first peak
+        ([0, .5, .47, .48, .46, .47, .46, .47, .3, .1, 0], 1, 8),
+        # a dead maximum (0.5 - 0.45 < 0.05) overtaken by the first peak
+        ([.45, .5, .3, .6, .2, .2, .2, .2, .2, .2, .2], 3, 4),
+        # exactly PEAK_PROMINENCE above its left base: a peak once it drops ...
+        ([0, .05, 0, 0, 0, 0, 0, 0, 0, 0, 0], 1, 2),
+        # ... not dead while its right base is higher, so it holds the stop
+        ([0, .05, .02, .03, .02, .03, .02, .01, 0, 0, 0], 1, 8),
+        # 0.3 - 0.25 is just below 0.05; the plateau holding T/2 never closes
+        ([.25, .3, .25, .25, .25, .25, .25, .25, .25, .25, .25], -1, 10),
+        # no maximum at all, falling from the first sample
+        ([.5, .4, .3, .2, .1, .05, 0, 0, 0, 0, 0], -1, 6),
+    ])
+    def test_adversarial(self, x, want, settles):
+        """Each settles at the step given, with detect_first_peak's answer."""
+        assert_settles_exactly(x)
+        answers = [_settled_peak(np.array(x[:k + 1], dtype=float), 5, k == 10) for k in range(11)]
+        assert answers.index(want) == settles
+        assert set(answers[settles:]) == {want}
+        assert watched(x)[1] == [settles + 1]
+
+    def test_simulated_series(self):
+        """Exact noisy series over the grid's 40 scales and random profiles
+        at N = 4, and 1024-shot series of the same runs; the watch reads
+        them in chunks too."""
+        rng = np.random.default_rng(5)
+        profiles = [pst_couplings(4, 0.1 * i) for i in range(1, 41)]
+        profiles += [CouplingProfile(4, tuple(rng.uniform(0.2, 6.0, 3))) for _ in range(20)]
+        for shots in (None, 1024):
+            configs = [ExperimentConfig(couplings=p.couplings, noise=NoiseParams(), shots=shots)
+                       for p in profiles]
+            batch = np.array([series.series() for series in run_sp_batch(configs)])
+            for x in batch:
+                assert_settles_exactly(x)
+            want = [first_peak_score(x, configs[0].plan().times()) for x in batch]
+            for chunk in (None, 7):
+                assert all(map(same_score, watched(batch, chunk)[0], want))
+
+
+class TestRunFirstPeaks:
+    """run_first_peaks gives detect_first_peak of each member's full
+    run_sp_series, whole or in chunks (its stop is counted in
+    test_optimizer.py)."""
+
+    @pytest.mark.parametrize("base", [
+        ExperimentConfig(noise=NoiseParams()),
+        ExperimentConfig(n_sites=3, n_steps=20, noise=NoiseParams(readout_error=0.03), seed=2),
+        ExperimentConfig(n_sites=5, n_steps=40, noise=NoiseParams(), measured_sites=(2, 5, 1)),
+        ExperimentConfig(n_sites=4),
+    ])
+    def test_equals_detect_first_peak(self, base, monkeypatch):
+        rng = np.random.default_rng(base.n_sites)
+        configs = [replace(base, j0=j0) for j0 in (0.1, 0.4, 1.0, 2.2, 4.0)]
+        configs += [replace(base, couplings=tuple(rng.uniform(0.2, 6.0, base.n_sites - 1)))
+                    for _ in range(6)]
+        want = []
+        for config in configs:
+            try:
+                want.append(detect_first_peak(run_sp_series(config)))
+            except NoPeakError:
+                want.append(None)
+        assert run_first_peaks(configs) == want
+        monkeypatch.setattr(experiments, "MAX_BATCH_COEFFS", 3 * 4**base.n_sites)  # chunks of 3
+        assert run_first_peaks(configs) == want
+
+    def test_refuses_shots_and_other_differences(self):
+        with pytest.raises(ValueError, match="shots"):
+            run_first_peaks([ExperimentConfig(shots=64)])
+        with pytest.raises(ValueError, match="seed"):
+            run_first_peaks([ExperimentConfig(), ExperimentConfig(seed=1)])
+        assert run_first_peaks([]) == []
 
 
 class TestSerialization:

@@ -8,9 +8,9 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import norm
 
-from pstlab import optimizer
+from pstlab import experiments, optimizer
 from pstlab.chains import CouplingProfile, exact_sp_oracle, pst_couplings
-from pstlab.experiments import ExperimentConfig, detect_first_peak, run_sp_series
+from pstlab.experiments import ExperimentConfig, SPTimeSeries, detect_first_peak, run_sp_series
 from pstlab.noise import NoiseParams
 from pstlab.optimizer import (
     GaussianProcess,
@@ -93,6 +93,45 @@ class TestObjectives:
     def test_no_candidates(self):
         assert objectives([], FAST) == []
 
+    # the bench's optimize grid (j0 = 0.4 has no peak in the window) and the
+    # j0 = 1 baseline, on the default noise and 80 steps
+    BENCH_GRID = [pst_couplings(4, j0) for j0 in (0.4, 2.2, 4.0, 1.0)]
+
+    def test_stops_once_every_first_peak_is_settled(self, monkeypatch):
+        """The bench grid observes 42 steps, not 81: its no-peak member settles
+        when the window closes, at step 41. Candidates peaking on step 4
+        observe 6, settling when the peak has dropped by the prominence."""
+        observed = []  # the size of each block evolve_recorded hands to observe
+        real = experiments.evolve_recorded
+        monkeypatch.setattr(experiments, "evolve_recorded", lambda circuit, observe, settled: real(
+            circuit, lambda block: observed.append(len(block)) or observe(block), settled))
+        base = ExperimentConfig(noise=NoiseParams())
+        scores = objectives(self.BENCH_GRID, base)
+        assert observed == [4] * 42
+        assert scores[0][0] == 0.0 and math.isnan(scores[0][1])
+        observed.clear()
+        peaks = [pst_couplings(4, j0) for j0 in (3.9, 4.0)]
+        assert [t_star for _, t_star in objectives(peaks, base)] == [4 * math.pi / 40] * 2
+        assert observed == [2] * 6
+
+    def test_builds_no_series_and_hashes_no_config(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("objectives built a series record")
+
+        monkeypatch.setattr(ExperimentConfig, "config_hash", refuse)
+        monkeypatch.setattr(SPTimeSeries, "__post_init__", refuse)
+        objectives(self.BENCH_GRID, ExperimentConfig(noise=NoiseParams()))
+        with pytest.raises(AssertionError):
+            objective(self.BENCH_GRID[0], FAST)  # the full run still builds one
+
+    def test_bench_grid_and_random_profiles_score_their_own_objective(self):
+        base = ExperimentConfig(noise=NoiseParams())
+        rng = np.random.default_rng(3)
+        cands = self.BENCH_GRID + [CouplingProfile(4, tuple(rng.uniform(0.2, 8.0, 3)))
+                                   for _ in range(8)]
+        got = objectives(cands, base)
+        assert all(map(same_score, got, [objective(c, base) for c in cands]))
+
 
 class TestGridSearch:
     def test_single_point_grid(self):
@@ -142,8 +181,8 @@ class TestGridSearch:
         """The j0 = 1 profile off the grid runs in the grid's one batch, and
         its record scores exactly its own objective."""
         batches = []
-        real = optimizer.run_sp_batch
-        monkeypatch.setattr(optimizer, "run_sp_batch",
+        real = optimizer.run_first_peaks
+        monkeypatch.setattr(optimizer, "run_first_peaks",
                             lambda cfgs: batches.append(len(cfgs)) or real(cfgs))
         uniform = pst_couplings(4, 1.0)
         *records, extra = grid_search_j0(FAST, lo=2.8, hi=3.0, step=0.1, extra=[uniform])
@@ -153,8 +192,8 @@ class TestGridSearch:
 
     def test_on_grid_extra_reuses_its_grid_row(self, monkeypatch):
         batches = []
-        real = optimizer.run_sp_batch
-        monkeypatch.setattr(optimizer, "run_sp_batch",
+        real = optimizer.run_first_peaks
+        monkeypatch.setattr(optimizer, "run_first_peaks",
                             lambda cfgs: batches.append(len(cfgs)) or real(cfgs))
         uniform = pst_couplings(4, 1.0)
         *records, extra = grid_search_j0(FAST, lo=0.8, hi=1.0, step=0.2, extra=[uniform])
@@ -333,8 +372,8 @@ class TestBayesOptimize:
         other = CouplingProfile(4, (2.0, 2.5, 2.1))
         starts = [records[0], other, records[0].candidate, records[1]]
         batches = []
-        real = optimizer.run_sp_batch
-        monkeypatch.setattr(optimizer, "run_sp_batch",
+        real = optimizer.run_first_peaks
+        monkeypatch.setattr(optimizer, "run_first_peaks",
                             lambda cfgs: batches.append([c.couplings for c in cfgs]) or real(cfgs))
         _, ledger = bayes_optimize(base, starts, iterations_per_start=0)
         assert [(r.kind, r.candidate) for r in ledger] == [
