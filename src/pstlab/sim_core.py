@@ -8,30 +8,30 @@ Unitaries and Kraus channels act on arbitrary qubit subsets through tensor
 reshaping; nothing here assumes a chain topology. The evolution engine holds
 every state, pure or mixed, as its 4^n real Pauli coefficients (PauliState).
 It fuses each gate with its channels, if any, into one real Pauli transfer
-matrix (PTM), then merges adjacent fused ops into PTMs of at most
-MERGE_WIDTH qubits. An op on the consecutive qubits a..a+k-1 in order, as
-every op the experiments compile is, is applied as one real (stacked) matmul
-on a reshaped view, straight from one buffer into the other; an op on any
-other targets adds a gather into the targets' axis order before the matmul
-and a scatter back after it. A run's prep and Trotter step are bound once to
-two fixed state buffers (bind_superoperators), each then one call on views
-fixed when it was bound, and allocate nothing; apply_superoperator applies
-one op into a new state. States of circuits that differ only in their gates'
-matrices evolve together as one batch: a gate may hold an (m, d, d) stack of
-its members' unitaries, compiling it gives an op with the stack of their
-PTMs (2-D parts, such as the shared channels, broadcast over the member
-axis), and the kernel applies the stack with one broadcast matmul over a
-leading member axis. Each channel's PTM is built once per channel object,
-and each contraction plan once per (targets, n). The per-qubit change
-between rho's entries and Pauli coefficients lives here alone. apply_unitary
-and apply_channel (the Kraus loop on DensityMatrix) are the engine's
-reference.
+matrix (PTM) on the consecutive qubits from the lowest to the highest of
+their targets, then merges adjacent fused ops into PTMs of at most
+MERGE_WIDTH qubits. Every op (Superoperator) so acts on consecutive qubits
+a..a+k-1 in order: any ordering of a gate's or a channel's qubits is done
+at compile time, on matrices of at most 64 x 64 (_embed), and every op
+reaches a state as one real (stacked) matmul on a reshaped view, straight
+from one buffer into the other (_matmul_operands). A run's prep and Trotter
+step are bound once to two fixed state buffers (bind_superoperators), each
+then one call on views fixed when it was bound, and allocate nothing;
+apply_superoperator applies one op into a new state. States of circuits
+that differ only in their gates' matrices evolve together as one batch: a
+gate may hold an (m, d, d) stack of its members' unitaries, compiling it
+gives an op with the stack of their PTMs (2-D parts, such as the shared
+channels, broadcast over the member axis), and the kernel applies the stack
+with one broadcast matmul over a leading member axis. Each channel's PTM is
+built once per channel object. The per-qubit change between rho's entries
+and Pauli coefficients lives here alone. apply_unitary and apply_channel
+(the Kraus loop on DensityMatrix) are the engine's reference, and apply ops
+on any qubits.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -131,7 +131,7 @@ class PauliState:
         """|0...0>: r_P = 1 where every factor of P is I or Z, else 0."""
         vec = np.ones(1)
         for _ in range(n_qubits):
-            vec = np.kron(vec, [1.0, 0.0, 0.0, 1.0])
+            vec = np.outer(vec, [1.0, 0.0, 0.0, 1.0]).ravel()
         return cls(n_qubits, vec)
 
     @classmethod
@@ -231,76 +231,25 @@ def _check_targets(targets, n_qubits: int) -> None:
         raise ValueError(f"duplicate targets {targets}")
 
 
-class _Plan(NamedTuple):
-    """How the kernel contracts a 4^k x 4^k matrix into `targets` of an
-    n-qubit Pauli vector (or a batch of them on a trailing axis).
+def _matmul_operands(src: np.ndarray, mat: np.ndarray, lead: int, dst: np.ndarray) -> tuple:
+    """(x, y, out): the views such that np.matmul(x, y, out) contracts the
+    4^k x 4^k mat into the consecutive Pauli axes a..a+k-1 of src, lead =
+    4^a, writing dst. The one place that lays them out, for every op.
 
-    Targets that are the consecutive qubits a, a+1, ..., a+k-1 in order need
-    no data movement: `lead` is 4^a, and `perm` and `inv` are None. Any other
-    targets keep `lead` None, and `perm` is the gather order of the
-    (4,) * n + (-1,) view (the targets, the other qubit axes, the batch axis)
-    with `inv` its inverse.
+    `src` is a Pauli vector or a batch of them on a trailing axis, viewed as
+    4^a x 4^k x rest; `dst` is a contiguous array of its size and must not
+    be `src`, as a matmul never writes over its own input. When nothing
+    follows the block, the matmul is one GEMM against mat.T. `mat` may also
+    be an m x 4^k x 4^k stack applied to m vectors stored one after another
+    in src, member b taking mat[b]: the same matmul over a leading member
+    axis of the view, each member's result bit-identical to its own.
     """
-
-    lead: int | None
-    perm: tuple | None
-    inv: tuple | None
-
-
-@lru_cache(maxsize=None)
-def _contraction_plan(targets: tuple, n: int) -> _Plan:
-    """The kernel's plan for `targets` of n qubits. Cached: `targets` is a
-    tuple, and every caller shares the returned plan."""
-    a, k = targets[0], len(targets)
-    if targets == tuple(range(a, a + k)):
-        return _Plan(4**a, None, None)
-    perm = (*targets, *(q for q in range(n) if q not in targets), n)
-    return _Plan(None, perm, tuple(np.argsort(perm)))
-
-
-def _matmul_operands(src: np.ndarray, mat: np.ndarray, plan: _Plan, dst: np.ndarray) -> tuple:
-    """(x, y, out): the views such that np.matmul(x, y, out) contracts mat
-    into the plan's consecutive targets of src, writing dst (see _contract).
-    The one place that lays them out, for _contract and for ops bound once
-    (bind_superoperators)."""
-    lead, width = plan.lead, mat.shape[-1]
+    width = mat.shape[-1]
     view = (lead, width) if mat.ndim == 2 else (len(mat), lead, width)
     if src.size * width == lead * mat.size:  # one vector per matrix
         return src.reshape(view), mat.swapaxes(-1, -2), dst.reshape(view)
     view += (-1,)
     return mat if mat.ndim == 2 else mat[:, None], src.reshape(view), dst.reshape(view)
-
-
-def _contract(src: np.ndarray, mat: np.ndarray, plan: _Plan, dst: np.ndarray,
-              spare: np.ndarray) -> np.ndarray:
-    """dst <- mat contracted into the plan's target axes of src.
-
-    `src` is a Pauli vector or a batch of them on a trailing axis; `dst` and
-    `spare` are contiguous arrays of its size, so the kernel allocates
-    nothing. `dst` must not be `src`, as a matmul never writes over its own
-    input; `spare` may be `src`. Consecutive targets a..a+k-1 take one
-    (stacked) matmul on the 4^a x 4^k x rest view, from src straight into
-    dst, or one GEMM against mat.T when nothing follows the block. Other
-    targets gather src into dst in the plan's order, take one matmul into
-    `spare` and scatter back into dst.
-
-    On consecutive targets `mat` may also be an m x 4^k x 4^k stack applied
-    to m vectors stored one after another in src, member b taking mat[b]:
-    the same matmul over a leading member axis of the view, each member's
-    result bit-identical to its own. Other targets refuse a stack.
-    """
-    _, perm, inv = plan
-    if perm is None:
-        np.matmul(*_matmul_operands(src, mat, plan, dst))
-        return dst
-    if mat.ndim > 2:
-        raise ValueError("stacked ops must act on consecutive qubits in order")
-    width = mat.shape[-1]
-    shape = (4,) * (len(perm) - 1) + (-1,)
-    np.copyto(dst.reshape(shape), src.reshape(shape).transpose(perm))
-    np.matmul(mat, dst.reshape(width, -1), out=spare.reshape(width, -1))
-    np.copyto(dst.reshape(shape), spare.reshape(shape).transpose(inv))
-    return dst
 
 
 def _apply_matrix_to_density(rho: np.ndarray, mat: np.ndarray, targets, n: int) -> np.ndarray:
@@ -373,26 +322,43 @@ def _pauli_transfer_matrix(superop: np.ndarray, k: int) -> np.ndarray:
 
 
 class Superoperator:
-    """A map E on a few target qubits as its real 4^k x 4^k Pauli transfer
-    matrix (PTM): entry [P, Q] = tr(P E(Q)) / 2^k, for P and Q tensor products
-    of I, X, Y, Z over the targets in order. It carries a PauliState's
-    coefficients on the targets to their new values. A stacked op, compiled
-    from stacked gates, holds an m x 4^k x 4^k stack of PTMs, one per member
-    of a batch of m states. Its plan, how the kernel contracts it (see
-    _Plan), holds for n_qubits only.
+    """A map E on the consecutive qubits a..a+k-1, in order, as its real
+    4^k x 4^k Pauli transfer matrix (PTM): entry [P, Q] = tr(P E(Q)) / 2^k,
+    for P and Q tensor products of I, X, Y, Z over the targets in order. It
+    carries a PauliState's coefficients on the targets to their new values,
+    as one matmul on the state's 4^a x 4^k x rest view. A stacked op,
+    compiled from stacked gates, holds an m x 4^k x 4^k stack of PTMs, one
+    per member of a batch of m states. Targets that are not such a range are
+    refused: fused_superoperator orders a gate's and its channels' qubits.
     """
 
-    __slots__ = ("matrix", "targets", "n_qubits", "plan")
+    __slots__ = ("matrix", "targets", "n_qubits")
 
     def __init__(self, matrix, targets, n_qubits: int):
+        targets = tuple(targets)
+        if targets != tuple(range(targets[0], targets[0] + len(targets))):
+            raise ValueError(f"targets {targets} are not consecutive ascending qubits")
         self.matrix, self.targets, self.n_qubits = matrix, targets, n_qubits
-        self.plan = _contraction_plan(targets, n_qubits)
 
 
-def _compose(support, parts) -> np.ndarray:
-    """The PTM on `support` of (PTM, targets) parts applied in order: each
-    contracted into its targets' axes, starting from the identity, with the
-    result alternating between two buffers.
+def _embed(ptm: np.ndarray, positions, k: int) -> np.ndarray:
+    """The PTM on `positions` of k qubits, in that order, as a 4^k x 4^k PTM
+    on all k in axis order: the axes of ptm (x) I reordered, so entries move
+    and none is computed. Over a leading member axis of ptm, if any."""
+    lead = ptm.shape[:-2]
+    order = [*positions, *(q for q in range(k) if q not in positions)]
+    axes = [order.index(q) for q in range(k)]
+    full = _kron(ptm, np.eye(4 ** (k - len(positions)))).reshape(lead + (4,) * 2 * k)
+    perm = [*range(len(lead)), *(len(lead) + a for a in axes), *(len(lead) + k + a for a in axes)]
+    return full.transpose(perm).reshape(lead + (4**k, 4**k))
+
+
+def _compose(support: range, parts) -> np.ndarray:
+    """The PTM on the consecutive qubits `support` of (PTM, targets) parts
+    applied in order: each contracted into its targets' axes, starting from
+    the identity, with the result alternating between two buffers. A part
+    on other than consecutive ascending qubits is first embedded in the
+    whole support (_embed), so every part takes the kernel's one matmul.
 
     When a part is an m-member stack, so is the result: the identity and
     every 2-D part are broadcast over the member axis (the parts' stacks
@@ -405,10 +371,13 @@ def _compose(support, parts) -> np.ndarray:
         matrix = np.broadcast_to(matrix, lead + matrix.shape)
     bufs = (np.empty(matrix.shape), np.empty(matrix.shape))
     for i, (ptm, targets) in enumerate(parts):
+        first = targets[0] - support[0]
+        if targets != tuple(range(targets[0], targets[0] + len(targets))):
+            ptm, first = _embed(ptm, [t - support[0] for t in targets], k), 0
         if ptm.ndim < matrix.ndim:
             ptm = np.broadcast_to(ptm, lead + ptm.shape)
-        plan = _contraction_plan(tuple(support.index(t) for t in targets), k)
-        matrix = _contract(matrix, ptm, plan, bufs[i % 2], bufs[1 - i % 2])
+        np.matmul(*_matmul_operands(matrix, ptm, 4**first, bufs[i % 2]))
+        matrix = bufs[i % 2]
     return matrix
 
 
@@ -416,43 +385,47 @@ def fused_superoperator(gate: UnitaryGate, channels, n_qubits: int) -> Superoper
     """The gate followed by its channels in order, as one superoperator.
 
     R = R_m ... R_1 R_U, with R_U the PTM of U (x) conj U and R_c =
-    channel.pauli_transfer_matrix(), each embedded in the support: the gate's
-    targets, then any channel target outside them. A stacked gate gives a
-    stacked op, each member's PTM that of its own gate with the shared
-    channels. Refuses exactly what apply_unitary and apply_channel refuse.
+    channel.pauli_transfer_matrix(), each embedded in the support: the
+    qubits from the lowest to the highest of the gate's and the channels'
+    targets. A stacked gate gives a stacked op, each member's PTM that of
+    its own gate with the shared channels. Refuses what apply_unitary and
+    apply_channel refuse, with their messages, and then a support wider than
+    MERGE_WIDTH qubits, which the Kraus loop still applies.
     """
     _check_targets(gate.targets, n_qubits)
-    support = list(gate.targets)
     parts = [(_pauli_transfer_matrix(_kron(gate.matrix, gate.matrix.conj()), gate.arity),
               gate.targets)]
     for channel, targets in channels:
-        targets = _check_channel(channel, targets, n_qubits)
-        support += [t for t in targets if t not in support]
-        parts.append((channel.pauli_transfer_matrix(), targets))
-    return Superoperator(_compose(support, parts), tuple(support), n_qubits)
+        parts.append((channel.pauli_transfer_matrix(), _check_channel(channel, targets, n_qubits)))
+    qubits = [t for _, targets in parts for t in targets]
+    support = range(min(qubits), max(qubits) + 1)
+    if len(support) > MERGE_WIDTH:
+        raise ValueError(f"gate on {gate.targets} with channels on {[t for _, t in parts[1:]]} "
+                         f"spans {len(support)} qubits, more than MERGE_WIDTH = {MERGE_WIDTH}")
+    return Superoperator(_compose(support, parts), support, n_qubits)
 
 
 def merge_superoperators(sops) -> list:
     """Adjacent superoperators merged into ops of at most MERGE_WIDTH qubits.
 
-    A group grows while its combined support (the members' targets in order
-    of first appearance) stays within MERGE_WIDTH qubits. Its matrix is the
-    members' product in their order, each contracted into its axes of the
-    support as fused_superoperator contracts a channel; a group of one is
-    kept as it is. A group holding a stacked op is a stacked op (see
-    _compose). Ops are never reordered, so the list applies the same map.
+    A group grows while its support, the qubits from the lowest to the
+    highest of its members' targets, stays within MERGE_WIDTH qubits. Its
+    matrix is the members' product in their order, each contracted into its
+    own consecutive axes of the support; a group of one is kept as it is. A
+    group holding a stacked op is a stacked op (see _compose). Ops are never
+    reordered, so the list applies the same map.
     """
     groups = []
     for sop in sops:
-        support, members = groups[-1] if groups else ([], [])
-        wider = support + [t for t in sop.targets if t not in support]
+        support, members = groups[-1] if groups else (range(0), [])
+        wider = range(min(support.start, sop.targets[0]), max(support.stop, sop.targets[-1] + 1))
         if members and len(wider) <= MERGE_WIDTH and sop.n_qubits == members[0].n_qubits:
             groups[-1] = (wider, members + [sop])
         else:
-            groups.append((list(sop.targets), [sop]))
+            groups.append((range(sop.targets[0], sop.targets[-1] + 1), [sop]))
     return [members[0] if len(members) == 1 else
             Superoperator(_compose(support, [(sop.matrix, sop.targets) for sop in members]),
-                          tuple(support), members[0].n_qubits)
+                          support, members[0].n_qubits)
             for support, members in groups]
 
 
@@ -468,8 +441,9 @@ def apply_superoperator(state: PauliState, sop: Superoperator) -> PauliState:
     Pauli vector."""
     n, vec = state.n_qubits, state.vector
     _check_register(sop, n)
-    dst, spare = np.empty(vec.size), np.empty(vec.size)
-    return PauliState(n, _contract(vec, sop.matrix, sop.plan, dst, spare))
+    dst = np.empty(vec.size)
+    np.matmul(*_matmul_operands(vec, sop.matrix, 4 ** sop.targets[0], dst))
+    return PauliState(n, dst)
 
 
 def bind_superoperators(sops, first: np.ndarray, second: np.ndarray) -> list:
@@ -480,20 +454,15 @@ def bind_superoperators(sops, first: np.ndarray, second: np.ndarray) -> list:
 
     The buffers are contiguous arrays of one shape: one Pauli vector
     (4^n,), or m of them, (m, 4^n), for stacked ops of m members. An op
-    compiled for another register size than n is refused. An op on
-    consecutive targets is one np.matmul on views fixed here, the ones
-    _contract takes; any other op is _contract with its source as the spare,
-    as that source's state is spent. Each call writes what _contract writes,
-    bit for bit, and none allocates a state.
+    compiled for another register size than n is refused. Each call is one
+    np.matmul on views fixed here (_matmul_operands), writes what
+    apply_superoperator writes, bit for bit, and allocates no state.
     """
     n = (first.shape[-1].bit_length() - 1) // 2
     calls, src, dst = [], first, second
     for sop in sops:
         _check_register(sop, n)
-        if sop.plan.perm is None:
-            calls.append(partial(np.matmul, *_matmul_operands(src, sop.matrix, sop.plan, dst)))
-        else:
-            calls.append(partial(_contract, src, sop.matrix, sop.plan, dst, src))
+        calls.append(partial(np.matmul, *_matmul_operands(src, sop.matrix, 4**sop.targets[0], dst)))
         src, dst = dst, src
     return calls
 

@@ -33,9 +33,8 @@ from pstlab.sim_core import (
     PauliState,
     Superoperator,
     UnitaryGate,
-    _Plan,
-    _contract,
-    _contraction_plan,
+    _embed,
+    _matmul_operands,
     apply_channel,
     apply_superoperator,
     apply_unitary,
@@ -263,7 +262,7 @@ class TestFusedSuperoperator:
         gate = UnitaryGate(unitary_group.rvs(4, random_state=7), (2, 0))
         channels = [(AMP_DAMP, (0,)), (PAULI_MIX, (2,)), (AMP_DAMP, (1,)), (PAULI_MIX, (0,))]
         sop = fused_superoperator(gate, channels, 3)
-        assert sop.targets == (2, 0, 1)
+        assert sop.targets == (0, 1, 2)
         assert sop.matrix.shape == (64, 64)
         out = apply_to_density(rho, sop)
         np.testing.assert_allclose(out.matrix, kraus_oracle(rho, gate, channels).matrix,
@@ -306,42 +305,65 @@ class TestFusedSuperoperator:
                           lambda: fused_superoperator(gate, channels, 2))
 
 
-def tensordot_reference(state: PauliState, sop: Superoperator) -> np.ndarray:
+class TestConsecutiveTargets:
+    """Every op acts on consecutive qubits in order; the ordering of a gate's
+    and its channels' qubits is done at compile time."""
+
+    @pytest.mark.parametrize("targets", [(1, 0), (0, 2)])
+    def test_superoperator_refuses_other_targets(self, targets):
+        with pytest.raises(ValueError, match="not consecutive ascending"):
+            Superoperator(np.eye(16), targets, 3)
+
+    def test_fused_refuses_a_support_wider_than_merge_width(self):
+        """A gate on (0, 3) of 4 qubits spans 4: the fused engine refuses it,
+        naming the targets, and the Kraus loop still applies it."""
+        gate = UnitaryGate(unitary_group.rvs(4, random_state=3), (0, 3))
+        with pytest.raises(ValueError, match=r"gate on \(0, 3\) .* spans 4 qubits"):
+            fused_superoperator(gate, [], 4)
+        rho = random_density(4, seed=3)
+        want = embed_gate_oracle(gate.matrix, gate.targets, 4)
+        np.testing.assert_allclose(apply_unitary(rho, gate).matrix,
+                                   want @ rho.matrix @ want.conj().T, rtol=0, atol=1e-12)
+
+    def test_embed_moves_entries(self):
+        """_embed of a PTM on positions (2, 0) of 3 is the brute-force
+        embedding, bit for bit."""
+        ptm = np.random.default_rng(5).normal(size=(16, 16))
+        assert np.array_equal(_embed(ptm, (2, 0), 3), embed_gate_oracle(ptm, (2, 0), 3, base=4))
+
+
+def tensordot_vector(state: PauliState, sop: Superoperator) -> np.ndarray:
     """The superoperator contracted by tensordot + moveaxis into the targets'
-    Pauli axes: the kernel's GEMM behind numpy's axis bookkeeping, so the two
-    agree bit for bit. Read back as a density matrix."""
+    Pauli axes: the kernel's GEMM behind numpy's axis bookkeeping."""
     n, k = state.n_qubits, len(sop.targets)
     axes = list(sop.targets)
     gate = sop.matrix.reshape((4,) * (2 * k))
     out = np.tensordot(gate, state.vector.reshape((4,) * n), axes=(list(range(k, 2 * k)), axes))
-    return PauliState(n, np.moveaxis(out, range(k), axes).ravel()).to_density_matrix().matrix
+    return np.moveaxis(out, range(k), axes).ravel()
 
 
-def contract_new(src: np.ndarray, mat: np.ndarray, plan) -> np.ndarray:
-    """The kernel on a Pauli vector or batch, into a new array, with a spare
-    buffer of its own."""
-    return _contract(src, mat, plan, np.empty(src.shape), np.empty(src.size))
+def tensordot_reference(state: PauliState, sop: Superoperator) -> np.ndarray:
+    """tensordot_vector read back as a density matrix."""
+    return PauliState(state.n_qubits, tensordot_vector(state, sop)).to_density_matrix().matrix
 
 
-def permuting(sop: Superoperator) -> Superoperator:
-    """A copy of sop whose plan gathers and scatters, as scrambled targets do."""
-    n = sop.n_qubits
-    perm = (*sop.targets, *(q for q in range(n) if q not in sop.targets), n)
-    copy = Superoperator(sop.matrix, sop.targets, n)
-    copy.plan = _Plan(None, perm, tuple(np.argsort(perm)))
-    return copy
+def contract_new(src: np.ndarray, mat: np.ndarray, targets) -> np.ndarray:
+    """The kernel on a Pauli vector or batch, on the consecutive targets, into
+    a new array."""
+    dst = np.empty(src.shape)
+    np.matmul(*_matmul_operands(src, mat, 4 ** targets[0], dst))
+    return dst
 
 
 class TestKernel:
-    @pytest.mark.parametrize("targets", [(2,), (3, 0), (1, 4, 2), (1, 2, 3), (4,)])
+    @pytest.mark.parametrize("targets", [(2,), (1, 2, 3), (4,)])
     def test_batch_equals_column_by_column(self, targets):
         rng = np.random.default_rng(len(targets))
         n, dim = 5, 4 ** len(targets)
         mat = rng.normal(size=(dim, dim))
         batch = rng.normal(size=(4**n, 6))
-        plan = _contraction_plan(targets, n)
-        out = contract_new(batch, mat, plan)
-        columns = np.stack([contract_new(batch[:, j], mat, plan)
+        out = contract_new(batch, mat, targets)
+        columns = np.stack([contract_new(batch[:, j], mat, targets)
                             for j in range(batch.shape[1])], axis=1)
         np.testing.assert_allclose(out, columns, rtol=0, atol=1e-13)
         np.testing.assert_allclose(out, (embed_gate_oracle(mat, targets, n, base=4) @ batch).real,
@@ -349,14 +371,15 @@ class TestKernel:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_superoperator_bitwise_equals_tensordot(self, n):
-        """Scrambled, non-adjacent supports: a gate on (n-1, 0) with a channel
-        on qubit 1, and a gate on (n-2, 0) with a channel on its first target."""
+        """Scrambled supports, ordered at compile time: a gate on (2, 0) with
+        channels on qubits 1 and 0, and a gate on (1, 0) with a channel on
+        its first target."""
         state = PauliState.from_density_matrix(random_density(n, seed=n))
-        wide = fused_superoperator(UnitaryGate(unitary_group.rvs(4, random_state=n), (n - 1, 0)),
+        wide = fused_superoperator(UnitaryGate(unitary_group.rvs(4, random_state=n), (2, 0)),
                                    [(AMP_DAMP, (1,)), (PAULI_MIX, (0,))], n)
         narrow = fused_superoperator(UnitaryGate(unitary_group.rvs(4, random_state=n + 10),
-                                                 (n - 2, 0)), [(AMP_DAMP, (n - 2,))], n)
-        assert wide.targets == (n - 1, 0, 1)
+                                                 (1, 0)), [(AMP_DAMP, (1,))], n)
+        assert wide.targets == (0, 1, 2) and narrow.targets == (0, 1)
         for sop in (wide, narrow):
             assert np.array_equal(apply_superoperator(state, sop).to_density_matrix().matrix,
                                   tensordot_reference(state, sop))
@@ -374,39 +397,24 @@ class TestKernel:
         src = np.stack([s.vector for s in states], axis=1) if batch else states[0].vector
         for targets in [(0, 1), tuple(range(1, min(n - 1, 4))), (n - 2, n - 1), (n - 1,)]:
             sop = Superoperator(rng.normal(size=(4 ** len(targets),) * 2), targets, n)
-            assert sop.plan.perm is None
-            got = contract_new(src, sop.matrix, sop.plan).reshape(4**n, -1)
+            got = contract_new(src, sop.matrix, sop.targets).reshape(4**n, -1)
             for j, state in enumerate(states):
                 want = tensordot_reference(state, sop)
                 err = np.max(np.abs(PauliState(n, got[:, j]).to_density_matrix().matrix - want))
                 assert err <= 1e-15 * np.max(np.abs(want)), (targets, err)
 
-    def test_merged_noisy_step_matches_the_permuting_path(self):
+    def test_merged_noisy_step_matches_tensordot(self):
         """One merged comprehensive-noise step at N = 8, in place against the
-        same ops through the gather, matmul and scatter."""
+        same ops contracted one by one by tensordot."""
         n = 8
         config = ExperimentConfig(n_sites=n, n_steps=8, noise=NoiseParams())
         step = _compile_merged(assemble_circuit(config).step, n)
-        assert all(sop.plan.perm is None for sop in step)
         state = PauliState.from_density_matrix(random_density(n, seed=8))
         got = apply_in_order(state, step).vector
-        want = apply_in_order(state, [permuting(sop) for sop in step]).vector
-        assert np.max(np.abs(got - want)) <= 1e-12
-
-    @pytest.mark.parametrize("targets", [(3, 0), (1, 4, 2)])
-    def test_spare_may_be_src(self, targets):
-        """The kernel reads all of src before it writes spare, so reusing src
-        as the spare buffer gives what a new spare gives."""
-        n = 5
-        rng = np.random.default_rng(7)
-        mat = rng.normal(size=(4 ** len(targets),) * 2)
-        vec = rng.normal(size=4**n)
-        plan = _contraction_plan(targets, n)
-        want = contract_new(vec, mat, plan)
-        dst = np.empty_like(vec)
-        got = _contract(vec, mat, plan, dst, vec)
-        assert got is dst
-        assert np.array_equal(dst, want)
+        want = state
+        for sop in step:
+            want = PauliState(n, tensordot_vector(want, sop))
+        assert np.max(np.abs(got - want.vector)) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_refuses_another_register_size(self, n):
@@ -440,10 +448,9 @@ class TestStackedOps:
         rng = np.random.default_rng(len(targets) + members)
         mats = rng.normal(size=(members, 4 ** len(targets), 4 ** len(targets)))
         vecs = rng.normal(size=(members, 4**n))
-        plan = _contraction_plan(targets, n)
-        got = contract_new(vecs, mats, plan)
+        got = contract_new(vecs, mats, targets)
         for b in range(members):
-            assert np.array_equal(got[b], contract_new(vecs[b], mats[b], plan)), b
+            assert np.array_equal(got[b], contract_new(vecs[b], mats[b], targets)), b
 
     def test_stacked_ops_apply_each_members_list(self):
         """A batch circuit's step, compiled once into stacked ops and bound to
@@ -481,12 +488,16 @@ class TestStackedOps:
         with pytest.raises(ValueError):
             merge_superoperators([two, three])
 
-    def test_refuses_scrambled_targets(self):
-        gate = UnitaryGate(np.stack([np.eye(4), np.kron(PAULI_X, PAULI_Z)]), (2, 0))
-        sop = fused_superoperator(gate, [(AMP_DAMP, (1,))], 3)
-        assert sop.matrix.shape == (2, 64, 64)
-        with pytest.raises(ValueError, match="consecutive qubits"):
-            contract_new(np.zeros((2, 4**3)), sop.matrix, sop.plan)
+    def test_scrambled_stack_compiles_to_each_members_ptm(self):
+        """A stacked gate on (2, 0) with a channel on qubit 1, ordered at
+        compile time, against each member's own op, bit for bit."""
+        mats = np.stack([np.eye(4), np.kron(PAULI_X, PAULI_Z),
+                         unitary_group.rvs(4, random_state=5)])
+        got = fused_superoperator(UnitaryGate(mats, (2, 0)), [(AMP_DAMP, (1,))], 3)
+        assert got.targets == (0, 1, 2) and got.matrix.shape == (3, 64, 64)
+        for b, mat in enumerate(mats):
+            want = fused_superoperator(UnitaryGate(mat, (2, 0)), [(AMP_DAMP, (1,))], 3)
+            assert np.array_equal(got.matrix[b], want.matrix), b
 
     def test_a_non_unitary_member_is_refused(self):
         mats = np.stack([np.eye(4), np.kron(PAULI_X, PAULI_Y), np.diag([1, 1, 1, 1.001])])
@@ -519,7 +530,10 @@ class TestMergeSuperoperators:
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_matches_the_ops_one_by_one(self, n):
-        supports = [(n - 1, 0), (0,), (1, n - 1), (2, 1), (n - 2, n - 1), (0, 2)]
+        """Supports spanning at most MERGE_WIDTH qubits, some in reversed
+        order; at n = 5 some groups sit on qubits 3 and 4."""
+        supports = {3: [(2, 0), (0,), (1, 2), (2, 1), (1, 2), (0, 2)],
+                    5: [(2, 0), (0,), (1, 3), (2, 1), (4, 3), (1, 0)]}[n]
         ops = self.random_ops(n, supports, seed=n)
         merged = merge_superoperators(ops)
         assert len(merged) < len(ops)
