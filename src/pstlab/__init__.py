@@ -62,6 +62,7 @@ from .sim_core import (
     apply_unitary,
     choi_matrix,
     fused_superoperator,
+    fused_superoperators,
     partial_trace_to_qubit,
     qubit_p1,
     qubit_state_fidelity,

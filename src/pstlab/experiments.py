@@ -55,7 +55,7 @@ from .sim_core import (
     Superoperator,
     UnitaryGate,
     bind_superoperators,
-    fused_superoperator,
+    fused_superoperators,
     merge_superoperators,
     qubit_state_fidelity,
 )
@@ -223,13 +223,15 @@ def _prep_gate_for_amplitudes(a: complex, b: complex) -> UnitaryGate:
 
 def _compile_ops(ops, n_qubits: int) -> list:
     """Each GateOp as the engine applies it: its gate, then its channels, as
-    one fused superoperator on a PauliState (a bare gate is its unitary's PTM)."""
-    return [fused_superoperator(op.gate, op.channels, n_qubits) for op in ops]
+    one fused superoperator on a PauliState (a bare gate is its unitary's PTM);
+    the ops of one local shape are fused in one pass (fused_superoperators)."""
+    return fused_superoperators([(op.gate, op.channels) for op in ops], n_qubits)
 
 
 def _compile_merged(ops, n_qubits: int, members: int = 1) -> list:
-    """_compile_ops, with adjacent superoperators merged. For a batch of
-    members > 1, whose stacked gates hold that many matrices, a merged op
+    """_compile_ops, one fused pass per local shape, with adjacent
+    superoperators then merged, one _compose per merged group. For a batch
+    of members > 1, whose stacked gates hold that many matrices, a merged op
     left 2-D is broadcast over the member axis, as the kernel takes one
     matrix per member."""
     merged = merge_superoperators(_compile_ops(ops, n_qubits))
@@ -403,23 +405,28 @@ def run_first_peaks(configs) -> list:
 class _FirstPeakWatch:
     """run_first_peaks' `settled` test for evolve_recorded: after each
     recorded step of a chunk, it asks _settled_peak about each member whose
-    prefix could settle, and keeps the answer in `found` once it tells."""
+    prefix could settle, and keeps the answer in `found` once it tells. A
+    member whose answer is kept is skipped."""
 
     def __init__(self, members: int, last: int, n_steps: int):
         self.found = [None] * members  # the first peak's index, -1 for none
         self.last, self.n_steps = last, n_steps
-        self.top = np.full(members, -np.inf)  # each member's running maximum
-        self.ready = np.zeros(members, dtype=bool)  # fallen PEAK_PROMINENCE below it
+        self.top = [-math.inf] * members  # each member's running maximum
+        self.ready = [False] * members  # fallen PEAK_PROMINENCE below it
 
     def __call__(self, lo: int, records: np.ndarray) -> bool:
-        k, hi = records.shape[1] - 1, lo + len(records)
-        x, top = records[:, k], self.top[lo:hi]
-        np.maximum(top, x, out=top)
-        self.ready[lo:hi] |= top - x >= PEAK_PROMINENCE
-        for i in np.flatnonzero(self.ready[lo:hi] | (k > self.last)).tolist():
-            if self.found[lo + i] is None:
-                self.found[lo + i] = _settled_peak(records[i], self.last, k == self.n_steps)
-        return None not in self.found[lo:hi]
+        k = records.shape[1] - 1
+        found, top, ready = self.found, self.top, self.ready
+        for j, x in enumerate(records[:, k].tolist(), lo):
+            if found[j] is not None:
+                continue
+            if x > top[j]:
+                top[j] = x
+            if top[j] - x >= PEAK_PROMINENCE:
+                ready[j] = True
+            if ready[j] or k > self.last:
+                found[j] = _settled_peak(records[j - lo], self.last, k == self.n_steps)
+        return None not in found[lo:lo + len(records)]
 
 
 def run_site_resolved(config: ExperimentConfig) -> SPTimeSeries:

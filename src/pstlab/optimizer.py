@@ -248,18 +248,17 @@ def bayes_optimize(base: ExperimentConfig, starts, iterations_per_start: int = 5
             weights = sens / sens.max() if sens.max() > 0 else np.ones_like(sens)
 
             batch = _sample_batch(incumbent, deltas, weights, batch_size, rng)
-            if not batch:
+            if not len(batch):
                 batch = _sample_batch(incumbent, 2.0 * deltas, weights, batch_size, rng)
-            if not batch:
+            if not len(batch):
                 raise RuntimeError("all sampled candidates violate the coupling constraint")
 
-            xs = np.array([list(c.couplings) for c in batch])
             seen = [(list(r.candidate.couplings), r.objective) for r in ledger]
             gp = GaussianProcess().fit([p for p, _ in seen], [v for _, v in seen])
-            mean, std = gp.predict(xs)
+            mean, std = gp.predict(batch)
             best_val = max(v for _, v in seen)
             ei = expected_improvement(mean, std, best_val)
-            chosen = batch[int(np.argmax(ei))]
+            chosen = CouplingProfile(incumbent.n_sites, tuple(batch[int(np.argmax(ei))].tolist()))
 
             (val,) = _score(ledger, base, [chosen], "bo")
             if val > incumbent_val:
@@ -270,13 +269,15 @@ def bayes_optimize(base: ExperimentConfig, starts, iterations_per_start: int = 5
 
 
 def _sample_batch(incumbent: CouplingProfile, deltas: np.ndarray, weights: np.ndarray,
-                  batch_size: int, rng) -> list:
-    """Box-constrained batch around the incumbent, constraint-filtered.
+                  batch_size: int, rng) -> np.ndarray:
+    """Box-constrained batch around the incumbent, constraint-filtered: the
+    (k, N - 1) array of the kept candidates' couplings, in draw order.
 
     Each candidate perturbs dimension d with probability weights[d]
     (normalized so the most sensitive dimension always moves); offsets are
     uniform in +/- deltas[d]. Non-positive couplings are rejected along
-    with middle-bond-constraint violations.
+    with middle-bond-constraint violations (satisfies_constraint's strict
+    comparisons, on the rows).
     """
     base = np.array(incumbent.couplings)
     ndim = len(base)
@@ -287,6 +288,6 @@ def _sample_batch(incumbent: CouplingProfile, deltas: np.ndarray, weights: np.nd
     active = draws[:, :ndim] < weights
     active[~active.any(axis=1), int(np.argmax(weights))] = True
     cps = base + (-deltas + (deltas - -deltas) * draws[:, ndim:]) * active
-    cands = (CouplingProfile(incumbent.n_sites, tuple(row.tolist()))
-             for row in cps[(cps > 0).all(axis=1)])
-    return [cand for cand in cands if satisfies_constraint(cand)]
+    cps = cps[(cps > 0).all(axis=1)]
+    mid = cps[:, 1:-1]
+    return cps[((mid > cps[:, :1]) & (mid > cps[:, -1:])).all(axis=1)]

@@ -10,7 +10,10 @@ every state, pure or mixed, as its 4^n real Pauli coefficients (PauliState).
 It fuses each gate with its channels, if any, into one real Pauli transfer
 matrix (PTM) on the consecutive qubits from the lowest to the highest of
 their targets, then merges adjacent fused ops into PTMs of at most
-MERGE_WIDTH qubits. Every op (Superoperator) so acts on consecutive qubits
+MERGE_WIDTH qubits. The gates of one local shape (fused_superoperators: the
+same support width, gate positions, channel objects and matrix shape, as the
+XY gates of a Trotter step share) are fused in one pass over the stack of
+their matrices. Every op (Superoperator) so acts on consecutive qubits
 a..a+k-1 in order: any ordering of a gate's or a channel's qubits is done
 at compile time, on matrices of at most 64 x 64 (_embed), and every op
 reaches a state as one real (stacked) matmul on a reshaped view, straight
@@ -329,7 +332,7 @@ class Superoperator:
     as one matmul on the state's 4^a x 4^k x rest view. A stacked op,
     compiled from stacked gates, holds an m x 4^k x 4^k stack of PTMs, one
     per member of a batch of m states. Targets that are not such a range are
-    refused: fused_superoperator orders a gate's and its channels' qubits.
+    refused: fused_superoperators orders a gate's and its channels' qubits.
     """
 
     __slots__ = ("matrix", "targets", "n_qubits")
@@ -360,49 +363,73 @@ def _compose(support: range, parts) -> np.ndarray:
     on other than consecutive ascending qubits is first embedded in the
     whole support (_embed), so every part takes the kernel's one matmul.
 
-    When a part is an m-member stack, so is the result: the identity and
-    every 2-D part are broadcast over the member axis (the parts' stacks
-    must share their size).
+    When a part is an m-member stack, so is the result: the identity is
+    copied to each member, and a 2-D part takes the members as more leading
+    blocks of its view (the parts' stacks must share their size).
     """
     k = len(support)
     lead = next((ptm.shape[:1] for ptm, _ in parts if ptm.ndim > 2), ())
-    matrix = np.eye(4**k)
-    if lead:
-        matrix = np.broadcast_to(matrix, lead + matrix.shape)
-    bufs = (np.empty(matrix.shape), np.empty(matrix.shape))
+    bufs = (np.empty(lead + (4**k, 4**k)), np.empty(lead + (4**k, 4**k)))
+    matrix = bufs[1]
+    matrix[...] = np.eye(4**k)
     for i, (ptm, targets) in enumerate(parts):
         first = targets[0] - support[0]
         if targets != tuple(range(targets[0], targets[0] + len(targets))):
             ptm, first = _embed(ptm, [t - support[0] for t in targets], k), 0
-        if ptm.ndim < matrix.ndim:
-            ptm = np.broadcast_to(ptm, lead + ptm.shape)
-        np.matmul(*_matmul_operands(matrix, ptm, 4**first, bufs[i % 2]))
+        blocks = 4**first * (matrix.size // 16**k if ptm.ndim == 2 else 1)
+        np.matmul(*_matmul_operands(matrix, ptm, blocks, bufs[i % 2]))
         matrix = bufs[i % 2]
     return matrix
 
 
-def fused_superoperator(gate: UnitaryGate, channels, n_qubits: int) -> Superoperator:
-    """The gate followed by its channels in order, as one superoperator.
+def fused_superoperators(pairs, n_qubits: int) -> list:
+    """Each (gate, channels) pair as one superoperator: the gate followed by
+    its channels in order.
 
     R = R_m ... R_1 R_U, with R_U the PTM of U (x) conj U and R_c =
     channel.pauli_transfer_matrix(), each embedded in the support: the
     qubits from the lowest to the highest of the gate's and the channels'
     targets. A stacked gate gives a stacked op, each member's PTM that of
-    its own gate with the shared channels. Refuses what apply_unitary and
-    apply_channel refuse, with their messages, and then a support wider than
-    MERGE_WIDTH qubits, which the Kraus loop still applies.
+    its own gate with the shared channels. Every pair is first checked, in
+    order: what apply_unitary and apply_channel refuse is refused with their
+    messages, and then a support wider than MERGE_WIDTH qubits, which the
+    Kraus loop still applies.
+
+    Pairs of one local shape (support width, gate positions in the support,
+    each channel object at its positions, gate matrix shape) are fused in
+    one pass: one _kron, one _pauli_transfer_matrix and one _compose over
+    the stack of all their gates' matrices, from which each pair's op is a
+    slice, bit-identical to its own pass.
     """
-    _check_targets(gate.targets, n_qubits)
-    parts = [(_pauli_transfer_matrix(_kron(gate.matrix, gate.matrix.conj()), gate.arity),
-              gate.targets)]
-    for channel, targets in channels:
-        parts.append((channel.pauli_transfer_matrix(), _check_channel(channel, targets, n_qubits)))
-    qubits = [t for _, targets in parts for t in targets]
-    support = range(min(qubits), max(qubits) + 1)
-    if len(support) > MERGE_WIDTH:
-        raise ValueError(f"gate on {gate.targets} with channels on {[t for _, t in parts[1:]]} "
-                         f"spans {len(support)} qubits, more than MERGE_WIDTH = {MERGE_WIDTH}")
-    return Superoperator(_compose(support, parts), support, n_qubits)
+    groups = {}
+    for i, (gate, channels) in enumerate(pairs):
+        _check_targets(gate.targets, n_qubits)
+        checked = [(channel, _check_channel(channel, targets, n_qubits))
+                   for channel, targets in channels]
+        qubits = [*gate.targets, *(t for _, targets in checked for t in targets)]
+        support = range(min(qubits), max(qubits) + 1)
+        if len(support) > MERGE_WIDTH:
+            raise ValueError(f"gate on {gate.targets} with channels on {[t for _, t in checked]} "
+                             f"spans {len(support)} qubits, more than MERGE_WIDTH = {MERGE_WIDTH}")
+        a = support[0]
+        key = (len(support), tuple(t - a for t in gate.targets), gate.matrix.shape,
+               tuple((channel, tuple(t - a for t in targets)) for channel, targets in checked))
+        groups.setdefault(key, []).append((i, gate, support))
+    out = [None] * len(pairs)
+    for (width, positions, shape, channels), members in groups.items():
+        dim = shape[-1]
+        mats = np.concatenate([gate.matrix.reshape(-1, dim, dim) for _, gate, _ in members])
+        parts = [(_pauli_transfer_matrix(_kron(mats, mats.conj()), len(positions)), positions),
+                 *((channel.pauli_transfer_matrix(), rel) for channel, rel in channels)]
+        stack = _compose(range(width), parts).reshape(len(members), *shape[:-2], 4**width, -1)
+        for (i, _, support), matrix in zip(members, stack):
+            out[i] = Superoperator(matrix, support, n_qubits)
+    return out
+
+
+def fused_superoperator(gate: UnitaryGate, channels, n_qubits: int) -> Superoperator:
+    """fused_superoperators of the one pair (gate, channels)."""
+    return fused_superoperators([(gate, channels)], n_qubits)[0]
 
 
 def merge_superoperators(sops) -> list:

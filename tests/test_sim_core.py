@@ -18,8 +18,8 @@ from pstlab.experiments import (
     readout_p1,
     run_arbitrary_transfer,
 )
+from pstlab import sim_core
 from pstlab.noise import NoiseParams
-
 from pstlab.sim_core import (
     HADAMARD,
     MERGE_WIDTH,
@@ -41,6 +41,7 @@ from pstlab.sim_core import (
     bind_superoperators,
     choi_matrix,
     fused_superoperator,
+    fused_superoperators,
     merge_superoperators,
     partial_trace_to_qubit,
     qubit_p1,
@@ -330,6 +331,87 @@ class TestConsecutiveTargets:
         embedding, bit for bit."""
         ptm = np.random.default_rng(5).normal(size=(16, 16))
         assert np.array_equal(_embed(ptm, (2, 0), 3), embed_gate_oracle(ptm, (2, 0), 3, base=4))
+
+
+def assert_same_ops(got, want):
+    """Two lists of superoperators equal op by op, bit for bit."""
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g.targets == w.targets and g.n_qubits == w.n_qubits, i
+        assert g.matrix.shape == w.matrix.shape, i
+        assert np.array_equal(g.matrix, w.matrix), i
+        assert np.ascontiguousarray(g.matrix).tobytes() == w.matrix.tobytes(), i
+
+
+class TestStackedCompile:
+    """fused_superoperators fuses the ops of one local shape in one pass; each
+    op is bit-identical to its own fused_superoperator."""
+
+    NOISE = {"ideal": None, "hamiltonian": NoiseParams(),
+             "dephasing": NoiseParams(zz_mode="dephasing_channel", p_zz=0.01)}
+
+    @pytest.mark.parametrize("noise", sorted(NOISE))
+    @pytest.mark.parametrize("members", [1, 3, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_circuit_equals_op_by_op(self, n, members, noise):
+        configs = [ExperimentConfig(n_sites=n, n_steps=4, j0=j0, noise=self.NOISE[noise])
+                   for j0 in (0.5, 1.0, 2.9, 4.0, 0.01)[:members]]
+        circuit = assemble_circuit(configs[0], [config.profile() for config in configs])
+        for ops in (circuit.prep, circuit.step):
+            pairs = [(op.gate, op.channels) for op in ops]
+            assert_same_ops(fused_superoperators(pairs, n),
+                            [fused_superoperator(gate, channels, n) for gate, channels in pairs])
+
+    def test_hand_built_shapes_equal_op_by_op(self):
+        """Channels beside and across the gate, scrambled and reversed
+        targets, one shape at two supports, one layout with two channel
+        objects, 2-D and stacked gates mixed."""
+        pair = KrausChannel([np.kron(a, b) for a in AMP_DAMP.kraus_ops for b in PAULI_MIX.kraus_ops])
+        stack = np.stack([unitary_group.rvs(4, random_state=s) for s in range(3)])
+        across = [(AMP_DAMP, (0,)), (PAULI_MIX, (2,)), (AMP_DAMP, (1,)), (PAULI_MIX, (0,))]
+        pairs = [
+            (UnitaryGate(unitary_group.rvs(4, random_state=7), (2, 0)), across),
+            (UnitaryGate(unitary_group.rvs(4, random_state=9), (1, 3)), [(pair, (3, 1))]),
+            (UnitaryGate(stack, (2, 0)), [(AMP_DAMP, (1,))]),
+            (UnitaryGate(unitary_group.rvs(4, random_state=8), (3, 1)),
+             [(AMP_DAMP, (1,)), (PAULI_MIX, (3,)), (AMP_DAMP, (2,)), (PAULI_MIX, (1,))]),
+            (UnitaryGate(stack[::-1], (3, 1)), [(AMP_DAMP, (2,))]),
+            (UnitaryGate(PAULI_X, (0,)), [(AMP_DAMP, (1,))]),
+            (UnitaryGate(PAULI_X, (1,)), [(PAULI_MIX, (2,))]),  # another channel object
+            (UnitaryGate(HADAMARD, (2,)), []),
+            (UnitaryGate(unitary_group.rvs(4, random_state=10), (0, 2)), [(pair, (2, 0))]),
+        ]
+        want = [fused_superoperator(gate, channels, 4) for gate, channels in pairs]
+        assert_same_ops(fused_superoperators(pairs, 4), want)
+        assert [sop.targets for sop in want] == [(0, 1, 2), (1, 2, 3), (0, 1, 2), (1, 2, 3),
+                                                 (1, 2, 3), (0, 1), (1, 2), (2,), (0, 1, 2)]
+
+    def test_span_refusal_and_check_order(self):
+        """Every pair is checked in order before any is fused: the first bad
+        pair's message is raised, whatever follows it."""
+        ok = (UnitaryGate(PAULI_X, (0,)), [(AMP_DAMP, (0,))])
+        wide = (UnitaryGate(unitary_group.rvs(4, random_state=3), (0, 3)), [])
+        far = (UnitaryGate(PAULI_X, (1,)), [(AMP_DAMP, (4,))])
+        with pytest.raises(ValueError, match=r"gate on \(0, 3\) .* spans 4 qubits, more than "
+                                             r"MERGE_WIDTH = 3"):
+            fused_superoperators([ok, wide, far], 4)
+        with pytest.raises(ValueError, match="target 4 out of range for 4 qubits"):
+            fused_superoperators([ok, far, wide], 4)
+        assert fused_superoperators([], 4) == []
+
+    @pytest.mark.parametrize("members", [1, 4])
+    def test_noisy_step_fuses_one_pass_per_shape(self, members, monkeypatch):
+        """A noisy N = 4 step holds 6 RXX/RYY gates and 3 RZZ gates: two local
+        shapes, so two fusion _compose calls, not one per gate."""
+        calls = []
+        real = sim_core._compose
+        monkeypatch.setattr(sim_core, "_compose", lambda *a: calls.append(a) or real(*a))
+        configs = [ExperimentConfig(n_sites=4, n_steps=4, j0=j0, noise=NoiseParams())
+                   for j0 in (0.5, 1.0, 2.9, 4.0)[:members]]
+        circuit = assemble_circuit(configs[0], [config.profile() for config in configs])
+        assert [op.gate.kind for op in circuit.step].count("rzz") == 3
+        assert len(_compile_ops(circuit.step, 4)) == len(circuit.step) == 9
+        assert len(calls) == 2
 
 
 def tensordot_vector(state: PauliState, sop: Superoperator) -> np.ndarray:
