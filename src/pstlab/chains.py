@@ -49,8 +49,8 @@ class TrotterPlan:
     n_steps: int
 
     def __post_init__(self):
-        if self.total_time <= 0:
-            raise ValueError(f"total_time must be positive, got {self.total_time}")
+        if not 0 < self.total_time < math.inf:  # NaN fails both
+            raise ValueError(f"total_time must be finite and positive, got {self.total_time}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
 

@@ -99,8 +99,9 @@ class RunManifest:
 
 
 def parse_time_value(value) -> float:
-    """Float seconds-of-J0 or a 'pi' multiple string like '0.5pi'."""
-    if isinstance(value, (int, float)):
+    """Float seconds-of-J0 or a 'pi' multiple string like '0.5pi'; booleans
+    are refused."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     if isinstance(value, str):
         text = value.strip().lower().replace(" ", "")
@@ -265,7 +266,7 @@ def resolve_config(cfg: dict, seed_override=None):
     amp_b = _parse_amplitude(amps.get("b", 1.0 / math.sqrt(2.0)), "amplitudes.b")
     search = _search_settings(experiment, blocks)
 
-    try:
+    try:  # the constructor checks the chain and the grid, so they fail here, not mid-run
         exp_cfg = ExperimentConfig(
             n_sites=n,
             j0=j0,
@@ -278,7 +279,6 @@ def resolve_config(cfg: dict, seed_override=None):
             amp_a=amp_a,
             amp_b=amp_b,
         )
-        exp_cfg.profile()  # a wrong coupling count or a non-positive j0 fails here, not mid-run
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return experiment, exp_cfg, search

@@ -17,9 +17,11 @@ and each recorded step hands the chunk's (members, 4^n) state block to one
 observe call. run_sp_batch reads every member's populations from that block,
 P(1) = (r_I - r_Z) / 2 from one column slice, and draws each member's shots
 from its own generator, so each member's records are bit-identical to its
-own run's. The optimizer's scores come from run_first_peaks, which records
-only the end site's P(1) and stops each chunk once every member's first peak
-is settled on its prefix (_settled_peak). Every readout is of single
+own run's. One rule, _settled_peak on the window (0, T/2] (_window_last),
+decides every first peak: detect_first_peak's on a whole series, and
+run_first_peaks', the optimizer's scores, which records only the end site's
+P(1) and stops each chunk once every member's peak is settled on its
+prefix. Every readout is of single
 qubits, so it reads a few coefficients of the block: P(1) = (r_I - r_Z) / 2
 of each measured site, and for tomography the last qubit's r_I, r_X, r_Y
 and r_Z, which each basis rotation's one-qubit PTM turns before that P(1)
@@ -82,7 +84,8 @@ class NoPeakError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: chain, plan, noise, initial state, readout."""
+    """One experiment: chain, plan, noise, initial state, readout. It builds
+    profile() and plan() once, so their checks refuse a bad chain or grid."""
 
     n_sites: int = 4
     j0: float = 1.0
@@ -98,12 +101,6 @@ class ExperimentConfig:
     amp_b: complex = complex(1.0 / math.sqrt(2.0))
 
     def __post_init__(self):
-        if self.n_sites < 2:
-            raise ValueError(f"n_sites must be >= 2, got {self.n_sites}")
-        if self.total_time <= 0:
-            raise ValueError("total_time must be positive")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
         if self.shots is not None and int(self.shots) < 1:
             raise ValueError("shots must be >= 1 or None for exact mode")
         sites = self.measured_sites
@@ -114,6 +111,8 @@ class ExperimentConfig:
             object.__setattr__(self, "measured_sites", sites)
         if self.couplings is not None:
             object.__setattr__(self, "couplings", tuple(float(j) for j in self.couplings))
+        self.profile()
+        self.plan()
 
     def profile(self) -> CouplingProfile:
         if self.couplings is not None:
@@ -168,10 +167,9 @@ class SPTimeSeries:
     def sites(self) -> list:
         return sorted(self.values)
 
-    def series(self, site: int | None = None) -> np.ndarray:
-        if site is None:
-            site = self.sites()[-1]
-        return self.values[site]
+    def series(self) -> np.ndarray:
+        """The last measured site's values (the end site's by default)."""
+        return self.values[max(self.values)]
 
 
 @dataclass
@@ -221,20 +219,15 @@ def _prep_gate_for_amplitudes(a: complex, b: complex) -> UnitaryGate:
     return UnitaryGate(mat, (0,), kind="u")
 
 
-def _compile_ops(ops, n_qubits: int) -> list:
-    """Each GateOp as the engine applies it: its gate, then its channels, as
-    one fused superoperator on a PauliState (a bare gate is its unitary's PTM);
-    the ops of one local shape are fused in one pass (fused_superoperators)."""
-    return fused_superoperators([(op.gate, op.channels) for op in ops], n_qubits)
-
-
 def _compile_merged(ops, n_qubits: int, members: int = 1) -> list:
-    """_compile_ops, one fused pass per local shape, with adjacent
-    superoperators then merged, one _compose per merged group. For a batch
-    of members > 1, whose stacked gates hold that many matrices, a merged op
+    """Each GateOp as the engine applies it, its gate then its channels, as
+    one fused superoperator (fused_superoperators: one pass per local shape),
+    adjacent ones then merged, one _compose per merged group. For a batch of
+    members > 1, whose stacked gates hold that many matrices, a merged op
     left 2-D is broadcast over the member axis, as the kernel takes one
     matrix per member."""
-    merged = merge_superoperators(_compile_ops(ops, n_qubits))
+    merged = merge_superoperators(fused_superoperators([(op.gate, op.channels) for op in ops],
+                                                       n_qubits))
     if members == 1:
         return merged
     return [sop if sop.matrix.ndim > 2 else
@@ -376,14 +369,14 @@ def run_first_peaks(configs) -> list:
     """detect_first_peak of each exact config's run_sp_series, (t*, peak), or
     None where it raises NoPeakError; the runs evolve in lock-step as in
     run_sp_batch, and each chunk stops once every member's first peak is
-    settled (_settled_peak).
+    settled (_settled_peak, detect_first_peak's rule, on its prefix).
 
-    Each step records the end site's P(1) alone, through run_sp_batch's
-    readout flip and clamp, so a member's prefix is bit-identical to the
-    start of its series, and each answer equals detect_first_peak on the
-    whole series. A member is tested only once its prefix could settle:
-    after a drop of PEAK_PROMINENCE below its running maximum, which every
-    qualifying peak needs, or once the window (0, T/2] has passed.
+    Each step records the last measured site's P(1) alone, through
+    run_sp_batch's readout flip and clamp, so a member's prefix is
+    bit-identical to the start of its series. A member is tested only once
+    its prefix could settle: after a drop of PEAK_PROMINENCE below its
+    running maximum, which every qualifying peak needs, or once the window
+    (0, T/2] has passed.
     """
     if not configs:
         return []
@@ -394,8 +387,7 @@ def run_first_peaks(configs) -> list:
     col = 3 * 4 ** (first.n_sites - max(first.measured_sites or (first.n_sites,)))
     readout = first.noise.readout_error if first.noise is not None else 0.0
     times = circuit.plan.times()
-    last = int(np.flatnonzero(times <= times[-1] / 2.0 + 1e-12)[-1])  # the window's last index
-    watch = _FirstPeakWatch(len(configs), last, circuit.plan.n_steps)
+    watch = _FirstPeakWatch(len(configs), _window_last(times), circuit.plan.n_steps)
     p1 = evolve_recorded(circuit, lambda block: readout_p1(
         (block[:, 0] - block[:, col]) / 2.0, None, None, readout), watch)
     return [None if index < 0 else (float(times[index]), float(p1[j, index]))
@@ -506,21 +498,25 @@ def run_arbitrary_transfer(config: ExperimentConfig) -> TomographyRecord:
     )
 
 
-def detect_first_peak(series: SPTimeSeries, site: int | None = None):
-    """First local maximum of prominence >= PEAK_PROMINENCE in t in (0, T/2].
+def detect_first_peak(series: SPTimeSeries):
+    """First local maximum of prominence >= PEAK_PROMINENCE in t in (0, T/2]
+    of series.series(): _settled_peak on the whole series.
 
-    Returns (grid time, value); raises NoPeakError on monotone or flat series.
+    The window ends at _window_last; its open lower bound adds nothing, as
+    index 0 is never a maximum and every grid the program makes starts at
+    t = 0 (s * 0 once rescaled). Returns (grid time, value); raises
+    NoPeakError on monotone or flat series.
     """
-    values = series.series(site)
-    if len(values) < 3:
-        raise NoPeakError("series too short for peak detection")
-    peaks = _find_peaks(values, PEAK_PROMINENCE)
-    half = series.times[-1] / 2.0 + 1e-12
-    peaks = [p for p in peaks if 0.0 < series.times[p] <= half]
-    if not peaks:
+    values = series.series()
+    index = _settled_peak(values, _window_last(series.times), whole=True)
+    if index < 0:
         raise NoPeakError("no local maximum with sufficient prominence in (0, T/2]")
-    best = peaks[0]
-    return float(series.times[best]), float(values[best])
+    return float(series.times[index]), float(values[index])
+
+
+def _window_last(times: np.ndarray) -> int:
+    """The index of the last grid time in the first-peak window (0, T/2]."""
+    return int(np.flatnonzero(times <= times[-1] / 2.0 + 1e-12)[-1])
 
 
 def _settled_peak(x: np.ndarray, last: int, whole: bool):
@@ -550,25 +546,18 @@ def _settled_peak(x: np.ndarray, last: int, whole: bool):
     return -1 if closed else None
 
 
-def _find_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
-    """Indices of the local maxima of x with at least the given prominence,
-    in increasing order.
+def _maxima(x: np.ndarray) -> list:
+    """The local maxima of x in increasing order, each as (index, value,
+    left base, right base, whether a strictly higher sample follows it), by
+    scipy.signal.find_peaks' rules.
 
     A maximum is a run of equal samples with a lower sample on each side; it
     is reported at its middle index (left + right) // 2, so the first and
-    last samples are never peaks. Its prominence is its value minus the
-    higher of its two bases: on each side, the minimum of x from the peak
-    out to the nearest strictly higher sample or the edge.
-    """
-    return np.array([index for index, value, left, right, _ in _maxima(x)
-                     if value - max(left, right) >= prominence], dtype=int)
-
-
-def _maxima(x: np.ndarray) -> list:
-    """The local maxima of x in increasing order (see _find_peaks), each as
-    (index, value, left base, right base, whether a strictly higher sample
-    follows it). Between turning points x is monotone, so the bases are taken
-    over those alone, in one monotonic-stack pass per side.
+    last samples are never maxima. Its prominence is its value minus the
+    higher of its two bases: on each side, the minimum of x from the maximum
+    out to the nearest strictly higher sample or the edge. Between turning
+    points x is monotone, so the bases are taken over those alone, in one
+    monotonic-stack pass per side.
     """
     ends = np.append(np.flatnonzero(x[1:] != x[:-1]), len(x) - 1)  # last sample of each run
     rising = np.diff(x[ends]) > 0

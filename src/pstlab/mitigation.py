@@ -97,8 +97,9 @@ def _fit_objective(noisy_vals: np.ndarray, ideal_interp: np.ndarray,
 
 
 def fit_rescaling(noisy: SPTimeSeries, ideal: SPTimeSeries,
-                  site: int | None = None, s: float | None = None) -> RescaleParams:
-    """Fit (s, alpha, beta) from a noisy series against its ideal reference.
+                  s: float | None = None) -> RescaleParams:
+    """Fit (s, alpha, beta) from a noisy series against its ideal reference,
+    both read at their end site (SPTimeSeries.series).
 
     s comes from the two detected first peaks; pass `s` explicitly when the
     true scale is known (synthetic data on a shared grid, where the decay
@@ -109,14 +110,14 @@ def fit_rescaling(noisy: SPTimeSeries, ideal: SPTimeSeries,
     in [0, 0.2] step 0.002) followed by two local refinements; fully
     deterministic.
     """
-    t_ideal, _ = detect_first_peak(ideal, site)
+    t_ideal, _ = detect_first_peak(ideal)
     if s is None:
-        t_noisy, _ = detect_first_peak(noisy, site)  # only ever t > 0
+        t_noisy, _ = detect_first_peak(noisy)  # only ever t > 0
         s = t_ideal / t_noisy
 
-    noisy_vals = noisy.series(site)
+    noisy_vals = noisy.series()
     scaled_times = noisy.times * s
-    ideal_interp = np.interp(scaled_times, ideal.times, ideal.series(site))
+    ideal_interp = np.interp(scaled_times, ideal.times, ideal.series())
     window_end = 4.0 * t_ideal  # two periods: each period spans two hitting times
     window = scaled_times <= window_end + 1e-12
     k = np.arange(len(noisy_vals))

@@ -378,6 +378,12 @@ class TestExitCodes:
         {"chain": {"n": 1}},
         {"plan": {"steps": 0}},
         {"plan": {"total_time": 0}},
+        # time values that are no finite positive number of the JSON type
+        {"plan": {"total_time": True}},
+        {"plan": {"total_time": math.nan}},
+        {"plan": {"total_time": "inf"}},
+        {"plan": {"total_time": "nanpi"}},
+        {"plan": {"total_time": "1e400pi"}},
         {"shots": 0},
         # keys of removed options
         {"noise": {"thermal_mode": "reset"}},

@@ -24,12 +24,12 @@ from pstlab.chains import (
 from pstlab import experiments
 from pstlab.cli import load_config, resolve_config
 from pstlab.experiments import (
+    PEAK_PROMINENCE,
     ExperimentConfig,
     NoPeakError,
     SPTimeSeries,
     _compile_merged,
-    _compile_ops,
-    _find_peaks,
+    _maxima,
     _settled_peak,
     assemble_circuit,
     detect_first_peak,
@@ -53,6 +53,7 @@ from pstlab.sim_core import (
     apply_channel,
     apply_superoperator,
     apply_unitary,
+    fused_superoperators,
     merge_superoperators,
     partial_trace_to_qubit,
     qubit_p1,
@@ -230,7 +231,8 @@ class TestFusedMatchesKrausLoop:
             ops = circuit.prep + circuit.step + with_noise(one_qubit, params)
             oracle = mixed_state(n, seed=n)
             fused = PauliState.from_density_matrix(oracle)
-            for op, sop in zip(ops, _compile_ops(ops, n)):
+            compiled = fused_superoperators([(op.gate, op.channels) for op in ops], n)
+            for op, sop in zip(ops, compiled):
                 fused = apply_superoperator(fused, sop)
                 oracle = kraus_loop(oracle, op)
                 err = np.max(np.abs(fused.to_density_matrix().matrix - oracle.matrix))
@@ -308,7 +310,7 @@ class TestMergedMatchesKrausLoop:
         (RXX and RYY on bonds (0, 1) and (1, 2)) merged in reverse fails it."""
         params = NoiseParams(**STRONG)
         ops = assemble_circuit(ExperimentConfig(n_sites=4, n_steps=8, noise=params)).step
-        compiled = _compile_ops(ops, 4)
+        compiled = fused_superoperators([(op.gate, op.channels) for op in ops], 4)
         merged = merge_superoperators(compiled)
         assert merged[0].targets == (0, 1, 2) and len(merge_superoperators(compiled[:4])) == 1
         assert self.max_error(4, ops, merged) <= 1e-12
@@ -846,10 +848,29 @@ class TestDetectFirstPeak:
         t2, _ = detect_first_peak(shrunk)
         assert t1 == t2
 
+    def test_equals_scipy_oracle(self, ideal_series, comprehensive_series):
+        """detect_first_peak against first_peak_score, scipy's find_peaks in
+        the window (0, T/2], on seeded random series and on simulated exact
+        and 256-shot series."""
+        rng = np.random.default_rng(22)
+        cases = [rng.integers(0, 21, int(rng.integers(2, 82))) / 20 if i % 2
+                 else rng.random(int(rng.integers(2, 82))) for i in range(400)]
+        shots = run_sp_series(ExperimentConfig(n_sites=4, noise=NoiseParams(), shots=256))
+        cases += [series.series() for series in (ideal_series, comprehensive_series, shots)]
+        for x in cases:
+            times = TrotterPlan(2.0 * math.pi, len(x) - 1).times()
+            try:
+                t_star, peak = detect_first_peak(SPTimeSeries(times=times, values={1: x}))
+                got = (peak, t_star)
+            except NoPeakError:
+                got = (0.0, math.nan)
+            assert same_score(got, first_peak_score(x, times)), x.tolist()
+
 
 class TestFindPeaksMatchesScipy:
-    """The package's peak finder against its oracle, scipy.signal.find_peaks,
-    on series with plateaus, ties and monotone stretches."""
+    """The package's maxima (_maxima) filtered by prominence against their
+    oracle, scipy.signal.find_peaks, on series with plateaus, ties and
+    monotone stretches."""
 
     @pytest.mark.parametrize("prominence", [0.0, 0.05, 0.3, 1.0])
     def test_seeded_random_series(self, prominence):
@@ -898,18 +919,22 @@ class TestFindPeaksMatchesScipy:
 def assert_peaks_match(x, prominence):
     x = np.asarray(x, dtype=float)
     want = find_peaks(x, prominence=prominence)[0]
-    np.testing.assert_array_equal(_find_peaks(x, prominence), want,
+    got = [index for index, value, left, right, _ in _maxima(x)
+           if value - max(left, right) >= prominence]
+    np.testing.assert_array_equal(np.array(got, dtype=int), want,
                                   err_msg=f"x = {x.tolist()}, prominence = {prominence}")
 
 
 def first_peak_score(x, times) -> tuple:
-    """detect_first_peak on the whole series as (peak, t*), (0.0, nan) where
-    it raises NoPeakError."""
-    try:
-        t_star, peak = detect_first_peak(SPTimeSeries(times=times, values={1: x}))
-    except NoPeakError:
+    """The first peak by its oracle, scipy.signal.find_peaks at
+    PEAK_PROMINENCE in the window (0, T/2], as (peak, t*), (0.0, nan) where
+    there is none."""
+    x = np.asarray(x, dtype=float)
+    peaks = [p for p in find_peaks(x, prominence=PEAK_PROMINENCE)[0]
+             if 0.0 < times[p] <= times[-1] / 2.0 + 1e-12]
+    if not peaks:
         return 0.0, math.nan
-    return peak, t_star
+    return float(x[peaks[0]]), float(times[peaks[0]])
 
 
 def same_score(a: tuple, b: tuple) -> bool:
@@ -941,9 +966,9 @@ def watched(batch, chunk: int | None = None) -> tuple:
 
 
 def assert_settles_exactly(x):
-    """Every prefix on which _settled_peak tells gives detect_first_peak's
-    answer on the whole series, the whole series tells, and the watch reads
-    the same."""
+    """Every prefix on which _settled_peak tells gives the oracle's first
+    peak of the whole series (first_peak_score), the whole series tells, and
+    the watch reads the same."""
     x = np.asarray(x, dtype=float)
     times = TrotterPlan(2.0 * math.pi, len(x) - 1).times()
     want = first_peak_score(x, times)
@@ -966,8 +991,8 @@ plateaus = st.lists(st.tuples(st.integers(0, 20), st.integers(1, 4)), min_size=2
 
 class TestSettledPeak:
     """The optimizer's stopped first peak (_settled_peak, fed by
-    run_first_peaks' watch) equals detect_first_peak on the whole series, on
-    every prefix where it tells."""
+    run_first_peaks' watch) equals scipy's first peak of the whole series
+    (first_peak_score), on every prefix where it tells."""
 
     @given(x=st.one_of(coarse, plateaus))
     @settings(max_examples=400, deadline=None)
@@ -1009,7 +1034,7 @@ class TestSettledPeak:
         ([.5, .4, .3, .2, .1, .05, 0, 0, 0, 0, 0], -1, 6),
     ])
     def test_adversarial(self, x, want, settles):
-        """Each settles at the step given, with detect_first_peak's answer."""
+        """Each settles at the step given, with the oracle's answer."""
         assert_settles_exactly(x)
         answers = [_settled_peak(np.array(x[:k + 1], dtype=float), 5, k == 10) for k in range(11)]
         assert answers.index(want) == settles

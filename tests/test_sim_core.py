@@ -13,7 +13,6 @@ from scipy.stats import unitary_group
 from pstlab.experiments import (
     ExperimentConfig,
     _compile_merged,
-    _compile_ops,
     assemble_circuit,
     readout_p1,
     run_arbitrary_transfer,
@@ -410,7 +409,8 @@ class TestStackedCompile:
                    for j0 in (0.5, 1.0, 2.9, 4.0)[:members]]
         circuit = assemble_circuit(configs[0], [config.profile() for config in configs])
         assert [op.gate.kind for op in circuit.step].count("rzz") == 3
-        assert len(_compile_ops(circuit.step, 4)) == len(circuit.step) == 9
+        compiled = fused_superoperators([(op.gate, op.channels) for op in circuit.step], 4)
+        assert len(compiled) == len(circuit.step) == 9
         assert len(calls) == 2
 
 
@@ -706,8 +706,8 @@ class TestPauliState:
         """tr E(Q) = tr Q: the first row of every fused and merged PTM is e_0."""
         circuit = assemble_circuit(config)
         ops = circuit.prep + circuit.step
-        for sop in _compile_ops(ops, config.n_sites) + _compile_merged(
-                circuit.step, config.n_sites):
+        fused = fused_superoperators([(op.gate, op.channels) for op in ops], config.n_sites)
+        for sop in fused + _compile_merged(circuit.step, config.n_sites):
             e0 = np.eye(len(sop.matrix))[0]
             assert np.max(np.abs(sop.matrix[0] - e0)) <= 1e-14, sop.targets
 
