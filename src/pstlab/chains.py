@@ -185,13 +185,19 @@ def build_trotter_circuit(couplings, plan: TrotterPlan, zeta: float = 0.0) -> No
             mats = _rotations(kind, thetas)
             step_ops.append(GateOp(UnitaryGate(mats if len(mats) > 1 else mats[0], pair,
                                                kind=kind.lower())))
-    if zeta > 0:
-        phi = 2.0 * zeta * dt
-        for i in range(n - 1):
-            step_ops.append(GateOp(UnitaryGate(gate_matrix("RZZ", phi), (i, i + 1), kind="rzz")))
+    step_ops += [GateOp(gate) for gate in crosstalk_gates(n, plan, zeta)]
     return NoisyCircuit(
         n_qubits=n, prep=[], step=step_ops, plan=plan, profiles=profiles, zeta=zeta
     )
+
+
+def crosstalk_gates(n_sites: int, plan: TrotterPlan, zeta: float) -> list:
+    """The RZZ(2 zeta dt) gates that close a Trotter step, one per
+    neighbouring pair in ascending order; none when zeta (>= 0) is 0."""
+    if not zeta > 0:
+        return []
+    phi = 2.0 * zeta * plan.dt
+    return [UnitaryGate(gate_matrix("RZZ", phi), (i, i + 1), kind="rzz") for i in range(n_sites - 1)]
 
 
 def single_excitation_hamiltonian(couplings: CouplingProfile) -> np.ndarray:

@@ -5,16 +5,23 @@ Every run evolves one circuit and records observables after the prep layer
 (k = 0) and after each Trotter step, giving a uniform (n_steps + 1)-point
 time grid. The state is a sim_core.PauliState, the 4^n real Pauli
 coefficients of the dense density matrix, with or without noise. Each stored
-op (a gate with its channels, if any) is compiled once per run into one
-fused superoperator (a real Pauli transfer matrix), and adjacent fused ops
-of the prep layer and of the Trotter step are merged into superoperators of
-at most sim_core.MERGE_WIDTH qubits. Merging never crosses a recorded step
-boundary. Runs that differ only in couplings can evolve in lock-step as one
-batch (evolve_recorded, run_sp_batch): they share one circuit whose XY gates
-hold a stack of the members' matrices, it is compiled once per chunk of
-members into stacked ops, each bound once to the chunk's two state buffers,
-and each recorded step hands the chunk's (members, 4^n) state block to one
-observe call. run_sp_batch reads every member's populations from that block,
+op (a gate with its channels, if any) is compiled into one fused
+superoperator (a real Pauli transfer matrix), and adjacent fused ops of the
+prep layer and of the Trotter step are merged into superoperators of at most
+sim_core.MERGE_WIDTH qubits. Merging never crosses a recorded step boundary.
+What does not depend on the couplings is a circuit's family (_family): the
+noise-attached prep gate and the RZZ gates that close the step, each with
+its fused op, the channels of each XY gate, and the tomography rotations.
+It is built and compiled once for all configs that differ at most in
+couplings, seed, shots and measured sites, and cached by the value of the
+fields that assembly reads; assemble_circuit builds only the XY gates. Runs
+that differ only in couplings can evolve in lock-step as one batch
+(evolve_recorded, run_sp_batch): they share one circuit whose XY gates hold
+a stack of the members' matrices. Each chunk of members fuses its slice of
+those gates in one pass into stacked ops, takes the family's fused ops at
+their places, merges, and binds each op once to the chunk's two state
+buffers, and each recorded step hands the chunk's (members, 4^n) state block
+to one observe call. run_sp_batch reads every member's populations from that block,
 P(1) = (r_I - r_Z) / 2 from one column slice, and draws each member's shots
 from its own generator, so each member's records are bit-identical to its
 own run's. One rule, _settled_peak on the window (0, T/2] (_window_last),
@@ -39,6 +46,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,10 +56,11 @@ from .chains import (
     NoisyCircuit,
     TrotterPlan,
     build_trotter_circuit,
+    crosstalk_gates,
     gate_matrix,
     pst_couplings,
 )
-from .noise import NoiseParams, attach_comprehensive, with_noise
+from .noise import NoiseParams, scheduled_channels, with_noise
 from .sim_core import (
     PauliState,
     Superoperator,
@@ -73,6 +82,11 @@ from .sim_core import (
 # in 2 / 4 / 8; N = 7 350-500 us alone or in 2. 2^13 keeps N = 4 to 6 within
 # 16 % of their best batch.
 MAX_BATCH_COEFFS = 2**13
+
+# The most families (_family) whose shared parts stay built and compiled, as
+# noise._channels keeps 16 channel sets: an optimizer run uses one family, a
+# config file at most a few.
+FAMILY_CACHE_SIZE = 16
 
 PEAK_PROMINENCE = 0.05  # the least prominence of detect_first_peak's peak
 BLOCH_NORM_SLACK = 0.15  # tomography_reconstruct rescales a norm to 1 up to 1 + this
@@ -146,7 +160,8 @@ class ExperimentConfig:
 
 @dataclass
 class SPTimeSeries:
-    """Per-site success probabilities on a strictly increasing time grid."""
+    """Per-site success probabilities of at least one site on a non-empty,
+    finite, strictly increasing time grid."""
 
     times: np.ndarray
     values: dict
@@ -154,8 +169,14 @@ class SPTimeSeries:
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
+        if not self.times.size:
+            raise ValueError("times must hold at least one grid time")
+        if not np.all(np.isfinite(self.times)):
+            raise ValueError("times must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
+        if not self.values:
+            raise ValueError("values must hold at least one site")
         clean = {}
         for site, vals in self.values.items():
             arr = np.clip(np.asarray(vals, dtype=float), 0.0, 1.0)
@@ -191,21 +212,89 @@ class TomographyRecord:
 
 def assemble_circuit(config: ExperimentConfig, profiles=None) -> NoisyCircuit:
     """Build the prepared, noise-attached circuit for a config; with
-    `profiles`, a sequence of coupling profiles, the one circuit of a
-    lock-step batch with a member per profile in place of config's own."""
-    zeta = config.noise.circuit_zeta() if config.noise is not None else 0.0
-    circuit = build_trotter_circuit(config.profile() if profiles is None else profiles,
-                                    config.plan(), zeta)
-    if config.initial == "single_excitation":
-        prep = UnitaryGate(gate_matrix("X"), (0,), kind="x")
-    elif config.initial == "arbitrary":
-        prep = _prep_gate_for_amplitudes(config.amp_a, config.amp_b)
-    else:
-        raise ValueError(f"unknown initial kind {config.initial!r}")
-    circuit.prep = [GateOp(prep)]
-    if config.noise is not None:
-        circuit = attach_comprehensive(circuit, config.noise)
+    `profiles`, a sequence of coupling profiles of its chain length, the one
+    circuit of a lock-step batch with a member per profile in place of
+    config's own. Only the XY gates are built here (build_trotter_circuit
+    without crosstalk); the prep, the RZZ gates that close the step and
+    every channel list come from config's family (_family)."""
+    family = _family(config)
+    profiles = (config.profile(),) if profiles is None else tuple(profiles)
+    if any(p.n_sites != config.n_sites for p in profiles):
+        raise ValueError("batched coupling profiles must share their chain length")
+    circuit = build_trotter_circuit(profiles, family.plan)
+    for op, channels in zip(circuit.step, family.xy_channels, strict=True):
+        op.channels = channels
+    circuit.prep = list(family.prep)
+    circuit.step += family.crosstalk
+    circuit.zeta = config.noise.circuit_zeta() if config.noise is not None else 0.0
     return circuit
+
+
+class _SharedOp(GateOp):
+    """A prep or step GateOp that every circuit of a family shares, with
+    `fused`, its fused superoperator, compiled once (_family), which
+    _compile_merged takes in place of fusing the op again. Its channels are
+    a tuple, its arrays are read-only and it refuses any attribute change,
+    so no run can alter what another one applies."""
+
+    def __init__(self, op: GateOp, fused: Superoperator):
+        op.gate.matrix.setflags(write=False)
+        fused.matrix.setflags(write=False)
+        self.__dict__.update(gate=op.gate, channels=tuple(op.channels), fused=fused)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a family's shared op is read-only: cannot set {name!r}")
+
+
+@dataclass(frozen=True)
+class _Family:
+    """What the circuits of a family of configs share: everything that does
+    not depend on the couplings, built and compiled once (_family)."""
+
+    plan: TrotterPlan
+    prep: tuple  # the noise-attached prep op, a _SharedOp
+    xy_channels: tuple  # the channels after each XY gate of the step, in step order
+    crosstalk: tuple  # the RZZ ops that close the step, as _SharedOps
+    rotations: np.ndarray | None  # _basis_rotation_ptms, for an "arbitrary" initial state
+
+
+def _family(config: ExperimentConfig) -> _Family:
+    """The family of config: the configs equal to it in every field that
+    assembly reads (n_sites, n_steps, total_time, noise, initial, amp_a and
+    amp_b), which differ from it at most in couplings (or j0), seed, shots
+    and measured_sites. It is cached by the value of those fields, at most
+    FAMILY_CACHE_SIZE families, the least recently used dropped first."""
+    return _families(config.n_sites, config.n_steps, config.total_time, config.noise,
+                     config.initial, config.amp_a, config.amp_b)
+
+
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)
+def _families(n_sites, n_steps, total_time, noise, initial, amp_a, amp_b) -> _Family:
+    """_family of the fields: the prep gate and the RZZ gates, each with the
+    noise model's channels, fused in one fused_superoperators call, the
+    channels of each XY gate, and the tomography rotations."""
+    plan = TrotterPlan(total_time, n_steps)
+    if initial == "single_excitation":
+        prep = UnitaryGate(gate_matrix("X"), (0,), kind="x")
+    elif initial == "arbitrary":
+        prep = _prep_gate_for_amplitudes(amp_a, amp_b)
+    else:
+        raise ValueError(f"unknown initial kind {initial!r}")
+    zeta = noise.circuit_zeta() if noise is not None else 0.0
+    shared = [GateOp(gate) for gate in (prep, *crosstalk_gates(n_sites, plan, zeta))]
+    xy_channels = [()] * (2 * (n_sites - 1))
+    if noise is not None:
+        shared = with_noise(shared, noise)
+        after = {kind: scheduled_channels(kind, 2, noise) for kind in ("rxx", "ryy")}
+        xy_channels = [tuple((ch, (i, i + 1)) for ch in after[kind])
+                       for i in range(n_sites - 1) for kind in ("rxx", "ryy")]
+    fused = fused_superoperators([(op.gate, op.channels) for op in shared], n_sites)
+    shared = [_SharedOp(op, sop) for op, sop in zip(shared, fused, strict=True)]
+    rotations = None
+    if initial == "arbitrary":
+        rotations = _basis_rotation_ptms(noise)
+        rotations.setflags(write=False)
+    return _Family(plan, tuple(shared[:1]), tuple(xy_channels), tuple(shared[1:]), rotations)
 
 
 def _prep_gate_for_amplitudes(a: complex, b: complex) -> UnitaryGate:
@@ -221,13 +310,17 @@ def _prep_gate_for_amplitudes(a: complex, b: complex) -> UnitaryGate:
 
 def _compile_merged(ops, n_qubits: int, members: int = 1) -> list:
     """Each GateOp as the engine applies it, its gate then its channels, as
-    one fused superoperator (fused_superoperators: one pass per local shape),
-    adjacent ones then merged, one _compose per merged group. For a batch of
+    one fused superoperator, adjacent ones then merged, one _compose per
+    merged group. A family's shared op (_SharedOp) brings its fused op,
+    compiled once; the others, a circuit's XY gates, are fused in one
+    fused_superoperators call (one pass per local shape). For a batch of
     members > 1, whose stacked gates hold that many matrices, a merged op
     left 2-D is broadcast over the member axis, as the kernel takes one
     matrix per member."""
-    merged = merge_superoperators(fused_superoperators([(op.gate, op.channels) for op in ops],
-                                                       n_qubits))
+    fresh = iter(fused_superoperators([(op.gate, op.channels) for op in ops
+                                       if not isinstance(op, _SharedOp)], n_qubits))
+    merged = merge_superoperators([op.fused if isinstance(op, _SharedOp) else next(fresh)
+                                   for op in ops])
     if members == 1:
         return merged
     return [sop if sop.matrix.ndim > 2 else
@@ -260,8 +353,10 @@ def evolve_recorded(circuit: NoisyCircuit, observe, settled=None) -> np.ndarray:
     runs in chunks. `block` is a chunk's (members, 4^n) array of Pauli
     vectors, and observe must return one row per member; the rows are copied
     out, so they may be views of the block, which the next step overwrites.
-    The prep and the step are compiled once per chunk, from the chunk's
-    slice of each gate stack, and each op is bound once to the chunk's two
+    The prep and the step are compiled once per chunk (_compile_merged),
+    from the chunk's slice of each gate stack, the family's shared ops
+    (assemble_circuit) taking the fused ops compiled with their family, and
+    each op is bound once to the chunk's two
     state buffers (sim_core.bind_superoperators), for both parities, so a
     step is one matmul per op whatever the chunk size and allocates nothing,
     and each member's states are bit-identical to its own run's. A chunk of
@@ -361,7 +456,8 @@ def _lock_step_circuit(configs) -> NoisyCircuit:
         if differ:
             raise ValueError(f"lock-step runs may differ only in couplings, not in {differ}")
     if first.initial != "single_excitation":
-        raise ValueError("run_sp_series expects a single-excitation initial state")
+        raise ValueError("lock-step runs (run_sp_batch, run_first_peaks) expect a "
+                         "single-excitation initial state")
     return assemble_circuit(first, [config.profile() for config in configs])
 
 
@@ -441,15 +537,15 @@ def tomography_reconstruct(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.nd
 _BASIS_GATE_KINDS = {"X": ("h",), "Y": ("sdg", "h"), "Z": ()}
 
 
-def _basis_rotation_ptms(config: ExperimentConfig) -> np.ndarray:
+def _basis_rotation_ptms(noise: NoiseParams | None) -> np.ndarray:
     """The (3, 4, 4) stack of one qubit's X, Y and Z basis-rotation PTMs,
     each gate with the comprehensive model's single-qubit layers when noise
     is on; the identity stands in for the Z basis, which rotates nothing."""
     ptms = []
     for kinds in _BASIS_GATE_KINDS.values():
         ops = [GateOp(UnitaryGate(gate_matrix(kind.upper()), (0,), kind=kind)) for kind in kinds]
-        if config.noise is not None:
-            ops = with_noise(ops, config.noise)
+        if noise is not None:
+            ops = with_noise(ops, noise)
         merged = _compile_merged(ops, 1)  # all on the one qubit: one op, or none
         ptms.append(merged[0].matrix if merged else np.eye(4))
     return np.array(ptms)
@@ -472,7 +568,7 @@ def run_arbitrary_transfer(config: ExperimentConfig) -> TomographyRecord:
     circuit = assemble_circuit(config)
     readout = config.noise.readout_error if config.noise is not None else 0.0
     r4 = evolve_recorded(circuit, lambda block: block[:, :4])[0]
-    rotated = r4 @ _basis_rotation_ptms(config).swapaxes(1, 2)
+    rotated = r4 @ _family(config).rotations.swapaxes(1, 2)
     # P(1) = (r_I - r_Z) / 2 per step and basis; <sigma> = p0 - p1, drawn
     # step by step, then basis by basis
     p1 = readout_p1(((rotated[..., 0] - rotated[..., 3]) / 2).T, config.shots,

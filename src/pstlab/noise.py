@@ -163,7 +163,19 @@ def zz_dephasing_channel(p_zz: float) -> KrausChannel:
 
 
 def with_noise(ops, params: NoiseParams) -> list:
-    """New GateOps, each gate followed by the model's channels on its targets.
+    """New GateOps, each gate followed on its targets by the model's channels
+    (scheduled_channels)."""
+    out = []
+    for op in ops:
+        gate = op.gate
+        added = scheduled_channels(gate.kind, gate.arity, params)
+        out.append(GateOp(gate, [*op.channels, *((ch, gate.targets) for ch in added)]))
+    return out
+
+
+def scheduled_channels(kind: str, arity: int, params: NoiseParams) -> tuple:
+    """The channels, in order, that the model puts after a gate of `kind` on
+    `arity` qubits, each to act on the gate's targets.
 
     After an rxx/ryy gate: depolarizing (x) depolarizing, then 2q-duration
     thermal (x) thermal, then Z(x)Z dephasing in dephasing_channel mode only.
@@ -171,17 +183,9 @@ def with_noise(ops, params: NoiseParams) -> list:
     An rzz gate gets nothing: coherent crosstalk is the gate itself.
     """
     after_xy, after_1q = _channels(params)
-    out = []
-    for op in ops:
-        gate = op.gate
-        if gate.kind in _TWO_QUBIT_KINDS:
-            added = after_xy
-        elif gate.arity == 1:
-            added = after_1q
-        else:
-            added = ()
-        out.append(GateOp(gate, [*op.channels, *((ch, gate.targets) for ch in added)]))
-    return out
+    if kind in _TWO_QUBIT_KINDS:
+        return after_xy
+    return after_1q if arity == 1 else ()
 
 
 @lru_cache(maxsize=16)

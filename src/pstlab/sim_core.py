@@ -50,6 +50,9 @@ S_DAG = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
 _TO_PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
 _FROM_PAULI = _TO_PAULI.conj().T / 2
 
+# The identity of a 1- and a 2-qubit gate, which UnitaryGate checks against
+# on every gate it builds: a batch builds its XY gates afresh.
+_GATE_IDENTITIES = {1: np.eye(2), 2: np.eye(4)}
 _TRACE_TOL = 1e-9
 _PSD_FLOOR = -1e-9
 _CPTP_TOL = 1e-10
@@ -170,7 +173,7 @@ class UnitaryGate:
             raise ValueError(f"gate matrix shape {mat.shape} does not match arity {arity}")
         if len(set(targets)) != arity:
             raise ValueError(f"duplicate targets {targets}")
-        dev = np.max(np.abs(mat.conj().swapaxes(-1, -2) @ mat - np.eye(dim)))
+        dev = np.abs(mat.conj().swapaxes(-1, -2) @ mat - _GATE_IDENTITIES[arity]).max()
         if dev > 1e-12:
             raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
         self.matrix = mat

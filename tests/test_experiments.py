@@ -3,7 +3,8 @@
 import itertools
 import math
 import tracemalloc
-from dataclasses import replace
+from collections import Counter
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,10 @@ from pstlab.chains import (
     gate_matrix,
     pst_couplings,
 )
-from pstlab import experiments
+from pstlab import experiments, sim_core
 from pstlab.cli import load_config, resolve_config
 from pstlab.experiments import (
+    FAMILY_CACHE_SIZE,
     PEAK_PROMINENCE,
     ExperimentConfig,
     NoPeakError,
@@ -421,6 +423,16 @@ class TestLockStep:
             run_sp_batch(configs)
         assert built == []
 
+    @pytest.mark.parametrize("run", [run_sp_batch, run_first_peaks], ids=lambda run: run.__name__)
+    def test_other_initial_states_refused_before_any_run(self, monkeypatch, run):
+        built = []
+        monkeypatch.setattr(experiments, "assemble_circuit", lambda *args: built.append(args))
+        monkeypatch.setattr(experiments, "_family", lambda config: built.append(config))
+        with pytest.raises(ValueError, match=r"lock-step runs \(run_sp_batch, run_first_peaks\) "
+                                             "expect a single-excitation initial state"):
+            run([ExperimentConfig(initial="arbitrary")] * 2)
+        assert built == []
+
     def test_batch_refuses_profiles_of_another_chain_length(self):
         config = ExperimentConfig(n_sites=4, n_steps=20)
         with pytest.raises(ValueError, match="share their chain length"):
@@ -500,6 +512,125 @@ class TestBatchedCompile:
         assert all(sop.matrix.ndim == 2 for sop in applied)
         circuit = assemble_circuit(config)
         assert all(op.gate.matrix.ndim == 2 for op in circuit.prep + circuit.step)
+
+
+def compiled_layers(config: ExperimentConfig, plain: bool = False) -> list:
+    """The compiled prep and step of config's own circuit; with `plain`, of
+    plain copies of its ops, so that no op brings a fused op of its family."""
+    circuit = assemble_circuit(config)
+    return [_compile_merged([GateOp(op.gate, list(op.channels)) for op in layer] if plain
+                            else layer, config.n_sites)
+            for layer in (circuit.prep, circuit.step)]
+
+
+def assert_same_layers(got: list, want: list) -> None:
+    """Two lists of compiled layers equal op by op, bit for bit."""
+    assert len(got) == len(want)
+    for layer_got, layer_want in zip(got, want):
+        assert [sop.targets for sop in layer_got] == [sop.targets for sop in layer_want]
+        for g, w in zip(layer_got, layer_want):
+            assert np.array_equal(g.matrix, w.matrix)
+            assert g.matrix.tobytes() == w.matrix.tobytes()
+
+
+class TestFamilies:
+    """What a run's circuit shares with every run that differs from it only
+    in couplings (its family) is built and compiled once; each compiled op
+    equals a fresh compile, bit for bit."""
+
+    BASE = ExperimentConfig(n_sites=4, n_steps=20, noise=NoiseParams(), initial="arbitrary",
+                            amp_a=0.6, amp_b=0.8)
+
+    @pytest.mark.parametrize("change", [
+        {"n_sites": 5},
+        {"n_steps": 21},
+        {"total_time": math.pi},
+        {"noise": None},
+        {"noise": NoiseParams(p_pauli=0.01)},
+        {"noise": NoiseParams(zz_mode="dephasing_channel", p_zz=0.01)},
+        {"initial": "single_excitation"},
+        {"amp_a": 0.8, "amp_b": 0.6},
+        {"amp_b": 0.8j},
+    ], ids=repr)
+    def test_a_changed_field_compiles_as_fresh(self, change):
+        variant = replace(self.BASE, **change)
+        experiments._families.cache_clear()
+        fresh = compiled_layers(variant, plain=True)
+        compiled_layers(self.BASE)
+        assert experiments._family(variant) is not experiments._family(self.BASE)
+        assert_same_layers(compiled_layers(variant), fresh)
+        assert_same_layers(compiled_layers(self.BASE), compiled_layers(self.BASE, plain=True))
+
+    def test_seed_shots_sites_and_couplings_share_a_family(self):
+        family = experiments._family(self.BASE)
+        circuit = assemble_circuit(self.BASE)
+        for change in ({"seed": 3}, {"shots": 64}, {"measured_sites": (1, 4)},
+                       {"couplings": (1.0, 2.0, 1.0)}, {"j0": 2.5}):
+            config = replace(self.BASE, **change)
+            assert experiments._family(config) is family, change
+            other = assemble_circuit(config)
+            assert all(a is b for a, b in zip(other.prep + other.step[6:],
+                                              circuit.prep + circuit.step[6:], strict=True))
+
+    def test_cached_parts_refuse_writes(self):
+        family = experiments._family(self.BASE)
+        assert len(family.prep) == 1 and len(family.crosstalk) == 3
+        for op in family.prep + family.crosstalk:
+            for array in (op.gate.matrix, op.fused.matrix):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
+            assert isinstance(op.channels, tuple)
+            with pytest.raises(AttributeError, match="read-only"):
+                op.channels = []
+        with pytest.raises(ValueError, match="read-only"):
+            family.rotations[...] = 0
+        assert isinstance(family.xy_channels, tuple)
+        assert all(isinstance(channels, tuple) for channels in family.xy_channels)
+        with pytest.raises(FrozenInstanceError):
+            family.prep = ()
+
+    def test_more_families_than_the_bound(self):
+        """20 families in a row, more than the cache holds: the first ones
+        are dropped and built again, with the same ops."""
+        configs = [ExperimentConfig(n_sites=3, n_steps=steps, noise=NoiseParams())
+                   for steps in range(1, FAMILY_CACHE_SIZE + 5)]
+        assert len(configs) == 20
+        experiments._families.cache_clear()
+        first = [compiled_layers(config) for config in configs]
+        assert experiments._families.cache_info().currsize == FAMILY_CACHE_SIZE
+        for config, want in zip(configs, first):
+            assert_same_layers(compiled_layers(config), want)
+            assert_same_layers(compiled_layers(config, plain=True), want)
+
+    @staticmethod
+    def spy_gates(monkeypatch) -> list:
+        """The kind of every UnitaryGate built from now on."""
+        kinds = []
+        real = UnitaryGate.__init__
+        monkeypatch.setattr(UnitaryGate, "__init__", lambda gate, matrix, targets, kind="":
+                            kinds.append(kind) or real(gate, matrix, targets, kind))
+        return kinds
+
+    def test_a_cold_run_builds_each_gate_once(self, monkeypatch):
+        experiments._families.cache_clear()
+        kinds = self.spy_gates(monkeypatch)
+        run_sp_series(ExperimentConfig(n_sites=4, n_steps=20, noise=NoiseParams()))
+        assert Counter(kinds) == {"x": 1, "rxx": 3, "ryy": 3, "rzz": 3}
+
+    def test_a_second_batch_fuses_and_builds_only_its_xy_gates(self, monkeypatch):
+        """A second noisy N = 4 batch of one family makes one fusion pass,
+        its RXX and RYY gates', and builds no prep or RZZ gate."""
+        configs = [ExperimentConfig(n_sites=4, n_steps=20, j0=j0, noise=NoiseParams())
+                   for j0 in (0.5, 1.0, 2.9, 4.0)]
+        run_sp_batch(configs)
+        passes = []
+        real = sim_core._pauli_transfer_matrix
+        monkeypatch.setattr(sim_core, "_pauli_transfer_matrix",
+                            lambda *args: passes.append(args) or real(*args))
+        kinds = self.spy_gates(monkeypatch)
+        run_sp_batch([replace(config, j0=1.1 * config.j0) for config in configs])
+        assert len(passes) == 1
+        assert Counter(kinds) == {"rxx": 3, "ryy": 3}
 
 
 class TestFixedBuffers:
@@ -765,7 +896,7 @@ def per_step_tomography(config: ExperimentConfig) -> dict:
     readout = config.noise.readout_error if config.noise is not None else 0.0
     target = np.outer([a, b], np.conj([a, b]))
     r4 = evolve_recorded(circuit, lambda block: block[:, :4])[0]
-    rotated = r4 @ experiments._basis_rotation_ptms(config).swapaxes(1, 2)
+    rotated = r4 @ experiments._basis_rotation_ptms(config.noise).swapaxes(1, 2)
     p1 = readout_p1(((rotated[..., 0] - rotated[..., 3]) / 2).T, config.shots,
                     np.random.default_rng(config.seed), readout)
     xs, ys, zs = (1.0 - 2.0 * p1).T.copy()
@@ -808,6 +939,25 @@ class TestTomographyOnArrays:
         record = run_arbitrary_transfer(config)
         for name, want in per_step_tomography(config).items():
             assert np.array_equal(getattr(record, name), want), name
+
+
+class TestSeriesChecks:
+    """SPTimeSeries refuses what no run makes and its readers cannot use."""
+
+    def test_empty_grid_refused(self):
+        with pytest.raises(ValueError, match="at least one grid time"):
+            SPTimeSeries(times=[], values={1: []})
+
+    @pytest.mark.parametrize("index,bad", [(2, math.nan), (4, math.inf), (0, -math.inf)])
+    def test_non_finite_times_refused(self, index, bad):
+        times = np.linspace(0.0, 1.0, 5)
+        times[index] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SPTimeSeries(times=times, values={1: np.zeros(5)})
+
+    def test_empty_values_refused(self):
+        with pytest.raises(ValueError, match="at least one site"):
+            SPTimeSeries(times=[0.0, 1.0], values={})
 
 
 class TestDetectFirstPeak:

@@ -376,7 +376,7 @@ class TestComprehensiveAssembly:
         # PTMs; each equals the same gates followed by after_1q, compiled and
         # merged on one qubit, bit for bit, and the Z basis's is the identity.
         config = ExperimentConfig(n_sites=4, n_steps=2, noise=params, initial="arbitrary")
-        got = _basis_rotation_ptms(config)
+        got = _basis_rotation_ptms(config.noise)
         assert got.shape == (3, 4, 4)
         for kinds, ptm in zip((("h",), ("sdg", "h"), ()), got, strict=True):
             ops = [GateOp(op.gate, [(ch, (0,)) for ch in after_1q])
