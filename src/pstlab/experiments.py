@@ -99,7 +99,9 @@ class NoPeakError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: chain, plan, noise, initial state, readout. It builds
-    profile() and plan() once, so their checks refuse a bad chain or grid."""
+    profile() and plan() once, so their checks refuse a bad chain or grid;
+    profile() returns the one profile built then (frozen, so safe to share;
+    an attribute, not a field, so no part of equality, hashing or to_dict)."""
 
     n_sites: int = 4
     j0: float = 1.0
@@ -125,13 +127,15 @@ class ExperimentConfig:
             object.__setattr__(self, "measured_sites", sites)
         if self.couplings is not None:
             object.__setattr__(self, "couplings", tuple(float(j) for j in self.couplings))
-        self.profile()
+        if self.couplings is not None:
+            profile = CouplingProfile(self.n_sites, self.couplings)
+        else:
+            profile = pst_couplings(self.n_sites, self.j0)
+        object.__setattr__(self, "_profile", profile)
         self.plan()
 
     def profile(self) -> CouplingProfile:
-        if self.couplings is not None:
-            return CouplingProfile(self.n_sites, self.couplings)
-        return pst_couplings(self.n_sites, self.j0)
+        return self._profile
 
     def plan(self) -> TrotterPlan:
         return TrotterPlan(self.total_time, self.n_steps)
@@ -160,8 +164,8 @@ class ExperimentConfig:
 
 @dataclass
 class SPTimeSeries:
-    """Per-site success probabilities of at least one site on a non-empty,
-    finite, strictly increasing time grid."""
+    """Per-site finite success probabilities, clamped to [0, 1], of at least
+    one site on a non-empty, finite, strictly increasing time grid."""
 
     times: np.ndarray
     values: dict
@@ -179,10 +183,12 @@ class SPTimeSeries:
             raise ValueError("values must hold at least one site")
         clean = {}
         for site, vals in self.values.items():
-            arr = np.clip(np.asarray(vals, dtype=float), 0.0, 1.0)
+            arr = np.asarray(vals, dtype=float)
             if arr.shape != self.times.shape:
                 raise ValueError(f"site {site}: {arr.shape} values for {self.times.shape} times")
-            clean[int(site)] = arr
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"site {site}: values must be finite")
+            clean[int(site)] = np.clip(arr, 0.0, 1.0)
         self.values = clean
 
     def sites(self) -> list:

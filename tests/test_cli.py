@@ -17,6 +17,7 @@ from pstlab.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_SCHEMA,
+    EXIT_SIM,
     EXPERIMENTS,
     ConfigError,
     apply_overrides,
@@ -498,6 +499,20 @@ class TestReport:
         assert (tmp_path / "elsewhere" / "series_rep" / "report.csv").read_text().startswith("t,")
         assert ((tmp_path / "elsewhere" / "grid_rep" / "report.csv").read_text()
                 == (grid.parent / "grid.csv").read_text())
+
+    def test_series_with_nan_exits_3_with_nothing_written(self, tmp_path, capsys):
+        """json reads a NaN token as a float; the report refuses the series."""
+        manifest_path = run_config(small_sp_config(tmp_path))
+        series_path = tmp_path / "out" / "series.json"
+        payload = json.loads(series_path.read_text())
+        site, vals = next(iter(payload["values"].items()))
+        vals[3] = math.nan
+        series_path.write_text(json.dumps(payload))
+        assert "NaN" in series_path.read_text()
+        capsys.readouterr()
+        assert main(["report", str(manifest_path), "--out", str(tmp_path / "rep")]) == EXIT_SIM
+        assert "values must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
 
     def test_manifest_without_series_is_refused(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

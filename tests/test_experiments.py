@@ -4,7 +4,7 @@ import itertools
 import math
 import tracemalloc
 from collections import Counter
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +97,40 @@ class TestConfigValidation:
     def test_sp_series_requires_single_excitation(self):
         with pytest.raises(ValueError, match="single-excitation"):
             run_sp_series(ExperimentConfig(initial="arbitrary"))
+
+    @pytest.mark.parametrize("extra,want", [
+        ({}, pst_couplings(4, 1.0)),
+        ({"j0": 2.9}, pst_couplings(4, 2.9)),
+        ({"couplings": (1.0, 1.5, 1.0)}, CouplingProfile(4, (1.0, 1.5, 1.0))),
+    ], ids=["default", "j0", "couplings"])
+    def test_profile_is_the_one_built_on_construction(self, extra, want):
+        config = ExperimentConfig(n_sites=4, **extra)
+        assert config.profile() is config.profile()
+        assert config.profile() == want
+
+    def test_profile_is_no_field(self):
+        """The kept profile takes no part in fields, to_dict, equality or
+        hashing: configs built apart compare and hash alike."""
+        a, b = ExperimentConfig(n_sites=4, j0=2.9), ExperimentConfig(n_sites=4, j0=2.9)
+        assert a.profile() is not b.profile()
+        assert a == b and hash(a) == hash(b)
+        assert a.to_dict() == b.to_dict()
+        assert "_profile" not in {f.name for f in fields(ExperimentConfig)}
+        assert replace(a, j0=1.0).profile() == pst_couplings(4, 1.0)
+
+    def test_batch_builds_one_profile_per_member(self, monkeypatch):
+        """An m-member run_first_peaks batch constructs m profiles, each on
+        its config's construction."""
+        built = []
+        post_init = CouplingProfile.__post_init__
+        monkeypatch.setattr(CouplingProfile, "__post_init__",
+                            lambda self: (built.append(self), post_init(self)))
+        configs = [ExperimentConfig(n_sites=4, n_steps=20, j0=j0, noise=NoiseParams())
+                   for j0 in (2.5, 2.9, 3.3)]
+        configs.append(ExperimentConfig(n_sites=4, n_steps=20, noise=NoiseParams(),
+                                        couplings=(2.0, 2.5, 2.0)))
+        run_first_peaks(configs)
+        assert len(built) == len(configs)
 
 
 class TestIdealRuns:
@@ -958,6 +992,14 @@ class TestSeriesChecks:
     def test_empty_values_refused(self):
         with pytest.raises(ValueError, match="at least one site"):
             SPTimeSeries(times=[0.0, 1.0], values={})
+
+    @pytest.mark.parametrize("index,bad", [(2, math.nan), (4, math.inf), (0, -math.inf)])
+    def test_non_finite_values_refused(self, index, bad):
+        """np.clip keeps a NaN, so the clamp alone would let it through."""
+        vals = np.full(5, 0.5)
+        vals[index] = bad
+        with pytest.raises(ValueError, match="site 3: values must be finite"):
+            SPTimeSeries(times=np.linspace(0.0, 1.0, 5), values={1: np.zeros(5), 3: vals})
 
 
 class TestDetectFirstPeak:

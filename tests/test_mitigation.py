@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pstlab.chains import exact_sp_oracle, pst_couplings
+from pstlab import mitigation
 from pstlab.experiments import ExperimentConfig, SPTimeSeries, run_sp_series
 from pstlab.mitigation import (
     RescaleParams,
@@ -14,6 +15,7 @@ from pstlab.mitigation import (
     fit_rescaling,
     forward_decay,
 )
+from pstlab.noise import NoiseParams
 
 @pytest.fixture(scope="module")
 def ideal_series():
@@ -123,6 +125,18 @@ class TestFitRescaling:
         with pytest.raises(ValueError):
             fit_rescaling(flat, ideal_series)
 
+    def test_screen_decides_few_rows(self, ideal_series, monkeypatch):
+        """On the default noisy/ideal N = 4 pair the exact row loop runs on at
+        most 2 rows of each grid (101 coarse, 13 per refinement)."""
+        rows = []
+        decide = mitigation._decide
+        monkeypatch.setattr(mitigation, "_decide",
+                            lambda *args: (rows.append(len(args[4])), decide(*args))[1])
+        noisy = run_sp_series(ExperimentConfig(n_sites=4, noise=NoiseParams()))
+        fit = fit_rescaling(noisy, ideal_series)
+        assert (fit.alpha, fit.beta) == (0.2742, 0.02416)
+        assert len(rows) == 3 and max(rows) <= 2
+
     def test_fit_is_deterministic(self, ideal_series):
         noisy = SPTimeSeries(times=ideal_series.times,
                              values={4: forward_decay(ideal_series.series(), 0.3, 0.05)})
@@ -132,7 +146,8 @@ class TestFitRescaling:
 
 
 def double_loop_fit_objective(noisy_vals, ideal_interp, window, alphas, betas, k) -> tuple:
-    """The (beta, alpha) double loop that _fit_objective vectorizes: its oracle."""
+    """The (beta, alpha) double loop, one SSE per grid point: the oracle of
+    _fit_objective, which decides only the rows its closed-form screen keeps."""
     best = (np.inf, 0.0, 0.0)
     for beta in betas:
         env = np.exp(-beta * k[window])
@@ -188,3 +203,54 @@ class TestFitObjectiveMatchesDoubleLoop:
         alphas, betas = self.EDGE
         assert (_fit_objective(noisy, ideal, single, alphas, betas, k)
                 == double_loop_fit_objective(noisy, ideal, single, alphas, betas, k))
+
+    @staticmethod
+    def assert_matches_under_errstate(noisy, ideal, window, k, grids) -> list:
+        """pytest turns numpy's floating-point warnings into errors; the
+        double loop warns where these inputs make inf or NaN."""
+        got = []
+        with np.errstate(all="ignore"):
+            for alphas, betas in grids:
+                got.append(_fit_objective(noisy, ideal, window, alphas, betas, k))
+                assert got[-1] == double_loop_fit_objective(noisy, ideal, window, alphas, betas, k)
+        return got
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_nan_sample(self, seed, quantized):
+        noisy, ideal, window, k = self.series(seed, quantized)
+        noisy = noisy.copy()
+        noisy[int(np.flatnonzero(window)[-1]) // 2] = np.nan
+        got = self.assert_matches_under_errstate(noisy, ideal, window, k,
+                                                 (self.COARSE, self.EDGE, self.INNER))
+        assert got == [(np.inf, 0.0, 0.0)] * 3  # every row holds the NaN
+
+    def test_window_where_the_envelope_underflows(self):
+        """e^{-beta k} is 0 from about k = 3725 on at beta = 0.2, so the high-beta
+        rows hold inf and NaN SSEs, which the screen cannot bound."""
+        rng = np.random.default_rng(7)
+        k = np.arange(4000)
+        ideal = rng.uniform(size=k.size)
+        noisy = forward_decay(ideal, 0.3, 0.0005) + rng.normal(0.0, 0.02, size=k.size)
+        alphas, betas = self.COARSE
+        assert np.exp(-betas[-1] * k[-1]) == 0.0
+        got = self.assert_matches_under_errstate(noisy, ideal, k < k.size, k, (self.COARSE,))
+        assert np.isfinite(got[0][0])
+
+    def test_row_the_screen_cannot_bound_still_wins(self):
+        """At beta = 0.5, v_k = (1 - e_k) / e_k passes 1e154 and its square
+        overflows, so the screen's SSE of that row is inf or NaN; the exact SSE
+        of its alpha = 0 point is 0, which ties the beta = 0 row's and wins as
+        the first grid point."""
+        k = np.arange(1000)
+        zeros = np.zeros(k.size)
+        alphas = self.COARSE[0]
+        got = self.assert_matches_under_errstate(zeros, zeros, k < k.size, k,
+                                                 ((alphas, np.array([0.5, 0.0])),))
+        assert got == [(0.0, 0.0, 0.5)]
+
+    def test_all_non_finite_input(self):
+        noisy, ideal, window, k = self.series(0, quantized=False)
+        got = self.assert_matches_under_errstate(np.full(81, np.nan), ideal, window, k,
+                                                 (self.COARSE, self.EDGE))
+        assert got == [(np.inf, 0.0, 0.0)] * 2
