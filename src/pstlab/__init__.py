@@ -13,8 +13,6 @@ from .chains import (
     NoisyCircuit,
     TrotterPlan,
     build_trotter_circuit,
-    exact_sp_oracle,
-    exact_transfer_amplitude,
     gate_matrix,
     pst_couplings,
 )
@@ -33,7 +31,6 @@ from .mitigation import (
     RescaleParams,
     apply_rescaling,
     fit_rescaling,
-    forward_decay,
 )
 from .noise import (
     NoiseParams,
@@ -58,12 +55,7 @@ from .sim_core import (
     Superoperator,
     UnitaryGate,
     apply_channel,
-    apply_superoperator,
     apply_unitary,
-    choi_matrix,
-    fused_superoperator,
     fused_superoperators,
-    partial_trace_to_qubit,
-    qubit_p1,
     qubit_state_fidelity,
 )

@@ -1,4 +1,4 @@
-"""Chain couplings, gate matrices, Trotter circuits, and the exact transfer oracle.
+"""Chain couplings, gate matrices and Trotter circuits.
 
 The engineered profile J_i = j0 * sqrt(i (N - i)) gives an equally spaced
 single-excitation spectrum and perfect end-to-end transfer at t = pi/2 (for
@@ -198,48 +198,3 @@ def crosstalk_gates(n_sites: int, plan: TrotterPlan, zeta: float) -> list:
         return []
     phi = 2.0 * zeta * plan.dt
     return [UnitaryGate(gate_matrix("RZZ", phi), (i, i + 1), kind="rzz") for i in range(n_sites - 1)]
-
-
-def single_excitation_hamiltonian(couplings: CouplingProfile) -> np.ndarray:
-    """N x N hopping matrix A with A[i, i+1] = A[i+1, i] = J_{i+1}.
-
-    This is the effective Hamiltonian the theta = J dt circuit approximates
-    in the one-excitation sector.
-    """
-    n = couplings.n_sites
-    a = np.zeros((n, n))
-    for i, j_i in enumerate(couplings.couplings):
-        a[i, i + 1] = a[i + 1, i] = j_i
-    return a
-
-
-def exact_transfer_amplitude(couplings: CouplingProfile, t, source: int = 1,
-                             target: int | None = None) -> np.ndarray | complex:
-    """<target| e^{-iAt} |source> in the single-excitation sector (sites 1-based).
-
-    Accepts scalar or array t; vectorized over the grid via one
-    eigendecomposition.
-    """
-    n = couplings.n_sites
-    if target is None:
-        target = n
-    if not (1 <= source <= n and 1 <= target <= n):
-        raise ValueError("source/target site out of range")
-    a = single_excitation_hamiltonian(couplings)
-    evals, evecs = np.linalg.eigh(a)
-    ts = np.asarray(t, dtype=float)
-    phases = np.exp(-1j * np.outer(ts.reshape(-1), evals))
-    amps = phases @ (evecs[target - 1, :] * evecs[source - 1, :].conj())
-    if ts.ndim == 0:
-        return complex(amps[0])
-    return amps
-
-
-def exact_sp_oracle(couplings: CouplingProfile, t) -> np.ndarray | float:
-    """Exact end-to-end success probability |<N| e^{-iAt} |1>|^2."""
-    amp = exact_transfer_amplitude(couplings, t)
-    sp = np.abs(amp) ** 2
-    if np.ndim(sp) == 0:
-        return float(sp)
-    return sp
-

@@ -487,7 +487,7 @@ def _output_path(manifest_path, output) -> Path:
 
 
 def _load_manifest_series(manifest_path, manifest: dict) -> list:
-    """(label, times, values) triples for every series a manifest produced."""
+    """(label, site, times, values) for every series a manifest produced."""
     out = []
     for key, path in manifest.get("outputs", {}).items():
         if not key.endswith("_json") or key in ("grid_json", "report_json"):
@@ -499,7 +499,7 @@ def _load_manifest_series(manifest_path, manifest: dict) -> list:
         times = np.asarray(payload["times"], dtype=float)
         for site, vals in sorted(payload["values"].items()):
             label = f"{stem}_site{site}" if len(payload["values"]) > 1 else stem
-            out.append((label, times, np.asarray(vals, dtype=float)))
+            out.append((label, site, times, np.asarray(vals, dtype=float)))
     return out
 
 
@@ -530,15 +530,18 @@ def emit_report(manifest_paths, out=None) -> dict:
     warnings: list = []
     summary: list = []
     if series_entries:
-        base_times = series_entries[0][1]
-        for label, times, _ in series_entries[1:]:
+        base_times = series_entries[0][2]
+        for label, _, times, _ in series_entries[1:]:
             if len(times) != len(base_times) or not np.allclose(times, base_times):
                 warnings.append(f"grid of {label} resampled onto {series_entries[0][0]}")
         columns = {}
-        for label, times, vals in series_entries:
+        for label, site, times, vals in series_entries:
+            try:
+                series = SPTimeSeries(times=times, values={site: vals})
+            except ValueError as exc:
+                raise ValueError(f"{label}: {exc}") from None
             columns[label] = np.interp(base_times, times, vals)
-            summary.append({"label": label,
-                            **_peak_summary(SPTimeSeries(times=times, values={1: vals}))})
+            summary.append({"label": label, **_peak_summary(series)})
         peaks = [s["sp_star"] for s in summary if s["sp_star"] is not None]
         baseline = min(peaks) if peaks else None
         for s in summary:
@@ -548,7 +551,7 @@ def emit_report(manifest_paths, out=None) -> dict:
             else:
                 s["improvement"] = s["sp_star"] - baseline
                 s["improvement_pct"] = 100.0 * (s["sp_star"] - baseline) / baseline
-        labels = [label for label, _, _ in series_entries]
+        labels = [label for label, *_ in series_entries]
         lines = ["t," + ",".join(labels)]
         for i, t in enumerate(base_times):
             lines.append(f"{t:.12g}," + ",".join(f"{columns[l][i]:.12g}" for l in labels))

@@ -436,7 +436,7 @@ def run_sp_batch(configs) -> list:
     first = configs[0]
     sites = first.measured_sites or (first.n_sites,)
     readout = first.noise.readout_error if first.noise is not None else 0.0
-    # r_I and each measured site's r_Z; P(1) = (r_I - r_Z) / 2, as qubit_p1
+    # r_I and each measured site's r_Z; P(1) = tr((I - Z) rho) / 2 = (r_I - r_Z) / 2
     cols = np.array([0, *(3 * 4 ** (first.n_sites - s) for s in sites)])
     coeffs = evolve_recorded(circuit, lambda block: block.take(cols, 1))
     p1 = (coeffs[..., :1] - coeffs[..., 1:]) / 2.0

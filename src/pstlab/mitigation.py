@@ -41,14 +41,6 @@ class RescaleParams:
             raise ValueError(f"s = {self.s} must be positive")
 
 
-def forward_decay(values, alpha: float, beta: float) -> np.ndarray:
-    """Forward model: n_hat_k = e^{-beta k} n_k + alpha (1 - e^{-beta k})."""
-    values = np.asarray(values, dtype=float)
-    k = np.arange(len(values))
-    env = np.exp(-beta * k)
-    return env * values + alpha * (1.0 - env)
-
-
 def apply_rescaling(noisy: SPTimeSeries, params: RescaleParams) -> SPTimeSeries:
     """Correct a noisy series: scaled time axis plus inverted decay.
 

@@ -19,17 +19,17 @@ at compile time, on matrices of at most 64 x 64 (_embed), and every op
 reaches a state as one real (stacked) matmul on a reshaped view, straight
 from one buffer into the other (_matmul_operands). A run's prep and Trotter
 step are bound once to two fixed state buffers (bind_superoperators), each
-then one call on views fixed when it was bound, and allocate nothing;
-apply_superoperator applies one op into a new state. States of circuits
-that differ only in their gates' matrices evolve together as one batch: a
-gate may hold an (m, d, d) stack of its members' unitaries, compiling it
-gives an op with the stack of their PTMs (2-D parts, such as the shared
-channels, broadcast over the member axis), and the kernel applies the stack
-with one broadcast matmul over a leading member axis. Each channel's PTM is
-built once per channel object. The per-qubit change between rho's entries
-and Pauli coefficients lives here alone. apply_unitary and apply_channel
-(the Kraus loop on DensityMatrix) are the engine's reference, and apply ops
-on any qubits.
+then one call on views fixed when it was bound, and allocate nothing.
+States of circuits that differ only in their gates' matrices evolve
+together as one batch: a gate may hold an (m, d, d) stack of its members'
+unitaries, compiling it gives an op with the stack of their PTMs (2-D
+parts, such as the shared channels, broadcast over the member axis), and
+the kernel applies the stack with one broadcast matmul over a leading
+member axis. Each channel's PTM is built once per channel object.
+apply_unitary and apply_channel (the Kraus loop on DensityMatrix) are the
+engine's reference, and apply ops on any qubits; the rest of the
+density-matrix side (the change between rho and a PauliState, the partial
+trace, populations) is in the tests' oracle module.
 """
 
 from __future__ import annotations
@@ -45,10 +45,8 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 S_DAG = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
 # One qubit's rho entries (00, 01, 10, 11) to its Pauli coefficients (I, X, Y,
-# Z): r_P = tr(P rho) = sum_ij P[j, i] rho[i, j]. Its rows are orthogonal
-# with norm^2 2, so the inverse is the conjugate transpose over 2.
+# Z): r_P = tr(P rho) = sum_ij P[j, i] rho[i, j].
 _TO_PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
-_FROM_PAULI = _TO_PAULI.conj().T / 2
 
 # The identity of a 1- and a 2-qubit gate, which UnitaryGate checks against
 # on every gate it builds: a batch builds its XY gates afresh.
@@ -106,13 +104,6 @@ def _paired_axes(n: int) -> list:
     return [a for q in range(n) for a in (q, n + q)]
 
 
-def _per_axis(mat: np.ndarray, tensor: np.ndarray) -> np.ndarray:
-    """`mat` contracted into every axis of `tensor`."""
-    for axis in range(tensor.ndim):
-        tensor = np.moveaxis(np.tensordot(mat, tensor, axes=(1, axis)), 0, axis)
-    return tensor
-
-
 class PauliState:
     """An n-qubit mixed state as its 4^n real Pauli coefficients.
 
@@ -139,18 +130,6 @@ class PauliState:
         for _ in range(n_qubits):
             vec = np.outer(vec, [1.0, 0.0, 0.0, 1.0]).ravel()
         return cls(n_qubits, vec)
-
-    @classmethod
-    def from_density_matrix(cls, rho: DensityMatrix) -> "PauliState":
-        n = rho.n_qubits
-        tensor = rho.matrix.reshape((2,) * 2 * n).transpose(_paired_axes(n))
-        return cls(n, _per_axis(_TO_PAULI, tensor.reshape((4,) * n)).real.ravel())
-
-    def to_density_matrix(self) -> DensityMatrix:
-        n = self.n_qubits
-        tensor = _per_axis(_FROM_PAULI, self.vector.reshape((4,) * n)).reshape((2,) * 2 * n)
-        rho = tensor.transpose(np.argsort(_paired_axes(n))).reshape(2**n, 2**n)
-        return DensityMatrix(n, rho, validate=False)
 
 
 class UnitaryGate:
@@ -430,11 +409,6 @@ def fused_superoperators(pairs, n_qubits: int) -> list:
     return out
 
 
-def fused_superoperator(gate: UnitaryGate, channels, n_qubits: int) -> Superoperator:
-    """fused_superoperators of the one pair (gate, channels)."""
-    return fused_superoperators([(gate, channels)], n_qubits)[0]
-
-
 def merge_superoperators(sops) -> list:
     """Adjacent superoperators merged into ops of at most MERGE_WIDTH qubits.
 
@@ -466,16 +440,6 @@ def _check_register(sop: Superoperator, n: int) -> None:
         raise ValueError(f"superoperator compiled for {sop.n_qubits} qubits, state has {n}")
 
 
-def apply_superoperator(state: PauliState, sop: Superoperator) -> PauliState:
-    """E(state): one real matmul on the Pauli axes of the targets, into a new
-    Pauli vector."""
-    n, vec = state.n_qubits, state.vector
-    _check_register(sop, n)
-    dst = np.empty(vec.size)
-    np.matmul(*_matmul_operands(vec, sop.matrix, 4 ** sop.targets[0], dst))
-    return PauliState(n, dst)
-
-
 def bind_superoperators(sops, first: np.ndarray, second: np.ndarray) -> list:
     """The superoperators in order, each bound once to two fixed buffers: a
     list of calls without arguments, the first reading `first` and writing
@@ -485,8 +449,8 @@ def bind_superoperators(sops, first: np.ndarray, second: np.ndarray) -> list:
     The buffers are contiguous arrays of one shape: one Pauli vector
     (4^n,), or m of them, (m, 4^n), for stacked ops of m members. An op
     compiled for another register size than n is refused. Each call is one
-    np.matmul on views fixed here (_matmul_operands), writes what
-    apply_superoperator writes, bit for bit, and allocates no state.
+    np.matmul on views fixed here (_matmul_operands), writes bit for bit
+    what the same matmul writes into a new vector, and allocates no state.
     """
     n = (first.shape[-1].bit_length() - 1) // 2
     calls, src, dst = [], first, second
@@ -495,37 +459,6 @@ def bind_superoperators(sops, first: np.ndarray, second: np.ndarray) -> list:
         calls.append(partial(np.matmul, *_matmul_operands(src, sop.matrix, 4**sop.targets[0], dst)))
         src, dst = dst, src
     return calls
-
-
-def qubit_p1(state, qubit: int) -> float:
-    """Probability that `qubit` reads 1, for a DensityMatrix or a PauliState."""
-    n = state.n_qubits
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit {qubit} out of range for {n} qubits")
-    if isinstance(state, PauliState):
-        # P(1) = tr((I - Z_q) rho) / 2; Z_q is Z on axis q, I on the others
-        vec = state.vector
-        return float((vec[0] - vec[3 * 4 ** (n - 1 - qubit)]) / 2.0)
-    if not isinstance(state, DensityMatrix):
-        raise TypeError(f"unsupported state type {type(state).__name__}")
-    probs = np.real(np.diagonal(state.matrix))
-    # big-endian: qubit q is axis q of the 2^q x 2 x 2^(n-1-q) view; ravel
-    # keeps the qubit = 1 entries in index order, so the sum order is fixed
-    return float(np.sum(probs.reshape(2**qubit, 2, -1)[:, 1, :].ravel()))
-
-
-def partial_trace_to_qubit(rho: DensityMatrix, keep: int) -> DensityMatrix:
-    """Trace out all qubits except `keep`, returning the 2x2 reduced state."""
-    n = rho.n_qubits
-    if not 0 <= keep < n:
-        raise ValueError(f"qubit {keep} out of range for {n} qubits")
-    tensor = rho.matrix.reshape((2,) * (2 * n))
-    # move kept row/col axes to the front, then trace the rest pairwise
-    tensor = np.moveaxis(tensor, (keep, n + keep), (0, 1))
-    rest = 2 ** (n - 1)
-    tensor = tensor.reshape(2, 2, rest, rest)
-    reduced = np.einsum("ijkk->ij", tensor)
-    return DensityMatrix(1, reduced, validate=False)
 
 
 def qubit_state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -545,13 +478,3 @@ def qubit_state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     det_r = np.maximum(0.0, np.real(np.linalg.det(rho)))
     det_s = max(0.0, float(np.real(np.linalg.det(sigma))))
     return np.clip(overlap + 2.0 * np.sqrt(det_r * det_s), 0.0, 1.0)
-
-
-def choi_matrix(channel: KrausChannel) -> np.ndarray:
-    """Choi matrix sum_ij |i><j| (x) E(|i><j|), used for channel equality checks."""
-    d = 2**channel.arity
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for k in channel.kraus_ops:
-        vec = k.T.reshape(-1)  # column-stacked |i> (x) K|i>
-        choi += np.outer(vec, vec.conj())
-    return choi

@@ -1,0 +1,197 @@
+"""Test oracles: reference computations the package's production path does
+not use, each checked against the engine by the tests that import it.
+
+- The density-matrix side: the change between rho's entries and a
+  PauliState's coefficients, one op applied into a new state, the Kraus
+  loop (sim_core.apply_unitary and apply_channel) over a gate and its
+  channels, single-qubit populations, the partial trace and the Choi
+  matrix.
+- The exact single-excitation transfer amplitude and its success
+  probability, e^{-iAt} of the chain's hopping matrix.
+- The rescaling's forward decay model.
+- Random and pure test states.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from pstlab.chains import CouplingProfile
+from pstlab.sim_core import (
+    _TO_PAULI,
+    DensityMatrix,
+    KrausChannel,
+    PauliState,
+    Superoperator,
+    UnitaryGate,
+    _check_register,
+    _matmul_operands,
+    _paired_axes,
+    apply_channel,
+    apply_unitary,
+    fused_superoperators,
+)
+
+# The inverse of _TO_PAULI: its rows are orthogonal with norm^2 2.
+_FROM_PAULI = _TO_PAULI.conj().T / 2
+
+
+def _per_axis(mat: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """`mat` contracted into every axis of `tensor`."""
+    for axis in range(tensor.ndim):
+        tensor = np.moveaxis(np.tensordot(mat, tensor, axes=(1, axis)), 0, axis)
+    return tensor
+
+
+def from_density_matrix(rho: DensityMatrix) -> PauliState:
+    """rho's 4^n real Pauli coefficients r_P = tr(P rho)."""
+    n = rho.n_qubits
+    tensor = rho.matrix.reshape((2,) * 2 * n).transpose(_paired_axes(n))
+    return PauliState(n, _per_axis(_TO_PAULI, tensor.reshape((4,) * n)).real.ravel())
+
+
+def to_density_matrix(state: PauliState) -> DensityMatrix:
+    """rho = sum_P r_P P / 2^n, not validated."""
+    n = state.n_qubits
+    tensor = _per_axis(_FROM_PAULI, state.vector.reshape((4,) * n)).reshape((2,) * 2 * n)
+    rho = tensor.transpose(np.argsort(_paired_axes(n))).reshape(2**n, 2**n)
+    return DensityMatrix(n, rho, validate=False)
+
+
+def fused_superoperator(gate: UnitaryGate, channels, n_qubits: int) -> Superoperator:
+    """fused_superoperators of the one pair (gate, channels)."""
+    return fused_superoperators([(gate, channels)], n_qubits)[0]
+
+
+def apply_superoperator(state: PauliState, sop: Superoperator) -> PauliState:
+    """E(state): one real matmul on the Pauli axes of the targets, into a new
+    Pauli vector."""
+    n, vec = state.n_qubits, state.vector
+    _check_register(sop, n)
+    dst = np.empty(vec.size)
+    np.matmul(*_matmul_operands(vec, sop.matrix, 4 ** sop.targets[0], dst))
+    return PauliState(n, dst)
+
+
+def apply_in_order(state: PauliState, sops) -> PauliState:
+    """apply_superoperator of each op in turn."""
+    for sop in sops:
+        state = apply_superoperator(state, sop)
+    return state
+
+
+def kraus_loop(rho: DensityMatrix, gate: UnitaryGate, channels) -> DensityMatrix:
+    """The gate, then each (channel, targets) in turn, as a Kraus sum."""
+    rho = apply_unitary(rho, gate)
+    for channel, targets in channels:
+        rho = apply_channel(rho, channel, targets)
+    return rho
+
+
+def qubit_p1(state, qubit: int) -> float:
+    """Probability that `qubit` reads 1, for a DensityMatrix or a PauliState."""
+    n = state.n_qubits
+    if not 0 <= qubit < n:
+        raise ValueError(f"qubit {qubit} out of range for {n} qubits")
+    if isinstance(state, PauliState):
+        # P(1) = tr((I - Z_q) rho) / 2; Z_q is Z on axis q, I on the others
+        vec = state.vector
+        return float((vec[0] - vec[3 * 4 ** (n - 1 - qubit)]) / 2.0)
+    if not isinstance(state, DensityMatrix):
+        raise TypeError(f"unsupported state type {type(state).__name__}")
+    probs = np.real(np.diagonal(state.matrix))
+    # big-endian: qubit q is axis q of the 2^q x 2 x 2^(n-1-q) view; ravel
+    # keeps the qubit = 1 entries in index order, so the sum order is fixed
+    return float(np.sum(probs.reshape(2**qubit, 2, -1)[:, 1, :].ravel()))
+
+
+def partial_trace_to_qubit(rho: DensityMatrix, keep: int) -> DensityMatrix:
+    """Trace out all qubits except `keep`, returning the 2x2 reduced state."""
+    n = rho.n_qubits
+    if not 0 <= keep < n:
+        raise ValueError(f"qubit {keep} out of range for {n} qubits")
+    tensor = rho.matrix.reshape((2,) * (2 * n))
+    # move kept row/col axes to the front, then trace the rest pairwise
+    tensor = np.moveaxis(tensor, (keep, n + keep), (0, 1))
+    rest = 2 ** (n - 1)
+    tensor = tensor.reshape(2, 2, rest, rest)
+    reduced = np.einsum("ijkk->ij", tensor)
+    return DensityMatrix(1, reduced, validate=False)
+
+
+def choi_matrix(channel: KrausChannel) -> np.ndarray:
+    """Choi matrix sum_ij |i><j| (x) E(|i><j|), used for channel equality checks."""
+    d = 2**channel.arity
+    choi = np.zeros((d * d, d * d), dtype=complex)
+    for k in channel.kraus_ops:
+        vec = k.T.reshape(-1)  # column-stacked |i> (x) K|i>
+        choi += np.outer(vec, vec.conj())
+    return choi
+
+
+def ket_density(amps) -> DensityMatrix:
+    """|psi><psi| for the amplitudes of a ket, validated as a density matrix."""
+    amps = np.asarray(amps, dtype=complex)
+    return DensityMatrix(int(np.log2(len(amps))), np.outer(amps, amps.conj()))
+
+
+def random_density(n: int, seed: int) -> DensityMatrix:
+    """A random full-rank n-qubit density matrix, A A^dag normalized."""
+    rng = np.random.default_rng(seed)
+    dim = 2**n
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho)
+    return DensityMatrix(n, rho)
+
+
+def single_excitation_hamiltonian(couplings: CouplingProfile) -> np.ndarray:
+    """N x N hopping matrix A with A[i, i+1] = A[i+1, i] = J_{i+1}.
+
+    This is the effective Hamiltonian the theta = J dt circuit approximates
+    in the one-excitation sector.
+    """
+    n = couplings.n_sites
+    a = np.zeros((n, n))
+    for i, j_i in enumerate(couplings.couplings):
+        a[i, i + 1] = a[i + 1, i] = j_i
+    return a
+
+
+def exact_transfer_amplitude(couplings: CouplingProfile, t, source: int = 1,
+                             target: int | None = None) -> np.ndarray | complex:
+    """<target| e^{-iAt} |source> in the single-excitation sector (sites 1-based).
+
+    Accepts scalar or array t; vectorized over the grid via one
+    eigendecomposition.
+    """
+    n = couplings.n_sites
+    if target is None:
+        target = n
+    if not (1 <= source <= n and 1 <= target <= n):
+        raise ValueError("source/target site out of range")
+    a = single_excitation_hamiltonian(couplings)
+    evals, evecs = np.linalg.eigh(a)
+    ts = np.asarray(t, dtype=float)
+    phases = np.exp(-1j * np.outer(ts.reshape(-1), evals))
+    amps = phases @ (evecs[target - 1, :] * evecs[source - 1, :].conj())
+    if ts.ndim == 0:
+        return complex(amps[0])
+    return amps
+
+
+def exact_sp_oracle(couplings: CouplingProfile, t) -> np.ndarray | float:
+    """Exact end-to-end success probability |<N| e^{-iAt} |1>|^2."""
+    amp = exact_transfer_amplitude(couplings, t)
+    sp = np.abs(amp) ** 2
+    if np.ndim(sp) == 0:
+        return float(sp)
+    return sp
+
+
+def forward_decay(values, alpha: float, beta: float) -> np.ndarray:
+    """Forward model: n_hat_k = e^{-beta k} n_k + alpha (1 - e^{-beta k})."""
+    values = np.asarray(values, dtype=float)
+    k = np.arange(len(values))
+    env = np.exp(-beta * k)
+    return env * values + alpha * (1.0 - env)

@@ -36,9 +36,6 @@ import pytest
 from pstlab.chains import (
     CouplingProfile,
     GateOp,
-    TrotterPlan,
-    build_trotter_circuit,
-    exact_sp_oracle,
     pst_couplings,
 )
 from pstlab.experiments import (
@@ -50,7 +47,7 @@ from pstlab.experiments import (
     run_arbitrary_transfer,
     run_sp_series,
 )
-from pstlab.mitigation import RescaleParams, apply_rescaling, fit_rescaling, forward_decay
+from pstlab.mitigation import RescaleParams, apply_rescaling, fit_rescaling
 from pstlab.noise import (
     NoiseParams,
     depolarizing_channel,
@@ -60,7 +57,16 @@ from pstlab.noise import (
     zz_dephasing_channel,
 )
 from pstlab.optimizer import bayes_optimize, grid_search_j0, objective, satisfies_constraint
-from pstlab.sim_core import PauliState, partial_trace_to_qubit, qubit_p1
+from pstlab.sim_core import PauliState
+
+from oracle import (
+    choi_matrix,
+    exact_sp_oracle,
+    forward_decay,
+    partial_trace_to_qubit,
+    qubit_p1,
+    to_density_matrix,
+)
 
 HALF_PI = math.pi / 2
 
@@ -181,7 +187,7 @@ def test_criterion_03_cptp_and_trace_drift():
         for ch in channels:
             worst = max(worst, ch.cptp_deviation())
     circuit = assemble_circuit(ExperimentConfig(n_sites=4, noise=NoiseParams()))
-    drifts = [abs(np.trace(PauliState(4, vec).to_density_matrix().matrix) - 1.0)
+    drifts = [abs(np.trace(to_density_matrix(PauliState(4, vec)).matrix) - 1.0)
               for vec in evolve_recorded(circuit, lambda block: block)[0]]
     drift = max(drifts)
     ok = worst <= 1e-10 and drift < 1e-8
@@ -191,8 +197,6 @@ def test_criterion_03_cptp_and_trace_drift():
 
 
 def test_criterion_04_pauli_depolarizing_choi_identity():
-    from pstlab.sim_core import choi_matrix
-
     worst = 0.0
     for p in (0.0, 1e-3, 1.875e-3, 0.1):
         a = choi_matrix(pauli_channel(p / 3, p / 3, p / 3))
@@ -417,7 +421,7 @@ def test_criterion_13c_tomography_round_trip():
     cfg = ExperimentConfig(n_sites=4, n_steps=40)
     record = run_arbitrary_transfer(cfg)
     circuit = assemble_circuit(ExperimentConfig(n_sites=4, n_steps=40, initial="arbitrary"))
-    reduced = [partial_trace_to_qubit(PauliState(4, vec).to_density_matrix(), 3).matrix
+    reduced = [partial_trace_to_qubit(to_density_matrix(PauliState(4, vec)), 3).matrix
                for vec in evolve_recorded(circuit, lambda block: block)[0]]
     worst = 0.0
     for rec, red in zip(record.rhos, reduced):

@@ -12,14 +12,18 @@ from pstlab.chains import (
     CouplingProfile,
     TrotterPlan,
     build_trotter_circuit,
-    exact_sp_oracle,
-    exact_transfer_amplitude,
     gate_matrix,
     pst_couplings,
-    single_excitation_hamiltonian,
 )
 from pstlab.experiments import ExperimentConfig, assemble_circuit, evolve_recorded, run_sp_series
 from pstlab.sim_core import PAULI_X, PAULI_Y, PAULI_Z, PauliState
+
+from oracle import (
+    exact_sp_oracle,
+    exact_transfer_amplitude,
+    single_excitation_hamiltonian,
+    to_density_matrix,
+)
 
 
 class TestCouplings:
@@ -160,7 +164,7 @@ class TestInitialStates:
         """The k = 0 density matrix, and the prep layer's gate kinds."""
         circuit = assemble_circuit(ExperimentConfig(n_sites=n, n_steps=1, **config))
         vec = evolve_recorded(circuit, lambda block: block)[0][0]
-        rho = PauliState(n, vec).to_density_matrix().matrix
+        rho = to_density_matrix(PauliState(n, vec)).matrix
         return rho, [op.gate.kind for op in circuit.prep]
 
     def test_single_excitation_site1(self):

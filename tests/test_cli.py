@@ -1,8 +1,11 @@
 """Config-driven runs: schema validation, exit codes, artifacts, reports."""
 
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -30,6 +33,7 @@ from pstlab.cli import (
 )
 from pstlab.experiments import ExperimentConfig
 
+import oracle
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -501,17 +505,20 @@ class TestReport:
                 == (grid.parent / "grid.csv").read_text())
 
     def test_series_with_nan_exits_3_with_nothing_written(self, tmp_path, capsys):
-        """json reads a NaN token as a float; the report refuses the series."""
+        """json reads a NaN token as a float; the report refuses the series,
+        naming its column's label and its site."""
         manifest_path = run_config(small_sp_config(tmp_path))
         series_path = tmp_path / "out" / "series.json"
         payload = json.loads(series_path.read_text())
         site, vals = next(iter(payload["values"].items()))
+        assert site == "3"  # the end site of the 3-site chain
         vals[3] = math.nan
         series_path.write_text(json.dumps(payload))
         assert "NaN" in series_path.read_text()
         capsys.readouterr()
         assert main(["report", str(manifest_path), "--out", str(tmp_path / "rep")]) == EXIT_SIM
-        assert "values must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "series: site 3: values must be finite" in err, err
         assert not (tmp_path / "rep").exists()
 
     def test_manifest_without_series_is_refused(self, tmp_path, capsys):
@@ -632,3 +639,20 @@ class TestImports:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120, check=True)
         assert proc.stdout.strip() == "[]"
+
+    def test_no_package_module_defines_an_oracle_name(self):
+        """The test oracles live in tests/oracle.py alone: no pstlab module,
+        nor any class it defines, has a public name that oracle defines."""
+        names = {name for name, obj in vars(oracle).items()
+                 if not name.startswith("_") and getattr(obj, "__module__", None) == oracle.__name__}
+        assert {"kraus_loop", "to_density_matrix"} <= names  # read from the module
+        modules = [pstlab, *(importlib.import_module(f"pstlab.{info.name}")
+                             for info in pkgutil.iter_modules(pstlab.__path__))]
+        clashes = []
+        for module in modules:
+            scopes = [(module.__name__, vars(module))]
+            scopes += [(f"{module.__name__}.{cls.__name__}", vars(cls))
+                       for _, cls in inspect.getmembers(module, inspect.isclass)
+                       if cls.__module__ == module.__name__]
+            clashes += [f"{where}.{name}" for where, scope in scopes for name in names & set(scope)]
+        assert not clashes, sorted(clashes)

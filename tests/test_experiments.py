@@ -17,8 +17,6 @@ from pstlab.chains import (
     CouplingProfile,
     GateOp,
     TrotterPlan,
-    exact_sp_oracle,
-    exact_transfer_amplitude,
     gate_matrix,
     pst_couplings,
 )
@@ -52,13 +50,21 @@ from pstlab.sim_core import (
     DensityMatrix,
     PauliState,
     UnitaryGate,
-    apply_channel,
-    apply_superoperator,
-    apply_unitary,
     fused_superoperators,
     merge_superoperators,
+)
+
+from oracle import (
+    apply_in_order,
+    apply_superoperator,
+    exact_sp_oracle,
+    exact_transfer_amplitude,
+    from_density_matrix,
+    kraus_loop,
     partial_trace_to_qubit,
     qubit_p1,
+    random_density,
+    to_density_matrix,
 )
 
 HALF_PI = math.pi / 2
@@ -172,7 +178,7 @@ class TestIdealRuns:
         every recorded state matches bare gates on a density matrix."""
         circuit = assemble_circuit(ExperimentConfig(n_sites=n))
         assert not circuit.has_channels()
-        got = [PauliState(n, vec).to_density_matrix().matrix
+        got = [to_density_matrix(PauliState(n, vec)).matrix
                for vec in evolve_recorded(circuit, lambda block: block)[0]]
         want = kraus_loop_series(circuit)
         assert len(got) == len(want) == 81
@@ -193,33 +199,18 @@ class TestIdealRuns:
         assert min(np.ptp(record.x), np.ptp(record.y), np.ptp(record.z)) > 0.5
 
 
-def kraus_loop(rho, op):
-    """The test oracle: the op's gate, then each of its channels as a Kraus sum."""
-    rho = apply_unitary(rho, op.gate)
-    for channel, targets in op.channels:
-        rho = apply_channel(rho, channel, targets)
-    return rho
-
-
 def kraus_loop_series(circuit) -> list:
     """The oracle's density matrix at k = 0..n_steps: the Kraus loop over the
     prep layer, then over the stored step n_steps times."""
     rho = DensityMatrix.zero(circuit.n_qubits)
     for op in circuit.prep:
-        rho = kraus_loop(rho, op)
+        rho = kraus_loop(rho, op.gate, op.channels)
     out = [rho]
     for _ in range(circuit.plan.n_steps):
         for op in circuit.step:
-            rho = kraus_loop(rho, op)
+            rho = kraus_loop(rho, op.gate, op.channels)
         out.append(rho)
     return out
-
-
-def apply_in_order(state: PauliState, sops) -> PauliState:
-    """apply_superoperator of each op in turn."""
-    for sop in sops:
-        state = apply_superoperator(state, sop)
-    return state
 
 
 BASIS_GATE_KINDS = (("h",), ("sdg", "h"), ())  # the X, Y and Z tomography rotations
@@ -230,13 +221,6 @@ def basis_ops(kinds, qubit: int, params) -> list:
     its with_noise channels unless params is None."""
     ops = [GateOp(UnitaryGate(gate_matrix(kind.upper()), (qubit,), kind=kind)) for kind in kinds]
     return ops if params is None else with_noise(ops, params)
-
-
-def mixed_state(n: int, seed: int) -> DensityMatrix:
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
-    rho = a @ a.conj().T
-    return DensityMatrix(n, rho / np.trace(rho))
 
 
 # Strong noise, so that every channel moves rho well above the 1e-12 bound.
@@ -265,13 +249,13 @@ class TestFusedMatchesKrausLoop:
                 GateOp(UnitaryGate(gate_matrix(kind.upper()), (n - 1,), kind=kind))
                 for kind in ("sdg", "h")]
             ops = circuit.prep + circuit.step + with_noise(one_qubit, params)
-            oracle = mixed_state(n, seed=n)
-            fused = PauliState.from_density_matrix(oracle)
+            oracle = random_density(n, seed=n)
+            fused = from_density_matrix(oracle)
             compiled = fused_superoperators([(op.gate, op.channels) for op in ops], n)
             for op, sop in zip(ops, compiled):
                 fused = apply_superoperator(fused, sop)
-                oracle = kraus_loop(oracle, op)
-                err = np.max(np.abs(fused.to_density_matrix().matrix - oracle.matrix))
+                oracle = kraus_loop(oracle, op.gate, op.channels)
+                err = np.max(np.abs(to_density_matrix(fused).matrix - oracle.matrix))
                 assert err <= 1e-12, (params, op.gate.kind, op.gate.targets, err)
 
     def test_noisy_step_ops_carry_channels(self):
@@ -285,7 +269,7 @@ class TestFusedMatchesKrausLoop:
         Kraus loop over every op of the circuit."""
         circuit = assemble_circuit(ExperimentConfig(n_sites=4, n_steps=12, noise=NoiseParams(),
                                                     initial="arbitrary"))
-        fused = [PauliState(4, vec).to_density_matrix().matrix
+        fused = [to_density_matrix(PauliState(4, vec)).matrix
                  for vec in evolve_recorded(circuit, lambda block: block)[0]]
         oracle = kraus_loop_series(circuit)
         assert len(fused) == 13
@@ -306,12 +290,12 @@ class TestMergedMatchesKrausLoop:
 
     @staticmethod
     def max_error(n: int, ops, merged) -> float:
-        rho = mixed_state(n, seed=n)
+        rho = random_density(n, seed=n)
         oracle = rho
         for op in ops:
-            oracle = kraus_loop(oracle, op)
-        got = apply_in_order(PauliState.from_density_matrix(rho), merged)
-        return float(np.max(np.abs(got.to_density_matrix().matrix - oracle.matrix)))
+            oracle = kraus_loop(oracle, op.gate, op.channels)
+        got = apply_in_order(from_density_matrix(rho), merged)
+        return float(np.max(np.abs(to_density_matrix(got).matrix - oracle.matrix)))
 
     @pytest.mark.parametrize("thermal", sorted(THERMAL_SETTINGS))
     @pytest.mark.parametrize("zz", sorted(ZZ_SETTINGS))
@@ -374,7 +358,7 @@ class TestTomographyMatchesKrausLoop:
             for got, ops in zip((record.x, record.y, record.z), rotations, strict=True):
                 rotated = rho
                 for op in ops:
-                    rotated = kraus_loop(rotated, op)
+                    rotated = kraus_loop(rotated, op.gate, op.channels)
                 err = abs(got[k] - (1.0 - 2.0 * qubit_p1(rotated, n - 1)))
                 assert err <= 1e-12, (k, [op.gate.kind for op in ops], err)
         # the transfer moves z, and x or y (the other stays flat on a real or
@@ -898,7 +882,7 @@ class TestArbitraryTransfer:
         circuit = assemble_circuit(
             ExperimentConfig(n_sites=3, n_steps=15, initial="arbitrary")
         )
-        reduced = [partial_trace_to_qubit(PauliState(3, vec).to_density_matrix(), 2).matrix
+        reduced = [partial_trace_to_qubit(to_density_matrix(PauliState(3, vec)), 2).matrix
                    for vec in evolve_recorded(circuit, lambda block: block)[0]]
         for rec_rho, red in zip(record.rhos, reduced):
             dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rec_rho - red)))

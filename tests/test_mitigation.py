@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pstlab.chains import exact_sp_oracle, pst_couplings
+from pstlab.chains import pst_couplings
 from pstlab import mitigation
 from pstlab.experiments import ExperimentConfig, SPTimeSeries, run_sp_series
 from pstlab.mitigation import (
@@ -13,9 +13,10 @@ from pstlab.mitigation import (
     _fit_objective,
     apply_rescaling,
     fit_rescaling,
-    forward_decay,
 )
 from pstlab.noise import NoiseParams
+
+from oracle import exact_sp_oracle, forward_decay
 
 @pytest.fixture(scope="module")
 def ideal_series():

@@ -24,8 +24,9 @@ from pstlab.sim_core import (
     UnitaryGate,
     apply_channel,
     _CPTP_TOL,
-    choi_matrix,
 )
+
+from oracle import choi_matrix, ket_density
 
 T1 = 266.74e-6
 T2 = 199.97e-6
@@ -36,12 +37,6 @@ def bloch(rho: np.ndarray):
     y = float(np.imag(rho[1, 0] - rho[0, 1]))
     z = float(np.real(rho[0, 0] - rho[1, 1]))
     return x, y, z
-
-
-def ket_density(amps) -> DensityMatrix:
-    """|psi><psi| for the amplitudes of a ket, validated as a density matrix."""
-    amps = np.asarray(amps, dtype=complex)
-    return DensityMatrix(int(np.log2(len(amps))), np.outer(amps, amps.conj()))
 
 
 def plus_state() -> DensityMatrix:

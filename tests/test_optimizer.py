@@ -9,7 +9,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import norm
 
 from pstlab import experiments, optimizer
-from pstlab.chains import CouplingProfile, exact_sp_oracle, pst_couplings
+from pstlab.chains import CouplingProfile, pst_couplings
 from pstlab.experiments import ExperimentConfig, SPTimeSeries, detect_first_peak, run_sp_series
 from pstlab.noise import NoiseParams
 from pstlab.optimizer import (
@@ -22,6 +22,8 @@ from pstlab.optimizer import (
     satisfies_constraint,
     sensitivity_and_delta,
 )
+
+from oracle import exact_sp_oracle
 
 # cheap but real settings for unit tests: 20 Trotter steps instead of 80
 FAST = ExperimentConfig(n_steps=20, noise=NoiseParams())

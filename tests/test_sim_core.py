@@ -35,16 +35,25 @@ from pstlab.sim_core import (
     _embed,
     _matmul_operands,
     apply_channel,
-    apply_superoperator,
     apply_unitary,
     bind_superoperators,
-    choi_matrix,
-    fused_superoperator,
     fused_superoperators,
     merge_superoperators,
+    qubit_state_fidelity,
+)
+
+from oracle import (
+    apply_in_order,
+    apply_superoperator,
+    choi_matrix,
+    from_density_matrix,
+    fused_superoperator,
+    ket_density,
+    kraus_loop,
     partial_trace_to_qubit,
     qubit_p1,
-    qubit_state_fidelity,
+    random_density,
+    to_density_matrix,
 )
 
 
@@ -82,21 +91,6 @@ def random_state(n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return amps / np.linalg.norm(amps)
-
-
-def ket_density(amps) -> DensityMatrix:
-    """|psi><psi| for the amplitudes of a ket, validated as a density matrix."""
-    amps = np.asarray(amps, dtype=complex)
-    return DensityMatrix(int(np.log2(len(amps))), np.outer(amps, amps.conj()))
-
-
-def random_density(n: int, seed: int) -> DensityMatrix:
-    rng = np.random.default_rng(seed)
-    dim = 2**n
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = a @ a.conj().T
-    rho /= np.trace(rho)
-    return DensityMatrix(n, rho)
 
 
 class TestStates:
@@ -217,22 +211,7 @@ class TestChannels:
 
 def apply_to_density(rho: DensityMatrix, sop: Superoperator) -> DensityMatrix:
     """apply_superoperator on rho's Pauli vector, read back as a density matrix."""
-    return apply_superoperator(PauliState.from_density_matrix(rho), sop).to_density_matrix()
-
-
-def apply_in_order(state: PauliState, sops) -> PauliState:
-    """apply_superoperator of each op in turn."""
-    for sop in sops:
-        state = apply_superoperator(state, sop)
-    return state
-
-
-def kraus_oracle(rho: DensityMatrix, gate: UnitaryGate, channels) -> DensityMatrix:
-    """The gate, then each channel, through the Kraus loop."""
-    rho = apply_unitary(rho, gate)
-    for channel, targets in channels:
-        rho = apply_channel(rho, channel, targets)
-    return rho
+    return to_density_matrix(apply_superoperator(from_density_matrix(rho), sop))
 
 
 def assert_same_error(oracle, fused):
@@ -265,7 +244,7 @@ class TestFusedSuperoperator:
         assert sop.targets == (0, 1, 2)
         assert sop.matrix.shape == (64, 64)
         out = apply_to_density(rho, sop)
-        np.testing.assert_allclose(out.matrix, kraus_oracle(rho, gate, channels).matrix,
+        np.testing.assert_allclose(out.matrix, kraus_loop(rho, gate, channels).matrix,
                                    rtol=0, atol=1e-12)
 
     def test_two_qubit_channel_in_reversed_target_order(self):
@@ -274,14 +253,14 @@ class TestFusedSuperoperator:
         pair = KrausChannel([np.kron(a, b) for a in AMP_DAMP.kraus_ops for b in PAULI_MIX.kraus_ops])
         channels = [(pair, (3, 1))]
         out = apply_to_density(rho, fused_superoperator(gate, channels, 4))
-        np.testing.assert_allclose(out.matrix, kraus_oracle(rho, gate, channels).matrix,
+        np.testing.assert_allclose(out.matrix, kraus_loop(rho, gate, channels).matrix,
                                    rtol=0, atol=1e-12)
 
     def test_non_cptp_rejected(self):
         rho = random_density(1, seed=2)
         gate = UnitaryGate(PAULI_X, (0,))
         bad = [(KrausChannel([np.sqrt(0.5) * np.eye(2)]), (0,))]
-        assert_same_error(lambda: kraus_oracle(rho, gate, bad),
+        assert_same_error(lambda: kraus_loop(rho, gate, bad),
                           lambda: fused_superoperator(gate, bad, 1))
 
     def test_out_of_range_targets(self):
@@ -289,19 +268,19 @@ class TestFusedSuperoperator:
         gate = UnitaryGate(PAULI_X, (1,))
         far = UnitaryGate(PAULI_X, (3,))
         channels = [(AMP_DAMP, (3,))]
-        assert_same_error(lambda: kraus_oracle(rho, gate, channels),
+        assert_same_error(lambda: kraus_loop(rho, gate, channels),
                           lambda: fused_superoperator(gate, channels, 3))
-        assert_same_error(lambda: kraus_oracle(rho, far, []),
+        assert_same_error(lambda: kraus_loop(rho, far, []),
                           lambda: fused_superoperator(far, [], 3))
         wide = fused_superoperator(far, [], 4)
-        assert_same_error(lambda: kraus_oracle(rho, far, []),
+        assert_same_error(lambda: kraus_loop(rho, far, []),
                           lambda: apply_to_density(rho, wide))
 
     def test_arity_mismatch(self):
         rho = random_density(2, seed=1)
         gate = UnitaryGate(PAULI_X, (0,))
         channels = [(KrausChannel([np.eye(2)]), (0, 1))]
-        assert_same_error(lambda: kraus_oracle(rho, gate, channels),
+        assert_same_error(lambda: kraus_loop(rho, gate, channels),
                           lambda: fused_superoperator(gate, channels, 2))
 
 
@@ -426,7 +405,7 @@ def tensordot_vector(state: PauliState, sop: Superoperator) -> np.ndarray:
 
 def tensordot_reference(state: PauliState, sop: Superoperator) -> np.ndarray:
     """tensordot_vector read back as a density matrix."""
-    return PauliState(state.n_qubits, tensordot_vector(state, sop)).to_density_matrix().matrix
+    return to_density_matrix(PauliState(state.n_qubits, tensordot_vector(state, sop))).matrix
 
 
 def contract_new(src: np.ndarray, mat: np.ndarray, targets) -> np.ndarray:
@@ -456,14 +435,14 @@ class TestKernel:
         """Scrambled supports, ordered at compile time: a gate on (2, 0) with
         channels on qubits 1 and 0, and a gate on (1, 0) with a channel on
         its first target."""
-        state = PauliState.from_density_matrix(random_density(n, seed=n))
+        state = from_density_matrix(random_density(n, seed=n))
         wide = fused_superoperator(UnitaryGate(unitary_group.rvs(4, random_state=n), (2, 0)),
                                    [(AMP_DAMP, (1,)), (PAULI_MIX, (0,))], n)
         narrow = fused_superoperator(UnitaryGate(unitary_group.rvs(4, random_state=n + 10),
                                                  (1, 0)), [(AMP_DAMP, (1,))], n)
         assert wide.targets == (0, 1, 2) and narrow.targets == (0, 1)
         for sop in (wide, narrow):
-            assert np.array_equal(apply_superoperator(state, sop).to_density_matrix().matrix,
+            assert np.array_equal(to_density_matrix(apply_superoperator(state, sop)).matrix,
                                   tensordot_reference(state, sop))
 
     @pytest.mark.parametrize("batch", [False, True], ids=["vector", "batch"])
@@ -474,7 +453,7 @@ class TestKernel:
         batch axis follows), each within 1e-15 of tensordot_reference,
         relative to its largest entry."""
         rng = np.random.default_rng(n)
-        states = [PauliState.from_density_matrix(random_density(n, seed=n + j))
+        states = [from_density_matrix(random_density(n, seed=n + j))
                   for j in range(3 if batch else 1)]
         src = np.stack([s.vector for s in states], axis=1) if batch else states[0].vector
         for targets in [(0, 1), tuple(range(1, min(n - 1, 4))), (n - 2, n - 1), (n - 1,)]:
@@ -482,7 +461,7 @@ class TestKernel:
             got = contract_new(src, sop.matrix, sop.targets).reshape(4**n, -1)
             for j, state in enumerate(states):
                 want = tensordot_reference(state, sop)
-                err = np.max(np.abs(PauliState(n, got[:, j]).to_density_matrix().matrix - want))
+                err = np.max(np.abs(to_density_matrix(PauliState(n, got[:, j])).matrix - want))
                 assert err <= 1e-15 * np.max(np.abs(want)), (targets, err)
 
     def test_merged_noisy_step_matches_tensordot(self):
@@ -491,7 +470,7 @@ class TestKernel:
         n = 8
         config = ExperimentConfig(n_sites=n, n_steps=8, noise=NoiseParams())
         step = _compile_merged(assemble_circuit(config).step, n)
-        state = PauliState.from_density_matrix(random_density(n, seed=8))
+        state = from_density_matrix(random_density(n, seed=8))
         got = apply_in_order(state, step).vector
         want = state
         for sop in step:
@@ -540,7 +519,7 @@ class TestStackedOps:
         it), against each member's own compiled step through
         apply_superoperator, on a merged noisy N = 4 step."""
         n = 4
-        states = [PauliState.from_density_matrix(random_density(n, seed=s)) for s in range(3)]
+        states = [from_density_matrix(random_density(n, seed=s)) for s in range(3)]
         configs = [ExperimentConfig(n_sites=n, n_steps=4, j0=j0, noise=NoiseParams())
                    for j0 in (0.5, 1.0, 2.0)]
         stacked = _compile_merged(
@@ -620,9 +599,9 @@ class TestMergeSuperoperators:
         merged = merge_superoperators(ops)
         assert len(merged) < len(ops)
         assert all(len(sop.targets) <= MERGE_WIDTH for sop in merged)
-        rho = PauliState.from_density_matrix(random_density(n, seed=n))
-        np.testing.assert_allclose(apply_in_order(rho, merged).to_density_matrix().matrix,
-                                   apply_in_order(rho, ops).to_density_matrix().matrix,
+        rho = from_density_matrix(random_density(n, seed=n))
+        np.testing.assert_allclose(to_density_matrix(apply_in_order(rho, merged)).matrix,
+                                   to_density_matrix(apply_in_order(rho, ops)).matrix,
                                    rtol=0, atol=1e-13)
 
     def test_groups_grow_greedily_and_keep_lone_ops(self):
@@ -653,20 +632,20 @@ class TestPauliState:
         """rho -> Pauli vector -> rho, on random mixed states."""
         for seed in range(3):
             rho = random_density(n, seed=10 * n + seed)
-            back = PauliState.from_density_matrix(rho).to_density_matrix()
+            back = to_density_matrix(from_density_matrix(rho))
             assert np.max(np.abs(back.matrix - rho.matrix)) <= 1e-15
 
     def test_coefficients_are_pauli_expectations(self):
         """Entry P is tr(P rho), with qubit 0 on the first (slowest) axis."""
         rho = random_density(2, seed=4)
-        vec = PauliState.from_density_matrix(rho).vector
+        vec = from_density_matrix(rho).vector
         for (a, pa), (b, pb) in itertools.product(enumerate(PAULIS), repeat=2):
             want = np.trace(np.kron(pa, pb) @ rho.matrix)
             assert vec[4 * a + b] == pytest.approx(want.real, abs=1e-15)
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_zero_state(self, n):
-        zero = PauliState.from_density_matrix(DensityMatrix.zero(n)).vector
+        zero = from_density_matrix(DensityMatrix.zero(n)).vector
         assert np.array_equal(PauliState.zero(n).vector, zero)
 
     def test_shape_checked(self):
@@ -676,7 +655,7 @@ class TestPauliState:
     @pytest.mark.parametrize("n", [1, 2, 4, 6])
     def test_qubit_p1_equals_density_matrix(self, n):
         rho = random_density(n, seed=n)
-        state = PauliState.from_density_matrix(rho)
+        state = from_density_matrix(rho)
         for q in range(n):
             assert qubit_p1(state, q) == pytest.approx(qubit_p1(rho, q), abs=1e-15)
 
@@ -755,7 +734,7 @@ class TestObservables:
         rho = ket_density([0, 0, 1, 0])  # index 2 = |10>
         assert qubit_p1(rho, 0) == pytest.approx(1.0)
         assert qubit_p1(rho, 1) == pytest.approx(0.0)
-        assert qubit_p1(PauliState.from_density_matrix(rho), 0) == pytest.approx(1.0)
+        assert qubit_p1(from_density_matrix(rho), 0) == pytest.approx(1.0)
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
