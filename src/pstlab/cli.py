@@ -2,9 +2,11 @@
 CSV/JSON outputs, and join finished runs into comparison reports.
 
 Each experiment is one entry of HANDLERS: it runs and returns its output
-files as {file name: text}. One writer, _write_files, writes every run and
-report file atomically and keys the manifest's outputs by file name
-("series.csv" -> "series_csv"). Every run writes both CSV and JSON.
+files as {file name: text}. One writer, _write_files, makes the output
+directory once and writes every run and report file atomically, a failed
+write leaving no temporary file (_atomic_write), and keys the manifest's
+outputs by file name ("series.csv" -> "series_csv"). Every run writes both
+CSV and JSON; all JSON text, the manifest's too, is experiments.json_text.
 
 Config schema (JSON):
 
@@ -41,6 +43,7 @@ Exit codes: 0 success, 2 schema violation, 3 simulation error, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -48,7 +51,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +62,7 @@ from .experiments import (
     ExperimentConfig,
     SPTimeSeries,
     detect_first_peak,
+    json_text,
     run_arbitrary_transfer,
     run_sp_series,
     run_site_resolved,
@@ -94,7 +98,8 @@ class RunManifest:
     results: dict = field(default_factory=dict)
 
     def write(self, path: Path) -> Path:
-        _atomic_write(path, _json_text(asdict(self)))
+        """Write the manifest as JSON into path, whose directory must exist."""
+        _atomic_write(path, json_text(vars(self)))
         return path
 
 
@@ -285,25 +290,33 @@ def resolve_config(cfg: dict, seed_override=None):
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    """Write text as UTF-8 to path, whose directory must exist: into
+    <path>.tmp, then renamed over path, so a reader sees the old file or the
+    new one whole. When a step fails, the .tmp file is removed and the
+    error raised again."""
+    data = text.encode()
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _write_files(out_dir: Path, files: dict) -> dict:
-    """Write each {file name: text} under out_dir; returns the manifest's
-    outputs map, keyed by file name with "." as "_" ("grid.csv" -> "grid_csv")."""
+    """Write each {file name: text} under out_dir, made first if missing;
+    returns the manifest's outputs map, keyed by file name with "." as "_"
+    ("grid.csv" -> "grid_csv")."""
+    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = {}
     for name, text in files.items():
         path = out_dir / name
         _atomic_write(path, text)
         outputs[name.replace(".", "_")] = str(path)
     return outputs
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _search_settings(experiment: str, blocks: dict) -> dict:
@@ -394,7 +407,7 @@ def _bayes_opt(exp_cfg: ExperimentConfig, search: dict):
         "evaluations": len(ledger),
     }
     files = {**_grid_files(records), "ledger.jsonl": _ledger_jsonl(ledger),
-             "report.json": _json_text(report)}
+             "report.json": json_text(report)}
     return files, None, report
 
 
@@ -458,7 +471,7 @@ def _grid_files(records) -> dict:
         }
         for rank, rec in enumerate(records, start=1)
     ]
-    return {"grid.csv": "\n".join(lines) + "\n", "grid.json": _json_text(payload)}
+    return {"grid.csv": "\n".join(lines) + "\n", "grid.json": json_text(payload)}
 
 
 def _ledger_jsonl(ledger) -> str:
@@ -540,7 +553,7 @@ def emit_report(manifest_paths, out=None) -> dict:
                 series = SPTimeSeries(times=times, values={site: vals})
             except ValueError as exc:
                 raise ValueError(f"{label}: {exc}") from None
-            columns[label] = np.interp(base_times, times, vals)
+            columns[label] = [f"{v:.12g}" for v in np.interp(base_times, times, vals).tolist()]
             summary.append({"label": label, **_peak_summary(series)})
         peaks = [s["sp_star"] for s in summary if s["sp_star"] is not None]
         baseline = min(peaks) if peaks else None
@@ -553,8 +566,8 @@ def emit_report(manifest_paths, out=None) -> dict:
                 s["improvement_pct"] = 100.0 * (s["sp_star"] - baseline) / baseline
         labels = [label for label, *_ in series_entries]
         lines = ["t," + ",".join(labels)]
-        for i, t in enumerate(base_times):
-            lines.append(f"{t:.12g}," + ",".join(f"{columns[l][i]:.12g}" for l in labels))
+        lines += [f"{t:.12g}," + ",".join(row)
+                  for t, *row in zip(base_times.tolist(), *(columns[l] for l in labels))]
         lines.append("")
         lines.append("label,t_star,sp_star,improvement,improvement_pct")
         for s in summary:
@@ -579,7 +592,7 @@ def emit_report(manifest_paths, out=None) -> dict:
         payload["grid_runs"] = [
             {"run_id": m["run_id"], "results": m.get("results", {})} for _, m in grid_only
         ]
-    files["report.json"] = _json_text(payload)
+    files["report.json"] = json_text(payload)
     return _write_files(out_dir, files)
 
 

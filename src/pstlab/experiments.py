@@ -19,7 +19,8 @@ that differ only in couplings can evolve in lock-step as one batch
 (evolve_recorded, run_sp_batch): they share one circuit whose XY gates hold
 a stack of the members' matrices. Each chunk of members fuses its slice of
 those gates in one pass into stacked ops, takes the family's fused ops at
-their places, merges, and binds each op once to the chunk's two state
+their places, merges (a merge group of the family's ops alone is composed
+once per family), and binds each op once to the chunk's two state
 buffers, and each recorded step hands the chunk's (members, 4^n) state block
 to one observe call. run_sp_batch reads every member's populations from that block,
 P(1) = (r_I - r_Z) / 2 from one column slice, and draws each member's shots
@@ -38,6 +39,10 @@ one (n_steps + 1, 2, 2) stack of states, scored against the target with one
 closed-form fidelity call. This module only creates the zero state, applies
 compiled ops and reads those coefficients; the basis change lives in
 sim_core.
+
+A run's outputs are text: its CSV writers format whole columns of Python
+floats, and json_text, every run file's one JSON writer, writes what
+json.dumps(payload, indent=2, sort_keys=True) + "\n" writes, faster.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -67,7 +73,8 @@ from .sim_core import (
     UnitaryGate,
     bind_superoperators,
     fused_superoperators,
-    merge_superoperators,
+    merge_groups,
+    merged_superoperator,
     qubit_state_fidelity,
 )
 
@@ -239,14 +246,16 @@ def assemble_circuit(config: ExperimentConfig, profiles=None) -> NoisyCircuit:
 class _SharedOp(GateOp):
     """A prep or step GateOp that every circuit of a family shares, with
     `fused`, its fused superoperator, compiled once (_family), which
-    _compile_merged takes in place of fusing the op again. Its channels are
-    a tuple, its arrays are read-only and it refuses any attribute change,
-    so no run can alter what another one applies."""
+    _compile_merged takes in place of fusing the op again, and `merged`,
+    its family's merged ops of groups of shared ops alone (_Family.merged).
+    Its channels are a tuple, its arrays are read-only and it refuses any
+    attribute change, so no run can alter what another one applies."""
 
-    def __init__(self, op: GateOp, fused: Superoperator):
+    def __init__(self, op: GateOp, fused: Superoperator, merged: dict):
         op.gate.matrix.setflags(write=False)
         fused.matrix.setflags(write=False)
-        self.__dict__.update(gate=op.gate, channels=tuple(op.channels), fused=fused)
+        self.__dict__.update(gate=op.gate, channels=tuple(op.channels), fused=fused,
+                             merged=merged)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a family's shared op is read-only: cannot set {name!r}")
@@ -262,6 +271,10 @@ class _Family:
     xy_channels: tuple  # the channels after each XY gate of the step, in step order
     crosstalk: tuple  # the RZZ ops that close the step, as _SharedOps
     rotations: np.ndarray | None  # _basis_rotation_ptms, for an "arbitrary" initial state
+    # The merged op of each merge group that holds shared ops alone, keyed by
+    # the tuple of their fused ops and filled by _compile_merged: the same in
+    # every chunk of every batch, so it is composed once.
+    merged: dict
 
 
 def _family(config: ExperimentConfig) -> _Family:
@@ -278,7 +291,8 @@ def _family(config: ExperimentConfig) -> _Family:
 def _families(n_sites, n_steps, total_time, noise, initial, amp_a, amp_b) -> _Family:
     """_family of the fields: the prep gate and the RZZ gates, each with the
     noise model's channels, fused in one fused_superoperators call, the
-    channels of each XY gate, and the tomography rotations."""
+    channels of each XY gate, the tomography rotations, and an empty map for
+    the merged ops of groups of shared ops alone."""
     plan = TrotterPlan(total_time, n_steps)
     if initial == "single_excitation":
         prep = UnitaryGate(gate_matrix("X"), (0,), kind="x")
@@ -295,12 +309,14 @@ def _families(n_sites, n_steps, total_time, noise, initial, amp_a, amp_b) -> _Fa
         xy_channels = [tuple((ch, (i, i + 1)) for ch in after[kind])
                        for i in range(n_sites - 1) for kind in ("rxx", "ryy")]
     fused = fused_superoperators([(op.gate, op.channels) for op in shared], n_sites)
-    shared = [_SharedOp(op, sop) for op, sop in zip(shared, fused, strict=True)]
+    merged = {}
+    shared = [_SharedOp(op, sop, merged) for op, sop in zip(shared, fused, strict=True)]
     rotations = None
     if initial == "arbitrary":
         rotations = _basis_rotation_ptms(noise)
         rotations.setflags(write=False)
-    return _Family(plan, tuple(shared[:1]), tuple(xy_channels), tuple(shared[1:]), rotations)
+    return _Family(plan, tuple(shared[:1]), tuple(xy_channels), tuple(shared[1:]), rotations,
+                   merged)
 
 
 def _prep_gate_for_amplitudes(a: complex, b: complex) -> UnitaryGate:
@@ -319,20 +335,36 @@ def _compile_merged(ops, n_qubits: int, members: int = 1) -> list:
     one fused superoperator, adjacent ones then merged, one _compose per
     merged group. A family's shared op (_SharedOp) brings its fused op,
     compiled once; the others, a circuit's XY gates, are fused in one
-    fused_superoperators call (one pass per local shape). For a batch of
-    members > 1, whose stacked gates hold that many matrices, a merged op
-    left 2-D is broadcast over the member axis, as the kernel takes one
-    matrix per member."""
+    fused_superoperators call (one pass per local shape). A merge group of
+    shared ops alone is composed once per family and then taken from its
+    family (_merged_shared). For a batch of members > 1, whose stacked gates
+    hold that many matrices, a merged op left 2-D is broadcast over the
+    member axis, as the kernel takes one matrix per member."""
     fresh = iter(fused_superoperators([(op.gate, op.channels) for op in ops
                                        if not isinstance(op, _SharedOp)], n_qubits))
-    merged = merge_superoperators([op.fused if isinstance(op, _SharedOp) else next(fresh)
-                                   for op in ops])
+    shared = {op.fused: op.merged for op in ops if isinstance(op, _SharedOp)}
+    groups = merge_groups([op.fused if isinstance(op, _SharedOp) else next(fresh) for op in ops])
+    merged = [_merged_shared(support, group, shared[group[0]])
+              if len(group) > 1 and all(sop in shared for sop in group)
+              else merged_superoperator(support, group)
+              for support, group in groups]
     if members == 1:
         return merged
     return [sop if sop.matrix.ndim > 2 else
             Superoperator(np.broadcast_to(sop.matrix, (members, *sop.matrix.shape)),
                           sop.targets, n_qubits)
             for sop in merged]
+
+
+def _merged_shared(support: range, group: list, family: dict) -> Superoperator:
+    """merged_superoperator of a group of a family's shared fused ops, from
+    family, its _Family.merged, composed and made read-only on first use."""
+    key = tuple(group)
+    if key not in family:
+        sop = merged_superoperator(support, group)
+        sop.matrix.setflags(write=False)
+        family[key] = sop
+    return family[key]
 
 
 def _member_ops(ops, lo: int, hi: int) -> list:
@@ -706,37 +738,35 @@ def _series_meta(config: ExperimentConfig, circuit: NoisyCircuit) -> dict:
 
 def series_to_csv(series: SPTimeSeries) -> str:
     """CSV body: t,site,sp rows in (time, site) order."""
-    lines = ["t,site,sp"]
-    sites = series.sites()
-    for k, t in enumerate(series.times):
-        for s in sites:
-            lines.append(f"{t:.12g},{s},{series.values[s][k]:.12g}")
-    return "\n".join(lines) + "\n"
+    times = [f"{t:.12g}," for t in series.times.tolist()]
+    columns = [[f"{site},{v:.12g}" for v in series.values[site].tolist()]
+               for site in series.sites()]
+    rows = [t + cell for t, *cells in zip(times, *columns) for cell in cells]
+    return "\n".join(["t,site,sp", *rows]) + "\n"
 
 
 def series_to_json(series: SPTimeSeries) -> str:
     payload = {
         "meta": series.meta,
-        "times": [float(t) for t in series.times],
-        "values": {str(s): [float(v) for v in series.values[s]] for s in series.sites()},
+        "times": series.times.tolist(),
+        "values": {str(s): series.values[s].tolist() for s in series.sites()},
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json_text(payload)
 
 
 def tomography_to_csv(record: TomographyRecord, site: int) -> str:
-    lines = ["t,site,sp,x,y,z,fidelity,fidelity_phase_corrected"]
-    for k, t in enumerate(record.times):
-        lines.append(
-            f"{t:.12g},{site},{record.sp[k]:.12g},{record.x[k]:.12g},{record.y[k]:.12g},"
-            f"{record.z[k]:.12g},{record.fidelity[k]:.12g},{record.fidelity_phase_corrected[k]:.12g}"
-        )
-    return "\n".join(lines) + "\n"
+    columns = [[f"{v:.12g}" for v in array.tolist()]
+               for array in (record.times, record.sp, record.x, record.y, record.z,
+                             record.fidelity, record.fidelity_phase_corrected)]
+    columns.insert(1, [str(site)] * len(columns[0]))
+    rows = map(",".join, zip(*columns))
+    return "\n".join(["t,site,sp,x,y,z,fidelity,fidelity_phase_corrected", *rows]) + "\n"
 
 
 def tomography_to_json(record: TomographyRecord) -> str:
     payload = {
         "meta": record.meta,
-        "times": [float(t) for t in record.times],
+        "times": record.times.tolist(),
         "x": record.x.tolist(),
         "y": record.y.tolist(),
         "z": record.z.tolist(),
@@ -746,4 +776,77 @@ def tomography_to_json(record: TomographyRecord) -> str:
         "amp_a": [record.amp_a.real, record.amp_a.imag],
         "amp_b": [record.amp_b.real, record.amp_b.imag],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json_text(payload)
+
+
+# The encoder that json.dumps builds for indent=2 and sort_keys=True.
+_JSON_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+
+
+def json_text(payload) -> str:
+    """payload as JSON text, equal to json.dumps(payload, indent=2,
+    sort_keys=True) + "\n" on every input, and so a run's one JSON writer.
+
+    json.dumps runs its pure-Python encoder when indent is set; this one lays
+    out the indentation itself and writes a list of floats alone in one
+    join over float.__repr__, which is what json.dumps writes for a finite
+    float. It takes str-keyed dicts, lists, tuples, str, int, float (NaN
+    and +-inf as json.dumps writes them), bool and None; a payload that
+    holds anything else, or nests too deep, goes to json.dumps whole, which
+    raises what it raises.
+    """
+    try:
+        return _json_value(payload, "\n") + "\n"
+    except (_NotPlain, RecursionError):
+        return _JSON_ENCODER.encode(payload) + "\n"
+
+
+class _NotPlain(Exception):
+    """A value json_text leaves to json.dumps."""
+
+
+def _json_value(value, newline: str) -> str:
+    """value's JSON text. newline is a line break and the indent of the
+    line value starts on; the text's later lines are indented from it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:
+            text = ("," + inner).join(map(float.__repr__, value))
+        except TypeError:  # an item that is not a float
+            text = None
+        if text is None or "n" in text:  # or NaN or +-inf: float.__repr__ writes nan, inf
+            text = ("," + inner).join([_json_value(item, inner) for item in value])
+        return f"[{inner}{text}{newline}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(isinstance(key, str) for key in value):
+            raise _NotPlain
+        text = ("," + inner).join([f"{encode_basestring_ascii(key)}: {_json_value(item, inner)}"
+                                   for key, item in sorted(value.items())])
+        return f"{{{inner}{text}{newline}}}"
+    raise _NotPlain
+
+
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)

@@ -419,6 +419,12 @@ def merge_superoperators(sops) -> list:
     group holding a stacked op is a stacked op (see _compose). Ops are never
     reordered, so the list applies the same map.
     """
+    return [merged_superoperator(support, members) for support, members in merge_groups(sops)]
+
+
+def merge_groups(sops) -> list:
+    """The groups that merge_superoperators merges, in order: a (support,
+    members) pair per group, members a list of adjacent superoperators."""
     groups = []
     for sop in sops:
         support, members = groups[-1] if groups else (range(0), [])
@@ -427,10 +433,16 @@ def merge_superoperators(sops) -> list:
             groups[-1] = (wider, members + [sop])
         else:
             groups.append((range(sop.targets[0], sop.targets[-1] + 1), [sop]))
-    return [members[0] if len(members) == 1 else
-            Superoperator(_compose(support, [(sop.matrix, sop.targets) for sop in members]),
-                          support, members[0].n_qubits)
-            for support, members in groups]
+    return groups
+
+
+def merged_superoperator(support: range, members) -> Superoperator:
+    """One group of merge_groups as one superoperator; a group of one is
+    its member."""
+    if len(members) == 1:
+        return members[0]
+    return Superoperator(_compose(support, [(sop.matrix, sop.targets) for sop in members]),
+                         support, members[0].n_qubits)
 
 
 def _check_register(sop: Superoperator, n: int) -> None:

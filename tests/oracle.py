@@ -10,6 +10,8 @@ not use, each checked against the engine by the tests that import it.
   probability, e^{-iAt} of the chain's hopping matrix.
 - The rescaling's forward decay model.
 - Random and pure test states.
+- The CSV text of a series and of a tomography record, each cell
+  formatted from its numpy scalar, row by row.
 """
 
 from __future__ import annotations
@@ -195,3 +197,23 @@ def forward_decay(values, alpha: float, beta: float) -> np.ndarray:
     k = np.arange(len(values))
     env = np.exp(-beta * k)
     return env * values + alpha * (1.0 - env)
+
+
+def series_csv(series) -> str:
+    """experiments.series_to_csv's text, one t,site,sp row per (time, site)."""
+    lines = ["t,site,sp"]
+    for k, t in enumerate(series.times):
+        for s in series.sites():
+            lines.append(f"{t:.12g},{s},{series.values[s][k]:.12g}")
+    return "\n".join(lines) + "\n"
+
+
+def tomography_csv(record, site: int) -> str:
+    """experiments.tomography_to_csv's text, one row per time."""
+    lines = ["t,site,sp,x,y,z,fidelity,fidelity_phase_corrected"]
+    for k, t in enumerate(record.times):
+        lines.append(
+            f"{t:.12g},{site},{record.sp[k]:.12g},{record.x[k]:.12g},{record.y[k]:.12g},"
+            f"{record.z[k]:.12g},{record.fidelity[k]:.12g},{record.fidelity_phase_corrected[k]:.12g}"
+        )
+    return "\n".join(lines) + "\n"

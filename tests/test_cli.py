@@ -23,6 +23,7 @@ from pstlab.cli import (
     EXIT_SIM,
     EXPERIMENTS,
     ConfigError,
+    _atomic_write,
     apply_overrides,
     emit_report,
     load_config,
@@ -482,6 +483,13 @@ class TestReport:
         with pytest.raises(ConfigError):
             emit_report([])
 
+    def test_committed_report_regenerates_byte_identical(self, tmp_path):
+        """runs/report/ is the report of the committed rescale run."""
+        outputs = emit_report([REPO / "runs" / "rescale" / "manifest.json"], out=tmp_path)
+        assert sorted(outputs) == ["report_csv", "report_json"]
+        for name in ("report.csv", "report.json"):
+            assert (tmp_path / name).read_bytes() == (REPO / "runs" / "report" / name).read_bytes()
+
     def test_runs_from_another_directory(self, tmp_path, monkeypatch):
         """Runs written with relative output dirs report from anywhere: each
         manifest's outputs are read next to the manifest."""
@@ -534,6 +542,37 @@ class TestReport:
         assert main(["report", str(manifest_path), "--out", str(tmp_path / "rep")]) == EXIT_SCHEMA
         assert str(manifest_path) in capsys.readouterr().err
         assert not (tmp_path / "rep").exists()
+
+
+class TestAtomicWrite:
+    """A failed write leaves the old file as it was and no .tmp file."""
+
+    def test_text_that_cannot_be_encoded(self, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_bytes(b"old\n")
+        with pytest.raises(UnicodeEncodeError):
+            _atomic_write(path, "lone surrogate \ud800")
+        assert sorted(os.listdir(tmp_path)) == ["a.json"]
+        assert path.read_bytes() == b"old\n"
+
+    def test_a_failed_rename(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.json"
+        path.write_bytes(b"old\n")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            _atomic_write(path, "new\n")
+        assert sorted(os.listdir(tmp_path)) == ["a.json"]
+        assert path.read_bytes() == b"old\n"
+
+    def test_writes_the_text_as_utf8_bytes(self, tmp_path):
+        path = tmp_path / "a.csv"
+        _atomic_write(path, "t,\u00e9\n")
+        assert sorted(os.listdir(tmp_path)) == ["a.csv"]
+        assert path.read_bytes() == "t,\u00e9\n".encode()
 
 
 class TestCommittedRuns:

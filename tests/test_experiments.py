@@ -1,7 +1,9 @@
 """Experiment drivers: series runs, tomography, and peak detection."""
 
 import itertools
+import json
 import math
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
@@ -28,12 +30,14 @@ from pstlab.experiments import (
     ExperimentConfig,
     NoPeakError,
     SPTimeSeries,
+    TomographyRecord,
     _compile_merged,
     _maxima,
     _settled_peak,
     assemble_circuit,
     detect_first_peak,
     evolve_recorded,
+    json_text,
     readout_p1,
     run_arbitrary_transfer,
     run_first_peaks,
@@ -43,6 +47,7 @@ from pstlab.experiments import (
     series_to_csv,
     series_to_json,
     tomography_reconstruct,
+    tomography_to_csv,
 )
 from pstlab.noise import NoiseParams, with_noise
 from pstlab.sim_core import (
@@ -64,7 +69,9 @@ from oracle import (
     partial_trace_to_qubit,
     qubit_p1,
     random_density,
+    series_csv,
     to_density_matrix,
+    tomography_csv,
 )
 
 HALF_PI = math.pi / 2
@@ -637,18 +644,41 @@ class TestFamilies:
 
     def test_a_second_batch_fuses_and_builds_only_its_xy_gates(self, monkeypatch):
         """A second noisy N = 4 batch of one family makes one fusion pass,
-        its RXX and RYY gates', and builds no prep or RZZ gate."""
+        its RXX and RYY gates', builds no prep or RZZ gate, and composes no
+        merge group of shared ops alone (the RZZ pair on qubits 0-2): every
+        _compose it calls holds a stacked part, an XY gate's."""
         configs = [ExperimentConfig(n_sites=4, n_steps=20, j0=j0, noise=NoiseParams())
                    for j0 in (0.5, 1.0, 2.9, 4.0)]
         run_sp_batch(configs)
-        passes = []
+        passes, composed = [], []
         real = sim_core._pauli_transfer_matrix
         monkeypatch.setattr(sim_core, "_pauli_transfer_matrix",
                             lambda *args: passes.append(args) or real(*args))
+        compose = sim_core._compose
+        monkeypatch.setattr(sim_core, "_compose", lambda support, parts: composed.append(
+            [ptm.ndim for ptm, _ in parts]) or compose(support, parts))
         kinds = self.spy_gates(monkeypatch)
         run_sp_batch([replace(config, j0=1.1 * config.j0) for config in configs])
         assert len(passes) == 1
         assert Counter(kinds) == {"rxx": 3, "ryy": 3}
+        assert len(composed) == 3  # the fusion pass and the two XY merge groups
+        assert all(3 in ndims for ndims in composed), composed
+
+    def test_shared_merge_groups_are_composed_once(self):
+        """The merged op of the RZZ pair on qubits 0-2, the one N = 4 merge
+        group of shared ops alone, is one read-only op in every compile of
+        its family, bit-identical to a compile from plain ops; at N = 3 the
+        RZZ gates merge with XY gates, so no such group exists."""
+        config = ExperimentConfig(n_sites=4, n_steps=20, noise=NoiseParams())
+        experiments._families.cache_clear()
+        first, second = compiled_layers(config), compiled_layers(replace(config, j0=2.0))
+        assert [sop.targets for sop in first[1]] == [(0, 1, 2), (2, 3), (0, 1, 2), (2, 3)]
+        assert second[1][2] is first[1][2] and not first[1][2].matrix.flags.writeable
+        assert list(experiments._family(config).merged.values()) == [first[1][2]]
+        assert_same_layers(first, compiled_layers(config, plain=True))
+        small = ExperimentConfig(n_sites=3, n_steps=20, noise=NoiseParams())
+        compiled_layers(small)
+        assert experiments._family(small).merged == {}
 
 
 class TestFixedBuffers:
@@ -1269,7 +1299,83 @@ class TestRunFirstPeaks:
         assert run_first_peaks([]) == []
 
 
+# Floats whose JSON text has a special form: -0.0, the least subnormal, a
+# value repr writes with an exponent either way, NaN and +-inf.
+SPECIAL_FLOATS = [-0.0, 5e-324, 1e-5, 1e16, math.nan, math.inf, -math.inf]
+JSON_FLOATS = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS), st.floats().map(np.float64))
+JSON_PAYLOADS = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), JSON_FLOATS, st.text()),
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
+                            st.dictionaries(st.text(), inner), st.lists(JSON_FLOATS, min_size=1)),
+    max_leaves=40)
+
+
+def json_dumps_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# Cells around the switches of .12g: -0.0, exponent form below 1e-4 and from
+# 1e12, twelve significant digits rounding up to the next power of ten.
+CSV_SPECIALS = [-0.0, 1e-5, 9.99999999999e-5, 9.999999999995e-5, 1e-4, 0.000123456789012345,
+                999999999999.5, 1e12, 1234567890123.4, 0.9999999999996]
+
+
+def random_cells(rng, size: int) -> np.ndarray:
+    """size floats spread over 20 decades, both signs, with CSV_SPECIALS among them."""
+    cells = rng.uniform(-1, 1, size) * 10.0 ** rng.integers(-9, 14, size)
+    cells[rng.choice(size, len(CSV_SPECIALS), replace=False)] = CSV_SPECIALS
+    return cells
+
+
 class TestSerialization:
+    @settings(max_examples=100, deadline=None)
+    @given(JSON_PAYLOADS)
+    def test_json_text_equals_json_dumps(self, payload):
+        assert json_text(payload) == json_dumps_text(payload)
+
+    @pytest.mark.parametrize("payload", [
+        {}, [], (), "", {"é": {"ключ": [], "": {}}, "\u2603": ()}, {"a": "\ud800"},
+        SPECIAL_FLOATS, [*SPECIAL_FLOATS, 1, True, None], [np.float64(0.1), 2.0**-1074],
+        {2: 1.0, 1: [0.5]}, {"a": {None: 1}}, 10**40, -0.0,
+    ], ids=repr)
+    def test_json_text_equals_json_dumps_on_edge_payloads(self, payload):
+        assert json_text(payload) == json_dumps_text(payload)
+
+    @pytest.mark.parametrize("payload", [
+        np.bool_(True), object(), {"a": [1.0, np.int64(2)]}, [np.float32(0.5)], {(1, 2): 0.5},
+        {"a": 1, 2: 3},
+    ], ids=repr)
+    def test_json_text_raises_where_json_dumps_does(self, payload):
+        with pytest.raises(TypeError) as want:
+            json_dumps_text(payload)
+        with pytest.raises(TypeError, match=re.escape(str(want.value))):
+            json_text(payload)
+
+    def test_json_text_refuses_a_circular_payload(self):
+        payload = {"a": []}
+        payload["a"].append(payload)
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            json_text(payload)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_csv_writers_equal_per_element_formatting(self, seed):
+        """Both CSV writers, formatting columns of Python floats, write what
+        formatting each numpy scalar of each row writes."""
+        rng = np.random.default_rng(seed)
+        times = np.unique(np.abs(random_cells(rng, 60)))
+        values = {site: np.clip(np.abs(random_cells(rng, len(times))) ** rng.uniform(0.1, 1), 0, 1)
+                  for site in (1, 3, 4)}
+        values[3][0] = -0.0
+        series = SPTimeSeries(times=np.concatenate([[-0.0], times[1:]]), values=values)
+        assert series_to_csv(series) == series_csv(series)
+        m = 50
+        record = TomographyRecord(times=random_cells(rng, m), x=random_cells(rng, m),
+                                  y=random_cells(rng, m), z=random_cells(rng, m),
+                                  rhos=np.zeros((m, 2, 2)), fidelity=random_cells(rng, m),
+                                  fidelity_phase_corrected=random_cells(rng, m),
+                                  sp=random_cells(rng, m), amp_a=0.6, amp_b=0.8)
+        assert tomography_to_csv(record, 4) == tomography_csv(record, 4)
+
     def test_csv_row_count_and_header(self, ideal_series):
         text = series_to_csv(ideal_series)
         lines = text.strip().split("\n")
@@ -1283,8 +1389,6 @@ class TestSerialization:
         assert a == b
 
     def test_json_round_trip(self, ideal_series):
-        import json
-
         payload = json.loads(series_to_json(ideal_series))
         assert payload["values"]["4"][0] == pytest.approx(0.0, abs=1e-12)
         assert len(payload["times"]) == 81
