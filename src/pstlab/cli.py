@@ -2,11 +2,12 @@
 CSV/JSON outputs, and join finished runs into comparison reports.
 
 Each experiment is one entry of HANDLERS: it runs and returns its output
-files as {file name: text}. One writer, _write_files, makes the output
-directory once and writes every run and report file atomically, a failed
-write leaving no temporary file (_atomic_write), and keys the manifest's
-outputs by file name ("series.csv" -> "series_csv"). Every run writes both
-CSV and JSON; all JSON text, the manifest's too, is experiments.json_text.
+files as {file name: text}. One writer, _write_files, encodes every text
+(one that cannot be encoded writes nothing), makes the output directory
+once and writes every run and report file atomically, a failed write
+leaving no temporary file (_atomic_write), and keys the manifest's outputs
+by file name ("series.csv" -> "series_csv"). Every run writes both CSV and
+JSON; all JSON text, the manifest's too, is experiments.json_text.
 
 Config schema (JSON):
 
@@ -99,7 +100,7 @@ class RunManifest:
 
     def write(self, path: Path) -> Path:
         """Write the manifest as JSON into path, whose directory must exist."""
-        _atomic_write(path, json_text(vars(self)))
+        _atomic_write(path, json_text(vars(self)).encode())
         return path
 
 
@@ -289,12 +290,11 @@ def resolve_config(cfg: dict, seed_override=None):
     return experiment, exp_cfg, search
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write text as UTF-8 to path, whose directory must exist: into
-    <path>.tmp, then renamed over path, so a reader sees the old file or the
-    new one whole. When a step fails, the .tmp file is removed and the
-    error raised again."""
-    data = text.encode()
+def _atomic_write(path: Path, data: bytes) -> None:
+    """Write data to path, whose directory must exist: into <path>.tmp,
+    then renamed over path, so a reader sees the old file or the new one
+    whole. When a step fails, the .tmp file is removed and the error raised
+    again."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as handle:
@@ -307,14 +307,16 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _write_files(out_dir: Path, files: dict) -> dict:
-    """Write each {file name: text} under out_dir, made first if missing;
+    """Write each {file name: text} as UTF-8 under out_dir, made if missing
+    once every text is encoded, so one that cannot be encoded writes nothing;
     returns the manifest's outputs map, keyed by file name with "." as "_"
     ("grid.csv" -> "grid_csv")."""
+    data = {name: text.encode() for name, text in files.items()}
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = {}
-    for name, text in files.items():
+    for name, blob in data.items():
         path = out_dir / name
-        _atomic_write(path, text)
+        _atomic_write(path, blob)
         outputs[name.replace(".", "_")] = str(path)
     return outputs
 

@@ -16,20 +16,22 @@ It is built and compiled once for all configs that differ at most in
 couplings, seed, shots and measured sites, and cached by the value of the
 fields that assembly reads; assemble_circuit builds only the XY gates. Runs
 that differ only in couplings can evolve in lock-step as one batch
-(evolve_recorded, run_sp_batch): they share one circuit whose XY gates hold
-a stack of the members' matrices. Each chunk of members fuses its slice of
-those gates in one pass into stacked ops, takes the family's fused ops at
-their places, merges (a merge group of the family's ops alone is composed
-once per family), and binds each op once to the chunk's two state
-buffers, and each recorded step hands the chunk's (members, 4^n) state block
-to one observe call. run_sp_batch reads every member's populations from that block,
+(run_sp_batch, run_first_peaks). _lock_step_circuits splits the batch into
+chunks of at most MAX_BATCH_COEFFS Pauli coefficients and assembles one
+circuit per chunk, whose XY gates hold a stack of the chunk members'
+matrices. evolve_recorded runs the one circuit it is given: it fuses those
+gates in one pass into stacked ops, takes the family's fused ops at their
+places, merges (a merge group of the family's ops alone is composed once
+per family), and binds each op once to the circuit's two state buffers,
+and each recorded step hands the (members, 4^n) state block to one observe
+call. run_sp_batch reads every member's populations from that block,
 P(1) = (r_I - r_Z) / 2 from one column slice, and draws each member's shots
 from its own generator, so each member's records are bit-identical to its
 own run's. One rule, _settled_peak on the window (0, T/2] (_window_last),
 decides every first peak: detect_first_peak's on a whole series, and
 run_first_peaks', the optimizer's scores, which records only the end site's
-P(1) and stops each chunk once every member's peak is settled on its
-prefix. Every readout is of single
+P(1) and stops each chunk's circuit once every member's peak is settled on
+its prefix. Every readout is of single
 qubits, so it reads a few coefficients of the block: P(1) = (r_I - r_Z) / 2
 of each measured site, and for tomography the last qubit's r_I, r_X, r_Y
 and r_Z, which each basis rotation's one-qubit PTM turns before that P(1)
@@ -78,10 +80,11 @@ from .sim_core import (
     qubit_state_fidelity,
 )
 
-# The most Pauli coefficients, over all its members, that one lock-step batch
-# of evolve_recorded holds: a larger batch runs in chunks of
-# max(1, MAX_BATCH_COEFFS // 4^n) members, 32 / 8 / 2 at N = 4 / 5 / 6 and one
-# from N = 7 up, so a grid at N = 8 holds one state at a time. Batching saves
+# The most Pauli coefficients, over all its members, that one lock-step
+# circuit holds: _lock_step_circuits, the one reader of this cap, assembles a
+# larger batch as one circuit per chunk of max(1, MAX_BATCH_COEFFS // 4^n)
+# members, 32 / 8 / 2 at N = 4 / 5 / 6 and one from N = 7 up, so a grid at
+# N = 8 holds one state at a time; evolve_recorded runs each. Batching saves
 # per-op call overhead; wide batches lose it to cache misses. One
 # comprehensive-noise step per member, one BLAS thread, medians of 9 rounds:
 # N = 4 20 us alone, 6.3 / 7.3 / 8.6 us in batches of 16 / 32 / 64; N = 5 31
@@ -367,70 +370,52 @@ def _merged_shared(support: range, group: list, family: dict) -> Superoperator:
     return family[key]
 
 
-def _member_ops(ops, lo: int, hi: int) -> list:
-    """The GateOps of batch members lo..hi-1: each stacked gate's matrices
-    sliced to theirs, a lone member's as its 2-D matrix. A stack the chunk
-    spans whole is kept as it is."""
-    out = []
-    for op in ops:
-        gate = op.gate
-        if gate.matrix.ndim > 2 and hi - lo < len(gate.matrix):
-            mats = gate.matrix[lo:hi] if hi - lo > 1 else gate.matrix[lo]
-            op = GateOp(UnitaryGate(mats, gate.targets, gate.kind), op.channels)
-        out.append(op)
-    return out
-
-
 def evolve_recorded(circuit: NoisyCircuit, observe, settled=None) -> np.ndarray:
     """Run the circuit's members in lock-step, prep then every step, and
     record observe(block) at k = 0..n_steps; returns the (m, n_steps + 1,
     ...) array of the records, member first.
 
-    The circuit has one member per coupling profile. A batch holds at most
-    MAX_BATCH_COEFFS Pauli coefficients (one member at least); a larger one
-    runs in chunks. `block` is a chunk's (members, 4^n) array of Pauli
-    vectors, and observe must return one row per member; the rows are copied
-    out, so they may be views of the block, which the next step overwrites.
-    The prep and the step are compiled once per chunk (_compile_merged),
-    from the chunk's slice of each gate stack, the family's shared ops
+    The circuit has one member per coupling profile, and it runs as given:
+    its callers keep a batch within MAX_BATCH_COEFFS (_lock_step_circuits).
+    `block` is the (members, 4^n) array of Pauli vectors, and observe must
+    return one row per member; the rows are copied out, so they may be
+    views of the block, which the next step overwrites. The prep and the
+    step are compiled once (_compile_merged), the family's shared ops
     (assemble_circuit) taking the fused ops compiled with their family, and
-    each op is bound once to the chunk's two
-    state buffers (sim_core.bind_superoperators), for both parities, so a
-    step is one matmul per op whatever the chunk size and allocates nothing,
-    and each member's states are bit-identical to its own run's. A chunk of
-    one member compiles and applies 2-D ops, as a single run does.
+    each op is bound once to the run's two state buffers
+    (sim_core.bind_superoperators), for both parities, so a step is one
+    matmul per op whatever the member count and allocates nothing, and each
+    member's states are bit-identical to its own run's. A circuit of one
+    member compiles and applies 2-D ops, as a single run does.
 
-    With `settled`, a chunk may end early: after each recorded step k,
-    settled(lo, records) gets the chunk's records so far, out[lo:hi, :k + 1],
-    and once it returns True the chunk takes no more steps. Its later records
-    are left unset, and no caller reads them.
+    With `settled`, the run may end early: after each recorded step k,
+    settled(records) gets the records so far, out[:, :k + 1], and once it
+    returns True the run takes no more steps. Its later records are left
+    unset, and no caller reads them.
     """
     n, n_steps, m = circuit.n_qubits, circuit.plan.n_steps, len(circuit.profiles)
-    size = max(1, MAX_BATCH_COEFFS // 4**n)
+    prep = _compile_merged(circuit.prep, n, m)
+    step = _compile_merged(circuit.step, n, m)
+    bufs = (np.tile(PauliState.zero(n).vector, (m, 1)), np.empty((m, 4**n)))
+    for call in bind_superoperators(prep, *bufs):
+        call()
+    at = len(prep) % 2
+    bound = (bind_superoperators(step, *bufs), bind_superoperators(step, *bufs[::-1]))
     out = None
-    for lo in range(0, m, size):
-        hi = min(m, lo + size)
-        prep = _compile_merged(_member_ops(circuit.prep, lo, hi), n, hi - lo)
-        step = _compile_merged(_member_ops(circuit.step, lo, hi), n, hi - lo)
-        bufs = (np.tile(PauliState.zero(n).vector, (hi - lo, 1)), np.empty((hi - lo, 4**n)))
-        for call in bind_superoperators(prep, *bufs):
-            call()
-        at = len(prep) % 2
-        bound = (bind_superoperators(step, *bufs), bind_superoperators(step, *bufs[::-1]))
-        for k in range(n_steps + 1):
-            if k:
-                for call in bound[at]:
-                    call()
-                at ^= len(step) % 2
-            rows = observe(bufs[at])
-            if len(rows) != hi - lo:
-                raise ValueError(f"observe gave {len(rows)} rows for a chunk of {hi - lo} members")
-            if out is None:
-                rows = np.asarray(rows)
-                out = np.empty((m, n_steps + 1, *rows.shape[1:]), rows.dtype)
-            out[lo:hi, k] = rows
-            if settled is not None and settled(lo, out[lo:hi, :k + 1]):
-                break
+    for k in range(n_steps + 1):
+        if k:
+            for call in bound[at]:
+                call()
+            at ^= len(step) % 2
+        rows = observe(bufs[at])
+        if len(rows) != m:
+            raise ValueError(f"observe gave {len(rows)} rows for a circuit of {m} members")
+        if out is None:
+            rows = np.asarray(rows)
+            out = np.empty((m, n_steps + 1, *rows.shape[1:]), rows.dtype)
+        out[:, k] = rows
+        if settled is not None and settled(out[:, :k + 1]):
+            break
     return out
 
 
@@ -454,7 +439,7 @@ def run_sp_series(config: ExperimentConfig) -> SPTimeSeries:
 
 def run_sp_batch(configs) -> list:
     """run_sp_series of each config, the runs evolved in lock-step by
-    evolve_recorded.
+    evolve_recorded, one circuit per chunk (_lock_step_circuits).
 
     The configs may differ only in couplings (or j0, which sets them); any
     other difference raises ValueError before any circuit is built. Each
@@ -464,29 +449,30 @@ def run_sp_batch(configs) -> list:
     """
     if not configs:
         return []
-    circuit = _lock_step_circuit(configs)
+    circuits = _lock_step_circuits(configs)
     first = configs[0]
     sites = first.measured_sites or (first.n_sites,)
     readout = first.noise.readout_error if first.noise is not None else 0.0
     # r_I and each measured site's r_Z; P(1) = tr((I - Z) rho) / 2 = (r_I - r_Z) / 2
     cols = np.array([0, *(3 * 4 ** (first.n_sites - s) for s in sites)])
-    coeffs = evolve_recorded(circuit, lambda block: block.take(cols, 1))
+    coeffs = np.concatenate([evolve_recorded(circuit, lambda block: block.take(cols, 1))
+                             for circuit in circuits])
     p1 = (coeffs[..., :1] - coeffs[..., 1:]) / 2.0
     if first.shots is None:
         p1 = readout_p1(p1, None, None, readout)
     else:  # each member draws from its own generator, step by step, then site by site
         p1 = np.array([readout_p1(rows, first.shots, np.random.default_rng(first.seed), readout)
                        for rows in p1])
-    return [SPTimeSeries(times=circuit.plan.times(),
+    return [SPTimeSeries(times=first.plan().times(),
                          values={s: rows[:, i] for i, s in enumerate(sites)},
-                         meta=_series_meta(config, circuit))
+                         meta=_series_meta(config, circuits[0]))
             for config, rows in zip(configs, p1)]
 
 
-def _lock_step_circuit(configs) -> NoisyCircuit:
-    """The one circuit of single-excitation runs that differ only in
-    couplings (or j0, which sets them); any other difference raises
-    ValueError before it is built."""
+def _lock_step_circuits(configs) -> list:
+    """The circuits of single-excitation runs that differ only in couplings
+    (or j0), one per chunk of max(1, MAX_BATCH_COEFFS // 4^n) members in
+    order; any other difference raises ValueError before any is built."""
     first = configs[0]
     for config in configs[1:]:
         differ = [f.name for f in fields(ExperimentConfig) if f.name not in ("j0", "couplings")
@@ -496,14 +482,16 @@ def _lock_step_circuit(configs) -> NoisyCircuit:
     if first.initial != "single_excitation":
         raise ValueError("lock-step runs (run_sp_batch, run_first_peaks) expect a "
                          "single-excitation initial state")
-    return assemble_circuit(first, [config.profile() for config in configs])
+    profiles = [config.profile() for config in configs]
+    size = max(1, MAX_BATCH_COEFFS // 4**first.n_sites)
+    return [assemble_circuit(first, profiles[lo:lo + size]) for lo in range(0, len(profiles), size)]
 
 
 def run_first_peaks(configs) -> list:
     """detect_first_peak of each exact config's run_sp_series, (t*, peak), or
     None where it raises NoPeakError; the runs evolve in lock-step as in
-    run_sp_batch, and each chunk stops once every member's first peak is
-    settled (_settled_peak, detect_first_peak's rule, on its prefix).
+    run_sp_batch, and each chunk's circuit stops once every member's first
+    peak is settled (_settled_peak, detect_first_peak's rule, on its prefix).
 
     Each step records the last measured site's P(1) alone, through
     run_sp_batch's readout flip and clamp, so a member's prefix is
@@ -516,23 +504,26 @@ def run_first_peaks(configs) -> list:
         return []
     if configs[0].shots is not None:
         raise ValueError("run_first_peaks runs exact series: shots must be None")
-    circuit = _lock_step_circuit(configs)
+    circuits = _lock_step_circuits(configs)
     first = configs[0]
     col = 3 * 4 ** (first.n_sites - max(first.measured_sites or (first.n_sites,)))
     readout = first.noise.readout_error if first.noise is not None else 0.0
-    times = circuit.plan.times()
-    watch = _FirstPeakWatch(len(configs), _window_last(times), circuit.plan.n_steps)
-    p1 = evolve_recorded(circuit, lambda block: readout_p1(
-        (block[:, 0] - block[:, col]) / 2.0, None, None, readout), watch)
-    return [None if index < 0 else (float(times[index]), float(p1[j, index]))
-            for j, index in enumerate(watch.found)]
+    times = first.plan().times()
+    peaks = []
+    for circuit in circuits:
+        watch = _FirstPeakWatch(len(circuit.profiles), _window_last(times), first.n_steps)
+        p1 = evolve_recorded(circuit, lambda block: readout_p1(
+            (block[:, 0] - block[:, col]) / 2.0, None, None, readout), watch)
+        peaks += [None if index < 0 else (float(times[index]), float(row[index]))
+                  for row, index in zip(p1, watch.found)]
+    return peaks
 
 
 class _FirstPeakWatch:
     """run_first_peaks' `settled` test for evolve_recorded: after each
-    recorded step of a chunk, it asks _settled_peak about each member whose
-    prefix could settle, and keeps the answer in `found` once it tells. A
-    member whose answer is kept is skipped."""
+    recorded step of a circuit, it asks _settled_peak about each member
+    whose prefix could settle, and keeps the answer in `found` once it
+    tells. A member whose answer is kept is skipped."""
 
     def __init__(self, members: int, last: int, n_steps: int):
         self.found = [None] * members  # the first peak's index, -1 for none
@@ -540,10 +531,10 @@ class _FirstPeakWatch:
         self.top = [-math.inf] * members  # each member's running maximum
         self.ready = [False] * members  # fallen PEAK_PROMINENCE below it
 
-    def __call__(self, lo: int, records: np.ndarray) -> bool:
+    def __call__(self, records: np.ndarray) -> bool:
         k = records.shape[1] - 1
         found, top, ready = self.found, self.top, self.ready
-        for j, x in enumerate(records[:, k].tolist(), lo):
+        for j, x in enumerate(records[:, k].tolist()):
             if found[j] is not None:
                 continue
             if x > top[j]:
@@ -551,8 +542,8 @@ class _FirstPeakWatch:
             if top[j] - x >= PEAK_PROMINENCE:
                 ready[j] = True
             if ready[j] or k > self.last:
-                found[j] = _settled_peak(records[j - lo], self.last, k == self.n_steps)
-        return None not in found[lo:lo + len(records)]
+                found[j] = _settled_peak(records[j], self.last, k == self.n_steps)
+        return None not in found
 
 
 def run_site_resolved(config: ExperimentConfig) -> SPTimeSeries:

@@ -10,10 +10,10 @@ tagged with their scale j0, and the GP stage's are bare bond tuples, which
 must keep the middle bond dominant: J23 > J12 and J23 > J34. The candidates
 of one stage, the grid's scales (with any extra candidate, such as a
 report's j0 = 1 baseline), an iteration's incumbent and bumped probes, and
-the GP pick, are scored together (`objectives`): their runs share one
-circuit, compiled once per chunk of members, and evolve in lock-step as one
-batch, each chunk only until every member's first peak is settled, each
-member's result identical to its own full run (`objective`).
+the GP pick, are scored together (`objectives`): their runs evolve in
+lock-step as one batch, one circuit per chunk of members, compiled once,
+each chunk only until every member's first peak is settled, each member's
+result identical to its own full run (`objective`).
 
 Search ranges adapt to local sensitivity: with sensitivity estimated by a
 forward difference of increment 0.01,
@@ -57,10 +57,16 @@ def satisfies_constraint(profile: CouplingProfile) -> bool:
     """Every interior bond strictly dominates both edge bonds.
 
     For the N = 4 layout this is J23 > J12 and J23 > J34; chains with no
-    interior bond satisfy it trivially.
+    interior bond satisfy it trivially (_middle_dominant on the one row).
     """
-    first, last = profile.couplings[0], profile.couplings[-1]
-    return all(mid > first and mid > last for mid in profile.couplings[1:-1])
+    return bool(_middle_dominant(np.array([profile.couplings]))[0])
+
+
+def _middle_dominant(cps: np.ndarray) -> np.ndarray:
+    """The middle-bond rule on each row of a (k, N - 1) couplings array: every
+    interior bond (if any) strictly above both edge bonds, a tie failing."""
+    mid = cps[:, 1:-1]
+    return ((mid > cps[:, :1]) & (mid > cps[:, -1:])).all(axis=1)
 
 
 @dataclass(frozen=True)
@@ -276,8 +282,7 @@ def _sample_batch(incumbent: CouplingProfile, deltas: np.ndarray, weights: np.nd
     Each candidate perturbs dimension d with probability weights[d]
     (normalized so the most sensitive dimension always moves); offsets are
     uniform in +/- deltas[d]. Non-positive couplings are rejected along
-    with middle-bond-constraint violations (satisfies_constraint's strict
-    comparisons, on the rows).
+    with middle-bond-constraint violations (_middle_dominant).
     """
     base = np.array(incumbent.couplings)
     ndim = len(base)
@@ -289,5 +294,4 @@ def _sample_batch(incumbent: CouplingProfile, deltas: np.ndarray, weights: np.nd
     active[~active.any(axis=1), int(np.argmax(weights))] = True
     cps = base + (-deltas + (deltas - -deltas) * draws[:, ndim:]) * active
     cps = cps[(cps > 0).all(axis=1)]
-    mid = cps[:, 1:-1]
-    return cps[((mid > cps[:, :1]) & (mid > cps[:, -1:])).all(axis=1)]
+    return cps[_middle_dominant(cps)]

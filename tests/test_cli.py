@@ -24,6 +24,7 @@ from pstlab.cli import (
     EXPERIMENTS,
     ConfigError,
     _atomic_write,
+    _write_files,
     apply_overrides,
     emit_report,
     load_config,
@@ -544,14 +545,33 @@ class TestReport:
         assert not (tmp_path / "rep").exists()
 
 
+    def test_label_that_cannot_be_encoded_exits_3_with_nothing_written(self, tmp_path,
+                                                                        capsys):
+        """A manifest output key holding a lone surrogate (a \\ud800 escape,
+        which json.loads reads) becomes a report.csv label that UTF-8 cannot
+        encode: the report exits 3 before it makes its directory."""
+        manifest = json.loads((REPO / "runs" / "headline" / "manifest.json").read_text())
+        manifest["outputs"] = {"\ud800_json": "series.json"}
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps(manifest))
+        assert "\\ud800_json" in manifest_path.read_text()
+        shutil.copy(REPO / "runs" / "headline" / "series.json", tmp_path / "series.json")
+        capsys.readouterr()
+        assert main(["report", str(manifest_path), "--out", str(tmp_path / "rep")]) == EXIT_SIM
+        assert "can't encode" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+
 class TestAtomicWrite:
     """A failed write leaves the old file as it was and no .tmp file."""
 
     def test_text_that_cannot_be_encoded(self, tmp_path):
+        """_write_files encodes every text before it writes any: a later
+        file that cannot be encoded leaves the earlier one's old bytes."""
         path = tmp_path / "a.json"
         path.write_bytes(b"old\n")
         with pytest.raises(UnicodeEncodeError):
-            _atomic_write(path, "lone surrogate \ud800")
+            _write_files(tmp_path, {"a.json": "new\n", "b.csv": "lone surrogate \ud800"})
         assert sorted(os.listdir(tmp_path)) == ["a.json"]
         assert path.read_bytes() == b"old\n"
 
@@ -564,13 +584,13 @@ class TestAtomicWrite:
 
         monkeypatch.setattr(os, "replace", refuse)
         with pytest.raises(OSError, match="rename refused"):
-            _atomic_write(path, "new\n")
+            _atomic_write(path, b"new\n")
         assert sorted(os.listdir(tmp_path)) == ["a.json"]
         assert path.read_bytes() == b"old\n"
 
     def test_writes_the_text_as_utf8_bytes(self, tmp_path):
         path = tmp_path / "a.csv"
-        _atomic_write(path, "t,\u00e9\n")
+        assert _write_files(tmp_path, {"a.csv": "t,\u00e9\n"}) == {"a_csv": str(path)}
         assert sorted(os.listdir(tmp_path)) == ["a.csv"]
         assert path.read_bytes() == "t,\u00e9\n".encode()
 

@@ -464,26 +464,37 @@ class TestLockStep:
             assemble_circuit(config, [config.profile(), pst_couplings(3, 1.0)])
 
     def test_evolve_recorded_refuses_rows_of_another_size(self):
-        """observe must give one row per member of the chunk."""
+        """observe must give one row per member of the circuit."""
         config = ExperimentConfig(n_sites=4, n_steps=20)
         circuit = assemble_circuit(config, [config.profile()] * 3)
-        with pytest.raises(ValueError, match="observe gave 2 rows for a chunk of 3 members"):
+        with pytest.raises(ValueError, match="observe gave 2 rows for a circuit of 3 members"):
             evolve_recorded(circuit, lambda block: block[:2])
 
     def test_chunks_give_the_records_of_one_batch(self, monkeypatch):
         """A cap of two N = 3 states splits five members into chunks of 2, 2
-        and 1, each compiled once, with the series of the unchunked batch."""
+        and 1, each compiled once, with the series of the unchunked batch.
+        Each chunk builds each of its 4 XY gates once, as a stack of its
+        members, and none again for a slice of it: 12 gates."""
         configs = self.configs(3)
         whole = run_sp_batch(configs)
-        chunks = []
+        chunks, stacks = [], []
         real = experiments._compile_merged
         monkeypatch.setattr(experiments, "_compile_merged",
                             lambda ops, n, members=1: chunks.append(members)
                             or real(ops, n, members))
+        build = UnitaryGate.__init__
+
+        def spy(gate, matrix, targets, kind=""):
+            if kind in ("rxx", "ryy"):
+                stacks.append(len(matrix) if np.ndim(matrix) > 2 else 1)
+            build(gate, matrix, targets, kind)
+
+        monkeypatch.setattr(UnitaryGate, "__init__", spy)
         monkeypatch.setattr(experiments, "MAX_BATCH_COEFFS", 2 * 4**3 + 1)
         for got, want in zip(run_sp_batch(configs), whole, strict=True):
             assert_same_series(got, want)
         assert chunks == [2, 2, 2, 2, 1, 1]  # prep and step of each chunk
+        assert stacks == [2] * 4 + [2] * 4 + [1] * 4
 
     def test_empty_batch(self):
         assert run_sp_batch([]) == []
@@ -510,9 +521,9 @@ class TestBatchedCompile:
         own = [assemble_circuit(config) for config in configs]
         # the whole batch, a chunk inside it, and a chunk of one at its end
         for lo, hi in [(0, 5), (1, 3), (4, 5)]:
+            chunk = assemble_circuit(configs[0], [config.profile() for config in configs[lo:hi]])
             for layer in ("prep", "step"):
-                ops = experiments._member_ops(getattr(circuit, layer), lo, hi)
-                got = _compile_merged(ops, n, hi - lo)
+                got = _compile_merged(getattr(chunk, layer), n, hi - lo)
                 for b in range(lo, hi):
                     want = _compile_merged(getattr(own[b], layer), n)
                     assert [sop.targets for sop in got] == [sop.targets for sop in want]
@@ -682,29 +693,32 @@ class TestFamilies:
 
 
 class TestFixedBuffers:
-    """evolve_recorded steps each chunk in two fixed state buffers."""
+    """evolve_recorded steps each circuit in two fixed state buffers."""
 
-    @staticmethod
-    def circuit(n_steps: int = 80):
-        configs = [ExperimentConfig(n_sites=4, n_steps=n_steps, j0=j0, noise=NoiseParams())
-                   for j0 in (0.5, 1.0, 2.9)]
+    CONFIGS = [ExperimentConfig(n_sites=4, j0=j0, noise=NoiseParams()) for j0 in (0.5, 1.0, 2.9)]
+
+    @classmethod
+    def circuit(cls, n_steps: int = 80):
+        configs = [replace(config, n_steps=n_steps) for config in cls.CONFIGS]
         return assemble_circuit(configs[0], [config.profile() for config in configs])
 
     def test_blocks_come_from_two_buffers_per_chunk(self, monkeypatch):
         """Over an 80-step noisy N = 4 batch of 3 members, as one chunk and
-        as chunks of 2 and 1, every block observe sees is one of its chunk's
-        two buffers, and the chunked records equal the whole batch's."""
-        circuit = self.circuit()
-        whole = evolve_recorded(circuit, lambda block: block)
+        as chunks of 2 and 1 (_lock_step_circuits), every block observe sees
+        is one of its chunk circuit's two buffers, and the chunks' records
+        equal the whole batch's."""
+        whole = evolve_recorded(self.circuit(), lambda block: block)
         for sizes in ([3], [2, 1]):
             monkeypatch.setattr(experiments, "MAX_BATCH_COEFFS", sizes[0] * 4**4)
-            seen = []
-            got = evolve_recorded(circuit, lambda block: seen.append(block) or block)
-            assert np.array_equal(got, whole)
-            assert [len(block) for block in seen] == [m for m in sizes for _ in range(81)]
-            for chunk in range(len(sizes)):
-                blocks = seen[81 * chunk:81 * (chunk + 1)]
-                assert len({block.ctypes.data for block in blocks}) <= 2, sizes
+            circuits = experiments._lock_step_circuits(self.CONFIGS)
+            assert [len(circuit.profiles) for circuit in circuits] == sizes
+            got = []
+            for circuit in circuits:
+                seen = []
+                got.append(evolve_recorded(circuit, lambda block: seen.append(block) or block))
+                assert [len(block) for block in seen] == [len(circuit.profiles)] * 81
+                assert len({block.ctypes.data for block in seen}) <= 2, sizes
+            assert np.array_equal(np.concatenate(got), whole)
 
     def test_a_step_allocates_no_state(self):
         """Between two observe calls no allocation as large as the block
@@ -1152,22 +1166,22 @@ def window_last(times) -> int:
 
 
 def watched(batch, chunk: int | None = None) -> tuple:
-    """Each series' (peak, t*) as run_first_peaks reads it, the watch fed
-    the batch one recorded step at a time, chunk by chunk, as
-    evolve_recorded feeds it; and the steps observed per chunk."""
+    """Each series' (peak, t*) as run_first_peaks reads it, one watch per
+    chunk, fed the chunk one recorded step at a time, as evolve_recorded
+    feeds it; and the steps observed per chunk."""
     batch = np.atleast_2d(np.asarray(batch, dtype=float))
     m, n_steps = len(batch), batch.shape[1] - 1
     times = TrotterPlan(2.0 * math.pi, n_steps).times()
-    watch = experiments._FirstPeakWatch(m, window_last(times), n_steps)
-    observed = []
+    scores, observed = [], []
     for lo in range(0, m, chunk or m):
-        hi = min(m, lo + (chunk or m))
+        rows = batch[lo:lo + (chunk or m)]
+        watch = experiments._FirstPeakWatch(len(rows), window_last(times), n_steps)
         for k in range(n_steps + 1):
-            if watch(lo, batch[lo:hi, :k + 1]):
+            if watch(rows[:, :k + 1]):
                 break
         observed.append(k + 1)
-    scores = [(0.0, math.nan) if i < 0 else (batch[j, i], times[i])
-              for j, i in enumerate(watch.found)]
+        scores += [(0.0, math.nan) if i < 0 else (x[i], times[i])
+                   for x, i in zip(rows, watch.found)]
     return scores, observed
 
 

@@ -432,8 +432,18 @@ class TestSampleBatch:
     def test_equals_one_draw_per_candidate(self, seed):
         """Same candidates and the same next draw of the generator; the cases
         include all-inactive rows, non-positive couplings and rejections."""
+        self.check_draw(seed, 3 + seed % 3)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_equals_one_draw_per_candidate_on_short_chains(self, seed, ndim):
+        """N = 2 and N = 3 have no interior bond: only non-positive
+        couplings are rejected."""
+        self.check_draw(seed, ndim)
+
+    @staticmethod
+    def check_draw(seed: int, ndim: int) -> None:
         setup = np.random.default_rng(100 + seed)
-        ndim = 3 + seed % 3
         shape = np.sqrt([i * (ndim + 1 - i) for i in range(1, ndim + 1)])
         scale = 0.05 if seed % 3 == 0 else setup.uniform(0.3, 1.5)  # 0.05: offsets cross 0
         cps = shape * scale + setup.normal(0.0, 0.05, ndim)
@@ -449,3 +459,28 @@ class TestSampleBatch:
         want = sample_batch_loop(incumbent, deltas, weights, 64, want_rng)
         assert [tuple(r) for r in got.tolist()] == [cand.couplings for cand in want]
         assert got_rng.random() == want_rng.random()
+
+    # (couplings, whether the middle-bond rule keeps them)
+    ROWS = [
+        ((2.0,), True),  # N = 2: no interior bond
+        ((1.0, 3.0), True),  # N = 3: none either, in any order
+        ((3.0, 1.0), True),
+        ((1.0, 2.0, 1.0), True),
+        ((3.0, 2.9, 3.0), False),
+        ((1.0, 1.0, 0.5), False),  # a middle bond tied with the first edge bond
+        ((0.5, 1.0, 1.0), False),  # ... with the last
+        ((1.0, 1.0, 1.0), False),
+        ((1.0, 2.0, 2.0, 1.0), True),
+        ((1.0, 2.0, 1.0, 0.5), False),  # one of two middle bonds tied with an edge
+    ]
+
+    def test_row_rule_equals_satisfies_constraint(self):
+        """_sample_batch's row filter keeps a row exactly when
+        satisfies_constraint accepts its profile; rows of one length are
+        filtered together."""
+        for cps, want in self.ROWS:
+            assert satisfies_constraint(CouplingProfile(len(cps) + 1, cps)) is want, cps
+        for ndim in {len(cps) for cps, _ in self.ROWS}:
+            rows = [(cps, want) for cps, want in self.ROWS if len(cps) == ndim]
+            kept = optimizer._middle_dominant(np.array([cps for cps, _ in rows]))
+            assert kept.tolist() == [want for _, want in rows], ndim
