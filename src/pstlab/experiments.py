@@ -11,10 +11,10 @@ prep layer and of the Trotter step are merged into superoperators of at most
 sim_core.MERGE_WIDTH qubits. Merging never crosses a recorded step boundary.
 What does not depend on the couplings is a circuit's family (_family): the
 noise-attached prep gate and the RZZ gates that close the step, each with
-its fused op, the channels of each XY gate, and the tomography rotations.
-It is built and compiled once for all configs that differ at most in
-couplings, seed, shots and measured sites, and cached by the value of the
-fields that assembly reads; assemble_circuit builds only the XY gates. Runs
+its fused op, and the tomography rotations. It is built and compiled once
+for all configs that differ at most in couplings, seed, shots and measured
+sites, and cached by the value of the fields that assembly reads;
+assemble_circuit builds only the XY gates, with their channels. Runs
 that differ only in couplings can evolve in lock-step as one batch
 (run_sp_batch, run_first_peaks). _lock_step_circuits splits the batch into
 chunks of at most MAX_BATCH_COEFFS Pauli coefficients and assembles one
@@ -22,22 +22,23 @@ circuit per chunk, whose XY gates hold a stack of the chunk members'
 matrices. evolve_recorded runs the one circuit it is given: it fuses those
 gates in one pass into stacked ops, takes the family's fused ops at their
 places, merges (a merge group of the family's ops alone is composed once
-per family), and binds each op once to the circuit's two state buffers,
-and each recorded step hands the (members, 4^n) state block to one observe
-call. run_sp_batch reads every member's populations from that block,
-P(1) = (r_I - r_Z) / 2 from one column slice, and draws each member's shots
-from its own generator, so each member's records are bit-identical to its
-own run's. One rule, _settled_peak on the window (0, T/2] (_window_last),
-decides every first peak: detect_first_peak's on a whole series, and
-run_first_peaks', the optimizer's scores, which records only the end site's
-P(1) and stops each chunk's circuit once every member's peak is settled on
-its prefix. Every readout is of single
-qubits, so it reads a few coefficients of the block: P(1) = (r_I - r_Z) / 2
-of each measured site, and for tomography the last qubit's r_I, r_X, r_Y
-and r_Z, which each basis rotation's one-qubit PTM turns before that P(1)
-is read. Tomography then
-works on arrays, once per run: the (n_steps + 1) Bloch components become
-one (n_steps + 1, 2, 2) stack of states, scored against the target with one
+per family and stays 2-D, shared by every member), and binds each op once
+to the circuit's two state buffers, and each recorded step hands the
+(members, 4^n) state block to one observe call. run_sp_batch reads every
+member's populations from that block, P(1) = (r_I - r_Z) / 2 from one
+column slice, and draws each member's shots from its own generator, so
+each member's records are bit-identical to its own run's. One rule,
+_settled_peak on the window (0, T/2] (_window_last), decides every first
+peak: detect_first_peak's on a whole series, and run_first_peaks', the
+optimizer's scores, which records only the end site's P(1) and stops each
+chunk's circuit once every member's peak is settled on its prefix. Every
+readout is of single qubits, so it reads a few coefficients of the block:
+P(1) = (r_I - r_Z) / 2 of each measured site (_z_column), and for
+tomography the last qubit's r_I, r_X, r_Y and r_Z, which each basis
+rotation's one-qubit PTM turns before that P(1) is read; every readout
+flips with one probability (_readout_error). Tomography then works on
+arrays, once per run: the (n_steps + 1) Bloch components become one
+(n_steps + 1, 2, 2) stack of states, scored against the target with one
 closed-form fidelity call. This module only creates the zero state, applies
 compiled ops and reads those coefficients; the basis change lives in
 sim_core.
@@ -68,7 +69,7 @@ from .chains import (
     gate_matrix,
     pst_couplings,
 )
-from .noise import NoiseParams, scheduled_channels, with_noise
+from .noise import NoiseParams, with_noise
 from .sim_core import (
     PauliState,
     Superoperator,
@@ -231,15 +232,16 @@ def assemble_circuit(config: ExperimentConfig, profiles=None) -> NoisyCircuit:
     `profiles`, a sequence of coupling profiles of its chain length, the one
     circuit of a lock-step batch with a member per profile in place of
     config's own. Only the XY gates are built here (build_trotter_circuit
-    without crosstalk); the prep, the RZZ gates that close the step and
-    every channel list come from config's family (_family)."""
+    without crosstalk), with the noise model's channels (noise.with_noise);
+    the prep and the RZZ gates that close the step come from config's
+    family (_family)."""
     family = _family(config)
     profiles = (config.profile(),) if profiles is None else tuple(profiles)
     if any(p.n_sites != config.n_sites for p in profiles):
         raise ValueError("batched coupling profiles must share their chain length")
     circuit = build_trotter_circuit(profiles, family.plan)
-    for op, channels in zip(circuit.step, family.xy_channels, strict=True):
-        op.channels = channels
+    if config.noise is not None:
+        circuit.step = with_noise(circuit.step, config.noise)
     circuit.prep = list(family.prep)
     circuit.step += family.crosstalk
     circuit.zeta = config.noise.circuit_zeta() if config.noise is not None else 0.0
@@ -271,7 +273,6 @@ class _Family:
 
     plan: TrotterPlan
     prep: tuple  # the noise-attached prep op, a _SharedOp
-    xy_channels: tuple  # the channels after each XY gate of the step, in step order
     crosstalk: tuple  # the RZZ ops that close the step, as _SharedOps
     rotations: np.ndarray | None  # _basis_rotation_ptms, for an "arbitrary" initial state
     # The merged op of each merge group that holds shared ops alone, keyed by
@@ -294,8 +295,8 @@ def _family(config: ExperimentConfig) -> _Family:
 def _families(n_sites, n_steps, total_time, noise, initial, amp_a, amp_b) -> _Family:
     """_family of the fields: the prep gate and the RZZ gates, each with the
     noise model's channels, fused in one fused_superoperators call, the
-    channels of each XY gate, the tomography rotations, and an empty map for
-    the merged ops of groups of shared ops alone."""
+    tomography rotations, and an empty map for the merged ops of groups of
+    shared ops alone."""
     plan = TrotterPlan(total_time, n_steps)
     if initial == "single_excitation":
         prep = UnitaryGate(gate_matrix("X"), (0,), kind="x")
@@ -305,12 +306,8 @@ def _families(n_sites, n_steps, total_time, noise, initial, amp_a, amp_b) -> _Fa
         raise ValueError(f"unknown initial kind {initial!r}")
     zeta = noise.circuit_zeta() if noise is not None else 0.0
     shared = [GateOp(gate) for gate in (prep, *crosstalk_gates(n_sites, plan, zeta))]
-    xy_channels = [()] * (2 * (n_sites - 1))
     if noise is not None:
         shared = with_noise(shared, noise)
-        after = {kind: scheduled_channels(kind, 2, noise) for kind in ("rxx", "ryy")}
-        xy_channels = [tuple((ch, (i, i + 1)) for ch in after[kind])
-                       for i in range(n_sites - 1) for kind in ("rxx", "ryy")]
     fused = fused_superoperators([(op.gate, op.channels) for op in shared], n_sites)
     merged = {}
     shared = [_SharedOp(op, sop, merged) for op, sop in zip(shared, fused, strict=True)]
@@ -318,8 +315,7 @@ def _families(n_sites, n_steps, total_time, noise, initial, amp_a, amp_b) -> _Fa
     if initial == "arbitrary":
         rotations = _basis_rotation_ptms(noise)
         rotations.setflags(write=False)
-    return _Family(plan, tuple(shared[:1]), tuple(xy_channels), tuple(shared[1:]), rotations,
-                   merged)
+    return _Family(plan, tuple(shared[:1]), tuple(shared[1:]), rotations, merged)
 
 
 def _prep_gate_for_amplitudes(a: complex, b: complex) -> UnitaryGate:
@@ -333,30 +329,25 @@ def _prep_gate_for_amplitudes(a: complex, b: complex) -> UnitaryGate:
     return UnitaryGate(mat, (0,), kind="u")
 
 
-def _compile_merged(ops, n_qubits: int, members: int = 1) -> list:
+def _compile_merged(ops, n_qubits: int) -> list:
     """Each GateOp as the engine applies it, its gate then its channels, as
     one fused superoperator, adjacent ones then merged, one _compose per
     merged group. A family's shared op (_SharedOp) brings its fused op,
     compiled once; the others, a circuit's XY gates, are fused in one
     fused_superoperators call (one pass per local shape). A merge group of
     shared ops alone is composed once per family and then taken from its
-    family (_merged_shared). For a batch of members > 1, whose stacked gates
-    hold that many matrices, a merged op left 2-D is broadcast over the
-    member axis, as the kernel takes one matrix per member."""
+    family (_merged_shared). An op is a stack of its members' PTMs only when
+    it holds a stacked gate, one that differs between the members of a
+    batch; the others stay 2-D, and the kernel shares them with every
+    member (sim_core._matmul_operands)."""
     fresh = iter(fused_superoperators([(op.gate, op.channels) for op in ops
                                        if not isinstance(op, _SharedOp)], n_qubits))
     shared = {op.fused: op.merged for op in ops if isinstance(op, _SharedOp)}
     groups = merge_groups([op.fused if isinstance(op, _SharedOp) else next(fresh) for op in ops])
-    merged = [_merged_shared(support, group, shared[group[0]])
-              if len(group) > 1 and all(sop in shared for sop in group)
-              else merged_superoperator(support, group)
-              for support, group in groups]
-    if members == 1:
-        return merged
-    return [sop if sop.matrix.ndim > 2 else
-            Superoperator(np.broadcast_to(sop.matrix, (members, *sop.matrix.shape)),
-                          sop.targets, n_qubits)
-            for sop in merged]
+    return [_merged_shared(support, group, shared[group[0]])
+            if len(group) > 1 and all(sop in shared for sop in group)
+            else merged_superoperator(support, group)
+            for support, group in groups]
 
 
 def _merged_shared(support: range, group: list, family: dict) -> Superoperator:
@@ -394,8 +385,8 @@ def evolve_recorded(circuit: NoisyCircuit, observe, settled=None) -> np.ndarray:
     unset, and no caller reads them.
     """
     n, n_steps, m = circuit.n_qubits, circuit.plan.n_steps, len(circuit.profiles)
-    prep = _compile_merged(circuit.prep, n, m)
-    step = _compile_merged(circuit.step, n, m)
+    prep = _compile_merged(circuit.prep, n)
+    step = _compile_merged(circuit.step, n)
     bufs = (np.tile(PauliState.zero(n).vector, (m, 1)), np.empty((m, 4**n)))
     for call in bind_superoperators(prep, *bufs):
         call()
@@ -432,6 +423,17 @@ def readout_p1(p1, shots, rng, readout_error: float) -> np.ndarray:
     return rng.binomial(int(shots), p1) / int(shots)
 
 
+def _readout_error(config: ExperimentConfig) -> float:
+    """The readout flip probability of config's noise model, 0 without one."""
+    return config.noise.readout_error if config.noise is not None else 0.0
+
+
+def _z_column(n_sites: int, site: int) -> int:
+    """The index of r_Z of `site` (1-based) in an n-site Pauli vector: Z on
+    its qubit, I on every other, so its P(1) = (r_I - r_Z) / 2, r_I at 0."""
+    return 3 * 4 ** (n_sites - site)
+
+
 def run_sp_series(config: ExperimentConfig) -> SPTimeSeries:
     """End-site success probability over the Trotter grid."""
     return run_sp_batch([config])[0]
@@ -452,9 +454,9 @@ def run_sp_batch(configs) -> list:
     circuits = _lock_step_circuits(configs)
     first = configs[0]
     sites = first.measured_sites or (first.n_sites,)
-    readout = first.noise.readout_error if first.noise is not None else 0.0
+    readout = _readout_error(first)
     # r_I and each measured site's r_Z; P(1) = tr((I - Z) rho) / 2 = (r_I - r_Z) / 2
-    cols = np.array([0, *(3 * 4 ** (first.n_sites - s) for s in sites)])
+    cols = np.array([0, *(_z_column(first.n_sites, s) for s in sites)])
     coeffs = np.concatenate([evolve_recorded(circuit, lambda block: block.take(cols, 1))
                              for circuit in circuits])
     p1 = (coeffs[..., :1] - coeffs[..., 1:]) / 2.0
@@ -506,8 +508,8 @@ def run_first_peaks(configs) -> list:
         raise ValueError("run_first_peaks runs exact series: shots must be None")
     circuits = _lock_step_circuits(configs)
     first = configs[0]
-    col = 3 * 4 ** (first.n_sites - max(first.measured_sites or (first.n_sites,)))
-    readout = first.noise.readout_error if first.noise is not None else 0.0
+    col = _z_column(first.n_sites, max(first.measured_sites or (first.n_sites,)))
+    readout = _readout_error(first)
     times = first.plan().times()
     peaks = []
     for circuit in circuits:
@@ -595,13 +597,12 @@ def run_arbitrary_transfer(config: ExperimentConfig) -> TomographyRecord:
     a, b = complex(config.amp_a), complex(config.amp_b)
     config = replace(config, initial="arbitrary", amp_a=a, amp_b=b)
     circuit = assemble_circuit(config)
-    readout = config.noise.readout_error if config.noise is not None else 0.0
     r4 = evolve_recorded(circuit, lambda block: block[:, :4])[0]
     rotated = r4 @ _family(config).rotations.swapaxes(1, 2)
     # P(1) = (r_I - r_Z) / 2 per step and basis; <sigma> = p0 - p1, drawn
     # step by step, then basis by basis
     p1 = readout_p1(((rotated[..., 0] - rotated[..., 3]) / 2).T, config.shots,
-                    np.random.default_rng(config.seed), readout)
+                    np.random.default_rng(config.seed), _readout_error(config))
     xs, ys, zs = (1.0 - 2.0 * p1).T.copy()
     rhos = tomography_reconstruct(xs, ys, zs)
     # max over phi of <psi(phi)|rho|psi(phi)> with psi = A|0> + e^{i phi} B|1>

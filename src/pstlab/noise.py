@@ -163,29 +163,20 @@ def zz_dephasing_channel(p_zz: float) -> KrausChannel:
 
 
 def with_noise(ops, params: NoiseParams) -> list:
-    """New GateOps, each gate followed on its targets by the model's channels
-    (scheduled_channels)."""
+    """New GateOps, each gate followed on its targets by the channels the
+    model puts after it, in order: after an rxx/ryy gate, depolarizing (x)
+    depolarizing, then 2q-duration thermal (x) thermal, then Z(x)Z
+    dephasing in dephasing_channel mode only; after a single-qubit gate,
+    1q-duration thermal, then the Pauli channel. An rzz gate gets nothing:
+    coherent crosstalk is the gate itself. The channels are _channels'
+    objects, shared by every gate of a kind and by equal parameters."""
+    after_xy, after_1q = _channels(params)
     out = []
     for op in ops:
         gate = op.gate
-        added = scheduled_channels(gate.kind, gate.arity, params)
+        added = after_xy if gate.kind in _TWO_QUBIT_KINDS else after_1q if gate.arity == 1 else ()
         out.append(GateOp(gate, [*op.channels, *((ch, gate.targets) for ch in added)]))
     return out
-
-
-def scheduled_channels(kind: str, arity: int, params: NoiseParams) -> tuple:
-    """The channels, in order, that the model puts after a gate of `kind` on
-    `arity` qubits, each to act on the gate's targets.
-
-    After an rxx/ryy gate: depolarizing (x) depolarizing, then 2q-duration
-    thermal (x) thermal, then Z(x)Z dephasing in dephasing_channel mode only.
-    After a single-qubit gate: 1q-duration thermal, then the Pauli channel.
-    An rzz gate gets nothing: coherent crosstalk is the gate itself.
-    """
-    after_xy, after_1q = _channels(params)
-    if kind in _TWO_QUBIT_KINDS:
-        return after_xy
-    return after_1q if arity == 1 else ()
 
 
 @lru_cache(maxsize=16)

@@ -22,10 +22,11 @@ step are bound once to two fixed state buffers (bind_superoperators), each
 then one call on views fixed when it was bound, and allocate nothing.
 States of circuits that differ only in their gates' matrices evolve
 together as one batch: a gate may hold an (m, d, d) stack of its members'
-unitaries, compiling it gives an op with the stack of their PTMs (2-D
-parts, such as the shared channels, broadcast over the member axis), and
-the kernel applies the stack with one broadcast matmul over a leading
-member axis. Each channel's PTM is built once per channel object.
+unitaries, compiling it gives an op with the stack of their PTMs, and the
+kernel applies every op to the batch as one matmul over a leading member
+axis, a stack member by member and a 2-D op, which every member shares,
+broadcast over that axis. Each channel's PTM is built once per channel
+object.
 apply_unitary and apply_channel (the Kraus loop on DensityMatrix) are the
 engine's reference, and apply ops on any qubits; the rest of the
 density-matrix side (the change between rho and a PauliState, the partial
@@ -34,6 +35,7 @@ trace, populations) is in the tests' oracle module.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache, partial
 
 import numpy as np
@@ -216,24 +218,26 @@ def _check_targets(targets, n_qubits: int) -> None:
         raise ValueError(f"duplicate targets {targets}")
 
 
-def _matmul_operands(src: np.ndarray, mat: np.ndarray, lead: int, dst: np.ndarray) -> tuple:
+def _matmul_operands(src: np.ndarray, mat: np.ndarray, lead: tuple, dst: np.ndarray) -> tuple:
     """(x, y, out): the views such that np.matmul(x, y, out) contracts the
-    4^k x 4^k mat into the consecutive Pauli axes a..a+k-1 of src, lead =
-    4^a, writing dst. The one place that lays them out, for every op.
+    4^k x 4^k mat into the consecutive Pauli axes a..a+k-1 of src, writing
+    dst. The one place that lays them out, for every op and every batch.
 
-    `src` is a Pauli vector or a batch of them on a trailing axis, viewed as
-    4^a x 4^k x rest; `dst` is a contiguous array of its size and must not
-    be `src`, as a matmul never writes over its own input. When nothing
-    follows the block, the matmul is one GEMM against mat.T. `mat` may also
-    be an m x 4^k x 4^k stack applied to m vectors stored one after another
-    in src, member b taking mat[b]: the same matmul over a leading member
-    axis of the view, each member's result bit-identical to its own.
+    `src` is viewed as lead x 4^k x rest, lead = (*members, 4^a): a Pauli
+    vector or a batch of them on a trailing axis, lead = (4^a,), or m
+    members stored one after another, lead = (m, 4^a). `dst` is a
+    contiguous array of its size and must not be `src`, as a matmul never
+    writes over its own input. When nothing follows the block, the matmul
+    is one GEMM per member against mat.T. `mat` is one matrix, broadcast
+    over the members, or an m x 4^k x 4^k stack, member b taking mat[b].
+    Either way the member axis stays an axis of the matmul, so each
+    member's result is bit-identical to its own.
     """
     width = mat.shape[-1]
-    view = (lead, width) if mat.ndim == 2 else (len(mat), lead, width)
-    if src.size * width == lead * mat.size:  # one vector per matrix
+    if src.size == math.prod(lead) * width:  # nothing follows the block
+        view = (*lead, width)
         return src.reshape(view), mat.swapaxes(-1, -2), dst.reshape(view)
-    view += (-1,)
+    view = (*lead, width, -1)
     return mat if mat.ndim == 2 else mat[:, None], src.reshape(view), dst.reshape(view)
 
 
@@ -346,8 +350,8 @@ def _compose(support: range, parts) -> np.ndarray:
     whole support (_embed), so every part takes the kernel's one matmul.
 
     When a part is an m-member stack, so is the result: the identity is
-    copied to each member, and a 2-D part takes the members as more leading
-    blocks of its view (the parts' stacks must share their size).
+    copied to each member, and a 2-D part is broadcast over the members
+    (the parts' stacks must share their size).
     """
     k = len(support)
     lead = next((ptm.shape[:1] for ptm, _ in parts if ptm.ndim > 2), ())
@@ -358,8 +362,7 @@ def _compose(support: range, parts) -> np.ndarray:
         first = targets[0] - support[0]
         if targets != tuple(range(targets[0], targets[0] + len(targets))):
             ptm, first = _embed(ptm, [t - support[0] for t in targets], k), 0
-        blocks = 4**first * (matrix.size // 16**k if ptm.ndim == 2 else 1)
-        np.matmul(*_matmul_operands(matrix, ptm, blocks, bufs[i % 2]))
+        np.matmul(*_matmul_operands(matrix, ptm, (*matrix.shape[:-2], 4**first), bufs[i % 2]))
         matrix = bufs[i % 2]
     return matrix
 
@@ -459,7 +462,8 @@ def bind_superoperators(sops, first: np.ndarray, second: np.ndarray) -> list:
     result is in `second` for an odd number of ops, else in `first`.
 
     The buffers are contiguous arrays of one shape: one Pauli vector
-    (4^n,), or m of them, (m, 4^n), for stacked ops of m members. An op
+    (4^n,), or m of them, (m, 4^n), for a batch of m members, whose ops
+    are m-member stacks or 2-D ops that every member shares. An op
     compiled for another register size than n is refused. Each call is one
     np.matmul on views fixed here (_matmul_operands), writes bit for bit
     what the same matmul writes into a new vector, and allocates no state.
@@ -468,7 +472,8 @@ def bind_superoperators(sops, first: np.ndarray, second: np.ndarray) -> list:
     calls, src, dst = [], first, second
     for sop in sops:
         _check_register(sop, n)
-        calls.append(partial(np.matmul, *_matmul_operands(src, sop.matrix, 4**sop.targets[0], dst)))
+        lead = (*first.shape[:-1], 4**sop.targets[0])
+        calls.append(partial(np.matmul, *_matmul_operands(src, sop.matrix, lead, dst)))
         src, dst = dst, src
     return calls
 

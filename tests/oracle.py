@@ -71,7 +71,7 @@ def apply_superoperator(state: PauliState, sop: Superoperator) -> PauliState:
     n, vec = state.n_qubits, state.vector
     _check_register(sop, n)
     dst = np.empty(vec.size)
-    np.matmul(*_matmul_operands(vec, sop.matrix, 4 ** sop.targets[0], dst))
+    np.matmul(*_matmul_operands(vec, sop.matrix, (4 ** sop.targets[0],), dst))
     return PauliState(n, dst)
 
 

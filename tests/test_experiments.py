@@ -479,9 +479,14 @@ class TestLockStep:
         whole = run_sp_batch(configs)
         chunks, stacks = [], []
         real = experiments._compile_merged
-        monkeypatch.setattr(experiments, "_compile_merged",
-                            lambda ops, n, members=1: chunks.append(members)
-                            or real(ops, n, members))
+
+        def compile_spy(ops, n):
+            # the members of the compiled ops: their gates' largest stack
+            chunks.append(max(len(op.gate.matrix) if op.gate.matrix.ndim > 2 else 1
+                              for op in ops))
+            return real(ops, n)
+
+        monkeypatch.setattr(experiments, "_compile_merged", compile_spy)
         build = UnitaryGate.__init__
 
         def spy(gate, matrix, targets, kind=""):
@@ -493,7 +498,7 @@ class TestLockStep:
         monkeypatch.setattr(experiments, "MAX_BATCH_COEFFS", 2 * 4**3 + 1)
         for got, want in zip(run_sp_batch(configs), whole, strict=True):
             assert_same_series(got, want)
-        assert chunks == [2, 2, 2, 2, 1, 1]  # prep and step of each chunk
+        assert chunks == [1, 2, 1, 2, 1, 1]  # the shared prep and the step of each chunk
         assert stacks == [2] * 4 + [2] * 4 + [1] * 4
 
     def test_empty_batch(self):
@@ -504,7 +509,9 @@ class TestLockStep:
 
 class TestBatchedCompile:
     """One compile of a batch circuit gives, member by member, the ops of the
-    member's own compile, bit for bit."""
+    member's own compile, bit for bit. An op is a stack of its members' PTMs
+    exactly when it holds an XY gate of a chunk of more than one member; the
+    others stay 2-D, one op for every member."""
 
     NOISE = {"ideal": None, "hamiltonian": NoiseParams(),
              "dephasing": NoiseParams(zz_mode="dephasing_channel", p_zz=0.01)}
@@ -512,25 +519,36 @@ class TestBatchedCompile:
 
     @pytest.mark.parametrize("noise", sorted(NOISE))
     @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_every_op_equals_the_members_own(self, n, noise):
+    def test_every_op_equals_the_members_own(self, n, noise, monkeypatch):
+        """The ops that evolve_recorded binds for a chunk, prep then step."""
         configs = [ExperimentConfig(n_sites=n, n_steps=8, j0=j0, noise=self.NOISE[noise])
                    for j0 in self.J0S]
         circuit = assemble_circuit(configs[0], [config.profile() for config in configs])
         kinds = {op.gate.kind for op in circuit.step}
         assert ("rzz" in kinds) == (noise == "hamiltonian")
         own = [assemble_circuit(config) for config in configs]
+        bound = []
+        real = experiments.bind_superoperators
+        monkeypatch.setattr(experiments, "bind_superoperators",
+                            lambda sops, *bufs: bound.append(sops) or real(sops, *bufs))
         # the whole batch, a chunk inside it, and a chunk of one at its end
         for lo, hi in [(0, 5), (1, 3), (4, 5)]:
             chunk = assemble_circuit(configs[0], [config.profile() for config in configs[lo:hi]])
-            for layer in ("prep", "step"):
-                got = _compile_merged(getattr(chunk, layer), n, hi - lo)
+            bound.clear()
+            evolve_recorded(chunk, lambda block: block[:, :1])
+            for layer, got in zip(("prep", "step"), bound[:2], strict=True):
+                stacked = [hi - lo > 1 and xy for xy in holds_xy(getattr(chunk, layer), n)]
+                assert [sop.matrix.ndim for sop in got] == [3 if s else 2 for s in stacked]
                 for b in range(lo, hi):
                     want = _compile_merged(getattr(own[b], layer), n)
                     assert [sop.targets for sop in got] == [sop.targets for sop in want]
-                    for g, w in zip(got, want):
-                        assert g.matrix.ndim == (2 if hi - lo == 1 else 3)
-                        member = g.matrix if hi - lo == 1 else g.matrix[b - lo]
+                    for g, w, s in zip(got, want, stacked, strict=True):
+                        member = g.matrix[b - lo] if s else g.matrix
                         assert np.array_equal(member, w.matrix), (layer, lo, hi, b)
+            assert all(sop.matrix.ndim == 2 for sop in bound[0])  # the prep
+            if n == 4 and noise == "hamiltonian" and hi - lo > 1:
+                # the XY ops, then the RZZ pair on qubits 0-2 and RZZ(2, 3)
+                assert [sop.matrix.ndim for sop in bound[1]] == [3, 3, 2, 2]
 
     def test_a_single_run_applies_2d_ops(self, monkeypatch):
         applied = []
@@ -548,6 +566,15 @@ class TestBatchedCompile:
         assert all(sop.matrix.ndim == 2 for sop in applied)
         circuit = assemble_circuit(config)
         assert all(op.gate.matrix.ndim == 2 for op in circuit.prep + circuit.step)
+
+
+def holds_xy(ops, n: int) -> list:
+    """For each op that _compile_merged makes of ops, whether its merge
+    group holds an XY gate."""
+    sops = fused_superoperators([(op.gate, op.channels) for op in ops], n)
+    kinds = {id(sop): op.gate.kind for op, sop in zip(ops, sops, strict=True)}
+    return [any(kinds[id(sop)] in ("rxx", "ryy") for sop in group)
+            for _, group in sim_core.merge_groups(sops)]
 
 
 def compiled_layers(config: ExperimentConfig, plain: bool = False) -> list:
@@ -620,8 +647,6 @@ class TestFamilies:
                 op.channels = []
         with pytest.raises(ValueError, match="read-only"):
             family.rotations[...] = 0
-        assert isinstance(family.xy_channels, tuple)
-        assert all(isinstance(channels, tuple) for channels in family.xy_channels)
         with pytest.raises(FrozenInstanceError):
             family.prep = ()
 

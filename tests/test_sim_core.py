@@ -408,11 +408,12 @@ def tensordot_reference(state: PauliState, sop: Superoperator) -> np.ndarray:
     return to_density_matrix(PauliState(state.n_qubits, tensordot_vector(state, sop))).matrix
 
 
-def contract_new(src: np.ndarray, mat: np.ndarray, targets) -> np.ndarray:
+def contract_new(src: np.ndarray, mat: np.ndarray, targets, members: tuple = ()) -> np.ndarray:
     """The kernel on a Pauli vector or batch, on the consecutive targets, into
-    a new array."""
+    a new array; with `members`, on that many vectors stored one after
+    another in src."""
     dst = np.empty(src.shape)
-    np.matmul(*_matmul_operands(src, mat, 4 ** targets[0], dst))
+    np.matmul(*_matmul_operands(src, mat, (*members, 4 ** targets[0]), dst))
     return dst
 
 
@@ -499,33 +500,41 @@ class TestKernel:
 
 
 class TestStackedOps:
-    """A stack of m matrices applied to m vectors stored one after another:
-    each member bit-identical to its own matrix on its own vector."""
+    """A stack of m matrices, or one matrix that every member shares, applied
+    to m vectors stored one after another: each member bit-identical to its
+    own matrix on its own vector."""
 
+    @pytest.mark.parametrize("stacked", [True, False], ids=["stack", "shared"])
     @pytest.mark.parametrize("targets", [(0, 1), (1, 2, 3), (3, 4), (4,)])
     @pytest.mark.parametrize("members", [1, 3])
-    def test_stack_equals_member_by_member(self, targets, members):
+    def test_stack_equals_member_by_member(self, targets, members, stacked):
         n = 5
         rng = np.random.default_rng(len(targets) + members)
         mats = rng.normal(size=(members, 4 ** len(targets), 4 ** len(targets)))
+        if not stacked:
+            mats = mats[0]
         vecs = rng.normal(size=(members, 4**n))
-        got = contract_new(vecs, mats, targets)
+        got = contract_new(vecs, mats, targets, (members,))
         for b in range(members):
-            assert np.array_equal(got[b], contract_new(vecs[b], mats[b], targets)), b
+            own = mats[b] if stacked else mats
+            assert np.array_equal(got[b], contract_new(vecs[b], own, targets)), b
 
     def test_stacked_ops_apply_each_members_list(self):
         """A batch circuit's step, compiled once into stacked ops and bound to
         a (3, 4^N) buffer pair (bind_superoperators, as evolve_recorded runs
         it), against each member's own compiled step through
-        apply_superoperator, on a merged noisy N = 4 step."""
+        apply_superoperator, on a merged noisy N = 4 step. The two ops that
+        hold XY gates are 3-member stacks; the RZZ pair on qubits 0-2 and
+        RZZ(2, 3), the same for every member, stay 2-D."""
         n = 4
         states = [from_density_matrix(random_density(n, seed=s)) for s in range(3)]
         configs = [ExperimentConfig(n_sites=n, n_steps=4, j0=j0, noise=NoiseParams())
                    for j0 in (0.5, 1.0, 2.0)]
         stacked = _compile_merged(
-            assemble_circuit(configs[0], [c.profile() for c in configs]).step, n, 3)
+            assemble_circuit(configs[0], [c.profile() for c in configs]).step, n)
         steps = [_compile_merged(assemble_circuit(config).step, n) for config in configs]
-        assert [sop.matrix.shape[0] for sop in stacked] == [3] * len(steps[0])
+        assert [sop.matrix.shape[:-2] for sop in stacked] == [(3,), (3,), (), ()]
+        assert len(steps[0]) == len(stacked)
         bufs = (np.stack([s.vector for s in states]), np.empty((3, 4**n)))
         for call in bind_superoperators(stacked, *bufs):
             call()
