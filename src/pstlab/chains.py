@@ -160,7 +160,7 @@ def build_trotter_circuit(couplings, plan: TrotterPlan, zeta: float = 0.0) -> No
 
     Each step applies, per bond i = 1..N-1 in ascending order, RXX(J_i dt)
     then RYY(J_i dt) on qubits (i-1, i); when zeta > 0, RZZ(2 zeta dt) on
-    every neighbouring pair closes the step.
+    every neighbouring pair, each placed by step_order.
 
     `couplings` is one CouplingProfile, or a sequence of profiles of one
     chain length, one per member of a lock-step batch. With m > 1 members
@@ -177,23 +177,42 @@ def build_trotter_circuit(couplings, plan: TrotterPlan, zeta: float = 0.0) -> No
     if any(p.n_sites != n for p in profiles):
         raise ValueError("batched coupling profiles must share their chain length")
     dt = plan.dt
-    step_ops = []
+    xy = []
     for i in range(n - 1):
         pair = (i, i + 1)
         thetas = [p.couplings[i] * dt for p in profiles]
         for kind in ("RXX", "RYY"):
             mats = _rotations(kind, thetas)
-            step_ops.append(GateOp(UnitaryGate(mats if len(mats) > 1 else mats[0], pair,
-                                               kind=kind.lower())))
-    step_ops += [GateOp(gate) for gate in crosstalk_gates(n, plan, zeta)]
+            xy.append(GateOp(UnitaryGate(mats if len(mats) > 1 else mats[0], pair,
+                                         kind=kind.lower())))
+    step_ops = step_order(xy, [GateOp(gate) for gate in crosstalk_gates(n, plan, zeta)])
     return NoisyCircuit(
         n_qubits=n, prep=[], step=step_ops, plan=plan, profiles=profiles, zeta=zeta
     )
 
 
+def step_order(xy: list, crosstalk: list) -> list:
+    """One Trotter step's ops in the order they run, from its XY ops (RXX
+    then RYY per bond, bonds ascending) and its RZZ ops (one per bond, or
+    none): each RZZ op right after the last XY op it shares a qubit with,
+    B1 B2 Z1 B3 Z2 ... B_{N-1} Z_{N-2} Z_{N-1}. An RZZ op moves only past XY
+    ops on other qubits, and each channel acts on its own gate's qubits, so
+    this is the map of the XY sweep followed by the RZZ layer, and every
+    group that sim_core.merge_groups merges holds an XY op, and the step
+    merges into max(1, N - 2) ops.
+    """
+    if not crosstalk:
+        return list(xy)
+    order = list(xy[:2])
+    for bond in range(1, len(crosstalk)):
+        order += [*xy[2 * bond:2 * bond + 2], crosstalk[bond - 1]]
+    return order + [crosstalk[-1]]
+
+
 def crosstalk_gates(n_sites: int, plan: TrotterPlan, zeta: float) -> list:
-    """The RZZ(2 zeta dt) gates that close a Trotter step, one per
-    neighbouring pair in ascending order; none when zeta (>= 0) is 0."""
+    """The RZZ(2 zeta dt) gates of a Trotter step, one per neighbouring
+    pair in ascending order (step_order places them); none when zeta (>= 0)
+    is 0."""
     if not zeta > 0:
         return []
     phi = 2.0 * zeta * plan.dt

@@ -382,7 +382,9 @@ def _rescale(exp_cfg: ExperimentConfig, search: dict):
     corrected = apply_rescaling(noisy, params)
     files = {**_series_files("noisy", noisy), **_series_files("ideal", ideal),
              **_series_files("corrected", corrected)}
-    fitted = {"alpha": params.alpha, "beta": params.beta, "s": params.s}
+    # collapsed: the fit found no decay to correct, often a sign of shot noise (README)
+    fitted = {"alpha": params.alpha, "beta": params.beta, "s": params.s,
+              "collapsed": params.alpha == 0.0 and params.beta == 0.0}
     return files, fitted, {"noisy": _peak_summary(noisy), "corrected": _peak_summary(corrected)}
 
 

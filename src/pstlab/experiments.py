@@ -10,24 +10,26 @@ superoperator (a real Pauli transfer matrix), and adjacent fused ops of the
 prep layer and of the Trotter step are merged into superoperators of at most
 sim_core.MERGE_WIDTH qubits. Merging never crosses a recorded step boundary.
 What does not depend on the couplings is a circuit's family (_family): the
-noise-attached prep gate and the RZZ gates that close the step, each with
-its fused op, and the tomography rotations. It is built and compiled once
-for all configs that differ at most in couplings, seed, shots and measured
-sites, and cached by the value of the fields that assembly reads;
-assemble_circuit builds only the XY gates, with their channels. Runs
-that differ only in couplings can evolve in lock-step as one batch
+noise-attached prep gate and the step's RZZ gates, each with its fused op,
+and the tomography rotations. It is built and compiled once for all
+configs that differ at most in couplings, seed, shots and measured sites,
+and cached by the value of the fields that assembly reads;
+assemble_circuit builds only the XY gates, with their channels, and puts
+each RZZ gate right after the last XY gate it shares a qubit with
+(chains.step_order), so every merge group of the step holds an XY gate.
+Runs that differ only in couplings can evolve in lock-step as one batch
 (run_sp_batch, run_first_peaks). _lock_step_circuits splits the batch into
 chunks of at most MAX_BATCH_COEFFS Pauli coefficients and assembles one
 circuit per chunk, whose XY gates hold a stack of the chunk members'
 matrices. evolve_recorded runs the one circuit it is given: it fuses those
 gates in one pass into stacked ops, takes the family's fused ops at their
-places, merges (a merge group of the family's ops alone is composed once
-per family and stays 2-D, shared by every member), and binds each op once
-to the circuit's two state buffers, and each recorded step hands the
-(members, 4^n) state block to one observe call. run_sp_batch reads every
-member's populations from that block, P(1) = (r_I - r_Z) / 2 from one
-column slice, and draws each member's shots from its own generator, so
-each member's records are bit-identical to its own run's. One rule,
+places, merges, and binds each op once to the circuit's two state
+buffers (the prep, which holds no XY gate, stays 2-D, shared by every
+member), and each recorded step hands the (members, 4^n) state block to
+one observe call. run_sp_batch reads every member's populations from that
+block, P(1) = (r_I - r_Z) / 2 from one column slice, and draws each
+member's shots from its own generator, so each member's records are
+bit-identical to its own run's. One rule,
 _settled_peak on the window (0, T/2] (_window_last), decides every first
 peak: detect_first_peak's on a whole series, and run_first_peaks', the
 optimizer's scores, which records only the end site's P(1) and stops each
@@ -68,6 +70,7 @@ from .chains import (
     crosstalk_gates,
     gate_matrix,
     pst_couplings,
+    step_order,
 )
 from .noise import NoiseParams, with_noise
 from .sim_core import (
@@ -76,8 +79,7 @@ from .sim_core import (
     UnitaryGate,
     bind_superoperators,
     fused_superoperators,
-    merge_groups,
-    merged_superoperator,
+    merge_superoperators,
     qubit_state_fidelity,
 )
 
@@ -88,10 +90,11 @@ from .sim_core import (
 # N = 8 holds one state at a time; evolve_recorded runs each. Batching saves
 # per-op call overhead; wide batches lose it to cache misses. One
 # comprehensive-noise step per member, one BLAS thread, medians of 9 rounds:
-# N = 4 20 us alone, 6.3 / 7.3 / 8.6 us in batches of 16 / 32 / 64; N = 5 31
-# us alone, 19 / 19 / 21 us in 4 / 8 / 16; N = 6 106 us alone, 91 / 95 / 99 us
-# in 2 / 4 / 8; N = 7 350-500 us alone or in 2. 2^13 keeps N = 4 to 6 within
-# 16 % of their best batch.
+# N = 4 3.8-6.7 us alone, 1.8-3.2 / 2.9-4.3 / 3.6-4.8 us in batches of 16 / 32
+# / 64 (three runs); N = 5 11 us alone, 8.8 / 8.7 / 8.7 us in 4 / 8 / 16; N = 6
+# 41 us alone, 39 / 40 / 41 us in 2 / 4 / 8; N = 7 182 us alone or in 2. 2^13
+# gives N = 5 and 6 their best batch, and N = 4 one 34-60 % slower per member
+# than a batch of 16.
 MAX_BATCH_COEFFS = 2**13
 
 # The most families (_family) whose shared parts stay built and compiled, as
@@ -233,17 +236,16 @@ def assemble_circuit(config: ExperimentConfig, profiles=None) -> NoisyCircuit:
     circuit of a lock-step batch with a member per profile in place of
     config's own. Only the XY gates are built here (build_trotter_circuit
     without crosstalk), with the noise model's channels (noise.with_noise);
-    the prep and the RZZ gates that close the step come from config's
-    family (_family)."""
+    the prep and the RZZ gates come from config's family (_family), each
+    RZZ gate placed by chains.step_order."""
     family = _family(config)
     profiles = (config.profile(),) if profiles is None else tuple(profiles)
     if any(p.n_sites != config.n_sites for p in profiles):
         raise ValueError("batched coupling profiles must share their chain length")
     circuit = build_trotter_circuit(profiles, family.plan)
-    if config.noise is not None:
-        circuit.step = with_noise(circuit.step, config.noise)
+    xy = circuit.step if config.noise is None else with_noise(circuit.step, config.noise)
     circuit.prep = list(family.prep)
-    circuit.step += family.crosstalk
+    circuit.step = step_order(xy, family.crosstalk)
     circuit.zeta = config.noise.circuit_zeta() if config.noise is not None else 0.0
     return circuit
 
@@ -251,16 +253,14 @@ def assemble_circuit(config: ExperimentConfig, profiles=None) -> NoisyCircuit:
 class _SharedOp(GateOp):
     """A prep or step GateOp that every circuit of a family shares, with
     `fused`, its fused superoperator, compiled once (_family), which
-    _compile_merged takes in place of fusing the op again, and `merged`,
-    its family's merged ops of groups of shared ops alone (_Family.merged).
-    Its channels are a tuple, its arrays are read-only and it refuses any
-    attribute change, so no run can alter what another one applies."""
+    _compile_merged takes in place of fusing the op again. Its channels are
+    a tuple, its arrays are read-only and it refuses any attribute change,
+    so no run can alter what another one applies."""
 
-    def __init__(self, op: GateOp, fused: Superoperator, merged: dict):
+    def __init__(self, op: GateOp, fused: Superoperator):
         op.gate.matrix.setflags(write=False)
         fused.matrix.setflags(write=False)
-        self.__dict__.update(gate=op.gate, channels=tuple(op.channels), fused=fused,
-                             merged=merged)
+        self.__dict__.update(gate=op.gate, channels=tuple(op.channels), fused=fused)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a family's shared op is read-only: cannot set {name!r}")
@@ -273,12 +273,8 @@ class _Family:
 
     plan: TrotterPlan
     prep: tuple  # the noise-attached prep op, a _SharedOp
-    crosstalk: tuple  # the RZZ ops that close the step, as _SharedOps
+    crosstalk: tuple  # the step's RZZ ops, bond by bond, as _SharedOps
     rotations: np.ndarray | None  # _basis_rotation_ptms, for an "arbitrary" initial state
-    # The merged op of each merge group that holds shared ops alone, keyed by
-    # the tuple of their fused ops and filled by _compile_merged: the same in
-    # every chunk of every batch, so it is composed once.
-    merged: dict
 
 
 def _family(config: ExperimentConfig) -> _Family:
@@ -294,9 +290,8 @@ def _family(config: ExperimentConfig) -> _Family:
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def _families(n_sites, n_steps, total_time, noise, initial, amp_a, amp_b) -> _Family:
     """_family of the fields: the prep gate and the RZZ gates, each with the
-    noise model's channels, fused in one fused_superoperators call, the
-    tomography rotations, and an empty map for the merged ops of groups of
-    shared ops alone."""
+    noise model's channels, fused in one fused_superoperators call, and the
+    tomography rotations."""
     plan = TrotterPlan(total_time, n_steps)
     if initial == "single_excitation":
         prep = UnitaryGate(gate_matrix("X"), (0,), kind="x")
@@ -309,13 +304,12 @@ def _families(n_sites, n_steps, total_time, noise, initial, amp_a, amp_b) -> _Fa
     if noise is not None:
         shared = with_noise(shared, noise)
     fused = fused_superoperators([(op.gate, op.channels) for op in shared], n_sites)
-    merged = {}
-    shared = [_SharedOp(op, sop, merged) for op, sop in zip(shared, fused, strict=True)]
+    shared = [_SharedOp(op, sop) for op, sop in zip(shared, fused, strict=True)]
     rotations = None
     if initial == "arbitrary":
         rotations = _basis_rotation_ptms(noise)
         rotations.setflags(write=False)
-    return _Family(plan, tuple(shared[:1]), tuple(shared[1:]), rotations, merged)
+    return _Family(plan, tuple(shared[:1]), tuple(shared[1:]), rotations)
 
 
 def _prep_gate_for_amplitudes(a: complex, b: complex) -> UnitaryGate:
@@ -334,31 +328,16 @@ def _compile_merged(ops, n_qubits: int) -> list:
     one fused superoperator, adjacent ones then merged, one _compose per
     merged group. A family's shared op (_SharedOp) brings its fused op,
     compiled once; the others, a circuit's XY gates, are fused in one
-    fused_superoperators call (one pass per local shape). A merge group of
-    shared ops alone is composed once per family and then taken from its
-    family (_merged_shared). An op is a stack of its members' PTMs only when
-    it holds a stacked gate, one that differs between the members of a
-    batch; the others stay 2-D, and the kernel shares them with every
-    member (sim_core._matmul_operands)."""
+    fused_superoperators call (one pass per local shape). In a Trotter
+    step (chains.step_order) every merge group holds an XY gate, so it is
+    composed per circuit; the prep is one op. An op is a stack of its
+    members' PTMs only when it holds a stacked gate, one that differs
+    between the members of a batch; the others stay 2-D, and the kernel
+    shares them with every member (sim_core._matmul_operands)."""
     fresh = iter(fused_superoperators([(op.gate, op.channels) for op in ops
                                        if not isinstance(op, _SharedOp)], n_qubits))
-    shared = {op.fused: op.merged for op in ops if isinstance(op, _SharedOp)}
-    groups = merge_groups([op.fused if isinstance(op, _SharedOp) else next(fresh) for op in ops])
-    return [_merged_shared(support, group, shared[group[0]])
-            if len(group) > 1 and all(sop in shared for sop in group)
-            else merged_superoperator(support, group)
-            for support, group in groups]
-
-
-def _merged_shared(support: range, group: list, family: dict) -> Superoperator:
-    """merged_superoperator of a group of a family's shared fused ops, from
-    family, its _Family.merged, composed and made read-only on first use."""
-    key = tuple(group)
-    if key not in family:
-        sop = merged_superoperator(support, group)
-        sop.matrix.setflags(write=False)
-        family[key] = sop
-    return family[key]
+    return merge_superoperators([op.fused if isinstance(op, _SharedOp) else next(fresh)
+                                 for op in ops])
 
 
 def evolve_recorded(circuit: NoisyCircuit, observe, settled=None) -> np.ndarray:

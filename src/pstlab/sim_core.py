@@ -58,10 +58,10 @@ _PSD_FLOOR = -1e-9
 _CPTP_TOL = 1e-10
 # Widest support, in qubits, of a superoperator merged from adjacent ones.
 # Each merge saves one pass over the state and costs a wider matmul. One
-# comprehensive-noise step, one BLAS thread, widths 2 / 3 / 4: N = 4 26 / 20 /
-# 17 us, N = 6 105 / 104 / 220 us, N = 8 1.54 / 1.87 / 5.1 ms, N = 10 37 / 40 /
-# 84 ms (medians of 15 interleaved rounds). Width 2 wins only from N = 8 up and
-# width 4 only at N = 4; 3 is kept, as the N = 4 optimize workload needs it.
+# comprehensive-noise step, one BLAS thread, widths 2 / 3 / 4: N = 4 8.0 / 3.9 /
+# 10.4 us, N = 6 50 / 43 / 118 us, N = 8 0.82 / 0.91 / 1.9 ms, N = 10 26 / 24 /
+# 46 ms (medians of 15 interleaved rounds). Width 2 wins only at N = 8, by
+# 3-13 % over four runs, and width 4 nowhere, so 3 is kept.
 MERGE_WIDTH = 3
 
 

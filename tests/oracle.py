@@ -6,6 +6,8 @@ not use, each checked against the engine by the tests that import it.
   loop (sim_core.apply_unitary and apply_channel) over a gate and its
   channels, single-qubit populations, the partial trace and the Choi
   matrix.
+- A single-excitation circuit in the step order before RZZ gates were
+  moved next to their XY gates: the XY sweep, then the RZZ layer.
 - The exact single-excitation transfer amplitude and its success
   probability, e^{-iAt} of the chain's hopping matrix.
 - The rescaling's forward decay model.
@@ -18,7 +20,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from pstlab.chains import CouplingProfile
+from pstlab.chains import (
+    CouplingProfile,
+    GateOp,
+    NoisyCircuit,
+    build_trotter_circuit,
+    crosstalk_gates,
+    gate_matrix,
+)
+from pstlab.noise import with_noise
 from pstlab.sim_core import (
     _TO_PAULI,
     DensityMatrix,
@@ -88,6 +98,22 @@ def kraus_loop(rho: DensityMatrix, gate: UnitaryGate, channels) -> DensityMatrix
     for channel, targets in channels:
         rho = apply_channel(rho, channel, targets)
     return rho
+
+
+def sweep_then_crosstalk(config) -> NoisyCircuit:
+    """The single-excitation circuit of an experiments.ExperimentConfig, its
+    step in the order that chains.step_order replaced: the XY sweep, bond
+    by bond, then the RZZ layer; every gate with noise.with_noise's
+    channels."""
+    plan = config.plan()
+    circuit = build_trotter_circuit(config.profile(), plan)  # the XY gates alone
+    circuit.zeta = config.noise.circuit_zeta() if config.noise is not None else 0.0
+    circuit.prep = [GateOp(UnitaryGate(gate_matrix("X"), (0,), kind="x"))]
+    circuit.step += [GateOp(gate) for gate in crosstalk_gates(config.n_sites, plan, circuit.zeta)]
+    if config.noise is not None:
+        circuit.prep = with_noise(circuit.prep, config.noise)
+        circuit.step = with_noise(circuit.step, config.noise)
+    return circuit
 
 
 def qubit_p1(state, qubit: int) -> float:

@@ -272,9 +272,28 @@ class TestRunConfig:
             "output_dir": str(tmp_path / "out"),
         })
         manifest = json.loads(run_config(cfg).read_text())
-        assert set(manifest["fitted"]) == {"alpha", "beta", "s"}
+        assert set(manifest["fitted"]) == {"alpha", "beta", "s", "collapsed"}
         assert manifest["results"]["corrected"]["sp_star"] >= manifest["results"]["noisy"]["sp_star"]
         assert Path(manifest["outputs"]["corrected_csv"]).exists()
+
+    def test_a_collapsed_fit_is_flagged(self, tmp_path):
+        """At 256 shots the fit can find no decay at all, alpha = beta = 0,
+        with s far from 1; the manifest says so."""
+        cfg = write_config(tmp_path, {
+            "experiment": "rescale",
+            "chain": {"n": 4},
+            "plan": {"steps": 160},
+            "noise": {},
+            "shots": 256,
+            "seed": 0,
+            "output_dir": str(tmp_path / "out"),
+        })
+        fitted = json.loads(run_config(cfg).read_text())["fitted"]
+        assert fitted == {"alpha": 0.0, "beta": 0.0, "s": 1.625, "collapsed": True}
+
+    def test_the_committed_exact_fit_is_not_collapsed(self):
+        fitted = json.loads((REPO / "runs" / "rescale" / "manifest.json").read_text())["fitted"]
+        assert fitted["collapsed"] is False and fitted["alpha"] > 0 and fitted["beta"] > 0
 
     def test_grid_search_experiment(self, tmp_path):
         cfg = write_config(tmp_path, {

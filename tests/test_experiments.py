@@ -70,6 +70,7 @@ from oracle import (
     qubit_p1,
     random_density,
     series_csv,
+    sweep_then_crosstalk,
     to_density_matrix,
     tomography_csv,
 )
@@ -318,14 +319,14 @@ class TestMergedMatchesKrausLoop:
                 assert err <= 1e-12, (params, [op.gate.kind for op in ops], err)
 
     @pytest.mark.parametrize("config,per_step,per_run", [
-        (ExperimentConfig(n_sites=4, noise=NoiseParams()), 4, 321),
-        (ExperimentConfig(n_sites=6, noise=NoiseParams()), 6, 481),
+        (ExperimentConfig(n_sites=4, noise=NoiseParams()), 2, 161),
+        (ExperimentConfig(n_sites=6, noise=NoiseParams()), 4, 321),
         (ExperimentConfig(n_sites=7, n_steps=10, total_time=math.pi / 4,
                           noise=NoiseParams(zz_mode="dephasing_channel", p_zz=0.01)), 3, 31),
     ], ids=["headline", "n6_sites", "n7_zz_dephasing"])
     def test_ops_per_step(self, config, per_step, per_run):
-        """9, 15 and 12 fused ops per step merge into 4, 6 and 3; with the
-        one prep op, the headline applies 321 ops per run instead of 721."""
+        """9, 15 and 12 fused ops per step merge into 2, 4 and 3; with the
+        one prep op, the headline applies 161 ops per run instead of 721."""
         circuit = assemble_circuit(config)
         step = _compile_merged(circuit.step, config.n_sites)
         prep = _compile_merged(circuit.prep, config.n_sites)
@@ -334,15 +335,48 @@ class TestMergedMatchesKrausLoop:
 
     def test_reversed_group_breaks_the_match(self):
         """The oracle sees the order inside a group: the step's first group
-        (RXX and RYY on bonds (0, 1) and (1, 2)) merged in reverse fails it."""
+        (RXX and RYY on bonds (0, 1) and (1, 2), then RZZ on (0, 1)) merged
+        in reverse fails it."""
         params = NoiseParams(**STRONG)
         ops = assemble_circuit(ExperimentConfig(n_sites=4, n_steps=8, noise=params)).step
         compiled = fused_superoperators([(op.gate, op.channels) for op in ops], 4)
         merged = merge_superoperators(compiled)
-        assert merged[0].targets == (0, 1, 2) and len(merge_superoperators(compiled[:4])) == 1
+        assert merged[0].targets == (0, 1, 2) and len(merge_superoperators(compiled[:5])) == 1
         assert self.max_error(4, ops, merged) <= 1e-12
-        reversed_group = merge_superoperators(compiled[3::-1])
+        reversed_group = merge_superoperators(compiled[4::-1])
         assert self.max_error(4, ops, reversed_group + merged[1:]) > 1e-12
+
+
+class TestStepOrder:
+    """chains.step_order puts each RZZ gate right after the last XY gate it
+    shares a qubit with: the map of the XY sweep followed by the RZZ layer,
+    in fewer merged ops."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_a_coherent_step_merges_into_n_minus_2_ops(self, n):
+        """Every merge group of the step holds an XY gate, so none is made
+        of a family's shared ops alone, and the step is max(1, N - 2) ops."""
+        circuit = assemble_circuit(ExperimentConfig(n_sites=n, n_steps=4, noise=NoiseParams()))
+        assert [op.gate.kind for op in circuit.step].count("rzz") == n - 1
+        assert len(_compile_merged(circuit.step, n)) == max(1, n - 2)
+        assert all(holds_xy(circuit.step, n))
+
+    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_records_equal_the_kraus_loop_over_the_old_order(self, n, members):
+        """evolve_recorded's records, of a single run and of each member of
+        a batch, against the Kraus loop over the sweep-then-RZZ order, under
+        noise strong enough that moving an RZZ gate past a gate on one of
+        its qubits would show."""
+        configs = [ExperimentConfig(n_sites=n, n_steps=3, j0=j0, noise=NoiseParams(**STRONG))
+                   for j0 in (1.0, 0.5, 2.9)[:members]]
+        circuit = assemble_circuit(configs[0], [config.profile() for config in configs])
+        records = evolve_recorded(circuit, lambda block: block)
+        for config, got in zip(configs, records, strict=True):
+            want = kraus_loop_series(sweep_then_crosstalk(config))
+            for k, (vec, rho) in enumerate(zip(got, want, strict=True)):
+                err = np.max(np.abs(to_density_matrix(PauliState(n, vec)).matrix - rho.matrix))
+                assert err <= 1e-12, (config.j0, k, err)
 
 
 class TestTomographyMatchesKrausLoop:
@@ -547,8 +581,8 @@ class TestBatchedCompile:
                         assert np.array_equal(member, w.matrix), (layer, lo, hi, b)
             assert all(sop.matrix.ndim == 2 for sop in bound[0])  # the prep
             if n == 4 and noise == "hamiltonian" and hi - lo > 1:
-                # the XY ops, then the RZZ pair on qubits 0-2 and RZZ(2, 3)
-                assert [sop.matrix.ndim for sop in bound[1]] == [3, 3, 2, 2]
+                # each of the two ops holds XY gates and RZZ gates
+                assert [sop.matrix.ndim for sop in bound[1]] == [3, 3]
 
     def test_a_single_run_applies_2d_ops(self, monkeypatch):
         applied = []
@@ -562,7 +596,7 @@ class TestBatchedCompile:
         monkeypatch.setattr(experiments, "bind_superoperators", spy)
         config = ExperimentConfig(n_sites=4, n_steps=3, noise=NoiseParams())
         run_sp_series(config)
-        assert len(applied) == 1 + 3 * 4
+        assert len(applied) == 1 + 3 * 2
         assert all(sop.matrix.ndim == 2 for sop in applied)
         circuit = assemble_circuit(config)
         assert all(op.gate.matrix.ndim == 2 for op in circuit.prep + circuit.step)
@@ -632,8 +666,10 @@ class TestFamilies:
             config = replace(self.BASE, **change)
             assert experiments._family(config) is family, change
             other = assemble_circuit(config)
-            assert all(a is b for a, b in zip(other.prep + other.step[6:],
-                                              circuit.prep + circuit.step[6:], strict=True))
+            rzz = (4, 7, 8)  # the RZZ ops' places in the step
+            assert all(a is b for a, b in zip(other.prep + [other.step[i] for i in rzz],
+                                              circuit.prep + [circuit.step[i] for i in rzz],
+                                              strict=True))
 
     def test_cached_parts_refuse_writes(self):
         family = experiments._family(self.BASE)
@@ -681,8 +717,8 @@ class TestFamilies:
     def test_a_second_batch_fuses_and_builds_only_its_xy_gates(self, monkeypatch):
         """A second noisy N = 4 batch of one family makes one fusion pass,
         its RXX and RYY gates', builds no prep or RZZ gate, and composes no
-        merge group of shared ops alone (the RZZ pair on qubits 0-2): every
-        _compose it calls holds a stacked part, an XY gate's."""
+        merge group of shared ops alone: every _compose it calls holds a
+        stacked part, an XY gate's."""
         configs = [ExperimentConfig(n_sites=4, n_steps=20, j0=j0, noise=NoiseParams())
                    for j0 in (0.5, 1.0, 2.9, 4.0)]
         run_sp_batch(configs)
@@ -699,22 +735,6 @@ class TestFamilies:
         assert Counter(kinds) == {"rxx": 3, "ryy": 3}
         assert len(composed) == 3  # the fusion pass and the two XY merge groups
         assert all(3 in ndims for ndims in composed), composed
-
-    def test_shared_merge_groups_are_composed_once(self):
-        """The merged op of the RZZ pair on qubits 0-2, the one N = 4 merge
-        group of shared ops alone, is one read-only op in every compile of
-        its family, bit-identical to a compile from plain ops; at N = 3 the
-        RZZ gates merge with XY gates, so no such group exists."""
-        config = ExperimentConfig(n_sites=4, n_steps=20, noise=NoiseParams())
-        experiments._families.cache_clear()
-        first, second = compiled_layers(config), compiled_layers(replace(config, j0=2.0))
-        assert [sop.targets for sop in first[1]] == [(0, 1, 2), (2, 3), (0, 1, 2), (2, 3)]
-        assert second[1][2] is first[1][2] and not first[1][2].matrix.flags.writeable
-        assert list(experiments._family(config).merged.values()) == [first[1][2]]
-        assert_same_layers(first, compiled_layers(config, plain=True))
-        small = ExperimentConfig(n_sites=3, n_steps=20, noise=NoiseParams())
-        compiled_layers(small)
-        assert experiments._family(small).merged == {}
 
 
 class TestFixedBuffers:

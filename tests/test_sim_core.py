@@ -523,9 +523,9 @@ class TestStackedOps:
         """A batch circuit's step, compiled once into stacked ops and bound to
         a (3, 4^N) buffer pair (bind_superoperators, as evolve_recorded runs
         it), against each member's own compiled step through
-        apply_superoperator, on a merged noisy N = 4 step. The two ops that
-        hold XY gates are 3-member stacks; the RZZ pair on qubits 0-2 and
-        RZZ(2, 3), the same for every member, stay 2-D."""
+        apply_superoperator, on a merged noisy N = 4 step. Both ops hold XY
+        gates and the RZZ gates that every member shares, and are 3-member
+        stacks."""
         n = 4
         states = [from_density_matrix(random_density(n, seed=s)) for s in range(3)]
         configs = [ExperimentConfig(n_sites=n, n_steps=4, j0=j0, noise=NoiseParams())
@@ -533,7 +533,7 @@ class TestStackedOps:
         stacked = _compile_merged(
             assemble_circuit(configs[0], [c.profile() for c in configs]).step, n)
         steps = [_compile_merged(assemble_circuit(config).step, n) for config in configs]
-        assert [sop.matrix.shape[:-2] for sop in stacked] == [(3,), (3,), (), ()]
+        assert [sop.matrix.shape[:-2] for sop in stacked] == [(3,), (3,)]
         assert len(steps[0]) == len(stacked)
         bufs = (np.stack([s.vector for s in states]), np.empty((3, 4**n)))
         for call in bind_superoperators(stacked, *bufs):
