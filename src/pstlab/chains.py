@@ -17,7 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sim_core import HADAMARD, PAULI_X, S_DAG, UnitaryGate
+from .sim_core import HADAMARD, PAULI_X, PAULI_Y, S_DAG, UnitaryGate
+
+# Each XY gate kind in the order a Trotter step applies them on a bond, with
+# its Pauli generator G: the gate of angle theta is exp(-i theta/2 G) =
+# c I - i s G, c = cos(theta/2) and s = sin(theta/2).
+XY_GENERATORS = {"rxx": np.kron(PAULI_X, PAULI_X), "ryy": np.kron(PAULI_Y, PAULI_Y)}
 
 
 @dataclass(frozen=True)
@@ -36,8 +41,8 @@ class CouplingProfile:
             raise ValueError(
                 f"expected {self.n_sites - 1} couplings for {self.n_sites} sites, got {len(cps)}"
             )
-        if any(j <= 0 for j in cps):
-            raise ValueError(f"all couplings must be positive, got {cps}")
+        if not all(0 < j < math.inf for j in cps):  # NaN fails both
+            raise ValueError(f"all couplings must be finite and positive, got {cps}")
         object.__setattr__(self, "couplings", cps)
 
 
@@ -103,8 +108,8 @@ def pst_couplings(n_sites: int, j0: float) -> CouplingProfile:
     """Engineered profile J_i = j0 * sqrt(i (N - i)), mirror symmetric by construction."""
     if n_sites < 2:
         raise ValueError(f"chain needs at least 2 sites, got {n_sites}")
-    if j0 <= 0:
-        raise ValueError(f"j0 must be positive, got {j0}")
+    if not 0 < j0 < math.inf:  # NaN fails both
+        raise ValueError(f"j0 must be finite and positive, got {j0}")
     cps = tuple(j0 * math.sqrt(i * (n_sites - i)) for i in range(1, n_sites))
     return CouplingProfile(n_sites=n_sites, couplings=cps, j0=j0)
 
@@ -140,16 +145,23 @@ def gate_matrix(kind: str, theta: float | None = None) -> np.ndarray:
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
-def _rotations(kind: str, thetas) -> np.ndarray:
-    """The RXX or RYY matrices of the angles as an (m, 4, 4) stack. Each
-    member's cos and sin come from math, so its entries do not depend on
-    how many members share the stack."""
-    entries = []
+def half_angles(kind: str, thetas) -> list:
+    """(cos(theta/2), sin(theta/2)) of each angle of an RXX or RYY gate,
+    each from math, so it does not depend on how many members share a
+    stack; a non-finite angle is refused."""
+    out = []
     for theta in thetas:
         if theta is None or not math.isfinite(theta):
             raise ValueError(f"{kind} needs a finite rotation angle")
-        c = math.cos(theta / 2.0)
-        s = math.sin(theta / 2.0)
+        out.append((math.cos(theta / 2.0), math.sin(theta / 2.0)))
+    return out
+
+
+def _rotations(kind: str, thetas) -> np.ndarray:
+    """The RXX or RYY matrices of the angles as an (m, 4, 4) stack, from
+    half_angles."""
+    entries = []
+    for c, s in half_angles(kind, thetas):
         corner = -1j * s if kind == "RXX" else 1j * s
         entries.append([c, 0, 0, corner, 0, c, -1j * s, 0, 0, -1j * s, c, 0, corner, 0, 0, c])
     return np.array(entries, dtype=complex).reshape(-1, 4, 4)
@@ -177,18 +189,19 @@ def build_trotter_circuit(couplings, plan: TrotterPlan, zeta: float = 0.0) -> No
     if any(p.n_sites != n for p in profiles):
         raise ValueError("batched coupling profiles must share their chain length")
     dt = plan.dt
-    xy = []
-    for i in range(n - 1):
-        pair = (i, i + 1)
-        thetas = [p.couplings[i] * dt for p in profiles]
-        for kind in ("RXX", "RYY"):
-            mats = _rotations(kind, thetas)
-            xy.append(GateOp(UnitaryGate(mats if len(mats) > 1 else mats[0], pair,
-                                         kind=kind.lower())))
+    xy = [GateOp(xy_gate(kind, (i, i + 1), [p.couplings[i] * dt for p in profiles]))
+          for i in range(n - 1) for kind in XY_GENERATORS]
     step_ops = step_order(xy, [GateOp(gate) for gate in crosstalk_gates(n, plan, zeta)])
     return NoisyCircuit(
         n_qubits=n, prep=[], step=step_ops, plan=plan, profiles=profiles, zeta=zeta
     )
+
+
+def xy_gate(kind: str, pair, thetas) -> UnitaryGate:
+    """The RXX or RYY gate ("rxx" or "ryy") on `pair` of each angle: its
+    matrix, or the (m, 4, 4) stack of m > 1 members' matrices."""
+    mats = _rotations(kind.upper(), thetas)
+    return UnitaryGate(mats if len(mats) > 1 else mats[0], pair, kind=kind)
 
 
 def step_order(xy: list, crosstalk: list) -> list:

@@ -11,20 +11,23 @@ prep layer and of the Trotter step are merged into superoperators of at most
 sim_core.MERGE_WIDTH qubits. Merging never crosses a recorded step boundary.
 What does not depend on the couplings is a circuit's family (_family): the
 noise-attached prep gate and the step's RZZ gates, each with its fused op,
-and the tomography rotations. It is built and compiled once for all
-configs that differ at most in couplings, seed, shots and measured sites,
-and cached by the value of the fields that assembly reads;
-assemble_circuit builds only the XY gates, with their channels, and puts
-each RZZ gate right after the last XY gate it shares a qubit with
-(chains.step_order), so every merge group of the step holds an XY gate.
+the channels of each XY op, the angle basis of each XY kind, and the
+tomography rotations. It is built and compiled once for all configs that
+differ at most in couplings, seed, shots and measured sites, and cached by
+the value of the fields that assembly reads. The fused op of an XY gate of
+angle theta (its gate, then its channels) is c^2 B0 + cs B1 + s^2 B2, c =
+cos(theta/2) and s = sin(theta/2), with B0, B1 and B2 its kind's angle basis
+(sim_core.rotation_basis), so assemble_circuit builds and fuses no gate: it
+makes each XY op's fused op from its angles and the basis, and puts each
+RZZ op right after the last XY op it shares a qubit with
+(chains.step_order), so every merge group of the step holds an XY op.
 Runs that differ only in couplings can evolve in lock-step as one batch
 (run_sp_batch, run_first_peaks). _lock_step_circuits splits the batch into
 chunks of at most MAX_BATCH_COEFFS Pauli coefficients and assembles one
-circuit per chunk, whose XY gates hold a stack of the chunk members'
-matrices. evolve_recorded runs the one circuit it is given: it fuses those
-gates in one pass into stacked ops, takes the family's fused ops at their
-places, merges, and binds each op once to the circuit's two state
-buffers (the prep, which holds no XY gate, stays 2-D, shared by every
+circuit per chunk, whose XY ops hold a stack of the chunk members' fused
+ops. evolve_recorded runs the one circuit it is given: it takes every op's
+fused op, merges, and binds each op once to the circuit's two state
+buffers (the prep, which holds no XY op, stays 2-D, shared by every
 member), and each recorded step hands the (members, 4^n) state block to
 one observe call. run_sp_batch reads every member's populations from that
 block, P(1) = (r_I - r_Z) / 2 from one column slice, and draws each
@@ -56,24 +59,27 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .chains import (
+    XY_GENERATORS,
     CouplingProfile,
     GateOp,
     NoisyCircuit,
     TrotterPlan,
-    build_trotter_circuit,
     crosstalk_gates,
     gate_matrix,
+    half_angles,
     pst_couplings,
     step_order,
+    xy_gate,
 )
 from .noise import NoiseParams, with_noise
 from .sim_core import (
+    UNITARY_TOL,
     PauliState,
     Superoperator,
     UnitaryGate,
@@ -81,6 +87,8 @@ from .sim_core import (
     fused_superoperators,
     merge_superoperators,
     qubit_state_fidelity,
+    rotation_basis,
+    unitarity_deviation,
 )
 
 # The most Pauli coefficients, over all its members, that one lock-step
@@ -234,36 +242,77 @@ def assemble_circuit(config: ExperimentConfig, profiles=None) -> NoisyCircuit:
     """Build the prepared, noise-attached circuit for a config; with
     `profiles`, a sequence of coupling profiles of its chain length, the one
     circuit of a lock-step batch with a member per profile in place of
-    config's own. Only the XY gates are built here (build_trotter_circuit
-    without crosstalk), with the noise model's channels (noise.with_noise);
-    the prep and the RZZ gates come from config's family (_family), each
-    RZZ gate placed by chains.step_order."""
+    config's own. All but the XY angles theta = J_i dt comes from config's
+    family (_family): the prep op, the RZZ ops, each placed by
+    chains.step_order, and each XY op's kind, bond, channels and angle
+    basis. Each XY op (_XYOp) gets its fused op from that basis and its
+    members' c^2, cs and s^2 (chains.half_angles, which refuses a
+    non-finite angle), combined elementwise in one fixed order, so each
+    member's matrix is bit-identical to its own run's; an (m, 16, 16) stack
+    for m > 1 members, 2-D for one. No gate is built here."""
     family = _family(config)
     profiles = (config.profile(),) if profiles is None else tuple(profiles)
+    if not profiles:
+        raise ValueError("need at least one coupling profile")
     if any(p.n_sites != config.n_sites for p in profiles):
         raise ValueError("batched coupling profiles must share their chain length")
-    circuit = build_trotter_circuit(profiles, family.plan)
-    xy = circuit.step if config.noise is None else with_noise(circuit.step, config.noise)
-    circuit.prep = list(family.prep)
-    circuit.step = step_order(xy, family.crosstalk)
-    circuit.zeta = config.noise.circuit_zeta() if config.noise is not None else 0.0
-    return circuit
+    dt = family.plan.dt
+    thetas = [tuple(p.couplings[i] * dt for p in profiles) for i in range(config.n_sites - 1)]
+    # (3, bonds, 1, members, 1, 1): c^2, cs and s^2 of each bond's angle, member by member
+    weights = np.array([[(c * c, c * s, s * s) for c, s in half_angles("RXX", bond)]
+                        for bond in thetas]).transpose(2, 0, 1)[:, :, None, :, None, None]
+    basis = family.xy_basis
+    members = (len(profiles),) if len(profiles) > 1 else ()
+    # (bonds, kinds, members, 16, 16), so one XY op after another in step order
+    fused = (weights[0] * basis[0] + weights[1] * basis[1] + weights[2] * basis[2]).reshape(
+        len(family.xy), *members, *basis.shape[-2:])
+    fused.setflags(write=False)
+    xy = [_XYOp(kind, pair, thetas[pair[0]], channels, Superoperator(matrix, pair, config.n_sites))
+          for (kind, pair, channels), matrix in zip(family.xy, fused, strict=True)]
+    return NoisyCircuit(n_qubits=config.n_sites, prep=list(family.prep),
+                        step=step_order(xy, family.crosstalk), plan=family.plan,
+                        profiles=profiles,
+                        zeta=config.noise.circuit_zeta() if config.noise is not None else 0.0)
 
 
-class _SharedOp(GateOp):
-    """A prep or step GateOp that every circuit of a family shares, with
-    `fused`, its fused superoperator, compiled once (_family), which
-    _compile_merged takes in place of fusing the op again. Its channels are
-    a tuple, its arrays are read-only and it refuses any attribute change,
-    so no run can alter what another one applies."""
+class _FusedOp(GateOp):
+    """A GateOp that brings `fused`, its fused superoperator, which
+    _compile_merged takes in place of fusing the op. Its channels are a
+    tuple, its arrays are read-only and it refuses any attribute change, so
+    no run can alter what another one applies."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a fused op is read-only: cannot set {name!r}")
+
+
+class _SharedOp(_FusedOp):
+    """A prep or RZZ op that every circuit of a family shares, fused once
+    (_family)."""
 
     def __init__(self, op: GateOp, fused: Superoperator):
         op.gate.matrix.setflags(write=False)
         fused.matrix.setflags(write=False)
         self.__dict__.update(gate=op.gate, channels=tuple(op.channels), fused=fused)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"a family's shared op is read-only: cannot set {name!r}")
+
+class _XYOp(_FusedOp):
+    """An RXX or RYY op of one circuit (assemble_circuit): its channels, the
+    objects noise.with_noise attaches, and its fused op, built from its
+    family's angle basis. Its gate, the checked UnitaryGate that
+    chains.build_trotter_circuit makes for these angles (one per member),
+    is built only when read: running the circuit reads only `fused` and
+    `channels`."""
+
+    def __init__(self, kind: str, pair: tuple, thetas: tuple, channels: tuple,
+                 fused: Superoperator):
+        self.__dict__.update(kind=kind, pair=pair, thetas=thetas, channels=channels,
+                             fused=fused)
+
+    @cached_property
+    def gate(self) -> UnitaryGate:
+        gate = xy_gate(self.kind, self.pair, self.thetas)
+        gate.matrix.setflags(write=False)
+        return gate
 
 
 @dataclass(frozen=True)
@@ -274,6 +323,12 @@ class _Family:
     plan: TrotterPlan
     prep: tuple  # the noise-attached prep op, a _SharedOp
     crosstalk: tuple  # the step's RZZ ops, bond by bond, as _SharedOps
+    # (kind, pair, with_noise's channels) of each XY op of the step, in order:
+    # bond by bond, each bond's kinds in XY_GENERATORS order
+    xy: tuple
+    # (3, kinds, 1, 16, 16): B0, B1 and B2 (sim_core.rotation_basis) of each XY kind
+    # in XY_GENERATORS order, read-only
+    xy_basis: np.ndarray
     rotations: np.ndarray | None  # _basis_rotation_ptms, for an "arbitrary" initial state
 
 
@@ -290,8 +345,11 @@ def _family(config: ExperimentConfig) -> _Family:
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def _families(n_sites, n_steps, total_time, noise, initial, amp_a, amp_b) -> _Family:
     """_family of the fields: the prep gate and the RZZ gates, each with the
-    noise model's channels, fused in one fused_superoperators call, and the
-    tomography rotations."""
+    noise model's channels, fused in one fused_superoperators call; the XY
+    ops' channels, which noise.with_noise attaches to the step's XY gates at
+    angle 0, and each XY kind's angle basis, from the first bond's gate; and
+    the tomography rotations. Every bond's XY op of a kind has its channel
+    objects on its own pair, so one basis serves them all."""
     plan = TrotterPlan(total_time, n_steps)
     if initial == "single_excitation":
         prep = UnitaryGate(gate_matrix("X"), (0,), kind="x")
@@ -301,42 +359,57 @@ def _families(n_sites, n_steps, total_time, noise, initial, amp_a, amp_b) -> _Fa
         raise ValueError(f"unknown initial kind {initial!r}")
     zeta = noise.circuit_zeta() if noise is not None else 0.0
     shared = [GateOp(gate) for gate in (prep, *crosstalk_gates(n_sites, plan, zeta))]
+    xy = [GateOp(xy_gate(kind, (i, i + 1), [0.0]))
+          for i in range(n_sites - 1) for kind in XY_GENERATORS]
     if noise is not None:
-        shared = with_noise(shared, noise)
+        shared, xy = with_noise(shared, noise), with_noise(xy, noise)
     fused = fused_superoperators([(op.gate, op.channels) for op in shared], n_sites)
     shared = [_SharedOp(op, sop) for op, sop in zip(shared, fused, strict=True)]
+    basis = np.array([rotation_basis(XY_GENERATORS[op.gate.kind], op.gate.targets, op.channels,
+                                     n_sites)
+                      for op in xy[:len(XY_GENERATORS)]])  # the first bond's
+    basis = np.ascontiguousarray(basis.swapaxes(0, 1)[:, :, None])
+    basis.setflags(write=False)
     rotations = None
     if initial == "arbitrary":
         rotations = _basis_rotation_ptms(noise)
         rotations.setflags(write=False)
-    return _Family(plan, tuple(shared[:1]), tuple(shared[1:]), rotations)
+    return _Family(plan, tuple(shared[:1]), tuple(shared[1:]),
+                   tuple((op.gate.kind, op.gate.targets, tuple(op.channels)) for op in xy),
+                   basis, rotations)
 
 
 def _prep_gate_for_amplitudes(a: complex, b: complex) -> UnitaryGate:
-    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-9:
-        raise ValueError(f"|A|^2 + |B|^2 = {abs(a)**2 + abs(b)**2}, must be 1")
+    """The prep gate of A|0> + B|1>: H or X when the amplitudes are theirs
+    within 1e-12, else [[A, -conj B], [B, conj A]], which is refused, with
+    the message that |A|^2 + |B|^2 must be 1, when its unitarity deviation
+    exceeds the gate's own tolerance (sim_core.UNITARY_TOL)."""
     if abs(a - 1.0 / math.sqrt(2.0)) < 1e-12 and abs(b - 1.0 / math.sqrt(2.0)) < 1e-12:
         return UnitaryGate(gate_matrix("H"), (0,), kind="h")
     if abs(a) < 1e-12 and abs(b - 1.0) < 1e-12:
         return UnitaryGate(gate_matrix("X"), (0,), kind="x")
     mat = np.array([[a, -np.conj(b)], [b, np.conj(a)]], dtype=complex)
+    if unitarity_deviation(mat) > UNITARY_TOL:
+        raise ValueError(f"|A|^2 + |B|^2 = {abs(a)**2 + abs(b)**2}, must be 1")
     return UnitaryGate(mat, (0,), kind="u")
 
 
 def _compile_merged(ops, n_qubits: int) -> list:
     """Each GateOp as the engine applies it, its gate then its channels, as
     one fused superoperator, adjacent ones then merged, one _compose per
-    merged group. A family's shared op (_SharedOp) brings its fused op,
-    compiled once; the others, a circuit's XY gates, are fused in one
-    fused_superoperators call (one pass per local shape). In a Trotter
-    step (chains.step_order) every merge group holds an XY gate, so it is
-    composed per circuit; the prep is one op. An op is a stack of its
-    members' PTMs only when it holds a stacked gate, one that differs
-    between the members of a batch; the others stay 2-D, and the kernel
-    shares them with every member (sim_core._matmul_operands)."""
+    merged group. An op that brings its fused op (_FusedOp: a family's
+    shared op, or a circuit's XY op, built from its family's angle basis)
+    is taken as it is; the others, such as the tomography rotations or a
+    plain test circuit's ops, are fused in one fused_superoperators call
+    (one pass per local shape). In a Trotter step (chains.step_order)
+    every merge group holds an XY op, so it is composed per circuit; the
+    prep is one op. An op is a stack of its members' PTMs only when it
+    holds a stacked op, one that differs between the members of a batch;
+    the others stay 2-D, and the kernel shares them with every member
+    (sim_core._matmul_operands)."""
     fresh = iter(fused_superoperators([(op.gate, op.channels) for op in ops
-                                       if not isinstance(op, _SharedOp)], n_qubits))
-    return merge_superoperators([op.fused if isinstance(op, _SharedOp) else next(fresh)
+                                       if not isinstance(op, _FusedOp)], n_qubits))
+    return merge_superoperators([op.fused if isinstance(op, _FusedOp) else next(fresh)
                                  for op in ops])
 
 
@@ -350,9 +423,9 @@ def evolve_recorded(circuit: NoisyCircuit, observe, settled=None) -> np.ndarray:
     `block` is the (members, 4^n) array of Pauli vectors, and observe must
     return one row per member; the rows are copied out, so they may be
     views of the block, which the next step overwrites. The prep and the
-    step are compiled once (_compile_merged), the family's shared ops
-    (assemble_circuit) taking the fused ops compiled with their family, and
-    each op is bound once to the run's two state buffers
+    step are compiled once (_compile_merged), an assembled circuit's ops
+    (assemble_circuit) each bringing its fused op, and each op is bound
+    once to the run's two state buffers
     (sim_core.bind_superoperators), for both parities, so a step is one
     matmul per op whatever the member count and allocates nothing, and each
     member's states are bit-identical to its own run's. A circuit of one

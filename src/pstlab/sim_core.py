@@ -13,7 +13,12 @@ their targets, then merges adjacent fused ops into PTMs of at most
 MERGE_WIDTH qubits. The gates of one local shape (fused_superoperators: the
 same support width, gate positions, channel objects and matrix shape, as the
 XY gates of a Trotter step share) are fused in one pass over the stack of
-their matrices. Every op (Superoperator) so acts on consecutive qubits
+their matrices. A rotation exp(-i theta/2 G) by a Pauli string G, such as
+an RXX or RYY gate, with its channels, fuses into c^2 B0 + cs B1 + s^2 B2,
+c = cos(theta/2) and s = sin(theta/2), whose angle basis (B0, B1, B2)
+rotation_basis fuses once by the same helpers, so a caller that holds the
+basis fuses such a gate at any angle, or a stack of angles, with no gate
+matrix at all. Every op (Superoperator) so acts on consecutive qubits
 a..a+k-1 in order: any ordering of a gate's or a channel's qubits is done
 at compile time, on matrices of at most 64 x 64 (_embed), and every op
 reaches a state as one real (stacked) matmul on a reshaped view, straight
@@ -50,9 +55,11 @@ S_DAG = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
 # Z): r_P = tr(P rho) = sum_ij P[j, i] rho[i, j].
 _TO_PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
 
-# The identity of a 1- and a 2-qubit gate, which UnitaryGate checks against
-# on every gate it builds: a batch builds its XY gates afresh.
-_GATE_IDENTITIES = {1: np.eye(2), 2: np.eye(4)}
+# The identity of a 1- and a 2-qubit gate, by dimension, which
+# unitarity_deviation measures against, and the largest deviation that
+# UnitaryGate accepts.
+_GATE_IDENTITIES = {2: np.eye(2), 4: np.eye(4)}
+UNITARY_TOL = 1e-12
 _TRACE_TOL = 1e-9
 _PSD_FLOOR = -1e-9
 _CPTP_TOL = 1e-10
@@ -154,13 +161,21 @@ class UnitaryGate:
             raise ValueError(f"gate matrix shape {mat.shape} does not match arity {arity}")
         if len(set(targets)) != arity:
             raise ValueError(f"duplicate targets {targets}")
-        dev = np.abs(mat.conj().swapaxes(-1, -2) @ mat - _GATE_IDENTITIES[arity]).max()
-        if dev > 1e-12:
+        dev = unitarity_deviation(mat)
+        if dev > UNITARY_TOL:
             raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
         self.matrix = mat
         self.targets = targets
         self.arity = arity
         self.kind = kind
+
+
+def unitarity_deviation(matrix: np.ndarray) -> float:
+    """The largest entry of |U^dag U - I| of a 1- or 2-qubit complex matrix,
+    over every member of an (m, d, d) stack: what UnitaryGate refuses above
+    UNITARY_TOL."""
+    identity = _GATE_IDENTITIES[matrix.shape[-1]]
+    return np.abs(matrix.conj().swapaxes(-1, -2) @ matrix - identity).max()
 
 
 class KrausChannel:
@@ -376,40 +391,74 @@ def fused_superoperators(pairs, n_qubits: int) -> list:
     qubits from the lowest to the highest of the gate's and the channels'
     targets. A stacked gate gives a stacked op, each member's PTM that of
     its own gate with the shared channels. Every pair is first checked, in
-    order: what apply_unitary and apply_channel refuse is refused with their
-    messages, and then a support wider than MERGE_WIDTH qubits, which the
-    Kraus loop still applies.
+    order (_local_shape): what apply_unitary and apply_channel refuse is
+    refused with their messages, and then a support wider than MERGE_WIDTH
+    qubits, which the Kraus loop still applies.
 
     Pairs of one local shape (support width, gate positions in the support,
     each channel object at its positions, gate matrix shape) are fused in
-    one pass: one _kron, one _pauli_transfer_matrix and one _compose over
-    the stack of all their gates' matrices, from which each pair's op is a
-    slice, bit-identical to its own pass.
+    one pass: one _kron and one _fuse over the stack of all their gates'
+    matrices, from which each pair's op is a slice, bit-identical to its own
+    pass.
     """
     groups = {}
     for i, (gate, channels) in enumerate(pairs):
-        _check_targets(gate.targets, n_qubits)
-        checked = [(channel, _check_channel(channel, targets, n_qubits))
-                   for channel, targets in channels]
-        qubits = [*gate.targets, *(t for _, targets in checked for t in targets)]
-        support = range(min(qubits), max(qubits) + 1)
-        if len(support) > MERGE_WIDTH:
-            raise ValueError(f"gate on {gate.targets} with channels on {[t for _, t in checked]} "
-                             f"spans {len(support)} qubits, more than MERGE_WIDTH = {MERGE_WIDTH}")
-        a = support[0]
-        key = (len(support), tuple(t - a for t in gate.targets), gate.matrix.shape,
-               tuple((channel, tuple(t - a for t in targets)) for channel, targets in checked))
+        support, positions, rel = _local_shape(gate.targets, channels, n_qubits)
+        key = (len(support), positions, gate.matrix.shape, rel)
         groups.setdefault(key, []).append((i, gate, support))
     out = [None] * len(pairs)
     for (width, positions, shape, channels), members in groups.items():
         dim = shape[-1]
         mats = np.concatenate([gate.matrix.reshape(-1, dim, dim) for _, gate, _ in members])
-        parts = [(_pauli_transfer_matrix(_kron(mats, mats.conj()), len(positions)), positions),
-                 *((channel.pauli_transfer_matrix(), rel) for channel, rel in channels)]
-        stack = _compose(range(width), parts).reshape(len(members), *shape[:-2], 4**width, -1)
-        for (i, _, support), matrix in zip(members, stack):
+        stack = _fuse(_kron(mats, mats.conj()), positions, width, channels)
+        for (i, _, support), matrix in zip(members, stack.reshape(len(members), *shape[:-2],
+                                                                  4**width, -1)):
             out[i] = Superoperator(matrix, support, n_qubits)
     return out
+
+
+def rotation_basis(generator: np.ndarray, targets, channels, n_qubits: int) -> np.ndarray:
+    """The fused op of the rotation U = exp(-i theta/2 G) = c I - i s G, for
+    a Pauli string G (G^2 = I), c = cos(theta/2) and s = sin(theta/2), on
+    `targets` and followed by `channels`, as a quadratic in c and s: the
+    (3, 4^k, 4^k) stack (B0, B1, B2) such that fused_superoperators gives
+    c^2 B0 + cs B1 + s^2 B2, on the same support, for U at every angle.
+
+    U (x) conj U = c^2 I (x) I + cs (I (x) conj(-iG) + (-iG) (x) I) + s^2
+    (-iG) (x) conj(-iG), and fusing is linear in that superoperator, so each
+    B is the fused op of one term, by the helpers and checks (_local_shape)
+    of fused_superoperators.
+    """
+    support, positions, rel = _local_shape(targets, channels, n_qubits)
+    one, rot = np.eye(len(generator), dtype=complex), -1j * np.asarray(generator, dtype=complex)
+    terms = np.array([_kron(one, one), _kron(one, rot.conj()) + _kron(rot, one),
+                      _kron(rot, rot.conj())])
+    return _fuse(terms, positions, len(support), rel)
+
+
+def _local_shape(targets, channels, n_qubits: int) -> tuple:
+    """(support, gate positions in it, each channel with its positions in
+    it) of a gate on `targets` followed by `channels`, after the checks of
+    apply_unitary and apply_channel and the MERGE_WIDTH bound."""
+    _check_targets(targets, n_qubits)
+    checked = [(channel, _check_channel(channel, on, n_qubits)) for channel, on in channels]
+    qubits = [*targets, *(t for _, on in checked for t in on)]
+    support = range(min(qubits), max(qubits) + 1)
+    if len(support) > MERGE_WIDTH:
+        raise ValueError(f"gate on {tuple(targets)} with channels on {[t for _, t in checked]} "
+                         f"spans {len(support)} qubits, more than MERGE_WIDTH = {MERGE_WIDTH}")
+    a = support[0]
+    return (support, tuple(t - a for t in targets),
+            tuple((channel, tuple(t - a for t in on)) for channel, on in checked))
+
+
+def _fuse(superops: np.ndarray, positions, width: int, channels) -> np.ndarray:
+    """The PTMs on range(width) of a stack of superoperators (kron(M, conj M)
+    layout) on `positions`, each followed by the (channel, positions) pairs
+    in order."""
+    parts = [(_pauli_transfer_matrix(superops, len(positions)), positions),
+             *((channel.pauli_transfer_matrix(), rel) for channel, rel in channels)]
+    return _compose(range(width), parts)
 
 
 def merge_superoperators(sops) -> list:

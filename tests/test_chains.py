@@ -55,6 +55,23 @@ class TestCouplings:
         with pytest.raises(ValueError):
             CouplingProfile(4, (1.0, 2.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_couplings_refused(self, bad):
+        """A chain refuses a non-finite coupling or scale when it is built,
+        and so does a config built from one, before any gate is made."""
+        with pytest.raises(ValueError, match="couplings must be finite and positive"):
+            CouplingProfile(4, (1.0, bad, 1.0))
+        with pytest.raises(ValueError, match="j0 must be finite and positive"):
+            pst_couplings(4, bad)
+        with pytest.raises(ValueError, match="finite and positive"):
+            ExperimentConfig(n_sites=4, couplings=(1.0, bad, 1.0))
+        with pytest.raises(ValueError, match="finite and positive"):
+            ExperimentConfig(n_sites=4, j0=bad)
+
+    def test_largest_finite_coupling_accepted(self):
+        assert CouplingProfile(2, (1e308,)).couplings == (1e308,)
+        assert pst_couplings(2, 1e308).couplings == (1e308,)
+
 
 class TestTrotterPlan:
     def test_grid_endpoint_exact(self):

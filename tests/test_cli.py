@@ -398,6 +398,9 @@ class TestExitCodes:
         {"chain": {"n": "x"}},
         {"shots": "many"},
         {"chain": {"n": 4, "couplings": [1, 2]}},
+        {"chain": {"n": 4, "couplings": [1, math.nan, 1]}},
+        {"chain": {"n": 4, "couplings": [1, math.inf, 1]}},
+        {"chain": {"n": 3, "j0": math.inf}},
         {"experiment": "grid_search", "grid": {"step": 0}},
         {"experiment": "bayes_opt", "bo": {"top_starts": 0}},
         {"plan": {"steps": 4.7}},
@@ -439,6 +442,27 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg)]) == EXIT_SCHEMA
         assert runs == []
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("b,code", [(0.8000000003, EXIT_SIM), (0.8 + 4e-13, EXIT_OK)],
+                             ids=["off_by_3e-10", "off_by_4e-13"])
+    def test_amplitude_norm_is_checked_at_the_gate_tolerance(self, tmp_path, capsys, b, code):
+        """|A|^2 + |B|^2 = 1 is held to the prep gate's own unitarity
+        tolerance, so a pair off by 4.8e-10 is refused by the amplitude rule,
+        with its message, and a pair off by 6.4e-13, which the gate accepts,
+        still runs."""
+        cfg = write_config(tmp_path, {
+            "experiment": "arbitrary_transfer",
+            "chain": {"n": 3},
+            "plan": {"steps": 4},
+            "noise": {},
+            "amplitudes": {"a": 0.6, "b": b},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["run", "--config", str(cfg)]) == code
+        err = capsys.readouterr().err
+        if code == EXIT_SIM:
+            assert "|A|^2 + |B|^2 = 1.00000000048, must be 1" in err, err
+            assert not (tmp_path / "out").exists()
 
     def test_shipped_configs_resolve(self):
         """Every example config passes the schema, so none uses a removed or

@@ -16,11 +16,15 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 from pstlab.chains import (
+    XY_GENERATORS,
     CouplingProfile,
     GateOp,
     TrotterPlan,
+    build_trotter_circuit,
     gate_matrix,
+    half_angles,
     pst_couplings,
+    xy_gate,
 )
 from pstlab import experiments, sim_core
 from pstlab.cli import load_config, resolve_config
@@ -507,16 +511,16 @@ class TestLockStep:
     def test_chunks_give_the_records_of_one_batch(self, monkeypatch):
         """A cap of two N = 3 states splits five members into chunks of 2, 2
         and 1, each compiled once, with the series of the unchunked batch.
-        Each chunk builds each of its 4 XY gates once, as a stack of its
-        members, and none again for a slice of it: 12 gates."""
+        Each chunk's 4 XY ops hold a stack of its members' fused ops, and no
+        chunk builds an XY gate."""
         configs = self.configs(3)
         whole = run_sp_batch(configs)
         chunks, stacks = [], []
         real = experiments._compile_merged
 
         def compile_spy(ops, n):
-            # the members of the compiled ops: their gates' largest stack
-            chunks.append(max(len(op.gate.matrix) if op.gate.matrix.ndim > 2 else 1
+            # the members of the compiled ops: their fused ops' largest stack
+            chunks.append(max(len(op.fused.matrix) if op.fused.matrix.ndim > 2 else 1
                               for op in ops))
             return real(ops, n)
 
@@ -533,7 +537,7 @@ class TestLockStep:
         for got, want in zip(run_sp_batch(configs), whole, strict=True):
             assert_same_series(got, want)
         assert chunks == [1, 2, 1, 2, 1, 1]  # the shared prep and the step of each chunk
-        assert stacks == [2] * 4 + [2] * 4 + [1] * 4
+        assert stacks == []
 
     def test_empty_batch(self):
         assert run_sp_batch([]) == []
@@ -620,20 +624,37 @@ def compiled_layers(config: ExperimentConfig, plain: bool = False) -> list:
             for layer in (circuit.prep, circuit.step)]
 
 
-def assert_same_layers(got: list, want: list) -> None:
-    """Two lists of compiled layers equal op by op, bit for bit."""
+def assert_same_layers(got: list, want: list, tol: float = 0.0) -> None:
+    """Two lists of compiled layers equal op by op: bit for bit, or, with
+    `tol`, within tol in every entry."""
     assert len(got) == len(want)
     for layer_got, layer_want in zip(got, want):
         assert [sop.targets for sop in layer_got] == [sop.targets for sop in layer_want]
         for g, w in zip(layer_got, layer_want):
-            assert np.array_equal(g.matrix, w.matrix)
-            assert g.matrix.tobytes() == w.matrix.tobytes()
+            if tol:
+                assert np.abs(g.matrix - w.matrix).max() <= tol
+            else:
+                assert np.array_equal(g.matrix, w.matrix)
+                assert g.matrix.tobytes() == w.matrix.tobytes()
+
+
+def assert_matches_plain(config: ExperimentConfig) -> None:
+    """config's compiled layers against those of plain copies of its ops,
+    each fused from its gate's matrix: the prep, and each shared RZZ op of
+    its family, bit for bit; the step, whose XY ops come from the family's
+    angle basis, within 1e-14."""
+    got, plain = compiled_layers(config), compiled_layers(config, plain=True)
+    assert_same_layers(got[:1], plain[:1])
+    assert_same_layers(got[1:], plain[1:], tol=1e-14)
+    for op in experiments._family(config).crosstalk:
+        fused = fused_superoperators([(op.gate, op.channels)], config.n_sites)[0]
+        assert op.fused.matrix.tobytes() == fused.matrix.tobytes()
 
 
 class TestFamilies:
     """What a run's circuit shares with every run that differs from it only
     in couplings (its family) is built and compiled once; each compiled op
-    equals a fresh compile, bit for bit."""
+    equals that of a freshly built family, bit for bit."""
 
     BASE = ExperimentConfig(n_sites=4, n_steps=20, noise=NoiseParams(), initial="arbitrary",
                             amp_a=0.6, amp_b=0.8)
@@ -651,12 +672,13 @@ class TestFamilies:
     ], ids=repr)
     def test_a_changed_field_compiles_as_fresh(self, change):
         variant = replace(self.BASE, **change)
-        experiments._families.cache_clear()
-        fresh = compiled_layers(variant, plain=True)
         compiled_layers(self.BASE)
+        cached = compiled_layers(variant)
         assert experiments._family(variant) is not experiments._family(self.BASE)
-        assert_same_layers(compiled_layers(variant), fresh)
-        assert_same_layers(compiled_layers(self.BASE), compiled_layers(self.BASE, plain=True))
+        experiments._families.cache_clear()
+        assert_same_layers(compiled_layers(variant), cached)
+        assert_matches_plain(variant)
+        assert_matches_plain(self.BASE)
 
     def test_seed_shots_sites_and_couplings_share_a_family(self):
         family = experiments._family(self.BASE)
@@ -674,15 +696,20 @@ class TestFamilies:
     def test_cached_parts_refuse_writes(self):
         family = experiments._family(self.BASE)
         assert len(family.prep) == 1 and len(family.crosstalk) == 3
-        for op in family.prep + family.crosstalk:
+        xy = [op for op in assemble_circuit(self.BASE, [self.BASE.profile()] * 2).step
+              if op.gate.kind != "rzz"]
+        assert len(xy) == 6
+        for op in family.prep + family.crosstalk + tuple(xy):
             for array in (op.gate.matrix, op.fused.matrix):
                 with pytest.raises(ValueError, match="read-only"):
                     array[...] = 0
             assert isinstance(op.channels, tuple)
-            with pytest.raises(AttributeError, match="read-only"):
-                op.channels = []
-        with pytest.raises(ValueError, match="read-only"):
-            family.rotations[...] = 0
+            for name in ("channels", "gate", "fused"):
+                with pytest.raises(AttributeError, match="read-only"):
+                    setattr(op, name, None)
+        for array in (family.rotations, family.xy_basis):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
         with pytest.raises(FrozenInstanceError):
             family.prep = ()
 
@@ -697,7 +724,7 @@ class TestFamilies:
         assert experiments._families.cache_info().currsize == FAMILY_CACHE_SIZE
         for config, want in zip(configs, first):
             assert_same_layers(compiled_layers(config), want)
-            assert_same_layers(compiled_layers(config, plain=True), want)
+            assert_matches_plain(config)
 
     @staticmethod
     def spy_gates(monkeypatch) -> list:
@@ -709,32 +736,124 @@ class TestFamilies:
         return kinds
 
     def test_a_cold_run_builds_each_gate_once(self, monkeypatch):
+        """A cold run builds its family's gates once each: the prep, the RZZ
+        gates, and the XY gates at angle 0, to which noise.with_noise
+        attaches the XY ops' channels; it builds no gate of its own."""
         experiments._families.cache_clear()
         kinds = self.spy_gates(monkeypatch)
         run_sp_series(ExperimentConfig(n_sites=4, n_steps=20, noise=NoiseParams()))
         assert Counter(kinds) == {"x": 1, "rxx": 3, "ryy": 3, "rzz": 3}
 
-    def test_a_second_batch_fuses_and_builds_only_its_xy_gates(self, monkeypatch):
-        """A second noisy N = 4 batch of one family makes one fusion pass,
-        its RXX and RYY gates', builds no prep or RZZ gate, and composes no
-        merge group of shared ops alone: every _compose it calls holds a
-        stacked part, an XY gate's."""
+    def test_a_second_batch_builds_and_fuses_no_gate(self, monkeypatch):
+        """A second noisy N = 4 batch of one family builds no gate, takes no
+        Pauli transfer matrix, attaches no channel (its XY ops come from the
+        family's angle basis and channels) and composes only its two merge
+        groups, each holding a stacked part, an XY op's."""
         configs = [ExperimentConfig(n_sites=4, n_steps=20, j0=j0, noise=NoiseParams())
                    for j0 in (0.5, 1.0, 2.9, 4.0)]
         run_sp_batch(configs)
-        passes, composed = [], []
-        real = sim_core._pauli_transfer_matrix
-        monkeypatch.setattr(sim_core, "_pauli_transfer_matrix",
-                            lambda *args: passes.append(args) or real(*args))
+        calls, composed = [], []
+        for target in ("pstlab.sim_core._pauli_transfer_matrix", "pstlab.noise.with_noise",
+                       "pstlab.experiments.with_noise"):
+            monkeypatch.setattr(target, lambda *args, target=target: calls.append(target))
         compose = sim_core._compose
         monkeypatch.setattr(sim_core, "_compose", lambda support, parts: composed.append(
             [ptm.ndim for ptm, _ in parts]) or compose(support, parts))
         kinds = self.spy_gates(monkeypatch)
         run_sp_batch([replace(config, j0=1.1 * config.j0) for config in configs])
-        assert len(passes) == 1
-        assert Counter(kinds) == {"rxx": 3, "ryy": 3}
-        assert len(composed) == 3  # the fusion pass and the two XY merge groups
+        assert calls == [] and kinds == []
+        assert len(composed) == 2  # the two XY merge groups
         assert all(3 in ndims for ndims in composed), composed
+
+
+class TestAngleBasis:
+    """An XY op's fused op is c^2 B0 + cs B1 + s^2 B2 of its family's angle
+    basis (sim_core.rotation_basis), c = cos(theta/2) and s = sin(theta/2):
+    within 1e-14 of fused_superoperators of its own UnitaryGate."""
+
+    NOISE = {"ideal": None, "hamiltonian": NoiseParams(**STRONG),
+             "dephasing_channel": NoiseParams(**STRONG, zz_mode="dephasing_channel"),
+             **{f"no_{layer}": NoiseParams(**STRONG, **{f"{layer}_on": False})
+                for layer in ("pauli", "depol", "thermal", "zz")}}
+    # 0, +-pi, 7 pi and 46 more angles in (-8 pi, 8 pi)
+    ANGLES = (0.0, math.pi, -math.pi, 7 * math.pi,
+              *np.random.default_rng(7).uniform(-8 * math.pi, 8 * math.pi, 46).tolist())
+
+    @pytest.mark.parametrize("noise", sorted(NOISE))
+    def test_each_kinds_basis_at_50_angles(self, noise):
+        family = experiments._family(ExperimentConfig(n_sites=3, noise=self.NOISE[noise]))
+        assert len(self.ANGLES) == 50 and len(family.xy) == 4
+        for kind, pair, channels in family.xy:
+            b0, b1, b2 = family.xy_basis[:, list(XY_GENERATORS).index(kind), 0]
+            for theta in self.ANGLES:
+                [(c, s)] = half_angles(kind.upper(), [theta])
+                want = fused_superoperators([(xy_gate(kind, pair, [theta]), channels)], 3)[0]
+                assert want.targets == pair
+                err = np.abs(c * c * b0 + c * s * b1 + s * s * b2 - want.matrix).max()
+                assert err <= 1e-14, (kind, pair, theta, err)
+
+    @pytest.mark.parametrize("noise", sorted(NOISE))
+    def test_assembled_ops_equal_their_fused_gates(self, noise):
+        """Every XY op of a 50-member N = 3 batch, whose angles J dt reach
+        7 pi, and of each member's own circuit, against fused_superoperators
+        of the op's (stacked) gate; each member's op bit for bit its own."""
+        config = ExperimentConfig(n_sites=3, total_time=1.0, n_steps=1, noise=self.NOISE[noise])
+        angles = [abs(theta) or 1e-3 for theta in self.ANGLES]
+        profiles = [CouplingProfile(3, (theta, angles[-1 - i])) for i, theta in enumerate(angles)]
+        batch = assemble_circuit(config, profiles)
+        own = [assemble_circuit(config, [profile]) for profile in profiles[:3]]
+        for i, op in enumerate(batch.step):
+            if op.gate.kind == "rzz":
+                continue
+            want = fused_superoperators([(op.gate, op.channels)], 3)[0]
+            assert op.fused.targets == want.targets == op.gate.targets
+            assert op.fused.matrix.shape == (50, 16, 16)
+            assert np.abs(op.fused.matrix - want.matrix).max() <= 1e-14, i
+            for b, circuit in enumerate(own):
+                assert op.fused.matrix[b].tobytes() == circuit.step[i].fused.matrix.tobytes()
+
+
+class TestSchedule:
+    """assemble_circuit's ops are the gates that chains.build_trotter_circuit
+    makes with the channels that noise.with_noise attaches, so the Kraus-loop
+    oracle and the bench's gate and Kraus counts see the same circuit."""
+
+    def test_headline_schedule(self):
+        config = resolve_config(load_config(REPO / "configs" / "headline.json"))[1]
+        circuit = assemble_circuit(config)
+        ops = list(circuit.gate_ops())
+        assert len(ops) == 721
+        assert sum(len(channel.kraus_ops) for op in ops for channel, _ in op.channels) == 15368
+
+    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("noise", ["ideal", "hamiltonian", "dephasing_channel"])
+    def test_xy_ops_are_the_trotter_gates_with_noise_channels(self, noise, members):
+        params = None if noise == "ideal" else NoiseParams(zz_mode=noise, p_zz=0.01)
+        configs = [ExperimentConfig(n_sites=4, n_steps=8, j0=j0, noise=params)
+                   for j0 in (1.0, 2.9, 0.5)[:members]]
+        profiles = [config.profile() for config in configs]
+        xy = [op for op in assemble_circuit(configs[0], profiles).step if op.gate.kind != "rzz"]
+        want = build_trotter_circuit(profiles, configs[0].plan()).step
+        if params is not None:
+            want = with_noise(want, params)
+        assert len(xy) == 6
+        for got, ref in zip(xy, want, strict=True):
+            assert (got.gate.kind, got.gate.targets) == (ref.gate.kind, ref.gate.targets)
+            assert np.array_equal(got.gate.matrix, ref.gate.matrix)
+            assert len(got.channels) == len(ref.channels) == {"ideal": 0, "hamiltonian": 2,
+                                                              "dephasing_channel": 3}[noise]
+            for (channel, targets), (ref_channel, ref_targets) in zip(got.channels, ref.channels):
+                assert channel is ref_channel and targets == ref_targets
+
+    def test_a_non_finite_angle_is_refused_before_anything_runs(self, monkeypatch):
+        """A finite coupling whose angle J dt overflows is refused when the
+        circuit is assembled, before any op is bound."""
+        bound = []
+        monkeypatch.setattr(experiments, "bind_superoperators", lambda *args: bound.append(args))
+        config = ExperimentConfig(n_sites=2, couplings=(1e308,), total_time=10.0, n_steps=1)
+        with pytest.raises(ValueError, match="RXX needs a finite rotation angle"):
+            run_sp_series(config)
+        assert bound == []
 
 
 class TestFixedBuffers:
@@ -984,6 +1103,24 @@ class TestArbitraryTransfer:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError, match="must be 1"):
             run_arbitrary_transfer(ExperimentConfig(amp_a=1.0, amp_b=1.0))
+
+    @pytest.mark.parametrize("a,b,runs", [
+        (0.6, 0.8000000003, False),  # |A|^2 + |B|^2 - 1 = 4.8e-10
+        (0.6, 0.8 + 2e-12, False),  # 3.2e-12, above the gate's 1e-12
+        (0.6, 0.8 + 4e-13, True),  # 6.4e-13
+        (1 / math.sqrt(2) + 9e-13, 1 / math.sqrt(2) + 9e-13, True),  # H, 2.5e-12
+        (5e-13, 1.0 + 9e-13, True),  # X, 1.8e-12
+    ])
+    def test_amplitudes_are_held_to_the_gate_tolerance(self, a, b, runs):
+        """The amplitude rule refuses, with its own message, exactly what
+        the prep gate's unitarity check would; amplitudes within 1e-12 of
+        H's or X's take that gate, as they did before."""
+        config = ExperimentConfig(n_sites=2, n_steps=2, initial="arbitrary", amp_a=a, amp_b=b)
+        if runs:
+            assert assemble_circuit(config).prep
+        else:
+            with pytest.raises(ValueError, match=r"\|A\|\^2 \+ \|B\|\^2 = .*, must be 1"):
+                assemble_circuit(config)
 
     def test_shot_mode_reproducible(self):
         cfg = ExperimentConfig(n_sites=3, n_steps=10, shots=128, seed=9, noise=NoiseParams())

@@ -40,6 +40,7 @@ from pstlab.sim_core import (
     fused_superoperators,
     merge_superoperators,
     qubit_state_fidelity,
+    rotation_basis,
 )
 
 from oracle import (
@@ -391,6 +392,39 @@ class TestStackedCompile:
         compiled = fused_superoperators([(op.gate, op.channels) for op in circuit.step], 4)
         assert len(compiled) == len(circuit.step) == 9
         assert len(calls) == 2
+
+
+class TestRotationBasis:
+    """rotation_basis of exp(-i theta/2 G) with channels: c^2 B0 + cs B1 +
+    s^2 B2 against fused_superoperators of the gate at that angle, and the
+    same refusals."""
+
+    @pytest.mark.parametrize("generator,targets,channels", [
+        (np.kron(PAULI_X, PAULI_X), (0, 1), []),
+        (np.kron(PAULI_Y, PAULI_Y), (1, 2), [(AMP_DAMP, (1,)), (PAULI_MIX, (2,))]),
+        (np.kron(PAULI_Z, PAULI_Z), (1, 2), [(PAULI_MIX, (2,))]),
+        (np.kron(PAULI_X, PAULI_Z), (2, 0), [(AMP_DAMP, (1,)), (PAULI_MIX, (0,))]),
+        (PAULI_Y, (3,), [(AMP_DAMP, (2,))]),
+    ], ids=["xx", "yy_noisy", "zz", "xz_scrambled", "y_beside"])
+    def test_basis_equals_the_fused_gate(self, generator, targets, channels):
+        basis = rotation_basis(generator, targets, channels, 4)
+        for theta in np.random.default_rng(3).uniform(-8 * math.pi, 8 * math.pi, 20):
+            c, s = math.cos(theta / 2), math.sin(theta / 2)
+            gate = UnitaryGate(c * np.eye(len(generator)) - 1j * s * generator, targets)
+            want = fused_superoperator(gate, channels, 4)
+            assert basis.shape == (3, *want.matrix.shape)
+            err = np.abs(c * c * basis[0] + c * s * basis[1] + s * s * basis[2] - want.matrix)
+            assert err.max() <= 1e-14, theta
+
+    @pytest.mark.parametrize("targets,channels", [
+        ((0, 1), [(KrausChannel([np.sqrt(0.5) * np.eye(2)]), (0,))]),
+        ((0, 1), [(AMP_DAMP, (4,))]),
+        ((0, 3), []),
+    ], ids=["non_cptp", "out_of_range", "too_wide"])
+    def test_refuses_what_fused_superoperators_refuses(self, targets, channels):
+        gate = UnitaryGate(np.eye(4), targets)
+        assert_same_error(lambda: fused_superoperator(gate, channels, 4),
+                          lambda: rotation_basis(np.kron(PAULI_X, PAULI_X), targets, channels, 4))
 
 
 def tensordot_vector(state: PauliState, sop: Superoperator) -> np.ndarray:
