@@ -21,21 +21,19 @@ cos(theta/2) and s = sin(theta/2), with B0, B1 and B2 its kind's angle basis
 makes each XY op's fused op from its angles and the basis, and puts each
 RZZ op right after the last XY op it shares a qubit with
 (chains.step_order), so every merge group of the step holds an XY op.
-Runs that differ only in couplings can evolve in lock-step as one batch
-(run_sp_batch, run_first_peaks). _lock_step_circuits splits the batch into
-chunks of at most MAX_BATCH_COEFFS Pauli coefficients and assembles one
-circuit per chunk, whose XY ops hold a stack of the chunk members' fused
-ops. evolve_recorded runs the one circuit it is given: it takes every op's
+The one lock-step batch is run_first_peaks(config, profiles), the
+optimizer's scores: one exact config run with each of many coupling
+profiles. It splits the profiles into chunks of at most MAX_BATCH_COEFFS
+Pauli coefficients and assembles one circuit per chunk, whose XY ops hold a
+stack of the chunk members' fused ops. evolve_recorded runs the one
+circuit it is given, a single run's or a chunk's: it takes every op's
 fused op, merges, and binds each op once to the circuit's two state
 buffers (the prep, which holds no XY op, stays 2-D, shared by every
 member), and each recorded step hands the (members, 4^n) state block to
-one observe call. run_sp_batch reads every member's populations from that
-block, P(1) = (r_I - r_Z) / 2 from one column slice, and draws each
-member's shots from its own generator, so each member's records are
-bit-identical to its own run's. One rule,
-_settled_peak on the window (0, T/2] (_window_last), decides every first
-peak: detect_first_peak's on a whole series, and run_first_peaks', the
-optimizer's scores, which records only the end site's P(1) and stops each
+one observe call, so each member's records are bit-identical to its own
+run's. One rule, _settled_peak on the window (0, T/2] (_window_last),
+decides every first peak: detect_first_peak's on a whole series, and
+run_first_peaks', which records only the end site's P(1) and stops each
 chunk's circuit once every member's peak is settled on its prefix. Every
 readout is of single qubits, so it reads a few coefficients of the block:
 P(1) = (r_I - r_Z) / 2 of each measured site (_z_column), and for
@@ -58,7 +56,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii
 
@@ -92,7 +90,7 @@ from .sim_core import (
 )
 
 # The most Pauli coefficients, over all its members, that one lock-step
-# circuit holds: _lock_step_circuits, the one reader of this cap, assembles a
+# circuit holds: run_first_peaks, the one reader of this cap, assembles a
 # larger batch as one circuit per chunk of max(1, MAX_BATCH_COEFFS // 4^n)
 # members, 32 / 8 / 2 at N = 4 / 5 / 6 and one from N = 7 up, so a grid at
 # N = 8 holds one state at a time; evolve_recorded runs each. Batching saves
@@ -380,17 +378,18 @@ def _families(n_sites, n_steps, total_time, noise, initial, amp_a, amp_b) -> _Fa
 
 
 def _prep_gate_for_amplitudes(a: complex, b: complex) -> UnitaryGate:
-    """The prep gate of A|0> + B|1>: H or X when the amplitudes are theirs
-    within 1e-12, else [[A, -conj B], [B, conj A]], which is refused, with
-    the message that |A|^2 + |B|^2 must be 1, when its unitarity deviation
-    exceeds the gate's own tolerance (sim_core.UNITARY_TOL)."""
+    """The prep gate of A|0> + B|1>, [[A, -conj B], [B, conj A]], or H or X
+    when the amplitudes are theirs within 1e-12. Any amplitudes whose
+    matrix's unitarity deviation exceeds the gate's own tolerance
+    (sim_core.UNITARY_TOL) are refused first, with the message that
+    |A|^2 + |B|^2 must be 1, so one tolerance holds for all three."""
+    mat = np.array([[a, -np.conj(b)], [b, np.conj(a)]], dtype=complex)
+    if unitarity_deviation(mat) > UNITARY_TOL:
+        raise ValueError(f"|A|^2 + |B|^2 = {abs(a)**2 + abs(b)**2}, must be 1")
     if abs(a - 1.0 / math.sqrt(2.0)) < 1e-12 and abs(b - 1.0 / math.sqrt(2.0)) < 1e-12:
         return UnitaryGate(gate_matrix("H"), (0,), kind="h")
     if abs(a) < 1e-12 and abs(b - 1.0) < 1e-12:
         return UnitaryGate(gate_matrix("X"), (0,), kind="x")
-    mat = np.array([[a, -np.conj(b)], [b, np.conj(a)]], dtype=complex)
-    if unitarity_deviation(mat) > UNITARY_TOL:
-        raise ValueError(f"|A|^2 + |B|^2 = {abs(a)**2 + abs(b)**2}, must be 1")
     return UnitaryGate(mat, (0,), kind="u")
 
 
@@ -400,8 +399,8 @@ def _compile_merged(ops, n_qubits: int) -> list:
     merged group. An op that brings its fused op (_FusedOp: a family's
     shared op, or a circuit's XY op, built from its family's angle basis)
     is taken as it is; the others, such as the tomography rotations or a
-    plain test circuit's ops, are fused in one fused_superoperators call
-    (one pass per local shape). In a Trotter step (chains.step_order)
+    plain test circuit's ops, are fused by fused_superoperators, each
+    alone. In a Trotter step (chains.step_order)
     every merge group holds an XY op, so it is composed per circuit; the
     prep is one op. An op is a stack of its members' PTMs only when it
     holds a stacked op, one that differs between the members of a batch;
@@ -419,7 +418,8 @@ def evolve_recorded(circuit: NoisyCircuit, observe, settled=None) -> np.ndarray:
     ...) array of the records, member first.
 
     The circuit has one member per coupling profile, and it runs as given:
-    its callers keep a batch within MAX_BATCH_COEFFS (_lock_step_circuits).
+    run_sp_series gives it a single run's circuit, run_first_peaks one per
+    chunk of at most MAX_BATCH_COEFFS Pauli coefficients.
     `block` is the (members, 4^n) array of Pauli vectors, and observe must
     return one row per member; the rows are copied out, so they may be
     views of the block, which the next step overwrites. The prep and the
@@ -487,85 +487,56 @@ def _z_column(n_sites: int, site: int) -> int:
 
 
 def run_sp_series(config: ExperimentConfig) -> SPTimeSeries:
-    """End-site success probability over the Trotter grid."""
-    return run_sp_batch([config])[0]
+    """Success probability of the end site (or of each measured site) over
+    the Trotter grid: one run of assemble_circuit's circuit that records r_I
+    and each measured site's r_Z, P(1) = (r_I - r_Z) / 2, then readout_p1,
+    whose shots, if any, are drawn step by step, then site by site, from
+    one generator seeded with config.seed."""
+    _check_single_excitation(config)
+    sites = config.measured_sites or (config.n_sites,)
+    cols = np.array([0, *(_z_column(config.n_sites, s) for s in sites)])
+    circuit = assemble_circuit(config)
+    coeffs = evolve_recorded(circuit, lambda block: block.take(cols, 1))[0]
+    p1 = readout_p1((coeffs[:, :1] - coeffs[:, 1:]) / 2.0, config.shots,
+                    np.random.default_rng(config.seed), _readout_error(config))
+    return SPTimeSeries(times=config.plan().times(),
+                        values={s: p1[:, i] for i, s in enumerate(sites)},
+                        meta=_series_meta(config, circuit))
 
 
-def run_sp_batch(configs) -> list:
-    """run_sp_series of each config, the runs evolved in lock-step by
-    evolve_recorded, one circuit per chunk (_lock_step_circuits).
+def _check_single_excitation(config: ExperimentConfig) -> None:
+    if config.initial != "single_excitation":
+        raise ValueError("run_sp_series and run_first_peaks expect a single-excitation "
+                         "initial state")
 
-    The configs may differ only in couplings (or j0, which sets them); any
-    other difference raises ValueError before any circuit is built. Each
-    member's series is bit-identical to its own run_sp_series: the readout
-    flip and clamp run on all members' populations at once, and each member
-    draws its shots from its own generator under the shared seed.
+
+def run_first_peaks(config: ExperimentConfig, profiles) -> list:
+    """detect_first_peak of run_sp_series of the exact config with each of
+    the coupling profiles in place of its own, (t*, peak), or None where it
+    raises NoPeakError.
+
+    The runs evolve in lock-step: one assemble_circuit per chunk of
+    max(1, MAX_BATCH_COEFFS // 4^n) profiles, all assembled before any
+    runs, and each chunk's circuit stops once every member's first peak is
+    settled (_settled_peak, detect_first_peak's rule, on its prefix). Each
+    step records the last measured site's P(1) alone, through run_sp_series'
+    readout flip and clamp, so a member's prefix is bit-identical to the
+    start of its series. A member is tested only once its prefix could
+    settle: after a drop of PEAK_PROMINENCE below its running maximum, which
+    every qualifying peak needs, or once the window (0, T/2] has passed.
     """
-    if not configs:
-        return []
-    circuits = _lock_step_circuits(configs)
-    first = configs[0]
-    sites = first.measured_sites or (first.n_sites,)
-    readout = _readout_error(first)
-    # r_I and each measured site's r_Z; P(1) = tr((I - Z) rho) / 2 = (r_I - r_Z) / 2
-    cols = np.array([0, *(_z_column(first.n_sites, s) for s in sites)])
-    coeffs = np.concatenate([evolve_recorded(circuit, lambda block: block.take(cols, 1))
-                             for circuit in circuits])
-    p1 = (coeffs[..., :1] - coeffs[..., 1:]) / 2.0
-    if first.shots is None:
-        p1 = readout_p1(p1, None, None, readout)
-    else:  # each member draws from its own generator, step by step, then site by site
-        p1 = np.array([readout_p1(rows, first.shots, np.random.default_rng(first.seed), readout)
-                       for rows in p1])
-    return [SPTimeSeries(times=first.plan().times(),
-                         values={s: rows[:, i] for i, s in enumerate(sites)},
-                         meta=_series_meta(config, circuits[0]))
-            for config, rows in zip(configs, p1)]
-
-
-def _lock_step_circuits(configs) -> list:
-    """The circuits of single-excitation runs that differ only in couplings
-    (or j0), one per chunk of max(1, MAX_BATCH_COEFFS // 4^n) members in
-    order; any other difference raises ValueError before any is built."""
-    first = configs[0]
-    for config in configs[1:]:
-        differ = [f.name for f in fields(ExperimentConfig) if f.name not in ("j0", "couplings")
-                  and getattr(config, f.name) != getattr(first, f.name)]
-        if differ:
-            raise ValueError(f"lock-step runs may differ only in couplings, not in {differ}")
-    if first.initial != "single_excitation":
-        raise ValueError("lock-step runs (run_sp_batch, run_first_peaks) expect a "
-                         "single-excitation initial state")
-    profiles = [config.profile() for config in configs]
-    size = max(1, MAX_BATCH_COEFFS // 4**first.n_sites)
-    return [assemble_circuit(first, profiles[lo:lo + size]) for lo in range(0, len(profiles), size)]
-
-
-def run_first_peaks(configs) -> list:
-    """detect_first_peak of each exact config's run_sp_series, (t*, peak), or
-    None where it raises NoPeakError; the runs evolve in lock-step as in
-    run_sp_batch, and each chunk's circuit stops once every member's first
-    peak is settled (_settled_peak, detect_first_peak's rule, on its prefix).
-
-    Each step records the last measured site's P(1) alone, through
-    run_sp_batch's readout flip and clamp, so a member's prefix is
-    bit-identical to the start of its series. A member is tested only once
-    its prefix could settle: after a drop of PEAK_PROMINENCE below its
-    running maximum, which every qualifying peak needs, or once the window
-    (0, T/2] has passed.
-    """
-    if not configs:
-        return []
-    if configs[0].shots is not None:
+    if config.shots is not None:
         raise ValueError("run_first_peaks runs exact series: shots must be None")
-    circuits = _lock_step_circuits(configs)
-    first = configs[0]
-    col = _z_column(first.n_sites, max(first.measured_sites or (first.n_sites,)))
-    readout = _readout_error(first)
-    times = first.plan().times()
+    _check_single_excitation(config)
+    size = max(1, MAX_BATCH_COEFFS // 4**config.n_sites)
+    circuits = [assemble_circuit(config, profiles[lo:lo + size])
+                for lo in range(0, len(profiles), size)]
+    col = _z_column(config.n_sites, max(config.measured_sites or (config.n_sites,)))
+    readout = _readout_error(config)
+    times = config.plan().times()
     peaks = []
     for circuit in circuits:
-        watch = _FirstPeakWatch(len(circuit.profiles), _window_last(times), first.n_steps)
+        watch = _FirstPeakWatch(len(circuit.profiles), _window_last(times), config.n_steps)
         p1 = evolve_recorded(circuit, lambda block: readout_p1(
             (block[:, 0] - block[:, col]) / 2.0, None, None, readout), watch)
         peaks += [None if index < 0 else (float(times[index]), float(row[index]))

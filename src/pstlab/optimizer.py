@@ -10,10 +10,11 @@ tagged with their scale j0, and the GP stage's are bare bond tuples, which
 must keep the middle bond dominant: J23 > J12 and J23 > J34. The candidates
 of one stage, the grid's scales (with any extra candidate, such as a
 report's j0 = 1 baseline), an iteration's incumbent and bumped probes, and
-the GP pick, are scored together (`objectives`): their runs evolve in
-lock-step as one batch, one circuit per chunk of members, compiled once,
-each chunk only until every member's first peak is settled, each member's
-result identical to its own full run (`objective`).
+the GP pick, are scored together (`objectives`): base's exact config and
+their profiles evolve in lock-step as one batch (run_first_peaks), one
+circuit per chunk of members, compiled once, each chunk only until every
+member's first peak is settled, each member's result identical to its own
+full run (`objective`).
 
 Search ranges adapt to local sensitivity: with sensitivity estimated by a
 forward difference of increment 0.01,
@@ -94,11 +95,12 @@ def objective(candidate: CouplingProfile, base: ExperimentConfig):
 
 
 def objectives(candidates, base: ExperimentConfig) -> list:
-    """objective of each candidate, the runs evolved together as one batch,
-    each chunk stopped once every member's first peak is settled
-    (run_first_peaks); each result equals the candidate's own objective."""
+    """objective of each candidate in the list, the runs evolved together as
+    one batch of base's exact run and the candidates' profiles, each chunk
+    stopped once every member's first peak is settled (run_first_peaks);
+    each result equals the candidate's own objective."""
     return [_NO_PEAK if found is None else found[::-1]
-            for found in run_first_peaks([_scored_run(c, base) for c in candidates])]
+            for found in run_first_peaks(replace(base, shots=None), candidates)]
 
 
 def _scored_run(candidate: CouplingProfile, base: ExperimentConfig) -> ExperimentConfig:

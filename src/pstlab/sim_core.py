@@ -10,10 +10,7 @@ every state, pure or mixed, as its 4^n real Pauli coefficients (PauliState).
 It fuses each gate with its channels, if any, into one real Pauli transfer
 matrix (PTM) on the consecutive qubits from the lowest to the highest of
 their targets, then merges adjacent fused ops into PTMs of at most
-MERGE_WIDTH qubits. The gates of one local shape (fused_superoperators: the
-same support width, gate positions, channel objects and matrix shape, as the
-XY gates of a Trotter step share) are fused in one pass over the stack of
-their matrices. A rotation exp(-i theta/2 G) by a Pauli string G, such as
+MERGE_WIDTH qubits. A rotation exp(-i theta/2 G) by a Pauli string G, such as
 an RXX or RYY gate, with its channels, fuses into c^2 B0 + cs B1 + s^2 B2,
 c = cos(theta/2) and s = sin(theta/2), whose angle basis (B0, B1, B2)
 rotation_basis fuses once by the same helpers, so a caller that holds the
@@ -390,30 +387,16 @@ def fused_superoperators(pairs, n_qubits: int) -> list:
     channel.pauli_transfer_matrix(), each embedded in the support: the
     qubits from the lowest to the highest of the gate's and the channels'
     targets. A stacked gate gives a stacked op, each member's PTM that of
-    its own gate with the shared channels. Every pair is first checked, in
-    order (_local_shape): what apply_unitary and apply_channel refuse is
-    refused with their messages, and then a support wider than MERGE_WIDTH
-    qubits, which the Kraus loop still applies.
-
-    Pairs of one local shape (support width, gate positions in the support,
-    each channel object at its positions, gate matrix shape) are fused in
-    one pass: one _kron and one _fuse over the stack of all their gates'
-    matrices, from which each pair's op is a slice, bit-identical to its own
-    pass.
+    its own gate with the shared channels. The pairs are fused one by one,
+    in order, each checked first (_local_shape): what apply_unitary and
+    apply_channel refuse is refused with their messages, and then a support
+    wider than MERGE_WIDTH qubits, which the Kraus loop still applies.
     """
-    groups = {}
-    for i, (gate, channels) in enumerate(pairs):
+    out = []
+    for gate, channels in pairs:
         support, positions, rel = _local_shape(gate.targets, channels, n_qubits)
-        key = (len(support), positions, gate.matrix.shape, rel)
-        groups.setdefault(key, []).append((i, gate, support))
-    out = [None] * len(pairs)
-    for (width, positions, shape, channels), members in groups.items():
-        dim = shape[-1]
-        mats = np.concatenate([gate.matrix.reshape(-1, dim, dim) for _, gate, _ in members])
-        stack = _fuse(_kron(mats, mats.conj()), positions, width, channels)
-        for (i, _, support), matrix in zip(members, stack.reshape(len(members), *shape[:-2],
-                                                                  4**width, -1)):
-            out[i] = Superoperator(matrix, support, n_qubits)
+        matrix = _fuse(_kron(gate.matrix, gate.matrix.conj()), positions, len(support), rel)
+        out.append(Superoperator(matrix, support, n_qubits))
     return out
 
 
@@ -471,7 +454,10 @@ def merge_superoperators(sops) -> list:
     group holding a stacked op is a stacked op (see _compose). Ops are never
     reordered, so the list applies the same map.
     """
-    return [merged_superoperator(support, members) for support, members in merge_groups(sops)]
+    return [members[0] if len(members) == 1 else
+            Superoperator(_compose(support, [(sop.matrix, sop.targets) for sop in members]),
+                          support, members[0].n_qubits)
+            for support, members in merge_groups(sops)]
 
 
 def merge_groups(sops) -> list:
@@ -486,15 +472,6 @@ def merge_groups(sops) -> list:
         else:
             groups.append((range(sop.targets[0], sop.targets[-1] + 1), [sop]))
     return groups
-
-
-def merged_superoperator(support: range, members) -> Superoperator:
-    """One group of merge_groups as one superoperator; a group of one is
-    its member."""
-    if len(members) == 1:
-        return members[0]
-    return Superoperator(_compose(support, [(sop.matrix, sop.targets) for sop in members]),
-                         support, members[0].n_qubits)
 
 
 def _check_register(sop: Superoperator, n: int) -> None:

@@ -1,5 +1,6 @@
 """Config-driven runs: schema validation, exit codes, artifacts, reports."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -209,8 +210,8 @@ class TestRunConfig:
         runs = []
         real_one, real_batch = optimizer.run_sp_series, optimizer.run_first_peaks
         monkeypatch.setattr(optimizer, "run_sp_series", lambda cfg: runs.append(cfg) or real_one(cfg))
-        monkeypatch.setattr(optimizer, "run_first_peaks",
-                            lambda cfgs: runs.extend(cfgs) or real_batch(cfgs))
+        monkeypatch.setattr(optimizer, "run_first_peaks", lambda cfg, profiles:
+                            runs.extend(profiles) or real_batch(cfg, profiles))
         cfg = write_config(tmp_path, {
             "experiment": "bayes_opt",
             "chain": {"n": 3},
@@ -758,3 +759,23 @@ class TestImports:
                        if cls.__module__ == module.__name__]
             clashes += [f"{where}.{name}" for where, scope in scopes for name in names & set(scope)]
         assert not clashes, sorted(clashes)
+
+    def test_every_imported_name_is_used(self):
+        """Each name a pstlab module other than __init__ imports is read in
+        that module, so an import left behind by a deletion is caught."""
+        unused = []
+        for path in sorted(Path(pstlab.__file__).parent.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            imported = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                       if name not in used]
+        assert not unused, unused

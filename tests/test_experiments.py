@@ -46,7 +46,6 @@ from pstlab.experiments import (
     run_arbitrary_transfer,
     run_first_peaks,
     run_site_resolved,
-    run_sp_batch,
     run_sp_series,
     series_to_csv,
     series_to_json,
@@ -136,19 +135,18 @@ class TestConfigValidation:
         assert "_profile" not in {f.name for f in fields(ExperimentConfig)}
         assert replace(a, j0=1.0).profile() == pst_couplings(4, 1.0)
 
-    def test_batch_builds_one_profile_per_member(self, monkeypatch):
-        """An m-member run_first_peaks batch constructs m profiles, each on
-        its config's construction."""
+    def test_batch_builds_no_profile(self, monkeypatch):
+        """A run_first_peaks batch runs the profiles it is given and
+        constructs none of its own."""
+        config = ExperimentConfig(n_sites=4, n_steps=20, noise=NoiseParams())
+        profiles = [pst_couplings(4, j0) for j0 in (2.5, 2.9, 3.3)]
+        profiles.append(CouplingProfile(4, (2.0, 2.5, 2.0)))
         built = []
         post_init = CouplingProfile.__post_init__
         monkeypatch.setattr(CouplingProfile, "__post_init__",
                             lambda self: (built.append(self), post_init(self)))
-        configs = [ExperimentConfig(n_sites=4, n_steps=20, j0=j0, noise=NoiseParams())
-                   for j0 in (2.5, 2.9, 3.3)]
-        configs.append(ExperimentConfig(n_sites=4, n_steps=20, noise=NoiseParams(),
-                                        couplings=(2.0, 2.5, 2.0)))
-        run_first_peaks(configs)
-        assert len(built) == len(configs)
+        assert len(run_first_peaks(config, profiles)) == len(profiles)
+        assert built == []
 
 
 class TestIdealRuns:
@@ -445,9 +443,23 @@ def assert_same_series(got: SPTimeSeries, want: SPTimeSeries) -> None:
     assert got.meta == want.meta
 
 
+def chunk_circuits(config: ExperimentConfig, profiles) -> list:
+    """The circuits of config's lock-step batch over the profiles, one per
+    chunk of max(1, MAX_BATCH_COEFFS // 4^n) profiles, as run_first_peaks
+    assembles them."""
+    size = max(1, experiments.MAX_BATCH_COEFFS // 4**config.n_sites)
+    return [assemble_circuit(config, profiles[lo:lo + size]) for lo in range(0, len(profiles), size)]
+
+
+def own_states(config: ExperimentConfig) -> np.ndarray:
+    """Every recorded state of config's own run."""
+    return evolve_recorded(assemble_circuit(config), lambda block: block)[0]
+
+
 class TestLockStep:
-    """run_sp_batch evolves its members together; each member's series is its
-    own run_sp_series, bit for bit."""
+    """A lock-step batch, assemble_circuit(config, profiles) in chunks of at
+    most MAX_BATCH_COEFFS Pauli coefficients, evolves its members together;
+    each member's records are its own run's, bit for bit."""
 
     J0S = (0.01, 0.5, 1.0, 2.9, 4.0)  # 0.01 transfers nothing inside the window
 
@@ -456,50 +468,44 @@ class TestLockStep:
         return [ExperimentConfig(n_sites=n, n_steps=20, j0=j0, noise=NoiseParams(), **extra)
                 for j0 in TestLockStep.J0S]
 
+    @pytest.mark.parametrize("chunk,sizes", [(None, [5]), (2, [2, 2, 1])],
+                             ids=["whole", "chunks_of_2"])
     @pytest.mark.parametrize("n", [3, 4])
-    def test_members_equal_their_own_runs(self, n):
+    def test_members_equal_their_own_runs(self, n, chunk, sizes, monkeypatch):
         configs = self.configs(n)
         configs[2] = replace(configs[2], couplings=(1.3, 0.9, 1.1)[:n - 1])
-        for config, series in zip(configs, run_sp_batch(configs)):
-            assert_same_series(series, run_sp_series(config))
+        if chunk is not None:
+            monkeypatch.setattr(experiments, "MAX_BATCH_COEFFS", chunk * 4**n + 1)
+        circuits = chunk_circuits(configs[0], [config.profile() for config in configs])
+        assert [len(circuit.profiles) for circuit in circuits] == sizes
+        records = np.concatenate([evolve_recorded(c, lambda block: block) for c in circuits])
+        for config, rows in zip(configs, records, strict=True):
+            assert rows.tobytes() == own_states(config).tobytes()
 
-    def test_each_member_samples_its_own_shots(self):
-        configs = self.configs(3, shots=64, seed=5, measured_sites=(1, 2, 3))
-        for config, series in zip(configs, run_sp_batch(configs)):
-            assert_same_series(series, run_sp_series(config))
-
-    @pytest.mark.parametrize("change", [
-        {"n_sites": 3},
-        {"n_steps": 21},
-        {"total_time": math.pi},
-        {"noise": None},
-        {"noise": NoiseParams(p_pauli=0.002)},
-        {"seed": 1},
-    ], ids=repr)
-    def test_members_differing_beyond_couplings_refused_before_any_run(self, monkeypatch,
-                                                                       change):
-        built = []
-        monkeypatch.setattr(experiments, "assemble_circuit", lambda cfg: built.append(cfg))
-        configs = self.configs(4)
-        configs[-1] = replace(configs[-1], **change)
-        with pytest.raises(ValueError, match="differ only in couplings"):
-            run_sp_batch(configs)
-        assert built == []
-
-    @pytest.mark.parametrize("run", [run_sp_batch, run_first_peaks], ids=lambda run: run.__name__)
+    @pytest.mark.parametrize("run", [
+        lambda config: run_sp_series(config),
+        lambda config: run_first_peaks(config, [config.profile()] * 2),
+    ], ids=["run_sp_series", "run_first_peaks"])
     def test_other_initial_states_refused_before_any_run(self, monkeypatch, run):
         built = []
         monkeypatch.setattr(experiments, "assemble_circuit", lambda *args: built.append(args))
         monkeypatch.setattr(experiments, "_family", lambda config: built.append(config))
-        with pytest.raises(ValueError, match=r"lock-step runs \(run_sp_batch, run_first_peaks\) "
-                                             "expect a single-excitation initial state"):
-            run([ExperimentConfig(initial="arbitrary")] * 2)
+        with pytest.raises(ValueError, match=r"run_sp_series and run_first_peaks expect a "
+                                             "single-excitation initial state"):
+            run(ExperimentConfig(initial="arbitrary"))
         assert built == []
 
-    def test_batch_refuses_profiles_of_another_chain_length(self):
+    def test_batch_refuses_profiles_of_another_chain_length(self, monkeypatch):
+        """assemble_circuit refuses them, and run_first_peaks assembles
+        every chunk before it runs any."""
         config = ExperimentConfig(n_sites=4, n_steps=20)
         with pytest.raises(ValueError, match="share their chain length"):
             assemble_circuit(config, [config.profile(), pst_couplings(3, 1.0)])
+        ran = []
+        monkeypatch.setattr(experiments, "evolve_recorded", lambda *args: ran.append(args))
+        with pytest.raises(ValueError, match="share their chain length"):
+            run_first_peaks(config, [config.profile()] * 40 + [pst_couplings(3, 1.0)])
+        assert ran == []
 
     def test_evolve_recorded_refuses_rows_of_another_size(self):
         """observe must give one row per member of the circuit."""
@@ -510,11 +516,12 @@ class TestLockStep:
 
     def test_chunks_give_the_records_of_one_batch(self, monkeypatch):
         """A cap of two N = 3 states splits five members into chunks of 2, 2
-        and 1, each compiled once, with the series of the unchunked batch.
+        and 1, each compiled once, with the records of the unchunked batch.
         Each chunk's 4 XY ops hold a stack of its members' fused ops, and no
         chunk builds an XY gate."""
         configs = self.configs(3)
-        whole = run_sp_batch(configs)
+        profiles = [config.profile() for config in configs]
+        whole = evolve_recorded(assemble_circuit(configs[0], profiles), lambda block: block)
         chunks, stacks = [], []
         real = experiments._compile_merged
 
@@ -534,13 +541,13 @@ class TestLockStep:
 
         monkeypatch.setattr(UnitaryGate, "__init__", spy)
         monkeypatch.setattr(experiments, "MAX_BATCH_COEFFS", 2 * 4**3 + 1)
-        for got, want in zip(run_sp_batch(configs), whole, strict=True):
-            assert_same_series(got, want)
+        got = [evolve_recorded(c, lambda block: block) for c in chunk_circuits(configs[0], profiles)]
+        assert np.concatenate(got).tobytes() == whole.tobytes()
         assert chunks == [1, 2, 1, 2, 1, 1]  # the shared prep and the step of each chunk
         assert stacks == []
 
     def test_empty_batch(self):
-        assert run_sp_batch([]) == []
+        assert run_first_peaks(ExperimentConfig(n_sites=3), []) == []
         with pytest.raises(ValueError, match="at least one coupling profile"):
             assemble_circuit(ExperimentConfig(n_sites=3), [])
 
@@ -749,9 +756,9 @@ class TestFamilies:
         Pauli transfer matrix, attaches no channel (its XY ops come from the
         family's angle basis and channels) and composes only its two merge
         groups, each holding a stacked part, an XY op's."""
-        configs = [ExperimentConfig(n_sites=4, n_steps=20, j0=j0, noise=NoiseParams())
-                   for j0 in (0.5, 1.0, 2.9, 4.0)]
-        run_sp_batch(configs)
+        config = ExperimentConfig(n_sites=4, n_steps=20, noise=NoiseParams())
+        j0s = (0.5, 1.0, 2.9, 4.0)
+        run_first_peaks(config, [pst_couplings(4, j0) for j0 in j0s])
         calls, composed = [], []
         for target in ("pstlab.sim_core._pauli_transfer_matrix", "pstlab.noise.with_noise",
                        "pstlab.experiments.with_noise"):
@@ -760,7 +767,7 @@ class TestFamilies:
         monkeypatch.setattr(sim_core, "_compose", lambda support, parts: composed.append(
             [ptm.ndim for ptm, _ in parts]) or compose(support, parts))
         kinds = self.spy_gates(monkeypatch)
-        run_sp_batch([replace(config, j0=1.1 * config.j0) for config in configs])
+        run_first_peaks(config, [pst_couplings(4, 1.1 * j0) for j0 in j0s])
         assert calls == [] and kinds == []
         assert len(composed) == 2  # the two XY merge groups
         assert all(3 in ndims for ndims in composed), composed
@@ -868,13 +875,13 @@ class TestFixedBuffers:
 
     def test_blocks_come_from_two_buffers_per_chunk(self, monkeypatch):
         """Over an 80-step noisy N = 4 batch of 3 members, as one chunk and
-        as chunks of 2 and 1 (_lock_step_circuits), every block observe sees
-        is one of its chunk circuit's two buffers, and the chunks' records
+        as chunks of 2 and 1 (chunk_circuits), every block observe sees is
+        one of its chunk circuit's two buffers, and the chunks' records
         equal the whole batch's."""
         whole = evolve_recorded(self.circuit(), lambda block: block)
         for sizes in ([3], [2, 1]):
             monkeypatch.setattr(experiments, "MAX_BATCH_COEFFS", sizes[0] * 4**4)
-            circuits = experiments._lock_step_circuits(self.CONFIGS)
+            circuits = chunk_circuits(self.CONFIGS[0], [c.profile() for c in self.CONFIGS])
             assert [len(circuit.profiles) for circuit in circuits] == sizes
             got = []
             for circuit in circuits:
@@ -919,10 +926,10 @@ class TestFixedBuffers:
             return real(circuit, wrapped, settled)
 
         monkeypatch.setattr(experiments, "evolve_recorded", measured)
-        configs = [ExperimentConfig(n_sites=4, j0=j0, noise=NoiseParams()) for j0 in (0.5, 1.0, 2.9)]
+        profiles = [pst_couplings(4, j0) for j0 in (0.5, 1.0, 2.9)]
         tracemalloc.start()
         try:
-            run_first_peaks(configs)
+            run_first_peaks(ExperimentConfig(n_sites=4, noise=NoiseParams()), profiles)
         finally:
             tracemalloc.stop()
         assert len(peaks) < 81  # stopped early
@@ -930,9 +937,9 @@ class TestFixedBuffers:
 
 
 class TestReadout:
-    """Readout reads every member's populations from the state block and
-    draws its shots as a scalar loop over steps, then sites (or bases), from
-    the member's own generator, value for value."""
+    """Readout reads a run's populations from its recorded states and draws
+    its shots as a scalar loop over steps, then sites (or bases), from one
+    generator seeded with the run's seed, value for value."""
 
     NOISE = NoiseParams(readout_error=0.03)
 
@@ -945,19 +952,20 @@ class TestReadout:
     def draw(cls, p1, shots, rng, readout_error):
         return int(rng.binomial(shots, cls.flip(p1, readout_error))) / shots
 
-    def test_sp_batch_shots_equal_a_scalar_loop(self):
-        configs = [ExperimentConfig(n_sites=4, n_steps=40, j0=j0, noise=self.NOISE, shots=1024,
-                                    seed=7, measured_sites=(2, 4)) for j0 in (0.5, 1.0, 2.9)]
-        for config, series in zip(configs, run_sp_batch(configs), strict=True):
-            states = evolve_recorded(assemble_circuit(config), lambda block: block)[0]
-            rng = np.random.default_rng(config.seed)
-            want = {2: [], 4: []}
-            for vec in states:  # step by step, then site by site
-                for site in (2, 4):
-                    p1 = qubit_p1(PauliState(4, vec), site - 1)
-                    want[site].append(self.draw(p1, 1024, rng, 0.03))
+    @pytest.mark.parametrize("j0", [0.5, 1.0, 2.9])
+    def test_sp_series_shots_equal_a_scalar_loop(self, j0):
+        config = ExperimentConfig(n_sites=4, n_steps=40, j0=j0, noise=self.NOISE, shots=1024,
+                                  seed=7, measured_sites=(2, 4))
+        series = run_sp_series(config)
+        states = own_states(config)
+        rng = np.random.default_rng(config.seed)
+        want = {2: [], 4: []}
+        for vec in states:  # step by step, then site by site
             for site in (2, 4):
-                assert np.array_equal(series.values[site], want[site]), site
+                p1 = qubit_p1(PauliState(4, vec), site - 1)
+                want[site].append(self.draw(p1, 1024, rng, 0.03))
+        for site in (2, 4):
+            assert np.array_equal(series.values[site], want[site]), site
 
     def test_arbitrary_transfer_shots_equal_a_scalar_loop(self):
         config = ExperimentConfig(n_sites=4, n_steps=30, noise=self.NOISE, shots=256, seed=3,
@@ -978,15 +986,16 @@ class TestReadout:
         for axis, got in enumerate((record.x, record.y, record.z)):
             assert np.array_equal(got, want[:, axis]), axis
 
-    def test_exact_batch_equals_qubit_p1(self):
-        configs = [ExperimentConfig(n_sites=3, n_steps=10, j0=j0, noise=self.NOISE,
-                                    measured_sites=(1, 2, 3)) for j0 in (0.5, 2.0)]
-        for config, series in zip(configs, run_sp_batch(configs), strict=True):
-            states = evolve_recorded(assemble_circuit(config), lambda block: block)[0]
-            for site in (1, 2, 3):
-                want = [self.flip(qubit_p1(PauliState(3, vec), site - 1), 0.03)
-                        for vec in states]
-                assert np.array_equal(series.values[site], want), site
+    @pytest.mark.parametrize("j0", [0.5, 2.0])
+    def test_exact_series_equals_qubit_p1(self, j0):
+        config = ExperimentConfig(n_sites=3, n_steps=10, j0=j0, noise=self.NOISE,
+                                  measured_sites=(1, 2, 3))
+        series = run_sp_series(config)
+        states = own_states(config)
+        for site in (1, 2, 3):
+            want = [self.flip(qubit_p1(PauliState(3, vec), site - 1), 0.03)
+                    for vec in states]
+            assert np.array_equal(series.values[site], want), site
 
 
 class TestShotMode:
@@ -1108,16 +1117,20 @@ class TestArbitraryTransfer:
         (0.6, 0.8000000003, False),  # |A|^2 + |B|^2 - 1 = 4.8e-10
         (0.6, 0.8 + 2e-12, False),  # 3.2e-12, above the gate's 1e-12
         (0.6, 0.8 + 4e-13, True),  # 6.4e-13
-        (1 / math.sqrt(2) + 9e-13, 1 / math.sqrt(2) + 9e-13, True),  # H, 2.5e-12
-        (5e-13, 1.0 + 9e-13, True),  # X, 1.8e-12
+        (1 / math.sqrt(2) + 9e-13, 1 / math.sqrt(2) + 9e-13, False),  # near H, 2.5e-12
+        (5e-13, 1.0 + 9e-13, False),  # near X, 1.8e-12
+        (1 / math.sqrt(2) + 3e-13, 1 / math.sqrt(2) + 3e-13, "h"),  # 8.5e-13
+        (5e-13, 1.0 + 4e-13, "x"),  # 8.0e-13
     ])
     def test_amplitudes_are_held_to_the_gate_tolerance(self, a, b, runs):
-        """The amplitude rule refuses, with its own message, exactly what
-        the prep gate's unitarity check would; amplitudes within 1e-12 of
-        H's or X's take that gate, as they did before."""
+        """One tolerance for every pair of amplitudes: the amplitude rule
+        refuses, with its own message, exactly what the prep gate's
+        unitarity check would, near H's and X's amplitudes too; amplitudes
+        it accepts within 1e-12 of H's or X's take that gate."""
         config = ExperimentConfig(n_sites=2, n_steps=2, initial="arbitrary", amp_a=a, amp_b=b)
         if runs:
-            assert assemble_circuit(config).prep
+            (prep,) = assemble_circuit(config).prep
+            assert prep.gate.kind == ("u" if runs is True else runs)
         else:
             with pytest.raises(ValueError, match=r"\|A\|\^2 \+ \|B\|\^2 = .*, must be 1"):
                 assemble_circuit(config)
@@ -1453,7 +1466,7 @@ class TestSettledPeak:
         for shots in (None, 1024):
             configs = [ExperimentConfig(couplings=p.couplings, noise=NoiseParams(), shots=shots)
                        for p in profiles]
-            batch = np.array([series.series() for series in run_sp_batch(configs)])
+            batch = np.array([run_sp_series(config).series() for config in configs])
             for x in batch:
                 assert_settles_exactly(x)
             want = [first_peak_score(x, configs[0].plan().times()) for x in batch]
@@ -1474,25 +1487,28 @@ class TestRunFirstPeaks:
     ])
     def test_equals_detect_first_peak(self, base, monkeypatch):
         rng = np.random.default_rng(base.n_sites)
-        configs = [replace(base, j0=j0) for j0 in (0.1, 0.4, 1.0, 2.2, 4.0)]
-        configs += [replace(base, couplings=tuple(rng.uniform(0.2, 6.0, base.n_sites - 1)))
-                    for _ in range(6)]
+        profiles = [pst_couplings(base.n_sites, j0) for j0 in (0.1, 0.4, 1.0, 2.2, 4.0)]
+        profiles += [CouplingProfile(base.n_sites, tuple(rng.uniform(0.2, 6.0, base.n_sites - 1)))
+                     for _ in range(6)]
         want = []
-        for config in configs:
+        for profile in profiles:
             try:
-                want.append(detect_first_peak(run_sp_series(config)))
+                want.append(detect_first_peak(run_sp_series(replace(base,
+                                                                    couplings=profile.couplings))))
             except NoPeakError:
                 want.append(None)
-        assert run_first_peaks(configs) == want
+        assert run_first_peaks(base, profiles) == want
+        chunks = []
+        real = experiments.assemble_circuit
+        monkeypatch.setattr(experiments, "assemble_circuit", lambda config, chunk: chunks.append(
+            list(chunk)) or real(config, chunk))
         monkeypatch.setattr(experiments, "MAX_BATCH_COEFFS", 3 * 4**base.n_sites)  # chunks of 3
-        assert run_first_peaks(configs) == want
+        assert run_first_peaks(base, profiles) == want
+        assert chunks == [profiles[lo:lo + 3] for lo in range(0, 11, 3)]
 
-    def test_refuses_shots_and_other_differences(self):
-        with pytest.raises(ValueError, match="shots"):
-            run_first_peaks([ExperimentConfig(shots=64)])
-        with pytest.raises(ValueError, match="seed"):
-            run_first_peaks([ExperimentConfig(), ExperimentConfig(seed=1)])
-        assert run_first_peaks([]) == []
+    def test_refuses_shots(self):
+        with pytest.raises(ValueError, match="shots must be None"):
+            run_first_peaks(ExperimentConfig(shots=64), [pst_couplings(4, 1.0)])
 
 
 # Floats whose JSON text has a special form: -0.0, the least subnormal, a

@@ -126,6 +126,16 @@ class TestObjectives:
         with pytest.raises(AssertionError):
             objective(self.BENCH_GRID[0], FAST)  # the full run still builds one
 
+    def test_builds_one_config_for_the_batch(self, monkeypatch):
+        """The candidates run as profiles of base's one exact config: no
+        ExperimentConfig is built per candidate."""
+        base, built = replace(FAST, shots=64), []
+        post_init = ExperimentConfig.__post_init__
+        monkeypatch.setattr(ExperimentConfig, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        objectives(self.BENCH_GRID, base)
+        assert [config.shots for config in built] == [None]
+
     def test_bench_grid_and_random_profiles_score_their_own_objective(self):
         base = ExperimentConfig(noise=NoiseParams())
         rng = np.random.default_rng(3)
@@ -184,8 +194,8 @@ class TestGridSearch:
         its record scores exactly its own objective."""
         batches = []
         real = optimizer.run_first_peaks
-        monkeypatch.setattr(optimizer, "run_first_peaks",
-                            lambda cfgs: batches.append(len(cfgs)) or real(cfgs))
+        monkeypatch.setattr(optimizer, "run_first_peaks", lambda cfg, profiles:
+                            batches.append(len(profiles)) or real(cfg, profiles))
         uniform = pst_couplings(4, 1.0)
         *records, extra = grid_search_j0(FAST, lo=2.8, hi=3.0, step=0.1, extra=[uniform])
         assert batches == [4] and [r.kind for r in records] == ["grid"] * 3
@@ -195,8 +205,8 @@ class TestGridSearch:
     def test_on_grid_extra_reuses_its_grid_row(self, monkeypatch):
         batches = []
         real = optimizer.run_first_peaks
-        monkeypatch.setattr(optimizer, "run_first_peaks",
-                            lambda cfgs: batches.append(len(cfgs)) or real(cfgs))
+        monkeypatch.setattr(optimizer, "run_first_peaks", lambda cfg, profiles:
+                            batches.append(len(profiles)) or real(cfg, profiles))
         uniform = pst_couplings(4, 1.0)
         *records, extra = grid_search_j0(FAST, lo=0.8, hi=1.0, step=0.2, extra=[uniform])
         assert batches == [2]
@@ -375,8 +385,8 @@ class TestBayesOptimize:
         starts = [records[0], other, records[0].candidate, records[1]]
         batches = []
         real = optimizer.run_first_peaks
-        monkeypatch.setattr(optimizer, "run_first_peaks",
-                            lambda cfgs: batches.append([c.couplings for c in cfgs]) or real(cfgs))
+        monkeypatch.setattr(optimizer, "run_first_peaks", lambda cfg, profiles: batches.append(
+            [p.couplings for p in profiles]) or real(cfg, profiles))
         _, ledger = bayes_optimize(base, starts, iterations_per_start=0)
         assert [(r.kind, r.candidate) for r in ledger] == [
             ("start", records[0].candidate), ("start", other), ("start", records[1].candidate)]

@@ -17,7 +17,6 @@ from pstlab.experiments import (
     readout_p1,
     run_arbitrary_transfer,
 )
-from pstlab import sim_core
 from pstlab.noise import NoiseParams
 from pstlab.sim_core import (
     HADAMARD,
@@ -323,8 +322,9 @@ def assert_same_ops(got, want):
 
 
 class TestStackedCompile:
-    """fused_superoperators fuses the ops of one local shape in one pass; each
-    op is bit-identical to its own fused_superoperator."""
+    """fused_superoperators fuses each pair alone: a list of pairs, 2-D and
+    stacked gates mixed, gives each pair's own fused_superoperator, and a
+    stacked gate's op holds each member's own op, bit for bit."""
 
     NOISE = {"ideal": None, "hamiltonian": NoiseParams(),
              "dephasing": NoiseParams(zz_mode="dephasing_channel", p_zz=0.01)}
@@ -364,10 +364,15 @@ class TestStackedCompile:
         assert_same_ops(fused_superoperators(pairs, 4), want)
         assert [sop.targets for sop in want] == [(0, 1, 2), (1, 2, 3), (0, 1, 2), (1, 2, 3),
                                                  (1, 2, 3), (0, 1), (1, 2), (2,), (0, 1, 2)]
+        for i in (2, 4):  # each member of a stacked gate's op is its own gate's op
+            gate, channels = pairs[i]
+            assert_same_ops([Superoperator(member, want[i].targets, 4) for member in want[i].matrix],
+                            [fused_superoperator(UnitaryGate(matrix, gate.targets), channels, 4)
+                             for matrix in gate.matrix])
 
     def test_span_refusal_and_check_order(self):
-        """Every pair is checked in order before any is fused: the first bad
-        pair's message is raised, whatever follows it."""
+        """Pairs are checked in order: the first bad pair's message is
+        raised, whatever follows it."""
         ok = (UnitaryGate(PAULI_X, (0,)), [(AMP_DAMP, (0,))])
         wide = (UnitaryGate(unitary_group.rvs(4, random_state=3), (0, 3)), [])
         far = (UnitaryGate(PAULI_X, (1,)), [(AMP_DAMP, (4,))])
@@ -377,21 +382,6 @@ class TestStackedCompile:
         with pytest.raises(ValueError, match="target 4 out of range for 4 qubits"):
             fused_superoperators([ok, far, wide], 4)
         assert fused_superoperators([], 4) == []
-
-    @pytest.mark.parametrize("members", [1, 4])
-    def test_noisy_step_fuses_one_pass_per_shape(self, members, monkeypatch):
-        """A noisy N = 4 step holds 6 RXX/RYY gates and 3 RZZ gates: two local
-        shapes, so two fusion _compose calls, not one per gate."""
-        calls = []
-        real = sim_core._compose
-        monkeypatch.setattr(sim_core, "_compose", lambda *a: calls.append(a) or real(*a))
-        configs = [ExperimentConfig(n_sites=4, n_steps=4, j0=j0, noise=NoiseParams())
-                   for j0 in (0.5, 1.0, 2.9, 4.0)[:members]]
-        circuit = assemble_circuit(configs[0], [config.profile() for config in configs])
-        assert [op.gate.kind for op in circuit.step].count("rzz") == 3
-        compiled = fused_superoperators([(op.gate, op.channels) for op in circuit.step], 4)
-        assert len(compiled) == len(circuit.step) == 9
-        assert len(calls) == 2
 
 
 class TestRotationBasis:
