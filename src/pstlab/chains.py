@@ -78,14 +78,14 @@ class GateOp:
 
 @dataclass
 class NoisyCircuit:
-    """Prep gates followed by one Trotter step repeated plan.n_steps times.
+    """Prep ops followed by one Trotter step repeated plan.n_steps times.
 
-    Every step is identical, so it is stored once. Channels are attached per
-    gate (post-gate); a freshly built circuit has none. `zeta` records the
-    coherent crosstalk rate baked into the RZZ gates, 0 when absent. The
-    circuit runs one member per entry of `profiles`, the coupling profiles
-    of a lock-step batch; a gate that differs between members holds a stack
-    of their matrices (see build_trotter_circuit).
+    Every step is identical, so it is stored once. Each op has `channels`,
+    the noise after it. A gate-level circuit (build_trotter_circuit) holds
+    GateOps; an assembled one (experiments.assemble_circuit) holds no gate,
+    only each op's fused op and channels. `zeta` is the coherent crosstalk
+    rate baked into the RZZ ops, 0 when absent. The circuit runs one member
+    per entry of `profiles`, the coupling profiles of a lock-step batch.
     """
 
     n_qubits: int
@@ -124,7 +124,10 @@ def gate_matrix(kind: str, theta: float | None = None) -> np.ndarray:
     """
     kind = kind.upper()
     if kind in ("RXX", "RYY"):
-        return _rotations(kind, [theta])[0]
+        [(c, s)] = half_angles(kind, [theta])
+        corner = -1j * s if kind == "RXX" else 1j * s
+        return np.array([[c, 0, 0, corner], [0, c, -1j * s, 0], [0, -1j * s, c, 0],
+                         [corner, 0, 0, c]], dtype=complex)
     if kind == "RZZ":
         if theta is None or not math.isfinite(theta):
             raise ValueError(f"{kind} needs a finite rotation angle")
@@ -147,8 +150,8 @@ def gate_matrix(kind: str, theta: float | None = None) -> np.ndarray:
 
 def half_angles(kind: str, thetas) -> list:
     """(cos(theta/2), sin(theta/2)) of each angle of an RXX or RYY gate,
-    each from math, so it does not depend on how many members share a
-    stack; a non-finite angle is refused."""
+    each from math, so it does not depend on how many members of a batch
+    share the op; a non-finite angle is refused."""
     out = []
     for theta in thetas:
         if theta is None or not math.isfinite(theta):
@@ -157,51 +160,30 @@ def half_angles(kind: str, thetas) -> list:
     return out
 
 
-def _rotations(kind: str, thetas) -> np.ndarray:
-    """The RXX or RYY matrices of the angles as an (m, 4, 4) stack, from
-    half_angles."""
-    entries = []
-    for c, s in half_angles(kind, thetas):
-        corner = -1j * s if kind == "RXX" else 1j * s
-        entries.append([c, 0, 0, corner, 0, c, -1j * s, 0, 0, -1j * s, c, 0, corner, 0, 0, c])
-    return np.array(entries, dtype=complex).reshape(-1, 4, 4)
-
-
-def build_trotter_circuit(couplings, plan: TrotterPlan, zeta: float = 0.0) -> NoisyCircuit:
-    """First-order product-formula circuit, noise not yet attached.
+def build_trotter_circuit(couplings: CouplingProfile, plan: TrotterPlan,
+                          zeta: float = 0.0) -> NoisyCircuit:
+    """First-order product-formula circuit of one coupling profile, noise
+    not yet attached: the gate-level circuit, which
+    noise.attach_comprehensive dresses and the Kraus loop runs.
 
     Each step applies, per bond i = 1..N-1 in ascending order, RXX(J_i dt)
     then RYY(J_i dt) on qubits (i-1, i); when zeta > 0, RZZ(2 zeta dt) on
     every neighbouring pair, each placed by step_order.
-
-    `couplings` is one CouplingProfile, or a sequence of profiles of one
-    chain length, one per member of a lock-step batch. With m > 1 members
-    each RXX and RYY gate holds the (m, 4, 4) stack of its members'
-    matrices, member b's at index b; the RZZ gates are the same for every
-    member and stay 2-D.
     """
     if zeta < 0:
         raise ValueError(f"zeta must be >= 0, got {zeta}")
-    profiles = (couplings,) if isinstance(couplings, CouplingProfile) else tuple(couplings)
-    if not profiles:
-        raise ValueError("need at least one coupling profile")
-    n = profiles[0].n_sites
-    if any(p.n_sites != n for p in profiles):
-        raise ValueError("batched coupling profiles must share their chain length")
-    dt = plan.dt
-    xy = [GateOp(xy_gate(kind, (i, i + 1), [p.couplings[i] * dt for p in profiles]))
+    n, dt = couplings.n_sites, plan.dt
+    xy = [GateOp(xy_gate(kind, (i, i + 1), couplings.couplings[i] * dt))
           for i in range(n - 1) for kind in XY_GENERATORS]
     step_ops = step_order(xy, [GateOp(gate) for gate in crosstalk_gates(n, plan, zeta)])
     return NoisyCircuit(
-        n_qubits=n, prep=[], step=step_ops, plan=plan, profiles=profiles, zeta=zeta
+        n_qubits=n, prep=[], step=step_ops, plan=plan, profiles=(couplings,), zeta=zeta
     )
 
 
-def xy_gate(kind: str, pair, thetas) -> UnitaryGate:
-    """The RXX or RYY gate ("rxx" or "ryy") on `pair` of each angle: its
-    matrix, or the (m, 4, 4) stack of m > 1 members' matrices."""
-    mats = _rotations(kind.upper(), thetas)
-    return UnitaryGate(mats if len(mats) > 1 else mats[0], pair, kind=kind)
+def xy_gate(kind: str, pair, theta: float) -> UnitaryGate:
+    """The RXX or RYY gate ("rxx" or "ryy") of angle theta on `pair`."""
+    return UnitaryGate(gate_matrix(kind, theta), pair, kind=kind)
 
 
 def step_order(xy: list, crosstalk: list) -> list:

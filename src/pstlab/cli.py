@@ -71,6 +71,7 @@ from .experiments import (
     series_to_json,
     tomography_to_csv,
     tomography_to_json,
+    whole_number,
 )
 from .mitigation import apply_rescaling, fit_rescaling
 from .noise import NoiseParams
@@ -136,12 +137,12 @@ def _real(value, name: str) -> float:
 
 
 def _integer(value, name: str) -> int:
-    """A whole JSON number (8 or 8.0); 4.7, "4" and true are refused."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return value
+    """A whole JSON number (8 or 8.0; experiments.whole_number); 4.7, "4"
+    and true are refused."""
+    try:
+        return whole_number(value, name)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
 
 
 def _parse_amplitude(value, name: str) -> complex:
@@ -260,19 +261,13 @@ def resolve_config(cfg: dict, seed_override=None):
     output_dir = cfg.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError(f"output_dir must be a string or null, got {output_dir!r}")
-    shots = cfg.get("shots")
-    if shots is not None:
-        shots = _integer(shots, "shots")
-    seed = _integer(cfg.get("seed", 0) if seed_override is None else seed_override, "seed")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
 
     amps = blocks["amplitudes"]
     amp_a = _parse_amplitude(amps.get("a", 1.0 / math.sqrt(2.0)), "amplitudes.a")
     amp_b = _parse_amplitude(amps.get("b", 1.0 / math.sqrt(2.0)), "amplitudes.b")
     search = _search_settings(experiment, blocks)
 
-    try:  # the constructor checks the chain and the grid, so they fail here, not mid-run
+    try:  # the constructor checks the chain, the grid, shots and seed, so they fail here
         exp_cfg = ExperimentConfig(
             n_sites=n,
             j0=j0,
@@ -280,8 +275,8 @@ def resolve_config(cfg: dict, seed_override=None):
             total_time=total_time,
             n_steps=steps,
             noise=noise,
-            shots=shots,
-            seed=seed,
+            shots=cfg.get("shots"),
+            seed=cfg.get("seed", 0) if seed_override is None else seed_override,
             amp_a=amp_a,
             amp_b=amp_b,
         )

@@ -4,14 +4,15 @@ arbitrary-state transfer with single-qubit tomography.
 Every run evolves one circuit and records observables after the prep layer
 (k = 0) and after each Trotter step, giving a uniform (n_steps + 1)-point
 time grid. The state is a sim_core.PauliState, the 4^n real Pauli
-coefficients of the dense density matrix, with or without noise. Each stored
-op (a gate with its channels, if any) is compiled into one fused
-superoperator (a real Pauli transfer matrix), and adjacent fused ops of the
-prep layer and of the Trotter step are merged into superoperators of at most
+coefficients of the dense density matrix, with or without noise. An
+assembled circuit holds no gate: each of its ops is an AssembledOp, the
+fused superoperator (a real Pauli transfer matrix) of a gate and its
+channels, with those channels, and adjacent fused ops of the prep layer and
+of the Trotter step are merged into superoperators of at most
 sim_core.MERGE_WIDTH qubits. Merging never crosses a recorded step boundary.
 What does not depend on the couplings is a circuit's family (_family): the
-noise-attached prep gate and the step's RZZ gates, each with its fused op,
-the channels of each XY op, the angle basis of each XY kind, and the
+prep op and the step's RZZ ops, each fused once from its noise-attached
+gate, the channels of each XY op, the angle basis of each XY kind, and the
 tomography rotations. It is built and compiled once for all configs that
 differ at most in couplings, seed, shots and measured sites, and cached by
 the value of the fields that assembly reads. The fused op of an XY gate of
@@ -26,15 +27,15 @@ optimizer's scores: one exact config run with each of many coupling
 profiles. It splits the profiles into chunks of at most MAX_BATCH_COEFFS
 Pauli coefficients and assembles one circuit per chunk, whose XY ops hold a
 stack of the chunk members' fused ops. evolve_recorded runs the one
-circuit it is given, a single run's or a chunk's: it takes every op's
-fused op, merges, and binds each op once to the circuit's two state
-buffers (the prep, which holds no XY op, stays 2-D, shared by every
-member), and each recorded step hands the (members, 4^n) state block to
-one observe call, so each member's records are bit-identical to its own
-run's. One rule, _settled_peak on the window (0, T/2] (_window_last),
-decides every first peak: detect_first_peak's on a whole series, and
-run_first_peaks', which records only the end site's P(1) and stops each
-chunk's circuit once every member's peak is settled on its prefix. Every
+circuit it is given, a single run's or a chunk's: it merges its ops' fused
+ops and binds each merged op once to the circuit's two state buffers (the
+prep, which holds no XY op, stays 2-D, shared by every member), and each
+recorded step hands the (members, 4^n) state block to one observe call, so
+each member's records are bit-identical to its own run's. One rule,
+_settled_peak on the window (0, T/2] (_window_last), decides every first
+peak: detect_first_peak's on a whole series, and run_first_peaks', which
+records only the end site's P(1) and stops each chunk's circuit once every
+member's peak is settled on its prefix. Every
 readout is of single qubits, so it reads a few coefficients of the block:
 P(1) = (r_I - r_Z) / 2 of each measured site (_z_column), and for
 tomography the last qubit's r_I, r_X, r_Y and r_Z, which each basis
@@ -56,8 +57,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -137,8 +139,12 @@ class ExperimentConfig:
     amp_b: complex = complex(1.0 / math.sqrt(2.0))
 
     def __post_init__(self):
-        if self.shots is not None and int(self.shots) < 1:
+        for name in ("n_sites", "n_steps", "seed", *(("shots",) if self.shots is not None else ())):
+            object.__setattr__(self, name, whole_number(getattr(self, name), name))
+        if self.shots is not None and self.shots < 1:
             raise ValueError("shots must be >= 1 or None for exact mode")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         sites = self.measured_sites
         if sites is not None:
             sites = tuple(int(s) for s in sites)
@@ -180,6 +186,17 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def whole_number(value, name: str) -> int:
+    """value as an int when it is a whole number, 8 or 8.0, for a config's
+    counts, whether set in Python or read from a config file (cli); 4.7,
+    "4" and True are refused."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -243,11 +260,12 @@ def assemble_circuit(config: ExperimentConfig, profiles=None) -> NoisyCircuit:
     config's own. All but the XY angles theta = J_i dt comes from config's
     family (_family): the prep op, the RZZ ops, each placed by
     chains.step_order, and each XY op's kind, bond, channels and angle
-    basis. Each XY op (_XYOp) gets its fused op from that basis and its
-    members' c^2, cs and s^2 (chains.half_angles, which refuses a
-    non-finite angle), combined elementwise in one fixed order, so each
-    member's matrix is bit-identical to its own run's; an (m, 16, 16) stack
-    for m > 1 members, 2-D for one. No gate is built here."""
+    basis. Each XY op gets its fused op from that basis and its members'
+    c^2, cs and s^2 (chains.half_angles, which refuses a non-finite angle),
+    combined elementwise in one fixed order, so each member's matrix is
+    bit-identical to its own run's; an (m, 16, 16) stack for m > 1
+    members, 2-D for one. No gate is built here: every op is an
+    AssembledOp."""
     family = _family(config)
     profiles = (config.profile(),) if profiles is None else tuple(profiles)
     if not profiles:
@@ -265,52 +283,23 @@ def assemble_circuit(config: ExperimentConfig, profiles=None) -> NoisyCircuit:
     fused = (weights[0] * basis[0] + weights[1] * basis[1] + weights[2] * basis[2]).reshape(
         len(family.xy), *members, *basis.shape[-2:])
     fused.setflags(write=False)
-    xy = [_XYOp(kind, pair, thetas[pair[0]], channels, Superoperator(matrix, pair, config.n_sites))
-          for (kind, pair, channels), matrix in zip(family.xy, fused, strict=True)]
+    xy = [AssembledOp(Superoperator(matrix, pair, config.n_sites), channels)
+          for (pair, channels), matrix in zip(family.xy, fused, strict=True)]
     return NoisyCircuit(n_qubits=config.n_sites, prep=list(family.prep),
                         step=step_order(xy, family.crosstalk), plan=family.plan,
                         profiles=profiles,
                         zeta=config.noise.circuit_zeta() if config.noise is not None else 0.0)
 
 
-class _FusedOp(GateOp):
-    """A GateOp that brings `fused`, its fused superoperator, which
-    _compile_merged takes in place of fusing the op. Its channels are a
-    tuple, its arrays are read-only and it refuses any attribute change, so
-    no run can alter what another one applies."""
+@dataclass(frozen=True)
+class AssembledOp:
+    """One op of an assembled circuit: `fused`, the fused superoperator of a
+    gate and its channels, with a read-only matrix, and `channels`, the
+    tuple of (KrausChannel, targets) that noise.with_noise put after that
+    gate. Frozen, so no run can alter what another one applies."""
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"a fused op is read-only: cannot set {name!r}")
-
-
-class _SharedOp(_FusedOp):
-    """A prep or RZZ op that every circuit of a family shares, fused once
-    (_family)."""
-
-    def __init__(self, op: GateOp, fused: Superoperator):
-        op.gate.matrix.setflags(write=False)
-        fused.matrix.setflags(write=False)
-        self.__dict__.update(gate=op.gate, channels=tuple(op.channels), fused=fused)
-
-
-class _XYOp(_FusedOp):
-    """An RXX or RYY op of one circuit (assemble_circuit): its channels, the
-    objects noise.with_noise attaches, and its fused op, built from its
-    family's angle basis. Its gate, the checked UnitaryGate that
-    chains.build_trotter_circuit makes for these angles (one per member),
-    is built only when read: running the circuit reads only `fused` and
-    `channels`."""
-
-    def __init__(self, kind: str, pair: tuple, thetas: tuple, channels: tuple,
-                 fused: Superoperator):
-        self.__dict__.update(kind=kind, pair=pair, thetas=thetas, channels=channels,
-                             fused=fused)
-
-    @cached_property
-    def gate(self) -> UnitaryGate:
-        gate = xy_gate(self.kind, self.pair, self.thetas)
-        gate.matrix.setflags(write=False)
-        return gate
+    fused: Superoperator
+    channels: tuple
 
 
 @dataclass(frozen=True)
@@ -319,10 +308,10 @@ class _Family:
     not depend on the couplings, built and compiled once (_family)."""
 
     plan: TrotterPlan
-    prep: tuple  # the noise-attached prep op, a _SharedOp
-    crosstalk: tuple  # the step's RZZ ops, bond by bond, as _SharedOps
-    # (kind, pair, with_noise's channels) of each XY op of the step, in order:
-    # bond by bond, each bond's kinds in XY_GENERATORS order
+    prep: tuple  # the noise-attached prep op, an AssembledOp
+    crosstalk: tuple  # the step's RZZ ops, bond by bond, as AssembledOps
+    # (pair, with_noise's channels) of each XY op of the step, in order: bond
+    # by bond, each bond's kinds in XY_GENERATORS order
     xy: tuple
     # (3, kinds, 1, 16, 16): B0, B1 and B2 (sim_core.rotation_basis) of each XY kind
     # in XY_GENERATORS order, read-only
@@ -343,11 +332,12 @@ def _family(config: ExperimentConfig) -> _Family:
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def _families(n_sites, n_steps, total_time, noise, initial, amp_a, amp_b) -> _Family:
     """_family of the fields: the prep gate and the RZZ gates, each with the
-    noise model's channels, fused in one fused_superoperators call; the XY
-    ops' channels, which noise.with_noise attaches to the step's XY gates at
-    angle 0, and each XY kind's angle basis, from the first bond's gate; and
-    the tomography rotations. Every bond's XY op of a kind has its channel
-    objects on its own pair, so one basis serves them all."""
+    noise model's channels, fused in one fused_superoperators call and kept
+    as an AssembledOp, without its gate; the XY ops' channels, which
+    noise.with_noise attaches to the step's XY gates at angle 0, and each XY
+    kind's angle basis, from the first bond's gate; and the tomography
+    rotations. Every bond's XY op of a kind has its channel objects on its
+    own pair, so one basis serves them all."""
     plan = TrotterPlan(total_time, n_steps)
     if initial == "single_excitation":
         prep = UnitaryGate(gate_matrix("X"), (0,), kind="x")
@@ -357,12 +347,14 @@ def _families(n_sites, n_steps, total_time, noise, initial, amp_a, amp_b) -> _Fa
         raise ValueError(f"unknown initial kind {initial!r}")
     zeta = noise.circuit_zeta() if noise is not None else 0.0
     shared = [GateOp(gate) for gate in (prep, *crosstalk_gates(n_sites, plan, zeta))]
-    xy = [GateOp(xy_gate(kind, (i, i + 1), [0.0]))
+    xy = [GateOp(xy_gate(kind, (i, i + 1), 0.0))
           for i in range(n_sites - 1) for kind in XY_GENERATORS]
     if noise is not None:
         shared, xy = with_noise(shared, noise), with_noise(xy, noise)
     fused = fused_superoperators([(op.gate, op.channels) for op in shared], n_sites)
-    shared = [_SharedOp(op, sop) for op, sop in zip(shared, fused, strict=True)]
+    for sop in fused:
+        sop.matrix.setflags(write=False)
+    shared = [AssembledOp(sop, tuple(op.channels)) for op, sop in zip(shared, fused, strict=True)]
     basis = np.array([rotation_basis(XY_GENERATORS[op.gate.kind], op.gate.targets, op.channels,
                                      n_sites)
                       for op in xy[:len(XY_GENERATORS)]])  # the first bond's
@@ -373,7 +365,7 @@ def _families(n_sites, n_steps, total_time, noise, initial, amp_a, amp_b) -> _Fa
         rotations = _basis_rotation_ptms(noise)
         rotations.setflags(write=False)
     return _Family(plan, tuple(shared[:1]), tuple(shared[1:]),
-                   tuple((op.gate.kind, op.gate.targets, tuple(op.channels)) for op in xy),
+                   tuple((op.gate.targets, tuple(op.channels)) for op in xy),
                    basis, rotations)
 
 
@@ -393,25 +385,6 @@ def _prep_gate_for_amplitudes(a: complex, b: complex) -> UnitaryGate:
     return UnitaryGate(mat, (0,), kind="u")
 
 
-def _compile_merged(ops, n_qubits: int) -> list:
-    """Each GateOp as the engine applies it, its gate then its channels, as
-    one fused superoperator, adjacent ones then merged, one _compose per
-    merged group. An op that brings its fused op (_FusedOp: a family's
-    shared op, or a circuit's XY op, built from its family's angle basis)
-    is taken as it is; the others, such as the tomography rotations or a
-    plain test circuit's ops, are fused by fused_superoperators, each
-    alone. In a Trotter step (chains.step_order)
-    every merge group holds an XY op, so it is composed per circuit; the
-    prep is one op. An op is a stack of its members' PTMs only when it
-    holds a stacked op, one that differs between the members of a batch;
-    the others stay 2-D, and the kernel shares them with every member
-    (sim_core._matmul_operands)."""
-    fresh = iter(fused_superoperators([(op.gate, op.channels) for op in ops
-                                       if not isinstance(op, _FusedOp)], n_qubits))
-    return merge_superoperators([op.fused if isinstance(op, _FusedOp) else next(fresh)
-                                 for op in ops])
-
-
 def evolve_recorded(circuit: NoisyCircuit, observe, settled=None) -> np.ndarray:
     """Run the circuit's members in lock-step, prep then every step, and
     record observe(block) at k = 0..n_steps; returns the (m, n_steps + 1,
@@ -422,9 +395,9 @@ def evolve_recorded(circuit: NoisyCircuit, observe, settled=None) -> np.ndarray:
     chunk of at most MAX_BATCH_COEFFS Pauli coefficients.
     `block` is the (members, 4^n) array of Pauli vectors, and observe must
     return one row per member; the rows are copied out, so they may be
-    views of the block, which the next step overwrites. The prep and the
-    step are compiled once (_compile_merged), an assembled circuit's ops
-    (assemble_circuit) each bringing its fused op, and each op is bound
+    views of the block, which the next step overwrites. The prep's and the
+    step's fused ops (AssembledOp.fused; the circuit is assemble_circuit's)
+    are merged once (sim_core.merge_superoperators), and each op is bound
     once to the run's two state buffers
     (sim_core.bind_superoperators), for both parities, so a step is one
     matmul per op whatever the member count and allocates nothing, and each
@@ -437,8 +410,8 @@ def evolve_recorded(circuit: NoisyCircuit, observe, settled=None) -> np.ndarray:
     unset, and no caller reads them.
     """
     n, n_steps, m = circuit.n_qubits, circuit.plan.n_steps, len(circuit.profiles)
-    prep = _compile_merged(circuit.prep, n)
-    step = _compile_merged(circuit.step, n)
+    prep = merge_superoperators([op.fused for op in circuit.prep])
+    step = merge_superoperators([op.fused for op in circuit.step])
     bufs = (np.tile(PauliState.zero(n).vector, (m, 1)), np.empty((m, 4**n)))
     for call in bind_superoperators(prep, *bufs):
         call()
@@ -600,7 +573,8 @@ def _basis_rotation_ptms(noise: NoiseParams | None) -> np.ndarray:
         ops = [GateOp(UnitaryGate(gate_matrix(kind.upper()), (0,), kind=kind)) for kind in kinds]
         if noise is not None:
             ops = with_noise(ops, noise)
-        merged = _compile_merged(ops, 1)  # all on the one qubit: one op, or none
+        fused = fused_superoperators([(op.gate, op.channels) for op in ops], 1)
+        merged = merge_superoperators(fused)  # all on the one qubit: one op, or none
         ptms.append(merged[0].matrix if merged else np.eye(4))
     return np.array(ptms)
 

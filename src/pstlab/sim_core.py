@@ -22,13 +22,13 @@ reaches a state as one real (stacked) matmul on a reshaped view, straight
 from one buffer into the other (_matmul_operands). A run's prep and Trotter
 step are bound once to two fixed state buffers (bind_superoperators), each
 then one call on views fixed when it was bound, and allocate nothing.
-States of circuits that differ only in their gates' matrices evolve
-together as one batch: a gate may hold an (m, d, d) stack of its members'
-unitaries, compiling it gives an op with the stack of their PTMs, and the
-kernel applies every op to the batch as one matmul over a leading member
-axis, a stack member by member and a 2-D op, which every member shares,
-broadcast over that axis. Each channel's PTM is built once per channel
-object.
+States of circuits that differ only in their rotation angles evolve
+together as one batch: an op may hold an (m, 4^k, 4^k) stack of its
+members' PTMs, such as a rotation's basis weighted by each member's angle,
+and the kernel applies every op to the batch as one matmul over a leading
+member axis, a stack member by member and a 2-D op, which every member
+shares, broadcast over that axis. A gate is one unitary, never a stack.
+Each channel's PTM is built once per channel object.
 apply_unitary and apply_channel (the Kraus loop on DensityMatrix) are the
 engine's reference, and apply ops on any qubits; the rest of the
 density-matrix side (the change between rho and a PauliState, the partial
@@ -139,11 +139,7 @@ class PauliState:
 
 
 class UnitaryGate:
-    """A 1- or 2-qubit unitary bound to an ordered tuple of target qubits.
-
-    The matrix may also be an (m, d, d) stack, one unitary per member of a
-    lock-step batch; each member is checked.
-    """
+    """A 1- or 2-qubit unitary bound to an ordered tuple of target qubits."""
 
     __slots__ = ("matrix", "targets", "arity", "kind")
 
@@ -154,7 +150,7 @@ class UnitaryGate:
         if arity not in (1, 2):
             raise ValueError(f"gate arity must be 1 or 2, got {arity}")
         dim = 2**arity
-        if mat.ndim not in (2, 3) or mat.shape[-2:] != (dim, dim):
+        if mat.shape != (dim, dim):
             raise ValueError(f"gate matrix shape {mat.shape} does not match arity {arity}")
         if len(set(targets)) != arity:
             raise ValueError(f"duplicate targets {targets}")
@@ -168,11 +164,10 @@ class UnitaryGate:
 
 
 def unitarity_deviation(matrix: np.ndarray) -> float:
-    """The largest entry of |U^dag U - I| of a 1- or 2-qubit complex matrix,
-    over every member of an (m, d, d) stack: what UnitaryGate refuses above
-    UNITARY_TOL."""
-    identity = _GATE_IDENTITIES[matrix.shape[-1]]
-    return np.abs(matrix.conj().swapaxes(-1, -2) @ matrix - identity).max()
+    """The largest entry of |U^dag U - I| of a 1- or 2-qubit complex matrix:
+    what UnitaryGate refuses above UNITARY_TOL."""
+    identity = _GATE_IDENTITIES[len(matrix)]
+    return np.abs(matrix.conj().T @ matrix - identity).max()
 
 
 class KrausChannel:
@@ -327,10 +322,10 @@ class Superoperator:
     4^k x 4^k Pauli transfer matrix (PTM): entry [P, Q] = tr(P E(Q)) / 2^k,
     for P and Q tensor products of I, X, Y, Z over the targets in order. It
     carries a PauliState's coefficients on the targets to their new values,
-    as one matmul on the state's 4^a x 4^k x rest view. A stacked op,
-    compiled from stacked gates, holds an m x 4^k x 4^k stack of PTMs, one
-    per member of a batch of m states. Targets that are not such a range are
-    refused: fused_superoperators orders a gate's and its channels' qubits.
+    as one matmul on the state's 4^a x 4^k x rest view. A stacked op holds
+    an m x 4^k x 4^k stack of PTMs, one per member of a batch of m states.
+    Targets that are not such a range are refused: fused_superoperators
+    orders a gate's and its channels' qubits.
     """
 
     __slots__ = ("matrix", "targets", "n_qubits")
@@ -386,11 +381,10 @@ def fused_superoperators(pairs, n_qubits: int) -> list:
     R = R_m ... R_1 R_U, with R_U the PTM of U (x) conj U and R_c =
     channel.pauli_transfer_matrix(), each embedded in the support: the
     qubits from the lowest to the highest of the gate's and the channels'
-    targets. A stacked gate gives a stacked op, each member's PTM that of
-    its own gate with the shared channels. The pairs are fused one by one,
-    in order, each checked first (_local_shape): what apply_unitary and
-    apply_channel refuse is refused with their messages, and then a support
-    wider than MERGE_WIDTH qubits, which the Kraus loop still applies.
+    targets. The pairs are fused one by one, in order, each checked first
+    (_local_shape): what apply_unitary and apply_channel refuse is refused
+    with their messages, and then a support wider than MERGE_WIDTH qubits,
+    which the Kraus loop still applies.
     """
     out = []
     for gate, channels in pairs:

@@ -4,10 +4,15 @@ not use, each checked against the engine by the tests that import it.
 - The density-matrix side: the change between rho's entries and a
   PauliState's coefficients, one op applied into a new state, the Kraus
   loop (sim_core.apply_unitary and apply_channel) over a gate and its
-  channels, single-qubit populations, the partial trace and the Choi
-  matrix.
-- A single-excitation circuit in the step order before RZZ gates were
-  moved next to their XY gates: the XY sweep, then the RZZ layer.
+  channels, the PTM of a gate and its channels taken column by column
+  through that loop, single-qubit populations, the partial trace and the
+  Choi matrix.
+- The gate-level reference circuit of a config, which an assembled
+  circuit runs without building any of its gates, and the same circuit
+  in the step order before RZZ gates were moved next to their XY gates:
+  the XY sweep, then the RZZ layer.
+- For gate-level test circuits, the engine's own route: a layer fused and
+  merged, and a circuit of the AssembledOps that evolve_recorded runs.
 - The exact single-excitation transfer amplitude and its success
   probability, e^{-iAt} of the chain's hopping matrix.
 - The rescaling's forward decay model.
@@ -18,6 +23,8 @@ not use, each checked against the engine by the tests that import it.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from pstlab.chains import (
@@ -25,9 +32,9 @@ from pstlab.chains import (
     GateOp,
     NoisyCircuit,
     build_trotter_circuit,
-    crosstalk_gates,
     gate_matrix,
 )
+from pstlab.experiments import AssembledOp, _prep_gate_for_amplitudes
 from pstlab.noise import with_noise
 from pstlab.sim_core import (
     _TO_PAULI,
@@ -42,6 +49,7 @@ from pstlab.sim_core import (
     apply_channel,
     apply_unitary,
     fused_superoperators,
+    merge_superoperators,
 )
 
 # The inverse of _TO_PAULI: its rows are orthogonal with norm^2 2.
@@ -70,11 +78,6 @@ def to_density_matrix(state: PauliState) -> DensityMatrix:
     return DensityMatrix(n, rho, validate=False)
 
 
-def fused_superoperator(gate: UnitaryGate, channels, n_qubits: int) -> Superoperator:
-    """fused_superoperators of the one pair (gate, channels)."""
-    return fused_superoperators([(gate, channels)], n_qubits)[0]
-
-
 def apply_superoperator(state: PauliState, sop: Superoperator) -> PauliState:
     """E(state): one real matmul on the Pauli axes of the targets, into a new
     Pauli vector."""
@@ -100,20 +103,66 @@ def kraus_loop(rho: DensityMatrix, gate: UnitaryGate, channels) -> DensityMatrix
     return rho
 
 
-def sweep_then_crosstalk(config) -> NoisyCircuit:
-    """The single-excitation circuit of an experiments.ExperimentConfig, its
-    step in the order that chains.step_order replaced: the XY sweep, bond
-    by bond, then the RZZ layer; every gate with noise.with_noise's
-    channels."""
-    plan = config.plan()
-    circuit = build_trotter_circuit(config.profile(), plan)  # the XY gates alone
-    circuit.zeta = config.noise.circuit_zeta() if config.noise is not None else 0.0
-    circuit.prep = [GateOp(UnitaryGate(gate_matrix("X"), (0,), kind="x"))]
-    circuit.step += [GateOp(gate) for gate in crosstalk_gates(config.n_sites, plan, circuit.zeta)]
+def kraus_ptm(gate: UnitaryGate, channels, n_qubits: int) -> Superoperator:
+    """The fused op of the gate and its (channel, targets) pairs, by the
+    Kraus route: on their support, the qubits a..a+k-1 from the lowest to
+    the highest of their targets, column Q of the PTM is the Pauli vector
+    (from_density_matrix) of kraus_loop applied to the Pauli basis state Q,
+    rho = Q / 2^k (to_density_matrix), on the support's k qubits."""
+    qubits = [*gate.targets, *(t for _, on in channels for t in on)]
+    a, k = min(qubits), max(qubits) - min(qubits) + 1
+    local = UnitaryGate(gate.matrix, [t - a for t in gate.targets])
+    moved = [(channel, [t - a for t in on]) for channel, on in channels]
+    columns = [from_density_matrix(kraus_loop(to_density_matrix(PauliState(k, basis)),
+                                              local, moved)).vector
+               for basis in np.eye(4**k)]
+    return Superoperator(np.array(columns).T, range(a, a + k), n_qubits)
+
+
+def reference_circuit(config, profile: CouplingProfile | None = None) -> NoisyCircuit:
+    """The gate-level circuit of an experiments.ExperimentConfig, with
+    `profile` in place of its own couplings if given, in the engine's step
+    order: chains.build_trotter_circuit's step, the prep gate (X, or the
+    gate of an "arbitrary" state's amplitudes), and noise.with_noise's
+    channels after every gate. assemble_circuit runs the same map, op for
+    op, and builds none of these gates."""
+    zeta = config.noise.circuit_zeta() if config.noise is not None else 0.0
+    circuit = build_trotter_circuit(profile or config.profile(), config.plan(), zeta)
+    if config.initial == "arbitrary":
+        prep = _prep_gate_for_amplitudes(config.amp_a, config.amp_b)
+    else:
+        prep = UnitaryGate(gate_matrix("X"), (0,), kind="x")
+    circuit.prep = [GateOp(prep)]
     if config.noise is not None:
         circuit.prep = with_noise(circuit.prep, config.noise)
         circuit.step = with_noise(circuit.step, config.noise)
     return circuit
+
+
+def sweep_then_crosstalk(config) -> NoisyCircuit:
+    """reference_circuit of a single-excitation config, its step in the
+    order that chains.step_order replaced: the XY sweep, bond by bond, then
+    the RZZ layer."""
+    circuit = reference_circuit(config)
+    circuit.step = sorted(circuit.step, key=lambda op: op.gate.kind == "rzz")
+    return circuit
+
+
+def compiled_ops(ops, n_qubits: int) -> list:
+    """A layer of GateOps as the engine applies it: each gate fused with its
+    channels (sim_core.fused_superoperators), the fused ops then merged."""
+    return merge_superoperators(fused_superoperators([(op.gate, op.channels) for op in ops],
+                                                     n_qubits))
+
+
+def as_assembled(circuit: NoisyCircuit) -> NoisyCircuit:
+    """A gate-level circuit as experiments.evolve_recorded runs it: each
+    GateOp replaced by the AssembledOp of its gate fused with its channels."""
+    def layer(ops):
+        fused = fused_superoperators([(op.gate, op.channels) for op in ops], circuit.n_qubits)
+        return [AssembledOp(sop, tuple(op.channels)) for op, sop in zip(ops, fused, strict=True)]
+
+    return replace(circuit, prep=layer(circuit.prep), step=layer(circuit.step))
 
 
 def qubit_p1(state, qubit: int) -> float:

@@ -60,11 +60,13 @@ from pstlab.optimizer import bayes_optimize, grid_search_j0, objective, satisfie
 from pstlab.sim_core import PauliState
 
 from oracle import (
+    as_assembled,
     choi_matrix,
     exact_sp_oracle,
     forward_decay,
     partial_trace_to_qubit,
     qubit_p1,
+    reference_circuit,
     to_density_matrix,
 )
 
@@ -125,12 +127,13 @@ def single_source_series(params: NoiseParams) -> SPTimeSeries:
 
 
 def matched_channel_peak(channel_1q) -> float:
-    """Peak SP with the given 1q channel tensored after every XY gate."""
-    circuit = assemble_circuit(ExperimentConfig(n_sites=4))
+    """Peak SP with the given 1q channel tensored after every XY gate: the
+    ideal reference circuit's gates with that channel, fused for the engine."""
+    circuit = reference_circuit(ExperimentConfig(n_sites=4))
     pair = two_qubit_tensor_channel(channel_1q, channel_1q)
     step = [GateOp(op.gate, [(pair, op.gate.targets)] if op.gate.kind in ("rxx", "ryy") else [])
             for op in circuit.step]
-    noisy = replace(circuit, step=step)
+    noisy = as_assembled(replace(circuit, step=step))
     values = evolve_recorded(noisy, lambda block: [qubit_p1(PauliState(4, block[0]), 3)])[0]
     series = SPTimeSeries(times=noisy.plan.times(), values={4: values})
     return detect_first_peak(series)[1]

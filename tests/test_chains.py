@@ -21,6 +21,7 @@ from pstlab.sim_core import PAULI_X, PAULI_Y, PAULI_Z, PauliState
 from oracle import (
     exact_sp_oracle,
     exact_transfer_amplitude,
+    reference_circuit,
     single_excitation_hamiltonian,
     to_density_matrix,
 )
@@ -178,11 +179,12 @@ class TestInitialStates:
 
     @staticmethod
     def prepared(n, **config):
-        """The k = 0 density matrix, and the prep layer's gate kinds."""
-        circuit = assemble_circuit(ExperimentConfig(n_sites=n, n_steps=1, **config))
-        vec = evolve_recorded(circuit, lambda block: block)[0][0]
+        """The k = 0 density matrix, and the gate kinds of the reference
+        circuit's prep layer."""
+        config = ExperimentConfig(n_sites=n, n_steps=1, **config)
+        vec = evolve_recorded(assemble_circuit(config), lambda block: block)[0][0]
         rho = to_density_matrix(PauliState(n, vec)).matrix
-        return rho, [op.gate.kind for op in circuit.prep]
+        return rho, [op.gate.kind for op in reference_circuit(config).prep]
 
     def test_single_excitation_site1(self):
         rho, kinds = self.prepared(4)

@@ -415,6 +415,11 @@ class TestExitCodes:
         {"plan": {"total_time": "nanpi"}},
         {"plan": {"total_time": "1e400pi"}},
         {"shots": 0},
+        # shots and seed, which ExperimentConfig checks
+        {"shots": 2.5},
+        {"shots": True},
+        {"seed": -1},
+        {"seed": 1.5},
         # keys of removed options
         {"noise": {"thermal_mode": "reset"}},
         {"noise": {"px": 1e-3}},
@@ -779,3 +784,30 @@ class TestImports:
             unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                        if name not in used]
         assert not unused, unused
+
+    def test_every_private_name_is_read(self):
+        """Each private top-level function, class or constant of a pstlab
+        module is read somewhere in the package, so one that a change left
+        without a caller is caught."""
+        trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+                 for path in sorted(Path(pstlab.__file__).parent.glob("*.py"))}
+        read = set()
+        for tree in trees.values():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+        orphans = []
+        for name, tree in trees.items():
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    defined = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                orphans += [f"{name}:{node.lineno} {d}" for d in defined
+                            if d.startswith("_") and not d.startswith("__") and d not in read]
+        assert not orphans, orphans

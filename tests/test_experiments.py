@@ -35,7 +35,6 @@ from pstlab.experiments import (
     NoPeakError,
     SPTimeSeries,
     TomographyRecord,
-    _compile_merged,
     _maxima,
     _settled_peak,
     assemble_circuit,
@@ -65,6 +64,7 @@ from pstlab.sim_core import (
 from oracle import (
     apply_in_order,
     apply_superoperator,
+    compiled_ops,
     exact_sp_oracle,
     exact_transfer_amplitude,
     from_density_matrix,
@@ -72,6 +72,7 @@ from oracle import (
     partial_trace_to_qubit,
     qubit_p1,
     random_density,
+    reference_circuit,
     series_csv,
     sweep_then_crosstalk,
     to_density_matrix,
@@ -104,6 +105,35 @@ class TestConfigValidation:
     def test_bad_shots(self):
         with pytest.raises(ValueError, match="shots"):
             ExperimentConfig(shots=0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("shots", 2.5), ("shots", True), ("shots", "8"), ("seed", 1.5), ("seed", False),
+        ("seed", "3"), ("seed", None), ("n_steps", 2.5), ("n_steps", True), ("n_sites", 3.5),
+    ], ids=repr)
+    def test_counts_must_be_whole_numbers(self, field, value):
+        """What the CLI refuses as a config's shots, seed, chain length or
+        step count: a fraction, a boolean or anything but a number."""
+        message = re.escape(f"{field} must be an integer, got {value!r}")
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**{field: value})
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            ExperimentConfig(seed=-1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("shots", 8.0), ("shots", np.int64(8)), ("seed", 3.0), ("seed", np.int64(3)),
+        ("n_steps", 4.0), ("n_sites", np.int64(3)),
+    ], ids=repr)
+    def test_whole_numbers_are_kept_as_ints(self, field, value):
+        """8.0 is taken as 8, as the CLI takes it, and recorded as the int
+        in to_dict, the config hash and a run's meta."""
+        config = ExperimentConfig(**{"n_sites": 3, "n_steps": 4, field: value})
+        want = ExperimentConfig(**{"n_sites": 3, "n_steps": 4, field: int(value)})
+        assert type(getattr(config, field)) is int and getattr(config, field) == value
+        assert config == want and config.config_hash() == want.config_hash()
+        assert json.dumps(config.to_dict()) == json.dumps(want.to_dict())
+        assert run_sp_series(config).meta[field] == int(value)
 
     def test_config_hash_stable(self):
         a = ExperimentConfig(n_sites=4, seed=3)
@@ -186,11 +216,12 @@ class TestIdealRuns:
     def test_ideal_series_matches_kraus_loop(self, n):
         """A channel-free 80-step series runs on the fused Pauli engine, and
         every recorded state matches bare gates on a density matrix."""
-        circuit = assemble_circuit(ExperimentConfig(n_sites=n))
+        config = ExperimentConfig(n_sites=n)
+        circuit = assemble_circuit(config)
         assert not circuit.has_channels()
         got = [to_density_matrix(PauliState(n, vec)).matrix
                for vec in evolve_recorded(circuit, lambda block: block)[0]]
-        want = kraus_loop_series(circuit)
+        want = kraus_loop_series(reference_circuit(config))
         assert len(got) == len(want) == 81
         for k, (rho, oracle) in enumerate(zip(got, want)):
             assert np.max(np.abs(rho - oracle.matrix)) <= 1e-12, k
@@ -200,7 +231,7 @@ class TestIdealRuns:
         qubit's Bloch components of the Kraus-loop state at every step."""
         config = ExperimentConfig(n_sites=4, initial="arbitrary", amp_a=0.6, amp_b=0.48 + 0.64j)
         record = run_arbitrary_transfer(config)
-        for k, rho in enumerate(kraus_loop_series(assemble_circuit(config))):
+        for k, rho in enumerate(kraus_loop_series(reference_circuit(config))):
             m = partial_trace_to_qubit(rho, 3).matrix
             want = (2 * m[0, 1].real, -2 * m[0, 1].imag, (m[0, 0] - m[1, 1]).real)
             got = (record.x[k], record.y[k], record.z[k])
@@ -210,8 +241,9 @@ class TestIdealRuns:
 
 
 def kraus_loop_series(circuit) -> list:
-    """The oracle's density matrix at k = 0..n_steps: the Kraus loop over the
-    prep layer, then over the stored step n_steps times."""
+    """The oracle's density matrix at k = 0..n_steps of a gate-level circuit
+    (oracle.reference_circuit): the Kraus loop over the prep layer, then
+    over the stored step n_steps times."""
     rho = DensityMatrix.zero(circuit.n_qubits)
     for op in circuit.prep:
         rho = kraus_loop(rho, op.gate, op.channels)
@@ -250,19 +282,24 @@ class TestFusedMatchesKrausLoop:
     @pytest.mark.parametrize("zz", sorted(ZZ_SETTINGS))
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_every_op_of_prep_step_and_tomography(self, n, zz, thermal):
+        """The assembled circuit's fused ops, then the tomography gates fused
+        by fused_superoperators, against the Kraus loop over the reference
+        circuit's gates and those tomography gates."""
         for pauli_on, depol_on in itertools.product((False, True), repeat=2):
             params = NoiseParams(**{**STRONG, **ZZ_SETTINGS[zz], **THERMAL_SETTINGS[thermal]},
                                  pauli_on=pauli_on, depol_on=depol_on)
-            circuit = assemble_circuit(ExperimentConfig(
-                n_sites=n, n_steps=8, noise=params, initial="arbitrary", amp_a=0.6, amp_b=0.8j))
-            one_qubit = [GateOp(UnitaryGate(gate_matrix("X"), (1,), kind="x"))] + [
+            config = ExperimentConfig(n_sites=n, n_steps=8, noise=params, initial="arbitrary",
+                                      amp_a=0.6, amp_b=0.8j)
+            circuit, reference = assemble_circuit(config), reference_circuit(config)
+            one_qubit = with_noise([GateOp(UnitaryGate(gate_matrix("X"), (1,), kind="x"))] + [
                 GateOp(UnitaryGate(gate_matrix(kind.upper()), (n - 1,), kind=kind))
-                for kind in ("sdg", "h")]
-            ops = circuit.prep + circuit.step + with_noise(one_qubit, params)
+                for kind in ("sdg", "h")], params)
+            ops = reference.prep + reference.step + one_qubit
+            compiled = [op.fused for op in circuit.prep + circuit.step] + fused_superoperators(
+                [(op.gate, op.channels) for op in one_qubit], n)
             oracle = random_density(n, seed=n)
             fused = from_density_matrix(oracle)
-            compiled = fused_superoperators([(op.gate, op.channels) for op in ops], n)
-            for op, sop in zip(ops, compiled):
+            for op, sop in zip(ops, compiled, strict=True):
                 fused = apply_superoperator(fused, sop)
                 oracle = kraus_loop(oracle, op.gate, op.channels)
                 err = np.max(np.abs(to_density_matrix(fused).matrix - oracle.matrix))
@@ -276,12 +313,11 @@ class TestFusedMatchesKrausLoop:
 
     def test_recorded_series_matches_kraus_loop(self):
         """evolve_recorded (prep once, the compiled step n_steps times) against the
-        Kraus loop over every op of the circuit."""
-        circuit = assemble_circuit(ExperimentConfig(n_sites=4, n_steps=12, noise=NoiseParams(),
-                                                    initial="arbitrary"))
+        Kraus loop over every op of the reference circuit."""
+        config = ExperimentConfig(n_sites=4, n_steps=12, noise=NoiseParams(), initial="arbitrary")
         fused = [to_density_matrix(PauliState(4, vec)).matrix
-                 for vec in evolve_recorded(circuit, lambda block: block)[0]]
-        oracle = kraus_loop_series(circuit)
+                 for vec in evolve_recorded(assemble_circuit(config), lambda block: block)[0]]
+        oracle = kraus_loop_series(reference_circuit(config))
         assert len(fused) == 13
         for got, want in zip(fused, oracle):
             np.testing.assert_allclose(got, want.matrix, rtol=0, atol=1e-12)
@@ -293,10 +329,16 @@ class TestMergedMatchesKrausLoop:
 
     @staticmethod
     def op_lists(n: int, params: NoiseParams) -> list:
-        circuit = assemble_circuit(ExperimentConfig(
-            n_sites=n, n_steps=8, noise=params, initial="arbitrary", amp_a=0.6, amp_b=0.8j))
+        """(the engine's fused ops, the reference GateOps) of the prep, the
+        step and the X and Y basis rotations."""
+        config = ExperimentConfig(n_sites=n, n_steps=8, noise=params, initial="arbitrary",
+                                  amp_a=0.6, amp_b=0.8j)
+        circuit, reference = assemble_circuit(config), reference_circuit(config)
         rotations = [basis_ops(kinds, n - 1, params) for kinds in BASIS_GATE_KINDS[:2]]
-        return [circuit.prep, circuit.step, *rotations]
+        return [([op.fused for op in circuit.prep], reference.prep),
+                ([op.fused for op in circuit.step], reference.step),
+                *((fused_superoperators([(op.gate, op.channels) for op in ops], n), ops)
+                  for ops in rotations)]
 
     @staticmethod
     def max_error(n: int, ops, merged) -> float:
@@ -314,8 +356,8 @@ class TestMergedMatchesKrausLoop:
         for pauli_on, depol_on in itertools.product((False, True), repeat=2):
             params = NoiseParams(**{**STRONG, **ZZ_SETTINGS[zz], **THERMAL_SETTINGS[thermal]},
                                  pauli_on=pauli_on, depol_on=depol_on)
-            for ops in self.op_lists(n, params):
-                merged = _compile_merged(ops, n)
+            for fused, ops in self.op_lists(n, params):
+                merged = merge_superoperators(fused)
                 assert all(len(sop.targets) <= MERGE_WIDTH for sop in merged)
                 err = self.max_error(n, ops, merged)
                 assert err <= 1e-12, (params, [op.gate.kind for op in ops], err)
@@ -330,8 +372,8 @@ class TestMergedMatchesKrausLoop:
         """9, 15 and 12 fused ops per step merge into 2, 4 and 3; with the
         one prep op, the headline applies 161 ops per run instead of 721."""
         circuit = assemble_circuit(config)
-        step = _compile_merged(circuit.step, config.n_sites)
-        prep = _compile_merged(circuit.prep, config.n_sites)
+        step = merge_superoperators([op.fused for op in circuit.step])
+        prep = merge_superoperators([op.fused for op in circuit.prep])
         assert len(step) == per_step
         assert len(prep) + config.n_steps * len(step) == per_run
 
@@ -339,9 +381,9 @@ class TestMergedMatchesKrausLoop:
         """The oracle sees the order inside a group: the step's first group
         (RXX and RYY on bonds (0, 1) and (1, 2), then RZZ on (0, 1)) merged
         in reverse fails it."""
-        params = NoiseParams(**STRONG)
-        ops = assemble_circuit(ExperimentConfig(n_sites=4, n_steps=8, noise=params)).step
-        compiled = fused_superoperators([(op.gate, op.channels) for op in ops], 4)
+        config = ExperimentConfig(n_sites=4, n_steps=8, noise=NoiseParams(**STRONG))
+        ops = reference_circuit(config).step
+        compiled = [op.fused for op in assemble_circuit(config).step]
         merged = merge_superoperators(compiled)
         assert merged[0].targets == (0, 1, 2) and len(merge_superoperators(compiled[:5])) == 1
         assert self.max_error(4, ops, merged) <= 1e-12
@@ -358,10 +400,11 @@ class TestStepOrder:
     def test_a_coherent_step_merges_into_n_minus_2_ops(self, n):
         """Every merge group of the step holds an XY gate, so none is made
         of a family's shared ops alone, and the step is max(1, N - 2) ops."""
-        circuit = assemble_circuit(ExperimentConfig(n_sites=n, n_steps=4, noise=NoiseParams()))
-        assert [op.gate.kind for op in circuit.step].count("rzz") == n - 1
-        assert len(_compile_merged(circuit.step, n)) == max(1, n - 2)
-        assert all(holds_xy(circuit.step, n))
+        config = ExperimentConfig(n_sites=n, n_steps=4, noise=NoiseParams())
+        circuit, reference = assemble_circuit(config), reference_circuit(config)
+        assert [op.gate.kind for op in reference.step].count("rzz") == n - 1
+        assert len(merge_superoperators([op.fused for op in circuit.step])) == max(1, n - 2)
+        assert all(holds_xy(circuit.step, reference.step))
 
     @pytest.mark.parametrize("members", [1, 3])
     @pytest.mark.parametrize("n", range(2, 7))
@@ -397,7 +440,7 @@ class TestTomographyMatchesKrausLoop:
                                   amp_a=amps[0], amp_b=amps[1])
         record = run_arbitrary_transfer(config)
         rotations = [basis_ops(kinds, n - 1, params) for kinds in BASIS_GATE_KINDS]
-        for k, rho in enumerate(kraus_loop_series(assemble_circuit(config))):
+        for k, rho in enumerate(kraus_loop_series(reference_circuit(config))):
             for got, ops in zip((record.x, record.y, record.z), rotations, strict=True):
                 rotated = rho
                 for op in ops:
@@ -429,7 +472,8 @@ class TestInPlacePath:
             ops = []
             for initial in ("single_excitation", "arbitrary"):
                 circuit = assemble_circuit(replace(config, initial=initial))
-                ops += _compile_merged(circuit.prep, n) + _compile_merged(circuit.step, n)
+                for layer in (circuit.prep, circuit.step):
+                    ops += merge_superoperators([op.fused for op in layer])
             assert [sop.targets for sop in ops if sop.targets != tuple(
                 range(sop.targets[0], sop.targets[0] + len(sop.targets)))] == [], config
 
@@ -522,29 +566,23 @@ class TestLockStep:
         configs = self.configs(3)
         profiles = [config.profile() for config in configs]
         whole = evolve_recorded(assemble_circuit(configs[0], profiles), lambda block: block)
-        chunks, stacks = [], []
-        real = experiments._compile_merged
+        chunks, built = [], []
+        real = experiments.merge_superoperators
 
-        def compile_spy(ops, n):
-            # the members of the compiled ops: their fused ops' largest stack
-            chunks.append(max(len(op.fused.matrix) if op.fused.matrix.ndim > 2 else 1
-                              for op in ops))
-            return real(ops, n)
+        def merge_spy(sops):
+            # the members of the merged ops: their fused ops' largest stack
+            chunks.append(max(len(sop.matrix) if sop.matrix.ndim > 2 else 1 for sop in sops))
+            return real(sops)
 
-        monkeypatch.setattr(experiments, "_compile_merged", compile_spy)
+        monkeypatch.setattr(experiments, "merge_superoperators", merge_spy)
         build = UnitaryGate.__init__
-
-        def spy(gate, matrix, targets, kind=""):
-            if kind in ("rxx", "ryy"):
-                stacks.append(len(matrix) if np.ndim(matrix) > 2 else 1)
-            build(gate, matrix, targets, kind)
-
-        monkeypatch.setattr(UnitaryGate, "__init__", spy)
+        monkeypatch.setattr(UnitaryGate, "__init__", lambda gate, matrix, targets, kind="":
+                            built.append(kind) or build(gate, matrix, targets, kind))
         monkeypatch.setattr(experiments, "MAX_BATCH_COEFFS", 2 * 4**3 + 1)
         got = [evolve_recorded(c, lambda block: block) for c in chunk_circuits(configs[0], profiles)]
         assert np.concatenate(got).tobytes() == whole.tobytes()
         assert chunks == [1, 2, 1, 2, 1, 1]  # the shared prep and the step of each chunk
-        assert stacks == []
+        assert built == []
 
     def test_empty_batch(self):
         assert run_first_peaks(ExperimentConfig(n_sites=3), []) == []
@@ -568,9 +606,8 @@ class TestBatchedCompile:
         """The ops that evolve_recorded binds for a chunk, prep then step."""
         configs = [ExperimentConfig(n_sites=n, n_steps=8, j0=j0, noise=self.NOISE[noise])
                    for j0 in self.J0S]
-        circuit = assemble_circuit(configs[0], [config.profile() for config in configs])
-        kinds = {op.gate.kind for op in circuit.step}
-        assert ("rzz" in kinds) == (noise == "hamiltonian")
+        reference = reference_circuit(configs[0])
+        assert ("rzz" in {op.gate.kind for op in reference.step}) == (noise == "hamiltonian")
         own = [assemble_circuit(config) for config in configs]
         bound = []
         real = experiments.bind_superoperators
@@ -582,17 +619,18 @@ class TestBatchedCompile:
             bound.clear()
             evolve_recorded(chunk, lambda block: block[:, :1])
             for layer, got in zip(("prep", "step"), bound[:2], strict=True):
-                stacked = [hi - lo > 1 and xy for xy in holds_xy(getattr(chunk, layer), n)]
+                stacked = [hi - lo > 1 and xy for xy in holds_xy(getattr(chunk, layer),
+                                                                  getattr(reference, layer))]
                 assert [sop.matrix.ndim for sop in got] == [3 if s else 2 for s in stacked]
                 for b in range(lo, hi):
-                    want = _compile_merged(getattr(own[b], layer), n)
+                    want = merge_superoperators([op.fused for op in getattr(own[b], layer)])
                     assert [sop.targets for sop in got] == [sop.targets for sop in want]
                     for g, w, s in zip(got, want, stacked, strict=True):
                         member = g.matrix[b - lo] if s else g.matrix
                         assert np.array_equal(member, w.matrix), (layer, lo, hi, b)
             assert all(sop.matrix.ndim == 2 for sop in bound[0])  # the prep
             if n == 4 and noise == "hamiltonian" and hi - lo > 1:
-                # each of the two ops holds XY gates and RZZ gates
+                # each of the two ops holds XY ops and RZZ ops
                 assert [sop.matrix.ndim for sop in bound[1]] == [3, 3]
 
     def test_a_single_run_applies_2d_ops(self, monkeypatch):
@@ -610,24 +648,28 @@ class TestBatchedCompile:
         assert len(applied) == 1 + 3 * 2
         assert all(sop.matrix.ndim == 2 for sop in applied)
         circuit = assemble_circuit(config)
-        assert all(op.gate.matrix.ndim == 2 for op in circuit.prep + circuit.step)
+        assert all(op.fused.matrix.ndim == 2 for op in circuit.prep + circuit.step)
 
 
-def holds_xy(ops, n: int) -> list:
-    """For each op that _compile_merged makes of ops, whether its merge
-    group holds an XY gate."""
-    sops = fused_superoperators([(op.gate, op.channels) for op in ops], n)
-    kinds = {id(sop): op.gate.kind for op, sop in zip(ops, sops, strict=True)}
-    return [any(kinds[id(sop)] in ("rxx", "ryy") for sop in group)
-            for _, group in sim_core.merge_groups(sops)]
+def holds_xy(ops, reference) -> list:
+    """For each op that merge_superoperators makes of the fused ops of a
+    layer of assembled ops, whether its merge group holds an XY op; the
+    reference circuit's layer, op for op, names each op's gate."""
+    xy = iter([op.gate.kind in ("rxx", "ryy") for op in reference])
+    groups = sim_core.merge_groups([op.fused for op in ops])
+    assert sum(len(group) for _, group in groups) == len(reference)
+    return [any([next(xy) for _ in group]) for _, group in groups]
 
 
 def compiled_layers(config: ExperimentConfig, plain: bool = False) -> list:
-    """The compiled prep and step of config's own circuit; with `plain`, of
-    plain copies of its ops, so that no op brings a fused op of its family."""
+    """The merged prep and step of config's own circuit; with `plain`, of
+    its reference circuit (oracle.reference_circuit), each gate fused from
+    its matrix, so that no op comes from its family."""
+    if plain:
+        reference = reference_circuit(config)
+        return [compiled_ops(layer, config.n_sites) for layer in (reference.prep, reference.step)]
     circuit = assemble_circuit(config)
-    return [_compile_merged([GateOp(op.gate, list(op.channels)) for op in layer] if plain
-                            else layer, config.n_sites)
+    return [merge_superoperators([op.fused for op in layer])
             for layer in (circuit.prep, circuit.step)]
 
 
@@ -646,16 +688,19 @@ def assert_same_layers(got: list, want: list, tol: float = 0.0) -> None:
 
 
 def assert_matches_plain(config: ExperimentConfig) -> None:
-    """config's compiled layers against those of plain copies of its ops,
-    each fused from its gate's matrix: the prep, and each shared RZZ op of
-    its family, bit for bit; the step, whose XY ops come from the family's
+    """config's compiled layers against those of its reference circuit,
+    each gate fused from its matrix: the prep, and each shared RZZ op of its
+    family, bit for bit; the step, whose XY ops come from the family's
     angle basis, within 1e-14."""
     got, plain = compiled_layers(config), compiled_layers(config, plain=True)
     assert_same_layers(got[:1], plain[:1])
     assert_same_layers(got[1:], plain[1:], tol=1e-14)
-    for op in experiments._family(config).crosstalk:
-        fused = fused_superoperators([(op.gate, op.channels)], config.n_sites)[0]
-        assert op.fused.matrix.tobytes() == fused.matrix.tobytes()
+    rzz = [op for op in reference_circuit(config).step if op.gate.kind == "rzz"]
+    fused = fused_superoperators([(op.gate, op.channels) for op in rzz], config.n_sites)
+    crosstalk = experiments._family(config).crosstalk
+    assert len(crosstalk) == len(fused)
+    for op, want in zip(crosstalk, fused):
+        assert op.fused.matrix.tobytes() == want.matrix.tobytes()
 
 
 class TestFamilies:
@@ -701,18 +746,21 @@ class TestFamilies:
                                               strict=True))
 
     def test_cached_parts_refuse_writes(self):
+        """Every op of an assembled circuit is a frozen AssembledOp: its
+        channels a tuple, its fused op's matrix read-only."""
         family = experiments._family(self.BASE)
         assert len(family.prep) == 1 and len(family.crosstalk) == 3
+        shared = {id(op) for op in family.crosstalk}
         xy = [op for op in assemble_circuit(self.BASE, [self.BASE.profile()] * 2).step
-              if op.gate.kind != "rzz"]
+              if id(op) not in shared]
         assert len(xy) == 6
         for op in family.prep + family.crosstalk + tuple(xy):
-            for array in (op.gate.matrix, op.fused.matrix):
-                with pytest.raises(ValueError, match="read-only"):
-                    array[...] = 0
+            assert type(op) is experiments.AssembledOp
+            with pytest.raises(ValueError, match="read-only"):
+                op.fused.matrix[...] = 0
             assert isinstance(op.channels, tuple)
-            for name in ("channels", "gate", "fused"):
-                with pytest.raises(AttributeError, match="read-only"):
+            for name in ("channels", "fused"):
+                with pytest.raises(FrozenInstanceError):
                     setattr(op, name, None)
         for array in (family.rotations, family.xy_basis):
             with pytest.raises(ValueError, match="read-only"):
@@ -790,11 +838,12 @@ class TestAngleBasis:
     def test_each_kinds_basis_at_50_angles(self, noise):
         family = experiments._family(ExperimentConfig(n_sites=3, noise=self.NOISE[noise]))
         assert len(self.ANGLES) == 50 and len(family.xy) == 4
-        for kind, pair, channels in family.xy:
-            b0, b1, b2 = family.xy_basis[:, list(XY_GENERATORS).index(kind), 0]
+        for i, (pair, channels) in enumerate(family.xy):  # each bond's kinds in order
+            kind = list(XY_GENERATORS)[i % len(XY_GENERATORS)]
+            b0, b1, b2 = family.xy_basis[:, i % len(XY_GENERATORS), 0]
             for theta in self.ANGLES:
                 [(c, s)] = half_angles(kind.upper(), [theta])
-                want = fused_superoperators([(xy_gate(kind, pair, [theta]), channels)], 3)[0]
+                want = fused_superoperators([(xy_gate(kind, pair, theta), channels)], 3)[0]
                 assert want.targets == pair
                 err = np.abs(c * c * b0 + c * s * b1 + s * s * b2 - want.matrix).max()
                 assert err <= 1e-14, (kind, pair, theta, err)
@@ -803,27 +852,31 @@ class TestAngleBasis:
     def test_assembled_ops_equal_their_fused_gates(self, noise):
         """Every XY op of a 50-member N = 3 batch, whose angles J dt reach
         7 pi, and of each member's own circuit, against fused_superoperators
-        of the op's (stacked) gate; each member's op bit for bit its own."""
+        of the gate in its place in each member's reference circuit; each
+        member's op bit for bit its own."""
         config = ExperimentConfig(n_sites=3, total_time=1.0, n_steps=1, noise=self.NOISE[noise])
         angles = [abs(theta) or 1e-3 for theta in self.ANGLES]
         profiles = [CouplingProfile(3, (theta, angles[-1 - i])) for i, theta in enumerate(angles)]
         batch = assemble_circuit(config, profiles)
         own = [assemble_circuit(config, [profile]) for profile in profiles[:3]]
+        references = [reference_circuit(config, profile).step for profile in profiles]
         for i, op in enumerate(batch.step):
-            if op.gate.kind == "rzz":
+            if references[0][i].gate.kind == "rzz":
                 continue
-            want = fused_superoperators([(op.gate, op.channels)], 3)[0]
-            assert op.fused.targets == want.targets == op.gate.targets
+            want = fused_superoperators([(step[i].gate, step[i].channels)
+                                         for step in references], 3)
+            assert op.fused.targets == want[0].targets == references[0][i].gate.targets
             assert op.fused.matrix.shape == (50, 16, 16)
-            assert np.abs(op.fused.matrix - want.matrix).max() <= 1e-14, i
+            assert np.abs(op.fused.matrix - [sop.matrix for sop in want]).max() <= 1e-14, i
             for b, circuit in enumerate(own):
                 assert op.fused.matrix[b].tobytes() == circuit.step[i].fused.matrix.tobytes()
 
 
 class TestSchedule:
-    """assemble_circuit's ops are the gates that chains.build_trotter_circuit
-    makes with the channels that noise.with_noise attaches, so the Kraus-loop
-    oracle and the bench's gate and Kraus counts see the same circuit."""
+    """assemble_circuit's ops are the fused ops of the gates that
+    chains.build_trotter_circuit makes, with the channels that
+    noise.with_noise attaches, so the Kraus-loop oracle and the bench's gate
+    and Kraus counts see the same circuit."""
 
     def test_headline_schedule(self):
         config = resolve_config(load_config(REPO / "configs" / "headline.json"))[1]
@@ -839,18 +892,25 @@ class TestSchedule:
         configs = [ExperimentConfig(n_sites=4, n_steps=8, j0=j0, noise=params)
                    for j0 in (1.0, 2.9, 0.5)[:members]]
         profiles = [config.profile() for config in configs]
-        xy = [op for op in assemble_circuit(configs[0], profiles).step if op.gate.kind != "rzz"]
-        want = build_trotter_circuit(profiles, configs[0].plan()).step
-        if params is not None:
-            want = with_noise(want, params)
-        assert len(xy) == 6
-        for got, ref in zip(xy, want, strict=True):
-            assert (got.gate.kind, got.gate.targets) == (ref.gate.kind, ref.gate.targets)
-            assert np.array_equal(got.gate.matrix, ref.gate.matrix)
-            assert len(got.channels) == len(ref.channels) == {"ideal": 0, "hamiltonian": 2,
-                                                              "dephasing_channel": 3}[noise]
-            for (channel, targets), (ref_channel, ref_targets) in zip(got.channels, ref.channels):
-                assert channel is ref_channel and targets == ref_targets
+        step = assemble_circuit(configs[0], profiles).step
+        for b, profile in enumerate(profiles):  # each member against its own gates
+            want = build_trotter_circuit(profile, configs[0].plan(),
+                                         params.circuit_zeta() if params is not None else 0.0).step
+            if params is not None:
+                want = with_noise(want, params)
+            assert len(step) == len(want)
+            xy = [(got, ref) for got, ref in zip(step, want) if ref.gate.kind != "rzz"]
+            assert len(xy) == 6
+            for got, ref in xy:
+                fused = fused_superoperators([(ref.gate, ref.channels)], 4)[0]
+                assert got.fused.targets == ref.gate.targets
+                member = got.fused.matrix[b] if members > 1 else got.fused.matrix
+                assert np.abs(member - fused.matrix).max() <= 1e-14
+                assert len(got.channels) == len(ref.channels) == {
+                    "ideal": 0, "hamiltonian": 2, "dephasing_channel": 3}[noise]
+                for (channel, targets), (ref_channel, ref_targets) in zip(got.channels,
+                                                                          ref.channels):
+                    assert channel is ref_channel and targets == ref_targets
 
     def test_a_non_finite_angle_is_refused_before_anything_runs(self, monkeypatch):
         """A finite coupling whose angle J dt overflows is refused when the
@@ -973,7 +1033,7 @@ class TestReadout:
         record = run_arbitrary_transfer(config)
         circuit = assemble_circuit(replace(config, initial="arbitrary"))
         # each rotation compiled for all 4 qubits and applied to the whole state
-        rotations = [_compile_merged(basis_ops(kinds, 3, self.NOISE), 4)
+        rotations = [compiled_ops(basis_ops(kinds, 3, self.NOISE), 4)
                      for kinds in BASIS_GATE_KINDS]
         rng = np.random.default_rng(config.seed)
         want = []
@@ -1129,8 +1189,11 @@ class TestArbitraryTransfer:
         it accepts within 1e-12 of H's or X's take that gate."""
         config = ExperimentConfig(n_sites=2, n_steps=2, initial="arbitrary", amp_a=a, amp_b=b)
         if runs:
-            (prep,) = assemble_circuit(config).prep
+            (got,) = assemble_circuit(config).prep
+            (prep,) = reference_circuit(config).prep
             assert prep.gate.kind == ("u" if runs is True else runs)
+            want = fused_superoperators([(prep.gate, prep.channels)], 2)[0]
+            assert got.fused.matrix.tobytes() == want.matrix.tobytes()
         else:
             with pytest.raises(ValueError, match=r"\|A\|\^2 \+ \|B\|\^2 = .*, must be 1"):
                 assemble_circuit(config)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pstlab.chains import GateOp, TrotterPlan, build_trotter_circuit, gate_matrix, pst_couplings
-from pstlab.experiments import ExperimentConfig, _basis_rotation_ptms, _compile_merged, assemble_circuit
+from pstlab.experiments import ExperimentConfig, _basis_rotation_ptms, assemble_circuit
 from pstlab.noise import (
     NoiseParams,
     attach_comprehensive,
@@ -26,7 +26,7 @@ from pstlab.sim_core import (
     _CPTP_TOL,
 )
 
-from oracle import choi_matrix, ket_density
+from oracle import choi_matrix, compiled_ops, ket_density, reference_circuit
 
 T1 = 266.74e-6
 T2 = 199.97e-6
@@ -341,7 +341,9 @@ class TestComprehensiveAssembly:
     def test_schedule_order_per_gate_kind(self, params):
         """The exact channel sequence and targets after every gate kind the
         experiments build: the XY and RZZ step gates, the X, H and u prep
-        gates, and the S^dag/H tomography rotations."""
+        gates, and the S^dag/H tomography rotations. Each assembled op's
+        channels are checked against the kind and targets of the gate in its
+        place in the reference circuit."""
         depol = depolarizing_channel(params.q_depol)
         th2 = thermal_relaxation_channel(params.t1, params.t2, params.dur_2q)
         third = params.p_pauli / 3
@@ -356,12 +358,13 @@ class TestComprehensiveAssembly:
         seen = set()
         for initial, amps in (("single_excitation", {}), ("arbitrary", {}),
                               ("arbitrary", {"amp_a": 0.6, "amp_b": 0.8})):
-            circuit = assemble_circuit(ExperimentConfig(n_sites=4, n_steps=2, noise=params,
-                                                        initial=initial, **amps))
-            for op in circuit.prep + circuit.step:
-                seen.add(op.gate.kind)
-                channels = want[op.gate.kind]
-                assert [t for _, t in op.channels] == [op.gate.targets] * len(channels)
+            config = ExperimentConfig(n_sites=4, n_steps=2, noise=params, initial=initial, **amps)
+            circuit, reference = assemble_circuit(config), reference_circuit(config)
+            for op, ref in zip(circuit.prep + circuit.step, reference.prep + reference.step,
+                               strict=True):
+                seen.add(ref.gate.kind)
+                channels = want[ref.gate.kind]
+                assert [t for _, t in op.channels] == [ref.gate.targets] * len(channels)
                 for (got, _), ch in zip(op.channels, channels):
                     assert_same_kraus(got, ch)
         coherent = {"rzz"} if params.zz_mode == "hamiltonian" else set()
@@ -376,26 +379,24 @@ class TestComprehensiveAssembly:
         for kinds, ptm in zip((("h",), ("sdg", "h"), ()), got, strict=True):
             ops = [GateOp(op.gate, [(ch, (0,)) for ch in after_1q])
                    for op in (bare_op(kind, 0) for kind in kinds)]
-            expected = _compile_merged(ops, 1)
+            expected = compiled_ops(ops, 1)
             assert len(expected) == len(kinds[:1])
             np.testing.assert_array_equal(ptm, expected[0].matrix if expected else np.eye(4))
 
     def test_prep_gate_gets_pauli_and_thermal(self):
-        circ = assemble_circuit(ExperimentConfig(n_sites=4, noise=NoiseParams()))
-        (prep,) = circ.prep
-        assert prep.gate.kind == "x"
+        config = ExperimentConfig(n_sites=4, noise=NoiseParams())
+        (prep,) = assemble_circuit(config).prep
+        assert [op.gate.kind for op in reference_circuit(config).prep] == ["x"]
         assert len(prep.channels) == 2  # thermal(dur_1q) + pauli
         assert all(ch.arity == 1 for ch, _ in prep.channels)
 
     def test_general_amplitude_prep_gets_the_same_noise(self):
         """The "u" prep gate built for arbitrary amplitudes carries the same
         single-qubit channels as the default |+> prep."""
-        default, general = (
-            assemble_circuit(ExperimentConfig(n_sites=4, noise=NoiseParams(),
-                                              initial="arbitrary", **amps)).prep[0]
-            for amps in ({}, {"amp_a": 0.6, "amp_b": 0.8})
-        )
-        assert (default.gate.kind, general.gate.kind) == ("h", "u")
+        configs = [ExperimentConfig(n_sites=4, noise=NoiseParams(), initial="arbitrary", **amps)
+                   for amps in ({}, {"amp_a": 0.6, "amp_b": 0.8})]
+        default, general = (assemble_circuit(config).prep[0] for config in configs)
+        assert [reference_circuit(config).prep[0].gate.kind for config in configs] == ["h", "u"]
         assert len(general.channels) == len(default.channels) == 2
         for (ch_a, targets_a), (ch_b, targets_b) in zip(default.channels, general.channels):
             assert targets_a == targets_b
