@@ -145,10 +145,11 @@ def _integer(value, name: str) -> int:
         raise ConfigError(str(err)) from None
 
 
-def _parse_amplitude(value, name: str) -> complex:
+def _parse_amplitude(value, name: str) -> list:
+    """[re, im] of a JSON amplitude, a number or a [re, im] pair."""
     if isinstance(value, list) and len(value) == 2:
-        return complex(_real(value[0], name), _real(value[1], name))
-    return complex(_real(value, name))
+        return [_real(value[0], name), _real(value[1], name)]
+    return [_real(value, name), 0.0]
 
 
 # Allowed keys of each object block; "noise" is checked against NoiseParams.
@@ -233,7 +234,7 @@ def _build_noise(block) -> NoiseParams | None:
 
 def resolve_config(cfg: dict, seed_override=None):
     """Validate the raw dict and build the typed experiment inputs:
-    (experiment, ExperimentConfig, grid and GP settings)."""
+    (experiment, ExperimentConfig, _search_settings)."""
     unknown = set(cfg) - {"experiment", "noise", "shots", "seed", "output_dir", *_BLOCK_KEYS}
     if unknown:
         raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
@@ -261,10 +262,6 @@ def resolve_config(cfg: dict, seed_override=None):
     output_dir = cfg.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError(f"output_dir must be a string or null, got {output_dir!r}")
-
-    amps = blocks["amplitudes"]
-    amp_a = _parse_amplitude(amps.get("a", 1.0 / math.sqrt(2.0)), "amplitudes.a")
-    amp_b = _parse_amplitude(amps.get("b", 1.0 / math.sqrt(2.0)), "amplitudes.b")
     search = _search_settings(experiment, blocks)
 
     try:  # the constructor checks the chain, the grid, shots and seed, so they fail here
@@ -277,8 +274,6 @@ def resolve_config(cfg: dict, seed_override=None):
             noise=noise,
             shots=cfg.get("shots"),
             seed=cfg.get("seed", 0) if seed_override is None else seed_override,
-            amp_a=amp_a,
-            amp_b=amp_b,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -317,8 +312,13 @@ def _write_files(out_dir: Path, files: dict) -> dict:
 
 
 def _search_settings(experiment: str, blocks: dict) -> dict:
-    """The grid and GP settings the experiment uses, with defaults filled in."""
+    """What the experiment reads beyond its ExperimentConfig, defaults filled in: the
+    amplitudes ({"a": [re, im], "b": [re, im]}, checked for all), grid and GP settings."""
     settings = {}
+    amplitudes = {key: _parse_amplitude(blocks["amplitudes"].get(key, 1.0 / math.sqrt(2.0)),
+                                        f"amplitudes.{key}") for key in ("a", "b")}
+    if experiment == "arbitrary_transfer":
+        settings["amplitudes"] = amplitudes
     if experiment in ("grid_search", "bayes_opt"):
         grid = {key: _real(blocks["grid"].get(key, default), f"grid.{key}")
                 for key, default in (("lo", 0.1), ("hi", 4.0), ("step", 0.1))}
@@ -348,7 +348,8 @@ def _source_sha256() -> str:
 
 
 def _run_id(experiment: str, exp_cfg: ExperimentConfig, search: dict) -> str:
-    """Hash of the resolved inputs, so configs that run the same thing share an id."""
+    """Hash of the resolved inputs the experiment reads, so configs that run
+    the same thing share an id."""
     blob = json.dumps({"experiment": experiment, "config": exp_cfg.to_dict(), **search},
                       sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -362,7 +363,7 @@ def _series_result(series: SPTimeSeries):
 
 
 def _arbitrary_transfer(exp_cfg: ExperimentConfig, search: dict):
-    record = run_arbitrary_transfer(exp_cfg)
+    record = run_arbitrary_transfer(exp_cfg, [complex(*search["amplitudes"][k]) for k in "ab"])
     files = {"tomography.csv": tomography_to_csv(record, exp_cfg.n_sites),
              "tomography.json": tomography_to_json(record)}
     best = int(np.argmax(record.fidelity))

@@ -10,18 +10,20 @@ fused superoperator (a real Pauli transfer matrix) of a gate and its
 channels, with those channels, and adjacent fused ops of the prep layer and
 of the Trotter step are merged into superoperators of at most
 sim_core.MERGE_WIDTH qubits. Merging never crosses a recorded step boundary.
-What does not depend on the couplings is a circuit's family (_family): the
-prep op and the step's RZZ ops, each fused once from its noise-attached
-gate, the channels of each XY op, the angle basis of each XY kind, and the
-tomography rotations. It is built and compiled once for all configs that
-differ at most in couplings, seed, shots and measured sites, and cached by
-the value of the fields that assembly reads. The fused op of an XY gate of
-angle theta (its gate, then its channels) is c^2 B0 + cs B1 + s^2 B2, c =
-cos(theta/2) and s = sin(theta/2), with B0, B1 and B2 its kind's angle basis
-(sim_core.rotation_basis), so assemble_circuit builds and fuses no gate: it
-makes each XY op's fused op from its angles and the basis, and puts each
-RZZ op right after the last XY op it shares a qubit with
-(chains.step_order), so every merge group of the step holds an XY op.
+An ExperimentConfig holds what every run reads; the experiment picks the
+sites it reads and the prep state, an amplitude pair (a, b) for a|0> + b|1>
+on the first site, (0, 1) the single excitation. What does not depend on
+the couplings is a circuit's family (_family): the prep op and the step's
+RZZ ops, each fused once from its noise-attached gate, the channels of each
+XY op and the angle basis of each XY kind. It is built and compiled once
+for all runs that differ at most in couplings, seed and shots, and cached
+by the value of the fields that assembly reads and the amplitudes. The
+fused op of an XY gate of angle theta (its gate, then its channels) is c^2
+B0 + cs B1 + s^2 B2, c = cos(theta/2) and s = sin(theta/2), with B0, B1 and
+B2 its kind's angle basis (sim_core.rotation_basis), so assemble_circuit
+builds and fuses no gate: it makes each XY op's fused op from its angles and
+the basis, and puts each RZZ op right after the last XY op it shares a qubit
+with (chains.step_order), so every merge group of the step holds an XY op.
 The one lock-step batch is run_first_peaks(config, profiles), the
 optimizer's scores: one exact config run with each of many coupling
 profiles. It splits the profiles into chunks of at most MAX_BATCH_COEFFS
@@ -37,7 +39,7 @@ peak: detect_first_peak's on a whole series, and run_first_peaks', which
 records only the end site's P(1) and stops each chunk's circuit once every
 member's peak is settled on its prefix. Every
 readout is of single qubits, so it reads a few coefficients of the block:
-P(1) = (r_I - r_Z) / 2 of each measured site (_z_column), and for
+P(1) = (r_I - r_Z) / 2 of each site read (_z_column), and for
 tomography the last qubit's r_I, r_X, r_Y and r_Z, which each basis
 rotation's one-qubit PTM turns before that P(1) is read; every readout
 flips with one probability (_readout_error). Tomography then works on
@@ -58,7 +60,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
@@ -120,10 +122,11 @@ class NoPeakError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: chain, plan, noise, initial state, readout. It builds
+    """One noisy chain: chain, plan, noise, shots and seed. It builds
     profile() and plan() once, so their checks refuse a bad chain or grid;
     profile() returns the one profile built then (frozen, so safe to share;
-    an attribute, not a field, so no part of equality, hashing or to_dict)."""
+    not a field, so no part of equality or hashing), whose couplings to_dict
+    records in place of j0."""
 
     n_sites: int = 4
     j0: float = 1.0
@@ -131,12 +134,8 @@ class ExperimentConfig:
     total_time: float = 2.0 * math.pi
     n_steps: int = 80
     noise: NoiseParams | None = None
-    initial: str = "single_excitation"  # X on qubit 0, or "arbitrary": amp_a|0> + amp_b|1>
-    measured_sites: tuple | None = None
     shots: int | None = None
     seed: int = 0
-    amp_a: complex = complex(1.0 / math.sqrt(2.0))
-    amp_b: complex = complex(1.0 / math.sqrt(2.0))
 
     def __post_init__(self):
         for name in ("n_sites", "n_steps", "seed", *(("shots",) if self.shots is not None else ())):
@@ -145,15 +144,8 @@ class ExperimentConfig:
             raise ValueError("shots must be >= 1 or None for exact mode")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        sites = self.measured_sites
-        if sites is not None:
-            sites = tuple(int(s) for s in sites)
-            if any(not 1 <= s <= self.n_sites for s in sites):
-                raise ValueError(f"measured sites {sites} outside [1, {self.n_sites}]")
-            object.__setattr__(self, "measured_sites", sites)
         if self.couplings is not None:
             object.__setattr__(self, "couplings", tuple(float(j) for j in self.couplings))
-        if self.couplings is not None:
             profile = CouplingProfile(self.n_sites, self.couplings)
         else:
             profile = pst_couplings(self.n_sites, self.j0)
@@ -167,21 +159,15 @@ class ExperimentConfig:
         return TrotterPlan(self.total_time, self.n_steps)
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "n_sites": self.n_sites,
-            "j0": self.j0,
-            "couplings": list(self.couplings) if self.couplings is not None else None,
+            "couplings": list(self.profile().couplings),
             "total_time": self.total_time,
             "n_steps": self.n_steps,
             "noise": self.noise.to_dict() if self.noise is not None else None,
-            "initial": self.initial,
-            "measured_sites": list(self.measured_sites) if self.measured_sites else None,
             "shots": self.shots,
             "seed": self.seed,
-            "amp_a": [self.amp_a.real, self.amp_a.imag],
-            "amp_b": [self.amp_b.real, self.amp_b.imag],
         }
-        return d
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -232,7 +218,7 @@ class SPTimeSeries:
         return sorted(self.values)
 
     def series(self) -> np.ndarray:
-        """The last measured site's values (the end site's by default)."""
+        """The highest site's values: the end site's in every run."""
         return self.values[max(self.values)]
 
 
@@ -253,20 +239,21 @@ class TomographyRecord:
     meta: dict = field(default_factory=dict)
 
 
-def assemble_circuit(config: ExperimentConfig, profiles=None) -> NoisyCircuit:
-    """Build the prepared, noise-attached circuit for a config; with
-    `profiles`, a sequence of coupling profiles of its chain length, the one
-    circuit of a lock-step batch with a member per profile in place of
-    config's own. All but the XY angles theta = J_i dt comes from config's
-    family (_family): the prep op, the RZZ ops, each placed by
-    chains.step_order, and each XY op's kind, bond, channels and angle
-    basis. Each XY op gets its fused op from that basis and its members'
-    c^2, cs and s^2 (chains.half_angles, which refuses a non-finite angle),
-    combined elementwise in one fixed order, so each member's matrix is
-    bit-identical to its own run's; an (m, 16, 16) stack for m > 1
-    members, 2-D for one. No gate is built here: every op is an
-    AssembledOp."""
-    family = _family(config)
+def assemble_circuit(config: ExperimentConfig, profiles=None, amplitudes=(0, 1)) -> NoisyCircuit:
+    """Build the noise-attached circuit for a config that prepares a|0> +
+    b|1> on the first site, (a, b) = amplitudes, the single excitation by
+    default; with `profiles`, a sequence of coupling profiles of its chain
+    length, the one circuit of a lock-step batch with a member per profile
+    in place of config's own. All but the XY angles theta = J_i dt comes
+    from the family (_family) of config and the amplitudes: the prep op,
+    the RZZ ops, each placed by chains.step_order, and each XY op's kind,
+    bond, channels and angle basis. Each XY op gets its fused op from that
+    basis and its members' c^2, cs and s^2 (chains.half_angles, which
+    refuses a non-finite angle), combined elementwise in one fixed order, so
+    each member's matrix is bit-identical to its own run's; an (m, 16, 16)
+    stack for m > 1 members, 2-D for one. No gate is built here: every op
+    is an AssembledOp."""
+    family = _family(config, amplitudes)
     profiles = (config.profile(),) if profiles is None else tuple(profiles)
     if not profiles:
         raise ValueError("need at least one coupling profile")
@@ -304,8 +291,8 @@ class AssembledOp:
 
 @dataclass(frozen=True)
 class _Family:
-    """What the circuits of a family of configs share: everything that does
-    not depend on the couplings, built and compiled once (_family)."""
+    """What the circuits of a family share: everything that does not depend
+    on the couplings, built and compiled once (_family)."""
 
     plan: TrotterPlan
     prep: tuple  # the noise-attached prep op, an AssembledOp
@@ -316,35 +303,30 @@ class _Family:
     # (3, kinds, 1, 16, 16): B0, B1 and B2 (sim_core.rotation_basis) of each XY kind
     # in XY_GENERATORS order, read-only
     xy_basis: np.ndarray
-    rotations: np.ndarray | None  # _basis_rotation_ptms, for an "arbitrary" initial state
 
 
-def _family(config: ExperimentConfig) -> _Family:
-    """The family of config: the configs equal to it in every field that
-    assembly reads (n_sites, n_steps, total_time, noise, initial, amp_a and
-    amp_b), which differ from it at most in couplings (or j0), seed, shots
-    and measured_sites. It is cached by the value of those fields, at most
-    FAMILY_CACHE_SIZE families, the least recently used dropped first."""
+def _family(config: ExperimentConfig, amplitudes=(0, 1)) -> _Family:
+    """The family of config and the prep amplitudes, cached by what assembly
+    reads, n_sites, n_steps, total_time, noise and the amplitudes: runs that
+    differ at most in couplings (or j0), seed and shots share it, a
+    run_sp_series and a (0, 1) run_arbitrary_transfer among them. At most
+    FAMILY_CACHE_SIZE families are kept, the least recently used dropped
+    first."""
     return _families(config.n_sites, config.n_steps, config.total_time, config.noise,
-                     config.initial, config.amp_a, config.amp_b)
+                     tuple(amplitudes))
 
 
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)
-def _families(n_sites, n_steps, total_time, noise, initial, amp_a, amp_b) -> _Family:
-    """_family of the fields: the prep gate and the RZZ gates, each with the
-    noise model's channels, fused in one fused_superoperators call and kept
-    as an AssembledOp, without its gate; the XY ops' channels, which
-    noise.with_noise attaches to the step's XY gates at angle 0, and each XY
-    kind's angle basis, from the first bond's gate; and the tomography
-    rotations. Every bond's XY op of a kind has its channel objects on its
-    own pair, so one basis serves them all."""
+def _families(n_sites, n_steps, total_time, noise, amplitudes) -> _Family:
+    """_family of the fields: the prep gate of the amplitudes and the RZZ
+    gates, each with the noise model's channels, fused in one
+    fused_superoperators call and kept as an AssembledOp, without its gate;
+    the XY ops' channels, which noise.with_noise attaches to the step's XY
+    gates at angle 0, and each XY kind's angle basis, from the first bond's
+    gate. Every bond's XY op of a kind has its channel objects on its own
+    pair, so one basis serves them all."""
     plan = TrotterPlan(total_time, n_steps)
-    if initial == "single_excitation":
-        prep = UnitaryGate(gate_matrix("X"), (0,), kind="x")
-    elif initial == "arbitrary":
-        prep = _prep_gate_for_amplitudes(amp_a, amp_b)
-    else:
-        raise ValueError(f"unknown initial kind {initial!r}")
+    prep = _prep_gate_for_amplitudes(*amplitudes)
     zeta = noise.circuit_zeta() if noise is not None else 0.0
     shared = [GateOp(gate) for gate in (prep, *crosstalk_gates(n_sites, plan, zeta))]
     xy = [GateOp(xy_gate(kind, (i, i + 1), 0.0))
@@ -360,13 +342,8 @@ def _families(n_sites, n_steps, total_time, noise, initial, amp_a, amp_b) -> _Fa
                       for op in xy[:len(XY_GENERATORS)]])  # the first bond's
     basis = np.ascontiguousarray(basis.swapaxes(0, 1)[:, :, None])
     basis.setflags(write=False)
-    rotations = None
-    if initial == "arbitrary":
-        rotations = _basis_rotation_ptms(noise)
-        rotations.setflags(write=False)
     return _Family(plan, tuple(shared[:1]), tuple(shared[1:]),
-                   tuple((op.gate.targets, tuple(op.channels)) for op in xy),
-                   basis, rotations)
+                   tuple((op.gate.targets, tuple(op.channels)) for op in xy), basis)
 
 
 def _prep_gate_for_amplitudes(a: complex, b: complex) -> UnitaryGate:
@@ -460,13 +437,20 @@ def _z_column(n_sites: int, site: int) -> int:
 
 
 def run_sp_series(config: ExperimentConfig) -> SPTimeSeries:
-    """Success probability of the end site (or of each measured site) over
-    the Trotter grid: one run of assemble_circuit's circuit that records r_I
-    and each measured site's r_Z, P(1) = (r_I - r_Z) / 2, then readout_p1,
-    whose shots, if any, are drawn step by step, then site by site, from
-    one generator seeded with config.seed."""
-    _check_single_excitation(config)
-    sites = config.measured_sites or (config.n_sites,)
+    """The end site's success probability over the grid (_site_series)."""
+    return _site_series(config, (config.n_sites,))
+
+
+def run_site_resolved(config: ExperimentConfig) -> SPTimeSeries:
+    """Every site's occupation probability over the grid (_site_series)."""
+    return _site_series(config, tuple(range(1, config.n_sites + 1)))
+
+
+def _site_series(config: ExperimentConfig, sites: tuple) -> SPTimeSeries:
+    """P(1) of each of the sites (1-based) after a single excitation on site
+    1: one run of assemble_circuit's circuit that records r_I and each
+    site's r_Z, P(1) = (r_I - r_Z) / 2, then readout_p1, whose shots, if
+    any, are drawn step by step, then site by site, from config.seed."""
     cols = np.array([0, *(_z_column(config.n_sites, s) for s in sites)])
     circuit = assemble_circuit(config)
     coeffs = evolve_recorded(circuit, lambda block: block.take(cols, 1))[0]
@@ -475,12 +459,6 @@ def run_sp_series(config: ExperimentConfig) -> SPTimeSeries:
     return SPTimeSeries(times=config.plan().times(),
                         values={s: p1[:, i] for i, s in enumerate(sites)},
                         meta=_series_meta(config, circuit))
-
-
-def _check_single_excitation(config: ExperimentConfig) -> None:
-    if config.initial != "single_excitation":
-        raise ValueError("run_sp_series and run_first_peaks expect a single-excitation "
-                         "initial state")
 
 
 def run_first_peaks(config: ExperimentConfig, profiles) -> list:
@@ -492,7 +470,7 @@ def run_first_peaks(config: ExperimentConfig, profiles) -> list:
     max(1, MAX_BATCH_COEFFS // 4^n) profiles, all assembled before any
     runs, and each chunk's circuit stops once every member's first peak is
     settled (_settled_peak, detect_first_peak's rule, on its prefix). Each
-    step records the last measured site's P(1) alone, through run_sp_series'
+    step records the end site's P(1) alone, through run_sp_series'
     readout flip and clamp, so a member's prefix is bit-identical to the
     start of its series. A member is tested only once its prefix could
     settle: after a drop of PEAK_PROMINENCE below its running maximum, which
@@ -500,11 +478,10 @@ def run_first_peaks(config: ExperimentConfig, profiles) -> list:
     """
     if config.shots is not None:
         raise ValueError("run_first_peaks runs exact series: shots must be None")
-    _check_single_excitation(config)
     size = max(1, MAX_BATCH_COEFFS // 4**config.n_sites)
     circuits = [assemble_circuit(config, profiles[lo:lo + size])
                 for lo in range(0, len(profiles), size)]
-    col = _z_column(config.n_sites, max(config.measured_sites or (config.n_sites,)))
+    col = _z_column(config.n_sites, config.n_sites)
     readout = _readout_error(config)
     times = config.plan().times()
     peaks = []
@@ -544,12 +521,6 @@ class _FirstPeakWatch:
         return None not in found
 
 
-def run_site_resolved(config: ExperimentConfig) -> SPTimeSeries:
-    """Occupation probability of every site over the grid."""
-    config = replace(config, measured_sites=tuple(range(1, config.n_sites + 1)))
-    return run_sp_series(config)
-
-
 def tomography_reconstruct(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The (k, 2, 2) stack rho = (I + x X + y Y + z Z) / 2 of the Bloch
     arrays x, y, z, rescaling each norm in (1, 1 + BLOCH_NORM_SLACK] to one."""
@@ -564,10 +535,12 @@ def tomography_reconstruct(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.nd
 _BASIS_GATE_KINDS = {"X": ("h",), "Y": ("sdg", "h"), "Z": ()}
 
 
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def _basis_rotation_ptms(noise: NoiseParams | None) -> np.ndarray:
-    """The (3, 4, 4) stack of one qubit's X, Y and Z basis-rotation PTMs,
-    each gate with the comprehensive model's single-qubit layers when noise
-    is on; the identity stands in for the Z basis, which rotates nothing."""
+    """The read-only (3, 4, 4) stack of one qubit's X, Y and Z
+    basis-rotation PTMs, each gate with the comprehensive model's
+    single-qubit layers when noise is on; the identity stands in for the Z
+    basis, which rotates nothing. Cached by the noise model, all it reads."""
     ptms = []
     for kinds in _BASIS_GATE_KINDS.values():
         ops = [GateOp(UnitaryGate(gate_matrix(kind.upper()), (0,), kind=kind)) for kind in kinds]
@@ -576,11 +549,13 @@ def _basis_rotation_ptms(noise: NoiseParams | None) -> np.ndarray:
         fused = fused_superoperators([(op.gate, op.channels) for op in ops], 1)
         merged = merge_superoperators(fused)  # all on the one qubit: one op, or none
         ptms.append(merged[0].matrix if merged else np.eye(4))
-    return np.array(ptms)
+    ptms = np.array(ptms)
+    ptms.setflags(write=False)
+    return ptms
 
 
-def run_arbitrary_transfer(config: ExperimentConfig) -> TomographyRecord:
-    """Send A|0> + B|1> down the chain and tomograph the last qubit.
+def run_arbitrary_transfer(config: ExperimentConfig, amplitudes) -> TomographyRecord:
+    """Send A|0> + B|1>, (A, B) = amplitudes, down the chain; tomograph the last qubit.
 
     Measurements in the X, Y, Z bases (H, S^dag+H, none) run as separate
     probes of the same evolved state; the basis-rotation gates pick up the
@@ -591,11 +566,10 @@ def run_arbitrary_transfer(config: ExperimentConfig) -> TomographyRecord:
     primary fidelity keeps the raw target (no transfer-phase correction);
     the phase-maximized variant is reported alongside.
     """
-    a, b = complex(config.amp_a), complex(config.amp_b)
-    config = replace(config, initial="arbitrary", amp_a=a, amp_b=b)
-    circuit = assemble_circuit(config)
+    a, b = (complex(amplitude) for amplitude in amplitudes)
+    circuit = assemble_circuit(config, amplitudes=(a, b))
     r4 = evolve_recorded(circuit, lambda block: block[:, :4])[0]
-    rotated = r4 @ _family(config).rotations.swapaxes(1, 2)
+    rotated = r4 @ _basis_rotation_ptms(config.noise).swapaxes(1, 2)
     # P(1) = (r_I - r_Z) / 2 per step and basis; <sigma> = p0 - p1, drawn
     # step by step, then basis by basis
     p1 = readout_p1(((rotated[..., 0] - rotated[..., 3]) / 2).T, config.shots,

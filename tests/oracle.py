@@ -32,7 +32,6 @@ from pstlab.chains import (
     GateOp,
     NoisyCircuit,
     build_trotter_circuit,
-    gate_matrix,
 )
 from pstlab.experiments import AssembledOp, _prep_gate_for_amplitudes
 from pstlab.noise import with_noise
@@ -119,20 +118,18 @@ def kraus_ptm(gate: UnitaryGate, channels, n_qubits: int) -> Superoperator:
     return Superoperator(np.array(columns).T, range(a, a + k), n_qubits)
 
 
-def reference_circuit(config, profile: CouplingProfile | None = None) -> NoisyCircuit:
-    """The gate-level circuit of an experiments.ExperimentConfig, with
-    `profile` in place of its own couplings if given, in the engine's step
-    order: chains.build_trotter_circuit's step, the prep gate (X, or the
-    gate of an "arbitrary" state's amplitudes), and noise.with_noise's
-    channels after every gate. assemble_circuit runs the same map, op for
-    op, and builds none of these gates."""
+def reference_circuit(config, profile: CouplingProfile | None = None,
+                      amplitudes=(0, 1)) -> NoisyCircuit:
+    """The gate-level circuit of an experiments.ExperimentConfig that
+    prepares a|0> + b|1> on the first site, (a, b) = amplitudes, the single
+    excitation by default, with `profile` in place of its own couplings if
+    given, in the engine's step order: chains.build_trotter_circuit's step,
+    the prep gate of the amplitudes (X for the single excitation), and
+    noise.with_noise's channels after every gate. assemble_circuit runs the
+    same map, op for op, and builds none of these gates."""
     zeta = config.noise.circuit_zeta() if config.noise is not None else 0.0
     circuit = build_trotter_circuit(profile or config.profile(), config.plan(), zeta)
-    if config.initial == "arbitrary":
-        prep = _prep_gate_for_amplitudes(config.amp_a, config.amp_b)
-    else:
-        prep = UnitaryGate(gate_matrix("X"), (0,), kind="x")
-    circuit.prep = [GateOp(prep)]
+    circuit.prep = [GateOp(_prep_gate_for_amplitudes(*amplitudes))]
     if config.noise is not None:
         circuit.prep = with_noise(circuit.prep, config.noise)
         circuit.step = with_noise(circuit.step, config.noise)

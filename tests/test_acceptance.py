@@ -71,6 +71,7 @@ from oracle import (
 )
 
 HALF_PI = math.pi / 2
+PLUS = (1 / math.sqrt(2), 1 / math.sqrt(2))  # the amplitudes of |+>
 
 # Program time per paper time (inferred; see the module docstring).
 PAPER_SCALE = 2
@@ -399,7 +400,8 @@ def test_criterion_12_n3_scaling(comprehensive_peak):
 
 @pytest.fixture(scope="module")
 def plus_transfer():
-    return run_arbitrary_transfer(ExperimentConfig(n_sites=4, n_steps=40, noise=NoiseParams()))
+    return run_arbitrary_transfer(ExperimentConfig(n_sites=4, n_steps=40, noise=NoiseParams()),
+                                  PLUS)
 
 
 def test_criterion_13a_plus_transfer_peak_fidelity(plus_transfer):
@@ -422,8 +424,8 @@ def test_criterion_13b_plus_transfer_peak_time(plus_transfer, paper_scale):
 
 def test_criterion_13c_tomography_round_trip():
     cfg = ExperimentConfig(n_sites=4, n_steps=40)
-    record = run_arbitrary_transfer(cfg)
-    circuit = assemble_circuit(ExperimentConfig(n_sites=4, n_steps=40, initial="arbitrary"))
+    record = run_arbitrary_transfer(cfg, PLUS)
+    circuit = assemble_circuit(cfg, amplitudes=PLUS)
     reduced = [partial_trace_to_qubit(to_density_matrix(PauliState(4, vec)), 3).matrix
                for vec in evolve_recorded(circuit, lambda block: block)[0]]
     worst = 0.0

@@ -178,13 +178,14 @@ class TestInitialStates:
     """The k = 0 state of an ideal run: the prep layer applied to |0..0>."""
 
     @staticmethod
-    def prepared(n, **config):
+    def prepared(n, amplitudes=(0, 1)):
         """The k = 0 density matrix, and the gate kinds of the reference
         circuit's prep layer."""
-        config = ExperimentConfig(n_sites=n, n_steps=1, **config)
-        vec = evolve_recorded(assemble_circuit(config), lambda block: block)[0][0]
+        config = ExperimentConfig(n_sites=n, n_steps=1)
+        vec = evolve_recorded(assemble_circuit(config, amplitudes=amplitudes),
+                              lambda block: block)[0][0]
         rho = to_density_matrix(PauliState(n, vec)).matrix
-        return rho, [op.gate.kind for op in reference_circuit(config).prep]
+        return rho, [op.gate.kind for op in reference_circuit(config, amplitudes=amplitudes).prep]
 
     def test_single_excitation_site1(self):
         rho, kinds = self.prepared(4)
@@ -200,17 +201,12 @@ class TestInitialStates:
         np.testing.assert_allclose(rho, np.outer(expected, expected), atol=1e-15)
 
     def test_arbitrary_default_is_plus_on_first(self):
-        rho, kinds = self.prepared(4, initial="arbitrary")
+        """The CLI's default amplitudes prepare |+> on the first site with H."""
+        rho, kinds = self.prepared(4, (1 / math.sqrt(2), 1 / math.sqrt(2)))
         expected = np.zeros(16)
         expected[0] = expected[8] = 1 / math.sqrt(2)
         np.testing.assert_allclose(rho, np.outer(expected, expected), atol=1e-15)
         assert kinds == ["h"]
-
-    def test_unknown_initial_kind_rejected(self):
-        """Only "single_excitation" and "arbitrary" exist; "plus_on_first" is
-        "arbitrary" with its default amplitudes."""
-        with pytest.raises(ValueError, match="initial kind"):
-            assemble_circuit(ExperimentConfig(n_sites=4, n_steps=1, initial="plus_on_first"))
 
 
 class TestExactOracle:

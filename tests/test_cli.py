@@ -138,9 +138,10 @@ class TestRunConfig:
         assert ideal["config"]["noise"] == {"ideal": True}
 
     def test_equivalent_configs_share_run_id(self, tmp_path):
-        """The id hashes the resolved inputs: spelled-out defaults, an
-        integer where the field is a float, and the output directory do not
-        change it."""
+        """The id hashes the resolved inputs the experiment reads:
+        spelled-out defaults, an integer where the field is a float, the
+        output directory, an amplitudes block outside arbitrary_transfer and
+        a j0 beside explicit couplings do not change it."""
         base = {"experiment": "sp_series", "chain": {"n": 3}, "plan": {"steps": 8}}
         default = write_config(tmp_path, {**base, "noise": {}, "output_dir": str(tmp_path / "a")},
                                name="default.json")
@@ -153,6 +154,24 @@ class TestRunConfig:
         assert (tmp_path / "a" / "series.csv").read_bytes() == (tmp_path / "b" / "series.csv").read_bytes()
         other = json.loads(run_config(spelled, overrides=["noise.zeta=0.2"]).read_text())
         assert other["run_id"] != a["run_id"]
+
+        def run_id(name, payload):
+            manifest = run_config(write_config(tmp_path, payload, name=f"{name}.json"),
+                                  out=tmp_path / name)
+            return json.loads(manifest.read_text())["run_id"]
+
+        def series(name):
+            return (tmp_path / name / "series.csv").read_bytes()
+
+        assert run_id("plain", base) == run_id("amps", {**base, "amplitudes": {"a": 0, "b": 1}})
+        assert series("plain") == series("amps")
+        couplings = {"n": 4, "couplings": [3**0.5, 2.0, 3**0.5]}
+        assert (run_id("bonds", {**base, "chain": couplings})
+                == run_id("bonds_j0", {**base, "chain": {**couplings, "j0": 3.0}}))
+        assert series("bonds") == series("bonds_j0")
+        transfer = {**base, "experiment": "arbitrary_transfer"}
+        assert (run_id("zero", {**transfer, "amplitudes": {"a": 1, "b": 0}})
+                != run_id("one", {**transfer, "amplitudes": {"a": 0, "b": 1}}))
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_output_inventory(self, tmp_path, experiment):
@@ -395,6 +414,10 @@ class TestExitCodes:
           for experiment, block in (("sp_series", "plan"), ("grid_search", "grid"),
                                     ("bayes_opt", "bo"), ("arbitrary_transfer", "amplitudes"))
           for value in (5, None, [1, 2])),
+        # an amplitudes block is checked whatever the experiment, though only
+        # arbitrary_transfer reads it
+        *({"experiment": experiment, "amplitudes": {"a": 0.6, "b": "0.8"}}
+          for experiment in EXPERIMENTS),
         # values of the wrong type or out of range
         {"chain": {"n": "x"}},
         {"shots": "many"},

@@ -80,6 +80,7 @@ from oracle import (
 )
 
 HALF_PI = math.pi / 2
+PLUS = (1 / math.sqrt(2), 1 / math.sqrt(2))  # the amplitudes of |+>, the CLI's default
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -98,9 +99,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(n_sites=1)
 
-    def test_bad_measured_site(self):
-        with pytest.raises(ValueError, match="sites"):
-            ExperimentConfig(n_sites=3, measured_sites=(4,))
+    def test_fields_are_what_every_run_reads(self):
+        """The config holds the chain, the plan, the noise, shots and seed;
+        the experiment picks the prep state and the sites it reads."""
+        assert [f.name for f in fields(ExperimentConfig)] == [
+            "n_sites", "j0", "couplings", "total_time", "n_steps", "noise", "shots", "seed"]
+        assert sorted(ExperimentConfig().to_dict()) == [
+            "couplings", "n_sites", "n_steps", "noise", "seed", "shots", "total_time"]
+
+    def test_to_dict_records_the_couplings_not_j0(self):
+        """A j0 and the couplings it makes hash alike; a j0 beside explicit
+        couplings, which it does not make, changes nothing."""
+        scaled = ExperimentConfig(n_sites=4, j0=2.9)
+        bonds = ExperimentConfig(n_sites=4, couplings=pst_couplings(4, 2.9).couplings)
+        assert scaled.to_dict()["couplings"] == list(pst_couplings(4, 2.9).couplings)
+        assert scaled.config_hash() == bonds.config_hash() == replace(bonds, j0=5.0).config_hash()
+        assert scaled.config_hash() != ExperimentConfig(n_sites=4, j0=3.0).config_hash()
 
     def test_bad_shots(self):
         with pytest.raises(ValueError, match="shots"):
@@ -141,10 +155,6 @@ class TestConfigValidation:
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != ExperimentConfig(n_sites=4, seed=4).config_hash()
 
-    def test_sp_series_requires_single_excitation(self):
-        with pytest.raises(ValueError, match="single-excitation"):
-            run_sp_series(ExperimentConfig(initial="arbitrary"))
-
     @pytest.mark.parametrize("extra,want", [
         ({}, pst_couplings(4, 1.0)),
         ({"j0": 2.9}, pst_couplings(4, 2.9)),
@@ -156,8 +166,8 @@ class TestConfigValidation:
         assert config.profile() == want
 
     def test_profile_is_no_field(self):
-        """The kept profile takes no part in fields, to_dict, equality or
-        hashing: configs built apart compare and hash alike."""
+        """The kept profile takes no part in fields, equality or hashing:
+        configs built apart compare and hash alike."""
         a, b = ExperimentConfig(n_sites=4, j0=2.9), ExperimentConfig(n_sites=4, j0=2.9)
         assert a.profile() is not b.profile()
         assert a == b and hash(a) == hash(b)
@@ -229,9 +239,9 @@ class TestIdealRuns:
     def test_ideal_tomography_matches_kraus_loop(self):
         """The X, Y and Z records of an ideal arbitrary transfer are the last
         qubit's Bloch components of the Kraus-loop state at every step."""
-        config = ExperimentConfig(n_sites=4, initial="arbitrary", amp_a=0.6, amp_b=0.48 + 0.64j)
-        record = run_arbitrary_transfer(config)
-        for k, rho in enumerate(kraus_loop_series(reference_circuit(config))):
+        config, amps = ExperimentConfig(n_sites=4), (0.6, 0.48 + 0.64j)
+        record = run_arbitrary_transfer(config, amps)
+        for k, rho in enumerate(kraus_loop_series(reference_circuit(config, amplitudes=amps))):
             m = partial_trace_to_qubit(rho, 3).matrix
             want = (2 * m[0, 1].real, -2 * m[0, 1].imag, (m[0, 0] - m[1, 1]).real)
             got = (record.x[k], record.y[k], record.z[k])
@@ -288,9 +298,9 @@ class TestFusedMatchesKrausLoop:
         for pauli_on, depol_on in itertools.product((False, True), repeat=2):
             params = NoiseParams(**{**STRONG, **ZZ_SETTINGS[zz], **THERMAL_SETTINGS[thermal]},
                                  pauli_on=pauli_on, depol_on=depol_on)
-            config = ExperimentConfig(n_sites=n, n_steps=8, noise=params, initial="arbitrary",
-                                      amp_a=0.6, amp_b=0.8j)
-            circuit, reference = assemble_circuit(config), reference_circuit(config)
+            config = ExperimentConfig(n_sites=n, n_steps=8, noise=params)
+            circuit = assemble_circuit(config, amplitudes=(0.6, 0.8j))
+            reference = reference_circuit(config, amplitudes=(0.6, 0.8j))
             one_qubit = with_noise([GateOp(UnitaryGate(gate_matrix("X"), (1,), kind="x"))] + [
                 GateOp(UnitaryGate(gate_matrix(kind.upper()), (n - 1,), kind=kind))
                 for kind in ("sdg", "h")], params)
@@ -314,10 +324,11 @@ class TestFusedMatchesKrausLoop:
     def test_recorded_series_matches_kraus_loop(self):
         """evolve_recorded (prep once, the compiled step n_steps times) against the
         Kraus loop over every op of the reference circuit."""
-        config = ExperimentConfig(n_sites=4, n_steps=12, noise=NoiseParams(), initial="arbitrary")
+        config = ExperimentConfig(n_sites=4, n_steps=12, noise=NoiseParams())
         fused = [to_density_matrix(PauliState(4, vec)).matrix
-                 for vec in evolve_recorded(assemble_circuit(config), lambda block: block)[0]]
-        oracle = kraus_loop_series(reference_circuit(config))
+                 for vec in evolve_recorded(assemble_circuit(config, amplitudes=PLUS),
+                                            lambda block: block)[0]]
+        oracle = kraus_loop_series(reference_circuit(config, amplitudes=PLUS))
         assert len(fused) == 13
         for got, want in zip(fused, oracle):
             np.testing.assert_allclose(got, want.matrix, rtol=0, atol=1e-12)
@@ -331,9 +342,9 @@ class TestMergedMatchesKrausLoop:
     def op_lists(n: int, params: NoiseParams) -> list:
         """(the engine's fused ops, the reference GateOps) of the prep, the
         step and the X and Y basis rotations."""
-        config = ExperimentConfig(n_sites=n, n_steps=8, noise=params, initial="arbitrary",
-                                  amp_a=0.6, amp_b=0.8j)
-        circuit, reference = assemble_circuit(config), reference_circuit(config)
+        config = ExperimentConfig(n_sites=n, n_steps=8, noise=params)
+        circuit = assemble_circuit(config, amplitudes=(0.6, 0.8j))
+        reference = reference_circuit(config, amplitudes=(0.6, 0.8j))
         rotations = [basis_ops(kinds, n - 1, params) for kinds in BASIS_GATE_KINDS[:2]]
         return [([op.fused for op in circuit.prep], reference.prep),
                 ([op.fused for op in circuit.step], reference.step),
@@ -436,11 +447,10 @@ class TestTomographyMatchesKrausLoop:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_bloch_components(self, n, noise, amps):
         params = None if noise == "ideal" else NoiseParams(**{**STRONG, "zz_mode": noise})
-        config = ExperimentConfig(n_sites=n, n_steps=8, noise=params, initial="arbitrary",
-                                  amp_a=amps[0], amp_b=amps[1])
-        record = run_arbitrary_transfer(config)
+        config = ExperimentConfig(n_sites=n, n_steps=8, noise=params)
+        record = run_arbitrary_transfer(config, amps)
         rotations = [basis_ops(kinds, n - 1, params) for kinds in BASIS_GATE_KINDS]
-        for k, rho in enumerate(kraus_loop_series(reference_circuit(config))):
+        for k, rho in enumerate(kraus_loop_series(reference_circuit(config, amplitudes=amps))):
             for got, ops in zip((record.x, record.y, record.z), rotations, strict=True):
                 rotated = rho
                 for op in ops:
@@ -470,8 +480,8 @@ class TestInPlacePath:
         for config in self.configs():
             n = config.n_sites
             ops = []
-            for initial in ("single_excitation", "arbitrary"):
-                circuit = assemble_circuit(replace(config, initial=initial))
+            for amplitudes in ((0, 1), PLUS):
+                circuit = assemble_circuit(config, amplitudes=amplitudes)
                 for layer in (circuit.prep, circuit.step):
                     ops += merge_superoperators([op.fused for op in layer])
             assert [sop.targets for sop in ops if sop.targets != tuple(
@@ -525,19 +535,6 @@ class TestLockStep:
         records = np.concatenate([evolve_recorded(c, lambda block: block) for c in circuits])
         for config, rows in zip(configs, records, strict=True):
             assert rows.tobytes() == own_states(config).tobytes()
-
-    @pytest.mark.parametrize("run", [
-        lambda config: run_sp_series(config),
-        lambda config: run_first_peaks(config, [config.profile()] * 2),
-    ], ids=["run_sp_series", "run_first_peaks"])
-    def test_other_initial_states_refused_before_any_run(self, monkeypatch, run):
-        built = []
-        monkeypatch.setattr(experiments, "assemble_circuit", lambda *args: built.append(args))
-        monkeypatch.setattr(experiments, "_family", lambda config: built.append(config))
-        with pytest.raises(ValueError, match=r"run_sp_series and run_first_peaks expect a "
-                                             "single-excitation initial state"):
-            run(ExperimentConfig(initial="arbitrary"))
-        assert built == []
 
     def test_batch_refuses_profiles_of_another_chain_length(self, monkeypatch):
         """assemble_circuit refuses them, and run_first_peaks assembles
@@ -661,14 +658,15 @@ def holds_xy(ops, reference) -> list:
     return [any([next(xy) for _ in group]) for _, group in groups]
 
 
-def compiled_layers(config: ExperimentConfig, plain: bool = False) -> list:
-    """The merged prep and step of config's own circuit; with `plain`, of
-    its reference circuit (oracle.reference_circuit), each gate fused from
-    its matrix, so that no op comes from its family."""
+def compiled_layers(config: ExperimentConfig, amplitudes=(0, 1), plain: bool = False) -> list:
+    """The merged prep and step of config's own circuit of the prep
+    amplitudes; with `plain`, of its reference circuit
+    (oracle.reference_circuit), each gate fused from its matrix, so that no
+    op comes from its family."""
     if plain:
-        reference = reference_circuit(config)
+        reference = reference_circuit(config, amplitudes=amplitudes)
         return [compiled_ops(layer, config.n_sites) for layer in (reference.prep, reference.step)]
-    circuit = assemble_circuit(config)
+    circuit = assemble_circuit(config, amplitudes=amplitudes)
     return [merge_superoperators([op.fused for op in layer])
             for layer in (circuit.prep, circuit.step)]
 
@@ -687,17 +685,18 @@ def assert_same_layers(got: list, want: list, tol: float = 0.0) -> None:
                 assert g.matrix.tobytes() == w.matrix.tobytes()
 
 
-def assert_matches_plain(config: ExperimentConfig) -> None:
+def assert_matches_plain(config: ExperimentConfig, amplitudes=(0, 1)) -> None:
     """config's compiled layers against those of its reference circuit,
     each gate fused from its matrix: the prep, and each shared RZZ op of its
     family, bit for bit; the step, whose XY ops come from the family's
     angle basis, within 1e-14."""
-    got, plain = compiled_layers(config), compiled_layers(config, plain=True)
+    got = compiled_layers(config, amplitudes)
+    plain = compiled_layers(config, amplitudes, plain=True)
     assert_same_layers(got[:1], plain[:1])
     assert_same_layers(got[1:], plain[1:], tol=1e-14)
     rzz = [op for op in reference_circuit(config).step if op.gate.kind == "rzz"]
     fused = fused_superoperators([(op.gate, op.channels) for op in rzz], config.n_sites)
-    crosstalk = experiments._family(config).crosstalk
+    crosstalk = experiments._family(config, amplitudes).crosstalk
     assert len(crosstalk) == len(fused)
     for op, want in zip(crosstalk, fused):
         assert op.fused.matrix.tobytes() == want.matrix.tobytes()
@@ -708,8 +707,8 @@ class TestFamilies:
     in couplings (its family) is built and compiled once; each compiled op
     equals that of a freshly built family, bit for bit."""
 
-    BASE = ExperimentConfig(n_sites=4, n_steps=20, noise=NoiseParams(), initial="arbitrary",
-                            amp_a=0.6, amp_b=0.8)
+    BASE = ExperimentConfig(n_sites=4, n_steps=20, noise=NoiseParams())
+    AMPS = (0.6, 0.8)  # BASE's prep amplitudes
 
     @pytest.mark.parametrize("change", [
         {"n_sites": 5},
@@ -718,40 +717,51 @@ class TestFamilies:
         {"noise": None},
         {"noise": NoiseParams(p_pauli=0.01)},
         {"noise": NoiseParams(zz_mode="dephasing_channel", p_zz=0.01)},
-        {"initial": "single_excitation"},
-        {"amp_a": 0.8, "amp_b": 0.6},
-        {"amp_b": 0.8j},
+        {"amplitudes": (0, 1)},
+        {"amplitudes": (0.8, 0.6)},
+        {"amplitudes": (0.6, 0.8j)},
     ], ids=repr)
     def test_a_changed_field_compiles_as_fresh(self, change):
-        variant = replace(self.BASE, **change)
-        compiled_layers(self.BASE)
-        cached = compiled_layers(variant)
-        assert experiments._family(variant) is not experiments._family(self.BASE)
+        amps = change.get("amplitudes", self.AMPS)
+        variant = replace(self.BASE, **{k: v for k, v in change.items() if k != "amplitudes"})
+        compiled_layers(self.BASE, self.AMPS)
+        cached = compiled_layers(variant, amps)
+        assert experiments._family(variant, amps) is not experiments._family(self.BASE, self.AMPS)
         experiments._families.cache_clear()
-        assert_same_layers(compiled_layers(variant), cached)
-        assert_matches_plain(variant)
-        assert_matches_plain(self.BASE)
+        assert_same_layers(compiled_layers(variant, amps), cached)
+        assert_matches_plain(variant, amps)
+        assert_matches_plain(self.BASE, self.AMPS)
 
-    def test_seed_shots_sites_and_couplings_share_a_family(self):
-        family = experiments._family(self.BASE)
-        circuit = assemble_circuit(self.BASE)
-        for change in ({"seed": 3}, {"shots": 64}, {"measured_sites": (1, 4)},
-                       {"couplings": (1.0, 2.0, 1.0)}, {"j0": 2.5}):
+    def test_seed_shots_and_couplings_share_a_family(self):
+        family = experiments._family(self.BASE, self.AMPS)
+        circuit = assemble_circuit(self.BASE, amplitudes=self.AMPS)
+        for change in ({"seed": 3}, {"shots": 64}, {"couplings": (1.0, 2.0, 1.0)}, {"j0": 2.5}):
             config = replace(self.BASE, **change)
-            assert experiments._family(config) is family, change
-            other = assemble_circuit(config)
+            assert experiments._family(config, self.AMPS) is family, change
+            other = assemble_circuit(config, amplitudes=self.AMPS)
             rzz = (4, 7, 8)  # the RZZ ops' places in the step
             assert all(a is b for a, b in zip(other.prep + [other.step[i] for i in rzz],
                                               circuit.prep + [circuit.step[i] for i in rzz],
                                               strict=True))
 
+    def test_sp_series_and_a_single_excitation_transfer_share_a_family(self):
+        """An sp_series run and an arbitrary transfer of amplitudes (0, 1),
+        as the CLI passes them, prepare the one X gate: one family, built on
+        one _families miss."""
+        experiments._families.cache_clear()
+        run_sp_series(self.BASE)
+        run_arbitrary_transfer(self.BASE, (0j, 1 + 0j))
+        info = experiments._families.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
     def test_cached_parts_refuse_writes(self):
         """Every op of an assembled circuit is a frozen AssembledOp: its
         channels a tuple, its fused op's matrix read-only."""
-        family = experiments._family(self.BASE)
+        family = experiments._family(self.BASE, self.AMPS)
         assert len(family.prep) == 1 and len(family.crosstalk) == 3
         shared = {id(op) for op in family.crosstalk}
-        xy = [op for op in assemble_circuit(self.BASE, [self.BASE.profile()] * 2).step
+        xy = [op for op in assemble_circuit(self.BASE, [self.BASE.profile()] * 2,
+                                            self.AMPS).step
               if id(op) not in shared]
         assert len(xy) == 6
         for op in family.prep + family.crosstalk + tuple(xy):
@@ -762,7 +772,7 @@ class TestFamilies:
             for name in ("channels", "fused"):
                 with pytest.raises(FrozenInstanceError):
                     setattr(op, name, None)
-        for array in (family.rotations, family.xy_basis):
+        for array in (experiments._basis_rotation_ptms(self.BASE.noise), family.xy_basis):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
         with pytest.raises(FrozenInstanceError):
@@ -819,6 +829,29 @@ class TestFamilies:
         assert calls == [] and kinds == []
         assert len(composed) == 2  # the two XY merge groups
         assert all(3 in ndims for ndims in composed), composed
+
+    def test_a_second_transfer_builds_no_gate_and_no_rotation(self, monkeypatch):
+        """A second arbitrary transfer of one family, with other couplings
+        and seed, builds no gate, takes no Pauli transfer matrix and
+        attaches no channel: its basis rotations too come from a cache."""
+        run_arbitrary_transfer(self.BASE, self.AMPS)
+        calls = []
+        for target in ("pstlab.sim_core._pauli_transfer_matrix", "pstlab.noise.with_noise",
+                       "pstlab.experiments.with_noise"):
+            monkeypatch.setattr(target, lambda *args, target=target: calls.append(target))
+        kinds = self.spy_gates(monkeypatch)
+        run_arbitrary_transfer(replace(self.BASE, couplings=(1.0, 2.0, 1.0), seed=3), self.AMPS)
+        assert calls == [] and kinds == []
+
+    def test_new_amplitudes_rebuild_no_rotation(self, monkeypatch):
+        """The basis rotations read only the noise model: a transfer of new
+        amplitudes, with every family dropped, builds its family's gates and
+        no H or S^dag."""
+        run_arbitrary_transfer(self.BASE, self.AMPS)
+        experiments._families.cache_clear()
+        kinds = self.spy_gates(monkeypatch)
+        run_arbitrary_transfer(self.BASE, (0.8, 0.6))
+        assert Counter(kinds) == {"u": 1, "rxx": 3, "ryy": 3, "rzz": 3}
 
 
 class TestAngleBasis:
@@ -1013,25 +1046,24 @@ class TestReadout:
         return int(rng.binomial(shots, cls.flip(p1, readout_error))) / shots
 
     @pytest.mark.parametrize("j0", [0.5, 1.0, 2.9])
-    def test_sp_series_shots_equal_a_scalar_loop(self, j0):
+    def test_site_resolved_shots_equal_a_scalar_loop(self, j0):
         config = ExperimentConfig(n_sites=4, n_steps=40, j0=j0, noise=self.NOISE, shots=1024,
-                                  seed=7, measured_sites=(2, 4))
-        series = run_sp_series(config)
+                                  seed=7)
+        series = run_site_resolved(config)
         states = own_states(config)
         rng = np.random.default_rng(config.seed)
-        want = {2: [], 4: []}
+        want = {site: [] for site in (1, 2, 3, 4)}
         for vec in states:  # step by step, then site by site
-            for site in (2, 4):
+            for site in want:
                 p1 = qubit_p1(PauliState(4, vec), site - 1)
                 want[site].append(self.draw(p1, 1024, rng, 0.03))
-        for site in (2, 4):
+        for site in want:
             assert np.array_equal(series.values[site], want[site]), site
 
     def test_arbitrary_transfer_shots_equal_a_scalar_loop(self):
-        config = ExperimentConfig(n_sites=4, n_steps=30, noise=self.NOISE, shots=256, seed=3,
-                                  amp_a=0.6, amp_b=0.8j)
-        record = run_arbitrary_transfer(config)
-        circuit = assemble_circuit(replace(config, initial="arbitrary"))
+        config = ExperimentConfig(n_sites=4, n_steps=30, noise=self.NOISE, shots=256, seed=3)
+        record = run_arbitrary_transfer(config, (0.6, 0.8j))
+        circuit = assemble_circuit(config, amplitudes=(0.6, 0.8j))
         # each rotation compiled for all 4 qubits and applied to the whole state
         rotations = [compiled_ops(basis_ops(kinds, 3, self.NOISE), 4)
                      for kinds in BASIS_GATE_KINDS]
@@ -1048,9 +1080,8 @@ class TestReadout:
 
     @pytest.mark.parametrize("j0", [0.5, 2.0])
     def test_exact_series_equals_qubit_p1(self, j0):
-        config = ExperimentConfig(n_sites=3, n_steps=10, j0=j0, noise=self.NOISE,
-                                  measured_sites=(1, 2, 3))
-        series = run_sp_series(config)
+        config = ExperimentConfig(n_sites=3, n_steps=10, j0=j0, noise=self.NOISE)
+        series = run_site_resolved(config)
         states = own_states(config)
         for site in (1, 2, 3):
             want = [self.flip(qubit_p1(PauliState(3, vec), site - 1), 0.03)
@@ -1135,8 +1166,8 @@ class TestTomographyReconstruct:
 class TestArbitraryTransfer:
     def test_basis_state_reduces_to_sp(self):
         """A=0, B=1 sends |1>: fidelity to |1><1| equals the end-site SP."""
-        cfg = ExperimentConfig(n_sites=4, n_steps=40, amp_a=0.0, amp_b=1.0)
-        record = run_arbitrary_transfer(cfg)
+        cfg = ExperimentConfig(n_sites=4, n_steps=40)
+        record = run_arbitrary_transfer(cfg, (0.0, 1.0))
         sp = run_sp_series(ExperimentConfig(n_sites=4, n_steps=40)).series()
         np.testing.assert_allclose(record.fidelity, sp, atol=1e-9)
         np.testing.assert_allclose(record.sp, sp, atol=1e-9)
@@ -1146,7 +1177,7 @@ class TestArbitraryTransfer:
         single-excitation amplitude; with transfer phase i sin^3(t) the ideal
         curve is flat at 0.5."""
         cfg = ExperimentConfig(n_sites=4, n_steps=40)
-        record = run_arbitrary_transfer(cfg)
+        record = run_arbitrary_transfer(cfg, PLUS)
         amp = exact_transfer_amplitude(pst_couplings(4, 1.0), record.times)
         oracle = 0.5 + 0.5 * np.real(np.conj(1.0) * amp)
         np.testing.assert_allclose(oracle, 0.5, atol=1e-12)  # phase is purely imaginary
@@ -1155,10 +1186,8 @@ class TestArbitraryTransfer:
     def test_exact_tomography_round_trip(self):
         """Exact-mode reconstruction equals the reduced state to 1e-9."""
         cfg = ExperimentConfig(n_sites=3, n_steps=15)
-        record = run_arbitrary_transfer(cfg)
-        circuit = assemble_circuit(
-            ExperimentConfig(n_sites=3, n_steps=15, initial="arbitrary")
-        )
+        record = run_arbitrary_transfer(cfg, PLUS)
+        circuit = assemble_circuit(cfg, amplitudes=PLUS)
         reduced = [partial_trace_to_qubit(to_density_matrix(PauliState(3, vec)), 2).matrix
                    for vec in evolve_recorded(circuit, lambda block: block)[0]]
         for rec_rho, red in zip(record.rhos, reduced):
@@ -1166,12 +1195,12 @@ class TestArbitraryTransfer:
             assert dist < 1e-9
 
     def test_phase_corrected_at_least_raw(self):
-        record = run_arbitrary_transfer(ExperimentConfig(n_sites=4, n_steps=40))
+        record = run_arbitrary_transfer(ExperimentConfig(n_sites=4, n_steps=40), PLUS)
         assert np.all(record.fidelity_phase_corrected >= record.fidelity - 1e-12)
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError, match="must be 1"):
-            run_arbitrary_transfer(ExperimentConfig(amp_a=1.0, amp_b=1.0))
+            run_arbitrary_transfer(ExperimentConfig(), (1.0, 1.0))
 
     @pytest.mark.parametrize("a,b,runs", [
         (0.6, 0.8000000003, False),  # |A|^2 + |B|^2 - 1 = 4.8e-10
@@ -1187,32 +1216,31 @@ class TestArbitraryTransfer:
         refuses, with its own message, exactly what the prep gate's
         unitarity check would, near H's and X's amplitudes too; amplitudes
         it accepts within 1e-12 of H's or X's take that gate."""
-        config = ExperimentConfig(n_sites=2, n_steps=2, initial="arbitrary", amp_a=a, amp_b=b)
+        config = ExperimentConfig(n_sites=2, n_steps=2)
         if runs:
-            (got,) = assemble_circuit(config).prep
-            (prep,) = reference_circuit(config).prep
+            (got,) = assemble_circuit(config, amplitudes=(a, b)).prep
+            (prep,) = reference_circuit(config, amplitudes=(a, b)).prep
             assert prep.gate.kind == ("u" if runs is True else runs)
             want = fused_superoperators([(prep.gate, prep.channels)], 2)[0]
             assert got.fused.matrix.tobytes() == want.matrix.tobytes()
         else:
             with pytest.raises(ValueError, match=r"\|A\|\^2 \+ \|B\|\^2 = .*, must be 1"):
-                assemble_circuit(config)
+                assemble_circuit(config, amplitudes=(a, b))
 
     def test_shot_mode_reproducible(self):
         cfg = ExperimentConfig(n_sites=3, n_steps=10, shots=128, seed=9, noise=NoiseParams())
-        a = run_arbitrary_transfer(cfg)
-        b = run_arbitrary_transfer(cfg)
+        a = run_arbitrary_transfer(cfg, PLUS)
+        b = run_arbitrary_transfer(cfg, PLUS)
         np.testing.assert_array_equal(a.fidelity, b.fidelity)
 
 
-def per_step_tomography(config: ExperimentConfig) -> dict:
+def per_step_tomography(config: ExperimentConfig, amplitudes) -> dict:
     """run_arbitrary_transfer with the scalar per-step tomography it used to
     run: each step's Bloch vector rescaled with math.sqrt, the fidelity from
     one 2 x 2 state at a time, and the phase-maximized fidelity with Python
     abs on the complex off-diagonal entry."""
-    a, b = complex(config.amp_a), complex(config.amp_b)
-    config = replace(config, initial="arbitrary", amp_a=a, amp_b=b)
-    circuit = assemble_circuit(config)
+    a, b = (complex(amplitude) for amplitude in amplitudes)
+    circuit = assemble_circuit(config, amplitudes=(a, b))
     readout = config.noise.readout_error if config.noise is not None else 0.0
     target = np.outer([a, b], np.conj([a, b]))
     r4 = evolve_recorded(circuit, lambda block: block[:, :4])[0]
@@ -1253,11 +1281,10 @@ class TestTomographyOnArrays:
     ], ids=["plus", "imag", "phase", "one"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_bit_identical_to_per_step_loop(self, n, amps, noisy, shots):
-        config = ExperimentConfig(n_sites=n, n_steps=40, amp_a=amps[0], amp_b=amps[1],
-                                  noise=NoiseParams() if noisy else None,
+        config = ExperimentConfig(n_sites=n, n_steps=40, noise=NoiseParams() if noisy else None,
                                   shots=shots, seed=n)
-        record = run_arbitrary_transfer(config)
-        for name, want in per_step_tomography(config).items():
+        record = run_arbitrary_transfer(config, amps)
+        for name, want in per_step_tomography(config, amps).items():
             assert np.array_equal(getattr(record, name), want), name
 
 
@@ -1545,7 +1572,7 @@ class TestRunFirstPeaks:
     @pytest.mark.parametrize("base", [
         ExperimentConfig(noise=NoiseParams()),
         ExperimentConfig(n_sites=3, n_steps=20, noise=NoiseParams(readout_error=0.03), seed=2),
-        ExperimentConfig(n_sites=5, n_steps=40, noise=NoiseParams(), measured_sites=(2, 5, 1)),
+        ExperimentConfig(n_sites=5, n_steps=40, noise=NoiseParams()),
         ExperimentConfig(n_sites=4),
     ])
     def test_equals_detect_first_peak(self, base, monkeypatch):
@@ -1616,10 +1643,13 @@ class TestSerialization:
     def test_json_text_equals_json_dumps_on_edge_payloads(self, payload):
         assert json_text(payload) == json_dumps_text(payload)
 
+    # explicit ids: repr(object()) holds a memory address, which would make
+    # the test's id change from one collection to the next
     @pytest.mark.parametrize("payload", [
         np.bool_(True), object(), {"a": [1.0, np.int64(2)]}, [np.float32(0.5)], {(1, 2): 0.5},
         {"a": 1, 2: 3},
-    ], ids=repr)
+    ], ids=["np.True_", "object()", "{'a': [1.0, np.int64(2)]}", "[np.float32(0.5)]",
+            "{(1, 2): 0.5}", "{'a': 1, 2: 3}"])
     def test_json_text_raises_where_json_dumps_does(self, payload):
         with pytest.raises(TypeError) as want:
             json_dumps_text(payload)

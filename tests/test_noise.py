@@ -356,10 +356,10 @@ class TestComprehensiveAssembly:
                 "x": after_1q, "h": after_1q, "u": after_1q}
 
         seen = set()
-        for initial, amps in (("single_excitation", {}), ("arbitrary", {}),
-                              ("arbitrary", {"amp_a": 0.6, "amp_b": 0.8})):
-            config = ExperimentConfig(n_sites=4, n_steps=2, noise=params, initial=initial, **amps)
-            circuit, reference = assemble_circuit(config), reference_circuit(config)
+        config = ExperimentConfig(n_sites=4, n_steps=2, noise=params)
+        for amps in ((0, 1), (1 / math.sqrt(2), 1 / math.sqrt(2)), (0.6, 0.8)):
+            circuit = assemble_circuit(config, amplitudes=amps)
+            reference = reference_circuit(config, amplitudes=amps)
             for op, ref in zip(circuit.prep + circuit.step, reference.prep + reference.step,
                                strict=True):
                 seen.add(ref.gate.kind)
@@ -373,8 +373,7 @@ class TestComprehensiveAssembly:
         # The rotations are compiled into one (3, 4, 4) stack of one-qubit
         # PTMs; each equals the same gates followed by after_1q, compiled and
         # merged on one qubit, bit for bit, and the Z basis's is the identity.
-        config = ExperimentConfig(n_sites=4, n_steps=2, noise=params, initial="arbitrary")
-        got = _basis_rotation_ptms(config.noise)
+        got = _basis_rotation_ptms(params)
         assert got.shape == (3, 4, 4)
         for kinds, ptm in zip((("h",), ("sdg", "h"), ()), got, strict=True):
             ops = [GateOp(op.gate, [(ch, (0,)) for ch in after_1q])
@@ -392,11 +391,13 @@ class TestComprehensiveAssembly:
 
     def test_general_amplitude_prep_gets_the_same_noise(self):
         """The "u" prep gate built for arbitrary amplitudes carries the same
-        single-qubit channels as the default |+> prep."""
-        configs = [ExperimentConfig(n_sites=4, noise=NoiseParams(), initial="arbitrary", **amps)
-                   for amps in ({}, {"amp_a": 0.6, "amp_b": 0.8})]
-        default, general = (assemble_circuit(config).prep[0] for config in configs)
-        assert [reference_circuit(config).prep[0].gate.kind for config in configs] == ["h", "u"]
+        single-qubit channels as the |+> prep, the CLI's default."""
+        config = ExperimentConfig(n_sites=4, noise=NoiseParams())
+        amplitudes = ((1 / math.sqrt(2), 1 / math.sqrt(2)), (0.6, 0.8))
+        default, general = (assemble_circuit(config, amplitudes=amps).prep[0]
+                            for amps in amplitudes)
+        assert [reference_circuit(config, amplitudes=amps).prep[0].gate.kind
+                for amps in amplitudes] == ["h", "u"]
         assert len(general.channels) == len(default.channels) == 2
         for (ch_a, targets_a), (ch_b, targets_b) in zip(default.channels, general.channels):
             assert targets_a == targets_b

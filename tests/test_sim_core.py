@@ -915,9 +915,8 @@ def transferred_tomography(b: complex):
     A single bond's RXX and RYY commute, so the Trotter step is exact, and
     a|0> + b|1> on site 1 arrives at pi/2 as a|0> - i b|1> on site 2.
     """
-    config = ExperimentConfig(n_sites=2, total_time=math.pi, n_steps=2,
-                              amp_a=complex(1.0 / math.sqrt(2.0)), amp_b=b)
-    return run_arbitrary_transfer(config)
+    config = ExperimentConfig(n_sites=2, total_time=math.pi, n_steps=2)
+    return run_arbitrary_transfer(config, (1.0 / math.sqrt(2.0), b))
 
 
 class TestSampling:
