@@ -57,5 +57,4 @@ from .sim_core import (
     apply_channel,
     apply_unitary,
     fused_superoperators,
-    qubit_state_fidelity,
 )

@@ -52,6 +52,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -174,15 +175,20 @@ def _block(cfg: dict, name: str) -> dict:
     return block
 
 
-def load_config(path) -> dict:
-    raw = Path(path).read_text()
+def _json_object(path, what: str) -> dict:
+    """The JSON object in the file at path; anything else, text that is not
+    JSON or UTF-8 included, is a ConfigError that names the file."""
     try:
-        cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    return cfg
+        obj = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {what} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: {what} root must be a JSON object")
+    return obj
+
+
+def load_config(path) -> dict:
+    return _json_object(path, "config")
 
 
 def apply_overrides(cfg: dict, overrides) -> dict:
@@ -224,12 +230,12 @@ def _build_noise(block) -> NoiseParams | None:
     defaults = {"ideal": False, **{f.name: f.default for f in fields(NoiseParams)}}
     params = {key: _noise_value(value, key, defaults[key]) if key in defaults else value
               for key, value in block.items()}
-    if params.pop("ideal", False):
-        return None
-    try:
-        return NoiseParams.from_dict(params)
+    ideal = params.pop("ideal", False)
+    try:  # checked even when ideal, so a bad value is refused either way
+        noise = NoiseParams.from_dict(params)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid noise block: {exc}") from exc
+    return None if ideal else noise
 
 
 def resolve_config(cfg: dict, seed_override=None):
@@ -319,7 +325,7 @@ def _search_settings(experiment: str, blocks: dict) -> dict:
                                         f"amplitudes.{key}") for key in ("a", "b")}
     if experiment == "arbitrary_transfer":
         settings["amplitudes"] = amplitudes
-    if experiment in ("grid_search", "bayes_opt"):
+    if experiment in _GRID_EXPERIMENTS:
         grid = {key: _real(blocks["grid"].get(key, default), f"grid.{key}")
                 for key, default in (("lo", 0.1), ("hi", 4.0), ("step", 0.1))}
         if not 0 < grid["lo"] <= grid["hi"] or grid["step"] <= 0:
@@ -420,6 +426,7 @@ HANDLERS = {
     "bayes_opt": _bayes_opt,
 }
 EXPERIMENTS = tuple(HANDLERS)
+_GRID_EXPERIMENTS = ("grid_search", "bayes_opt")  # a grid run's report passes grid.csv through
 
 
 def run_config(path, overrides=(), seed=None, out=None) -> Path:
@@ -499,10 +506,25 @@ def _output_path(manifest_path, output) -> Path:
     return Path(manifest_path).parent / Path(output).name
 
 
+def _read_manifest(path) -> dict:
+    """A manifest to report, checked as it is read: a JSON object whose
+    experiment and run_id are strings and whose outputs map names to file
+    names, holding grid_csv for a grid run."""
+    manifest = _json_object(path, "manifest")
+    if not all(isinstance(manifest.get(key), str) for key in ("experiment", "run_id")):
+        raise ConfigError(f"{path}: a manifest's experiment and run_id must be strings")
+    outputs = manifest.get("outputs")
+    if not isinstance(outputs, dict) or not all(isinstance(name, str) for name in outputs.values()):
+        raise ConfigError(f"{path}: a manifest's outputs must be an object of file names")
+    if manifest["experiment"] in _GRID_EXPERIMENTS and "grid_csv" not in outputs:
+        raise ConfigError(f"{path}: a {manifest['experiment']} manifest has no grid_csv output")
+    return manifest
+
+
 def _load_manifest_series(manifest_path, manifest: dict) -> list:
     """(label, site, times, values) for every series a manifest produced."""
     out = []
-    for key, path in manifest.get("outputs", {}).items():
+    for key, path in manifest["outputs"].items():
         if not key.endswith("_json") or key in ("grid_json", "report_json"):
             continue
         payload = json.loads(_output_path(manifest_path, path).read_text())
@@ -521,23 +543,27 @@ def emit_report(manifest_paths, out=None) -> dict:
 
     Grid-search manifests pass their ranking table through; series-producing
     manifests are joined column-wise, resampled by linear interpolation
-    (with a warning entry) when their grids differ. Any other manifest (an
+    (with a warning entry) when their grids differ, a label that two runs
+    share suffixed with the run's place in the list ("series#2"). A
+    malformed manifest (_read_manifest) or any other one (an
     arbitrary_transfer run, whose tomography SP is not a transfer SP) is
     refused before anything is written.
     """
     if not manifest_paths:
         raise ConfigError("emit_report needs at least one manifest")
     out_dir = Path(out) if out else Path(".")
-    manifests = [json.loads(Path(p).read_text()) for p in manifest_paths]
+    manifests = [_read_manifest(p) for p in manifest_paths]
 
-    is_grid = [m.get("experiment") in ("grid_search", "bayes_opt") for m in manifests]
+    is_grid = [m["experiment"] in _GRID_EXPERIMENTS for m in manifests]
     grid_only = [(path, m) for path, m, grid in zip(manifest_paths, manifests, is_grid) if grid]
-    series_entries = []
+    per_run = []
     for path, m, grid in zip(manifest_paths, manifests, is_grid):
-        entries = _load_manifest_series(path, m)
-        if not entries and not grid:
-            raise ConfigError(f"{path}: a {m.get('experiment')} run has no series to report")
-        series_entries.extend(entries)
+        per_run.append(_load_manifest_series(path, m))
+        if not per_run[-1] and not grid:
+            raise ConfigError(f"{path}: a {m['experiment']} run has no series to report")
+    counts = Counter(label for entries in per_run for label, *_ in entries)
+    series_entries = [(f"{label}#{i}" if counts[label] > 1 else label, *rest)
+                      for i, entries in enumerate(per_run, start=1) for label, *rest in entries]
 
     files: dict = {}
     warnings: list = []
@@ -547,13 +573,13 @@ def emit_report(manifest_paths, out=None) -> dict:
         for label, _, times, _ in series_entries[1:]:
             if len(times) != len(base_times) or not np.allclose(times, base_times):
                 warnings.append(f"grid of {label} resampled onto {series_entries[0][0]}")
-        columns = {}
+        columns = []
         for label, site, times, vals in series_entries:
             try:
                 series = SPTimeSeries(times=times, values={site: vals})
             except ValueError as exc:
                 raise ValueError(f"{label}: {exc}") from None
-            columns[label] = [f"{v:.12g}" for v in np.interp(base_times, times, vals).tolist()]
+            columns.append([f"{v:.12g}" for v in np.interp(base_times, times, vals).tolist()])
             summary.append({"label": label, **_peak_summary(series)})
         peaks = [s["sp_star"] for s in summary if s["sp_star"] is not None]
         baseline = min(peaks) if peaks else None
@@ -564,10 +590,8 @@ def emit_report(manifest_paths, out=None) -> dict:
             else:
                 s["improvement"] = s["sp_star"] - baseline
                 s["improvement_pct"] = 100.0 * (s["sp_star"] - baseline) / baseline
-        labels = [label for label, *_ in series_entries]
-        lines = ["t," + ",".join(labels)]
-        lines += [f"{t:.12g}," + ",".join(row)
-                  for t, *row in zip(base_times.tolist(), *(columns[l] for l in labels))]
+        lines = ["t," + ",".join(s["label"] for s in summary)]
+        lines += [f"{t:.12g}," + ",".join(row) for t, *row in zip(base_times.tolist(), *columns)]
         lines.append("")
         lines.append("label,t_star,sp_star,improvement,improvement_pct")
         for s in summary:

@@ -43,11 +43,12 @@ P(1) = (r_I - r_Z) / 2 of each site read (_z_column), and for
 tomography the last qubit's r_I, r_X, r_Y and r_Z, which each basis
 rotation's one-qubit PTM turns before that P(1) is read; every readout
 flips with one probability (_readout_error). Tomography then works on
-arrays, once per run: the (n_steps + 1) Bloch components become one
-(n_steps + 1, 2, 2) stack of states, scored against the target with one
-closed-form fidelity call. This module only creates the zero state, applies
-compiled ops and reads those coefficients; the basis change lives in
-sim_core.
+real arrays, once per run: the (n_steps + 1) Bloch vectors r, each norm in
+(1, 1 + BLOCH_NORM_SLACK] rescaled to one, are scored against the pure
+target a|0> + b|1> as (1 + n . r) / 2, n = (2 Re(a* b), 2 Im(a* b),
+|a|^2 - |b|^2), with no 2 x 2 state built. This module only creates the
+zero state, applies compiled ops and reads those coefficients; the basis
+change lives in sim_core.
 
 A run's outputs are text: its CSV writers format whole columns of Python
 floats, and json_text, every run file's one JSON writer, writes what
@@ -88,7 +89,6 @@ from .sim_core import (
     bind_superoperators,
     fused_superoperators,
     merge_superoperators,
-    qubit_state_fidelity,
     rotation_basis,
     unitarity_deviation,
 )
@@ -224,13 +224,12 @@ class SPTimeSeries:
 
 @dataclass
 class TomographyRecord:
-    """Bloch components, reconstructed state, and fidelity of the last qubit."""
+    """Bloch components and fidelities of the last qubit."""
 
     times: np.ndarray
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
-    rhos: np.ndarray  # (len(times), 2, 2)
     fidelity: np.ndarray
     fidelity_phase_corrected: np.ndarray
     sp: np.ndarray
@@ -522,14 +521,12 @@ class _FirstPeakWatch:
 
 
 def tomography_reconstruct(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The (k, 2, 2) stack rho = (I + x X + y Y + z Z) / 2 of the Bloch
-    arrays x, y, z, rescaling each norm in (1, 1 + BLOCH_NORM_SLACK] to one."""
+    """The (3, k) Bloch arrays x, y, z of the states (I + x X + y Y + z Z) / 2,
+    each norm in (1, 1 + BLOCH_NORM_SLACK] rescaled to one."""
     r = np.sqrt(x * x + y * y + z * z)
     if np.any(r > 1.0 + BLOCH_NORM_SLACK):
         raise ValueError(f"Bloch norm {r.max()} exceeds 1 + {BLOCH_NORM_SLACK}")
-    x, y, z = np.array([x, y, z]) / np.where(r > 1.0, r, 1.0)
-    rho = np.stack([1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z], axis=-1)
-    return 0.5 * rho.reshape(-1, 2, 2)
+    return np.array([x, y, z]) / np.where(r > 1.0, r, 1.0)
 
 
 _BASIS_GATE_KINDS = {"X": ("h",), "Y": ("sdg", "h"), "Z": ()}
@@ -564,7 +561,11 @@ def run_arbitrary_transfer(config: ExperimentConfig, amplitudes) -> TomographyRe
     r_Y, r_Z (entries 0..3 of the Pauli vector, I on every other qubit), and
     each basis rotation acts on those four through its 4 x 4 PTM. The
     primary fidelity keeps the raw target (no transfer-phase correction);
-    the phase-maximized variant is reported alongside.
+    the phase-maximized variant is reported alongside. The target is pure,
+    so the fidelity is <psi|rho|psi> = (1 + n . r) / 2 (Jozsa 1994) of the
+    rescaled Bloch vector r, n = (2 Re(A* B), 2 Im(A* B), |A|^2 - |B|^2), and
+    its maximum over phi, psi = A|0> + e^{i phi} B|1>, puts |A||B| for A* B:
+    (|A|^2 (1 + z) + |B|^2 (1 - z)) / 2 + |A||B| |(x, y)|.
     """
     a, b = (complex(amplitude) for amplitude in amplitudes)
     circuit = assemble_circuit(config, amplitudes=(a, b))
@@ -575,18 +576,16 @@ def run_arbitrary_transfer(config: ExperimentConfig, amplitudes) -> TomographyRe
     p1 = readout_p1(((rotated[..., 0] - rotated[..., 3]) / 2).T, config.shots,
                     np.random.default_rng(config.seed), _readout_error(config))
     xs, ys, zs = (1.0 - 2.0 * p1).T.copy()
-    rhos = tomography_reconstruct(xs, ys, zs)
-    # max over phi of <psi(phi)|rho|psi(phi)> with psi = A|0> + e^{i phi} B|1>
-    off = rhos[:, 0, 1]
-    phase_max = (abs(a) ** 2 * rhos[:, 0, 0].real + abs(b) ** 2 * rhos[:, 1, 1].real
-                 + 2.0 * abs(a) * abs(b) * np.hypot(off.real, off.imag))
+    x, y, z = tomography_reconstruct(xs, ys, zs)
+    ab, a2, b2 = a.conjugate() * b, abs(a) ** 2, abs(b) ** 2
+    fidelity = (1.0 + 2.0 * ab.real * x + 2.0 * ab.imag * y + (a2 - b2) * z) / 2.0
+    phase_max = (a2 * (1.0 + z) + b2 * (1.0 - z)) / 2.0 + abs(a) * abs(b) * np.hypot(x, y)
     return TomographyRecord(
         times=circuit.plan.times(),
         x=xs,
         y=ys,
         z=zs,
-        rhos=rhos,
-        fidelity=qubit_state_fidelity(rhos, np.outer([a, b], np.conj([a, b]))),
+        fidelity=np.clip(fidelity, 0.0, 1.0),
         fidelity_phase_corrected=np.clip(phase_max, 0.0, 1.0),
         sp=(1.0 - zs) / 2.0,
         amp_a=a,

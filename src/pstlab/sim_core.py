@@ -497,21 +497,3 @@ def bind_superoperators(sops, first: np.ndarray, second: np.ndarray) -> list:
         src, dst = dst, src
     return calls
 
-
-def qubit_state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Uhlmann fidelity of each single-qubit state of the (..., 2, 2) stack
-    rho to the 2 x 2 state sigma.
-
-    Uses the qubit closed form F = tr(rho sigma) + 2 sqrt(det rho det sigma),
-    which coincides with the square of the trace norm of
-    sqrt(sqrt(rho) sigma sqrt(rho)) in dimension two.
-    """
-    for name, s in (("rho", rho), ("sigma", sigma)):
-        if s.shape[-2:] != (2, 2):
-            raise ValueError(f"{name} must be a single-qubit state")
-        if np.linalg.eigvalsh(s).min() < _PSD_FLOOR:
-            raise ValueError(f"{name} is not positive semidefinite")
-    overlap = np.real(np.trace(rho @ sigma, axis1=-2, axis2=-1))
-    det_r = np.maximum(0.0, np.real(np.linalg.det(rho)))
-    det_s = max(0.0, float(np.real(np.linalg.det(sigma))))
-    return np.clip(overlap + 2.0 * np.sqrt(det_r * det_s), 0.0, 1.0)

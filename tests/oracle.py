@@ -37,6 +37,9 @@ from pstlab.experiments import AssembledOp, _prep_gate_for_amplitudes
 from pstlab.noise import with_noise
 from pstlab.sim_core import (
     _TO_PAULI,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     DensityMatrix,
     KrausChannel,
     PauliState,
@@ -191,6 +194,16 @@ def partial_trace_to_qubit(rho: DensityMatrix, keep: int) -> DensityMatrix:
     tensor = tensor.reshape(2, 2, rest, rest)
     reduced = np.einsum("ijkk->ij", tensor)
     return DensityMatrix(1, reduced, validate=False)
+
+
+def bloch_vector(rho: np.ndarray) -> np.ndarray:
+    """(tr(X rho), tr(Y rho), tr(Z rho)) of a 2 x 2 state."""
+    return np.real([np.trace(pauli @ rho) for pauli in (PAULI_X, PAULI_Y, PAULI_Z)])
+
+
+def bloch_density(x: float, y: float, z: float) -> np.ndarray:
+    """The complex 2 x 2 matrix (I + x X + y Y + z Z) / 2."""
+    return (np.eye(2) + x * PAULI_X + y * PAULI_Y + z * PAULI_Z) / 2
 
 
 def choi_matrix(channel: KrausChannel) -> np.ndarray:

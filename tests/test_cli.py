@@ -136,6 +136,11 @@ class TestRunConfig:
         ideal = json.loads(run_config(ideal_cfg, out=tmp_path / "ideal").read_text())
         assert ideal["run_id"] != noisy["run_id"]
         assert ideal["config"]["noise"] == {"ideal": True}
+        # in-range values beside "ideal": true change nothing that runs
+        valued_cfg = write_config(tmp_path, {**base, "noise": {"ideal": True, "zeta": 0.3}},
+                                  name="valued.json")
+        valued = json.loads(run_config(valued_cfg, out=tmp_path / "valued").read_text())
+        assert valued["run_id"] == ideal["run_id"]
 
     def test_equivalent_configs_share_run_id(self, tmp_path):
         """The id hashes the resolved inputs the experiment reads:
@@ -402,6 +407,20 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg)]) == EXIT_SCHEMA
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("noise", [
+        {"ideal": True, "t1": -5, "p_pauli": 7},
+        {"ideal": True, "t1": -5},
+        {"ideal": True, "p_pauli": 7},
+        {"ideal": True, "t1": 50e-6},  # below T2 / 2 with the default T2
+    ], ids=["t1_and_p_pauli", "t1", "p_pauli", "t2_above_2t1"])
+    def test_ideal_block_values_are_checked(self, tmp_path, capsys, noise):
+        """"ideal": true turns the noise off, yet an out-of-range value
+        beside it exits 2 before anything runs, as it would without it."""
+        cfg = small_sp_config(tmp_path, noise=noise)
+        assert main(["run", "--config", str(cfg)]) == EXIT_SCHEMA
+        assert "invalid noise block" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("change", [
         # misspelled keys inside a block
         {"plan": {"step": 8}},
@@ -632,6 +651,54 @@ class TestReport:
         assert main(["report", str(manifest_path), "--out", str(tmp_path / "rep")]) == EXIT_SIM
         assert "can't encode" in capsys.readouterr().err
         assert not (tmp_path / "rep").exists()
+
+
+def malformed_manifests() -> dict:
+    """{case: bytes} of manifests that no run writes, most from a committed one."""
+    headline = json.loads((REPO / "runs" / "headline" / "manifest.json").read_text())
+    grid = json.loads((REPO / "runs" / "grid_search" / "manifest.json").read_text())
+    del grid["outputs"]["grid_csv"]
+    texts = {
+        "list": json.dumps([headline]),
+        "outputs_list": json.dumps({**headline, "outputs": []}),
+        "grid_without_grid_csv": json.dumps(grid),
+        "series_without_run_id": json.dumps({k: v for k, v in headline.items() if k != "run_id"}),
+        "not_json": "manifest: headline\n",
+    }
+    return {**{case: text.encode() for case, text in texts.items()}, "not_utf8": b"{\xff}"}
+
+
+class TestReportManifests:
+    """Every manifest is checked as it is read: a malformed one exits 2,
+    naming its file, before anything is written."""
+
+    @pytest.mark.parametrize("case", ["list", "outputs_list", "grid_without_grid_csv",
+                                      "series_without_run_id", "not_json", "not_utf8"])
+    def test_malformed_manifest_exits_2_with_nothing_written(self, tmp_path, capsys, case):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(malformed_manifests()[case])
+        capsys.readouterr()
+        good = REPO / "runs" / "headline" / "manifest.json"
+        assert main(["report", str(good), str(path), "--out", str(tmp_path / "rep")]) == EXIT_SCHEMA
+        assert f"config error: {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+    def test_runs_that_share_a_label_keep_their_own_columns(self, tmp_path):
+        """headline and n3 both write "series": each column is headed by
+        the label and the run's place in the argument list, and holds that
+        run's values."""
+        manifests = [run_config(REPO / "configs" / f"{name}.json", out=tmp_path / name)
+                     for name in ("headline", "n3")]
+        emit_report(manifests, out=tmp_path / "rep")
+        lines = (tmp_path / "rep" / "report.csv").read_text().split("\n")
+        assert lines[0] == "t,series#1,series#2"
+        rows = [line.split(",") for line in lines[1:lines.index("")]]
+        for column, manifest in enumerate(manifests, start=1):
+            payload = json.loads((manifest.parent / "series.json").read_text())
+            (values,) = payload["values"].values()
+            assert [row[column] for row in rows] == [f"{v:.12g}" for v in values]
+        summary = json.loads((tmp_path / "rep" / "report.json").read_text())["summary"]
+        assert [row["label"] for row in summary] == ["series#1", "series#2"]
 
 
 class TestAtomicWrite:

@@ -64,6 +64,8 @@ from pstlab.sim_core import (
 from oracle import (
     apply_in_order,
     apply_superoperator,
+    bloch_density,
+    bloch_vector,
     compiled_ops,
     exact_sp_oracle,
     exact_transfer_amplitude,
@@ -1128,27 +1130,26 @@ BASIC_RECONSTRUCTIONS = [
 class TestTomographyReconstruct:
     @pytest.mark.parametrize("xyz,expected", BASIC_RECONSTRUCTIONS)
     def test_basic_reconstructions(self, xyz, expected):
-        """Each case reconstructs as one member of the stack of all three."""
+        """Each case reconstructs as one column of the Bloch arrays of all three."""
         cases = [case for case, _ in BASIC_RECONSTRUCTIONS]
-        rhos = tomography_reconstruct(*np.array(cases, dtype=float).T)
-        assert rhos.shape == (3, 2, 2)
-        np.testing.assert_allclose(rhos[cases.index(xyz)], expected, atol=1e-15)
+        bloch = tomography_reconstruct(*np.array(cases, dtype=float).T)
+        assert bloch.shape == (3, 3)
+        np.testing.assert_allclose(bloch_density(*bloch[:, cases.index(xyz)]), expected,
+                                   atol=1e-15)
 
     def test_slightly_long_bloch_vector_rescaled(self):
-        rhos = tomography_reconstruct(np.array([1.05]), np.zeros(1), np.zeros(1))
-        evals = np.linalg.eigvalsh(rhos)
+        bloch = tomography_reconstruct(np.array([1.05]), np.zeros(1), np.zeros(1))
+        evals = np.linalg.eigvalsh(bloch_density(*bloch[:, 0]))
         assert evals.min() >= -1e-12
-        np.testing.assert_allclose(rhos[0], [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
+        np.testing.assert_allclose(bloch[:, 0], [1, 0, 0], atol=1e-12)
 
     def test_only_long_members_rescaled(self):
-        """In a mixed stack only the members with norm in (1, 1 + eps] are
-        scaled back to the sphere; the others keep their Bloch vectors."""
+        """Only the vectors with norm in (1, 1 + eps] are scaled back to the
+        sphere; the others keep their Bloch components."""
         x = np.array([1.05, 0.6, 0.0, 0.8])
         y = np.array([0.0, 0.0, 1.1, 0.6])
         z = np.array([0.0, 0.8, 0.0, 0.0])
-        rhos = tomography_reconstruct(x, y, z)
-        bloch = np.stack([2 * rhos[:, 0, 1].real, -2 * rhos[:, 0, 1].imag,
-                          (rhos[:, 0, 0] - rhos[:, 1, 1]).real], axis=1)
+        bloch = tomography_reconstruct(x, y, z).T
         np.testing.assert_allclose(bloch, [[1, 0, 0], [0.6, 0, 0.8], [0, 1, 0], [0.8, 0.6, 0]],
                                    atol=1e-15)
         assert np.array_equal(bloch[[1, 3]], np.stack([x, y, z], axis=1)[[1, 3]])
@@ -1190,8 +1191,9 @@ class TestArbitraryTransfer:
         circuit = assemble_circuit(cfg, amplitudes=PLUS)
         reduced = [partial_trace_to_qubit(to_density_matrix(PauliState(3, vec)), 2).matrix
                    for vec in evolve_recorded(circuit, lambda block: block)[0]]
-        for rec_rho, red in zip(record.rhos, reduced):
-            dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rec_rho - red)))
+        rec = tomography_reconstruct(record.x, record.y, record.z).T
+        for rec_r, red in zip(rec, reduced, strict=True):
+            dist = 0.5 * np.linalg.norm(rec_r - bloch_vector(red))
             assert dist < 1e-9
 
     def test_phase_corrected_at_least_raw(self):
@@ -1236,9 +1238,10 @@ class TestArbitraryTransfer:
 
 def per_step_tomography(config: ExperimentConfig, amplitudes) -> dict:
     """run_arbitrary_transfer with the scalar per-step tomography it used to
-    run: each step's Bloch vector rescaled with math.sqrt, the fidelity from
-    one 2 x 2 state at a time, and the phase-maximized fidelity with Python
-    abs on the complex off-diagonal entry."""
+    run: each step's Bloch vector rescaled with math.sqrt, the fidelity
+    tr(rho sigma) of one 2 x 2 state at a time against the pure target
+    sigma, and the phase-maximized fidelity with Python abs on the complex
+    off-diagonal entry."""
     a, b = (complex(amplitude) for amplitude in amplitudes)
     circuit = assemble_circuit(config, amplitudes=(a, b))
     readout = config.noise.readout_error if config.noise is not None else 0.0
@@ -1248,28 +1251,25 @@ def per_step_tomography(config: ExperimentConfig, amplitudes) -> dict:
     p1 = readout_p1(((rotated[..., 0] - rotated[..., 3]) / 2).T, config.shots,
                     np.random.default_rng(config.seed), readout)
     xs, ys, zs = (1.0 - 2.0 * p1).T.copy()
-    rhos, fids, fids_pc = [], [], []
+    fids, fids_pc = [], []
     for x, y, z in zip(xs, ys, zs):
         r = math.sqrt(x * x + y * y + z * z)
         assert r <= 1.15
         if r > 1.0:
             x, y, z = x / r, y / r, z / r
         rho = 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]], dtype=complex)
-        overlap = float(np.real(np.trace(rho @ target)))
-        det_r = max(0.0, float(np.real(np.linalg.det(rho))))
-        det_s = max(0.0, float(np.real(np.linalg.det(target))))
-        fid = overlap + 2.0 * np.sqrt(det_r * det_s)
+        fid = float(np.real(np.trace(rho @ target)))
         val = (abs(a) ** 2 * np.real(rho[0, 0]) + abs(b) ** 2 * np.real(rho[1, 1])
                + 2.0 * abs(a) * abs(b) * abs(rho[0, 1]))
-        rhos.append(rho)
         fids.append(min(1.0, max(0.0, fid)))
         fids_pc.append(float(min(1.0, max(0.0, val))))
-    return dict(x=xs, y=ys, z=zs, rhos=np.array(rhos), fidelity=np.array(fids),
-                fidelity_phase_corrected=np.array(fids_pc), sp=(1.0 - zs) / 2.0)
+    return dict(x=xs, y=ys, z=zs, sp=(1.0 - zs) / 2.0, fidelity=np.array(fids),
+                fidelity_phase_corrected=np.array(fids_pc))
 
 
 class TestTomographyOnArrays:
-    """The array tomography reproduces the per-step scalar one bit for bit."""
+    """The array tomography reproduces the per-step scalar one: the Bloch
+    components and SP bit for bit, the fidelities to 1e-12."""
 
     @pytest.mark.parametrize("shots", [None, 256], ids=["exact", "shots"])
     @pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy"])
@@ -1280,12 +1280,46 @@ class TestTomographyOnArrays:
         (0.0, 1.0),
     ], ids=["plus", "imag", "phase", "one"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_bit_identical_to_per_step_loop(self, n, amps, noisy, shots):
+    def test_matches_per_step_loop(self, n, amps, noisy, shots):
         config = ExperimentConfig(n_sites=n, n_steps=40, noise=NoiseParams() if noisy else None,
                                   shots=shots, seed=n)
         record = run_arbitrary_transfer(config, amps)
-        for name, want in per_step_tomography(config, amps).items():
-            assert np.array_equal(getattr(record, name), want), name
+        want = per_step_tomography(config, amps)
+        for name in ("x", "y", "z", "sp"):
+            assert np.array_equal(getattr(record, name), want[name]), name
+        for name in ("fidelity", "fidelity_phase_corrected"):
+            np.testing.assert_allclose(getattr(record, name), want[name], rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+
+class TestPureTargetFidelity:
+    """Both fidelities score the state rho = (I + x X + y Y + z Z) / 2 of the
+    rescaled Bloch components against the pure target psi = (a, b):
+    fidelity is <psi|rho|psi>, with no term from the target's determinant,
+    which is rounding noise, and the phase-corrected one is
+    |a|^2 rho00 + |b|^2 rho11 + 2 |a| |b| |rho01|, clipped."""
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy"])
+    @pytest.mark.parametrize("amps", [
+        (0.6, 0.8),
+        (0.8, 0.6j),
+        (0.6, 0.8 * complex(np.exp(0.7j))),
+        (math.cos(0.3), complex(np.exp(0.7j)) * math.sin(0.3)),
+        (0.0, 1.0),
+        (1 / math.sqrt(2), 1 / math.sqrt(2)),
+    ], ids=["real", "imag", "phase", "angle", "one", "plus"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_fidelities_score_the_reconstructed_state(self, n, amps, noisy):
+        config = ExperimentConfig(n_sites=n, n_steps=40, noise=NoiseParams() if noisy else None)
+        record = run_arbitrary_transfer(config, amps)
+        a, b = (complex(amplitude) for amplitude in amps)
+        psi = np.array([a, b])
+        rhos = [bloch_density(*r) for r in tomography_reconstruct(record.x, record.y, record.z).T]
+        overlap = [np.vdot(psi, rho @ psi).real for rho in rhos]
+        phase_max = [min(1.0, max(0.0, abs(a) ** 2 * rho[0, 0].real + abs(b) ** 2 * rho[1, 1].real
+                                   + 2.0 * abs(a) * abs(b) * abs(rho[0, 1]))) for rho in rhos]
+        np.testing.assert_allclose(record.fidelity, overlap, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(record.fidelity_phase_corrected, phase_max, rtol=0, atol=1e-12)
 
 
 class TestSeriesChecks:
@@ -1676,7 +1710,7 @@ class TestSerialization:
         m = 50
         record = TomographyRecord(times=random_cells(rng, m), x=random_cells(rng, m),
                                   y=random_cells(rng, m), z=random_cells(rng, m),
-                                  rhos=np.zeros((m, 2, 2)), fidelity=random_cells(rng, m),
+                                  fidelity=random_cells(rng, m),
                                   fidelity_phase_corrected=random_cells(rng, m),
                                   sp=random_cells(rng, m), amp_a=0.6, amp_b=0.8)
         assert tomography_to_csv(record, 4) == tomography_csv(record, 4)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import sqrtm
 from scipy.stats import unitary_group
 
 from pstlab.experiments import (
@@ -38,7 +37,6 @@ from pstlab.sim_core import (
     bind_superoperators,
     fused_superoperators,
     merge_superoperators,
-    qubit_state_fidelity,
     rotation_basis,
 )
 
@@ -850,63 +848,6 @@ class TestPartialTrace:
                 if bi[0] == bj[0] and bi[2] == bj[2]:
                     brute[bi[1], bj[1]] += rho.matrix[i, j]
         np.testing.assert_allclose(red.matrix, brute, atol=1e-14)
-
-
-class TestFidelity:
-    """Each case is one member of a stack scored against one target."""
-
-    @staticmethod
-    def stack() -> np.ndarray:
-        """|0>, |1>, the maximally mixed state and |+>."""
-        kets = ([1, 0], [0, 1], None, np.array([1, 1]) / np.sqrt(2))
-        return np.array([np.eye(2) / 2 if k is None else ket_density(k).matrix for k in kets])
-
-    def test_identical_pure_states(self):
-        stack = self.stack()
-        assert qubit_state_fidelity(stack, stack[0])[0] == pytest.approx(1.0, abs=1e-12)
-        assert qubit_state_fidelity(stack, stack[3])[3] == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal_pure_states(self):
-        stack = self.stack()
-        assert qubit_state_fidelity(stack, stack[0])[1] == pytest.approx(0.0, abs=1e-12)
-
-    def test_mixed_vs_plus(self):
-        stack = self.stack()
-        fid = qubit_state_fidelity(stack, stack[3])
-        assert fid.shape == (4,)
-        assert fid[2] == pytest.approx(0.5, abs=1e-12)
-
-    def test_closed_form_matches_uhlmann(self):
-        """tr(rho sigma) + 2 sqrt(det det) == (tr sqrt(sqrt(r) s sqrt(r)))^2 on
-        qubits, for every member of a stack against every target."""
-        rhos = np.array([random_density(1, seed=seed).matrix for seed in range(6)])
-        for seed in range(6):
-            sig = random_density(1, seed=seed + 100).matrix
-            fid = qubit_state_fidelity(rhos, sig)
-            for rho, got in zip(rhos, fid, strict=True):
-                root = sqrtm(rho)
-                uhlmann = float(np.real(np.trace(sqrtm(root @ sig @ root)))) ** 2
-                assert got == pytest.approx(uhlmann, abs=1e-9)
-
-    def test_nested_stack_keeps_its_shape(self):
-        rhos = np.array([random_density(1, seed=seed).matrix for seed in range(6)])
-        sig = random_density(1, seed=100).matrix
-        fid = qubit_state_fidelity(rhos.reshape(2, 3, 2, 2), sig)
-        np.testing.assert_array_equal(fid, qubit_state_fidelity(rhos, sig).reshape(2, 3))
-
-    def test_non_psd_rejected(self):
-        bad = np.diag([1.5, -0.5]).astype(complex)
-        good = np.eye(2) / 2
-        with pytest.raises(ValueError, match="rho is not positive"):
-            qubit_state_fidelity(bad[None], good)
-        with pytest.raises(ValueError, match="sigma is not positive"):
-            qubit_state_fidelity(good[None], bad)
-
-    def test_one_non_psd_member_fails_the_stack(self):
-        stack = self.stack()
-        stack[2] = np.diag([1.5, -0.5])
-        with pytest.raises(ValueError, match="positive"):
-            qubit_state_fidelity(stack, np.eye(2) / 2)
 
 
 def transferred_tomography(b: complex):
