@@ -51,7 +51,6 @@ from .optimizer import (
 from .sim_core import (
     DensityMatrix,
     KrausChannel,
-    PauliState,
     Superoperator,
     UnitaryGate,
     apply_channel,

@@ -522,18 +522,25 @@ def _read_manifest(path) -> dict:
 
 
 def _load_manifest_series(manifest_path, manifest: dict) -> list:
-    """(label, site, times, values) for every series a manifest produced."""
+    """(label, site, times, values) for every series a manifest produced;
+    an output that is no _json_object, or whose times is no list or values
+    no object of lists, is a ConfigError naming the file."""
     out = []
     for key, path in manifest["outputs"].items():
         if not key.endswith("_json") or key in ("grid_json", "report_json"):
             continue
-        payload = json.loads(_output_path(manifest_path, path).read_text())
+        file = _output_path(manifest_path, path)
+        payload = _json_object(file, "series output")
         if "times" not in payload or "values" not in payload:
             continue
+        times, values = payload["times"], payload["values"]
+        if not (isinstance(times, list) and isinstance(values, dict)
+                and all(isinstance(vals, list) for vals in values.values())):
+            raise ConfigError(f"{file}: times must be a list and values an object of lists")
         stem = key[: -len("_json")]
-        times = np.asarray(payload["times"], dtype=float)
-        for site, vals in sorted(payload["values"].items()):
-            label = f"{stem}_site{site}" if len(payload["values"]) > 1 else stem
+        times = np.asarray(times, dtype=float)
+        for site, vals in sorted(values.items()):
+            label = f"{stem}_site{site}" if len(values) > 1 else stem
             out.append((label, site, times, np.asarray(vals, dtype=float)))
     return out
 

@@ -3,10 +3,10 @@ arbitrary-state transfer with single-qubit tomography.
 
 Every run evolves one circuit and records observables after the prep layer
 (k = 0) and after each Trotter step, giving a uniform (n_steps + 1)-point
-time grid. The state is a sim_core.PauliState, the 4^n real Pauli
-coefficients of the dense density matrix, with or without noise. An
-assembled circuit holds no gate: each of its ops is an AssembledOp, the
-fused superoperator (a real Pauli transfer matrix) of a gate and its
+time grid. The state is a plain array of the 4^n real Pauli coefficients
+of the dense density matrix, with or without noise. An assembled circuit
+holds no gate: each of its ops is an AssembledOp, the fused superoperator
+(a real Pauli transfer matrix and its first qubit) of a gate and its
 channels, with those channels, and adjacent fused ops of the prep layer and
 of the Trotter step are merged into superoperators of at most
 sim_core.MERGE_WIDTH qubits. Merging never crosses a recorded step boundary.
@@ -47,8 +47,8 @@ real arrays, once per run: the (n_steps + 1) Bloch vectors r, each norm in
 (1, 1 + BLOCH_NORM_SLACK] rescaled to one, are scored against the pure
 target a|0> + b|1> as (1 + n . r) / 2, n = (2 Re(a* b), 2 Im(a* b),
 |a|^2 - |b|^2), with no 2 x 2 state built. This module only creates the
-zero state, applies compiled ops and reads those coefficients; the basis
-change lives in sim_core.
+zero state, applies compiled ops and reads those coefficients; the change
+between a density matrix and its Pauli vector is the tests' oracle's.
 
 A run's outputs are text: its CSV writers format whole columns of Python
 floats, and json_text, every run file's one JSON writer, writes what
@@ -83,7 +83,6 @@ from .chains import (
 from .noise import NoiseParams, with_noise
 from .sim_core import (
     UNITARY_TOL,
-    PauliState,
     Superoperator,
     UnitaryGate,
     bind_superoperators,
@@ -91,6 +90,7 @@ from .sim_core import (
     merge_superoperators,
     rotation_basis,
     unitarity_deviation,
+    zero_pauli_vector,
 )
 
 # The most Pauli coefficients, over all its members, that one lock-step
@@ -111,6 +111,8 @@ MAX_BATCH_COEFFS = 2**13
 # noise._channels keeps 16 channel sets: an optimizer run uses one family, a
 # config file at most a few.
 FAMILY_CACHE_SIZE = 16
+
+MAX_SHOTS = 2**63 - 1  # the most readout_p1 draws: Generator.binomial takes a C int64
 
 PEAK_PROMINENCE = 0.05  # the least prominence of detect_first_peak's peak
 BLOCH_NORM_SLACK = 0.15  # tomography_reconstruct rescales a norm to 1 up to 1 + this
@@ -140,8 +142,9 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("n_sites", "n_steps", "seed", *(("shots",) if self.shots is not None else ())):
             object.__setattr__(self, name, whole_number(getattr(self, name), name))
-        if self.shots is not None and self.shots < 1:
-            raise ValueError("shots must be >= 1 or None for exact mode")
+        if self.shots is not None and not 1 <= self.shots <= MAX_SHOTS:
+            raise ValueError(f"shots must be in [1, {MAX_SHOTS}] or None for exact mode, "
+                             f"got {self.shots}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.couplings is not None:
@@ -224,7 +227,9 @@ class SPTimeSeries:
 
 @dataclass
 class TomographyRecord:
-    """Bloch components and fidelities of the last qubit."""
+    """Bloch components and fidelities of the last qubit per recorded step:
+    x, y, z as measured, and both fidelities of them after
+    tomography_reconstruct (of r / |r| where a measured norm exceeds 1)."""
 
     times: np.ndarray
     x: np.ndarray
@@ -269,7 +274,7 @@ def assemble_circuit(config: ExperimentConfig, profiles=None, amplitudes=(0, 1))
     fused = (weights[0] * basis[0] + weights[1] * basis[1] + weights[2] * basis[2]).reshape(
         len(family.xy), *members, *basis.shape[-2:])
     fused.setflags(write=False)
-    xy = [AssembledOp(Superoperator(matrix, pair, config.n_sites), channels)
+    xy = [AssembledOp(Superoperator(matrix, pair[0]), channels)
           for (pair, channels), matrix in zip(family.xy, fused, strict=True)]
     return NoisyCircuit(n_qubits=config.n_sites, prep=list(family.prep),
                         step=step_order(xy, family.crosstalk), plan=family.plan,
@@ -388,7 +393,7 @@ def evolve_recorded(circuit: NoisyCircuit, observe, settled=None) -> np.ndarray:
     n, n_steps, m = circuit.n_qubits, circuit.plan.n_steps, len(circuit.profiles)
     prep = merge_superoperators([op.fused for op in circuit.prep])
     step = merge_superoperators([op.fused for op in circuit.step])
-    bufs = (np.tile(PauliState.zero(n).vector, (m, 1)), np.empty((m, 4**n)))
+    bufs = (np.tile(zero_pauli_vector(n), (m, 1)), np.empty((m, 4**n)))
     for call in bind_superoperators(prep, *bufs):
         call()
     at = len(prep) % 2
@@ -717,6 +722,7 @@ def series_to_json(series: SPTimeSeries) -> str:
 
 
 def tomography_to_csv(record: TomographyRecord, site: int) -> str:
+    """One row per step: x, y, z as measured, fidelities as TomographyRecord's."""
     columns = [[f"{v:.12g}" for v in array.tolist()]
                for array in (record.times, record.sp, record.x, record.y, record.z,
                              record.fidelity, record.fidelity_phase_corrected)]
@@ -726,6 +732,7 @@ def tomography_to_csv(record: TomographyRecord, site: int) -> str:
 
 
 def tomography_to_json(record: TomographyRecord) -> str:
+    """x, y, z as measured, fidelities as TomographyRecord's, and the rest."""
     payload = {
         "meta": record.meta,
         "times": record.times.tolist(),

@@ -6,33 +6,30 @@ site 1. |1000> therefore means "excitation on the first of four sites".
 
 Unitaries and Kraus channels act on arbitrary qubit subsets through tensor
 reshaping; nothing here assumes a chain topology. The evolution engine holds
-every state, pure or mixed, as its 4^n real Pauli coefficients (PauliState).
-It fuses each gate with its channels, if any, into one real Pauli transfer
+every state, pure or mixed, as a plain array of its 4^n real Pauli
+coefficients r_P = tr(P rho), qubit q on axis q of the (4,) * n view. It
+fuses each gate with its channels, if any, into one real Pauli transfer
 matrix (PTM) on the consecutive qubits from the lowest to the highest of
 their targets, then merges adjacent fused ops into PTMs of at most
-MERGE_WIDTH qubits. A rotation exp(-i theta/2 G) by a Pauli string G, such as
-an RXX or RYY gate, with its channels, fuses into c^2 B0 + cs B1 + s^2 B2,
-c = cos(theta/2) and s = sin(theta/2), whose angle basis (B0, B1, B2)
-rotation_basis fuses once by the same helpers, so a caller that holds the
-basis fuses such a gate at any angle, or a stack of angles, with no gate
-matrix at all. Every op (Superoperator) so acts on consecutive qubits
-a..a+k-1 in order: any ordering of a gate's or a channel's qubits is done
-at compile time, on matrices of at most 64 x 64 (_embed), and every op
-reaches a state as one real (stacked) matmul on a reshaped view, straight
-from one buffer into the other (_matmul_operands). A run's prep and Trotter
-step are bound once to two fixed state buffers (bind_superoperators), each
-then one call on views fixed when it was bound, and allocate nothing.
-States of circuits that differ only in their rotation angles evolve
-together as one batch: an op may hold an (m, 4^k, 4^k) stack of its
-members' PTMs, such as a rotation's basis weighted by each member's angle,
-and the kernel applies every op to the batch as one matmul over a leading
-member axis, a stack member by member and a 2-D op, which every member
-shares, broadcast over that axis. A gate is one unitary, never a stack.
-Each channel's PTM is built once per channel object.
-apply_unitary and apply_channel (the Kraus loop on DensityMatrix) are the
-engine's reference, and apply ops on any qubits; the rest of the
-density-matrix side (the change between rho and a PauliState, the partial
-trace, populations) is in the tests' oracle module.
+MERGE_WIDTH qubits. A rotation exp(-i theta/2 G) by a Pauli string G, such
+as an RXX or RYY gate, with its channels, fuses into c^2 B0 + cs B1 + s^2
+B2, c = cos(theta/2) and s = sin(theta/2), whose angle basis rotation_basis
+fuses once, so a caller that holds it fuses such a gate at any angle, or a
+stack of angles, with no gate matrix. An op (Superoperator) is its PTM and
+its first qubit a, so it acts on the qubits a..a+k-1 of any register that
+holds them, as one real (stacked) matmul on a reshaped view, straight from
+one buffer into the other (_matmul_operands). Gates and channels fuse only
+on consecutive ascending qubits; the Kraus loop applies any. A run's prep
+and Trotter step are bound once to two fixed state buffers
+(bind_superoperators) and allocate nothing. States of circuits that differ
+only in their rotation angles evolve together as one batch: an op may hold
+an (m, 4^k, 4^k) stack of its members' PTMs, applied as one matmul over a
+leading member axis, and a 2-D op, which every member shares, is broadcast
+over that axis. A gate is one unitary, never a stack. Each channel's PTM is
+built once per channel object. apply_unitary and apply_channel (the Kraus
+loop on DensityMatrix) are the engine's reference; the rest of the
+density-matrix side (the change between rho and its Pauli vector, the
+partial trace, populations) is in the tests' oracle module.
 """
 
 from __future__ import annotations
@@ -110,32 +107,18 @@ def _paired_axes(n: int) -> list:
     return [a for q in range(n) for a in (q, n + q)]
 
 
-class PauliState:
-    """An n-qubit mixed state as its 4^n real Pauli coefficients.
+def zero_pauli_vector(n_qubits: int) -> np.ndarray:
+    """|0...0> as its 4^n Pauli coefficients: r_P = 1 where every factor of P
+    is I or Z, else 0."""
+    vec = np.ones(1)
+    for _ in range(n_qubits):
+        vec = np.outer(vec, [1.0, 0.0, 0.0, 1.0]).ravel()
+    return vec
 
-    Entry P of `vector` is r_P = tr(P rho), P a tensor product of I, X, Y, Z
-    with qubit q on axis q of the (4,) * n view, so rho = sum_P r_P P / 2^n
-    and r_{I...I} is the trace. Every CPTP map keeps the coefficients real.
-    """
 
-    __slots__ = ("n_qubits", "vector")
-
-    def __init__(self, n_qubits: int, vector):
-        if n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-        vec = np.asarray(vector, dtype=float)
-        if vec.shape != (4**n_qubits,):
-            raise ValueError(f"Pauli vector has shape {vec.shape}, expected ({4**n_qubits},)")
-        self.n_qubits = n_qubits
-        self.vector = vec
-
-    @classmethod
-    def zero(cls, n_qubits: int) -> "PauliState":
-        """|0...0>: r_P = 1 where every factor of P is I or Z, else 0."""
-        vec = np.ones(1)
-        for _ in range(n_qubits):
-            vec = np.outer(vec, [1.0, 0.0, 0.0, 1.0]).ravel()
-        return cls(n_qubits, vec)
+def _qubits_of(dim: int) -> int:
+    """k of a 4^k-entry Pauli axis: the qubits that a PTM or a vector spans."""
+    return (dim.bit_length() - 1) // 2
 
 
 class UnitaryGate:
@@ -206,7 +189,7 @@ class KrausChannel:
         superoperator sum_K K (x) conj(K) (cached)."""
         if self._ptm is None:
             superop = sum(_kron(k, k.conj()) for k in self.kraus_ops)
-            self._ptm = _pauli_transfer_matrix(superop, self.arity)
+            self._ptm = _pauli_transfer_matrix(superop)
         return self._ptm
 
 
@@ -310,51 +293,36 @@ def _pauli_basis(k: int) -> np.ndarray:
     return basis
 
 
-def _pauli_transfer_matrix(superop: np.ndarray, k: int) -> np.ndarray:
+def _pauli_transfer_matrix(superop: np.ndarray) -> np.ndarray:
     """A k-qubit superoperator S in the kron(M, conj M) layout as its real
     Pauli transfer matrix C S C^-1; over a leading member axis of S, if any."""
+    k = _qubits_of(superop.shape[-1])
     basis = _pauli_basis(k)
     return np.ascontiguousarray((basis @ superop @ basis.conj().T).real / 2**k)
 
 
 class Superoperator:
-    """A map E on the consecutive qubits a..a+k-1, in order, as its real
+    """A map E on the qubits first..first+k-1 (its targets) as its real
     4^k x 4^k Pauli transfer matrix (PTM): entry [P, Q] = tr(P E(Q)) / 2^k,
-    for P and Q tensor products of I, X, Y, Z over the targets in order. It
-    carries a PauliState's coefficients on the targets to their new values,
-    as one matmul on the state's 4^a x 4^k x rest view. A stacked op holds
-    an m x 4^k x 4^k stack of PTMs, one per member of a batch of m states.
-    Targets that are not such a range are refused: fused_superoperators
-    orders a gate's and its channels' qubits.
-    """
+    for P and Q tensor products of I, X, Y, Z over those qubits in order,
+    or an m x 4^k x 4^k stack of PTMs, one per member of a batch of m
+    states. It applies to any register of at least first + k qubits."""
 
-    __slots__ = ("matrix", "targets", "n_qubits")
+    __slots__ = ("matrix", "first")
 
-    def __init__(self, matrix, targets, n_qubits: int):
-        targets = tuple(targets)
-        if targets != tuple(range(targets[0], targets[0] + len(targets))):
-            raise ValueError(f"targets {targets} are not consecutive ascending qubits")
-        self.matrix, self.targets, self.n_qubits = matrix, targets, n_qubits
+    def __init__(self, matrix, first: int):
+        self.matrix, self.first = matrix, first
 
-
-def _embed(ptm: np.ndarray, positions, k: int) -> np.ndarray:
-    """The PTM on `positions` of k qubits, in that order, as a 4^k x 4^k PTM
-    on all k in axis order: the axes of ptm (x) I reordered, so entries move
-    and none is computed. Over a leading member axis of ptm, if any."""
-    lead = ptm.shape[:-2]
-    order = [*positions, *(q for q in range(k) if q not in positions)]
-    axes = [order.index(q) for q in range(k)]
-    full = _kron(ptm, np.eye(4 ** (k - len(positions)))).reshape(lead + (4,) * 2 * k)
-    perm = [*range(len(lead)), *(len(lead) + a for a in axes), *(len(lead) + k + a for a in axes)]
-    return full.transpose(perm).reshape(lead + (4**k, 4**k))
+    @property
+    def targets(self) -> tuple:
+        return tuple(range(self.first, self.first + _qubits_of(self.matrix.shape[-1])))
 
 
 def _compose(support: range, parts) -> np.ndarray:
-    """The PTM on the consecutive qubits `support` of (PTM, targets) parts
-    applied in order: each contracted into its targets' axes, starting from
-    the identity, with the result alternating between two buffers. A part
-    on other than consecutive ascending qubits is first embedded in the
-    whole support (_embed), so every part takes the kernel's one matmul.
+    """The PTM on the consecutive qubits `support` of (PTM, first qubit)
+    parts applied in order, each on the consecutive qubits from its first:
+    each contracted into its own axes of the support, starting from the
+    identity, with the result alternating between two buffers.
 
     When a part is an m-member stack, so is the result: the identity is
     copied to each member, and a 2-D part is broadcast over the members
@@ -365,11 +333,9 @@ def _compose(support: range, parts) -> np.ndarray:
     bufs = (np.empty(lead + (4**k, 4**k)), np.empty(lead + (4**k, 4**k)))
     matrix = bufs[1]
     matrix[...] = np.eye(4**k)
-    for i, (ptm, targets) in enumerate(parts):
-        first = targets[0] - support[0]
-        if targets != tuple(range(targets[0], targets[0] + len(targets))):
-            ptm, first = _embed(ptm, [t - support[0] for t in targets], k), 0
-        np.matmul(*_matmul_operands(matrix, ptm, (*matrix.shape[:-2], 4**first), bufs[i % 2]))
+    for i, (ptm, first) in enumerate(parts):
+        np.matmul(*_matmul_operands(matrix, ptm, (*matrix.shape[:-2], 4 ** (first - support.start)),
+                                    bufs[i % 2]))
         matrix = bufs[i % 2]
     return matrix
 
@@ -379,19 +345,15 @@ def fused_superoperators(pairs, n_qubits: int) -> list:
     its channels in order.
 
     R = R_m ... R_1 R_U, with R_U the PTM of U (x) conj U and R_c =
-    channel.pauli_transfer_matrix(), each embedded in the support: the
-    qubits from the lowest to the highest of the gate's and the channels'
-    targets. The pairs are fused one by one, in order, each checked first
-    (_local_shape): what apply_unitary and apply_channel refuse is refused
-    with their messages, and then a support wider than MERGE_WIDTH qubits,
-    which the Kraus loop still applies.
+    channel.pauli_transfer_matrix(), each on its own qubits of the support,
+    the qubits from the lowest to the highest of all their targets. Each
+    pair is checked first, in order (_fuse): what apply_unitary and
+    apply_channel refuse, with their messages, then a support wider than
+    MERGE_WIDTH qubits or a gate or channel on qubits that are not
+    consecutive ascending, which the Kraus loop still applies.
     """
-    out = []
-    for gate, channels in pairs:
-        support, positions, rel = _local_shape(gate.targets, channels, n_qubits)
-        matrix = _fuse(_kron(gate.matrix, gate.matrix.conj()), positions, len(support), rel)
-        out.append(Superoperator(matrix, support, n_qubits))
-    return out
+    return [_fuse(_kron(gate.matrix, gate.matrix.conj()), gate.targets, channels, n_qubits)
+            for gate, channels in pairs]
 
 
 def rotation_basis(generator: np.ndarray, targets, channels, n_qubits: int) -> np.ndarray:
@@ -403,39 +365,34 @@ def rotation_basis(generator: np.ndarray, targets, channels, n_qubits: int) -> n
 
     U (x) conj U = c^2 I (x) I + cs (I (x) conj(-iG) + (-iG) (x) I) + s^2
     (-iG) (x) conj(-iG), and fusing is linear in that superoperator, so each
-    B is the fused op of one term, by the helpers and checks (_local_shape)
-    of fused_superoperators.
+    B is the fused op of one term, by the helper and checks (_fuse) of
+    fused_superoperators.
     """
-    support, positions, rel = _local_shape(targets, channels, n_qubits)
     one, rot = np.eye(len(generator), dtype=complex), -1j * np.asarray(generator, dtype=complex)
     terms = np.array([_kron(one, one), _kron(one, rot.conj()) + _kron(rot, one),
                       _kron(rot, rot.conj())])
-    return _fuse(terms, positions, len(support), rel)
+    return _fuse(terms, targets, channels, n_qubits).matrix
 
 
-def _local_shape(targets, channels, n_qubits: int) -> tuple:
-    """(support, gate positions in it, each channel with its positions in
-    it) of a gate on `targets` followed by `channels`, after the checks of
-    apply_unitary and apply_channel and the MERGE_WIDTH bound."""
+def _fuse(superops: np.ndarray, targets, channels, n_qubits: int) -> Superoperator:
+    """The op on the support of a stack of superoperators (kron(M, conj M)
+    layout) on `targets`, each followed by the (channel, targets) pairs in
+    order, after the checks of apply_unitary and apply_channel, the
+    MERGE_WIDTH bound and consecutive ascending qubits."""
+    targets = tuple(targets)
     _check_targets(targets, n_qubits)
     checked = [(channel, _check_channel(channel, on, n_qubits)) for channel, on in channels]
     qubits = [*targets, *(t for _, on in checked for t in on)]
     support = range(min(qubits), max(qubits) + 1)
     if len(support) > MERGE_WIDTH:
-        raise ValueError(f"gate on {tuple(targets)} with channels on {[t for _, t in checked]} "
+        raise ValueError(f"gate on {targets} with channels on {[t for _, t in checked]} "
                          f"spans {len(support)} qubits, more than MERGE_WIDTH = {MERGE_WIDTH}")
-    a = support[0]
-    return (support, tuple(t - a for t in targets),
-            tuple((channel, tuple(t - a for t in on)) for channel, on in checked))
-
-
-def _fuse(superops: np.ndarray, positions, width: int, channels) -> np.ndarray:
-    """The PTMs on range(width) of a stack of superoperators (kron(M, conj M)
-    layout) on `positions`, each followed by the (channel, positions) pairs
-    in order."""
-    parts = [(_pauli_transfer_matrix(superops, len(positions)), positions),
-             *((channel.pauli_transfer_matrix(), rel) for channel, rel in channels)]
-    return _compose(range(width), parts)
+    for what, on in (("gate", targets), *(("channel", on) for _, on in checked)):
+        if on != tuple(range(on[0], on[0] + len(on))):
+            raise ValueError(f"{what} on {on} is not on consecutive ascending qubits")
+    parts = [(_pauli_transfer_matrix(superops), targets[0]),
+             *((channel.pauli_transfer_matrix(), on[0]) for channel, on in checked)]
+    return Superoperator(_compose(support, parts), support.start)
 
 
 def merge_superoperators(sops) -> list:
@@ -449,8 +406,8 @@ def merge_superoperators(sops) -> list:
     reordered, so the list applies the same map.
     """
     return [members[0] if len(members) == 1 else
-            Superoperator(_compose(support, [(sop.matrix, sop.targets) for sop in members]),
-                          support, members[0].n_qubits)
+            Superoperator(_compose(support, [(sop.matrix, sop.first) for sop in members]),
+                          support.start)
             for support, members in merge_groups(sops)]
 
 
@@ -460,19 +417,13 @@ def merge_groups(sops) -> list:
     groups = []
     for sop in sops:
         support, members = groups[-1] if groups else (range(0), [])
-        wider = range(min(support.start, sop.targets[0]), max(support.stop, sop.targets[-1] + 1))
-        if members and len(wider) <= MERGE_WIDTH and sop.n_qubits == members[0].n_qubits:
+        own = range(sop.first, sop.targets[-1] + 1)
+        wider = range(min(support.start, own.start), max(support.stop, own.stop))
+        if members and len(wider) <= MERGE_WIDTH:
             groups[-1] = (wider, members + [sop])
         else:
-            groups.append((range(sop.targets[0], sop.targets[-1] + 1), [sop]))
+            groups.append((own, [sop]))
     return groups
-
-
-def _check_register(sop: Superoperator, n: int) -> None:
-    """Refuse an op compiled for another register size than n qubits."""
-    if sop.n_qubits != n:
-        _check_targets(sop.targets, n)
-        raise ValueError(f"superoperator compiled for {sop.n_qubits} qubits, state has {n}")
 
 
 def bind_superoperators(sops, first: np.ndarray, second: np.ndarray) -> list:
@@ -483,17 +434,18 @@ def bind_superoperators(sops, first: np.ndarray, second: np.ndarray) -> list:
 
     The buffers are contiguous arrays of one shape: one Pauli vector
     (4^n,), or m of them, (m, 4^n), for a batch of m members, whose ops
-    are m-member stacks or 2-D ops that every member shares. An op
-    compiled for another register size than n is refused. Each call is one
-    np.matmul on views fixed here (_matmul_operands), writes bit for bit
-    what the same matmul writes into a new vector, and allocates no state.
+    are m-member stacks or 2-D ops that every member shares. An op whose
+    qubits do not fit n qubits is refused, before any call is returned.
+    Each call is one np.matmul on views fixed here (_matmul_operands),
+    writes bit for bit what the same matmul writes into a new vector, and
+    allocates no state.
     """
-    n = (first.shape[-1].bit_length() - 1) // 2
+    n = _qubits_of(first.shape[-1])
     calls, src, dst = [], first, second
     for sop in sops:
-        _check_register(sop, n)
-        lead = (*first.shape[:-1], 4**sop.targets[0])
+        if sop.targets[-1] >= n:
+            raise ValueError(f"op on qubits {sop.targets} does not fit a {n}-qubit state")
+        lead = (*first.shape[:-1], 4**sop.first)
         calls.append(partial(np.matmul, *_matmul_operands(src, sop.matrix, lead, dst)))
         src, dst = dst, src
     return calls
-

@@ -1,9 +1,9 @@
 """Test oracles: reference computations the package's production path does
 not use, each checked against the engine by the tests that import it.
 
-- The density-matrix side: the change between rho's entries and a
-  PauliState's coefficients, one op applied into a new state, the Kraus
-  loop (sim_core.apply_unitary and apply_channel) over a gate and its
+- The density-matrix side: the change between rho's entries and its
+  (4^n,) array of Pauli coefficients, one op applied into a new array, the
+  Kraus loop (sim_core.apply_unitary and apply_channel) over a gate and its
   channels, the PTM of a gate and its channels taken column by column
   through that loop, single-qubit populations, the partial trace and the
   Choi matrix.
@@ -42,14 +42,12 @@ from pstlab.sim_core import (
     PAULI_Z,
     DensityMatrix,
     KrausChannel,
-    PauliState,
     Superoperator,
     UnitaryGate,
-    _check_register,
-    _matmul_operands,
     _paired_axes,
     apply_channel,
     apply_unitary,
+    bind_superoperators,
     fused_superoperators,
     merge_superoperators,
 )
@@ -65,36 +63,44 @@ def _per_axis(mat: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     return tensor
 
 
-def from_density_matrix(rho: DensityMatrix) -> PauliState:
-    """rho's 4^n real Pauli coefficients r_P = tr(P rho)."""
+def _n_qubits(vec: np.ndarray) -> int:
+    """n of a (4^n,) Pauli vector, which must have that shape."""
+    n = (vec.size.bit_length() - 1) // 2
+    if n < 1 or vec.shape != (4**n,):
+        raise ValueError(f"Pauli vector has shape {vec.shape}, not (4^n,) for some n >= 1")
+    return n
+
+
+def from_density_matrix(rho: DensityMatrix) -> np.ndarray:
+    """rho's 4^n real Pauli coefficients r_P = tr(P rho), qubit q on axis q
+    of the (4,) * n view."""
     n = rho.n_qubits
     tensor = rho.matrix.reshape((2,) * 2 * n).transpose(_paired_axes(n))
-    return PauliState(n, _per_axis(_TO_PAULI, tensor.reshape((4,) * n)).real.ravel())
+    return _per_axis(_TO_PAULI, tensor.reshape((4,) * n)).real.ravel()
 
 
-def to_density_matrix(state: PauliState) -> DensityMatrix:
-    """rho = sum_P r_P P / 2^n, not validated."""
-    n = state.n_qubits
-    tensor = _per_axis(_FROM_PAULI, state.vector.reshape((4,) * n)).reshape((2,) * 2 * n)
+def to_density_matrix(vec: np.ndarray) -> DensityMatrix:
+    """rho = sum_P r_P P / 2^n of a (4^n,) Pauli vector, not validated."""
+    n = _n_qubits(vec)
+    tensor = _per_axis(_FROM_PAULI, vec.reshape((4,) * n)).reshape((2,) * 2 * n)
     rho = tensor.transpose(np.argsort(_paired_axes(n))).reshape(2**n, 2**n)
     return DensityMatrix(n, rho, validate=False)
 
 
-def apply_superoperator(state: PauliState, sop: Superoperator) -> PauliState:
-    """E(state): one real matmul on the Pauli axes of the targets, into a new
-    Pauli vector."""
-    n, vec = state.n_qubits, state.vector
-    _check_register(sop, n)
+def apply_superoperator(vec: np.ndarray, sop: Superoperator) -> np.ndarray:
+    """E(vec): the engine's one bound matmul (sim_core.bind_superoperators,
+    which refuses an op that does not fit the vector) into a new Pauli
+    vector."""
     dst = np.empty(vec.size)
-    np.matmul(*_matmul_operands(vec, sop.matrix, (4 ** sop.targets[0],), dst))
-    return PauliState(n, dst)
+    bind_superoperators([sop], vec, dst)[0]()
+    return dst
 
 
-def apply_in_order(state: PauliState, sops) -> PauliState:
+def apply_in_order(vec: np.ndarray, sops) -> np.ndarray:
     """apply_superoperator of each op in turn."""
     for sop in sops:
-        state = apply_superoperator(state, sop)
-    return state
+        vec = apply_superoperator(vec, sop)
+    return vec
 
 
 def kraus_loop(rho: DensityMatrix, gate: UnitaryGate, channels) -> DensityMatrix:
@@ -105,7 +111,7 @@ def kraus_loop(rho: DensityMatrix, gate: UnitaryGate, channels) -> DensityMatrix
     return rho
 
 
-def kraus_ptm(gate: UnitaryGate, channels, n_qubits: int) -> Superoperator:
+def kraus_ptm(gate: UnitaryGate, channels) -> Superoperator:
     """The fused op of the gate and its (channel, targets) pairs, by the
     Kraus route: on their support, the qubits a..a+k-1 from the lowest to
     the highest of their targets, column Q of the PTM is the Pauli vector
@@ -115,10 +121,9 @@ def kraus_ptm(gate: UnitaryGate, channels, n_qubits: int) -> Superoperator:
     a, k = min(qubits), max(qubits) - min(qubits) + 1
     local = UnitaryGate(gate.matrix, [t - a for t in gate.targets])
     moved = [(channel, [t - a for t in on]) for channel, on in channels]
-    columns = [from_density_matrix(kraus_loop(to_density_matrix(PauliState(k, basis)),
-                                              local, moved)).vector
+    columns = [from_density_matrix(kraus_loop(to_density_matrix(basis), local, moved))
                for basis in np.eye(4**k)]
-    return Superoperator(np.array(columns).T, range(a, a + k), n_qubits)
+    return Superoperator(np.array(columns).T, a)
 
 
 def reference_circuit(config, profile: CouplingProfile | None = None,
@@ -166,16 +171,16 @@ def as_assembled(circuit: NoisyCircuit) -> NoisyCircuit:
 
 
 def qubit_p1(state, qubit: int) -> float:
-    """Probability that `qubit` reads 1, for a DensityMatrix or a PauliState."""
-    n = state.n_qubits
+    """Probability that `qubit` reads 1, for a DensityMatrix or a (4^n,)
+    Pauli vector."""
+    if not isinstance(state, (DensityMatrix, np.ndarray)):
+        raise TypeError(f"unsupported state type {type(state).__name__}")
+    n = state.n_qubits if isinstance(state, DensityMatrix) else _n_qubits(state)
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n} qubits")
-    if isinstance(state, PauliState):
+    if isinstance(state, np.ndarray):
         # P(1) = tr((I - Z_q) rho) / 2; Z_q is Z on axis q, I on the others
-        vec = state.vector
-        return float((vec[0] - vec[3 * 4 ** (n - 1 - qubit)]) / 2.0)
-    if not isinstance(state, DensityMatrix):
-        raise TypeError(f"unsupported state type {type(state).__name__}")
+        return float((state[0] - state[3 * 4 ** (n - 1 - qubit)]) / 2.0)
     probs = np.real(np.diagonal(state.matrix))
     # big-endian: qubit q is axis q of the 2^q x 2 x 2^(n-1-q) view; ravel
     # keeps the qubit = 1 entries in index order, so the sum order is fixed

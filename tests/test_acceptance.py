@@ -58,7 +58,6 @@ from pstlab.noise import (
     zz_dephasing_channel,
 )
 from pstlab.optimizer import bayes_optimize, grid_search_j0, objective, satisfies_constraint
-from pstlab.sim_core import PauliState
 
 from oracle import (
     as_assembled,
@@ -137,7 +136,7 @@ def matched_channel_peak(channel_1q) -> float:
     step = [GateOp(op.gate, [(pair, op.gate.targets)] if op.gate.kind in ("rxx", "ryy") else [])
             for op in circuit.step]
     noisy = as_assembled(replace(circuit, step=step))
-    values = evolve_recorded(noisy, lambda block: [qubit_p1(PauliState(4, block[0]), 3)])[0]
+    values = evolve_recorded(noisy, lambda block: [qubit_p1(block[0], 3)])[0]
     series = SPTimeSeries(times=noisy.plan.times(), values={4: values})
     return detect_first_peak(series)[1]
 
@@ -193,7 +192,7 @@ def test_criterion_03_cptp_and_trace_drift():
         for ch in channels:
             worst = max(worst, ch.cptp_deviation())
     circuit = assemble_circuit(ExperimentConfig(n_sites=4, noise=NoiseParams()))
-    drifts = [abs(np.trace(to_density_matrix(PauliState(4, vec)).matrix) - 1.0)
+    drifts = [abs(np.trace(to_density_matrix(vec).matrix) - 1.0)
               for vec in evolve_recorded(circuit, lambda block: block)[0]]
     drift = max(drifts)
     ok = worst <= 1e-10 and drift < 1e-8
@@ -428,7 +427,7 @@ def test_criterion_13c_tomography_round_trip():
     cfg = ExperimentConfig(n_sites=4, n_steps=40)
     record = run_arbitrary_transfer(cfg, PLUS)
     circuit = assemble_circuit(cfg, amplitudes=PLUS)
-    reduced = [partial_trace_to_qubit(to_density_matrix(PauliState(4, vec)), 3).matrix
+    reduced = [partial_trace_to_qubit(to_density_matrix(vec), 3).matrix
                for vec in evolve_recorded(circuit, lambda block: block)[0]]
     worst = 0.0
     for rec, red in zip(tomography_reconstruct(record.x, record.y, record.z).T, reduced,

@@ -1,20 +1,25 @@
-"""The benchmark's trace targets name functions the package still has.
+"""The benchmark's trace targets name functions the package still has, and
+its configs are ones the package accepts.
 
 bench/tracing.py reports a target it cannot find as absent, with zero calls,
 so a rename in pstlab would silently zero a per-layer metric. This test reads
 its TARGETS (the module uses only the stdlib) and resolves each one, and
 does the same for the package functions the bench calls or patches by name
-outside TARGETS.
+outside TARGETS. bench/workloads.py writes its own configs, so a schema
+change would turn a bench run into a failed op; every op's config, with the
+seeds the bench passes, is resolved here as run_config resolves it.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACING = BENCH / "tracing.py"
+WORKLOADS = BENCH / "workloads.py"
 # (bench file, pstlab module, attribute) for each package function a bench
 # file names outside TARGETS: tracing.py counts gate ops on the circuits it
 # sees, and baseline.py counts them and patches the density-matrix update.
@@ -25,14 +30,19 @@ OTHER_REFERENCES = (
 )
 
 
-def load_targets() -> tuple:
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def load_bench_module(name: str, path: Path):
+    """The bench file at path, loaded read-only as a module of that name
+    (registered first, as dataclasses look their module up)."""
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
-TARGETS = load_targets()
+TARGETS = load_bench_module("bench_tracing", TRACING).TARGETS
+BENCH_OPS = [(workload, op) for workload, ops in
+             load_bench_module("bench_workloads", WORKLOADS).WORKLOADS.items() for op in ops]
 
 
 @pytest.mark.parametrize("span, module_name, attr", TARGETS,
@@ -56,3 +66,16 @@ def assert_callable(where: str, module_name: str, attr: str) -> None:
         obj = getattr(obj, part, None)
         assert obj is not None, f"{where}: pstlab.{module_name}.{attr} not found"
     assert callable(obj), f"{where}: pstlab.{module_name}.{attr} is not callable"
+
+
+@pytest.mark.parametrize("workload, op", BENCH_OPS,
+                         ids=[f"{workload}:{op.name}" for workload, op in BENCH_OPS])
+def test_bench_config_resolves(workload, op):
+    """cli.resolve_config accepts the op's config, at the seeds the bench
+    runs, as the experiment it names."""
+    from pstlab.cli import resolve_config
+
+    for seed in (None, 0, 9):
+        experiment, config, _ = resolve_config(op.config, seed_override=seed)
+        assert experiment == op.config["experiment"], workload
+        assert config.seed == (op.config.get("seed", 0) if seed is None else seed)

@@ -16,7 +16,7 @@ from pstlab.chains import (
     pst_couplings,
 )
 from pstlab.experiments import ExperimentConfig, assemble_circuit, evolve_recorded, run_sp_series
-from pstlab.sim_core import PAULI_X, PAULI_Y, PAULI_Z, PauliState
+from pstlab.sim_core import PAULI_X, PAULI_Y, PAULI_Z
 
 from oracle import (
     exact_sp_oracle,
@@ -184,7 +184,7 @@ class TestInitialStates:
         config = ExperimentConfig(n_sites=n, n_steps=1)
         vec = evolve_recorded(assemble_circuit(config, amplitudes=amplitudes),
                               lambda block: block)[0][0]
-        rho = to_density_matrix(PauliState(n, vec)).matrix
+        rho = to_density_matrix(vec).matrix
         return rho, [op.gate.kind for op in reference_circuit(config, amplitudes=amplitudes).prep]
 
     def test_single_excitation_site1(self):

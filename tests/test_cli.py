@@ -458,6 +458,8 @@ class TestExitCodes:
         {"plan": {"total_time": "1e400pi"}},
         {"shots": 0},
         # shots and seed, which ExperimentConfig checks
+        {"shots": 1e20},
+        {"shots": 2**63},
         {"shots": 2.5},
         {"shots": True},
         {"seed": -1},
@@ -681,6 +683,30 @@ class TestReportManifests:
         good = REPO / "runs" / "headline" / "manifest.json"
         assert main(["report", str(good), str(path), "--out", str(tmp_path / "rep")]) == EXIT_SCHEMA
         assert f"config error: {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("case", ["values_list", "times_object", "values_of_numbers",
+                                      "not_json"])
+    def test_malformed_series_output_exits_2_with_nothing_written(self, tmp_path, capsys, case):
+        """A series output next to a copy of the headline manifest that is
+        not JSON, or whose times is not a list or values not an object of
+        lists, exits 2 naming the output, and nothing is written."""
+        run = tmp_path / "run"
+        run.mkdir()
+        shutil.copy(REPO / "runs" / "headline" / "manifest.json", run / "manifest.json")
+        payload = json.loads((REPO / "runs" / "headline" / "series.json").read_text())
+        if case == "values_list":
+            payload["values"] = list(payload["values"].values())
+        elif case == "times_object":
+            payload["times"] = {"0": payload["times"]}
+        elif case == "values_of_numbers":
+            payload["values"] = {site: vals[0] for site, vals in payload["values"].items()}
+        text = "{not json" if case == "not_json" else json.dumps(payload)
+        (run / "series.json").write_text(text)
+        capsys.readouterr()
+        argv = ["report", str(run / "manifest.json"), "--out", str(tmp_path / "rep")]
+        assert main(argv) == EXIT_SCHEMA
+        assert f"config error: {run / 'series.json'}: " in capsys.readouterr().err
         assert not (tmp_path / "rep").exists()
 
     def test_runs_that_share_a_label_keep_their_own_columns(self, tmp_path):

@@ -55,7 +55,6 @@ from pstlab.noise import NoiseParams, with_noise
 from pstlab.sim_core import (
     MERGE_WIDTH,
     DensityMatrix,
-    PauliState,
     UnitaryGate,
     fused_superoperators,
     merge_superoperators,
@@ -231,7 +230,7 @@ class TestIdealRuns:
         config = ExperimentConfig(n_sites=n)
         circuit = assemble_circuit(config)
         assert not circuit.has_channels()
-        got = [to_density_matrix(PauliState(n, vec)).matrix
+        got = [to_density_matrix(vec).matrix
                for vec in evolve_recorded(circuit, lambda block: block)[0]]
         want = kraus_loop_series(reference_circuit(config))
         assert len(got) == len(want) == 81
@@ -327,7 +326,7 @@ class TestFusedMatchesKrausLoop:
         """evolve_recorded (prep once, the compiled step n_steps times) against the
         Kraus loop over every op of the reference circuit."""
         config = ExperimentConfig(n_sites=4, n_steps=12, noise=NoiseParams())
-        fused = [to_density_matrix(PauliState(4, vec)).matrix
+        fused = [to_density_matrix(vec).matrix
                  for vec in evolve_recorded(assemble_circuit(config, amplitudes=PLUS),
                                             lambda block: block)[0]]
         oracle = kraus_loop_series(reference_circuit(config, amplitudes=PLUS))
@@ -433,7 +432,7 @@ class TestStepOrder:
         for config, got in zip(configs, records, strict=True):
             want = kraus_loop_series(sweep_then_crosstalk(config))
             for k, (vec, rho) in enumerate(zip(got, want, strict=True)):
-                err = np.max(np.abs(to_density_matrix(PauliState(n, vec)).matrix - rho.matrix))
+                err = np.max(np.abs(to_density_matrix(vec).matrix - rho.matrix))
                 assert err <= 1e-12, (config.j0, k, err)
 
 
@@ -475,19 +474,23 @@ class TestInPlacePath:
                           for n in (6, 7) for params in zz_modes]
 
     def test_no_compiled_op_permutes(self):
-        """Every op compiled for the prep and the step acts on consecutive
-        qubits in order, so it compiles and the kernel contracts it in
-        place. The tomography rotations never touch the state:
-        they act on the last qubit's four recorded coefficients."""
+        """Every gate and channel of the prep and the step, in the
+        gate-level reference circuit of each config, is on consecutive
+        ascending qubits, so fused_superoperators takes each one (it refuses
+        any other) and no op needs its qubits reordered; every merged op of
+        the assembled circuit fits the register, so the kernel contracts it
+        in place. The tomography rotations never touch the state: they act
+        on the last qubit's four recorded coefficients."""
         for config in self.configs():
             n = config.n_sites
-            ops = []
             for amplitudes in ((0, 1), PLUS):
                 circuit = assemble_circuit(config, amplitudes=amplitudes)
-                for layer in (circuit.prep, circuit.step):
-                    ops += merge_superoperators([op.fused for op in layer])
-            assert [sop.targets for sop in ops if sop.targets != tuple(
-                range(sop.targets[0], sop.targets[0] + len(sop.targets)))] == [], config
+                reference = reference_circuit(config, amplitudes=amplitudes)
+                for layer, gates in ((circuit.prep, reference.prep),
+                                     (circuit.step, reference.step)):
+                    compiled_ops(gates, n)
+                    merged = merge_superoperators([op.fused for op in layer])
+                    assert all(sop.targets[-1] < n for sop in merged), config
 
 
 def assert_same_series(got: SPTimeSeries, want: SPTimeSeries) -> None:
@@ -1057,7 +1060,7 @@ class TestReadout:
         want = {site: [] for site in (1, 2, 3, 4)}
         for vec in states:  # step by step, then site by site
             for site in want:
-                p1 = qubit_p1(PauliState(4, vec), site - 1)
+                p1 = qubit_p1(vec, site - 1)
                 want[site].append(self.draw(p1, 1024, rng, 0.03))
         for site in want:
             assert np.array_equal(series.values[site], want[site]), site
@@ -1072,8 +1075,7 @@ class TestReadout:
         rng = np.random.default_rng(config.seed)
         want = []
         for vec in evolve_recorded(circuit, lambda block: block)[0]:  # step, then basis
-            state = PauliState(4, vec)
-            want.append([1.0 - 2.0 * self.draw(qubit_p1(apply_in_order(state, ops), 3),
+            want.append([1.0 - 2.0 * self.draw(qubit_p1(apply_in_order(vec, ops), 3),
                                                256, rng, 0.03)
                          for ops in rotations])
         want = np.array(want)
@@ -1086,7 +1088,7 @@ class TestReadout:
         series = run_site_resolved(config)
         states = own_states(config)
         for site in (1, 2, 3):
-            want = [self.flip(qubit_p1(PauliState(3, vec), site - 1), 0.03)
+            want = [self.flip(qubit_p1(vec, site - 1), 0.03)
                     for vec in states]
             assert np.array_equal(series.values[site], want), site
 
@@ -1189,7 +1191,7 @@ class TestArbitraryTransfer:
         cfg = ExperimentConfig(n_sites=3, n_steps=15)
         record = run_arbitrary_transfer(cfg, PLUS)
         circuit = assemble_circuit(cfg, amplitudes=PLUS)
-        reduced = [partial_trace_to_qubit(to_density_matrix(PauliState(3, vec)), 2).matrix
+        reduced = [partial_trace_to_qubit(to_density_matrix(vec), 2).matrix
                    for vec in evolve_recorded(circuit, lambda block: block)[0]]
         rec = tomography_reconstruct(record.x, record.y, record.z).T
         for rec_r, red in zip(rec, reduced, strict=True):
@@ -1320,6 +1322,29 @@ class TestPureTargetFidelity:
                                    + 2.0 * abs(a) * abs(b) * abs(rho[0, 1]))) for rho in rhos]
         np.testing.assert_allclose(record.fidelity, overlap, rtol=0, atol=1e-12)
         np.testing.assert_allclose(record.fidelity_phase_corrected, phase_max, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("amps", [PLUS, (0.6, 0.8j)], ids=["plus", "imag"])
+    def test_shots_fidelities_recompute_from_the_measured_columns(self, amps):
+        """In shots mode the record's x, y, z are the measured components,
+        some of norm above 1; both fidelity columns recompute from them
+        after tomography_reconstruct, and at those steps not from them as
+        written."""
+        config = ExperimentConfig(n_sites=3, n_steps=40, shots=64, seed=1, noise=NoiseParams())
+        record = run_arbitrary_transfer(config, amps)
+        a, b = (complex(amplitude) for amplitude in amps)
+        ab, a2, b2 = a.conjugate() * b, abs(a) ** 2, abs(b) ** 2
+        n = np.array([2.0 * ab.real, 2.0 * ab.imag, a2 - b2])
+        measured = np.array([record.x, record.y, record.z])
+        over = np.linalg.norm(measured, axis=0) > 1.0
+        assert over.any()
+        x, y, z = tomography_reconstruct(*measured)
+        fidelity = np.clip((1.0 + n @ np.array([x, y, z])) / 2.0, 0.0, 1.0)
+        phase_max = np.clip((a2 * (1.0 + z) + b2 * (1.0 - z)) / 2.0
+                            + abs(a) * abs(b) * np.hypot(x, y), 0.0, 1.0)
+        np.testing.assert_allclose(record.fidelity, fidelity, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(record.fidelity_phase_corrected, phase_max, rtol=0, atol=1e-12)
+        as_written = np.clip((1.0 + n @ measured) / 2.0, 0.0, 1.0)
+        assert np.abs(record.fidelity - as_written)[over].max() > 1e-6
 
 
 class TestSeriesChecks:
