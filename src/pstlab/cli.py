@@ -523,8 +523,9 @@ def _read_manifest(path) -> dict:
 
 def _load_manifest_series(manifest_path, manifest: dict) -> list:
     """(label, site, times, values) for every series a manifest produced;
-    an output that is no _json_object, or whose times is no list or values
-    no object of lists, is a ConfigError naming the file."""
+    an output that is no _json_object, whose times is no list or values no
+    object of lists, or whose lists hold what is not a number or differ in
+    length, is a ConfigError naming the file."""
     out = []
     for key, path in manifest["outputs"].items():
         if not key.endswith("_json") or key in ("grid_json", "report_json"):
@@ -538,10 +539,18 @@ def _load_manifest_series(manifest_path, manifest: dict) -> list:
                 and all(isinstance(vals, list) for vals in values.values())):
             raise ConfigError(f"{file}: times must be a list and values an object of lists")
         stem = key[: -len("_json")]
-        times = np.asarray(times, dtype=float)
-        for site, vals in sorted(values.items()):
+        try:
+            times = np.asarray(times, dtype=float)
+            columns = [(site, np.asarray(vals, dtype=float))
+                       for site, vals in sorted(values.items())]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{file}: times and values must hold numbers ({exc})") from None
+        for site, vals in columns:
+            if times.ndim != 1 or vals.shape != times.shape:
+                raise ConfigError(f"{file}: site {site}: {vals.shape} values for {times.shape} "
+                                  "times")
             label = f"{stem}_site{site}" if len(values) > 1 else stem
-            out.append((label, site, times, np.asarray(vals, dtype=float)))
+            out.append((label, site, times, vals))
     return out
 
 

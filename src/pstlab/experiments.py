@@ -3,13 +3,14 @@ arbitrary-state transfer with single-qubit tomography.
 
 Every run evolves one circuit and records observables after the prep layer
 (k = 0) and after each Trotter step, giving a uniform (n_steps + 1)-point
-time grid. The state is a plain array of the 4^n real Pauli coefficients
-of the dense density matrix, with or without noise. An assembled circuit
-holds no gate: each of its ops is an AssembledOp, the fused superoperator
-(a real Pauli transfer matrix and its first qubit) of a gate and its
-channels, with those channels, and adjacent fused ops of the prep layer and
-of the Trotter step are merged into superoperators of at most
-sim_core.MERGE_WIDTH qubits. Merging never crosses a recorded step boundary.
+time grid. The state is the dense density matrix's real Pauli
+coefficients in sim_core's parity-graded layout, with or without noise. An
+assembled circuit holds no gate: each of its ops is an AssembledOp, the
+fused superoperator (a real Pauli transfer matrix and its first qubit) of a
+gate and its channels, with those channels, and adjacent fused ops of the
+Trotter step are merged into superoperators of at most
+sim_core.MERGE_WIDTH qubits. Merging never crosses a recorded step
+boundary.
 An ExperimentConfig holds what every run reads; the experiment picks the
 sites it reads and the prep state, an amplitude pair (a, b) for a|0> + b|1>
 on the first site, (0, 1) the single excitation. What does not depend on
@@ -29,26 +30,31 @@ optimizer's scores: one exact config run with each of many coupling
 profiles. It splits the profiles into chunks of at most MAX_BATCH_COEFFS
 Pauli coefficients and assembles one circuit per chunk, whose XY ops hold a
 stack of the chunk members' fused ops. evolve_recorded runs the one
-circuit it is given, a single run's or a chunk's: it merges its ops' fused
-ops and binds each merged op once to the circuit's two state buffers (the
-prep, which holds no XY op, stays 2-D, shared by every member), and each
-recorded step hands the (members, 4^n) state block to one observe call, so
+circuit it is given, a single run's or a chunk's: its prep, on qubit 0
+alone and shared by every member, gives the start state
+(sim_core.graded_start_state), of one sector unless qubit 0 gets X or Y
+weight (only arbitrary_transfer's H and general preps give it); it merges
+the step's fused ops, grades each merged op for that many sectors and binds
+it once to the circuit's two state buffers, and each recorded step hands
+the (members, 2 * 4^(n-1), sectors) state block to one observe call, so
 each member's records are bit-identical to its own run's. One rule,
 _settled_peak on the window (0, T/2] (_window_last), decides every first
 peak: detect_first_peak's on a whole series, and run_first_peaks', which
 records only the end site's P(1) and stops each chunk's circuit once every
-member's peak is settled on its prefix. Every
-readout is of single qubits, so it reads a few coefficients of the block:
-P(1) = (r_I - r_Z) / 2 of each site read (_z_column), and for
-tomography the last qubit's r_I, r_X, r_Y and r_Z, which each basis
-rotation's one-qubit PTM turns before that P(1) is read; every readout
-flips with one probability (_readout_error). Tomography then works on
-real arrays, once per run: the (n_steps + 1) Bloch vectors r, each norm in
-(1, 1 + BLOCH_NORM_SLACK] rescaled to one, are scored against the pure
-target a|0> + b|1> as (1 + n . r) / 2, n = (2 Re(a* b), 2 Im(a* b),
-|a|^2 - |b|^2), with no 2 x 2 state built. This module only creates the
-zero state, applies compiled ops and reads those coefficients; the change
-between a density matrix and its Pauli vector is the tests' oracle's.
+member's peak is settled on its prefix. Every readout is of single
+qubits, so it reads a few coefficients of the block: P(1) = (r_I - r_Z) /
+2 of each site read (_z_column, in sector 0), and for tomography the last
+qubit's r_I, r_X, r_Y and r_Z (_end_qubit_paulis, r_X and r_Y 0 in a run
+of one sector), which each basis rotation's one-qubit PTM turns before
+that P(1) is read; every readout flips with one probability
+(_readout_error). Tomography then works on real arrays, once per run: the
+(n_steps + 1) Bloch vectors r, each norm in (1, 1 + BLOCH_NORM_SLACK]
+rescaled to one, are scored against the pure target a|0> + b|1> as
+(1 + n . r) / 2, n = (2 Re(a* b), 2 Im(a* b), |a|^2 - |b|^2), with no
+2 x 2 state built. This module only creates the
+start state, applies compiled ops and reads those coefficients; the change
+between a density matrix and its Pauli vector, and between the standard
+and the graded layout, is the tests' oracle's.
 
 A run's outputs are text: its CSV writers format whole columns of Python
 floats, and json_text, every run file's one JSON writer, writes what
@@ -87,25 +93,29 @@ from .sim_core import (
     UnitaryGate,
     bind_superoperators,
     fused_superoperators,
+    graded_start_state,
+    graded_superoperators,
     merge_superoperators,
     rotation_basis,
     unitarity_deviation,
-    zero_pauli_vector,
 )
 
 # The most Pauli coefficients, over all its members, that one lock-step
 # circuit holds: run_first_peaks, the one reader of this cap, assembles a
-# larger batch as one circuit per chunk of max(1, MAX_BATCH_COEFFS // 4^n)
-# members, 32 / 8 / 2 at N = 4 / 5 / 6 and one from N = 7 up, so a grid at
-# N = 8 holds one state at a time; evolve_recorded runs each. Batching saves
-# per-op call overhead; wide batches lose it to cache misses. One
-# comprehensive-noise step per member, one BLAS thread, medians of 9 rounds:
-# N = 4 3.8-6.7 us alone, 1.8-3.2 / 2.9-4.3 / 3.6-4.8 us in batches of 16 / 32
-# / 64 (three runs); N = 5 11 us alone, 8.8 / 8.7 / 8.7 us in 4 / 8 / 16; N = 6
-# 41 us alone, 39 / 40 / 41 us in 2 / 4 / 8; N = 7 182 us alone or in 2. 2^13
-# gives N = 5 and 6 their best batch, and N = 4 one 34-60 % slower per member
-# than a batch of 16.
-MAX_BATCH_COEFFS = 2**13
+# larger batch as one circuit per chunk of max(1, MAX_BATCH_COEFFS // (2 *
+# 4^(n-1))) members, a member's one graded sector (its prep is X), 32 / 8 /
+# 2 at N = 4 / 5 / 6 and one from N = 7 up, so a grid at N = 8 holds one
+# state at a time; evolve_recorded runs each. Batching saves per-op call
+# overhead; wide batches lose it to cache misses on the members' step
+# stacks. One comprehensive-noise step per member, one BLAS thread, medians
+# of 9 interleaved rounds, three processes, chunks of 1 / 2 / 4 / 8 / 16 /
+# 32 / 64: N = 4 3.3-3.4 / 2.2-2.3 / 1.4-1.5 / 1.4 / 1.2-1.3 / 1.1-1.2 /
+# 2.0-2.1 us; N = 5 8.8-9.3 / 6.8-7.1 / 5.9-6.1 / 5.5-5.7 / 6.1-6.4 /
+# 7.2-7.4 / 7.7-8.0 us; N = 6 30-31 / 27 / 26 / 26-27 / 29-30 / 28 / 30-31
+# us. 2^12 gives N = 4 and N = 5 their best chunk and N = 6 one within 6 %
+# of its best (4 members, which 2^13 would give at the cost of N = 4's and
+# N = 5's, 60-90 % and 8-18 % slower).
+MAX_BATCH_COEFFS = 2**12
 
 # The most families (_family) whose shared parts stay built and compiled, as
 # noise._channels keeps 16 channel sets: an optimizer run uses one family, a
@@ -373,13 +383,17 @@ def evolve_recorded(circuit: NoisyCircuit, observe, settled=None) -> np.ndarray:
 
     The circuit has one member per coupling profile, and it runs as given:
     run_sp_series gives it a single run's circuit, run_first_peaks one per
-    chunk of at most MAX_BATCH_COEFFS Pauli coefficients.
-    `block` is the (members, 4^n) array of Pauli vectors, and observe must
-    return one row per member; the rows are copied out, so they may be
-    views of the block, which the next step overwrites. The prep's and the
-    step's fused ops (AssembledOp.fused; the circuit is assemble_circuit's)
-    are merged once (sim_core.merge_superoperators), and each op is bound
-    once to the run's two state buffers
+    chunk of at most MAX_BATCH_COEFFS Pauli coefficients. The prep's fused
+    ops (AssembledOp.fused; the circuit is assemble_circuit's), 2-D and on
+    qubit 0 alone, as every prep is (anything else is refused), turn qubit
+    0's Pauli vector (1, 0, 0, 1) into the start state
+    (sim_core.graded_start_state), one sector or two. `block` is the (m,
+    2 * 4^(n-1), sectors) array of graded states, and observe must return
+    one row per member; the rows are copied out, so they may be views of
+    the block, which the next step overwrites. The step's fused ops are
+    merged once (sim_core.merge_superoperators), graded once for the
+    sectors (sim_core.graded_superoperators, which refuses an op that would
+    leave them) and bound to the run's two state buffers
     (sim_core.bind_superoperators), for both parities, so a step is one
     matmul per op whatever the member count and allocates nothing, and each
     member's states are bit-identical to its own run's. A circuit of one
@@ -391,13 +405,17 @@ def evolve_recorded(circuit: NoisyCircuit, observe, settled=None) -> np.ndarray:
     unset, and no caller reads them.
     """
     n, n_steps, m = circuit.n_qubits, circuit.plan.n_steps, len(circuit.profiles)
-    prep = merge_superoperators([op.fused for op in circuit.prep])
-    step = merge_superoperators([op.fused for op in circuit.step])
-    bufs = (np.tile(zero_pauli_vector(n), (m, 1)), np.empty((m, 4**n)))
-    for call in bind_superoperators(prep, *bufs):
-        call()
-    at = len(prep) % 2
+    qubit0 = np.array([1.0, 0.0, 0.0, 1.0])  # |0>: r_I = r_Z = 1
+    for op in circuit.prep:
+        if op.fused.targets != (0,):
+            raise ValueError(f"prep op on qubits {op.fused.targets}: a run prepares qubit 0 alone")
+        qubit0 = op.fused.matrix @ qubit0
+    start = graded_start_state(qubit0, n)
+    bufs = (np.tile(start, (m, 1, 1)), np.empty((m, *start.shape)))
+    step = graded_superoperators(merge_superoperators([op.fused for op in circuit.step]), n,
+                                 start.shape[1])
     bound = (bind_superoperators(step, *bufs), bind_superoperators(step, *bufs[::-1]))
+    at = 0
     out = None
     for k in range(n_steps + 1):
         if k:
@@ -435,9 +453,10 @@ def _readout_error(config: ExperimentConfig) -> float:
 
 
 def _z_column(n_sites: int, site: int) -> int:
-    """The index of r_Z of `site` (1-based) in an n-site Pauli vector: Z on
-    its qubit, I on every other, so its P(1) = (r_I - r_Z) / 2, r_I at 0."""
-    return 3 * 4 ** (n_sites - site)
+    """The index of r_Z of `site` (1-based) in sector 0 of an n-site graded
+    state: Z on its qubit (slot code 2, or u = 1 on the last qubit), I on
+    every other, so its P(1) = (r_I - r_Z) / 2, r_I at 0."""
+    return 4 ** (n_sites - site)
 
 
 def run_sp_series(config: ExperimentConfig) -> SPTimeSeries:
@@ -457,7 +476,7 @@ def _site_series(config: ExperimentConfig, sites: tuple) -> SPTimeSeries:
     any, are drawn step by step, then site by site, from config.seed."""
     cols = np.array([0, *(_z_column(config.n_sites, s) for s in sites)])
     circuit = assemble_circuit(config)
-    coeffs = evolve_recorded(circuit, lambda block: block.take(cols, 1))[0]
+    coeffs = evolve_recorded(circuit, lambda block: block.take(cols, 1))[0, :, :, 0]
     p1 = readout_p1((coeffs[:, :1] - coeffs[:, 1:]) / 2.0, config.shots,
                     np.random.default_rng(config.seed), _readout_error(config))
     return SPTimeSeries(times=config.plan().times(),
@@ -471,7 +490,7 @@ def run_first_peaks(config: ExperimentConfig, profiles) -> list:
     raises NoPeakError.
 
     The runs evolve in lock-step: one assemble_circuit per chunk of
-    max(1, MAX_BATCH_COEFFS // 4^n) profiles, all assembled before any
+    max(1, MAX_BATCH_COEFFS // (2 * 4^(n-1))) profiles, all assembled before any
     runs, and each chunk's circuit stops once every member's first peak is
     settled (_settled_peak, detect_first_peak's rule, on its prefix). Each
     step records the end site's P(1) alone, through run_sp_series'
@@ -482,7 +501,7 @@ def run_first_peaks(config: ExperimentConfig, profiles) -> list:
     """
     if config.shots is not None:
         raise ValueError("run_first_peaks runs exact series: shots must be None")
-    size = max(1, MAX_BATCH_COEFFS // 4**config.n_sites)
+    size = max(1, MAX_BATCH_COEFFS // (2 * 4 ** (config.n_sites - 1)))
     circuits = [assemble_circuit(config, profiles[lo:lo + size])
                 for lo in range(0, len(profiles), size)]
     col = _z_column(config.n_sites, config.n_sites)
@@ -492,7 +511,7 @@ def run_first_peaks(config: ExperimentConfig, profiles) -> list:
     for circuit in circuits:
         watch = _FirstPeakWatch(len(circuit.profiles), _window_last(times), config.n_steps)
         p1 = evolve_recorded(circuit, lambda block: readout_p1(
-            (block[:, 0] - block[:, col]) / 2.0, None, None, readout), watch)
+            (block[:, 0, 0] - block[:, col, 0]) / 2.0, None, None, readout), watch)
         peaks += [None if index < 0 else (float(times[index]), float(row[index]))
                   for row, index in zip(p1, watch.found)]
     return peaks
@@ -563,8 +582,9 @@ def run_arbitrary_transfer(config: ExperimentConfig, amplitudes) -> TomographyRe
     probes of the same evolved state; the basis-rotation gates pick up the
     single-qubit noise layers when noise is on. Every probe reads the last
     qubit alone, so each step records its four Pauli coefficients r_I, r_X,
-    r_Y, r_Z (entries 0..3 of the Pauli vector, I on every other qubit), and
-    each basis rotation acts on those four through its 4 x 4 PTM. The
+    r_Y, r_Z (I on every other qubit; entries 0 and 1 of each sector of the
+    graded state, _end_qubit_paulis), and each basis rotation acts on those
+    four through its 4 x 4 PTM. The
     primary fidelity keeps the raw target (no transfer-phase correction);
     the phase-maximized variant is reported alongside. The target is pure,
     so the fidelity is <psi|rho|psi> = (1 + n . r) / 2 (Jozsa 1994) of the
@@ -574,7 +594,7 @@ def run_arbitrary_transfer(config: ExperimentConfig, amplitudes) -> TomographyRe
     """
     a, b = (complex(amplitude) for amplitude in amplitudes)
     circuit = assemble_circuit(config, amplitudes=(a, b))
-    r4 = evolve_recorded(circuit, lambda block: block[:, :4])[0]
+    r4 = _end_qubit_paulis(evolve_recorded(circuit, lambda block: block[:, :2])[0])
     rotated = r4 @ _basis_rotation_ptms(config.noise).swapaxes(1, 2)
     # P(1) = (r_I - r_Z) / 2 per step and basis; <sigma> = p0 - p1, drawn
     # step by step, then basis by basis
@@ -597,6 +617,16 @@ def run_arbitrary_transfer(config: ExperimentConfig, amplitudes) -> TomographyRe
         amp_b=b,
         meta=_series_meta(config, circuit),
     )
+
+
+def _end_qubit_paulis(records: np.ndarray) -> np.ndarray:
+    """The last qubit's (r_I, r_X, r_Y, r_Z), I on every other qubit, per
+    step, from entries 0 and 1 of each sector of the (steps, 2, sectors)
+    records: u = 0 and 1, r_I and r_Z in sector 0, r_X and r_Y in sector
+    1, which a run of one sector holds at 0."""
+    pairs = np.zeros((len(records), 2, 2))
+    pairs[..., :records.shape[2]] = records
+    return pairs.reshape(-1, 4)[:, [0, 1, 3, 2]]
 
 
 def detect_first_peak(series: SPTimeSeries):

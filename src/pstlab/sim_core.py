@@ -5,36 +5,48 @@ is sum_i q_i * 2^(n-1-i), so qubit 0 is the leftmost ket label and chain
 site 1. |1000> therefore means "excitation on the first of four sites".
 
 Unitaries and Kraus channels act on arbitrary qubit subsets through tensor
-reshaping; nothing here assumes a chain topology. The evolution engine holds
-every state, pure or mixed, as a plain array of its 4^n real Pauli
-coefficients r_P = tr(P rho), qubit q on axis q of the (4,) * n view. It
-fuses each gate with its channels, if any, into one real Pauli transfer
-matrix (PTM) on the consecutive qubits from the lowest to the highest of
-their targets, then merges adjacent fused ops into PTMs of at most
-MERGE_WIDTH qubits. A rotation exp(-i theta/2 G) by a Pauli string G, such
-as an RXX or RYY gate, with its channels, fuses into c^2 B0 + cs B1 + s^2
-B2, c = cos(theta/2) and s = sin(theta/2), whose angle basis rotation_basis
-fuses once, so a caller that holds it fuses such a gate at any angle, or a
-stack of angles, with no gate matrix. An op (Superoperator) is its PTM and
-its first qubit a, so it acts on the qubits a..a+k-1 of any register that
-holds them, as one real (stacked) matmul on a reshaped view, straight from
-one buffer into the other (_matmul_operands). Gates and channels fuse only
-on consecutive ascending qubits; the Kraus loop applies any. A run's prep
-and Trotter step are bound once to two fixed state buffers
-(bind_superoperators) and allocate nothing. States of circuits that differ
-only in their rotation angles evolve together as one batch: an op may hold
-an (m, 4^k, 4^k) stack of its members' PTMs, applied as one matmul over a
-leading member axis, and a 2-D op, which every member shares, is broadcast
-over that axis. A gate is one unitary, never a stack. Each channel's PTM is
-built once per channel object. apply_unitary and apply_channel (the Kraus
-loop on DensityMatrix) are the engine's reference; the rest of the
-density-matrix side (the change between rho and its Pauli vector, the
-partial trace, populations) is in the tests' oracle module.
+reshaping; nothing here assumes a chain topology. The evolution engine
+works on the real Pauli coefficients r_P = tr(P rho) of a state. It fuses
+each gate with its channels, if any, into one real Pauli transfer matrix
+(PTM) on the consecutive qubits from the lowest to the highest of their
+targets, then merges adjacent fused ops into PTMs of at most MERGE_WIDTH
+qubits. A rotation exp(-i theta/2 G) by a Pauli string G, such as an RXX or
+RYY gate, with its channels, fuses into c^2 B0 + cs B1 + s^2 B2, c =
+cos(theta/2) and s = sin(theta/2), whose angle basis rotation_basis fuses
+once, so a caller that holds it fuses such a gate at any angle, or a stack
+of angles, with no gate matrix. An op (Superoperator) is its PTM and its
+first qubit a, on the qubits a..a+k-1 of any register that holds them.
+Gates and channels fuse only on consecutive ascending qubits; the Kraus
+loop applies any.
+
+A run's state is held in the parity-graded layout, (2 * 4^(n-1),
+sectors). Qubit q's Pauli has a type bit t (1 for X and Y) and a sub bit u
+(1 for Y and Z), and s_q = t_0 ^ ... ^ t_q; qubit q takes the slot 2 u +
+s_q of four, the first qubit the slowest, so the strings' X/Y parity
+s_{n-1} is the fastest bit, the trailing sector axis, and the last qubit's
+slot holds u alone. Every op the program builds commutes with conjugation
+by Z (x) ... (x) Z, so it keeps each string's parity: a state whose qubit
+0 starts without X or Y weight (graded_start_state) stores one sector,
+half the 4^n vector. An op on qubits a..a+k-1 then reads s_{a-1} as a
+control bit and changes no other slot; graded_superoperators permutes its
+PTM into the stack that the kernel multiplies and refuses an op that mixes
+the parities. Each graded op is one real (stacked) matmul on reshaped
+views (_matmul_operands), bound once to a run's two fixed state buffers
+(bind_superoperators), so a step allocates nothing. States of circuits
+that differ only in their rotation angles evolve together as one batch,
+(members, 2 * 4^(n-1), sectors): an op may hold an m-member stack of PTMs,
+and a 2-D op, which every member shares, is broadcast over the member
+axis. A gate is one unitary, never a stack. Each channel's PTM is built
+once per channel object. apply_unitary and apply_channel (the Kraus loop
+on DensityMatrix) are the engine's reference; the rest of the
+density-matrix side (the change between rho and its Pauli vector in the
+standard layout, qubit q on axis q of the (4,) * n view, an op applied to
+such a vector, the change to and from the graded layout, the partial
+trace, populations) is in the tests' oracle module.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache, partial
 
 import numpy as np
@@ -59,10 +71,12 @@ _PSD_FLOOR = -1e-9
 _CPTP_TOL = 1e-10
 # Widest support, in qubits, of a superoperator merged from adjacent ones.
 # Each merge saves one pass over the state and costs a wider matmul. One
-# comprehensive-noise step, one BLAS thread, widths 2 / 3 / 4: N = 4 8.0 / 3.9 /
-# 10.4 us, N = 6 50 / 43 / 118 us, N = 8 0.82 / 0.91 / 1.9 ms, N = 10 26 / 24 /
-# 46 ms (medians of 15 interleaved rounds). Width 2 wins only at N = 8, by
-# 3-13 % over four runs, and width 4 nowhere, so 3 is kept.
+# comprehensive-noise step on the graded state (one sector), one BLAS
+# thread, widths 2 / 3 / 4, medians of 15 interleaved rounds, three
+# processes: N = 4 8.5-9.0 / 3.3-3.5 / 3.3-3.4 us, N = 6 38-39 / 27-28 /
+# 29 us, N = 8 0.55 / 0.49-0.50 / 0.79 ms, N = 10 14-15 / 12.2-12.5 /
+# 17-18 ms. Width 4 ties 3 at N = 4 only, and width 2 wins nowhere, so 3
+# is kept.
 MERGE_WIDTH = 3
 
 
@@ -105,15 +119,6 @@ def _paired_axes(n: int) -> list:
     """The axis order of a (2,) * 2n view of a 2^n x 2^n matrix that puts
     each qubit's row axis next to its column axis: [0, n, 1, n + 1, ...]."""
     return [a for q in range(n) for a in (q, n + q)]
-
-
-def zero_pauli_vector(n_qubits: int) -> np.ndarray:
-    """|0...0> as its 4^n Pauli coefficients: r_P = 1 where every factor of P
-    is I or Z, else 0."""
-    vec = np.ones(1)
-    for _ in range(n_qubits):
-        vec = np.outer(vec, [1.0, 0.0, 0.0, 1.0]).ravel()
-    return vec
 
 
 def _qubits_of(dim: int) -> int:
@@ -206,29 +211,6 @@ def _check_targets(targets, n_qubits: int) -> None:
             raise ValueError(f"target {t} out of range for {n_qubits} qubits")
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate targets {targets}")
-
-
-def _matmul_operands(src: np.ndarray, mat: np.ndarray, lead: tuple, dst: np.ndarray) -> tuple:
-    """(x, y, out): the views such that np.matmul(x, y, out) contracts the
-    4^k x 4^k mat into the consecutive Pauli axes a..a+k-1 of src, writing
-    dst. The one place that lays them out, for every op and every batch.
-
-    `src` is viewed as lead x 4^k x rest, lead = (*members, 4^a): a Pauli
-    vector or a batch of them on a trailing axis, lead = (4^a,), or m
-    members stored one after another, lead = (m, 4^a). `dst` is a
-    contiguous array of its size and must not be `src`, as a matmul never
-    writes over its own input. When nothing follows the block, the matmul
-    is one GEMM per member against mat.T. `mat` is one matrix, broadcast
-    over the members, or an m x 4^k x 4^k stack, member b taking mat[b].
-    Either way the member axis stays an axis of the matmul, so each
-    member's result is bit-identical to its own.
-    """
-    width = mat.shape[-1]
-    if src.size == math.prod(lead) * width:  # nothing follows the block
-        view = (*lead, width)
-        return src.reshape(view), mat.swapaxes(-1, -2), dst.reshape(view)
-    view = (*lead, width, -1)
-    return mat if mat.ndim == 2 else mat[:, None], src.reshape(view), dst.reshape(view)
 
 
 def _apply_matrix_to_density(rho: np.ndarray, mat: np.ndarray, targets, n: int) -> np.ndarray:
@@ -334,8 +316,9 @@ def _compose(support: range, parts) -> np.ndarray:
     matrix = bufs[1]
     matrix[...] = np.eye(4**k)
     for i, (ptm, first) in enumerate(parts):
-        np.matmul(*_matmul_operands(matrix, ptm, (*matrix.shape[:-2], 4 ** (first - support.start)),
-                                    bufs[i % 2]))
+        view = (*lead, 4 ** (first - support.start), ptm.shape[-1], -1)
+        np.matmul(ptm if ptm.ndim == 2 else ptm[:, None], matrix.reshape(view),
+                  out=bufs[i % 2].reshape(view))
         matrix = bufs[i % 2]
     return matrix
 
@@ -426,26 +409,143 @@ def merge_groups(sops) -> list:
     return groups
 
 
-def bind_superoperators(sops, first: np.ndarray, second: np.ndarray) -> list:
-    """The superoperators in order, each bound once to two fixed buffers: a
-    list of calls without arguments, the first reading `first` and writing
-    `second`, the next the other way, and so on. After all of them the
-    result is in `second` for an odd number of ops, else in `first`.
+@lru_cache(maxsize=None)
+def _graded_take(k: int, half: bool, control: int) -> tuple:
+    """(stack, cross): the flat indices into a k-qubit PTM of the entries of
+    its graded stack, in the stack's shape, and of every entry that takes a
+    Pauli string of odd X/Y weight to one of even weight or back.
 
-    The buffers are contiguous arrays of one shape: one Pauli vector
-    (4^n,), or m of them, (m, 4^n), for a batch of m members, whose ops
-    are m-member stacks or 2-D ops that every member shares. An op whose
-    qubits do not fit n qubits is refused, before any call is returned.
-    Each call is one np.matmul on views fixed here (_matmul_operands),
-    writes bit for bit what the same matmul writes into a new vector, and
-    allocates no state.
+    Entry [c, i, j] of the (C, L, L) stack is the PTM entry between the
+    Pauli strings at graded indices i and j of the op's qubits, given s = c
+    on the qubit before them; C = control, 1 for an op on qubit 0 (s = 0
+    ahead of it), else 2. The graded index of those qubits' slots is 2 u +
+    s each, the first the slowest, L = 4^k. With `half`, for an op on the
+    last qubit of a one-sector state, only the strings whose s on that
+    qubit is 0 are kept, and that qubit's slot is u alone: L = 2 * 4^(k-1).
     """
-    n = _qubits_of(first.shape[-1])
-    calls, src, dst = [], first, second
+    order = np.empty((control, 4**k), dtype=np.intp)
+    parity = []
+    for string in range(4**k):
+        paulis = [string >> 2 * (k - 1 - q) & 3 for q in range(k)]
+        parity.append(sum(p in (1, 2) for p in paulis) % 2)
+        for c in range(control):
+            s, index = c, 0
+            for p in paulis:
+                s ^= p in (1, 2)
+                index = index * 4 + 2 * (p // 2) + s
+            order[c, index] = string
+    if half:
+        order = order[:, ::2]
+    parity = np.array(parity)
+    stack = order[:, :, None] * 4**k + order[:, None, :]
+    cross = np.flatnonzero(parity[:, None] != parity[None, :])
+    for index in (stack, cross):
+        index.setflags(write=False)
+    return stack, cross
+
+
+@lru_cache(maxsize=None)
+def _start_index(n_qubits: int) -> np.ndarray:
+    """[sector, u, :]: the graded indices of the Pauli strings with qubit 0
+    I (u = 0) or Z (u = 1) for sector 0, X or Y for sector 1, and I or Z on
+    every other qubit, whose s is then the sector (slot code 2 u + sector,
+    and u alone on the last qubit)."""
+    index = []
+    for sector in (0, 1):
+        graded = np.zeros(1, dtype=np.intp)
+        for _ in range(n_qubits - 1):
+            graded = (4 * graded[:, None] + [sector, 2 + sector]).ravel()
+        index.append((2 * graded[:, None] + [0, 1]).ravel())
+    return np.array(index).reshape(2, 2, -1)
+
+
+def graded_start_state(qubit0: np.ndarray, n_qubits: int) -> np.ndarray:
+    """The graded state, (2 * 4^(n-1), sectors), of qubit 0 in the state of
+    the Pauli coefficients qubit0 = (r_I, r_X, r_Y, r_Z) and every other
+    qubit in |0>, r_I = r_Z = 1: one sector unless r_X or r_Y is nonzero.
+    Sector 0 holds r_I and r_Z of qubit 0, sector 1 r_X and r_Y."""
+    sectors = 1 if qubit0[1] == qubit0[2] == 0 else 2
+    state = np.zeros((2 * 4 ** (n_qubits - 1), sectors))
+    pairs = ((qubit0[0], qubit0[3]), (qubit0[1], qubit0[2]))
+    for sector in range(sectors):
+        state[_start_index(n_qubits)[sector], sector] = np.reshape(pairs[sector], (2, 1))
+    return state
+
+
+def graded_superoperators(sops, n_qubits: int, sectors: int) -> list:
+    """Each op as the (stack, first qubit) pair that the kernel multiplies
+    on an n-qubit graded state of that many sectors: the op's PTM, or
+    m-member stack, with its rows and columns permuted (_graded_take), no
+    arithmetic, into a (..., C, L, L) stack, C = 2 values of the control
+    bit s on the qubit before the op (C = 1 when the op starts at qubit 0),
+    L = 4^k, or 2 * 4^(k-1) for the op on the last qubit of a one-sector
+    state.
+
+    An op whose qubits do not fit n qubits, or whose PTM has a nonzero
+    entry between Pauli strings of odd and even X/Y weight (which the
+    graded state cannot hold), is refused, before any op is returned.
+    """
+    graded = []
     for sop in sops:
-        if sop.targets[-1] >= n:
-            raise ValueError(f"op on qubits {sop.targets} does not fit a {n}-qubit state")
-        lead = (*first.shape[:-1], 4**sop.first)
-        calls.append(partial(np.matmul, *_matmul_operands(src, sop.matrix, lead, dst)))
+        targets = sop.targets
+        if targets[-1] >= n_qubits:
+            raise ValueError(f"op on qubits {targets} does not fit a {n_qubits}-qubit state")
+        stack, cross = _graded_take(len(targets), sectors == 1 and targets[-1] == n_qubits - 1,
+                                    2 if sop.first else 1)
+        flat = sop.matrix.reshape(*sop.matrix.shape[:-2], -1)
+        if flat.take(cross, axis=-1).any():
+            raise ValueError(f"op on qubits {targets} mixes Pauli strings of odd and even X/Y "
+                             "weight, which the graded state does not hold")
+        graded.append((flat.take(stack, axis=-1), sop.first))
+    return graded
+
+
+def _matmul_operands(src: np.ndarray, stack: np.ndarray, first: int, dst: np.ndarray) -> tuple:
+    """(x, y, out): the views such that np.matmul(x, y, out) applies the
+    graded stack of an op on the qubits from `first` (graded_superoperators)
+    to the graded states src, writing dst. The one place that lays them
+    out, for every op and every batch.
+
+    `src` is (members, 2 * 4^(n-1), sectors), viewed as members x before x
+    C x L x rest: before the slots ahead of the control bit s on qubit
+    first - 1, C that bit's values, and rest the later slots and the
+    sector, so an op that leaves the last qubit alone treats both sectors
+    in one GEMM. When nothing follows the block (the op holds the last
+    qubit), the matmul is one GEMM per member and C against the transposed
+    stack. `dst` is a contiguous array of src's shape and must not be
+    `src`, as a matmul never writes over its own input. The stack is
+    shared, broadcast over the members, or an m-member stack, member b
+    taking stack[b]; either way the member axis stays an axis of the
+    matmul, so each member's result is bit-identical to its own.
+    """
+    members = len(src)
+    control = 2 if first else 1
+    before = 2 * 4 ** (first - 1) if first else 1
+    width = stack.shape[-1]
+    rest = src[0].size // (before * control * width)
+    if rest == 1:
+        view = (members, before, control, width)
+        return (src.reshape(view).swapaxes(1, 2), stack.swapaxes(-1, -2),
+                dst.reshape(view).swapaxes(1, 2))
+    view = (members, before, control, width, rest)
+    return stack if stack.ndim == 3 else stack[:, None], src.reshape(view), dst.reshape(view)
+
+
+def bind_superoperators(graded, first: np.ndarray, second: np.ndarray) -> list:
+    """The graded ops (graded_superoperators) in order, each bound once to
+    two fixed buffers: a list of calls without arguments, the first
+    reading `first` and writing `second`, the next the other way, and so
+    on. After all of them the result is in `second` for an odd number of
+    ops, else in `first`.
+
+    The buffers are contiguous arrays of one shape, (m, 2 * 4^(n-1),
+    sectors), the graded states of a batch of m members (m = 1 for a single
+    run), whose ops are m-member stacks or shared ones. Each call is one
+    np.matmul on views fixed here (_matmul_operands), writes bit for bit
+    what the same matmul writes into a new buffer, and allocates no state.
+    """
+    calls, src, dst = [], first, second
+    for stack, qubit in graded:
+        calls.append(partial(np.matmul, *_matmul_operands(src, stack, qubit, dst)))
         src, dst = dst, src
     return calls

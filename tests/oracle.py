@@ -2,17 +2,22 @@
 not use, each checked against the engine by the tests that import it.
 
 - The density-matrix side: the change between rho's entries and its
-  (4^n,) array of Pauli coefficients, one op applied into a new array, the
-  Kraus loop (sim_core.apply_unitary and apply_channel) over a gate and its
-  channels, the PTM of a gate and its channels taken column by column
-  through that loop, single-qubit populations, the partial trace and the
-  Choi matrix.
+  (4^n,) array of Pauli coefficients, the standard layout, one op applied
+  to such an array into a new one (the engine applies ops only to graded
+  states), the Kraus loop (sim_core.apply_unitary and apply_channel) over a
+  gate and its channels, the PTM of a gate and its channels taken column by
+  column through that loop, single-qubit populations, the partial trace
+  and the Choi matrix.
+- The change between the standard layout and the engine's parity-graded
+  one, string by string from its definition.
 - The gate-level reference circuit of a config, which an assembled
   circuit runs without building any of its gates, and the same circuit
   in the step order before RZZ gates were moved next to their XY gates:
   the XY sweep, then the RZZ layer.
 - For gate-level test circuits, the engine's own route: a layer fused and
-  merged, and a circuit of the AssembledOps that evolve_recorded runs.
+  merged, a circuit of the AssembledOps that evolve_recorded runs, ops
+  applied to a block of graded states by the engine's bound kernel, and a
+  circuit's recorded states as Pauli vectors.
 - The exact single-excitation transfer amplitude and its success
   probability, e^{-iAt} of the chain's hopping matrix.
 - The rescaling's forward decay model.
@@ -24,6 +29,7 @@ not use, each checked against the engine by the tests that import it.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,7 +39,7 @@ from pstlab.chains import (
     NoisyCircuit,
     build_trotter_circuit,
 )
-from pstlab.experiments import AssembledOp, _prep_gate_for_amplitudes
+from pstlab.experiments import AssembledOp, _prep_gate_for_amplitudes, evolve_recorded
 from pstlab.noise import with_noise
 from pstlab.sim_core import (
     _TO_PAULI,
@@ -49,6 +55,7 @@ from pstlab.sim_core import (
     apply_unitary,
     bind_superoperators,
     fused_superoperators,
+    graded_superoperators,
     merge_superoperators,
 )
 
@@ -88,12 +95,14 @@ def to_density_matrix(vec: np.ndarray) -> DensityMatrix:
 
 
 def apply_superoperator(vec: np.ndarray, sop: Superoperator) -> np.ndarray:
-    """E(vec): the engine's one bound matmul (sim_core.bind_superoperators,
-    which refuses an op that does not fit the vector) into a new Pauli
-    vector."""
-    dst = np.empty(vec.size)
-    bind_superoperators([sop], vec, dst)[0]()
-    return dst
+    """E(vec) of a (4^n,) Pauli vector into a new one: the op's PTM
+    contracted into the Pauli axes a..a+k-1 of its qubits, the middle axis
+    of the (4^a, 4^k, rest) view. An op whose qubits do not fit the vector
+    is refused, with the engine's message (sim_core.graded_superoperators)."""
+    n = _n_qubits(vec)
+    if sop.targets[-1] >= n:
+        raise ValueError(f"op on qubits {sop.targets} does not fit a {n}-qubit state")
+    return np.matmul(sop.matrix, vec.reshape(4**sop.first, sop.matrix.shape[-1], -1)).ravel()
 
 
 def apply_in_order(vec: np.ndarray, sops) -> np.ndarray:
@@ -101,6 +110,75 @@ def apply_in_order(vec: np.ndarray, sops) -> np.ndarray:
     for sop in sops:
         vec = apply_superoperator(vec, sop)
     return vec
+
+
+@lru_cache(maxsize=None)
+def _graded_positions(n: int) -> tuple:
+    """(sector, index) arrays: where each n-qubit Pauli string, by its
+    standard index, sits in the graded layout (graded_position)."""
+    positions = np.array([graded_position(string, n) for string in range(4**n)])
+    return positions[:, 0], positions[:, 1]
+
+
+def graded_position(string: int, n: int) -> tuple:
+    """(sector, index) of the n-qubit Pauli string of standard index
+    `string`, qubit by qubit from the definition: qubit q's Pauli has type
+    bit t (1 for X and Y) and sub bit u (1 for Y and Z), s_q = t_0 ^ ... ^
+    t_q; qubit q < n - 1 takes the slot 2 u + s_q of four, the last qubit u
+    of two, and s_{n-1} is the sector: the state's entry [index, sector]."""
+    s, index = 0, 0
+    for q in range(n):
+        pauli = string // 4 ** (n - 1 - q) % 4
+        t, u = int(pauli in (1, 2)), int(pauli in (2, 3))
+        s ^= t
+        index = index * 2 + u if q == n - 1 else index * 4 + 2 * u + s
+    return s, index
+
+
+def to_graded(vec: np.ndarray, sectors: int = 2) -> np.ndarray:
+    """The (2 * 4^(n-1), sectors) graded state of a (4^n,) Pauli vector;
+    with one sector, the vector must hold 0 on every string of odd X/Y
+    weight."""
+    n = _n_qubits(vec)
+    sector, index = _graded_positions(n)
+    if np.any(vec[sector >= sectors]):
+        raise ValueError(f"the vector has weight outside the graded state's {sectors} sector(s)")
+    state = np.zeros((2 * 4 ** (n - 1), sectors))
+    kept = sector < sectors
+    state[index[kept], sector[kept]] = vec[kept]
+    return state
+
+
+def from_graded(state: np.ndarray) -> np.ndarray:
+    """The (4^n,) Pauli vector of a (2 * 4^(n-1), sectors) graded state, 0
+    on the strings of a sector it does not hold."""
+    n = (len(state).bit_length() - 2) // 2 + 1
+    if len(state) != 2 * 4 ** (n - 1) or state.shape[1:] not in ((1,), (2,)):
+        raise ValueError(f"graded state has shape {state.shape}, not (2 * 4^(n-1), 1 or 2)")
+    sector, index = _graded_positions(n)
+    vec = np.zeros(4**n)
+    kept = sector < state.shape[1]
+    vec[kept] = state[index[kept], sector[kept]]
+    return vec
+
+
+def apply_graded(block: np.ndarray, sops) -> np.ndarray:
+    """The ops applied in turn, by the engine's bound kernel
+    (sim_core.graded_superoperators, then bind_superoperators), to a
+    (members, 2 * 4^(n-1), sectors) block of graded states, into a new
+    block."""
+    n = (block.shape[1].bit_length() - 2) // 2 + 1
+    bufs = (block.copy(), np.empty(block.shape))
+    for call in bind_superoperators(graded_superoperators(sops, n, block.shape[2]), *bufs):
+        call()
+    return bufs[len(sops) % 2]
+
+
+def recorded_vectors(circuit: NoisyCircuit) -> np.ndarray:
+    """The (members, n_steps + 1, 4^n) Pauli vectors (from_graded) of the
+    graded states that experiments.evolve_recorded records."""
+    records = evolve_recorded(circuit, lambda block: block)
+    return np.array([[from_graded(state) for state in member] for member in records])
 
 
 def kraus_loop(rho: DensityMatrix, gate: UnitaryGate, channels) -> DensityMatrix:

@@ -65,8 +65,10 @@ from oracle import (
     choi_matrix,
     exact_sp_oracle,
     forward_decay,
+    from_graded,
     partial_trace_to_qubit,
     qubit_p1,
+    recorded_vectors,
     reference_circuit,
     to_density_matrix,
 )
@@ -136,7 +138,7 @@ def matched_channel_peak(channel_1q) -> float:
     step = [GateOp(op.gate, [(pair, op.gate.targets)] if op.gate.kind in ("rxx", "ryy") else [])
             for op in circuit.step]
     noisy = as_assembled(replace(circuit, step=step))
-    values = evolve_recorded(noisy, lambda block: [qubit_p1(block[0], 3)])[0]
+    values = evolve_recorded(noisy, lambda block: [qubit_p1(from_graded(block[0]), 3)])[0]
     series = SPTimeSeries(times=noisy.plan.times(), values={4: values})
     return detect_first_peak(series)[1]
 
@@ -193,7 +195,7 @@ def test_criterion_03_cptp_and_trace_drift():
             worst = max(worst, ch.cptp_deviation())
     circuit = assemble_circuit(ExperimentConfig(n_sites=4, noise=NoiseParams()))
     drifts = [abs(np.trace(to_density_matrix(vec).matrix) - 1.0)
-              for vec in evolve_recorded(circuit, lambda block: block)[0]]
+              for vec in recorded_vectors(circuit)[0]]
     drift = max(drifts)
     ok = worst <= 1e-10 and drift < 1e-8
     detail = f"1000 draws worst CPTP deviation {worst:.2e}; 80-step trace drift {drift:.2e}"
@@ -428,7 +430,7 @@ def test_criterion_13c_tomography_round_trip():
     record = run_arbitrary_transfer(cfg, PLUS)
     circuit = assemble_circuit(cfg, amplitudes=PLUS)
     reduced = [partial_trace_to_qubit(to_density_matrix(vec), 3).matrix
-               for vec in evolve_recorded(circuit, lambda block: block)[0]]
+               for vec in recorded_vectors(circuit)[0]]
     worst = 0.0
     for rec, red in zip(tomography_reconstruct(record.x, record.y, record.z).T, reduced,
                         strict=True):

@@ -15,12 +15,13 @@ from pstlab.chains import (
     gate_matrix,
     pst_couplings,
 )
-from pstlab.experiments import ExperimentConfig, assemble_circuit, evolve_recorded, run_sp_series
+from pstlab.experiments import ExperimentConfig, assemble_circuit, run_sp_series
 from pstlab.sim_core import PAULI_X, PAULI_Y, PAULI_Z
 
 from oracle import (
     exact_sp_oracle,
     exact_transfer_amplitude,
+    recorded_vectors,
     reference_circuit,
     single_excitation_hamiltonian,
     to_density_matrix,
@@ -182,8 +183,7 @@ class TestInitialStates:
         """The k = 0 density matrix, and the gate kinds of the reference
         circuit's prep layer."""
         config = ExperimentConfig(n_sites=n, n_steps=1)
-        vec = evolve_recorded(assemble_circuit(config, amplitudes=amplitudes),
-                              lambda block: block)[0][0]
+        vec = recorded_vectors(assemble_circuit(config, amplitudes=amplitudes))[0][0]
         rho = to_density_matrix(vec).matrix
         return rho, [op.gate.kind for op in reference_circuit(config, amplitudes=amplitudes).prep]
 

@@ -686,11 +686,13 @@ class TestReportManifests:
         assert not (tmp_path / "rep").exists()
 
     @pytest.mark.parametrize("case", ["values_list", "times_object", "values_of_numbers",
-                                      "not_json"])
+                                      "not_json", "times_not_numbers", "times_short"])
     def test_malformed_series_output_exits_2_with_nothing_written(self, tmp_path, capsys, case):
         """A series output next to a copy of the headline manifest that is
-        not JSON, or whose times is not a list or values not an object of
-        lists, exits 2 naming the output, and nothing is written."""
+        not JSON, whose times is not a list or values not an object of
+        lists, whose times hold a string, or whose times are one entry
+        short of the values, exits 2 naming the output, and nothing is
+        written."""
         run = tmp_path / "run"
         run.mkdir()
         shutil.copy(REPO / "runs" / "headline" / "manifest.json", run / "manifest.json")
@@ -701,6 +703,10 @@ class TestReportManifests:
             payload["times"] = {"0": payload["times"]}
         elif case == "values_of_numbers":
             payload["values"] = {site: vals[0] for site, vals in payload["values"].items()}
+        elif case == "times_not_numbers":
+            payload["times"][1] = "a"
+        elif case == "times_short":
+            payload["times"] = payload["times"][:-1]
         text = "{not json" if case == "not_json" else json.dumps(payload)
         (run / "series.json").write_text(text)
         capsys.readouterr()

@@ -62,6 +62,7 @@ from pstlab.sim_core import (
 
 from oracle import (
     apply_in_order,
+    as_assembled,
     apply_superoperator,
     bloch_density,
     bloch_vector,
@@ -69,10 +70,12 @@ from oracle import (
     exact_sp_oracle,
     exact_transfer_amplitude,
     from_density_matrix,
+    graded_position,
     kraus_loop,
     partial_trace_to_qubit,
     qubit_p1,
     random_density,
+    recorded_vectors,
     reference_circuit,
     series_csv,
     sweep_then_crosstalk,
@@ -231,7 +234,7 @@ class TestIdealRuns:
         circuit = assemble_circuit(config)
         assert not circuit.has_channels()
         got = [to_density_matrix(vec).matrix
-               for vec in evolve_recorded(circuit, lambda block: block)[0]]
+               for vec in recorded_vectors(circuit)[0]]
         want = kraus_loop_series(reference_circuit(config))
         assert len(got) == len(want) == 81
         for k, (rho, oracle) in enumerate(zip(got, want)):
@@ -327,8 +330,7 @@ class TestFusedMatchesKrausLoop:
         Kraus loop over every op of the reference circuit."""
         config = ExperimentConfig(n_sites=4, n_steps=12, noise=NoiseParams())
         fused = [to_density_matrix(vec).matrix
-                 for vec in evolve_recorded(assemble_circuit(config, amplitudes=PLUS),
-                                            lambda block: block)[0]]
+                 for vec in recorded_vectors(assemble_circuit(config, amplitudes=PLUS))[0]]
         oracle = kraus_loop_series(reference_circuit(config, amplitudes=PLUS))
         assert len(fused) == 13
         for got, want in zip(fused, oracle):
@@ -428,7 +430,7 @@ class TestStepOrder:
         configs = [ExperimentConfig(n_sites=n, n_steps=3, j0=j0, noise=NoiseParams(**STRONG))
                    for j0 in (1.0, 0.5, 2.9)[:members]]
         circuit = assemble_circuit(configs[0], [config.profile() for config in configs])
-        records = evolve_recorded(circuit, lambda block: block)
+        records = recorded_vectors(circuit)
         for config, got in zip(configs, records, strict=True):
             want = kraus_loop_series(sweep_then_crosstalk(config))
             for k, (vec, rho) in enumerate(zip(got, want, strict=True)):
@@ -442,8 +444,8 @@ class TestTomographyMatchesKrausLoop:
     qubit N - 1 rotated by each basis's gates and their with_noise channels
     on the whole density matrix, then <sigma> = 1 - 2 qubit_p1."""
 
-    @pytest.mark.parametrize("amps", [(0.6, 0.8j), (1 / math.sqrt(2), 1 / math.sqrt(2))],
-                             ids=["general", "plus"])
+    @pytest.mark.parametrize("amps", [(0.6, 0.8j), (1 / math.sqrt(2), 1 / math.sqrt(2)), (0, 1)],
+                             ids=["general", "plus", "one"])
     @pytest.mark.parametrize("noise", ["ideal", "hamiltonian", "dephasing_channel"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_bloch_components(self, n, noise, amps):
@@ -459,8 +461,13 @@ class TestTomographyMatchesKrausLoop:
                 err = abs(got[k] - (1.0 - 2.0 * qubit_p1(rotated, n - 1)))
                 assert err <= 1e-12, (k, [op.gate.kind for op in ops], err)
         # the transfer moves z, and x or y (the other stays flat on a real or
-        # imaginary transfer phase unless coherent ZZ mixes them)
-        assert np.ptp(record.z) > 0.5 and max(np.ptp(record.x), np.ptp(record.y)) > 0.1
+        # imaginary transfer phase unless coherent ZZ mixes them); from |1>,
+        # one sector, the last qubit's r_X and r_Y stay 0, so x and y are flat
+        assert np.ptp(record.z) > 0.5
+        if amps == (0, 1):
+            assert max(np.ptp(record.x), np.ptp(record.y)) <= 1e-12
+        else:
+            assert max(np.ptp(record.x), np.ptp(record.y)) > 0.1
 
 
 class TestInPlacePath:
@@ -492,6 +499,69 @@ class TestInPlacePath:
                     merged = merge_superoperators([op.fused for op in layer])
                     assert all(sop.targets[-1] < n for sop in merged), config
 
+    def test_every_step_keeps_the_parity(self):
+        """Every merged step op of each config, and of a 4-member N = 4
+        batch, has exactly 0.0 between Pauli strings of odd and even X/Y
+        weight, so the graded layout holds every run that starts in one
+        sector in that sector (oracle.graded_position gives each string's
+        parity)."""
+        batch = assemble_circuit(ExperimentConfig(n_sites=4, noise=NoiseParams()),
+                                 [pst_couplings(4, j0) for j0 in (0.5, 1.0, 2.9, 4.0)])
+        circuits = [assemble_circuit(config) for config in self.configs()] + [batch]
+        for circuit in circuits:
+            for sop in merge_superoperators([op.fused for op in circuit.step]):
+                k = len(sop.targets)
+                parity = np.array([graded_position(p, k)[0] for p in range(4**k)])
+                cross = sop.matrix[..., parity[:, None] != parity[None, :]]
+                assert cross.size and np.all(cross == 0.0), sop.targets
+        assert batch.step[0].fused.matrix.shape[0] == 4
+
+
+class TestParityGrading:
+    """Each run stores only the sectors of the graded layout that its prep
+    reaches, and the graded engine refuses what would leave them."""
+
+    def test_a_parity_breaking_step_op_is_refused(self):
+        """A hand-built step of an H gate on qubit 1 (X to Z) is refused by
+        the graded compile, naming its qubits, before any step runs; the
+        circuit's own step runs."""
+        config = ExperimentConfig(n_sites=3, n_steps=2)
+        circuit = reference_circuit(config)
+        steps = []
+        hadamard = GateOp(UnitaryGate(gate_matrix("H"), (1,), kind="h"))
+        broken = as_assembled(replace(circuit, step=[hadamard]))
+        message = (r"op on qubits \(1,\) mixes Pauli strings of odd and even X/Y weight, "
+                   "which the graded state does not hold")
+        with pytest.raises(ValueError, match=message):
+            evolve_recorded(broken, lambda block: steps.append(block) or block[:, :1, 0])
+        assert steps == []
+        assert evolve_recorded(as_assembled(circuit), lambda block: block[:, :1, 0]).shape == (
+            1, 3, 1)
+
+    def test_a_prep_beyond_qubit_0_is_refused(self):
+        """The start state is built from qubit 0's prep alone."""
+        circuit = reference_circuit(ExperimentConfig(n_sites=3, n_steps=2))
+        prep = [GateOp(UnitaryGate(gate_matrix("X"), (1,), kind="x"))]
+        with pytest.raises(ValueError, match=r"prep op on qubits \(1,\)"):
+            evolve_recorded(as_assembled(replace(circuit, prep=prep)), lambda block: block)
+
+
+class TestGradedRunsMatchKrausLoop:
+    """Every output of a graded run, against the Kraus loop over the
+    reference circuit's gates on a density matrix, within 1e-12, under
+    noise strong enough that every channel shows."""
+
+    @pytest.mark.parametrize("zz", ["hamiltonian", "dephasing_channel"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_site_series(self, n, zz):
+        config = ExperimentConfig(n_sites=n, n_steps=4, noise=NoiseParams(**STRONG, zz_mode=zz))
+        sites = run_site_resolved(config)
+        end = run_sp_series(config)
+        for k, rho in enumerate(kraus_loop_series(reference_circuit(config))):
+            for site in range(1, n + 1):
+                assert abs(sites.values[site][k] - qubit_p1(rho, site - 1)) <= 1e-12, (k, site)
+            assert abs(end.series()[k] - qubit_p1(rho, n - 1)) <= 1e-12, k
+
 
 def assert_same_series(got: SPTimeSeries, want: SPTimeSeries) -> None:
     """Same times, sites, values (bit for bit) and meta."""
@@ -504,15 +574,15 @@ def assert_same_series(got: SPTimeSeries, want: SPTimeSeries) -> None:
 
 def chunk_circuits(config: ExperimentConfig, profiles) -> list:
     """The circuits of config's lock-step batch over the profiles, one per
-    chunk of max(1, MAX_BATCH_COEFFS // 4^n) profiles, as run_first_peaks
+    chunk of max(1, MAX_BATCH_COEFFS // (2 * 4^(n-1))) profiles, as run_first_peaks
     assembles them."""
-    size = max(1, experiments.MAX_BATCH_COEFFS // 4**config.n_sites)
+    size = max(1, experiments.MAX_BATCH_COEFFS // (2 * 4 ** (config.n_sites - 1)))
     return [assemble_circuit(config, profiles[lo:lo + size]) for lo in range(0, len(profiles), size)]
 
 
 def own_states(config: ExperimentConfig) -> np.ndarray:
     """Every recorded state of config's own run."""
-    return evolve_recorded(assemble_circuit(config), lambda block: block)[0]
+    return recorded_vectors(assemble_circuit(config))[0]
 
 
 class TestLockStep:
@@ -527,17 +597,17 @@ class TestLockStep:
         return [ExperimentConfig(n_sites=n, n_steps=20, j0=j0, noise=NoiseParams(), **extra)
                 for j0 in TestLockStep.J0S]
 
-    @pytest.mark.parametrize("chunk,sizes", [(None, [5]), (2, [2, 2, 1])],
-                             ids=["whole", "chunks_of_2"])
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("chunk,sizes", [(None, [5]), (2, [2, 2, 1]), (4, [4, 1])],
+                             ids=["whole", "chunks_of_2", "chunks_of_4"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
     def test_members_equal_their_own_runs(self, n, chunk, sizes, monkeypatch):
         configs = self.configs(n)
-        configs[2] = replace(configs[2], couplings=(1.3, 0.9, 1.1)[:n - 1])
+        configs[2] = replace(configs[2], couplings=(1.3, 0.9, 1.1, 0.8)[:n - 1])
         if chunk is not None:
-            monkeypatch.setattr(experiments, "MAX_BATCH_COEFFS", chunk * 4**n + 1)
+            monkeypatch.setattr(experiments, "MAX_BATCH_COEFFS", chunk * 2 * 4 ** (n - 1) + 1)
         circuits = chunk_circuits(configs[0], [config.profile() for config in configs])
         assert [len(circuit.profiles) for circuit in circuits] == sizes
-        records = np.concatenate([evolve_recorded(c, lambda block: block) for c in circuits])
+        records = np.concatenate([recorded_vectors(c) for c in circuits])
         for config, rows in zip(configs, records, strict=True):
             assert rows.tobytes() == own_states(config).tobytes()
 
@@ -580,10 +650,10 @@ class TestLockStep:
         build = UnitaryGate.__init__
         monkeypatch.setattr(UnitaryGate, "__init__", lambda gate, matrix, targets, kind="":
                             built.append(kind) or build(gate, matrix, targets, kind))
-        monkeypatch.setattr(experiments, "MAX_BATCH_COEFFS", 2 * 4**3 + 1)
+        monkeypatch.setattr(experiments, "MAX_BATCH_COEFFS", 2 * 2 * 4**2 + 1)
         got = [evolve_recorded(c, lambda block: block) for c in chunk_circuits(configs[0], profiles)]
         assert np.concatenate(got).tobytes() == whole.tobytes()
-        assert chunks == [1, 2, 1, 2, 1, 1]  # the shared prep and the step of each chunk
+        assert chunks == [2, 2, 1]  # the step of each chunk
         assert built == []
 
     def test_empty_batch(self):
@@ -605,50 +675,54 @@ class TestBatchedCompile:
     @pytest.mark.parametrize("noise", sorted(NOISE))
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_every_op_equals_the_members_own(self, n, noise, monkeypatch):
-        """The ops that evolve_recorded binds for a chunk, prep then step."""
+        """The merged step ops that evolve_recorded compiles for a chunk, and
+        its prep, which builds the start state and every member shares."""
         configs = [ExperimentConfig(n_sites=n, n_steps=8, j0=j0, noise=self.NOISE[noise])
                    for j0 in self.J0S]
         reference = reference_circuit(configs[0])
         assert ("rzz" in {op.gate.kind for op in reference.step}) == (noise == "hamiltonian")
         own = [assemble_circuit(config) for config in configs]
-        bound = []
-        real = experiments.bind_superoperators
-        monkeypatch.setattr(experiments, "bind_superoperators",
-                            lambda sops, *bufs: bound.append(sops) or real(sops, *bufs))
+        compiled = []
+        real = experiments.graded_superoperators
+        monkeypatch.setattr(experiments, "graded_superoperators",
+                            lambda sops, *args: compiled.append(sops) or real(sops, *args))
         # the whole batch, a chunk inside it, and a chunk of one at its end
         for lo, hi in [(0, 5), (1, 3), (4, 5)]:
             chunk = assemble_circuit(configs[0], [config.profile() for config in configs[lo:hi]])
-            bound.clear()
-            evolve_recorded(chunk, lambda block: block[:, :1])
-            for layer, got in zip(("prep", "step"), bound[:2], strict=True):
-                stacked = [hi - lo > 1 and xy for xy in holds_xy(getattr(chunk, layer),
-                                                                  getattr(reference, layer))]
-                assert [sop.matrix.ndim for sop in got] == [3 if s else 2 for s in stacked]
-                for b in range(lo, hi):
-                    want = merge_superoperators([op.fused for op in getattr(own[b], layer)])
-                    assert [sop.targets for sop in got] == [sop.targets for sop in want]
-                    for g, w, s in zip(got, want, stacked, strict=True):
-                        member = g.matrix[b - lo] if s else g.matrix
-                        assert np.array_equal(member, w.matrix), (layer, lo, hi, b)
-            assert all(sop.matrix.ndim == 2 for sop in bound[0])  # the prep
+            compiled.clear()
+            evolve_recorded(chunk, lambda block: block[:, :1, 0])
+            [got] = compiled
+            stacked = [hi - lo > 1 and xy for xy in holds_xy(chunk.step, reference.step)]
+            assert [sop.matrix.ndim for sop in got] == [3 if s else 2 for s in stacked]
+            for b in range(lo, hi):
+                want = merge_superoperators([op.fused for op in own[b].step])
+                assert [sop.targets for sop in got] == [sop.targets for sop in want]
+                for g, w, s in zip(got, want, stacked, strict=True):
+                    member = g.matrix[b - lo] if s else g.matrix
+                    assert np.array_equal(member, w.matrix), (lo, hi, b)
+                assert [op.fused.matrix.tobytes() for op in chunk.prep] == [
+                    op.fused.matrix.tobytes() for op in own[b].prep]
+            assert all(op.fused.matrix.ndim == 2 for op in chunk.prep)
             if n == 4 and noise == "hamiltonian" and hi - lo > 1:
                 # each of the two ops holds XY ops and RZZ ops
-                assert [sop.matrix.ndim for sop in bound[1]] == [3, 3]
+                assert [sop.matrix.ndim for sop in got] == [3, 3]
 
     def test_a_single_run_applies_2d_ops(self, monkeypatch):
         applied = []
         real = experiments.bind_superoperators
 
-        def spy(sops, first, second):
-            # each bound call logs its op when the run calls it
-            return [lambda call=call, sop=sop: applied.append(sop) or call()
-                    for call, sop in zip(real(sops, first, second), sops, strict=True)]
+        def spy(graded, first, second):
+            # each bound call logs its stack when the run calls it
+            return [lambda call=call, stack=stack: applied.append(stack) or call()
+                    for call, (stack, _) in zip(real(graded, first, second), graded, strict=True)]
 
         monkeypatch.setattr(experiments, "bind_superoperators", spy)
         config = ExperimentConfig(n_sites=4, n_steps=3, noise=NoiseParams())
         run_sp_series(config)
-        assert len(applied) == 1 + 3 * 2
-        assert all(sop.matrix.ndim == 2 for sop in applied)
+        assert len(applied) == 3 * 2
+        # the op on qubits 0..2 (no control bit), then the one on the last
+        # qubit, one sector
+        assert [stack.shape for stack in applied[:2]] == [(1, 64, 64), (2, 32, 32)]
         circuit = assemble_circuit(config)
         assert all(op.fused.matrix.ndim == 2 for op in circuit.prep + circuit.step)
 
@@ -978,7 +1052,7 @@ class TestFixedBuffers:
         equal the whole batch's."""
         whole = evolve_recorded(self.circuit(), lambda block: block)
         for sizes in ([3], [2, 1]):
-            monkeypatch.setattr(experiments, "MAX_BATCH_COEFFS", sizes[0] * 4**4)
+            monkeypatch.setattr(experiments, "MAX_BATCH_COEFFS", sizes[0] * 2 * 4**3)
             circuits = chunk_circuits(self.CONFIGS[0], [c.profile() for c in self.CONFIGS])
             assert [len(circuit.profiles) for circuit in circuits] == sizes
             got = []
@@ -991,15 +1065,26 @@ class TestFixedBuffers:
 
     def test_a_step_allocates_no_state(self):
         """Between two observe calls no allocation as large as the block
-        is live at once."""
-        circuit = self.circuit(n_steps=20)
+        is live at once: a 3-member batch of one sector."""
+        self.assert_no_state_allocated(self.circuit(n_steps=20), 3 * 2 * 4**3)
+
+    def test_a_two_sector_step_allocates_no_state(self):
+        """The same for an H-prep run, whose block holds two sectors."""
+        circuit = assemble_circuit(replace(self.CONFIGS[0], n_steps=20), amplitudes=PLUS)
+        self.assert_no_state_allocated(circuit, 2 * 2 * 4**3)
+
+    @staticmethod
+    def assert_no_state_allocated(circuit, size: int) -> None:
+        """Between two observe calls of the circuit's run, whose block holds
+        `size` coefficients, no allocation that large is live at once."""
         peaks = []
 
         def observe(block):
             current, peak = tracemalloc.get_traced_memory()
             peaks.append(peak - current)
             tracemalloc.reset_peak()
-            return block[:, :1]
+            assert block.size == size
+            return block[:, :1, 0]
 
         tracemalloc.start()
         try:
@@ -1007,7 +1092,42 @@ class TestFixedBuffers:
         finally:
             tracemalloc.stop()
         assert len(peaks) == 21
-        assert max(peaks[1:]) < 3 * 4**4 * 8
+        assert max(peaks[1:]) < size * 8
+
+    @staticmethod
+    def block_shapes(monkeypatch) -> list:
+        """The shape of every block that evolve_recorded hands to observe."""
+        shapes = []
+        real = experiments.evolve_recorded
+
+        def spy(circuit, observe, settled=None):
+            return real(circuit, lambda block: shapes.append(block.shape) or observe(block),
+                        settled)
+
+        monkeypatch.setattr(experiments, "evolve_recorded", spy)
+        return shapes
+
+    @pytest.mark.parametrize("n", [2, 4, 5])
+    @pytest.mark.parametrize("run,members,sectors", [
+        ("sp_series", 1, 1), ("site_resolved", 1, 1), ("first_peaks", 3, 1),
+        ("one", 1, 1), ("plus", 1, 2), ("general", 1, 2)])
+    def test_buffers_hold_the_reachable_sectors(self, monkeypatch, n, run, members, sectors):
+        """An X prep (the single excitation) keeps every string of odd X/Y
+        weight at 0, so its runs hold one sector of 2 * 4^(n-1)
+        coefficients per member, half the 4^n vector; an H or general prep
+        of arbitrary_transfer holds two."""
+        shapes = self.block_shapes(monkeypatch)
+        config = ExperimentConfig(n_sites=n, n_steps=6, noise=NoiseParams())
+        amplitudes = {"one": (0, 1), "plus": PLUS, "general": (0.6, 0.8j)}
+        if run == "sp_series":
+            run_sp_series(config)
+        elif run == "site_resolved":
+            run_site_resolved(config)
+        elif run == "first_peaks":
+            run_first_peaks(config, [pst_couplings(n, j0) for j0 in (0.5, 1.0, 2.9)])
+        else:
+            run_arbitrary_transfer(config, amplitudes[run])
+        assert shapes and set(shapes) == {(members, 2 * 4 ** (n - 1), sectors)}
 
     def test_a_stopped_step_allocates_no_state(self, monkeypatch):
         """run_first_peaks' stop test, run between two observe calls, keeps
@@ -1031,7 +1151,7 @@ class TestFixedBuffers:
         finally:
             tracemalloc.stop()
         assert len(peaks) < 81  # stopped early
-        assert max(peaks[1:]) < 3 * 4**4 * 8
+        assert max(peaks[1:]) < 3 * 2 * 4**3 * 8
 
 
 class TestReadout:
@@ -1074,7 +1194,7 @@ class TestReadout:
                      for kinds in BASIS_GATE_KINDS]
         rng = np.random.default_rng(config.seed)
         want = []
-        for vec in evolve_recorded(circuit, lambda block: block)[0]:  # step, then basis
+        for vec in recorded_vectors(circuit)[0]:  # step, then basis
             want.append([1.0 - 2.0 * self.draw(qubit_p1(apply_in_order(vec, ops), 3),
                                                256, rng, 0.03)
                          for ops in rotations])
@@ -1192,7 +1312,7 @@ class TestArbitraryTransfer:
         record = run_arbitrary_transfer(cfg, PLUS)
         circuit = assemble_circuit(cfg, amplitudes=PLUS)
         reduced = [partial_trace_to_qubit(to_density_matrix(vec), 2).matrix
-                   for vec in evolve_recorded(circuit, lambda block: block)[0]]
+                   for vec in recorded_vectors(circuit)[0]]
         rec = tomography_reconstruct(record.x, record.y, record.z).T
         for rec_r, red in zip(rec, reduced, strict=True):
             dist = 0.5 * np.linalg.norm(rec_r - bloch_vector(red))
@@ -1248,7 +1368,7 @@ def per_step_tomography(config: ExperimentConfig, amplitudes) -> dict:
     circuit = assemble_circuit(config, amplitudes=(a, b))
     readout = config.noise.readout_error if config.noise is not None else 0.0
     target = np.outer([a, b], np.conj([a, b]))
-    r4 = evolve_recorded(circuit, lambda block: block[:, :4])[0]
+    r4 = recorded_vectors(circuit)[0][:, :4]  # r_I, r_X, r_Y, r_Z of the last qubit
     rotated = r4 @ experiments._basis_rotation_ptms(config.noise).swapaxes(1, 2)
     p1 = readout_p1(((rotated[..., 0] - rotated[..., 3]) / 2).T, config.shots,
                     np.random.default_rng(config.seed), readout)
@@ -1651,7 +1771,8 @@ class TestRunFirstPeaks:
         real = experiments.assemble_circuit
         monkeypatch.setattr(experiments, "assemble_circuit", lambda config, chunk: chunks.append(
             list(chunk)) or real(config, chunk))
-        monkeypatch.setattr(experiments, "MAX_BATCH_COEFFS", 3 * 4**base.n_sites)  # chunks of 3
+        monkeypatch.setattr(experiments, "MAX_BATCH_COEFFS",
+                            3 * 2 * 4 ** (base.n_sites - 1))  # chunks of 3
         assert run_first_peaks(base, profiles) == want
         assert chunks == [profiles[lo:lo + 3] for lo in range(0, 11, 3)]
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.stats import unitary_group
 
 from pstlab.experiments import (
@@ -30,21 +31,24 @@ from pstlab.sim_core import (
     Superoperator,
     UnitaryGate,
     _compose,
-    _matmul_operands,
     apply_channel,
     apply_unitary,
-    bind_superoperators,
     fused_superoperators,
+    graded_start_state,
+    graded_superoperators,
     merge_superoperators,
     rotation_basis,
-    zero_pauli_vector,
 )
 
 from oracle import (
+    apply_graded,
     apply_in_order,
     apply_superoperator,
+    bloch_density,
     choi_matrix,
     from_density_matrix,
+    from_graded,
+    graded_position,
     ket_density,
     kraus_loop,
     kraus_ptm,
@@ -53,6 +57,7 @@ from oracle import (
     random_density,
     reference_circuit,
     to_density_matrix,
+    to_graded,
 )
 
 
@@ -462,8 +467,8 @@ class TestRotationBasis:
 
 def tensordot_vector(vec: np.ndarray, sop: Superoperator) -> np.ndarray:
     """The superoperator contracted by tensordot + moveaxis into the targets'
-    Pauli axes of a (4^n,) Pauli vector: the kernel's GEMM behind numpy's
-    axis bookkeeping."""
+    Pauli axes of a (4^n,) Pauli vector: a GEMM behind numpy's axis
+    bookkeeping, in the standard layout."""
     n, k = (vec.size.bit_length() - 1) // 2, len(sop.targets)
     axes = list(sop.targets)
     gate = sop.matrix.reshape((4,) * (2 * k))
@@ -476,70 +481,111 @@ def tensordot_reference(vec: np.ndarray, sop: Superoperator) -> np.ndarray:
     return to_density_matrix(tensordot_vector(vec, sop)).matrix
 
 
-def contract_new(src: np.ndarray, mat: np.ndarray, targets, members: tuple = ()) -> np.ndarray:
-    """The kernel on a Pauli vector or batch, on the consecutive targets, into
-    a new array; with `members`, on that many vectors stored one after
-    another in src."""
-    dst = np.empty(src.shape)
-    np.matmul(*_matmul_operands(src, mat, (*members, 4 ** targets[0]), dst))
-    return dst
+def parity_preserving(rng, k: int, lead: tuple = ()) -> np.ndarray:
+    """A random real 4^k x 4^k matrix, or a stack of them, with 0 between
+    Pauli strings of odd and even X/Y weight, the graded kernel's ops."""
+    parity = np.array([graded_position(p, k)[0] for p in range(4**k)])
+    return rng.normal(size=(*lead, 4**k, 4**k)) * (parity[:, None] == parity[None, :])
+
+
+def parity_unitary(k: int, seed: int) -> np.ndarray:
+    """A random k-qubit unitary exp(-i H), H a random real combination of the
+    Pauli strings of even X/Y weight: it commutes with Z (x) ... (x) Z, so
+    its PTM keeps the X/Y parity of every string."""
+    rng = np.random.default_rng(seed)
+    paulis = (np.eye(2), PAULI_X, PAULI_Y, PAULI_Z)
+    h = np.zeros((2**k, 2**k), dtype=complex)
+    for string in itertools.product(range(4), repeat=k):
+        if sum(p in (1, 2) for p in string) % 2 == 0:
+            term = np.ones((1, 1))
+            for p in string:
+                term = np.kron(term, paulis[p])
+            h += rng.normal() * term
+    return expm(-1j * h)
+
+
+def graded_block(states, sectors: int = 2) -> np.ndarray:
+    """The (members, 2 * 4^(n-1), sectors) block of (4^n,) Pauli vectors."""
+    return np.stack([to_graded(vec, sectors) for vec in states])
+
+
+def random_vectors(rng, n: int, members: int, sectors: int) -> list:
+    """Random (4^n,) vectors, 0 on strings of odd X/Y weight for one sector."""
+    return [from_graded(rng.normal(size=(2 * 4 ** (n - 1), sectors))) for _ in range(members)]
 
 
 class TestKernel:
-    @pytest.mark.parametrize("targets", [(2,), (1, 2, 3), (4,)])
+    """The engine's one kernel, graded ops bound to two buffers
+    (oracle.apply_graded), against the standard layout: the oracle's
+    (4^a, 4^k, rest) matmul (apply_superoperator) and tensordot."""
+
+    @pytest.mark.parametrize("targets", [(2,), (1, 2, 3), (4,), (0,), (0, 1, 2), (3, 4),
+                                         (0, 1, 2, 3, 4)])
     def test_batch_equals_column_by_column(self, targets):
-        rng = np.random.default_rng(len(targets))
-        n, dim = 5, 4 ** len(targets)
-        mat = rng.normal(size=(dim, dim))
-        batch = rng.normal(size=(4**n, 6))
-        out = contract_new(batch, mat, targets)
-        columns = np.stack([contract_new(batch[:, j], mat, targets)
-                            for j in range(batch.shape[1])], axis=1)
-        np.testing.assert_allclose(out, columns, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(out, (embed_gate_oracle(mat, targets, n, base=4) @ batch).real,
-                                   rtol=0, atol=1e-12)
+        """An op in the middle, at the front and at the end, and on every
+        qubit, on six vectors of one sector and of two: each member
+        bit-identical to its own block of one, and within 1e-12 of the
+        standard layout."""
+        rng = np.random.default_rng(len(targets) + 10 * targets[0])
+        n = 5
+        sop = Superoperator(parity_preserving(rng, len(targets)), targets[0])
+        for sectors in (1, 2):
+            vecs = random_vectors(rng, n, 6, sectors)
+            block = graded_block(vecs, sectors)
+            got = apply_graded(block, [sop])
+            assert got.shape == (6, 2 * 4 ** (n - 1), sectors)
+            for j, vec in enumerate(vecs):
+                assert np.array_equal(got[j], apply_graded(block[j:j + 1], [sop])[0]), j
+                want = apply_superoperator(vec, sop)
+                err = np.max(np.abs(from_graded(got[j]) - want))
+                assert err <= 1e-12 * np.max(np.abs(want)), (sectors, j)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_superoperator_bitwise_equals_tensordot(self, n):
-        """A gate on (1, 2) with channels on qubits 0 and 1, and a gate on
-        (0, 1) with a channel on its last target."""
+        """A parity-keeping gate on (1, 2) with channels on qubits 0 and 1,
+        and one on (0, 1) with a channel on its last target: the oracle's
+        standard-layout matmul (apply_superoperator) bit for bit equal to
+        tensordot_reference, and the graded kernel, which sums in another
+        order, within 1e-15 of it, relative to its largest entry."""
         state = from_density_matrix(random_density(n, seed=n))
-        wide = fused_superoperator(UnitaryGate(unitary_group.rvs(4, random_state=n), (1, 2)),
+        wide = fused_superoperator(UnitaryGate(parity_unitary(2, n), (1, 2)),
                                    [(AMP_DAMP, (0,)), (PAULI_MIX, (1,))], n)
-        narrow = fused_superoperator(UnitaryGate(unitary_group.rvs(4, random_state=n + 10),
-                                                 (0, 1)), [(AMP_DAMP, (1,))], n)
+        narrow = fused_superoperator(UnitaryGate(parity_unitary(2, n + 10), (0, 1)),
+                                     [(AMP_DAMP, (1,))], n)
         assert wide.targets == (0, 1, 2) and narrow.targets == (0, 1)
         for sop in (wide, narrow):
-            assert np.array_equal(to_density_matrix(apply_superoperator(state, sop)).matrix,
-                                  tensordot_reference(state, sop))
+            want = tensordot_reference(state, sop)
+            assert np.array_equal(to_density_matrix(apply_superoperator(state, sop)).matrix, want)
+            got = from_graded(apply_graded(graded_block([state]), [sop])[0])
+            err = np.max(np.abs(to_density_matrix(got).matrix - want))
+            assert err <= 1e-15 * np.max(np.abs(want)), (sop.targets, err)
 
     @pytest.mark.parametrize("batch", [False, True], ids=["vector", "batch"])
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_consecutive_blocks_match_tensordot(self, n, batch):
-        """Targets a..a+k-1 in order contract in place: a block at the front,
-        one in the middle and two at the end (one GEMM against mat.T unless a
-        batch axis follows), each within 1e-15 of tensordot_reference,
-        relative to its largest entry."""
+        """Targets a..a+k-1 in order: a block at the front, one in the
+        middle and two at the end (one GEMM against the transposed stack),
+        each within 1e-15 of tensordot_reference, relative to its largest
+        entry."""
         rng = np.random.default_rng(n)
         states = [from_density_matrix(random_density(n, seed=n + j))
                   for j in range(3 if batch else 1)]
-        src = np.stack(states, axis=1) if batch else states[0]
         for targets in [(0, 1), tuple(range(1, min(n - 1, 4))), (n - 2, n - 1), (n - 1,)]:
-            sop = Superoperator(rng.normal(size=(4 ** len(targets),) * 2), targets[0])
-            got = contract_new(src, sop.matrix, sop.targets).reshape(4**n, -1)
+            sop = Superoperator(parity_preserving(rng, len(targets)), targets[0])
+            got = apply_graded(graded_block(states), [sop])
             for j, state in enumerate(states):
                 want = tensordot_reference(state, sop)
-                err = np.max(np.abs(to_density_matrix(got[:, j]).matrix - want))
+                err = np.max(np.abs(to_density_matrix(from_graded(got[j])).matrix - want))
                 assert err <= 1e-15 * np.max(np.abs(want)), (targets, err)
 
     def test_merged_noisy_step_matches_tensordot(self):
-        """One merged comprehensive-noise step at N = 8, in place against the
-        same ops contracted one by one by tensordot."""
+        """One merged comprehensive-noise step at N = 8 on a state of both
+        sectors, against the same ops contracted one by one by tensordot."""
         n = 8
         config = ExperimentConfig(n_sites=n, n_steps=8, noise=NoiseParams())
         step = merge_superoperators([op.fused for op in assemble_circuit(config).step])
         state = from_density_matrix(random_density(n, seed=8))
-        got = apply_in_order(state, step)
+        got = from_graded(apply_graded(graded_block([state]), step)[0])
         want = state
         for sop in step:
             want = tensordot_vector(want, sop)
@@ -548,39 +594,58 @@ class TestKernel:
     @pytest.mark.parametrize("n", [3, 4, 6])
     def test_applies_on_any_register_that_holds_it(self, n):
         """An op fused on a 3-qubit register applies on a register of n
-        qubits, a vector and a block of two alike, within 1e-12 of the Kraus
+        qubits, a block of two graded states, within 1e-12 of the Kraus
         loop there."""
-        gate = UnitaryGate(unitary_group.rvs(4, random_state=n), (1, 2))
+        gate = UnitaryGate(parity_unitary(2, n), (1, 2))
         channels = [(AMP_DAMP, (0,)), (PAULI_MIX, (2,))]
         sop = fused_superoperator(gate, channels, 3)
         rhos = [random_density(n, seed=n + j) for j in range(2)]
-        bufs = (np.stack([from_density_matrix(rho) for rho in rhos]), np.empty((2, 4**n)))
-        bind_superoperators([sop], *bufs)[0]()
-        for rho, got in zip(rhos, bufs[1], strict=True):
+        got = apply_graded(graded_block([from_density_matrix(rho) for rho in rhos]), [sop])
+        for rho, state in zip(rhos, got, strict=True):
             want = kraus_loop(rho, gate, channels).matrix
             assert np.max(np.abs(apply_to_density(rho, sop).matrix - want)) <= 1e-12
-            assert np.max(np.abs(to_density_matrix(got).matrix - want)) <= 1e-12
+            assert np.max(np.abs(to_density_matrix(from_graded(state)).matrix - want)) <= 1e-12
 
-    @pytest.mark.parametrize("lead", [(), (1,)], ids=["vector", "block"])
-    def test_bind_refuses_an_op_that_does_not_fit(self, lead):
-        """bind_superoperators refuses, when binding and before it returns
-        any call, an op on qubits beyond the buffers' register, naming
-        them, as apply_superoperator does, and writes nothing."""
+    @pytest.mark.parametrize("members", [1, 2], ids=["vector", "block"])
+    def test_bind_refuses_an_op_that_does_not_fit(self, members):
+        """The graded compile that binding takes (graded_superoperators)
+        refuses, before it returns any op, an op on qubits beyond the
+        register, naming them, as apply_superoperator does, for one sector
+        and two; nothing is written."""
         fits = fused_superoperator(UnitaryGate(PAULI_X, (0,)), [], 2)
         beyond = fused_superoperator(UnitaryGate(PAULI_X, (1,)), [(AMP_DAMP, (2,))], 3)
         message = r"op on qubits \(1, 2\) does not fit a 2-qubit state"
         with pytest.raises(ValueError, match=message):
             apply_to_density(random_density(2, seed=2), beyond)
-        first, second = np.ones(lead + (16,)), np.zeros(lead + (16,))
-        with pytest.raises(ValueError, match=message):
-            bind_superoperators([fits, beyond], first, second)
-        assert np.all(first == 1.0) and np.all(second == 0.0)
+        for sectors in (1, 2):
+            block = np.ones((members, 8, sectors))
+            with pytest.raises(ValueError, match=message):
+                apply_graded(block, [fits, beyond])
+            with pytest.raises(ValueError, match=message):
+                graded_superoperators([fits, beyond], 2, sectors)
+            assert np.all(block == 1.0)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["shared", "stack"])
+    def test_compile_refuses_a_parity_breaking_op(self, stacked):
+        """An H gate on qubit 1 takes X to Z: graded_superoperators refuses
+        it, naming its qubits, before it returns any op, also when only one
+        member of a stack breaks the parity."""
+        keep = fused_superoperator(UnitaryGate(parity_unitary(2, 1), (0, 1)), [], 3)
+        breaks = fused_superoperator(UnitaryGate(HADAMARD, (1,)), [(AMP_DAMP, (1,))], 3)
+        if stacked:
+            eye = fused_superoperator(UnitaryGate(np.eye(2), (1,)), [], 3).matrix
+            breaks = Superoperator(np.stack([eye, breaks.matrix, eye]), 1)
+        message = (r"op on qubits \(1,\) mixes Pauli strings of odd and even X/Y weight, "
+                   "which the graded state does not hold")
+        for sectors in (1, 2):
+            with pytest.raises(ValueError, match=message):
+                graded_superoperators([keep, breaks], 3, sectors)
 
 
 class TestStackedOps:
     """A stack of m matrices, or one matrix that every member shares, applied
-    to m vectors stored one after another: each member bit-identical to its
-    own matrix on its own vector."""
+    to a block of m graded states: each member bit-identical to its own
+    matrix on its own state."""
 
     @pytest.mark.parametrize("stacked", [True, False], ids=["stack", "shared"])
     @pytest.mark.parametrize("targets", [(0, 1), (1, 2, 3), (3, 4), (4,)])
@@ -588,24 +653,23 @@ class TestStackedOps:
     def test_stack_equals_member_by_member(self, targets, members, stacked):
         n = 5
         rng = np.random.default_rng(len(targets) + members)
-        mats = rng.normal(size=(members, 4 ** len(targets), 4 ** len(targets)))
+        mats = parity_preserving(rng, len(targets), (members,))
         if not stacked:
             mats = mats[0]
-        vecs = rng.normal(size=(members, 4**n))
-        got = contract_new(vecs, mats, targets, (members,))
+        block = rng.normal(size=(members, 2 * 4 ** (n - 1), 2))
+        got = apply_graded(block, [Superoperator(mats, targets[0])])
         for b in range(members):
-            own = mats[b] if stacked else mats
-            assert np.array_equal(got[b], contract_new(vecs[b], own, targets)), b
+            own = Superoperator(mats[b] if stacked else mats, targets[0])
+            assert np.array_equal(got[b], apply_graded(block[b:b + 1], [own])[0]), b
 
     def test_stacked_ops_apply_each_members_list(self):
         """A batch circuit's step, compiled once into stacked ops and bound to
-        a (3, 4^N) buffer pair (bind_superoperators, as evolve_recorded runs
-        it), against each member's own compiled step through
-        apply_superoperator, on a merged noisy N = 4 step. Both ops hold XY
-        ops and the RZZ ops that every member shares, and are 3-member
-        stacks."""
+        a 3-member buffer pair (as evolve_recorded runs it), against each
+        member's own compiled step bound to its own buffers, on a merged
+        noisy N = 4 step. Both ops hold XY ops and the RZZ ops that every
+        member shares, and are 3-member stacks."""
         n = 4
-        states = [from_density_matrix(random_density(n, seed=s)) for s in range(3)]
+        block = graded_block([from_density_matrix(random_density(n, seed=s)) for s in range(3)])
         configs = [ExperimentConfig(n_sites=n, n_steps=4, j0=j0, noise=NoiseParams())
                    for j0 in (0.5, 1.0, 2.0)]
         batch = assemble_circuit(configs[0], [c.profile() for c in configs])
@@ -614,12 +678,9 @@ class TestStackedOps:
                  for config in configs]
         assert [sop.matrix.shape[:-2] for sop in stacked] == [(3,), (3,)]
         assert len(steps[0]) == len(stacked)
-        bufs = (np.stack(states), np.empty((3, 4**n)))
-        for call in bind_superoperators(stacked, *bufs):
-            call()
-        got = bufs[len(stacked) % 2]
-        for b, (state, ops) in enumerate(zip(states, steps)):
-            assert np.array_equal(got[b], apply_in_order(state, ops)), b
+        got = apply_graded(block, stacked)
+        for b, ops in enumerate(steps):
+            assert np.array_equal(got[b], apply_graded(block[b:b + 1], ops)[0]), b
 
     def test_one_member_is_kept_as_it_is(self):
         """A batch of one profile is a single run: 2-D ops."""
@@ -710,6 +771,14 @@ PAULIS = (np.eye(2), PAULI_X, PAULI_Y, PAULI_Z)
 
 
 class TestPauliVector:
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_zero_state(self, n):
+        """|0...0> in the graded layout: one sector, bit for bit the oracle's
+        Pauli vector of the zero density matrix."""
+        zero = from_density_matrix(DensityMatrix.zero(n))
+        assert np.array_equal(graded_start_state(np.array([1.0, 0.0, 0.0, 1.0]), n),
+                              to_graded(zero, 1))
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_round_trip(self, n):
         """rho -> Pauli vector -> rho, on random mixed states."""
@@ -725,11 +794,6 @@ class TestPauliVector:
         for (a, pa), (b, pb) in itertools.product(enumerate(PAULIS), repeat=2):
             want = np.trace(np.kron(pa, pb) @ rho.matrix)
             assert vec[4 * a + b] == pytest.approx(want.real, abs=1e-15)
-
-    @pytest.mark.parametrize("n", [1, 3, 6])
-    def test_zero_state(self, n):
-        zero = from_density_matrix(DensityMatrix.zero(n))
-        assert np.array_equal(zero_pauli_vector(n), zero)
 
     def test_shape_checked(self):
         with pytest.raises(ValueError, match=r"shape \(8,\), not \(4\^n,\)"):
@@ -770,6 +834,49 @@ class TestPauliVector:
         for sop in fused + merge_superoperators([op.fused for op in circuit.step]):
             e0 = np.eye(len(sop.matrix))[0]
             assert np.max(np.abs(sop.matrix[0] - e0)) <= 1e-14, sop.targets
+
+
+class TestGradedLayout:
+    """The oracle's change between the standard and the graded layout, and
+    the engine's start state in the graded one."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_round_trip_is_exact(self, n):
+        """Standard to graded and back moves each coefficient unchanged, for
+        both sectors, and for one sector of a vector with no odd X/Y
+        weight."""
+        rng = np.random.default_rng(n)
+        vec = rng.normal(size=4**n)
+        assert np.array_equal(from_graded(to_graded(vec)), vec)
+        state = rng.normal(size=(2 * 4 ** (n - 1), 1))
+        assert np.array_equal(to_graded(from_graded(state), 1), state)
+        assert np.array_equal(to_graded(from_graded(state)), np.hstack([state, 0 * state]))
+        with pytest.raises(ValueError, match="outside the graded state's 1 sector"):
+            to_graded(vec, 1)
+
+    def test_positions_by_hand(self):
+        """XZ Y on three qubits: s = 1, 1, 0, slots 2 * 0 + 1, 2 * 1 + 1 and
+        u = 1 on the last; I everywhere is index 0 of sector 0."""
+        x_z_y = (1 * 4 + 3) * 4 + 2
+        assert graded_position(x_z_y, 3) == (0, (1 * 4 + 3) * 2 + 1)
+        assert graded_position(0, 3) == (0, 0)
+        assert graded_position(1, 1) == (1, 0)  # X on one qubit: u = 0, sector 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    @pytest.mark.parametrize("bloch,sectors", [((0, 0, 1), 1), ((0, 0, -0.9), 1),
+                                               ((1, 0, 0), 2), ((0.36, 0.48, 0.6), 2)],
+                             ids=["zero", "z", "plus", "general"])
+    def test_start_state(self, n, bloch, sectors):
+        """Qubit 0 in the state of the Bloch vector, every other in |0>: the
+        graded state of its density matrix, within 1e-15, in one sector
+        when the vector has no X or Y weight."""
+        rho = bloch_density(*bloch)
+        for _ in range(n - 1):
+            rho = np.kron(rho, np.diag([1.0, 0.0]))
+        want = from_density_matrix(DensityMatrix(n, rho, validate=False))
+        got = graded_start_state(np.array([1.0, *bloch]), n)
+        assert got.shape == (2 * 4 ** (n - 1), sectors)
+        np.testing.assert_allclose(got, to_graded(want, sectors), rtol=0, atol=1e-15)
 
 
 class TestValidateCPTP:
