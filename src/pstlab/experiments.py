@@ -42,19 +42,18 @@ _settled_peak on the window (0, T/2] (_window_last), decides every first
 peak: detect_first_peak's on a whole series, and run_first_peaks', which
 records only the end site's P(1) and stops each chunk's circuit once every
 member's peak is settled on its prefix. Every readout is of single
-qubits, so it reads a few coefficients of the block: P(1) = (r_I - r_Z) /
-2 of each site read (_z_column, in sector 0), and for tomography the last
-qubit's r_I, r_X, r_Y and r_Z (_end_qubit_paulis, r_X and r_Y 0 in a run
-of one sector), which each basis rotation's one-qubit PTM turns before
-that P(1) is read; every readout flips with one probability
-(_readout_error). Tomography then works on real arrays, once per run: the
-(n_steps + 1) Bloch vectors r, each norm in (1, 1 + BLOCH_NORM_SLACK]
-rescaled to one, are scored against the pure target a|0> + b|1> as
-(1 + n . r) / 2, n = (2 Re(a* b), 2 Im(a* b), |a|^2 - |b|^2), with no
-2 x 2 state built. This module only creates the
-start state, applies compiled ops and reads those coefficients; the change
-between a density matrix and its Pauli vector, and between the standard
-and the graded layout, is the tests' oracle's.
+qubits, so it reads a few coefficients of the block, each where sim_core's
+one placement rule puts it (sim_core.graded_entry): P(1) = (r_I - r_Z) / 2
+of each site read, and for tomography the last qubit's r_I, r_X, r_Y and
+r_Z, which each basis rotation's one-qubit PTM turns before that P(1) is
+read; every readout flips with one probability (_readout_error).
+Tomography then works on real arrays, once per run: the (n_steps + 1)
+Bloch vectors r, each norm in (1, 1 + BLOCH_NORM_SLACK] rescaled to one,
+are scored against the pure target a|0> + b|1> as (1 + n . r) / 2, n =
+(2 Re(a* b), 2 Im(a* b), |a|^2 - |b|^2), with no 2 x 2 state built. This
+module only creates the start state, applies compiled ops and reads those
+coefficients; the change between a density matrix and its Pauli vector,
+and between the standard and the graded layout, is the tests' oracle's.
 
 A run's outputs are text: its CSV writers format whole columns of Python
 floats, and json_text, every run file's one JSON writer, writes what
@@ -93,6 +92,8 @@ from .sim_core import (
     UnitaryGate,
     bind_superoperators,
     fused_superoperators,
+    graded_entry,
+    graded_rows,
     graded_start_state,
     graded_superoperators,
     merge_superoperators,
@@ -102,12 +103,12 @@ from .sim_core import (
 
 # The most Pauli coefficients, over all its members, that one lock-step
 # circuit holds: run_first_peaks, the one reader of this cap, assembles a
-# larger batch as one circuit per chunk of max(1, MAX_BATCH_COEFFS // (2 *
-# 4^(n-1))) members, a member's one graded sector (its prep is X), 32 / 8 /
-# 2 at N = 4 / 5 / 6 and one from N = 7 up, so a grid at N = 8 holds one
-# state at a time; evolve_recorded runs each. Batching saves per-op call
-# overhead; wide batches lose it to cache misses on the members' step
-# stacks. One comprehensive-noise step per member, one BLAS thread, medians
+# larger batch as one circuit per chunk of max(1, MAX_BATCH_COEFFS //
+# sim_core.graded_rows(n)) members, a member's one graded sector (its prep
+# is X), 32 / 8 / 2 at N = 4 / 5 / 6 and one from N = 7 up, so a grid at N =
+# 8 holds one state at a time; evolve_recorded runs each. Batching saves
+# per-op call overhead; wide batches lose it to cache misses on the members'
+# step stacks. One comprehensive-noise step per member, one BLAS thread, medians
 # of 9 interleaved rounds, three processes, chunks of 1 / 2 / 4 / 8 / 16 /
 # 32 / 64: N = 4 3.3-3.4 / 2.2-2.3 / 1.4-1.5 / 1.4 / 1.2-1.3 / 1.1-1.2 /
 # 2.0-2.1 us; N = 5 8.8-9.3 / 6.8-7.1 / 5.9-6.1 / 5.5-5.7 / 6.1-6.4 /
@@ -452,13 +453,6 @@ def _readout_error(config: ExperimentConfig) -> float:
     return config.noise.readout_error if config.noise is not None else 0.0
 
 
-def _z_column(n_sites: int, site: int) -> int:
-    """The index of r_Z of `site` (1-based) in sector 0 of an n-site graded
-    state: Z on its qubit (slot code 2, or u = 1 on the last qubit), I on
-    every other, so its P(1) = (r_I - r_Z) / 2, r_I at 0."""
-    return 4 ** (n_sites - site)
-
-
 def run_sp_series(config: ExperimentConfig) -> SPTimeSeries:
     """The end site's success probability over the grid (_site_series)."""
     return _site_series(config, (config.n_sites,))
@@ -474,14 +468,26 @@ def _site_series(config: ExperimentConfig, sites: tuple) -> SPTimeSeries:
     1: one run of assemble_circuit's circuit that records r_I and each
     site's r_Z, P(1) = (r_I - r_Z) / 2, then readout_p1, whose shots, if
     any, are drawn step by step, then site by site, from config.seed."""
-    cols = np.array([0, *(_z_column(config.n_sites, s) for s in sites)])
     circuit = assemble_circuit(config)
-    coeffs = evolve_recorded(circuit, lambda block: block.take(cols, 1))[0, :, :, 0]
+    coeffs = _recorded_paulis(circuit, [(0, 0), *((s - 1, 3) for s in sites)])[0]
     p1 = readout_p1((coeffs[:, :1] - coeffs[:, 1:]) / 2.0, config.shots,
                     np.random.default_rng(config.seed), _readout_error(config))
     return SPTimeSeries(times=config.plan().times(),
                         values={s: p1[:, i] for i, s in enumerate(sites)},
                         meta=_series_meta(config, circuit))
+
+
+def _recorded_paulis(circuit: NoisyCircuit, paulis) -> np.ndarray:
+    """evolve_recorded of the circuit recording, per step, the coefficient of
+    each (qubit, code) string of `paulis`, I on every other qubit, at its
+    graded_entry: (members, n_steps + 1, len(paulis)), 0 in a sector the run
+    does not hold."""
+    rows, sectors = np.array([graded_entry(circuit.n_qubits, q, p) for q, p in paulis]).T.copy()
+    records = evolve_recorded(circuit, lambda block: block.take(rows, 1))
+    held = sectors < records.shape[-1]
+    out = np.zeros(records.shape[:2] + held.shape)
+    out[..., held] = records[..., held, sectors[held]]
+    return out
 
 
 def run_first_peaks(config: ExperimentConfig, profiles) -> list:
@@ -490,9 +496,9 @@ def run_first_peaks(config: ExperimentConfig, profiles) -> list:
     raises NoPeakError.
 
     The runs evolve in lock-step: one assemble_circuit per chunk of
-    max(1, MAX_BATCH_COEFFS // (2 * 4^(n-1))) profiles, all assembled before any
-    runs, and each chunk's circuit stops once every member's first peak is
-    settled (_settled_peak, detect_first_peak's rule, on its prefix). Each
+    max(1, MAX_BATCH_COEFFS // graded_rows(n)) profiles, all assembled before
+    any runs, and each chunk's circuit stops once every member's first peak
+    is settled (_settled_peak, detect_first_peak's rule, on its prefix). Each
     step records the end site's P(1) alone, through run_sp_series'
     readout flip and clamp, so a member's prefix is bit-identical to the
     start of its series. A member is tested only once its prefix could
@@ -501,17 +507,18 @@ def run_first_peaks(config: ExperimentConfig, profiles) -> list:
     """
     if config.shots is not None:
         raise ValueError("run_first_peaks runs exact series: shots must be None")
-    size = max(1, MAX_BATCH_COEFFS // (2 * 4 ** (config.n_sites - 1)))
+    n = config.n_sites
+    size = max(1, MAX_BATCH_COEFFS // graded_rows(n))
     circuits = [assemble_circuit(config, profiles[lo:lo + size])
                 for lo in range(0, len(profiles), size)]
-    col = _z_column(config.n_sites, config.n_sites)
+    identity, end_z = ((slice(None), *graded_entry(n, q, p)) for q, p in ((0, 0), (n - 1, 3)))
     readout = _readout_error(config)
     times = config.plan().times()
     peaks = []
     for circuit in circuits:
         watch = _FirstPeakWatch(len(circuit.profiles), _window_last(times), config.n_steps)
         p1 = evolve_recorded(circuit, lambda block: readout_p1(
-            (block[:, 0, 0] - block[:, col, 0]) / 2.0, None, None, readout), watch)
+            (block[identity] - block[end_z]) / 2.0, None, None, readout), watch)
         peaks += [None if index < 0 else (float(times[index]), float(row[index]))
                   for row, index in zip(p1, watch.found)]
     return peaks
@@ -582,11 +589,10 @@ def run_arbitrary_transfer(config: ExperimentConfig, amplitudes) -> TomographyRe
     probes of the same evolved state; the basis-rotation gates pick up the
     single-qubit noise layers when noise is on. Every probe reads the last
     qubit alone, so each step records its four Pauli coefficients r_I, r_X,
-    r_Y, r_Z (I on every other qubit; entries 0 and 1 of each sector of the
-    graded state, _end_qubit_paulis), and each basis rotation acts on those
-    four through its 4 x 4 PTM. The
-    primary fidelity keeps the raw target (no transfer-phase correction);
-    the phase-maximized variant is reported alongside. The target is pure,
+    r_Y, r_Z (I on every other qubit; _recorded_paulis), and each basis
+    rotation acts on those four through its 4 x 4 PTM. The primary fidelity
+    keeps the raw target (no transfer-phase correction); the
+    phase-maximized variant is reported alongside. The target is pure,
     so the fidelity is <psi|rho|psi> = (1 + n . r) / 2 (Jozsa 1994) of the
     rescaled Bloch vector r, n = (2 Re(A* B), 2 Im(A* B), |A|^2 - |B|^2), and
     its maximum over phi, psi = A|0> + e^{i phi} B|1>, puts |A||B| for A* B:
@@ -594,7 +600,7 @@ def run_arbitrary_transfer(config: ExperimentConfig, amplitudes) -> TomographyRe
     """
     a, b = (complex(amplitude) for amplitude in amplitudes)
     circuit = assemble_circuit(config, amplitudes=(a, b))
-    r4 = _end_qubit_paulis(evolve_recorded(circuit, lambda block: block[:, :2])[0])
+    r4 = _recorded_paulis(circuit, [(config.n_sites - 1, p) for p in range(4)])[0]
     rotated = r4 @ _basis_rotation_ptms(config.noise).swapaxes(1, 2)
     # P(1) = (r_I - r_Z) / 2 per step and basis; <sigma> = p0 - p1, drawn
     # step by step, then basis by basis
@@ -617,16 +623,6 @@ def run_arbitrary_transfer(config: ExperimentConfig, amplitudes) -> TomographyRe
         amp_b=b,
         meta=_series_meta(config, circuit),
     )
-
-
-def _end_qubit_paulis(records: np.ndarray) -> np.ndarray:
-    """The last qubit's (r_I, r_X, r_Y, r_Z), I on every other qubit, per
-    step, from entries 0 and 1 of each sector of the (steps, 2, sectors)
-    records: u = 0 and 1, r_I and r_Z in sector 0, r_X and r_Y in sector
-    1, which a run of one sector holds at 0."""
-    pairs = np.zeros((len(records), 2, 2))
-    pairs[..., :records.shape[2]] = records
-    return pairs.reshape(-1, 4)[:, [0, 1, 3, 2]]
 
 
 def detect_first_peak(series: SPTimeSeries):
@@ -720,17 +716,11 @@ def _maxima(x: np.ndarray) -> list:
 
 
 def _series_meta(config: ExperimentConfig, circuit: NoisyCircuit) -> dict:
-    return {
-        "config_hash": config.config_hash(),
-        "seed": config.seed,
-        "n_sites": config.n_sites,
-        "n_steps": config.n_steps,
-        "total_time": config.total_time,
-        "couplings": list(config.profile().couplings),
-        "zeta": circuit.zeta,
-        "noisy": circuit.has_channels(),
-        "shots": config.shots,
-    }
+    """config.to_dict() but its noise, with the config's hash and the
+    circuit's zeta and whether it carries channels."""
+    meta = {key: value for key, value in config.to_dict().items() if key != "noise"}
+    return {**meta, "config_hash": config.config_hash(), "zeta": circuit.zeta,
+            "noisy": circuit.has_channels()}
 
 
 def series_to_csv(series: SPTimeSeries) -> str:

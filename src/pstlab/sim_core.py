@@ -19,19 +19,20 @@ first qubit a, on the qubits a..a+k-1 of any register that holds them.
 Gates and channels fuse only on consecutive ascending qubits; the Kraus
 loop applies any.
 
-A run's state is held in the parity-graded layout, (2 * 4^(n-1),
-sectors). Qubit q's Pauli has a type bit t (1 for X and Y) and a sub bit u
-(1 for Y and Z), and s_q = t_0 ^ ... ^ t_q; qubit q takes the slot 2 u +
-s_q of four, the first qubit the slowest, so the strings' X/Y parity
-s_{n-1} is the fastest bit, the trailing sector axis, and the last qubit's
-slot holds u alone. Every op the program builds commutes with conjugation
-by Z (x) ... (x) Z, so it keeps each string's parity: a state whose qubit
-0 starts without X or Y weight (graded_start_state) stores one sector,
-half the 4^n vector. An op on qubits a..a+k-1 then reads s_{a-1} as a
-control bit and changes no other slot; graded_superoperators permutes its
-PTM into the stack that the kernel multiplies and refuses an op that mixes
-the parities. Each graded op is one real (stacked) matmul on reshaped
-views (_matmul_operands), bound once to a run's two fixed state buffers
+A run's state is held in the parity-graded layout, (2 * 4^(n-1), sectors),
+where graded_index, the one placement rule, puts each Pauli string. Qubit
+q's Pauli has a type bit t (1 for X and Y) and a sub bit u (1 for Y and
+Z), and s_q = t_0 ^ ... ^ t_q; qubit q takes the slot 2 u + s_q of four,
+the first qubit the slowest, so the X/Y parity s_{n-1} is the fastest bit:
+a string's (row, sector) is divmod(index, 2), and the last qubit's slot
+holds u alone. Every op the program builds commutes with conjugation by Z
+(x) ... (x) Z, so it keeps each string's parity: a state whose qubit 0
+starts without X or Y weight (graded_start_state) stores one sector, half
+the 4^n vector. An op on qubits a..a+k-1 then reads s_{a-1} as a control
+bit and changes no other slot; graded_superoperators permutes its PTM into
+the stack that the kernel multiplies and refuses an op that mixes the
+parities. Each graded op is one real (stacked) matmul on reshaped views
+(_matmul_operands), bound once to a run's two fixed state buffers
 (bind_superoperators), so a step allocates nothing. States of circuits
 that differ only in their rotation angles evolve together as one batch,
 (members, 2 * 4^(n-1), sectors): an op may hold an m-member stack of PTMs,
@@ -48,6 +49,7 @@ trace, populations) is in the tests' oracle module.
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from itertools import product
 
 import numpy as np
 
@@ -195,6 +197,7 @@ class KrausChannel:
         if self._ptm is None:
             superop = sum(_kron(k, k.conj()) for k in self.kraus_ops)
             self._ptm = _pauli_transfer_matrix(superop)
+            self._ptm.setflags(write=False)  # shared by every op built from the channel
         return self._ptm
 
 
@@ -409,6 +412,28 @@ def merge_groups(sops) -> list:
     return groups
 
 
+def graded_index(codes, control=0) -> np.ndarray:
+    """The graded index of each Pauli string of a (..., k) array of codes
+    (I, X, Y, Z = 0..3, first qubit first) after s = control, a bit or bits
+    broadcast over the strings (0 ahead of qubit 0): qubit q's slot 2 u +
+    s_q, s_q = (control + t_0 + ... + t_q) % 2, the first qubit the slowest."""
+    codes = np.asarray(codes)
+    s = (np.asarray(control)[..., None] + np.cumsum((codes == 1) | (codes == 2), axis=-1)) % 2
+    return (2 * (codes >= 2) + s) @ 4 ** np.arange(codes.shape[-1] - 1, -1, -1)
+
+
+@lru_cache(maxsize=None)
+def graded_entry(n_qubits: int, qubit: int, pauli: int) -> tuple:
+    """(row, sector) in a graded state of the n-qubit string of code `pauli`
+    on `qubit` and I on every other."""
+    return divmod(int(graded_index(pauli * np.eye(n_qubits, dtype=np.intp)[qubit])), 2)
+
+
+def graded_rows(n_qubits: int) -> int:
+    """The rows of an n-qubit graded state: a one-sector member's coefficients."""
+    return 2 * 4 ** (n_qubits - 1)
+
+
 @lru_cache(maxsize=None)
 def _graded_take(k: int, half: bool, control: int) -> tuple:
     """(stack, cross): the flat indices into a k-qubit PTM of the entries of
@@ -416,27 +441,18 @@ def _graded_take(k: int, half: bool, control: int) -> tuple:
     Pauli string of odd X/Y weight to one of even weight or back.
 
     Entry [c, i, j] of the (C, L, L) stack is the PTM entry between the
-    Pauli strings at graded indices i and j of the op's qubits, given s = c
-    on the qubit before them; C = control, 1 for an op on qubit 0 (s = 0
-    ahead of it), else 2. The graded index of those qubits' slots is 2 u +
-    s each, the first the slowest, L = 4^k. With `half`, for an op on the
-    last qubit of a one-sector state, only the strings whose s on that
-    qubit is 0 are kept, and that qubit's slot is u alone: L = 2 * 4^(k-1).
+    Pauli strings of graded_index i and j, given s = c on the qubit before
+    the op's; C = control, 1 for an op on qubit 0, else 2, and L = 4^k. With
+    `half`, for an op on the last qubit of a one-sector state, only the
+    strings whose s ends at 0 are kept, at their rows: L = 2 * 4^(k-1).
     """
-    order = np.empty((control, 4**k), dtype=np.intp)
-    parity = []
-    for string in range(4**k):
-        paulis = [string >> 2 * (k - 1 - q) & 3 for q in range(k)]
-        parity.append(sum(p in (1, 2) for p in paulis) % 2)
-        for c in range(control):
-            s, index = c, 0
-            for p in paulis:
-                s ^= p in (1, 2)
-                index = index * 4 + 2 * (p // 2) + s
-            order[c, index] = string
+    codes = np.array(list(product(range(4), repeat=k)))  # by standard index
+    index = graded_index(codes, np.arange(control)[:, None])
+    order = np.empty_like(index)
+    order[np.arange(control)[:, None], index] = np.arange(4**k)  # the string at each index
     if half:
         order = order[:, ::2]
-    parity = np.array(parity)
+    parity = graded_index(codes) % 2
     stack = order[:, :, None] * 4**k + order[:, None, :]
     cross = np.flatnonzero(parity[:, None] != parity[None, :])
     for index in (stack, cross):
@@ -445,41 +461,34 @@ def _graded_take(k: int, half: bool, control: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _start_index(n_qubits: int) -> np.ndarray:
-    """[sector, u, :]: the graded indices of the Pauli strings with qubit 0
-    I (u = 0) or Z (u = 1) for sector 0, X or Y for sector 1, and I or Z on
-    every other qubit, whose s is then the sector (slot code 2 u + sector,
-    and u alone on the last qubit)."""
-    index = []
-    for sector in (0, 1):
-        graded = np.zeros(1, dtype=np.intp)
-        for _ in range(n_qubits - 1):
-            graded = (4 * graded[:, None] + [sector, 2 + sector]).ravel()
-        index.append((2 * graded[:, None] + [0, 1]).ravel())
-    return np.array(index).reshape(2, 2, -1)
+def _start_entries(n_qubits: int) -> tuple:
+    """(rows, sectors), each (4, 2^(n-1)): the entries of the Pauli strings
+    with code p on qubit 0 in row p and I or Z on every other qubit."""
+    codes = np.array(list(product(range(4), *[(0, 3)] * (n_qubits - 1))))
+    entries = divmod(graded_index(codes).reshape(4, -1), 2)
+    for index in entries:
+        index.setflags(write=False)
+    return entries
 
 
 def graded_start_state(qubit0: np.ndarray, n_qubits: int) -> np.ndarray:
-    """The graded state, (2 * 4^(n-1), sectors), of qubit 0 in the state of
-    the Pauli coefficients qubit0 = (r_I, r_X, r_Y, r_Z) and every other
+    """The graded state, (graded_rows(n), sectors), of qubit 0 in the state
+    of the Pauli coefficients qubit0 = (r_I, r_X, r_Y, r_Z) and every other
     qubit in |0>, r_I = r_Z = 1: one sector unless r_X or r_Y is nonzero.
     Sector 0 holds r_I and r_Z of qubit 0, sector 1 r_X and r_Y."""
     sectors = 1 if qubit0[1] == qubit0[2] == 0 else 2
-    state = np.zeros((2 * 4 ** (n_qubits - 1), sectors))
-    pairs = ((qubit0[0], qubit0[3]), (qubit0[1], qubit0[2]))
-    for sector in range(sectors):
-        state[_start_index(n_qubits)[sector], sector] = np.reshape(pairs[sector], (2, 1))
+    rows, columns = _start_entries(n_qubits)
+    state = np.zeros((graded_rows(n_qubits), sectors))
+    for p in (0, 3) if sectors == 1 else range(4):
+        state[rows[p], columns[p]] = qubit0[p]
     return state
 
 
 def graded_superoperators(sops, n_qubits: int, sectors: int) -> list:
     """Each op as the (stack, first qubit) pair that the kernel multiplies
     on an n-qubit graded state of that many sectors: the op's PTM, or
-    m-member stack, with its rows and columns permuted (_graded_take), no
-    arithmetic, into a (..., C, L, L) stack, C = 2 values of the control
-    bit s on the qubit before the op (C = 1 when the op starts at qubit 0),
-    L = 4^k, or 2 * 4^(k-1) for the op on the last qubit of a one-sector
-    state.
+    m-member stack, with its rows and columns permuted, no arithmetic, into
+    the (..., C, L, L) stack of _graded_take.
 
     An op whose qubits do not fit n qubits, or whose PTM has a nonzero
     entry between Pauli strings of odd and even X/Y weight (which the
@@ -520,7 +529,7 @@ def _matmul_operands(src: np.ndarray, stack: np.ndarray, first: int, dst: np.nda
     """
     members = len(src)
     control = 2 if first else 1
-    before = 2 * 4 ** (first - 1) if first else 1
+    before = graded_rows(first) if first else 1
     width = stack.shape[-1]
     rest = src[0].size // (before * control * width)
     if rest == 1:

@@ -907,6 +907,19 @@ class TestImports:
                        if name not in used]
         assert not unused, unused
 
+    def test_experiments_computes_no_power_of_four(self):
+        """Where a Pauli string sits in the graded state is sim_core's one
+        rule (graded_index), so experiments raises 4 to no power: no
+        graded-layout arithmetic comes back there."""
+        tree = ast.parse((Path(pstlab.__file__).parent / "experiments.py").read_text("utf-8"))
+        bases = [node.left for node in ast.walk(tree)
+                 if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)]
+        bases += [node.args[0] for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", getattr(node.func, "id", "")) in ("pow", "power")
+                  and node.args]
+        assert [base.lineno for base in bases
+                if isinstance(base, ast.Constant) and base.value == 4] == []
+
     def test_every_private_name_is_read(self):
         """Each private top-level function, class or constant of a pstlab
         module is read somewhere in the package, so one that a change left

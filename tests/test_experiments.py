@@ -26,7 +26,7 @@ from pstlab.chains import (
     pst_couplings,
     xy_gate,
 )
-from pstlab import experiments, sim_core
+from pstlab import experiments, noise, sim_core
 from pstlab.cli import load_config, resolve_config
 from pstlab.experiments import (
     FAMILY_CACHE_SIZE,
@@ -856,6 +856,23 @@ class TestFamilies:
                 array[...] = 0
         with pytest.raises(FrozenInstanceError):
             family.prep = ()
+
+    def test_every_cache_hands_out_read_only_arrays(self):
+        """Each array a cache hands out is read-only, as every run and family
+        shares it: the Pauli bases, the kernel's index tables, the start
+        state's entries, each channel's PTM (shared through noise._channels),
+        the family's fused ops and angle basis, and the basis rotations."""
+        family = experiments._family(self.BASE, self.AMPS)
+        channels = [channel for side in noise._channels(self.BASE.noise) for channel in side]
+        arrays = [*(sim_core._pauli_basis(k) for k in range(1, MERGE_WIDTH + 1)),
+                  *(index for k in range(1, MERGE_WIDTH + 1) for half in (False, True)
+                    for control in (1, 2) for index in sim_core._graded_take(k, half, control)),
+                  *(index for n in range(1, 6) for index in sim_core._start_entries(n)),
+                  *(channel.pauli_transfer_matrix() for channel in channels * 2),
+                  *(op.fused.matrix for op in family.prep + family.crosstalk), family.xy_basis,
+                  experiments._basis_rotation_ptms(self.BASE.noise)]
+        assert len(channels) == 4
+        assert [i for i, array in enumerate(arrays) if array.flags.writeable] == []
 
     def test_more_families_than_the_bound(self):
         """20 families in a row, more than the cache holds: the first ones

@@ -33,7 +33,11 @@ from pstlab.sim_core import (
     _compose,
     apply_channel,
     apply_unitary,
+    _graded_take,
     fused_superoperators,
+    graded_entry,
+    graded_index,
+    graded_rows,
     graded_start_state,
     graded_superoperators,
     merge_superoperators,
@@ -861,6 +865,43 @@ class TestGradedLayout:
         assert graded_position(x_z_y, 3) == (0, (1 * 4 + 3) * 2 + 1)
         assert graded_position(0, 3) == (0, 0)
         assert graded_position(1, 1) == (1, 0)  # X on one qubit: u = 0, sector 1
+
+    @pytest.mark.parametrize("control", [0, 1])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rule_places_every_string_as_the_oracle(self, n, control):
+        """divmod(graded_index, 2) of every n-qubit string, after s = control,
+        is the oracle's (row, sector) of the string behind I or X, whose slot
+        is the control: the strings on the last qubits of a state, as the
+        kernel's one-sector stack of an op there reads them."""
+        strings = np.arange(4**n)
+        codes = strings[:, None] // 4 ** np.arange(n - 1, -1, -1) % 4
+        assert codes.tolist() == [list(p) for p in itertools.product(range(4), repeat=n)]
+        rows, sectors = divmod(graded_index(codes, control), 2)
+        want = [graded_position(control * 4**n + p, n + 1) for p in range(4**n)]
+        assert [(s, control * graded_rows(n) + r) for s, r in zip(sectors, rows)] == want
+
+    @pytest.mark.parametrize("control", [0, 1])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_rule_places_op_local_strings_as_the_oracle(self, k, control):
+        """graded_index of every k-qubit string after s = control is its
+        index among the full slots of the oracle's string I or X, then it,
+        then I; and the kernel's index tables follow it row by row."""
+        codes = np.array(list(itertools.product(range(4), repeat=k)))
+        want = [graded_position((control * 4**k + p) * 4, k + 2)[1] // 2 - control * 4**k
+                for p in range(4**k)]
+        assert graded_index(codes, control).tolist() == want
+        for half in (False, True):
+            stack, _ = _graded_take(k, half, 2)
+            order = np.argsort(want)[::2 if half else 1]
+            assert np.array_equal(stack[control], order[:, None] * 4**k + order[None, :])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_single_qubit_entries(self, n):
+        """graded_entry of each Pauli on each qubit, I on the others, is the
+        oracle's (row, sector) of that string."""
+        got = [graded_entry(n, q, p) for q in range(n) for p in range(4)]
+        assert got == [graded_position(p * 4 ** (n - 1 - q), n)[::-1]
+                       for q in range(n) for p in range(4)]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6])
     @pytest.mark.parametrize("bloch,sectors", [((0, 0, 1), 1), ((0, 0, -0.9), 1),
