@@ -9,33 +9,20 @@ leaving no temporary file (_atomic_write), and keys the manifest's outputs
 by file name ("series.csv" -> "series_csv"). Every run writes both CSV and
 JSON; all JSON text, the manifest's too, is experiments.json_text.
 
-Config schema (JSON):
-
-    {
-      "experiment": "sp_series" | "site_resolved" | "arbitrary_transfer"
-                    | "rescale" | "grid_search" | "bayes_opt",
-      "chain": {"n": 4, "j0": 1.0}            // or {"n": 4, "couplings": [..]}
-      "plan": {"total_time": "2pi", "steps": 80},
-      "noise": {},                             // {} = full defaults; null = ideal
-                                               // (refused by rescale/grid_search/bayes_opt)
-      "shots": null,                           // null = exact mode
-      "seed": 0,
-      "output_dir": "runs/headline",
-      "amplitudes": {"a": 0.7071.., "b": ...}  // arbitrary_transfer only
-      "grid": {"lo": 0.1, "hi": 4.0, "step": 0.1},        // grid_search/bayes_opt
-      "bo": {"top_starts": 3, "iterations_per_start": 5,   // bayes_opt only
-             "batch_size": 64}
-    }
-
-The keys shown are the only ones each block allows; "noise" takes the
-NoiseParams fields and "ideal". Every block is optional, but a present one
-must be an object (noise may be null). An unknown key at any level, a
+Config schema (JSON): "experiment" (one of EXPERIMENTS), the object blocks
+of _BLOCKS ("chain", "plan", "amplitudes", "grid", "bo"), which states each
+block's keys, parsers and defaults once, "noise" (the NoiseParams fields and
+"ideal"; {} = full defaults, null = ideal, refused by rescale, grid_search
+and bayes_opt), "shots" (null = exact mode), "seed" and "output_dir". Every
+block is optional, but a present one must be an object (noise may be null),
+and every block is checked whatever the experiment, though each experiment
+reads only its own (_SEARCH_BLOCKS). An unknown key at any level, a
 non-object block, a non-integer count, a value of the wrong JSON type (noise
 toggles and "ideal" must be true/false, noise rates and times numbers,
 "output_dir" a string or null) or an out-of-range value exits 2 before
 anything runs. Time values accept multiples of pi in string form
-("0.5pi", "2pi", "pi"). Defaults reproduce the headline N=4, T=2pi, 80-step
-setup with the full noise stack, so a minimal config is
+("0.5pi", "2pi", "pi"). The defaults (_BLOCKS, NoiseParams) reproduce the
+headline setup with the full noise stack, so a minimal config is
 {"experiment": "sp_series"}.
 
 Exit codes: 0 success, 2 schema violation, 3 simulation error, 4 I/O failure.
@@ -53,7 +40,7 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +51,7 @@ from .experiments import (
     ExperimentConfig,
     SPTimeSeries,
     detect_first_peak,
+    digest,
     json_text,
     run_arbitrary_transfer,
     run_sp_series,
@@ -86,24 +74,6 @@ EXIT_IO = 4
 
 class ConfigError(ValueError):
     """Config file fails the schema; maps to exit code 2."""
-
-
-@dataclass
-class RunManifest:
-    run_id: str
-    experiment: str
-    config: dict
-    artifact_version: str
-    source_sha256: str
-    outputs: dict
-    duration_s: float
-    fitted: dict | None = None
-    results: dict = field(default_factory=dict)
-
-    def write(self, path: Path) -> Path:
-        """Write the manifest as JSON into path, whose directory must exist."""
-        _atomic_write(path, json_text(vars(self)).encode())
-        return path
 
 
 def parse_time_value(value) -> float:
@@ -146,33 +116,47 @@ def _integer(value, name: str) -> int:
         raise ConfigError(str(err)) from None
 
 
-def _parse_amplitude(value, name: str) -> list:
+def _amplitude(value, name: str) -> list:
     """[re, im] of a JSON amplitude, a number or a [re, im] pair."""
     if isinstance(value, list) and len(value) == 2:
         return [_real(value[0], name), _real(value[1], name)]
     return [_real(value, name), 0.0]
 
 
-# Allowed keys of each object block; "noise" is checked against NoiseParams.
-_BLOCK_KEYS = {
-    "chain": ("n", "j0", "couplings"),
-    "plan": ("total_time", "steps"),
-    "amplitudes": ("a", "b"),
-    "grid": ("lo", "hi", "step"),
-    "bo": ("top_starts", "iterations_per_start", "batch_size"),
+def _couplings(value, name: str):
+    """The chain's explicit couplings as a tuple of finite numbers, or None."""
+    if value is None:
+        return None
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return tuple(_real(j, name) for j in value)
+
+
+# Every object block's keys, in check order, each with its parser
+# (value, "block.key") and its default; "noise" is checked against NoiseParams.
+_BLOCKS = {
+    "chain": {"n": (_integer, 4), "couplings": (_couplings, None), "j0": (_real, 1.0)},
+    "plan": {"total_time": (lambda value, name: parse_time_value(value), "2pi"),
+             "steps": (_integer, 80)},
+    "amplitudes": {key: (_amplitude, 1.0 / math.sqrt(2.0)) for key in ("a", "b")},
+    "grid": {"lo": (_real, 0.1), "hi": (_real, 4.0), "step": (_real, 0.1)},
+    "bo": {"top_starts": (_integer, 3), "iterations_per_start": (_integer, 5),
+           "batch_size": (_integer, 64)},
 }
 
 
 def _block(cfg: dict, name: str) -> dict:
-    """cfg[name], {} when absent; anything but an object of known keys is refused."""
+    """cfg[name] parsed, defaults filled in ({} when absent); anything but an
+    object of known keys is refused."""
     block = cfg.get(name, {})
     if not isinstance(block, dict):
         raise ConfigError(f"{name} block must be an object, got {block!r}")
-    unknown = set(block) - set(_BLOCK_KEYS[name])
+    schema = _BLOCKS[name]
+    unknown = set(block) - set(schema)
     if unknown:
-        raise ConfigError(f"unknown {name} key(s) {sorted(unknown)}; "
-                          f"allowed: {list(_BLOCK_KEYS[name])}")
-    return block
+        raise ConfigError(f"unknown {name} key(s) {sorted(unknown)}; allowed: {list(schema)}")
+    return {key: parse(block.get(key, default), f"{name}.{key}")
+            for key, (parse, default) in schema.items()}
 
 
 def _json_object(path, what: str) -> dict:
@@ -240,27 +224,21 @@ def _build_noise(block) -> NoiseParams | None:
 
 def resolve_config(cfg: dict, seed_override=None):
     """Validate the raw dict and build the typed experiment inputs:
-    (experiment, ExperimentConfig, _search_settings)."""
-    unknown = set(cfg) - {"experiment", "noise", "shots", "seed", "output_dir", *_BLOCK_KEYS}
+    (experiment, ExperimentConfig, search), search holding the parsed blocks
+    the experiment reads beyond its ExperimentConfig (_SEARCH_BLOCKS)."""
+    unknown = set(cfg) - {"experiment", "noise", "shots", "seed", "output_dir", *_BLOCKS}
     if unknown:
         raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
     experiment = cfg.get("experiment")
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
-    blocks = {name: _block(cfg, name) for name in _BLOCK_KEYS}
-
-    chain = blocks["chain"]
-    n = _integer(chain.get("n", 4), "chain.n")
-    couplings = chain.get("couplings")
-    if couplings is not None:
-        if not isinstance(couplings, list):
-            raise ConfigError(f"chain.couplings must be a list, got {couplings!r}")
-        couplings = tuple(_real(j, "chain.couplings") for j in couplings)
-    j0 = _real(chain.get("j0", 1.0), "chain.j0")
-
-    plan = blocks["plan"]
-    total_time = parse_time_value(plan.get("total_time", "2pi"))
-    steps = _integer(plan.get("steps", 80), "plan.steps")
+    blocks = {name: _block(cfg, name) for name in _BLOCKS}
+    grid, bo = blocks["grid"], blocks["bo"]
+    if not 0 < grid["lo"] <= grid["hi"] or grid["step"] <= 0:
+        raise ConfigError(f"grid needs 0 < lo <= hi and step > 0, got {grid}")
+    if bo["top_starts"] < 1 or bo["iterations_per_start"] < 0 or bo["batch_size"] < 1:
+        raise ConfigError(f"bo needs top_starts >= 1, iterations_per_start >= 0 "
+                          f"and batch_size >= 1, got {bo}")
 
     noise = _build_noise(cfg.get("noise", {}))
     if noise is None and experiment in ("rescale", "grid_search", "bayes_opt"):
@@ -268,22 +246,22 @@ def resolve_config(cfg: dict, seed_override=None):
     output_dir = cfg.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError(f"output_dir must be a string or null, got {output_dir!r}")
-    search = _search_settings(experiment, blocks)
 
+    chain, plan = blocks["chain"], blocks["plan"]
     try:  # the constructor checks the chain, the grid, shots and seed, so they fail here
         exp_cfg = ExperimentConfig(
-            n_sites=n,
-            j0=j0,
-            couplings=couplings,
-            total_time=total_time,
-            n_steps=steps,
+            n_sites=chain["n"],
+            j0=chain["j0"],
+            couplings=chain["couplings"],
+            total_time=plan["total_time"],
+            n_steps=plan["steps"],
             noise=noise,
             shots=cfg.get("shots"),
             seed=cfg.get("seed", 0) if seed_override is None else seed_override,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return experiment, exp_cfg, search
+    return experiment, exp_cfg, {name: blocks[name] for name in _SEARCH_BLOCKS.get(experiment, ())}
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -317,48 +295,21 @@ def _write_files(out_dir: Path, files: dict) -> dict:
     return outputs
 
 
-def _search_settings(experiment: str, blocks: dict) -> dict:
-    """What the experiment reads beyond its ExperimentConfig, defaults filled in: the
-    amplitudes ({"a": [re, im], "b": [re, im]}, checked for all), grid and GP settings."""
-    settings = {}
-    amplitudes = {key: _parse_amplitude(blocks["amplitudes"].get(key, 1.0 / math.sqrt(2.0)),
-                                        f"amplitudes.{key}") for key in ("a", "b")}
-    if experiment == "arbitrary_transfer":
-        settings["amplitudes"] = amplitudes
-    if experiment in _GRID_EXPERIMENTS:
-        grid = {key: _real(blocks["grid"].get(key, default), f"grid.{key}")
-                for key, default in (("lo", 0.1), ("hi", 4.0), ("step", 0.1))}
-        if not 0 < grid["lo"] <= grid["hi"] or grid["step"] <= 0:
-            raise ConfigError(f"grid needs 0 < lo <= hi and step > 0, got {grid}")
-        settings["grid"] = grid
-    if experiment == "bayes_opt":
-        bo = {key: _integer(blocks["bo"].get(key, default), f"bo.{key}")
-              for key, default in (("top_starts", 3), ("iterations_per_start", 5),
-                                   ("batch_size", 64))}
-        if bo["top_starts"] < 1 or bo["iterations_per_start"] < 0 or bo["batch_size"] < 1:
-            raise ConfigError(f"bo needs top_starts >= 1, iterations_per_start >= 0 "
-                              f"and batch_size >= 1, got {bo}")
-        settings["bo"] = bo
-    return settings
-
-
 @functools.cache
 def _source_sha256() -> str:
     """SHA-256 of the pstlab package sources, file names and bytes, in name
     order: it tells program versions apart where artifact_version cannot."""
-    digest = hashlib.sha256()
+    sha = hashlib.sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         data = path.read_bytes()
-        digest.update(f"{path.name}\0{len(data)}\0".encode() + data)
-    return digest.hexdigest()
+        sha.update(f"{path.name}\0{len(data)}\0".encode() + data)
+    return sha.hexdigest()
 
 
 def _run_id(experiment: str, exp_cfg: ExperimentConfig, search: dict) -> str:
     """Hash of the resolved inputs the experiment reads, so configs that run
     the same thing share an id."""
-    blob = json.dumps({"experiment": experiment, "config": exp_cfg.to_dict(), **search},
-                      sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return digest({"experiment": experiment, "config": exp_cfg.to_dict(), **search})
 
 
 # Each handler runs one experiment and returns (files, fitted, results): files
@@ -426,6 +377,10 @@ HANDLERS = {
     "bayes_opt": _bayes_opt,
 }
 EXPERIMENTS = tuple(HANDLERS)
+# The _BLOCKS each experiment reads beyond its ExperimentConfig: its search
+# settings, which go into its run id.
+_SEARCH_BLOCKS = {"arbitrary_transfer": ("amplitudes",), "grid_search": ("grid",),
+                  "bayes_opt": ("grid", "bo")}
 _GRID_EXPERIMENTS = ("grid_search", "bayes_opt")  # a grid run's report passes grid.csv through
 
 
@@ -436,18 +391,20 @@ def run_config(path, overrides=(), seed=None, out=None) -> Path:
     out_dir = Path(out) if out else Path(raw.get("output_dir") or "runs")
     started = time.time()
     files, fitted, results = HANDLERS[experiment](exp_cfg, search)
-    manifest = RunManifest(
-        run_id=_run_id(experiment, exp_cfg, search),
-        experiment=experiment,
-        config=raw,
-        artifact_version=__version__,
-        source_sha256=_source_sha256(),
-        outputs=_write_files(out_dir, files),
-        duration_s=round(time.time() - started, 6),
-        fitted=fitted,
-        results=results,
-    )
-    manifest_path = manifest.write(out_dir / "manifest.json")
+    outputs = _write_files(out_dir, files)
+    manifest = {
+        "run_id": _run_id(experiment, exp_cfg, search),
+        "experiment": experiment,
+        "config": raw,
+        "artifact_version": __version__,
+        "source_sha256": _source_sha256(),
+        "outputs": outputs,
+        "duration_s": round(time.time() - started, 6),
+        "fitted": fitted,
+        "results": results,
+    }
+    manifest_path = out_dir / "manifest.json"
+    _atomic_write(manifest_path, json_text(manifest).encode())
     print(manifest_path)
     return manifest_path
 

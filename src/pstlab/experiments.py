@@ -184,8 +184,13 @@ class ExperimentConfig:
         }
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return digest(self.to_dict())
+
+
+def digest(payload) -> str:
+    """The first 16 hex digits of the SHA-256 of payload's sorted-key JSON:
+    a config's hash and a run's id (cli)."""
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def whole_number(value, name: str) -> int:
@@ -718,8 +723,9 @@ def _maxima(x: np.ndarray) -> list:
 def _series_meta(config: ExperimentConfig, circuit: NoisyCircuit) -> dict:
     """config.to_dict() but its noise, with the config's hash and the
     circuit's zeta and whether it carries channels."""
-    meta = {key: value for key, value in config.to_dict().items() if key != "noise"}
-    return {**meta, "config_hash": config.config_hash(), "zeta": circuit.zeta,
+    full = config.to_dict()
+    meta = {key: value for key, value in full.items() if key != "noise"}
+    return {**meta, "config_hash": digest(full), "zeta": circuit.zeta,
             "noisy": circuit.has_channels()}
 
 

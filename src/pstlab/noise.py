@@ -107,11 +107,7 @@ def depolarizing_channel(q: float) -> KrausChannel:
     """(1 - 3q/4) rho + (q/4)(X rho X + Y rho Y + Z rho Z)."""
     if not 0.0 <= q <= 4.0 / 3.0:
         raise ValueError(f"depolarizing parameter q = {q} outside [0, 4/3]")
-    w = q / 4.0
-    ops = [math.sqrt(max(0.0, 1.0 - 3.0 * w)) * IDENTITY_2]
-    if w > 0:
-        ops += [math.sqrt(w) * PAULI_X, math.sqrt(w) * PAULI_Y, math.sqrt(w) * PAULI_Z]
-    return KrausChannel(ops)
+    return pauli_channel(q / 4.0, q / 4.0, q / 4.0)
 
 
 def two_qubit_tensor_channel(e1: KrausChannel, e2: KrausChannel) -> KrausChannel:

@@ -24,7 +24,9 @@ from pstlab.cli import (
     EXIT_SIM,
     EXPERIMENTS,
     ConfigError,
+    _BLOCKS,
     _atomic_write,
+    _run_id,
     _write_files,
     apply_overrides,
     emit_report,
@@ -433,10 +435,11 @@ class TestExitCodes:
           for experiment, block in (("sp_series", "plan"), ("grid_search", "grid"),
                                     ("bayes_opt", "bo"), ("arbitrary_transfer", "amplitudes"))
           for value in (5, None, [1, 2])),
-        # an amplitudes block is checked whatever the experiment, though only
-        # arbitrary_transfer reads it
-        *({"experiment": experiment, "amplitudes": {"a": 0.6, "b": "0.8"}}
-          for experiment in EXPERIMENTS),
+        # amplitudes, grid and bo blocks are checked whatever the experiment,
+        # though only arbitrary_transfer, grid_search and bayes_opt read them
+        *({"experiment": experiment, **block} for experiment in EXPERIMENTS
+          for block in ({"amplitudes": {"a": 0.6, "b": "0.8"}}, {"grid": {"step": 0}},
+                        {"bo": {"top_starts": 0}})),
         # values of the wrong type or out of range
         {"chain": {"n": "x"}},
         {"shots": "many"},
@@ -444,8 +447,6 @@ class TestExitCodes:
         {"chain": {"n": 4, "couplings": [1, math.nan, 1]}},
         {"chain": {"n": 4, "couplings": [1, math.inf, 1]}},
         {"chain": {"n": 3, "j0": math.inf}},
-        {"experiment": "grid_search", "grid": {"step": 0}},
-        {"experiment": "bayes_opt", "bo": {"top_starts": 0}},
         {"plan": {"steps": 4.7}},
         {"chain": {"n": 1}},
         {"plan": {"steps": 0}},
@@ -531,6 +532,42 @@ class TestExitCodes:
         a = (out_a / "series.csv").read_text()
         b = (out_b / "series.csv").read_text()
         assert a != b
+
+
+class TestSchemaTable:
+    @staticmethod
+    def resolved(cfg: dict):
+        """What a config runs: its ExperimentConfig, search and run id, read
+        as the JSON file would be."""
+        experiment, exp_cfg, search = resolve_config(json.loads(json.dumps(cfg)))
+        return exp_cfg, search, _run_id(experiment, exp_cfg, search)
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_a_stated_default_changes_nothing(self, experiment):
+        """A config that states a _BLOCKS default, one key or all of them,
+        resolves to what the config that omits it resolves to."""
+        base = {"experiment": experiment}
+        want = self.resolved(base)
+        stated = {block: {key: default for key, (_, default) in schema.items()
+                          if default is not None} for block, schema in _BLOCKS.items()}
+        for block, values in stated.items():
+            for key, default in values.items():
+                assert self.resolved({**base, block: {key: default}}) == want, f"{block}.{key}"
+        assert self.resolved({**base, **stated}) == want
+
+    def test_readme_schema_shows_the_table_defaults(self):
+        """The README's config schema block shows every _BLOCKS block, and
+        each key it shows is in the table with the table's default."""
+        text = (REPO / "README.md").read_text(encoding="utf-8")
+        start = text.index("```json\n", text.index("Config schema")) + len("```json\n")
+        shown = json.loads(text[start:text.index("```", start)])
+        assert set(_BLOCKS) <= set(shown)
+        for block, schema in _BLOCKS.items():
+            for key, value in shown[block].items():
+                name = f"{block}.{key}"
+                assert key in schema, name
+                parse, default = schema[key]
+                assert parse(value, name) == parse(default, name), name
 
 
 class TestReport:

@@ -120,7 +120,7 @@ class TestObjectives:
         def refuse(*args):
             raise AssertionError("objectives built a series record")
 
-        monkeypatch.setattr(ExperimentConfig, "config_hash", refuse)
+        monkeypatch.setattr(experiments, "digest", refuse)
         monkeypatch.setattr(SPTimeSeries, "__post_init__", refuse)
         objectives(self.BENCH_GRID, ExperimentConfig(noise=NoiseParams()))
         with pytest.raises(AssertionError):
